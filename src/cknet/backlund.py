@@ -19,11 +19,16 @@ net even for complex alpha = +-pi/2 + i y (then |sin alpha| > 1 and the
 two scalar fields must be seeded as complex conjugates).  Periodicity in
 the rotation direction is controlled by the eigenvalue ratio of B: the
 transform closes after N0 steps when B^{N0} is proportional to the
-identity, which is a one-parameter root-finding problem in alpha.
+identity, that is when the ratio is e^{2 pi i p / N0}, or
+
+    tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0),
+
+a real equation in alpha solved by a one-parameter root search.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -58,6 +63,10 @@ class BacklundParams:
         else:
             object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "s_tilde0", complex(self.s_tilde0))
+        for name in ("alpha", "beta", "s_tilde0", "s_hat0"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.s_hat0 is None:
             if abs(np.sin(self.alpha)) > 1.0 and abs(np.sin(self.alpha).imag) < 1e-12:
                 object.__setattr__(self, "s_hat0", np.conj(self.s_tilde0))
@@ -88,6 +97,32 @@ def moebius(mat, z):
     return (mat[0, 0] * z + mat[0, 1]) / den
 
 
+def _entries(x, w, t, angle, hat: bool = False):
+    """Entries (e11, e12, e21, e22) of one recurrence matrix, broadcast over all inputs.
+
+    (x, w, t) is (u, ell, tan(delta1/2)) along j or (s, m, tan(delta2/2))
+    along k; hat selects the V form (C, D) at angle beta, whose matrix is
+    the adjugate of the W form's (A, B) at the same angle.
+    """
+    sa, ca = np.sin(angle), np.cos(angle)
+    inv = 1.0 / x
+    diag1 = sa * (x / t + t / x) / w
+    diag2 = sa * w * (1.0 / (x * t) + x * t)
+    off1 = (inv - x) * ca
+    off2 = (x - inv) * ca
+    if hat:
+        return diag2, off2 + x + inv, off1 + x + inv, diag1
+    return diag1, off1 - x - inv, off2 - x - inv, diag2
+
+
+def _matrices(x, w, t, angle, hat: bool = False) -> np.ndarray:
+    """The entries of ``_entries`` packed into matrices of shape (..., 2, 2)."""
+    e = _entries(x, w, t, angle, hat)
+    out = np.empty(np.broadcast(*e).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e
+    return out
+
+
 def build_abcd(hs: HsLaxData, alpha: complex, beta: Optional[complex] = None):
     """Coefficient matrices of the scalar recurrences, per profile edge/column.
 
@@ -98,38 +133,10 @@ def build_abcd(hs: HsLaxData, alpha: complex, beta: Optional[complex] = None):
     """
     if beta is None:
         beta = -alpha
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    u, ell = hs.u, hs.ell
-    v, m = hs.s, hs.m
     t1 = np.tan(hs.delta1 / 2.0)
     t2 = np.tan(hs.delta2 / 2.0)
-
-    def pack(e11, e12, e21, e22, n):
-        out = np.empty((n, 2, 2), dtype=complex)
-        out[:, 0, 0] = e11
-        out[:, 0, 1] = e12
-        out[:, 1, 0] = e21
-        out[:, 1, 1] = e22
-        return out
-
-    A = pack(sa * (u / t1 + t1 / u) / ell,
-             (1.0 / u - u) * ca - u - 1.0 / u,
-             (u - 1.0 / u) * ca - u - 1.0 / u,
-             sa * ell * (1.0 / (u * t1) + u * t1), len(u))
-    B = pack(sa * (v / t2 + t2 / v) / m,
-             (1.0 / v - v) * ca - v - 1.0 / v,
-             (v - 1.0 / v) * ca - v - 1.0 / v,
-             sa * m * (1.0 / (v * t2) + v * t2), len(v))
-    C = pack(sb * ell * (1.0 / (u * t1) + u * t1),
-             (u - 1.0 / u) * cb + u + 1.0 / u,
-             (1.0 / u - u) * cb + u + 1.0 / u,
-             sb * (u / t1 + t1 / u) / ell, len(u))
-    D = pack(sb * m * (1.0 / (v * t2) + v * t2),
-             (v - 1.0 / v) * cb + v + 1.0 / v,
-             (1.0 / v - v) * cb + v + 1.0 / v,
-             sb * (v / t2 + t2 / v) / m, len(v))
-    return A, B, C, D
+    return (_matrices(hs.u, hs.ell, t1, alpha), _matrices(hs.s, hs.m, t2, alpha),
+            _matrices(hs.u, hs.ell, t1, beta, hat=True), _matrices(hs.s, hs.m, t2, beta, hat=True))
 
 
 def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde",
@@ -137,8 +144,10 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
     """Scalar field of a transform on the whole grid from its corner seed.
 
     Fills the first row along j and every column along k, then verifies
-    the remaining j-edges (the two recurrences commute on consistent
-    data); deviations beyond path_tol raise PathInconsistent.
+    the remaining j-edges one profile row at a time (the two recurrences
+    commute on consistent data): a vanishing denominator anywhere raises
+    PoleHit, then deviations beyond path_tol, or non-finite ones, raise
+    PathInconsistent.
     """
     A, B, C, D = build_abcd(hs, alpha, beta)
     if which == "tilde":
@@ -157,9 +166,12 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
             s[j, k + 1] = moebius(Bj[j], s[j, k])
     worst = 0.0
     for j in range(nj - 1):
-        for k in range(1, nk):
-            worst = max(worst, abs(moebius(Aj[j], s[j, k]) - s[j + 1, k]))
-    if worst > path_tol:
+        a, row = Aj[j], s[j, 1:]
+        den = a[1, 0] * row + a[1, 1]
+        if np.any(np.abs(den) < 1e-14):
+            raise PoleHit(f"Moebius denominator vanished on profile row {j}")
+        worst = np.maximum(worst, np.max(np.abs((a[0, 0] * row + a[0, 1]) / den - s[j + 1, 1:])))
+    if not (worst <= path_tol):
         raise PathInconsistent(f"recurrence paths disagree by {worst:.3e} (tol {path_tol:.1e})")
     return s
 
@@ -270,7 +282,7 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     tn2 = np.tan(alpha / 2.0) ** 2
     s_col = hs.s[:, None]
     den = 1.0 - tn2 * s_hat * s_tilde
-    if np.min(np.abs(den)) < 1e-14:
+    if not (np.min(np.abs(den)) >= 1e-14):
         raise PoleHit("composed scalar field hit a pole")
     shat_tilde = (s_hat * s_tilde - tn2) / (s_col * den)
     unit_residual = float(np.max(np.abs(np.abs(shat_tilde) - 1.0)))
@@ -290,8 +302,8 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     VW = MatJet(val, dot)
     new_frames = FrameFamily(frames.domain, VW @ frames.Phi, frames.t0)
     x, n = sym_arrays(new_frames, xi, 0.0)
-    imag_residue = float(max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))))
-    if imag_residue > reality_tol:
+    imag_residue = float(np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))))
+    if not (imag_residue <= reality_tol):
         raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")
     net = ContactElementNet(x.real, n.real)
     return net, DoubleReport(imag_residue, unit_residual, s_tilde, s_hat, shat_tilde)
@@ -315,25 +327,28 @@ class PeriodicAlpha:
     residual: float
 
 
-def _rotation_matrix(hs: HsLaxData, alpha: float, which: str) -> np.ndarray:
-    A, B, C, D = build_abcd(hs, alpha)
-    return B[0] if which == "B" else D[0]
+def _rotation_phase(hs: HsLaxData, alpha, which: str):
+    """Folded eigenphase |arg(lam1/lam2)| in [0, pi] of B[0] (or D[0]), broadcast over alpha.
 
-
-def _eigenphase(mat: np.ndarray) -> float:
-    lam = np.linalg.eigvals(mat)
-    if abs(lam[1]) < 1e-300:
-        return np.pi
-    r = np.angle(lam[0] / lam[1])
-    return abs(r)
+    A 2x2 matrix with eigenvalue ratio e^{i phi} has tr^2/det = 2 + 2 cos(phi);
+    real eigenvalues fold to 0 (same sign) or pi (opposite signs).
+    """
+    hat = which == "D"
+    e11, e12, e21, e22 = _entries(hs.s[0], hs.m[0], np.tan(hs.delta2 / 2.0),
+                                  -alpha if hat else alpha, hat)
+    tr = e11 + e22
+    return np.arccos(np.clip((tr * tr / (e11 * e22 - e12 * e21)).real / 2.0 - 1.0, -1.0, 1.0))
 
 
 def _power_residual(mat: np.ndarray, N0: int) -> float:
+    """Entrywise distance of the unit-determinant N0-th power from +-identity; inf if it diverges."""
     d = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     hat = mat / np.sqrt(d)
-    P = np.linalg.matrix_power(hat, N0)
     eye = np.eye(2)
-    return float(min(np.max(np.abs(P - eye)), np.max(np.abs(P + eye))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.linalg.matrix_power(hat, N0)
+        r = float(min(np.max(np.abs(P - eye)), np.max(np.abs(P + eye))))
+    return r if np.isfinite(r) else np.inf
 
 
 def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
@@ -342,13 +357,15 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
                         y_max: float = 8.0) -> PeriodicAlpha:
     """Transform angle whose rotational recurrence closes after N0 steps.
 
-    Solves eigenphase(B(alpha)) = 2 pi p / N0 (folded into [0, pi]) by
-    bracketing and bisection, first for alpha on the real interval
-    (0, pi) and then along the line pi/2 + iy where sin alpha is real
-    and > 1 (the regime where only the double transform is real);
-    p defaults to the smallest index coprime to N0 whose phase the scan
-    reaches.  The returned residual is the entrywise distance of the
-    normalized N0-th power from +-identity, verified against verify_tol.
+    Solves tr(M)^2 / det(M) = 2 + 2 cos(2 pi p / N0) for M = B[0] (or D[0]),
+    i.e. eigenvalue ratio e^{2 pi i p / N0}, on the folded phase
+    arccos(Re(tr^2/det)/2 - 1): one vectorised scan per path, then
+    bisection, first for alpha on the real interval (0, pi) and then along
+    the line pi/2 + iy where sin alpha is real and > 1 (the regime where
+    only the double transform is real); p defaults to the smallest index
+    coprime to N0 whose phase the scan reaches.  The returned residual is
+    the entrywise distance of the normalized N0-th power from +-identity,
+    verified against verify_tol.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
@@ -356,25 +373,22 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
         raise ConfigError(f"which must be 'B' or 'D', got {which!r}")
     ps = [p] if p is not None else [q for q in range(1, N0) if gcd(q, N0) == 1]
     paths = (
-        lambda sigma: complex(sigma),
+        lambda sigma: sigma + 0j,
         lambda sigma: np.pi / 2.0 + 1j * sigma * (y_max / np.pi),
     )
-    grids = [np.linspace(1e-6, np.pi - 1e-6, n_scan) for _ in paths]
-    phase_rows = [
-        np.array([_eigenphase(_rotation_matrix(hs, path(sig), which)) for sig in grid])
-        for path, grid in zip(paths, grids)
-    ]
+    grid = np.linspace(1e-6, np.pi - 1e-6, n_scan)
+    phase_rows = [_rotation_phase(hs, path(grid), which) for path in paths]
     for p_try in ps:
         target = (2.0 * np.pi * p_try / N0) % (2.0 * np.pi)
         target = min(target, 2.0 * np.pi - target)
-        for path, grid, phases in zip(paths, grids, phase_rows):
+        for path, phases in zip(paths, phase_rows):
             f = phases - target
             for i in np.nonzero(f[:-1] * f[1:] <= 0.0)[0]:
                 lo, hi = grid[int(i)], grid[int(i) + 1]
                 flo = f[int(i)]
                 for _ in range(200):
                     mid = (lo + hi) / 2.0
-                    fm = _eigenphase(_rotation_matrix(hs, path(mid), which)) - target
+                    fm = _rotation_phase(hs, path(mid), which) - target
                     if abs(fm) < phase_tol or hi - lo < 1e-15:
                         lo = hi = mid
                         break
@@ -385,7 +399,10 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
                 alpha = path((lo + hi) / 2.0)
                 if abs(alpha.imag) < 1e-12:
                     alpha = complex(alpha.real)
-                residual = _power_residual(_rotation_matrix(hs, alpha, which), N0)
+                # full rows, so the matrix is bit for bit the one build_abcd returns
+                mat = _matrices(hs.s, hs.m, np.tan(hs.delta2 / 2.0),
+                                -alpha if which == "D" else alpha, which == "D")[0]
+                residual = _power_residual(mat, N0)
                 if residual <= verify_tol:
                     return PeriodicAlpha(alpha, int(p_try), residual)
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {y_max:g}) "

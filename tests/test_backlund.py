@@ -1,5 +1,6 @@
 """Tests for Backlund transforms: recurrences, invariants, periodicity."""
 
+import warnings
 from functools import lru_cache
 from math import lcm
 
@@ -12,7 +13,7 @@ from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
                             find_periodic_alpha, linearize, moebius,
                             propagate, single_backlund)
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
-from cknet.errors import ConfigError, NoRoot, PoleHit
+from cknet.errors import ConfigError, NoRoot, PathInconsistent, PoleHit, RealityViolated
 from cknet.lattice import FrameFamily, MatJet, gauge_frame
 from cknet.nets import curvature_report, sym, sym_arrays
 from cknet.revolution import profile_elliptic
@@ -39,6 +40,14 @@ def hex_fixture():
     hs, _ = gauge_to_hs(conn, data)
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     return hs, frames, sym(frames, 2.0)
+
+
+@lru_cache(maxsize=None)
+def real_path_hs():
+    """kappa = 1.5: delta2 is real and B[0] is elliptic on parts of both search paths."""
+    p = profile_elliptic(1.5, -1, (-3, 3), j0=4)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 8)
+    return gauge_to_hs(conn, data)[0]
 
 
 def transform_residuals(base, new, angle):
@@ -76,6 +85,13 @@ def test_params_defaults_complex_angle_conjugate_seed():
     assert p.s_hat0 == np.conj(seed)
     q = BacklundParams(ALPHA_C, s_tilde0=seed, s_hat0=2.0j)
     assert q.s_hat0 == 2.0j
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "s_tilde0", "s_hat0"])
+def test_params_reject_non_finite(field):
+    for bad in (complex("nan"), complex("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(ConfigError, match=field):
+            BacklundParams(**{"alpha": np.pi / 3.0, field: bad})
 
 
 def test_moebius_identity_and_composition():
@@ -173,6 +189,24 @@ def test_propagate_conjugate_fields_on_complex_angle():
     s_tilde = propagate(hs, ALPHA_C, seed, "tilde")
     s_hat = propagate(hs, ALPHA_C, np.conj(seed), "hat")
     assert np.max(np.abs(s_hat - s_tilde.conj())) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_propagate_rejects_non_finite_field():
+    hs, _, _ = hs_fixture()
+    with pytest.raises(PathInconsistent, match="nan"):
+        propagate(hs, np.pi / 3.0, complex("nan"))
+
+
+def test_propagate_path_check_reports_pole_first():
+    """A seed whose k-neighbour sits on the pole of A[0] fails as PoleHit, not PathInconsistent."""
+    hs, _, _ = hs_fixture()
+    A, B, _, _ = build_abcd(hs, np.pi / 3.0)
+    pole = -A[0][1, 1] / A[0][1, 0]
+    B0 = B[0]
+    seed = moebius(np.array([[B0[1, 1], -B0[0, 1]], [-B0[1, 0], B0[0, 0]]]), pole)
+    with pytest.raises(PoleHit):
+        propagate(hs, np.pi / 3.0, seed)
 
 
 def test_propagate_rejects_unknown_field():
@@ -292,8 +326,54 @@ def test_double_backlund_condition_rejections():
                                                    s_hat0=1.0 + 0.0j))
 
 
+def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
+    hs, frames, _ = hs_fixture()
+    nan_field = np.full((hs.domain.nj, hs.domain.nk), np.nan + 0j)
+    monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
+    with pytest.raises(PoleHit):
+        double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+
+
+def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
+    hs, frames, _ = hs_fixture()
+
+    def nan_sym(new_frames, xi, t):
+        x, n = sym_arrays(new_frames, xi, t)
+        x[0, 0, 0] = complex(1.0, np.nan)
+        return x, n
+
+    monkeypatch.setattr(bk, "sym_arrays", nan_sym)
+    with pytest.raises(RealityViolated):
+        double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+
+
 # ---------------------------------------------------------------------------
 # rotational periodicity
+
+
+@pytest.mark.parametrize("which", ["B", "D"])
+def test_rotation_phase_matches_eigenvalue_ratio(which):
+    """tr^2/det = 2 + 2 cos(phase) agrees with the eigenvalue route on both search paths."""
+    hs = real_path_hs()
+    sigma = np.linspace(0.01, np.pi - 0.01, 61)
+    for path in (sigma + 0j, np.pi / 2.0 + 1j * sigma * (8.0 / np.pi)):
+        closed = bk._rotation_phase(hs, path, which)
+        ref = []
+        for alpha in path:
+            lam = np.linalg.eigvals(build_abcd(hs, alpha)[1 if which == "B" else 3][0])
+            ref.append(abs(np.angle(lam[0] / lam[1])))
+        ref = np.array(ref)
+        away = (ref > 0.05) & (ref < np.pi - 0.05)
+        assert np.count_nonzero(away) > 20
+        assert_allclose(closed[away], ref[away], rtol=0.0, atol=1e-12)
+
+
+def test_find_periodic_alpha_real_root():
+    hs = real_path_hs()
+    found = find_periodic_alpha(hs, 8)
+    assert isinstance(found.alpha, complex) and found.alpha.imag == 0.0
+    assert 0.0 < found.alpha.real < np.pi
+    assert found.p == 1 and found.residual < 1e-9
 
 
 def test_find_periodic_alpha_lands_on_the_complex_line():
@@ -320,6 +400,27 @@ def test_periodic_alpha_power_and_phase_dual_route():
     power = np.linalg.matrix_power(hat, 8)
     dev = min(np.max(np.abs(power - np.eye(2))), np.max(np.abs(power + np.eye(2))))
     assert dev < 1e-9
+
+
+def test_find_periodic_alpha_on_d():
+    hs, _, _ = hex_fixture()
+    found = find_periodic_alpha(hs, 8, which="D")
+    assert found.p == 1
+    D0 = build_abcd(hs, found.alpha)[3][0]
+    hat = D0 / np.sqrt(D0[0, 0] * D0[1, 1] - D0[0, 1] * D0[1, 0])
+    power = np.linalg.matrix_power(hat, 8)
+    assert min(np.max(np.abs(power - np.eye(2))), np.max(np.abs(power + np.eye(2)))) < 1e-9
+
+
+def test_find_periodic_alpha_skips_diverging_candidates_quietly():
+    """At N0 = 39 a rejected bracket's power overflows; no numpy warning may escape."""
+    hs, _, _ = hex_fixture()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_periodic_alpha(hs, 39)
+        assert bk._power_residual(np.diag([2.0, 0.5]), 2000) == np.inf
+    assert found.p == 1 and found.residual < 1e-9
+    assert complex(found.alpha) == complex(np.pi / 2.0, 1.1109189658225873)
 
 
 def test_find_periodic_alpha_no_root():

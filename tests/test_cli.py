@@ -232,6 +232,17 @@ def test_search_finds_annulus_angle(tmp_path, capsys):
     assert doc["parameters"]["backlund.alpha_found"].startswith("(1.5707963267948966+1.51")
 
 
+def test_double_rejects_non_finite_seed(tmp_path, capsys):
+    cfg = write(tmp_path, "hex.ini", HEX_INI)
+    mesh = tmp_path / "out.obj"
+    code = cli.main(["double", "--config", cfg, "--backlund.seed", "nan",
+                     "--output.mesh", str(mesh)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "stage=config" in err and "s_tilde0" in err
+    assert not mesh.exists()
+
+
 def test_search_without_root_is_numeric_failure(tmp_path, capsys):
     cfg = write(tmp_path, "hex.ini", HEX_INI)
     code = cli.main(["search", "--config", cfg, "--backlund.p", "2"])
