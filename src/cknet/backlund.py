@@ -143,11 +143,11 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
               beta: Optional[complex] = None, path_tol: float = 1e-10) -> np.ndarray:
     """Scalar field of a transform on the whole grid from its corner seed.
 
-    Fills the first row along j and every column along k, then verifies
-    the remaining j-edges one profile row at a time (the two recurrences
-    commute on consistent data): a vanishing denominator anywhere raises
-    PoleHit, then deviations beyond path_tol, or non-finite ones, raise
-    PathInconsistent.
+    Fills the first column along j, then steps every profile row along k
+    at once (B_j is constant along k), then verifies the remaining
+    j-edges (the two recurrences commute on consistent data): a
+    vanishing denominator anywhere raises PoleHit, then deviations
+    beyond path_tol, or non-finite ones, raise PathInconsistent.
     """
     A, B, C, D = build_abcd(hs, alpha, beta)
     if which == "tilde":
@@ -161,16 +161,28 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
     s[0, 0] = seed
     for j in range(nj - 1):
         s[j + 1, 0] = moebius(Aj[j], s[j, 0])
-    for j in range(nj):
-        for k in range(nk - 1):
-            s[j, k + 1] = moebius(Bj[j], s[j, k])
-    worst = 0.0
-    for j in range(nj - 1):
-        a, row = Aj[j], s[j, 1:]
-        den = a[1, 0] * row + a[1, 1]
+    # Rows 0 and 1 of w are the denominators and numerators of the k-step of
+    # every profile row.  The complex products are formed on real and
+    # imaginary parts, which round as the scalar product in moebius does;
+    # numpy's vectorised complex multiply may differ in the last bit.
+    scale, shift = Bj[:, ::-1, 0].T, Bj[:, ::-1, 1].T
+    sr, si = scale.real.copy(), scale.imag.copy()
+    w = np.empty_like(scale)
+    den, num = w
+    for k in range(nk - 1):
+        z = s[:, k]
+        np.subtract(sr * z.real, si * z.imag, out=w.real)
+        np.add(sr * z.imag, si * z.real, out=w.imag)
+        w += shift
         if np.any(np.abs(den) < 1e-14):
-            raise PoleHit(f"Moebius denominator vanished on profile row {j}")
-        worst = np.maximum(worst, np.max(np.abs((a[0, 0] * row + a[0, 1]) / den - s[j + 1, 1:])))
+            raise PoleHit(f"Moebius denominator vanished on column {k}")
+        np.divide(num, den, out=s[:, k + 1])
+    a, rows = Aj[..., None], s[:-1, 1:]
+    den = a[:, 1, 0] * rows + a[:, 1, 1]
+    poles = np.nonzero(np.any(np.abs(den) < 1e-14, axis=1))[0]
+    if poles.size:
+        raise PoleHit(f"Moebius denominator vanished on profile row {poles[0]}")
+    worst = np.max(np.abs((a[:, 0, 0] * rows + a[:, 0, 1]) / den - s[1:, 1:]), initial=0.0)
     if not (worst <= path_tol):
         raise PathInconsistent(f"recurrence paths disagree by {worst:.3e} (tol {path_tol:.1e})")
     return s

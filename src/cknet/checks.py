@@ -17,7 +17,7 @@ import numpy as np
 from . import backlund as bk
 from .connect import (build_ck_connection, build_cmc_connection,
                       closing_residual, gauge_to_hs, hs_lax, rotational_frames)
-from .lattice import admissible_gauge, flatness_residual, gauge_frame, jet_residual
+from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
 from .nets import (ContactElementNet, curvature_report, rigid_align,
                    singular_vertices, sym, validate_ec)
 from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
@@ -77,7 +77,8 @@ def fixture_ck():
 @lru_cache(maxsize=None)
 def fixture_ck_hs():
     p, conn, data = fixture_ck()
-    hs, conn_gauged = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
+    conn_gauged = gauge(conn, hs.gauge)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     frames_hs = gauge_frame(frames, hs.gauge)
     base_net = sym(frames_hs, 2.0)
@@ -89,7 +90,7 @@ def fixture_ck_hex():
     """K=-1 fixture with k0 = 6 (theta = pi/3) and 26 columns for periodicity."""
     p = fixture_profile("elliptic", 0.6, -1)
     conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 26)
-    hs, _ = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     frames_hs = gauge_frame(frames, hs.gauge)
     base_net = sym(frames_hs, 2.0)
@@ -111,7 +112,7 @@ def fixture_linear():
     """Wide K=-1 fixture for the 30 x 50 linearization comparison."""
     p = profile_elliptic(0.6, -1, (-15, 14), j0=16)
     conn, data = build_ck_connection(p, np.pi / 5.0, 50)
-    hs, _ = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
     return hs
 
 

@@ -34,7 +34,7 @@ from .connect import build_ck_connection, closing_residual, gauge_to_hs, rotatio
 from .errors import (CaseMismatch, CknetError, ConfigError, InvalidProfile,
                      ModulusOutOfRange)
 from .lattice import flatness_residual, gauge_frame
-from .nets import ContactElementNet, curvature_report, sym, validate_ec
+from .nets import ContactElementNet, CurvatureReport, curvature_report, sym, validate_ec
 from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
                          gauss_from_profile, profile_elliptic, profile_hyp,
                          profile_trig)
@@ -188,7 +188,7 @@ def rotation_step(cfg: dict):
         if k0 < 3:
             raise ConfigError(f"rotation.k0 must be >= 3, got {k0}")
         exact = 2.0 * np.pi / k0
-        if theta is not None and abs(theta - exact) > 1e-12:
+        if theta is not None and not (abs(theta - exact) <= 1e-12):
             raise ConfigError(f"rotation.theta = {theta} and k0 = {k0} are inconsistent")
         return exact, k0
     return theta, None
@@ -198,36 +198,27 @@ def rotation_step(cfg: dict):
 # artifacts
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def export_obj(net: ContactElementNet, path: str) -> None:
+def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = None) -> None:
     """Wavefront OBJ quad mesh: v/vn per vertex, f per nondegenerate face.
 
     Vertices are written row-major (j outer, k inner); a face at (j, k)
     references, in order, (j,k), (j,k+1), (j+1,k+1), (j+1,k) by 1-based
-    index.  Degenerate faces become `# degenerate j k` comments.
+    index.  Degenerate faces, taken from ``rep`` (computed when not
+    given), become `# degenerate j k` comments.  Coordinates are written
+    with 17 significant digits, so they read back exactly.
     """
     nj, nk = net.shape
-    rep = curvature_report(net)
-    lines = [f"# cknet quad mesh {nj} x {nk}"]
-    for j in range(nj):
-        for k in range(nk):
-            lines.append("v " + " ".join(_fmt(v) for v in net.x[j, k]))
-    for j in range(nj):
-        for k in range(nk):
-            lines.append("vn " + " ".join(_fmt(v) for v in net.n[j, k]))
-    idx = lambda j, k: j * nk + k + 1
-    for j in range(nj - 1):
-        for k in range(nk - 1):
-            if rep.degenerate[j, k]:
-                lines.append(f"# degenerate {j} {k}")
-            else:
-                quad = (idx(j, k), idx(j, k + 1), idx(j + 1, k + 1), idx(j + 1, k))
-                lines.append("f " + " ".join(str(q) for q in quad))
+    if rep is None:
+        rep = curvature_report(net)
+    parts = [f"# cknet quad mesh {nj} x {nk}\n",
+             ("v %.17g %.17g %.17g\n" * (nj * nk)) % tuple(net.x.reshape(-1).tolist()),
+             ("vn %.17g %.17g %.17g\n" * (nj * nk)) % tuple(net.n.reshape(-1).tolist())]
+    for j, row in enumerate(rep.degenerate.tolist()):
+        for k, bad in enumerate(row):
+            a = j * nk + k + 1
+            parts.append(f"# degenerate {j} {k}\n" if bad else f"f {a} {a + 1} {a + nk + 1} {a + nk}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
 def entry(name: str, residual: float, tol: float) -> dict:
@@ -285,8 +276,10 @@ def validate_report(doc) -> list:
 # invariant measurements shared by the subcommands
 
 
-def net_report_entries(p: Profile, net: ContactElementNet, k0=None) -> list:
-    rep = curvature_report(net)
+def net_report_entries(p: Profile, net: ContactElementNet, k0=None,
+                       rep: CurvatureReport | None = None) -> list:
+    if rep is None:
+        rep = curvature_report(net)
     keep = ~rep.degenerate
     gauss = np.max(np.abs(rep.K[keep] - p.K_sign)) if np.any(keep) else np.inf
     out = [
@@ -303,13 +296,13 @@ def net_report_entries(p: Profile, net: ContactElementNet, k0=None) -> list:
     return out
 
 
-def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float) -> list:
+def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float,
+                            rep: CurvatureReport) -> list:
     dx = net.x - base.x
     dist = np.max(np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha))))
     ang = np.max(np.abs(np.einsum("...i,...i->...", base.n, net.n) - np.cos(alpha)))
     orth = max(np.max(np.abs(np.einsum("...i,...i->...", dx, base.n))),
                np.max(np.abs(np.einsum("...i,...i->...", dx, net.n))))
-    rep = curvature_report(net)
     keep = ~rep.degenerate
     gauss = np.max(np.abs(rep.K[keep] + 1.0)) if np.any(keep) else np.inf
     return [
@@ -320,11 +313,11 @@ def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alp
     ]
 
 
-def _finish(entries: list, parameters: dict, cfg: dict, net=None) -> int:
+def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> int:
     mesh_path = _get(cfg, "output", "mesh", str, None)
     report_path = _get(cfg, "output", "report", str, None)
     if net is not None and mesh_path:
-        export_obj(net, mesh_path)
+        export_obj(net, mesh_path, rep)
     if report_path:
         report_json(entries, parameters, report_path)
     for e in entries:
@@ -346,10 +339,11 @@ def cmd_generate(cfg: dict) -> int:
         net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
     else:
         net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
-    entries = _stage("verify", net_report_entries, p, net, k0)
+    rep = _stage("verify", curvature_report, net)
+    entries = _stage("verify", net_report_entries, p, net, k0, rep)
     params = flat_parameters(cfg)
     params["rotation.theta_effective"] = float(theta)
-    return _finish(entries, params, cfg, net)
+    return _finish(entries, params, cfg, net, rep)
 
 
 def _hs_pipeline(cfg: dict):
@@ -358,7 +352,7 @@ def _hs_pipeline(cfg: dict):
     k_count = _get(cfg, "rotation", "k_count", int)
     k_lo = _get(cfg, "rotation", "k_lo", int, 0)
     conn, data = _stage("connect", build_ck_connection, p, theta, k_count, k_lo=k_lo)
-    hs, _ = _stage("gauge", gauge_to_hs, conn, data)
+    hs = _stage("gauge", gauge_to_hs, conn, data)
     frames = _stage("frames", rotational_frames, conn, p.a[0], p.b[0])
     frames_hs = gauge_frame(frames, hs.gauge)
     base = _stage("sym", sym, frames_hs, 2.0)
@@ -393,7 +387,8 @@ def cmd_backlund(cfg: dict) -> int:
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
     entries = [entry("flatness", flatness_residual(conn), 1e-11)]
-    entries += _stage("verify", backlund_report_entries, base, net, float(alpha.real))
+    rep = _stage("verify", curvature_report, net)
+    entries += _stage("verify", backlund_report_entries, base, net, float(alpha.real), rep)
     N0 = _get(cfg, "backlund", "N0", int, None)
     if k0 is not None and N0 is not None:
         period = lcm(k0, N0)
@@ -401,7 +396,7 @@ def cmd_backlund(cfg: dict) -> int:
         if nk > period:
             drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
             entries.append(entry("transformed_period", drift, 1e-8))
-    return _finish(entries, params, cfg, net)
+    return _finish(entries, params, cfg, net, rep)
 
 
 def cmd_double(cfg: dict) -> int:
@@ -431,7 +426,7 @@ def cmd_double(cfg: dict) -> int:
         if nk > period:
             drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
             entries.append(entry("transformed_period", drift, 1e-8))
-    return _finish(entries, params, cfg, net)
+    return _finish(entries, params, cfg, net, crep)
 
 
 def cmd_search(cfg: dict) -> int:

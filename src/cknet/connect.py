@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
                      InvalidProfile, RepeatedEigenvalue)
-from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet, gauge
+from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
 from .revolution import Profile
 
 
@@ -125,8 +125,8 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
 def _tile_k_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
     nk = domain.nk
     tile = lambda jet, n: MatJet(
-        np.broadcast_to(jet.val[:, None], (jet.val.shape[0], n, 2, 2)).copy(),
-        np.broadcast_to(jet.dot[:, None], (jet.val.shape[0], n, 2, 2)).copy(),
+        np.broadcast_to(jet.val[:, None], (jet.val.shape[0], n, 2, 2)),
+        np.broadcast_to(jet.dot[:, None], (jet.val.shape[0], n, 2, 2)),
     )
     return tile(L_edge, nk), tile(M_edge, nk - 1)
 
@@ -134,8 +134,8 @@ def _tile_k_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
 def _tile_j_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
     nj = domain.nj
     tile = lambda jet, n: MatJet(
-        np.broadcast_to(jet.val[None, :], (n, jet.val.shape[0], 2, 2)).copy(),
-        np.broadcast_to(jet.dot[None, :], (n, jet.val.shape[0], 2, 2)).copy(),
+        np.broadcast_to(jet.val[None, :], (n, jet.val.shape[0], 2, 2)),
+        np.broadcast_to(jet.dot[None, :], (n, jet.val.shape[0], 2, 2)),
     )
     return tile(L_edge, nj - 1), tile(M_edge, nj)
 
@@ -385,8 +385,9 @@ def rotational_frames(conn: ConnectionFamily, a0: float = None, b0: float = None
     """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k.
 
     P(0) is the given phi00 jet (or the standard frame from (a0, b0) as a
-    constant jet), P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0).
-    For a flat k-invariant family this coincides with direct integration.
+    constant jet), P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0);
+    the grid is one broadcast product of the P(j) and D^k stacks.  For a
+    flat k-invariant family this coincides with direct integration.
     """
     if phi00 is None:
         if a0 is None or b0 is None:
@@ -400,15 +401,11 @@ def rotational_frames(conn: ConnectionFamily, a0: float = None, b0: float = None
     for j in range(nj - 1):
         P.append(conn.L[j, 0] @ P[-1])
     D = phi00.inv() @ conn.M[0, 0] @ phi00
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.empty_like(val)
-    Dk = MatJet.constant(np.eye(2))
-    for k in range(nk):
-        for j in range(nj):
-            step = P[j] @ Dk
-            val[j, k], dot[j, k] = step.val, step.dot
-        Dk = D @ Dk
-    return FrameFamily(conn.domain, MatJet(val, dot), conn.t0)
+    Dk = [MatJet.constant(np.eye(2))]
+    for k in range(nk - 1):
+        Dk.append(D @ Dk[-1])
+    stack = lambda jets: MatJet(np.stack([m.val for m in jets]), np.stack([m.dot for m in jets]))
+    return FrameFamily(conn.domain, stack(P)[:, None] @ stack(Dk), conn.t0)
 
 
 def closing_residual(conn: ConnectionFamily, k0: int) -> float:
@@ -465,11 +462,13 @@ def _angle_from_sin(w: float) -> complex:
 def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     """Gauge a K=-1 rotational connection into its normal Lax form.
 
-    Returns (HsLaxData, ConnectionFamily).  The scalar gauge g grows by
-    alpha along profile edges and by beta along rotation edges; the
-    matrix gauge is g * diag(sqrt(s)/sqrt(i), sqrt(i)/sqrt(s)) with the
-    square-root branch chained so the gauged family matches the normal
-    form entrywise.
+    Returns the HsLaxData; its ``gauge`` field carries the vertex gauge,
+    so ``lattice.gauge(conn, hs.gauge)`` is the gauged family.  The
+    scalar gauge g grows by alpha along profile edges and by beta along
+    rotation edges; the matrix gauge is
+    g * diag(sqrt(s)/sqrt(i), sqrt(i)/sqrt(s)) with the square-root
+    branch chained so the gauged family matches the normal form
+    entrywise.
     """
     if data.case != 3 or data.K_sign != -1:
         raise CaseMismatch("normal form gauge applies to the K=-1 (case 3) family")
@@ -506,9 +505,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     G_val[..., 0, 0] = g * (r / sq_i)[:, None]
     G_val[..., 1, 1] = g * (sq_i / r)[:, None]
     G = MatJet(G_val, np.zeros_like(G_val))
-    hs_conn = gauge(conn, G)
-    hs = HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain, G)
-    return hs, hs_conn
+    return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain, G)
 
 
 def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:

@@ -134,28 +134,26 @@ def face_normal(net: ContactElementNet, rank_tol: float = 1e-10) -> np.ndarray:
     c_n = np.cross(nd1, nd2)
     c_x = np.cross(xd1, xd2)
     N = np.empty_like(c_n)
-    norm_cn = np.linalg.norm(c_n, axis=-1)
-    nj1, nk1 = norm_cn.shape
-    for j in range(nj1):
-        for k in range(nk1):
-            if norm_cn[j, k] > rank_tol:
-                v = c_n[j, k]
-            else:
-                m = nd1[j, k] if np.linalg.norm(nd1[j, k]) >= np.linalg.norm(nd2[j, k]) else nd2[j, k]
-                if np.linalg.norm(m) > rank_tol:
-                    mhat = m / np.linalg.norm(m)
-                    v = c_x[j, k] - np.dot(c_x[j, k], mhat) * mhat
-                    if np.linalg.norm(v) <= rank_tol:
-                        axis = np.zeros(3)
-                        axis[int(np.argmin(np.abs(mhat)))] = 1.0
-                        v = np.cross(mhat, axis)
-                else:
-                    v = c_x[j, k]
-                    if np.linalg.norm(v) <= rank_tol:
-                        raise DegenerateFace(
-                            f"face ({j},{k}): neither normal nor position diagonals span a plane"
-                        )
-            N[j, k] = v / np.linalg.norm(v)
+    generic = np.linalg.norm(c_n, axis=-1) > rank_tol
+    g = c_n[generic]
+    # a batched 1x3 @ 3x1 product rounds like np.linalg.norm of one vector
+    N[generic] = g / np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0])
+    for j, k in zip(*np.nonzero(~generic)):
+        m = nd1[j, k] if np.linalg.norm(nd1[j, k]) >= np.linalg.norm(nd2[j, k]) else nd2[j, k]
+        if np.linalg.norm(m) > rank_tol:
+            mhat = m / np.linalg.norm(m)
+            v = c_x[j, k] - np.dot(c_x[j, k], mhat) * mhat
+            if np.linalg.norm(v) <= rank_tol:
+                axis = np.zeros(3)
+                axis[int(np.argmin(np.abs(mhat)))] = 1.0
+                v = np.cross(mhat, axis)
+        else:
+            v = c_x[j, k]
+            if np.linalg.norm(v) <= rank_tol:
+                raise DegenerateFace(
+                    f"face ({j},{k}): neither normal nor position diagonals span a plane"
+                )
+        N[j, k] = v / np.linalg.norm(v)
     sign = _det3(xd1, xd2, N)
     N[sign < 0] *= -1.0
     return N

@@ -27,7 +27,7 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 def hs_fixture():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
     conn, data = build_ck_connection(p, np.pi / 6.0, 15)
-    hs, _ = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     return hs, frames, sym(frames, 2.0)
 
@@ -37,7 +37,7 @@ def hex_fixture():
     """Closing rotation (theta = 2 pi / 6) with enough columns for lcm(6, 9)."""
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
     conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 26)
-    hs, _ = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     return hs, frames, sym(frames, 2.0)
 
@@ -47,7 +47,7 @@ def real_path_hs():
     """kappa = 1.5: delta2 is real and B[0] is elliptic on parts of both search paths."""
     p = profile_elliptic(1.5, -1, (-3, 3), j0=4)
     conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 8)
-    return gauge_to_hs(conn, data)[0]
+    return gauge_to_hs(conn, data)
 
 
 def transform_residuals(base, new, angle):
@@ -206,6 +206,33 @@ def test_propagate_path_check_reports_pole_first():
     B0 = B[0]
     seed = moebius(np.array([[B0[1, 1], -B0[0, 1]], [-B0[1, 0], B0[0, 0]]]), pole)
     with pytest.raises(PoleHit):
+        propagate(hs, np.pi / 3.0, seed)
+
+
+@pytest.mark.parametrize("which", ["tilde", "hat"])
+def test_propagate_matches_scalar_moebius_steps(which):
+    hs, _, _ = hs_fixture()
+    A, B, C, D = build_abcd(hs, ALPHA_C)
+    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    seed = 1.3 * np.exp(0.4j)
+    s = propagate(hs, ALPHA_C, seed, which)
+    ref = np.empty_like(s)
+    ref[0, 0] = seed
+    for j in range(1, s.shape[0]):
+        ref[j, 0] = moebius(Aj[j - 1], ref[j - 1, 0])
+    for j in range(s.shape[0]):
+        for k in range(1, s.shape[1]):
+            ref[j, k] = moebius(Bj[j], ref[j, k - 1])
+    assert_allclose(s, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_propagate_raises_pole_hit_on_a_k_step():
+    """A seed that A carries onto the pole of B[2] fails in the first k step of row 2."""
+    hs, _, _ = hs_fixture()
+    A, B, _, _ = build_abcd(hs, np.pi / 3.0)
+    adj = lambda m: np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    seed = moebius(adj(A[0]), moebius(adj(A[1]), -B[2][1, 1] / B[2][1, 0]))
+    with pytest.raises(PoleHit, match="column 0"):
         propagate(hs, np.pi / 3.0, seed)
 
 

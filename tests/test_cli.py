@@ -175,6 +175,26 @@ def test_obj_export_single_quad(tmp_path):
     assert [l for l in lines if l.startswith("f ")] == ["f 1 2 4 3"]
 
 
+def test_obj_export_matches_per_value_format(tmp_path):
+    """Every coordinate is written as format(v, ".17g"); face (0,0) is degenerate."""
+    x = np.array([[[-0.0, 1e-300, 0.0], [0.0, 1.0, 0.0], [1e300, 0.0, 0.0]],
+                  [[0.0, 2.0, 0.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]]])
+    n = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                  [[1.0, 1.0, 1.0], [-1.0, 0.0, 2.0], [0.0, -1.0, 2.0]]])
+    net = ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+    path = tmp_path / "mesh.obj"
+    cli.export_obj(net, str(path))
+    expected = ["# cknet quad mesh 2 x 3"]
+    for tag, arr in (("v", net.x), ("vn", net.n)):
+        for j in range(2):
+            for k in range(3):
+                expected.append(tag + " " + " ".join(format(float(v), ".17g") for v in arr[j, k]))
+    expected += ["# degenerate 0 0", "f 2 3 6 5"]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    assert expected[1] == "v -0 1e-300 0"
+    assert expected[3] == "v 1.0000000000000001e+300 0 0"
+
+
 # ---------------------------------------------------------------------------
 # transform subcommands
 
@@ -278,6 +298,17 @@ def test_inconsistent_rotation_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert "inconsistent" in err
+
+
+def test_nan_theta_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "job.ini", PSEUDO_INI)
+    mesh = tmp_path / "out.obj"
+    code = cli.main(["generate", "--config", cfg, "--rotation.theta", "nan",
+                     "--output.mesh", str(mesh)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "stage=rotation" in err and "inconsistent" in err
+    assert not mesh.exists()
 
 
 def test_invariant_failure_exit_code(capsys):

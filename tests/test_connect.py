@@ -14,7 +14,7 @@ from cknet.connect import (CkEdgeData, build_ck_connection,
 from cknet.errors import (CaseMismatch, ConfigError, InvalidProfile,
                           RepeatedEigenvalue)
 from cknet.lattice import (MatJet, admissible_gauge, flatness_residual, gauge,
-                           gauge_frame, jet_residual)
+                           gauge_frame, integrate_frame, jet_residual)
 from cknet.nets import rigid_align, sym, cross_ratio
 from cknet.revolution import build_rcnet, profile_elliptic, profile_trig
 
@@ -39,7 +39,8 @@ def cmc_fixture(case):
 @lru_cache(maxsize=None)
 def hs_fixture():
     p, conn, data = ck_fixture()
-    hs, conn_gauged = gauge_to_hs(conn, data)
+    hs = gauge_to_hs(conn, data)
+    conn_gauged = gauge(conn, hs.gauge)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     return p, conn, data, hs, conn_gauged, frames
 
@@ -269,6 +270,50 @@ def test_rotational_frames_requires_seed_and_invariance():
     _, conn1, _ = cmc_fixture(1)
     with pytest.raises(ValueError):
         rotational_frames(conn1, a0=0.0, b0=1.0)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_rotational_frames_match_product_loop_and_integration(case):
+    if case == 3:
+        p, conn, _ = ck_fixture()
+    else:
+        p, conn, _ = cmc_fixture(case)
+        if case == 1:
+            conn = conn.transpose()
+    phi00 = MatJet.constant(initial_frame(p.a[0], p.b[0]))
+    Phi = rotational_frames(conn, phi00=phi00).Phi
+    scale = max(1.0, np.max(np.abs(Phi.val)), np.max(np.abs(Phi.dot)))
+    D = phi00.inv() @ conn.M[0, 0] @ phi00
+    P = phi00
+    for j in range(conn.domain.nj):
+        if j > 0:
+            P = conn.L[j - 1, 0] @ P
+        Dk = MatJet.constant(np.eye(2))
+        for k in range(conn.domain.nk):
+            ref = P @ Dk
+            assert_allclose(Phi.val[j, k], ref.val, rtol=0.0, atol=1e-13 * scale)
+            assert_allclose(Phi.dot[j, k], ref.dot, rtol=0.0, atol=1e-13 * scale)
+            Dk = D @ Dk
+    assert jet_residual(Phi, integrate_frame(conn, phi00).Phi) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", [1, 3])
+def test_invariant_connections_are_views_of_edge_data(case):
+    if case == 3:
+        p, conn, _ = ck_fixture()
+        repeated = (conn.L.val[:, 0], conn.L.val[:, -1]), (conn.M.dot[:, 0], conn.M.dot[:, -1])
+        work = conn
+    else:
+        p, conn, _ = cmc_fixture(1)
+        repeated = (conn.L.val[0], conn.L.val[-1]), (conn.M.dot[0], conn.M.dot[-1])
+        work = conn.transpose()
+    for first, last in repeated:
+        assert np.shares_memory(first, last)
+    assert not conn.L.val.flags.writeable and not conn.M.dot.flags.writeable
+    assert flatness_residual(conn) < 1e-11
+    assert flatness_residual(conn.transpose()) < 1e-11
+    frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
+    assert np.all(np.isfinite(frames.Phi.val)) and np.all(np.isfinite(frames.Phi.dot))
 
 
 def test_closing_residual():

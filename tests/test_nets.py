@@ -123,6 +123,73 @@ def test_face_normal_sphere_matches_corner_plane():
             assert np.linalg.norm(np.cross(N[j, k], plane)) < 1e-12
 
 
+def reference_face_normal(net, rank_tol=1e-10):
+    """Face normals computed one face at a time, following the documented rules."""
+    xd1, xd2, nd1, nd2 = face_diagonals(net)
+    N = np.empty_like(xd1)
+    for j in range(N.shape[0]):
+        for k in range(N.shape[1]):
+            c_x = np.cross(xd1[j, k], xd2[j, k])
+            v = np.cross(nd1[j, k], nd2[j, k])
+            if np.linalg.norm(v) <= rank_tol:
+                m = max(nd1[j, k], nd2[j, k], key=np.linalg.norm)
+                if np.linalg.norm(m) > rank_tol:
+                    mhat = m / np.linalg.norm(m)
+                    v = c_x - np.dot(c_x, mhat) * mhat
+                    if np.linalg.norm(v) <= rank_tol:
+                        v = np.cross(mhat, np.eye(3)[np.argmin(np.abs(mhat))])
+                else:
+                    v = c_x
+                    if np.linalg.norm(v) <= rank_tol:
+                        raise DegenerateFace(f"face ({j},{k})")
+            N[j, k] = v / np.linalg.norm(v)
+            if np.dot(c_x, N[j, k]) < 0:
+                N[j, k] *= -1.0
+    return N
+
+
+def mixed_net():
+    """Curved 4 x 5 net whose faces (0,0), (1,0), (2,0) and (2,3) take the fallback branches.
+
+    Face (0,0) has constant normals (both normal diagonals vanish).  On
+    faces (1,0), (2,0) and (2,3) the normals depend on j only, so both
+    diagonals lie on one line; on face (2,0) that line is normal to the
+    position diagonals, which leaves no component of their cross product.
+    """
+    j, k = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
+    x = np.stack([j, k, 0.05 * j ** 2 + 0.03 * k ** 2 + 0.02 * j * k], axis=-1)
+    n = np.stack([-0.1 * j - 0.02 * k, -0.06 * k - 0.02 * j, np.ones_like(j)], axis=-1)
+    n[:2, :2] = E3
+    n[2:4, 3:5] = n[2:4, 3:4]
+    c = np.cross(x[3, 1] - x[2, 0], x[3, 0] - x[2, 1])
+    c /= np.linalg.norm(c)
+    a = np.array([0.3, 0.2, 1.0]) / np.sqrt(1.13)
+    n[2, :2], n[3, :2] = a, a - 2.0 * np.dot(a, c) * c
+    return ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+
+
+def test_face_normal_matches_per_face_reference_on_mixed_net():
+    net = mixed_net()
+    _, _, nd1, nd2 = face_diagonals(net)
+    rank = np.linalg.norm(np.cross(nd1, nd2), axis=-1)
+    assert np.max(np.abs(nd1[0, 0])) == 0.0 and np.max(np.abs(nd2[0, 0])) == 0.0
+    assert set(zip(*np.nonzero(rank <= 1e-10))) == {(0, 0), (1, 0), (2, 0), (2, 3)}
+    for face in ((1, 0), (2, 0), (2, 3)):
+        assert np.linalg.norm(nd1[face]) > 1e-10
+    assert_allclose(face_normal(net), reference_face_normal(net), rtol=0.0, atol=1e-13)
+
+
+def test_face_normal_names_the_first_degenerate_face():
+    net = mixed_net()
+    x = net.x.copy()
+    x[1, 1] = x[0, 0]   # face (0,0): constant normals and a vanishing position diagonal
+    broken = ContactElementNet(x, net.n)
+    with pytest.raises(DegenerateFace, match=r"face \(0,0\)"):
+        reference_face_normal(broken)
+    with pytest.raises(DegenerateFace, match=r"face \(0,0\)"):
+        face_normal(broken)
+
+
 def test_face_normal_rcnet_orthogonal_to_normal_diagonals():
     _, net = rc_net()
     N = face_normal(net)
