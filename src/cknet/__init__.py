@@ -10,25 +10,24 @@ periodicity searches for annular pseudospherical meshes.
 
 from .backlund import (BacklundParams, DoubleReport, PeriodicAlpha, build_abcd,
                        double_backlund, find_periodic_alpha, linearize, moebius,
-                       propagate, single_backlund)
+                       propagate, single_backlund, transform_residuals)
 from .checks import CheckResult, run_all, run_criterion
 from .connect import (CkEdgeData, HelixReport, HsLaxData, build_ck_connection,
                       build_cmc_connection, closing_residual, eigen_split,
                       gauge_to_hs, helix_check, hs_lax, initial_frame,
                       rotational_frames)
 from .errors import (BranchFailure, CaseMismatch, CknetError, ConfigError,
-                     DegenerateDelta, DegenerateEdge, DegenerateFace,
-                     DegenerateGeometry, DivisionByZero, InvalidProfile,
-                     ModulusOutOfRange, NoRoot, NotFlat, NotPrincipal,
-                     PathInconsistent, PoleHit, RealityViolated,
-                     RepeatedEigenvalue, Singular, ZeroEdge)
+                     DegenerateEdge, DegenerateFace, DegenerateGeometry,
+                     DivisionByZero, InvalidProfile, ModulusOutOfRange, NoRoot,
+                     NotFlat, NotPrincipal, PathInconsistent, PoleHit,
+                     RealityViolated, RepeatedEigenvalue, Singular, ZeroEdge)
 from .lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
                       admissible_gauge, flatness_residual, gauge, gauge_frame,
                       integrate_frame, jet_residual)
 from .nets import (AlignResult, ContactElementNet, CurvatureReport, EcReport,
-                   FaceReport, cross_ratio, curvature_report, curvatures,
-                   face_normal, principal_curvatures, rigid_align,
-                   singular_vertices, sym, sym_arrays, validate_ec)
+                   cross_ratio, curvature_report, face_normal, period_drift,
+                   principal_curvatures, rigid_align, singular_vertices, sym,
+                   sym_arrays, validate_ec)
 from .revolution import (Profile, build_rcnet, conservation_drift,
                          edge_residuals, elliptic_K, elliptic_theta,
                          gauss_from_profile, int_sn2, jacobi, profile_elliptic,

@@ -245,6 +245,17 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     return sym(new_frames, xi, 0.0)
 
 
+def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
+    """Worst deviations of a real-angle transform from its defining geometry:
+    distance |sin alpha|, normal angle alpha, and edge orthogonality to both normals."""
+    dx = new.x - base.x
+    dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
+    ang = np.abs(np.einsum("...i,...i->...", base.n, new.n) - np.cos(alpha))
+    orth = np.maximum(np.abs(np.einsum("...i,...i->...", dx, base.n)),
+                      np.abs(np.einsum("...i,...i->...", dx, new.n)))
+    return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
+
+
 # ---------------------------------------------------------------------------
 # double transforms
 

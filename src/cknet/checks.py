@@ -18,7 +18,7 @@ from . import backlund as bk
 from .connect import (build_ck_connection, build_cmc_connection,
                       closing_residual, gauge_to_hs, hs_lax, rotational_frames)
 from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
-from .nets import (ContactElementNet, curvature_report, rigid_align,
+from .nets import (ContactElementNet, curvature_report, period_drift, rigid_align,
                    singular_vertices, sym, validate_ec)
 from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
                          gauss_from_profile, jacobi, profile_elliptic,
@@ -140,7 +140,7 @@ def criterion_1() -> list[CheckResult]:
         keep = ~rep.degenerate
         out.append(_result(f"c01_gauss_faces{tag}",
                            np.max(np.abs(rep.K[keep] - K_sign)), 1e-9))
-        out.append(_result(f"c01_ec{tag}", validate_ec(net).max_ec, 1e-9))
+        out.append(_result(f"c01_ec{tag}", validate_ec(net, rep=rep).max_ec, 1e-9))
     return out
 
 
@@ -210,15 +210,6 @@ def criterion_5() -> list[CheckResult]:
     return out
 
 
-def _backlund_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
-    dx = new.x - base.x
-    dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
-    ang = np.abs(np.einsum("...i,...i->...", base.n, new.n) - np.cos(alpha))
-    orth = np.maximum(np.abs(np.einsum("...i,...i->...", dx, base.n)),
-                      np.abs(np.einsum("...i,...i->...", dx, new.n)))
-    return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
-
-
 def criterion_6() -> list[CheckResult]:
     """Single transforms: distance, normal angle, orthogonality, curvature."""
     hs, _, frames_hs, base_net = fixture_ck_hs()
@@ -227,7 +218,7 @@ def criterion_6() -> list[CheckResult]:
         for seed in (1.0 + 0.0j, np.exp(0.7j), np.exp(-1.9j)):
             params = bk.BacklundParams(alpha, s_tilde0=seed)
             net = bk.single_backlund(frames_hs, hs, params)
-            dist, ang, orth = _backlund_residuals(base_net, net, alpha)
+            dist, ang, orth = bk.transform_residuals(base_net, net, alpha)
             rep = curvature_report(net)
             keep = ~rep.degenerate
             kres = float(np.max(np.abs(rep.K[keep] + 1.0)))
@@ -252,10 +243,7 @@ def criterion_7() -> list[CheckResult]:
         else:
             params = bk.BacklundParams(found.alpha, s_tilde0=1.3 * np.exp(0.4j))
             net, _ = bk.double_backlund(frames_hs, hs, params)
-        period = lcm(6, N0)
-        nk = net.x.shape[1]
-        drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
-        out.append(_result(f"c07_period[N0={N0}]", drift, 1e-8))
+        out.append(_result(f"c07_period[N0={N0}]", period_drift(net, lcm(6, N0)), 1e-8))
     return out
 
 
@@ -324,10 +312,7 @@ def criterion_11() -> list[CheckResult]:
         work = conn.transpose() if case == 1 else conn
         out.append(_result(f"c11_monodromy[case{case}]", closing_residual(work, 12), 1e-10))
         frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
-        net = sym(frames, xi)
-        nk = net.x.shape[1]
-        drift = np.max(np.abs(net.x[:, 12:] - net.x[:, : nk - 12]))
-        out.append(_result(f"c11_period[case{case}]", drift, 1e-8))
+        out.append(_result(f"c11_period[case{case}]", period_drift(sym(frames, xi), 12), 1e-8))
     return out
 
 

@@ -29,12 +29,14 @@ from math import lcm
 import numpy as np
 
 from . import checks as checksmod
-from .backlund import BacklundParams, double_backlund, find_periodic_alpha, single_backlund
-from .connect import build_ck_connection, closing_residual, gauge_to_hs, rotational_frames
+from .backlund import (BacklundParams, double_backlund, find_periodic_alpha, single_backlund,
+                       transform_residuals)
+from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import (CaseMismatch, CknetError, ConfigError, InvalidProfile,
                      ModulusOutOfRange)
 from .lattice import flatness_residual, gauge_frame
-from .nets import ContactElementNet, CurvatureReport, curvature_report, sym, validate_ec
+from .nets import (ContactElementNet, CurvatureReport, curvature_report, period_drift, sym,
+                   validate_ec)
 from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
                          gauss_from_profile, profile_elliptic, profile_hyp,
                          profile_trig)
@@ -45,16 +47,17 @@ _CONFIG_ERRORS = (ConfigError, InvalidProfile, ModulusOutOfRange, CaseMismatch)
 
 
 class _StagedError(Exception):
-    def __init__(self, stage: str, error: CknetError):
+    def __init__(self, stage: str, error: Exception):
         super().__init__(f"stage={stage}: {type(error).__name__}: {error}")
         self.stage = stage
         self.error = error
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """Run one pipeline stage; package errors and float overflow carry its name."""
     try:
         return fn(*args, **kwargs)
-    except CknetError as exc:
+    except (CknetError, OverflowError, FloatingPointError) as exc:
         raise _StagedError(name, exc) from exc
 
 
@@ -284,25 +287,27 @@ def net_report_entries(p: Profile, net: ContactElementNet, k0=None,
     gauss = np.max(np.abs(rep.K[keep] - p.K_sign)) if np.any(keep) else np.inf
     out = [
         entry("gaussian_constancy", gauss, 1e-9),
-        entry("edge_constraint", validate_ec(net).max_ec, 1e-9),
+        entry("edge_constraint", validate_ec(net, rep=rep).max_ec, 1e-9),
         entry("profile_relations", edge_residuals(p), 1e-10),
         entry("conservation", conservation_drift(p), 1e-10),
         entry("unit_normal", np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)), 1e-9),
     ]
-    nk = net.shape[1]
-    if k0 is not None and nk > k0:
-        drift = np.max(np.abs(net.x[:, k0:] - net.x[:, : nk - k0]))
-        out.append(entry("rotational_period", drift, 1e-8))
+    if k0 is not None and net.shape[1] > k0:
+        out.append(entry("rotational_period", period_drift(net, k0), 1e-8))
     return out
+
+
+def _transformed_period(cfg: dict, k0, net: ContactElementNet) -> list:
+    """The transformed net repeats after lcm(k0, N0) columns, when both are set."""
+    N0 = _get(cfg, "backlund", "N0", int, None)
+    if k0 is None or N0 is None or net.shape[1] <= lcm(k0, N0):
+        return []
+    return [entry("transformed_period", period_drift(net, lcm(k0, N0)), 1e-8)]
 
 
 def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float,
                             rep: CurvatureReport) -> list:
-    dx = net.x - base.x
-    dist = np.max(np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha))))
-    ang = np.max(np.abs(np.einsum("...i,...i->...", base.n, net.n) - np.cos(alpha)))
-    orth = max(np.max(np.abs(np.einsum("...i,...i->...", dx, base.n))),
-               np.max(np.abs(np.einsum("...i,...i->...", dx, net.n))))
+    dist, ang, orth = transform_residuals(base, net, alpha)
     keep = ~rep.degenerate
     gauss = np.max(np.abs(rep.K[keep] + 1.0)) if np.any(keep) else np.inf
     return [
@@ -389,13 +394,7 @@ def cmd_backlund(cfg: dict) -> int:
     entries = [entry("flatness", flatness_residual(conn), 1e-11)]
     rep = _stage("verify", curvature_report, net)
     entries += _stage("verify", backlund_report_entries, base, net, float(alpha.real), rep)
-    N0 = _get(cfg, "backlund", "N0", int, None)
-    if k0 is not None and N0 is not None:
-        period = lcm(k0, N0)
-        nk = net.shape[1]
-        if nk > period:
-            drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
-            entries.append(entry("transformed_period", drift, 1e-8))
+    entries += _transformed_period(cfg, k0, net)
     return _finish(entries, params, cfg, net, rep)
 
 
@@ -419,13 +418,7 @@ def cmd_double(cfg: dict) -> int:
         entry("transformed_gauss", np.max(np.abs(crep.K[keep] + 1.0)) if np.any(keep) else np.inf, 1e-7),
         entry("permutability_unit", rep.unit_residual, 1e-10),
     ]
-    N0 = _get(cfg, "backlund", "N0", int, None)
-    if k0 is not None and N0 is not None:
-        period = lcm(k0, N0)
-        nk = net.shape[1]
-        if nk > period:
-            drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
-            entries.append(entry("transformed_period", drift, 1e-8))
+    entries += _transformed_period(cfg, k0, net)
     return _finish(entries, params, cfg, net, crep)
 
 

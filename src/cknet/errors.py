@@ -70,10 +70,6 @@ class PoleHit(CknetError):
     """A Moebius denominator vanished (within tolerance)."""
 
 
-class DegenerateDelta(CknetError):
-    """Edge angle data t1/t2 is zero or non-finite."""
-
-
 class PathInconsistent(CknetError):
     """Grid propagation disagrees between lattice paths."""
 

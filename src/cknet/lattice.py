@@ -8,18 +8,18 @@ p=(j,k), q=(j+1,k), r=(j+1,k+1), s=(j,k+1) flatness reads
     M_rq @ L_qp = L_rs @ M_sp.
 
 Everything is carried as a first-order jet in the spectral parameter t:
-``MatJet(val, dot)`` stores the value and the t-derivative, and products,
-inverses and powers propagate both layers.
+``MatJet(val, dot)`` stores the value and the t-derivative, and products
+and inverses propagate both layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotFlat, Singular
+from .errors import NotFlat
 from . import quat
 
 
@@ -78,16 +78,6 @@ class MatJet:
         """Jet of the inverse: d/dt A^{-1} = -A^{-1} (dA) A^{-1}."""
         iv = quat.inv(self.val, tol=tol)
         return MatJet(iv, -iv @ self.dot @ iv)
-
-    def power(self, n: int):
-        """Jet of the n-th matrix power (n >= 0) by repeated products."""
-        if n < 0:
-            return self.inv().power(-n)
-        eye = np.broadcast_to(np.eye(2, dtype=complex), self.val.shape).copy()
-        out = MatJet(eye, np.zeros_like(eye))
-        for _ in range(n):
-            out = out @ self
-        return out
 
 
 def jet_residual(a: MatJet, b: MatJet) -> float:
@@ -193,11 +183,19 @@ class FrameFamily:
 
 
 def flatness_residual(conn: ConnectionFamily) -> float:
-    """Entrywise max over faces and jet layers of M_rq L_qp - L_rs M_sp."""
+    """Entrywise max over faces and jet layers of M_rq L_qp - L_rs M_sp.
+
+    When L and M are both broadcast (stride 0) along k, as the views of
+    a rotation-invariant family are, every column of faces repeats the
+    first and only that column is formed; likewise for rows along j.
+    """
     L, M = conn.L, conn.M
-    a = MatJet(M.val[1:, :], M.dot[1:, :]) @ MatJet(L.val[:, :-1], L.dot[:, :-1])
-    b = MatJet(L.val[:, 1:], L.dot[:, 1:]) @ MatJet(M.val[:-1, :], M.dot[:-1, :])
-    return jet_residual(a, b)
+    layers = (L.val, L.dot, M.val, M.dot)
+    if all(x.strides[1] == 0 for x in layers):
+        L, M = L[:, :2], M[:, :1]
+    elif all(x.strides[0] == 0 for x in layers):
+        L, M = L[:1], M[:2]
+    return jet_residual(M[1:] @ L[:, :-1], L[:, 1:] @ M[:-1])
 
 
 def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:

@@ -22,7 +22,6 @@ formula
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -160,20 +159,6 @@ def face_normal(net: ContactElementNet, rank_tol: float = 1e-10) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FaceReport:
-    """Curvature data of one face; K and H are None on degenerate faces."""
-
-    face: tuple[int, int]
-    K: Optional[float]
-    H: Optional[float]
-    cross_ratio: complex
-    embedded: bool
-    degenerate: bool
-    det_x: float
-    normal: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
     """Aggregated per-face curvature arrays; degenerate faces are flagged."""
 
@@ -194,24 +179,6 @@ def curvature_report(net: ContactElementNet, det_tol: float = 1e-12) -> Curvatur
     K = np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe)
     H = np.where(degenerate, np.nan, 0.5 * (_det3(xd1, nd2, N) + _det3(nd1, xd2, N)) / safe)
     return CurvatureReport(K, H, den, degenerate, N)
-
-
-def curvatures(net: ContactElementNet, face: Optional[tuple[int, int]] = None,
-               det_tol: float = 1e-12) -> "FaceReport | CurvatureReport":
-    """Per-face curvature report, or the aggregate when face is None.
-
-    For a single face the non-degeneracy condition det(xd1,xd2,N) != 0 is
-    enforced (DegenerateFace); the aggregate only flags such faces.
-    """
-    rep = curvature_report(net, det_tol)
-    if face is None:
-        return rep
-    j, k = face
-    if rep.degenerate[j, k]:
-        raise DegenerateFace(f"face ({j},{k}): |det(xd1, xd2, N)| = {abs(rep.det_x[j, k]):.3e}")
-    cr, emb = cross_ratio(net, (j, k))
-    return FaceReport((j, k), float(rep.K[j, k]), float(rep.H[j, k]), cr, emb,
-                      False, float(rep.det_x[j, k]), rep.normal[j, k])
 
 
 def cross_ratio(net: ContactElementNet, face: tuple[int, int],
@@ -275,21 +242,31 @@ class EcReport:
 
 
 def validate_ec(net: ContactElementNet, tol: float = 1e-9,
-                edge_tol: float = 1e-12, det_tol: float = 1e-12) -> EcReport:
-    """Check the edge condition and non-degeneracy; returns a report."""
+                edge_tol: float = 1e-12, det_tol: float = 1e-12,
+                rep: CurvatureReport | None = None) -> EcReport:
+    """Check the edge condition and non-degeneracy; returns a report.
+
+    The face volumes are read from ``rep``, the net's curvature report
+    (computed when not given).
+    """
     x, n = net.x, net.n
     dxj, dxk = _edges_j(x), _edges_k(x)
     snj, snk = _sums_j(n), _sums_k(n)
     ec_j = np.abs(np.einsum("...i,...i->...", dxj, snj))
     ec_k = np.abs(np.einsum("...i,...i->...", dxk, snk))
-    xd1, xd2, _, _ = face_diagonals(net)
-    N = face_normal(net)
+    if rep is None:
+        rep = curvature_report(net)
     return EcReport(
         ec_j, ec_k,
         np.linalg.norm(dxj, axis=-1), np.linalg.norm(dxk, axis=-1),
         np.linalg.norm(snj, axis=-1), np.linalg.norm(snk, axis=-1),
-        _det3(xd1, xd2, N), tol, edge_tol, det_tol,
+        rep.det_x, tol, edge_tol, det_tol,
     )
+
+
+def period_drift(net: ContactElementNet, period: int) -> float:
+    """Largest coordinate change of the positions under a shift by ``period`` columns."""
+    return float(np.max(np.abs(net.x[:, period:] - net.x[:, : net.shape[1] - period])))
 
 
 # ---------------------------------------------------------------------------

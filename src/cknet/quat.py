@@ -9,9 +9,7 @@ A quaternion w + x i + y j + z k is stored as the matrix
 with sigma0..sigma3 the identity and Pauli matrices.  Membership in the
 quaternion span is m22 = conj(m11), m21 = -conj(m12).  R^3 is identified
 with the imaginary (trace-free) quaternions; the squared norm is the
-determinant, and
-
-    dot(x, y) = -tr(x y)/2,    cross(x, y) = (x y)^{tr=0}.
+determinant.
 
 All functions accept numpy arrays with matrices in the last two axes
 (shape (..., 2, 2)) and vectors in the last axis (shape (..., 3)).
@@ -31,9 +29,6 @@ sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
-
-#: absolute tolerance for membership / identity checks on O(1) entries
-MEMBER_TOL = 1e-12
 
 
 def quat(w, x, y, z):
@@ -65,10 +60,6 @@ def membership_residual(q):
     return float(np.max(np.maximum(r1, r2))) if q.size else 0.0
 
 
-def is_quaternion(q, tol=MEMBER_TOL):
-    return membership_residual(q) <= tol
-
-
 def embed(v):
     """Vec3 -> imaginary quaternion: (x,y,z) |-> x(-i s1) + y(-i s2) + z(-i s3)."""
     v = np.asarray(v, dtype=float)
@@ -94,17 +85,6 @@ def project(q):
     return coords_complex(q).real
 
 
-def dot(x, y):
-    """Euclidean dot product computed as -tr(xy)/2 in the matrix model."""
-    p = embed(x) @ embed(y)
-    return -(p[..., 0, 0] + p[..., 1, 1]).real / 2.0
-
-
-def cross(x, y):
-    """Euclidean cross product computed as (xy)^{tr=0} in the matrix model."""
-    return project(embed(x) @ embed(y))
-
-
 def mul(a, b):
     """Quaternion product (matrix product)."""
     return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
@@ -114,11 +94,6 @@ def det(q):
     """Determinant; equals the squared quaternion norm on members."""
     q = np.asarray(q, dtype=complex)
     return q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
-
-
-def norm2(q):
-    """Squared norm of a quaternion (real part of the determinant)."""
-    return det(q).real
 
 
 def qconj(q):

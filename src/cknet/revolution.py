@@ -23,10 +23,11 @@ dn, computed here by the arithmetic-geometric-mean ladder.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ellipeinc
 
 from .errors import ConfigError, DegenerateEdge, InvalidProfile, ModulusOutOfRange
 from .nets import ContactElementNet
@@ -112,6 +113,92 @@ def elliptic_K(kappa):
     return float(np.pi / (2.0 * a))
 
 
+# ---------------------------------------------------------------------------
+# E(phi | m) for 0 <= m < 1: Cephes ellie/ellpe/ellpk (S. L. Moshier, Methods
+# and Programs for Mathematical Functions, 1989), the routine behind
+# scipy.special.ellipeinc, cut to the branches that range reaches.  Scalar
+# libm calls through ``math`` round as the C code does, so results are equal.
+
+_MACHEP = 1.11022302462515654042e-16
+_ELLPE_P = (1.53552577301013293365e-4, 2.50888492163602060990e-3, 8.68786816565889628429e-3,
+            1.07350949056076193403e-2, 7.77395492516787092951e-3, 7.58395289413514708519e-3,
+            1.15688436810574127319e-2, 2.18317996015557253103e-2, 5.68051945617860553470e-2,
+            4.43147180560990850618e-1, 1.00000000000000000299e0)
+_ELLPE_Q = (3.27954898576485872656e-5, 1.00962792679356715133e-3, 6.50609489976927491433e-3,
+            1.68862163993311317300e-2, 2.61769742454493659583e-2, 3.34833904888224918614e-2,
+            4.27180926518931511717e-2, 5.85936634471101055642e-2, 9.37499997197644278445e-2,
+            2.49999999999888314361e-1)
+_ELLPK_P = (1.37982864606273237150e-4, 2.28025724005875567385e-3, 7.97404013220415179367e-3,
+            9.85821379021226008714e-3, 6.87489687449949877925e-3, 6.18901033637687613229e-3,
+            8.79078273952743772254e-3, 1.49380448916805252718e-2, 3.08851465246711995998e-2,
+            9.65735902811690126535e-2, 1.38629436111989062502e0)
+_ELLPK_Q = (2.94078955048598507511e-5, 9.14184723865917226571e-4, 5.94058303753167793257e-3,
+            1.54850516649762399335e-2, 2.39089602715924892727e-2, 3.01204715227604046988e-2,
+            3.73774314173823228969e-2, 4.88280347570998239232e-2, 7.03124996963957469739e-2,
+            1.24999999999870820058e-1, 4.99999999999999999821e-1)
+
+
+def _polevl(x, coef):
+    return functools.reduce(lambda acc, c: acc * x + c, coef)
+
+
+def _ellpe(m):
+    """Complete E(m)."""
+    x = 1.0 - m
+    return _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
+
+
+def _ellpk(m1):
+    """Complete K at the complementary parameter m1 = 1 - m > 2**-53."""
+    return _polevl(m1, _ELLPK_P) - math.log(m1) * _polevl(m1, _ELLPK_Q)
+
+
+def _ellipeinc(phi, m):
+    """E(phi | m) for real phi, reduced to |phi| <= pi/2 by quarter periods."""
+    if m == 0.0 or not math.isfinite(phi):
+        return phi
+    npio2 = float(math.floor(phi / (math.pi / 2.0)))
+    if math.fmod(abs(npio2), 2.0) == 1.0:
+        npio2 += 1.0
+    lphi = phi - npio2 * (math.pi / 2.0)
+    E = _ellpe(m)
+    return math.copysign(_ellie_quarter(abs(lphi), m, E), lphi) + npio2 * E
+
+
+def _ellie_quarter(lphi, m, E):
+    """E(lphi | m) for 0 <= lphi <= pi/2, given the complete E = E(m)."""
+    if lphi < 0.135:
+        m11 = (((((-7.0 / 2816.0) * m + (5.0 / 1056.0)) * m - (7.0 / 2640.0)) * m
+                + (17.0 / 41580.0)) * m - (1.0 / 155925.0)) * m
+        m9 = ((((-5.0 / 1152.0) * m + (1.0 / 144.0)) * m - (1.0 / 360.0)) * m + (1.0 / 5670.0)) * m
+        m7 = ((-m / 112.0 + (1.0 / 84.0)) * m - (1.0 / 315.0)) * m
+        m5 = (-m / 40.0 + (1.0 / 30.0)) * m
+        m3 = -m / 6.0
+        p2 = lphi * lphi
+        return ((((m11 * p2 + m9) * p2 + m7) * p2 + m5) * p2 + m3) * p2 * lphi + lphi
+    t = math.tan(lphi)
+    b = math.sqrt(1.0 - m)
+    if abs(t) > 10.0 and abs(1.0 / (b * t)) < 10.0:
+        # near pi/2: E(phi) = E - E(e) + m sin(phi) sin(e) with tan(e) = 1/(b tan(phi))
+        e = math.atan(1.0 / (b * t))
+        return E + m * math.sin(lphi) * math.sin(e) - _ellipeinc(e, m)
+    c, a, d, e, mod = math.sqrt(m), 1.0, 1, 0.0, 0
+    while abs(c / a) > _MACHEP:   # descending Landen transformation
+        temp = b / a
+        lphi = lphi + math.atan(t * temp) + mod * math.pi
+        denom = 1.0 - temp * t * t
+        if abs(denom) > 10.0 * _MACHEP:
+            t = t * (1.0 + temp) / denom
+            mod = int((lphi + math.pi / 2.0) / math.pi)
+        else:
+            t = math.tan(lphi)
+            mod = math.floor((lphi - math.atan(t)) / math.pi)
+        c, a, b = (a - b) / 2.0, (a + b) / 2.0, math.sqrt(a * b)
+        d += d
+        e += c * math.sin(lphi)
+    return E / _ellpk(1.0 - m) * ((math.atan(t) + mod * math.pi) / (d * a)) + e
+
+
 def int_sn2(u, kappa):
     """Integral of sn(v, kappa)^2 over v in [0, u]."""
     u = np.asarray(u, dtype=float)
@@ -124,7 +211,9 @@ def int_sn2(u, kappa):
     if kappa > 1:
         return int_sn2(kappa * u, 1.0 / kappa) / kappa ** 3
     m = kappa * kappa
-    return (u - ellipeinc(am(u, kappa), m)) / m
+    phi = am(u, kappa)
+    e = np.fromiter((_ellipeinc(v, m) for v in phi.ravel().tolist()), float, phi.size)
+    return (u - e.reshape(phi.shape)) / m
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface and its report artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cknet import cli
+from cknet import cli, nets
 from cknet.errors import ConfigError
 from cknet.nets import ContactElementNet
 from cknet.revolution import build_rcnet, profile_elliptic
@@ -309,6 +313,50 @@ def test_nan_theta_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "stage=rotation" in err and "inconsistent" in err
     assert not mesh.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gauge_overflow_is_numeric_failure(tmp_path, capsys):
+    # The scalar gauge grows like beta0**k with beta0 = 2.4 here, which
+    # leaves the float range near k = 800.
+    cfg = write(tmp_path, "hex.ini", HEX_INI)
+    mesh, report = tmp_path / "out.obj", tmp_path / "out.json"
+    code = cli.main(["double", "--config", cfg, "--backlund.alpha", "1.5707963267948966+0.5j",
+                     "--rotation.k_count", "2000",
+                     "--output.mesh", str(mesh), "--output.report", str(report)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERIC
+    assert err.strip().splitlines()[-1].startswith("error: stage=gauge: OverflowError: ")
+    assert not mesh.exists() and not report.exists()
+
+
+def test_stage_names_floating_point_errors():
+    def trapped():
+        with np.errstate(over="raise"):
+            return np.float64(1e300) * 1e300
+
+    with pytest.raises(cli._StagedError) as info:
+        cli._stage("frames", trapped)
+    assert str(info.value).startswith("stage=frames: FloatingPointError: overflow")
+
+
+def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = nets.face_normal
+    monkeypatch.setattr(nets, "face_normal", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = write(tmp_path, "job.ini", PSEUDO_INI)
+    code = cli.main(["generate", "--config", cfg, "--output.mesh", str(tmp_path / "out.obj")])
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, cknet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_invariant_failure_exit_code(capsys):

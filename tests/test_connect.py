@@ -13,8 +13,10 @@ from cknet.connect import (CkEdgeData, build_ck_connection,
                            rotational_frames)
 from cknet.errors import (CaseMismatch, ConfigError, InvalidProfile,
                           RepeatedEigenvalue)
-from cknet.lattice import (MatJet, admissible_gauge, flatness_residual, gauge,
-                           gauge_frame, integrate_frame, jet_residual)
+from cknet import lattice
+from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
+                           flatness_residual, gauge, gauge_frame,
+                           integrate_frame, jet_residual)
 from cknet.nets import rigid_align, sym, cross_ratio
 from cknet.revolution import build_rcnet, profile_elliptic, profile_trig
 
@@ -314,6 +316,48 @@ def test_invariant_connections_are_views_of_edge_data(case):
     assert flatness_residual(conn.transpose()) < 1e-11
     frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
     assert np.all(np.isfinite(frames.Phi.val)) and np.all(np.isfinite(frames.Phi.dot))
+
+
+def full_grid_flatness(conn):
+    """M_rq L_qp - L_rs M_sp formed on every face, the residual's definition."""
+    L, M = conn.L, conn.M
+    a = MatJet(M.val[1:, :], M.dot[1:, :]) @ MatJet(L.val[:, :-1], L.dot[:, :-1])
+    b = MatJet(L.val[:, 1:], L.dot[:, 1:]) @ MatJet(M.val[:-1, :], M.dot[:-1, :])
+    return jet_residual(a, b)
+
+
+def materialised(conn):
+    copy = lambda jet: MatJet(jet.val.copy(), jet.dot.copy())
+    return ConnectionFamily(conn.domain, copy(conn.L), copy(conn.M), conn.t0)
+
+
+@pytest.mark.parametrize("case", [1, 3])
+def test_flatness_of_invariant_views_forms_one_line_of_faces(case, monkeypatch):
+    conn = ck_fixture()[1] if case == 3 else cmc_fixture(1)[1]
+    shapes = []
+    real = lattice.jet_residual
+    monkeypatch.setattr(lattice, "jet_residual", lambda a, b: shapes.append(a.shape) or real(a, b))
+    for family in (conn, conn.transpose()):
+        tiles = materialised(family)
+        got = flatness_residual(family)
+        assert got == flatness_residual(tiles) == full_grid_flatness(tiles)
+        assert got == full_grid_flatness(family)
+    nj, nk = conn.domain.nj, conn.domain.nk
+    one_line = (nj - 1, 1, 2, 2) if case == 3 else (1, nk - 1, 2, 2)
+    full = (nj - 1, nk - 1, 2, 2)
+    flipped = lambda s: (s[1], s[0], 2, 2)
+    assert shapes == [one_line, full, flipped(one_line), flipped(full)]
+
+
+def test_flatness_of_non_invariant_families_covers_every_face():
+    _, conn, _, _, conn_gauged, _ = hs_fixture()
+    assert flatness_residual(conn_gauged) == full_grid_flatness(conn_gauged)
+    # L stays a broadcast view while one column of M is bent: the bent
+    # faces must count, so no single column may stand in for the rest.
+    M_val = conn.M.val.copy()
+    M_val[:, -1] = M_val[:, -1] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
+    bent = ConnectionFamily(conn.domain, conn.L, MatJet(M_val, conn.M.dot), conn.t0)
+    assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
 
 
 def test_closing_residual():

@@ -74,17 +74,6 @@ def test_matjet_inv_matches_finite_differences():
     assert_allclose(inv.dot, fd, atol=1e-8)
 
 
-def test_matjet_power():
-    rng = np.random.default_rng(3)
-    a = MatJet(random_unit_quat(rng), 0.2 * random_unit_quat(rng))
-    cubed = a.power(3)
-    ref = a @ a @ a
-    assert jet_residual(cubed, ref) < 1e-14
-    ident = a.power(0)
-    np.testing.assert_array_equal(ident.val, EYE)
-    np.testing.assert_array_equal(ident.dot, np.zeros((2, 2)))
-
-
 def test_matjet_constant_has_zero_derivative():
     c = MatJet.constant(quat.quat(1.0, 0.5, 0.0, -0.3))
     assert np.all(c.dot == 0)

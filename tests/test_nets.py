@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cknet import quat
+from cknet import nets, quat
 from cknet.errors import (DegenerateFace, DegenerateGeometry, NotPrincipal,
                           ZeroEdge)
 from cknet.lattice import Domain, FrameFamily, MatJet
 from cknet.nets import (ContactElementNet, cross_ratio, curvature_report,
-                        curvatures, face_diagonals, face_normal,
-                        principal_curvatures, rigid_align, singular_vertices,
-                        sym, sym_arrays, validate_ec)
+                        face_diagonals, face_normal, principal_curvatures,
+                        rigid_align, singular_vertices, sym, sym_arrays,
+                        validate_ec)
 from cknet.revolution import build_rcnet, profile_elliptic
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -58,7 +58,7 @@ def test_net_requires_unit_normals():
 def test_sym_constant_frame_is_a_point():
     domain = Domain((0, 2), (0, 2))
     rotor = quat.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
-    rotor /= np.sqrt(quat.norm2(rotor).real)
+    rotor /= np.sqrt(quat.det(rotor).real)
     val = np.broadcast_to(rotor, (3, 3, 2, 2)).astype(complex)
     frames = FrameFamily(domain, MatJet.constant(val.copy()))
     net = sym(frames, 2.0)
@@ -224,18 +224,6 @@ def test_rcnet_gaussian_curvature_constant():
     assert np.max(np.abs(rep.K + 1.0)) < 1e-9
 
 
-def test_single_face_report_matches_aggregate():
-    _, net = rc_net()
-    rep = curvature_report(net)
-    fr = curvatures(net, face=(1, 2))
-    assert fr.face == (1, 2)
-    assert abs(fr.K - rep.K[1, 2]) < 1e-15
-    assert abs(fr.H - rep.H[1, 2]) < 1e-15
-    assert not fr.degenerate
-    assert fr.embedded
-    assert fr.cross_ratio.real < 0.0
-
-
 def test_degenerate_face_flagged_and_raises():
     # Position diagonals (1,0,0) and (0.2,0,1) span a plane containing the
     # face normal e3, so the Steiner denominator det(xd1, xd2, N) vanishes.
@@ -248,8 +236,6 @@ def test_degenerate_face_flagged_and_raises():
     rep = curvature_report(net)
     assert rep.degenerate[0, 0]
     assert np.isnan(rep.K[0, 0]) and np.isnan(rep.H[0, 0])
-    with pytest.raises(DegenerateFace):
-        curvatures(net, face=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +300,16 @@ def test_validate_ec_rcnet():
     rep = validate_ec(net)
     assert rep.max_ec < 1e-12
     assert rep.ok
+
+
+def test_validate_ec_takes_face_volumes_from_the_curvature_report(monkeypatch):
+    _, net = rc_net()
+    xd1, xd2, _, _ = face_diagonals(net)
+    det_x = np.einsum("...i,...i->...", np.cross(xd1, xd2), face_normal(net))
+    np.testing.assert_array_equal(validate_ec(net).det_x, det_x)
+    rep = curvature_report(net)
+    monkeypatch.setattr(nets, "face_normal", None)   # the report must supply the normals
+    np.testing.assert_array_equal(validate_ec(net, rep=rep).det_x, det_x)
 
 
 def test_validate_ec_flags_opposite_normals():
@@ -430,7 +426,7 @@ def test_frame_initial_condition_changes_net_by_rigid_motion():
     conn, _ = build_ck_connection(p, np.pi / 6.0, 10)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     h0 = quat.quat(np.cos(0.35), *(np.sin(0.35) * np.array([0.2, 0.6, -0.774596669241483])))
-    h0 /= np.sqrt(quat.norm2(h0).real)
+    h0 /= np.sqrt(quat.det(h0).real)
     H = MatJet(h0, h0 @ quat.embed(np.array([0.1, -0.2, 0.3])))
     moved = FrameFamily(frames.domain, frames.Phi @ H)
     res = rigid_align(sym(frames, 2.0), sym(moved, 2.0))

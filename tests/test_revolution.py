@@ -1,10 +1,13 @@
 """Tests for elliptic functions and constant-curvature profiles.
 
 Independent oracles: scipy.special.ellipj / ellipk (parameter m = kappa^2)
-and direct quadrature of sn^2 via scipy.integrate.quad.
+and direct quadrature of sn^2 via scipy.integrate.quad; the private
+E(phi | m) is held bit for bit to scipy.special.ellipeinc, the Cephes
+routine it ports.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from numpy.testing import assert_allclose
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
                           ModulusOutOfRange)
 from cknet.nets import cross_ratio, curvature_report
-from cknet.revolution import (am, build_rcnet, conservation_drift,
+from cknet.revolution import (_ellipeinc, am, build_rcnet, conservation_drift,
                               edge_residuals, elliptic_K, elliptic_theta,
                               gauss_from_profile, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig,
@@ -130,6 +133,60 @@ def test_int_sn2_degenerate_moduli():
     u = 1.3
     assert abs(int_sn2(u, 0.0) - (u / 2.0 - np.sin(2.0 * u) / 4.0)) < 1e-13
     assert abs(int_sn2(u, 1.0) - (u - np.tanh(u))) < 1e-13
+
+
+def assert_bitwise(got, ref, err_msg=""):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=err_msg)
+
+
+def ellipeinc_port(phi, m):
+    return [_ellipeinc(v, m) for v in np.ravel(phi).tolist()]
+
+
+def test_ellipeinc_matches_scipy_on_random_sweep():
+    rng = np.random.default_rng(20261018)
+    phi = rng.uniform(-60.0, 60.0, 20000)
+    m = rng.uniform(0.0, 1.0, 20000)
+    got = [_ellipeinc(p, q) for p, q in zip(phi.tolist(), m.tolist())]
+    assert_bitwise(got, scipy.special.ellipeinc(phi, m))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.3, 0.6, 0.9, 0.99])
+def test_ellipeinc_matches_scipy_on_profile_amplitudes(kappa):
+    m = kappa * kappa
+    for j0 in (2, 4, 16):
+        phi = am(elliptic_theta(kappa, j0) * np.arange(-2000, 2001), kappa)
+        assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m))
+    u = elliptic_theta(kappa, 4) * np.arange(-40, 41)
+    assert_bitwise(int_sn2(u, kappa), (u - scipy.special.ellipeinc(am(u, kappa), m)) / m)
+
+
+def test_ellipeinc_branches_match_scipy():
+    branches = {
+        "series below 0.135": [0.0, -0.0, 1e-300, 1e-8, 0.05, 0.1349],
+        "amplitude transform, tan > 10": [np.arctan(10.5), np.arctan(1e3), np.pi / 2 - 1e-9],
+        "ladder": [0.135, 0.8, 1.4],
+        "quarter periods": [q * np.pi / 2 + d for q in (1, 2, 3, 7, 40) for d in (-0.3, 0.0, 0.3)],
+        "negative": [-0.05, -0.8, -1.5, -7.0, -123.4],
+    }
+    for name, phi in branches.items():
+        for m in (0.7, 1e-6, 0.999):
+            assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m), name)
+    # tan > 10, but 1/(b tan) >= 10 too: no transform, straight to the ladder
+    m = 1.0 - 1e-6
+    phi = [np.arctan(20.0), np.arctan(50.0)]
+    assert 1.0 / (math.sqrt(1.0 - m) * 20.0) >= 10.0
+    assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m))
+    # the first ladder step's 1 - b tan^2 is exactly 0 here
+    m = 0.01
+    b = math.sqrt(1.0 - m)
+    phi = math.atan(1.0 / math.sqrt(b))
+    assert 1.0 - b * math.tan(phi) * math.tan(phi) == 0.0
+    assert_bitwise(_ellipeinc(phi, m), scipy.special.ellipeinc(phi, m))
+    phi = np.linspace(-9.0, 9.0, 37)
+    assert_bitwise(ellipeinc_port(phi, 0.0), phi)
+    assert_bitwise(ellipeinc_port(phi, 0.0), scipy.special.ellipeinc(phi, 0.0))
 
 
 def test_elliptic_theta_period_rule():
