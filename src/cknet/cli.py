@@ -24,22 +24,22 @@ import configparser
 import json
 import sys
 from importlib.resources import files
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
 from . import checks as checksmod
+from .checks import CheckResult
 from .backlund import (BacklundParams, double_backlund, find_periodic_alpha, single_backlund,
                        transform_residuals)
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import (CaseMismatch, CknetError, ConfigError, InvalidProfile,
                      ModulusOutOfRange)
 from .lattice import flatness_residual, gauge_frame
-from .nets import (ContactElementNet, CurvatureReport, curvature_report, period_drift, sym,
-                   validate_ec)
+from .nets import (ContactElementNet, CurvatureReport, curvature_report, gauss_residual,
+                   period_drift, sym, unit_normal_residual, validate_ec)
 from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
-                         gauss_from_profile, profile_elliptic, profile_hyp,
-                         profile_trig)
+                         profile_elliptic, profile_hyp, profile_trig)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -65,6 +65,10 @@ def _stage(name: str, fn, *args, **kwargs):
 # config handling
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def load_config(path: str) -> dict:
     """Two-level config from an INI file or a JSON object of objects."""
     try:
@@ -75,8 +79,8 @@ def load_config(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise ConfigError(f"invalid JSON config {path}: {exc}") from exc
         if not isinstance(doc, dict) or any(not isinstance(v, dict) for v in doc.values()):
             raise ConfigError("JSON config must be an object of section objects")
@@ -224,15 +228,14 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
         fh.write("".join(parts))
 
 
-def entry(name: str, residual: float, tol: float) -> dict:
-    residual = float(residual)
-    return {"name": name, "max_residual": residual, "tolerance": tol, "pass": bool(residual <= tol)}
-
-
 def report_json(entries: list, parameters: dict, path: str) -> None:
-    doc = {"checks": list(entries), "parameters": dict(parameters)}
+    """Strict JSON (RFC 8259): a non-finite residual is written as null."""
+    checks = [{"name": r.name, "tolerance": r.tolerance, "pass": r.passed,
+               "max_residual": r.max_residual if isfinite(r.max_residual) else None}
+              for r in entries]
+    doc = {"checks": checks, "parameters": dict(parameters)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def report_schema() -> dict:
@@ -245,6 +248,10 @@ def validate_report(doc) -> list:
     def walk(instance, schema, where):
         errs = []
         t = schema.get("type")
+        if isinstance(t, list):
+            if any(not walk(instance, {**schema, "type": one}, where) for one in t):
+                return []
+            return [f"{where}: expected {' or '.join(t)}"]
         if t == "object":
             if not isinstance(instance, dict):
                 return [f"{where}: expected object"]
@@ -270,6 +277,9 @@ def validate_report(doc) -> list:
         elif t == "boolean":
             if not isinstance(instance, bool):
                 errs.append(f"{where}: expected boolean")
+        elif t == "null":
+            if instance is not None:
+                errs.append(f"{where}: expected null")
         return errs
 
     return walk(doc, report_schema(), "$")
@@ -283,17 +293,15 @@ def net_report_entries(p: Profile, net: ContactElementNet, k0=None,
                        rep: CurvatureReport | None = None) -> list:
     if rep is None:
         rep = curvature_report(net)
-    keep = ~rep.degenerate
-    gauss = np.max(np.abs(rep.K[keep] - p.K_sign)) if np.any(keep) else np.inf
     out = [
-        entry("gaussian_constancy", gauss, 1e-9),
-        entry("edge_constraint", validate_ec(net, rep=rep).max_ec, 1e-9),
-        entry("profile_relations", edge_residuals(p), 1e-10),
-        entry("conservation", conservation_drift(p), 1e-10),
-        entry("unit_normal", np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)), 1e-9),
+        CheckResult("gaussian_constancy", gauss_residual(rep, p.K_sign), 1e-9),
+        CheckResult("edge_constraint", validate_ec(net, rep=rep).max_ec, 1e-9),
+        CheckResult("profile_relations", edge_residuals(p), 1e-10),
+        CheckResult("conservation", conservation_drift(p), 1e-10),
+        CheckResult("unit_normal", unit_normal_residual(net), 1e-9),
     ]
     if k0 is not None and net.shape[1] > k0:
-        out.append(entry("rotational_period", period_drift(net, k0), 1e-8))
+        out.append(CheckResult("rotational_period", period_drift(net, k0), 1e-8))
     return out
 
 
@@ -302,19 +310,17 @@ def _transformed_period(cfg: dict, k0, net: ContactElementNet) -> list:
     N0 = _get(cfg, "backlund", "N0", int, None)
     if k0 is None or N0 is None or net.shape[1] <= lcm(k0, N0):
         return []
-    return [entry("transformed_period", period_drift(net, lcm(k0, N0)), 1e-8)]
+    return [CheckResult("transformed_period", period_drift(net, lcm(k0, N0)), 1e-8)]
 
 
 def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float,
                             rep: CurvatureReport) -> list:
     dist, ang, orth = transform_residuals(base, net, alpha)
-    keep = ~rep.degenerate
-    gauss = np.max(np.abs(rep.K[keep] + 1.0)) if np.any(keep) else np.inf
     return [
-        entry("backlund_distance", dist, 1e-9),
-        entry("backlund_normal_angle", ang, 1e-9),
-        entry("backlund_orthogonality", orth, 1e-9),
-        entry("transformed_gauss", gauss, 1e-7),
+        CheckResult("backlund_distance", dist, 1e-9),
+        CheckResult("backlund_normal_angle", ang, 1e-9),
+        CheckResult("backlund_orthogonality", orth, 1e-9),
+        CheckResult("transformed_gauss", gauss_residual(rep, -1), 1e-7),
     ]
 
 
@@ -325,10 +331,10 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> i
         export_obj(net, mesh_path, rep)
     if report_path:
         report_json(entries, parameters, report_path)
-    for e in entries:
-        print(("PASS" if e["pass"] else "FAIL")
-              + f" {e['name']} residual={e['max_residual']:.3e} tol={e['tolerance']:.1e}")
-    return EXIT_OK if all(e["pass"] for e in entries) else EXIT_INVARIANT
+    for r in entries:
+        print(("PASS" if r.passed else "FAIL")
+              + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")
+    return EXIT_OK if all(r.passed for r in entries) else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +397,7 @@ def cmd_backlund(cfg: dict) -> int:
     seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
-    entries = [entry("flatness", flatness_residual(conn), 1e-11)]
+    entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
     rep = _stage("verify", curvature_report, net)
     entries += _stage("verify", backlund_report_entries, base, net, float(alpha.real), rep)
     entries += _transformed_period(cfg, k0, net)
@@ -410,13 +416,12 @@ def cmd_double(cfg: dict) -> int:
     bp = BacklundParams(alpha, **kwargs)
     net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
     crep = curvature_report(net)
-    keep = ~crep.degenerate
     entries = [
-        entry("flatness", flatness_residual(conn), 1e-11),
-        entry("imag_residue", rep.imag_residue, 1e-9),
-        entry("unit_normal", np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)), 1e-9),
-        entry("transformed_gauss", np.max(np.abs(crep.K[keep] + 1.0)) if np.any(keep) else np.inf, 1e-7),
-        entry("permutability_unit", rep.unit_residual, 1e-10),
+        CheckResult("flatness", flatness_residual(conn), 1e-11),
+        CheckResult("imag_residue", rep.imag_residue, 1e-9),
+        CheckResult("unit_normal", unit_normal_residual(net), 1e-9),
+        CheckResult("transformed_gauss", gauss_residual(crep, -1), 1e-7),
+        CheckResult("permutability_unit", rep.unit_residual, 1e-10),
     ]
     entries += _transformed_period(cfg, k0, net)
     return _finish(entries, params, cfg, net, crep)
@@ -430,7 +435,7 @@ def cmd_search(cfg: dict) -> int:
     params = flat_parameters(cfg)
     params["backlund.alpha_found"] = str(complex(found.alpha))
     params["backlund.p_found"] = found.p
-    entries = [entry("periodicity_power", found.residual, 1e-9)]
+    entries = [CheckResult("periodicity_power", found.residual, 1e-9)]
     print(f"alpha = {found.alpha!r}  p = {found.p}  residual = {found.residual:.3e}")
     return _finish(entries, params, cfg)
 
@@ -438,9 +443,8 @@ def cmd_search(cfg: dict) -> int:
 def cmd_check(cfg: dict, criteria) -> int:
     numbers = set(criteria) if criteria else None
     results = _stage("check", checksmod.run_all, numbers)
-    entries = [entry(r.name, r.max_residual, r.tolerance) for r in results]
     params = {"criteria": sorted(numbers) if numbers else "all"}
-    return _finish(entries, params, cfg)
+    return _finish(results, params, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -122,22 +122,19 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
     return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
 
 
+def _repeat(jet: MatJet, n: int, axis: int) -> MatJet:
+    """Read-only view of a stack of 2x2 jets repeated n times along lattice axis 0 (j) or 1 (k)."""
+    shape = jet.shape[:axis] + (n,) + jet.shape[axis:]
+    view = lambda a: np.broadcast_to(np.expand_dims(a, axis), shape)
+    return MatJet(view(jet.val), view(jet.dot))
+
+
 def _tile_k_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
-    nk = domain.nk
-    tile = lambda jet, n: MatJet(
-        np.broadcast_to(jet.val[:, None], (jet.val.shape[0], n, 2, 2)),
-        np.broadcast_to(jet.dot[:, None], (jet.val.shape[0], n, 2, 2)),
-    )
-    return tile(L_edge, nk), tile(M_edge, nk - 1)
+    return _repeat(L_edge, domain.nk, 1), _repeat(M_edge, domain.nk - 1, 1)
 
 
 def _tile_j_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
-    nj = domain.nj
-    tile = lambda jet, n: MatJet(
-        np.broadcast_to(jet.val[None, :], (n, jet.val.shape[0], 2, 2)),
-        np.broadcast_to(jet.dot[None, :], (n, jet.val.shape[0], 2, 2)),
-    )
-    return tile(L_edge, nj - 1), tile(M_edge, nj)
+    return _repeat(L_edge, domain.nj - 1, 0), _repeat(M_edge, domain.nj, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +433,9 @@ class HsLaxData:
     chain with sqrt_s(j+1) = u(j)/sqrt_s(j); ell and m are the edge
     eigenvalue-like scalars; delta1 (per profile edge) and delta2
     (global) are the edge angles, complex of the form +-pi/2 + i y when
-    |2/alpha| > 1.  ``gauge`` is the vertex gauge that carries the
-    original connection into the normal form.
+    |2/alpha| > 1.  ``gauge`` is the unit-determinant vertex gauge
+    diag(sqrt_s/sqrt(i), sqrt(i)/sqrt_s): one matrix per profile row,
+    held as a read-only view broadcast along k.
     """
 
     s: np.ndarray
@@ -462,19 +460,19 @@ def _angle_from_sin(w: float) -> complex:
 def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     """Gauge a K=-1 rotational connection into its normal Lax form.
 
-    Returns the HsLaxData; its ``gauge`` field carries the vertex gauge,
-    so ``lattice.gauge(conn, hs.gauge)`` is the gauged family.  The
-    scalar gauge g grows by alpha along profile edges and by beta along
-    rotation edges; the matrix gauge is
-    g * diag(sqrt(s)/sqrt(i), sqrt(i)/sqrt(s)) with the square-root
-    branch chained so the gauged family matches the normal form
-    entrywise.
+    Returns the HsLaxData; its ``gauge`` field carries the vertex gauge
+    diag(sqrt(s)/sqrt(i), sqrt(i)/sqrt(s)), with the square-root branch
+    chained so that ``lattice.gauge(conn, hs.gauge)`` times alpha0[j] on
+    profile edges and beta0 on rotation edges is ``hs_lax`` entrywise.
+    Those real, t-independent factors cancel in the Sym formula, so they
+    are left out of the gauge and gauged frames stay unit-sized on grids
+    of any length.
     """
     if data.case != 3 or data.K_sign != -1:
         raise CaseMismatch("normal form gauge applies to the K=-1 (case 3) family")
     if conn.t0 != 0.0:
         raise ConfigError("normal form gauge is anchored at t0 = 0")
-    nj, nk = conn.domain.nj, conn.domain.nk
+    nj = conn.domain.nj
     s = data.v
     r = np.empty(nj, dtype=complex)
     r[0] = np.sqrt(s[0])
@@ -490,22 +488,12 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
             raise DivisionByZero(f"edge angle produced tan(delta/2) = {t}")
     ell = data.v_frak / (1.0 / (data.u * t1) + data.u * t1)
     m = data.h_frak / (1.0 / (s * t2) + s * t2)
-    g = np.empty((nj, nk), dtype=float)
-    g[0, 0] = 1.0
-    acc = 1.0
-    col0 = np.empty(nj)
-    col0[0] = 1.0
-    for j in range(nj - 1):
-        acc *= data.alpha0[j]
-        col0[j + 1] = acc
-    for k in range(nk):
-        g[:, k] = col0 * beta0 ** k
     sq_i = np.exp(1j * np.pi / 4.0)
-    G_val = np.zeros((nj, nk, 2, 2), dtype=complex)
-    G_val[..., 0, 0] = g * (r / sq_i)[:, None]
-    G_val[..., 1, 1] = g * (sq_i / r)[:, None]
-    G = MatJet(G_val, np.zeros_like(G_val))
-    return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain, G)
+    G = np.zeros((nj, 2, 2), dtype=complex)
+    G[:, 0, 0] = r / sq_i
+    G[:, 1, 1] = sq_i / r
+    return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain,
+                     _repeat(MatJet.constant(G), conn.domain.nk, 1))
 
 
 def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:

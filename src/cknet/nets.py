@@ -169,6 +169,17 @@ class CurvatureReport:
     normal: np.ndarray      # (nj-1, nk-1, 3)
 
 
+def gauss_residual(rep: CurvatureReport, K_sign: int) -> float:
+    """max |K - K_sign| over the non-degenerate faces; inf when there are none."""
+    keep = ~rep.degenerate
+    return float(np.max(np.abs(rep.K[keep] - K_sign))) if np.any(keep) else np.inf
+
+
+def unit_normal_residual(net: ContactElementNet) -> float:
+    """max | |n| - 1 | over the vertices."""
+    return float(np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)))
+
+
 def curvature_report(net: ContactElementNet, det_tol: float = 1e-12) -> CurvatureReport:
     """Gauss and mean curvature for every face; no raise on degenerate faces."""
     xd1, xd2, nd1, nd2 = face_diagonals(net)

@@ -108,12 +108,13 @@ def qconj(q):
 
 
 def inv(q, tol=1e-14):
-    """Inverse via adjugate / determinant; raises Singular on det ~ 0."""
+    """Inverse via adjugate / determinant; raises Singular on det ~ 0 or a non-finite det."""
     q = np.asarray(q, dtype=complex)
-    d = det(q)
-    bad = np.abs(d) <= tol
-    if np.any(bad):
-        raise Singular(f"matrix with |det| <= {tol:g} (min |det| = {np.min(np.abs(d)):.3e})")
+    with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
+        d = det(q)
+    mag = np.abs(d)
+    if not np.all((mag > tol) & (mag < np.inf)):
+        raise Singular(f"matrix with |det| <= {tol:g} or non-finite (min |det| = {np.min(mag):.3e})")
     return qconj(q) / d[..., None, None]
 
 

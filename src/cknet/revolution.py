@@ -142,15 +142,12 @@ def _polevl(x, coef):
     return functools.reduce(lambda acc, c: acc * x + c, coef)
 
 
-def _ellpe(m):
-    """Complete E(m)."""
+@functools.lru_cache(maxsize=16)
+def _complete(m):
+    """(E(m), E(m)/K(m)) for 0 < m < 1 by Cephes ellpe and ellpk, computed once per m."""
     x = 1.0 - m
-    return _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
-
-
-def _ellpk(m1):
-    """Complete K at the complementary parameter m1 = 1 - m > 2**-53."""
-    return _polevl(m1, _ELLPK_P) - math.log(m1) * _polevl(m1, _ELLPK_Q)
+    E = _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
+    return E, E / (_polevl(x, _ELLPK_P) - math.log(x) * _polevl(x, _ELLPK_Q))
 
 
 def _ellipeinc(phi, m):
@@ -161,12 +158,12 @@ def _ellipeinc(phi, m):
     if math.fmod(abs(npio2), 2.0) == 1.0:
         npio2 += 1.0
     lphi = phi - npio2 * (math.pi / 2.0)
-    E = _ellpe(m)
-    return math.copysign(_ellie_quarter(abs(lphi), m, E), lphi) + npio2 * E
+    E = _complete(m)[0]
+    return math.copysign(_ellie_quarter(abs(lphi), m), lphi) + npio2 * E
 
 
-def _ellie_quarter(lphi, m, E):
-    """E(lphi | m) for 0 <= lphi <= pi/2, given the complete E = E(m)."""
+def _ellie_quarter(lphi, m):
+    """E(lphi | m) for 0 <= lphi <= pi/2."""
     if lphi < 0.135:
         m11 = (((((-7.0 / 2816.0) * m + (5.0 / 1056.0)) * m - (7.0 / 2640.0)) * m
                 + (17.0 / 41580.0)) * m - (1.0 / 155925.0)) * m
@@ -181,7 +178,7 @@ def _ellie_quarter(lphi, m, E):
     if abs(t) > 10.0 and abs(1.0 / (b * t)) < 10.0:
         # near pi/2: E(phi) = E - E(e) + m sin(phi) sin(e) with tan(e) = 1/(b tan(phi))
         e = math.atan(1.0 / (b * t))
-        return E + m * math.sin(lphi) * math.sin(e) - _ellipeinc(e, m)
+        return _complete(m)[0] + m * math.sin(lphi) * math.sin(e) - _ellipeinc(e, m)
     c, a, d, e, mod = math.sqrt(m), 1.0, 1, 0.0, 0
     while abs(c / a) > _MACHEP:   # descending Landen transformation
         temp = b / a
@@ -196,7 +193,7 @@ def _ellie_quarter(lphi, m, E):
         c, a, b = (a - b) / 2.0, (a + b) / 2.0, math.sqrt(a * b)
         d += d
         e += c * math.sin(lphi)
-    return E / _ellpk(1.0 - m) * ((math.atan(t) + mod * math.pi) / (d * a)) + e
+    return _complete(m)[1] * ((math.atan(t) + mod * math.pi) / (d * a)) + e
 
 
 def int_sn2(u, kappa):

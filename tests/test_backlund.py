@@ -6,6 +6,7 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cknet import backlund as bk
@@ -255,6 +256,29 @@ def test_single_backlund_invariants():
         assert ang < 1e-9
         assert orth < 1e-9
         assert gauss_deviation(net) < 1e-7
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(k_count=st.integers(2, 2000), alpha=st.floats(0.05, np.pi - 0.05),
+       phase=st.floats(-np.pi, np.pi))
+def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
+    # The normal-form gauge is unit-determinant, so frames stay unit-sized
+    # however many columns the grid has.
+    p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
+    conn, data = build_ck_connection(p, np.pi / 3.0, k_count)
+    hs = gauge_to_hs(conn, data)
+    frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    assert np.max(np.abs(frames.Phi.val)) <= 10.0
+    base = sym(frames, 2.0)
+    try:
+        net = single_backlund(frames, hs, BacklundParams(alpha, s_tilde0=np.exp(1j * phase)))
+    except PathInconsistent:
+        # alpha near the profile edge angle delta1 (about 0.22 here) makes the
+        # j-recurrence ill-conditioned; that ends as a classified failure.
+        assert abs(alpha - hs.delta1[0].real) < 0.1
+        return
+    assert np.all(np.isfinite(net.x)) and np.all(np.isfinite(net.n))
+    assert max(bk.transform_residuals(base, net, alpha)) <= 1e-9
 
 
 def test_single_backlund_hat_uses_beta():

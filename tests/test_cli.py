@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its report artifacts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cknet import cli, nets
+from cknet import checks, cli, nets
+from cknet.checks import CheckResult
 from cknet.errors import ConfigError
-from cknet.nets import ContactElementNet
+from cknet.nets import ContactElementNet, CurvatureReport
 from cknet.revolution import build_rcnet, profile_elliptic
 
 PSEUDO_INI = """
@@ -72,6 +74,23 @@ def write(tmp_path, name, text):
 def entry_names(report_path):
     doc = json.loads(open(report_path, encoding="utf-8").read())
     return [e["name"] for e in doc["checks"]], doc
+
+
+def strict_json(path):
+    """Parse a report as RFC 8259 JSON: bare NaN, Infinity and -Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"bare {name} in {path}")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def obj_arrays(path, nj, nk):
+    """Positions and normals of an OBJ written by export_obj, shape (nj, nk, 3) each."""
+    rows = {"v": [], "vn": []}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        tag, *vals = line.split()
+        if tag in rows:
+            rows[tag].append(vals)
+    return tuple(np.array(rows[tag], dtype=float).reshape(nj, nk, 3) for tag in ("v", "vn"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +334,54 @@ def test_nan_theta_is_config_error(tmp_path, capsys):
     assert not mesh.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_gauge_overflow_is_numeric_failure(tmp_path, capsys):
-    # The scalar gauge grows like beta0**k with beta0 = 2.4 here, which
-    # leaves the float range near k = 800.
-    cfg = write(tmp_path, "hex.ini", HEX_INI)
-    mesh, report = tmp_path / "out.obj", tmp_path / "out.json"
-    code = cli.main(["double", "--config", cfg, "--backlund.alpha", "1.5707963267948966+0.5j",
-                     "--rotation.k_count", "2000",
+# The desk fixture as overrides only: elliptic kappa = 0.6, rows -3..3, k0 = 6.
+DESK_KEYS = ["--surface.kind", "elliptic", "--surface.kappa", "0.6", "--surface.K_sign", "-1",
+             "--surface.j0", "4", "--surface.j_lo", "-3", "--surface.j_hi", "3",
+             "--rotation.k0", "6"]
+ALPHA_C = "1.5707963267948966+0.5j"
+# (command, extra overrides, OBJ shape); every gauged frame stays unit-sized,
+# so grids far past the old float-overflow point of the gauge run cleanly.
+LONG_GRIDS = {
+    "double_400": ("double", ["--rotation.k_count", "400", "--backlund.alpha", ALPHA_C], (7, 400)),
+    "double_2000": ("double", ["--rotation.k_count", "2000", "--backlund.alpha", ALPHA_C], (7, 2000)),
+    "backlund_400": ("backlund", ["--rotation.k_count", "400", "--backlund.alpha", "1.0"], (7, 400)),
+    "double_121_rows": ("double", ["--surface.j_lo", "-60", "--surface.j_hi", "60",
+                                   "--rotation.k_count", "200", "--backlund.alpha", ALPHA_C],
+                        (121, 200)),
+}
+
+
+def run_desk(tmp_path, command, extra, tag):
+    mesh, report = tmp_path / f"{tag}.obj", tmp_path / f"{tag}.json"
+    code = cli.main([command, *DESK_KEYS, *extra,
                      "--output.mesh", str(mesh), "--output.report", str(report)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_NUMERIC
-    assert err.strip().splitlines()[-1].startswith("error: stage=gauge: OverflowError: ")
-    assert not mesh.exists() and not report.exists()
+    return code, mesh, report
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(LONG_GRIDS))
+def test_long_grids_run_finite(tmp_path, capsys, name):
+    command, extra, shape = LONG_GRIDS[name]
+    code, mesh, report = run_desk(tmp_path, command, extra, name)
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    doc = strict_json(report)
+    assert cli.validate_report(doc) == []
+    assert doc["checks"] and all(e["pass"] for e in doc["checks"])
+    x, n = obj_arrays(mesh, *shape)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(n))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_long_grid_starts_like_the_short_grid(tmp_path, capsys):
+    # The first 26 columns of the 2000-column double transform are the 26-column net.
+    runs = {}
+    for k_count in (26, 2000):
+        extra = ["--rotation.k_count", str(k_count), "--backlund.alpha", ALPHA_C]
+        code, mesh, _ = run_desk(tmp_path, "double", extra, f"k{k_count}")
+        assert code == cli.EXIT_OK
+        runs[k_count] = obj_arrays(mesh, 7, k_count)
+    for short, long in zip(runs[26], runs[2000]):
+        assert np.max(np.abs(long[:, :26] - short)) <= 1e-12
 
 
 def test_stage_names_floating_point_errors():
@@ -338,6 +392,38 @@ def test_stage_names_floating_point_errors():
     with pytest.raises(cli._StagedError) as info:
         cli._stage("frames", trapped)
     assert str(info.value).startswith("stage=frames: FloatingPointError: overflow")
+    with pytest.raises(cli._StagedError) as info:
+        cli._stage("gauge", math.pow, 2.4, 2000)
+    assert str(info.value).startswith("stage=gauge: OverflowError: ")
+
+
+def test_non_finite_residuals_make_strict_json_reports(tmp_path):
+    # every face degenerate: the Gauss residual has no face to measure
+    flat = np.zeros((1, 1))
+    rep = CurvatureReport(flat + np.nan, flat + np.nan, flat, flat == 0.0, np.zeros((1, 1, 3)))
+    entries = [CheckResult("gauss", nets.gauss_residual(rep, -1), 1e-9),
+               CheckResult("nan", np.nan, 1e-9), CheckResult("fine", 1e-12, 1e-9)]
+    path = tmp_path / "report.json"
+    cli.report_json(entries, {"n": 1}, str(path))
+    doc = strict_json(path)
+    assert [(e["max_residual"], e["pass"]) for e in doc["checks"]] == [
+        (None, False), (None, False), (1e-12, True)]
+    assert cli.validate_report(doc) == []
+
+
+def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, capsys):
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(checks, "ALL_CRITERIA", ((1, crash),))
+    report = tmp_path / "check.json"
+    code = cli.main(["check", "--output.report", str(report)])
+    assert code == cli.EXIT_INVARIANT
+    assert "FAIL c01_error[ZeroDivisionError] residual=inf" in capsys.readouterr().out
+    doc = strict_json(report)
+    assert doc["checks"] == [{"name": "c01_error[ZeroDivisionError]", "max_residual": None,
+                              "tolerance": 0.0, "pass": False}]
+    assert cli.validate_report(doc) == []
 
 
 def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
@@ -365,10 +451,10 @@ def test_invariant_failure_exit_code(capsys):
     warped = ContactElementNet(
         net.x + 1e-3 * np.sin(np.arange(net.x.size).reshape(net.x.shape)), net.n)
     entries = cli.net_report_entries(p, warped)
-    gauss = next(e for e in entries if e["name"] == "gaussian_constancy")
-    assert not gauss["pass"]
-    assert 1e-5 < gauss["max_residual"] < 1e-1
-    assert next(e for e in entries if e["name"] == "unit_normal")["pass"]
+    gauss = next(e for e in entries if e.name == "gaussian_constancy")
+    assert not gauss.passed
+    assert 1e-5 < gauss.max_residual < 1e-1
+    assert next(e for e in entries if e.name == "unit_normal").passed
     code = cli._finish(entries, {}, {})
     out = capsys.readouterr().out
     assert code == cli.EXIT_INVARIANT
@@ -414,6 +500,12 @@ def test_load_config_preserves_key_case(tmp_path):
         cli.load_config(write(tmp_path, "bad.json", "{nope"))
 
 
+def test_json_config_rejects_bare_constants(tmp_path):
+    # a NaN parameter would otherwise reach the strict-JSON report
+    with pytest.raises(ConfigError, match="bare NaN"):
+        cli.load_config(write(tmp_path, "nan.json", '{"output": {"note": NaN}}'))
+
+
 def test_rotation_step_rules():
     assert cli.rotation_step({"rotation": {"k0": "6"}}) == (2.0 * np.pi / 6.0, 6)
     assert cli.rotation_step({"rotation": {"theta": "0.5"}}) == (0.5, None)
@@ -429,3 +521,11 @@ def test_validate_report_spots_malformed_documents():
     assert any("name" in e for e in errs)
     assert any("missing required key" in e for e in errs)
     assert cli.validate_report({"checks": {}}) != []
+
+
+def test_validate_report_takes_number_or_null_residuals():
+    entry = {"name": "a", "max_residual": None, "tolerance": 1e-9, "pass": False}
+    assert cli.validate_report({"checks": [entry], "parameters": {}}) == []
+    entry["max_residual"] = "inf"
+    assert cli.validate_report({"checks": [entry], "parameters": {}}) == [
+        "$.checks[0].max_residual: expected number or null"]

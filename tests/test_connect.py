@@ -384,10 +384,11 @@ def test_closed_connection_gives_periodic_net():
 
 
 def test_gauged_normal_form_entrywise():
-    _, _, _, hs, conn_gauged, _ = hs_fixture()
+    # the unit gauge leaves the real edge factors alpha0 (profile) and beta0 (rotation)
+    _, _, data, hs, conn_gauged, _ = hs_fixture()
     built = hs_lax(hs, 0.0)
-    assert jet_residual(conn_gauged.L, built.L) < 1e-11
-    assert jet_residual(conn_gauged.M, built.M) < 1e-11
+    assert jet_residual(conn_gauged.L * data.alpha0[:, None, None, None], built.L) < 1e-11
+    assert jet_residual(conn_gauged.M * data.beta0[:, None, None, None], built.M) < 1e-11
 
 
 def test_gauged_entries_from_scalars():
@@ -397,13 +398,14 @@ def test_gauged_entries_from_scalars():
     ct2, tn2 = 1.0 / np.tan(hs.delta2 / 2.0), np.tan(hs.delta2 / 2.0)
     s = hs.s
     for j in (0, 2, 4):
-        L = conn_gauged.L.val[j, 0]
+        L = conn_gauged.L.val[j, 0] * data.alpha0[j]
         assert abs(L[0, 0] - hs.ell[j] * (ct1[j] / s[j] + tn1[j] * s[j + 1])) < 1e-11
         assert abs(L[1, 1] - (s[j] * ct1[j] + tn1[j] / s[j + 1]) / hs.ell[j]) < 1e-11
         assert abs(L[0, 1] - 1j * (1.0 - s[j] * s[j + 1])) < 1e-11
         assert abs(L[1, 0] - 1j * (1.0 - 1.0 / (s[j] * s[j + 1]))) < 1e-11
-        assert abs(conn_gauged.L.dot[j, 0, 0, 1] - 1j * (1.0 + s[j] * s[j + 1])) < 1e-11
-        M = conn_gauged.M.val[j, 0]
+        dot = conn_gauged.L.dot[j, 0, 0, 1] * data.alpha0[j]
+        assert abs(dot - 1j * (1.0 + s[j] * s[j + 1])) < 1e-11
+        M = conn_gauged.M.val[j, 0] * data.beta0[j]
         assert abs(M[0, 0] - hs.m[j] * (ct2 / s[j] + tn2 * s[j])) < 1e-11
         assert abs(M[1, 1] - (s[j] * ct2 + tn2 / s[j]) / hs.m[j]) < 1e-11
         assert abs(M[0, 1] - 1j * (1.0 - s[j] ** 2)) < 1e-11

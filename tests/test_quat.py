@@ -98,6 +98,17 @@ def test_inv_singular_raises():
         quat.inv(np.zeros((2, 2), dtype=complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inv_non_finite_raises(bad):
+    # a NaN determinant fails every comparison and an inf one passes |det| > tol
+    m = np.stack([np.eye(2, dtype=complex), np.full((2, 2), bad, dtype=complex)])
+    with pytest.raises(Singular, match="non-finite"):
+        quat.inv(m)
+    with pytest.raises(Singular):
+        quat.inv(np.diag([bad, 1.0]).astype(complex))
+
+
 def test_qconj_gives_norm():
     rng = np.random.default_rng(14)
     a = random_member(rng)
