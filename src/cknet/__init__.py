@@ -12,20 +12,19 @@ from .backlund import (BacklundParams, DoubleReport, PeriodicAlpha, build_abcd,
                        double_backlund, find_periodic_alpha, linearize, moebius,
                        propagate, single_backlund, transform_residuals)
 from .checks import CheckResult, run_all, run_criterion
-from .connect import (CkEdgeData, HelixReport, HsLaxData, build_ck_connection,
-                      build_cmc_connection, closing_residual, eigen_split,
-                      gauge_to_hs, helix_check, hs_lax, initial_frame,
-                      rotational_frames)
+from .connect import (CkEdgeData, HsLaxData, build_ck_connection,
+                      build_cmc_connection, closing_residual, gauge_to_hs,
+                      hs_lax, initial_frame, rotational_frames)
 from .errors import (BranchFailure, CaseMismatch, CknetError, ConfigError,
                      DegenerateEdge, DegenerateFace, DegenerateGeometry,
                      DivisionByZero, InvalidProfile, ModulusOutOfRange, NoRoot,
-                     NotFlat, NotPrincipal, PathInconsistent, PoleHit,
-                     RealityViolated, RepeatedEigenvalue, Singular, ZeroEdge)
+                     NotPrincipal, PathInconsistent, PoleHit, RealityViolated,
+                     Singular, ZeroEdge)
 from .lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
                       admissible_gauge, flatness_residual, gauge, gauge_frame,
-                      integrate_frame, jet_residual)
-from .nets import (AlignResult, ContactElementNet, CurvatureReport, EcReport,
-                   cross_ratio, curvature_report, face_normal, period_drift,
+                      jet_residual)
+from .nets import (AlignResult, ContactElementNet, CurvatureReport,
+                   curvature_report, face_normal, period_drift,
                    principal_curvatures, rigid_align, singular_vertices, sym,
                    sym_arrays, validate_ec)
 from .revolution import (Profile, build_rcnet, conservation_drift,

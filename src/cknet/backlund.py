@@ -304,10 +304,13 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     s_hat = propagate(hs, alpha, params.s_hat0, "hat", beta=params.beta)
     tn2 = np.tan(alpha / 2.0) ** 2
     s_col = hs.s[:, None]
-    den = 1.0 - tn2 * s_hat * s_tilde
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
+        den = 1.0 - tn2 * s_hat * s_tilde
+        shat_tilde = (s_hat * s_tilde - tn2) / (s_col * den)
     if not (np.min(np.abs(den)) >= 1e-14):
         raise PoleHit("composed scalar field hit a pole")
-    shat_tilde = (s_hat * s_tilde - tn2) / (s_col * den)
+    if not np.all(np.isfinite(shat_tilde) & (shat_tilde != 0)):
+        raise PoleHit("composed scalar field is non-finite or zero")
     unit_residual = float(np.max(np.abs(np.abs(shat_tilde) - 1.0)))
     cot = 1.0 / np.tan(alpha / 2.0)
     tn = np.tan(alpha / 2.0)

@@ -146,9 +146,12 @@ def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
             raise ValueError(raw)
         if cast is int and isinstance(raw, str):
             return int(raw, 0)
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {section}.{key} = {raw!r} is not a {cast.__name__}") from exc
+    if cast in (float, complex) and not np.isfinite(value):
+        raise ConfigError(f"config key {section}.{key} = {raw!r} is not finite")
+    return value
 
 
 def flat_parameters(cfg: dict) -> dict:
@@ -295,7 +298,7 @@ def net_report_entries(p: Profile, net: ContactElementNet, k0=None,
         rep = curvature_report(net)
     out = [
         CheckResult("gaussian_constancy", gauss_residual(rep, p.K_sign), 1e-9),
-        CheckResult("edge_constraint", validate_ec(net, rep=rep).max_ec, 1e-9),
+        CheckResult("edge_constraint", validate_ec(net), 1e-9),
         CheckResult("profile_relations", edge_residuals(p), 1e-10),
         CheckResult("conservation", conservation_drift(p), 1e-10),
         CheckResult("unit_normal", unit_normal_residual(net), 1e-9),
@@ -358,16 +361,14 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def _hs_pipeline(cfg: dict):
+    """Profile, rotation step, connection and its normal-form data: what every transform reads."""
     p = _stage("profile", build_profile, cfg)
     theta, k0 = _stage("rotation", rotation_step, cfg)
     k_count = _get(cfg, "rotation", "k_count", int)
     k_lo = _get(cfg, "rotation", "k_lo", int, 0)
     conn, data = _stage("connect", build_ck_connection, p, theta, k_count, k_lo=k_lo)
     hs = _stage("gauge", gauge_to_hs, conn, data)
-    frames = _stage("frames", rotational_frames, conn, p.a[0], p.b[0])
-    frames_hs = gauge_frame(frames, hs.gauge)
-    base = _stage("sym", sym, frames_hs, 2.0)
-    return p, theta, k0, conn, hs, frames_hs, base
+    return p, theta, k0, conn, hs
 
 
 def _resolve_alpha(cfg: dict, hs, params: dict):
@@ -385,8 +386,16 @@ def _resolve_alpha(cfg: dict, hs, params: dict):
     return complex(found.alpha)
 
 
+def _gauged_frames(p: Profile, conn, hs):
+    """Frames of the normal-form connection, which the transforms act on."""
+    frames = _stage("frames", rotational_frames, conn, p.a[0], p.b[0])
+    return gauge_frame(frames, hs.gauge)
+
+
 def cmd_backlund(cfg: dict) -> int:
-    p, theta, k0, conn, hs, frames_hs, base = _hs_pipeline(cfg)
+    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    frames_hs = _gauged_frames(p, conn, hs)
+    base = _stage("sym", sym, frames_hs, 2.0)   # transform_residuals compares against it
     params = flat_parameters(cfg)
     alpha = _resolve_alpha(cfg, hs, params)
     if abs(alpha.imag) > 1e-12:
@@ -405,7 +414,8 @@ def cmd_backlund(cfg: dict) -> int:
 
 
 def cmd_double(cfg: dict) -> int:
-    p, theta, k0, conn, hs, frames_hs, base = _hs_pipeline(cfg)
+    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    frames_hs = _gauged_frames(p, conn, hs)
     params = flat_parameters(cfg)
     alpha = _resolve_alpha(cfg, hs, params)
     seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
@@ -428,7 +438,7 @@ def cmd_double(cfg: dict) -> int:
 
 
 def cmd_search(cfg: dict) -> int:
-    p, theta, k0, conn, hs, frames_hs, base = _hs_pipeline(cfg)
+    *_, hs = _hs_pipeline(cfg)
     N0 = _get(cfg, "backlund", "N0", int)
     p_idx = _get(cfg, "backlund", "p", int, None)
     found = _stage("search", find_periodic_alpha, hs, N0, p=p_idx)

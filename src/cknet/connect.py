@@ -25,12 +25,11 @@ on a unit vertex function s and edge angles delta with sin(delta) =
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
-                     InvalidProfile, RepeatedEigenvalue)
+                     InvalidProfile)
 from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
 from .revolution import Profile
 
@@ -303,60 +302,7 @@ def _cmc_case1(p, theta, j_count, t0, j_lo, branch_tol):
 
 
 # ---------------------------------------------------------------------------
-# eigen-splitting and rotational frames
-
-
-def _sqrt_jet(v, d):
-    s = np.sqrt(v)
-    return s, d / (2.0 * s)
-
-
-def eigen_split(m: MatJet, tol: float = 1e-14):
-    """Split a single quaternionic jet: m = P D P^{-1}, D = diag(w+, w-).
-
-    P is special unitary for unit quaternions; eigenvalues are ordered
-    with Im(w+) >= 0 and both carry t-derivatives.  A (numerically) real
-    matrix has no preferred rotation plane: RepeatedEigenvalue.
-    """
-    if m.val.shape != (2, 2):
-        raise ValueError(f"eigen_split expects a single 2x2 jet, got {m.val.shape}")
-    m11, m12 = m.val[0, 0], m.val[0, 1]
-    m21, m22 = m.val[1, 0], m.val[1, 1]
-    d11, d12 = m.dot[0, 0], m.dot[0, 1]
-    d21, d22 = m.dot[1, 0], m.dot[1, 1]
-    trh, trh_d = (m11 + m22) / 2.0, (d11 + d22) / 2.0
-    det = m11 * m22 - m12 * m21
-    det_d = d11 * m22 + m11 * d22 - d12 * m21 - m12 * d21
-    disc = det - trh * trh
-    disc_d = det_d - 2.0 * trh * trh_d
-    if abs(disc) < tol * max(1.0, abs(det)):
-        raise RepeatedEigenvalue(f"vector part is numerically zero (|disc| = {abs(disc):.3e})")
-    s, s_d = _sqrt_jet(disc, disc_d)
-    wp, wp_d = trh + 1j * s, trh_d + 1j * s_d
-    wm, wm_d = trh - 1j * s, trh_d - 1j * s_d
-    if wp.imag < wm.imag:
-        (wp, wp_d), (wm, wm_d) = (wm, wm_d), (wp, wp_d)
-    c1 = np.array([m12, wp - m11])
-    c1_d = np.array([d12, wp_d - d11])
-    c2 = np.array([wp - m22, m21])
-    c2_d = np.array([wp_d - d22, d21])
-    if np.linalg.norm(c2) > np.linalg.norm(c1):
-        c1, c1_d = c2, c2_d
-    i = int(np.argmax(np.abs(c1)))
-    mod = abs(c1[i])
-    mod_d = (np.conj(c1[i]) * c1_d[i]).real / mod
-    ph = c1[i] / mod
-    ph_d = (c1_d[i] * mod - c1[i] * mod_d) / mod ** 2
-    c1, c1_d = c1 * np.conj(ph), c1_d * np.conj(ph) + c1 * np.conj(ph_d)
-    nrm = np.linalg.norm(c1)
-    nrm_d = (np.conj(c1) * c1_d).sum().real / nrm
-    a = c1 / nrm
-    a_d = (c1_d * nrm - c1 * nrm_d) / nrm ** 2
-    P_val = np.array([[a[0], -np.conj(a[1])], [a[1], np.conj(a[0])]])
-    P_dot = np.array([[a_d[0], -np.conj(a_d[1])], [a_d[1], np.conj(a_d[0])]])
-    D_val = np.diag([wp, wm]).astype(complex)
-    D_dot = np.diag([wp_d, wm_d]).astype(complex)
-    return MatJet(P_val, P_dot), MatJet(D_val, D_dot)
+# rotational frames
 
 
 def initial_frame(a0: float, b0: float) -> np.ndarray:
@@ -369,29 +315,22 @@ def initial_frame(a0: float, b0: float) -> np.ndarray:
 
 
 def _invariance_residual(conn: ConnectionFamily) -> float:
-    r = 0.0
-    if conn.domain.nk > 1:
-        r = max(r, float(np.max(np.abs(conn.L.val[:, 1:] - conn.L.val[:, :-1]))) if conn.L.val[:, 1:].size else 0.0)
-    if conn.domain.nk > 2:
-        r = max(r, float(np.max(np.abs(conn.M.val[:, 1:] - conn.M.val[:, :-1]))))
-    return r
+    """Largest change of the edge matrices along k; NaN when any entry is NaN."""
+    steps = [np.abs(x[:, 1:] - x[:, :-1]).ravel() for x in (conn.L.val, conn.M.val)]
+    return float(np.max(np.concatenate(steps), initial=0.0))
 
 
-def rotational_frames(conn: ConnectionFamily, a0: float = None, b0: float = None,
-                      phi00: Optional[MatJet] = None) -> FrameFamily:
+def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFamily:
     """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k.
 
-    P(0) is the given phi00 jet (or the standard frame from (a0, b0) as a
-    constant jet), P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0);
-    the grid is one broadcast product of the P(j) and D^k stacks.  For a
-    flat k-invariant family this coincides with direct integration.
+    P(0) is the standard frame from (a0, b0) as a constant jet,
+    P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0); the grid is one
+    broadcast product of the P(j) and D^k stacks.  For a flat
+    k-invariant family this coincides with direct integration.
     """
-    if phi00 is None:
-        if a0 is None or b0 is None:
-            raise ConfigError("rotational_frames needs phi00 or both a0 and b0")
-        phi00 = MatJet.constant(initial_frame(a0, b0))
+    phi00 = MatJet.constant(initial_frame(a0, b0))
     r = _invariance_residual(conn)
-    if r > 1e-9:
+    if not (r <= 1e-9):
         raise ValueError(f"connection is not invariant along k (residual {r:.3e})")
     nj, nk = conn.domain.nj, conn.domain.nk
     P = [phi00]
@@ -531,56 +470,3 @@ def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
     L, M = _tile_k_invariant(L_edge, M_edge, hs.domain)
     return ConnectionFamily(hs.domain, L, M, t, lambda tt: hs_lax(hs, tt))
 
-
-# ---------------------------------------------------------------------------
-# helices at general spectral parameter
-
-
-@dataclass(frozen=True)
-class HelixReport:
-    """Fit of every rotational row to a helix around the vertical axis."""
-
-    residual: float
-    theta: float
-    mu: float
-    Upsilon: np.ndarray
-    iota: np.ndarray
-    Psi: np.ndarray
-
-
-def helix_check(conn: ConnectionFamily, t: float, xi: float = 2.0) -> HelixReport:
-    """Verify that rows of the parameter-t net are discrete helices.
-
-    Rebuilds the family at t, frames it with the eigenvector jet of the
-    rotational step as the initial frame (axis e3), and fits every row j
-    to k -> (Y cos(theta k + i0), Y sin(theta k + i0), mu k + Psi) with
-    the rotation angle theta and pitch mu read off the eigenvalue jets.
-    """
-    from .nets import sym_arrays
-
-    conn_t = conn.at(t)
-    P0, D = eigen_split(conn_t.M[0, 0])
-    frames = rotational_frames(conn_t, phi00=P0)
-    x, _ = sym_arrays(frames, xi, 0.0)
-    if np.max(np.abs(x.imag)) > 1e-8:
-        raise ValueError(f"helix net is not real (residue {np.max(np.abs(x.imag)):.3e})")
-    x = x.real
-    wp, wm = D.val[0, 0], D.val[1, 1]
-    wp_d, wm_d = D.dot[0, 0], D.dot[1, 1]
-    theta = float(np.angle(wp / wm))
-    mu_c = 0.5j * xi * (wp_d / wp - wm_d / wm)
-    mu = float(mu_c.real)
-    nj, nk = x.shape[0], x.shape[1]
-    ks = np.arange(nk)
-    radii = np.hypot(x[..., 0], x[..., 1])
-    Upsilon = radii.mean(axis=1)
-    phases = np.angle(x[..., 0] + 1j * x[..., 1]) - theta * ks[None, :]
-    iota = np.angle(np.exp(1j * phases).mean(axis=1))
-    Psi = (x[..., 2] - mu * ks[None, :]).mean(axis=1)
-    fit = np.stack([
-        Upsilon[:, None] * np.cos(theta * ks[None, :] + iota[:, None]),
-        Upsilon[:, None] * np.sin(theta * ks[None, :] + iota[:, None]),
-        mu * ks[None, :] + Psi[:, None],
-    ], axis=-1)
-    residual = float(np.max(np.linalg.norm(x - fit, axis=-1)))
-    return HelixReport(residual, theta, mu, Upsilon, iota, Psi)

@@ -18,10 +18,6 @@ class Singular(CknetError):
     """A matrix that must be invertible has (numerically) zero determinant."""
 
 
-class NotFlat(CknetError):
-    """A connection failed the face-wise flatness check."""
-
-
 class DegenerateFace(CknetError):
     """A face's normal data spans all of R^3 (no well-defined face normal)."""
 
@@ -56,10 +52,6 @@ class BranchFailure(CknetError):
 
 class CaseMismatch(CknetError):
     """Curvature modulus kappa outside the requested construction case."""
-
-
-class RepeatedEigenvalue(CknetError):
-    """Unitary matrix has (numerically) coincident eigenvalues."""
 
 
 class DivisionByZero(CknetError):

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotFlat
 from . import quat
 
 
@@ -68,12 +67,6 @@ class MatJet:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        return MatJet(self.val + other.val, self.dot + other.dot)
-
-    def __sub__(self, other):
-        return MatJet(self.val - other.val, self.dot - other.dot)
-
     def inv(self, tol=1e-14):
         """Jet of the inverse: d/dt A^{-1} = -A^{-1} (dA) A^{-1}."""
         iv = quat.inv(self.val, tol=tol)
@@ -84,7 +77,7 @@ def jet_residual(a: MatJet, b: MatJet) -> float:
     """Entrywise max distance between two jets over both layers."""
     rv = float(np.max(np.abs(a.val - b.val))) if a.val.size else 0.0
     rd = float(np.max(np.abs(a.dot - b.dot))) if a.dot.size else 0.0
-    return max(rv, rd)
+    return float(np.maximum(rv, rd))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ class FrameFamily:
 
 
 # ---------------------------------------------------------------------------
-# flatness / integration / gauging
+# flatness / gauging
 
 
 def flatness_residual(conn: ConnectionFamily) -> float:
@@ -196,33 +189,6 @@ def flatness_residual(conn: ConnectionFamily) -> float:
     elif all(x.strides[0] == 0 for x in layers):
         L, M = L[:1], M[:2]
     return jet_residual(M[1:] @ L[:, :-1], L[:, 1:] @ M[:-1])
-
-
-def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:
-    """Parallel frame: Phi(0,0)=phi00, transported first along j, then k.
-
-    After integrating along the canonical tree, every j-edge off the k=0
-    row is checked for path independence; a violation beyond ``tol``
-    raises NotFlat.
-    """
-    nj, nk = conn.domain.nj, conn.domain.nk
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.empty_like(val)
-    val[0, 0], dot[0, 0] = phi00.val, phi00.dot
-    for j in range(nj - 1):
-        step = conn.L[j, 0] @ MatJet(val[j, 0], dot[j, 0])
-        val[j + 1, 0], dot[j + 1, 0] = step.val, step.dot
-    for k in range(nk - 1):
-        step = MatJet(conn.M.val[:, k], conn.M.dot[:, k]) @ MatJet(val[:, k], dot[:, k])
-        val[:, k + 1], dot[:, k + 1] = step.val, step.dot
-    phi = MatJet(val, dot)
-    if nj > 1 and nk > 1:
-        lhs = MatJet(phi.val[1:, 1:], phi.dot[1:, 1:])
-        rhs = MatJet(conn.L.val[:, 1:], conn.L.dot[:, 1:]) @ MatJet(phi.val[:-1, 1:], phi.dot[:-1, 1:])
-        res = jet_residual(lhs, rhs)
-        if res > tol:
-            raise NotFlat(f"path-independence residual {res:.3e} exceeds {tol:.3e}")
-    return FrameFamily(conn.domain, phi, conn.t0)
 
 
 def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:

@@ -43,7 +43,7 @@ class ContactElementNet:
         if x.shape != n.shape or x.ndim != 3 or x.shape[-1] != 3:
             raise ValueError(f"bad net shapes: x {x.shape}, n {n.shape}")
         err = np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) if n.size else 0.0
-        if err > 1e-8:
+        if not (err <= 1e-8):
             raise ValueError(f"normals deviate from unit length by {err:.3e}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", n)
@@ -75,9 +75,9 @@ def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0):
 def sym(frames: FrameFamily, xi: float, tau: float = 0.0, reality_tol: float = 1e-6) -> ContactElementNet:
     """Real parameter-derivative net; raises if coordinates are not real."""
     x, n = sym_arrays(frames, xi, tau)
-    resid = max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag)))
+    resid = np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag)))
     scale = max(1.0, np.max(np.abs(x.real)))
-    if resid > reality_tol * scale:
+    if not (resid <= reality_tol * scale):
         raise ValueError(f"net coordinates have imaginary residue {resid:.3e}")
     return ContactElementNet(x.real, n.real)
 
@@ -192,87 +192,16 @@ def curvature_report(net: ContactElementNet, det_tol: float = 1e-12) -> Curvatur
     return CurvatureReport(K, H, den, degenerate, N)
 
 
-def cross_ratio(net: ContactElementNet, face: tuple[int, int],
-                imag_tol: float = 1e-8):
-    """Quaternionic cross ratio of the face corners p, q, r, s.
-
-    Returns (z, embedded) with z = w + i*|vector part| the conjugacy class
-    of (x_p-x_q)(x_q-x_r)^{-1}(x_r-x_s)(x_s-x_p)^{-1}.  The face is
-    concyclic when z is real (|Im z| < imag_tol * |z|) and embedded when
-    additionally z < 0.
-    """
-    j, k = face
-    xp = net.x[j, k]
-    xq = net.x[j + 1, k]
-    xr = net.x[j + 1, k + 1]
-    xs = net.x[j, k + 1]
-    edges = [xp - xq, xq - xr, xr - xs, xs - xp]
-    for i, e in enumerate(edges):
-        if np.linalg.norm(e) < 1e-14:
-            raise ZeroEdge(f"face ({j},{k}): corner edge {i} has zero length")
-    m = (quat.embed(edges[0]) @ quat.inv(quat.embed(edges[1]))
-         @ quat.embed(edges[2]) @ quat.inv(quat.embed(edges[3])))
-    w, vx, vy, vz = quat.parts(m)
-    z = complex(w, np.linalg.norm([vx, vy, vz]))
-    concyclic = abs(z.imag) < imag_tol * abs(z)
-    embedded = bool(concyclic and z.real < 0)
-    return z, embedded
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 
-@dataclass(frozen=True)
-class EcReport:
-    """Residuals of the edge condition and the non-degeneracy requirements."""
-
-    ec_j: np.ndarray          # |<dx, n_sum>| per j-edge, (nj-1, nk)
-    ec_k: np.ndarray          # per k-edge, (nj, nk-1)
-    edge_x_j: np.ndarray      # |dx| per j-edge
-    edge_x_k: np.ndarray
-    edge_n_j: np.ndarray      # |n_sum| per j-edge
-    edge_n_k: np.ndarray
-    det_x: np.ndarray         # face volumes det(xd1, xd2, N)
-    tol: float
-    edge_tol: float
-    det_tol: float
-
-    @property
-    def max_ec(self) -> float:
-        return float(max(np.max(self.ec_j), np.max(self.ec_k)))
-
-    @property
-    def ok(self) -> bool:
-        return (self.max_ec <= self.tol
-                and np.min(self.edge_x_j) > self.edge_tol
-                and np.min(self.edge_x_k) > self.edge_tol
-                and np.min(self.edge_n_j) > self.edge_tol
-                and np.min(self.edge_n_k) > self.edge_tol
-                and np.min(np.abs(self.det_x)) > self.det_tol)
-
-
-def validate_ec(net: ContactElementNet, tol: float = 1e-9,
-                edge_tol: float = 1e-12, det_tol: float = 1e-12,
-                rep: CurvatureReport | None = None) -> EcReport:
-    """Check the edge condition and non-degeneracy; returns a report.
-
-    The face volumes are read from ``rep``, the net's curvature report
-    (computed when not given).
-    """
+def validate_ec(net: ContactElementNet) -> float:
+    """Largest edge-condition residual |<x(next) - x, n(next) + n>| over both directions."""
     x, n = net.x, net.n
-    dxj, dxk = _edges_j(x), _edges_k(x)
-    snj, snk = _sums_j(n), _sums_k(n)
-    ec_j = np.abs(np.einsum("...i,...i->...", dxj, snj))
-    ec_k = np.abs(np.einsum("...i,...i->...", dxk, snk))
-    if rep is None:
-        rep = curvature_report(net)
-    return EcReport(
-        ec_j, ec_k,
-        np.linalg.norm(dxj, axis=-1), np.linalg.norm(dxk, axis=-1),
-        np.linalg.norm(snj, axis=-1), np.linalg.norm(snk, axis=-1),
-        rep.det_x, tol, edge_tol, det_tol,
-    )
+    ec_j = np.abs(np.einsum("...i,...i->...", _edges_j(x), _sums_j(n)))
+    ec_k = np.abs(np.einsum("...i,...i->...", _edges_k(x), _sums_k(n)))
+    return float(np.maximum(np.max(ec_j), np.max(ec_k)))
 
 
 def period_drift(net: ContactElementNet, period: int) -> float:
@@ -303,7 +232,7 @@ def principal_curvatures(net: ContactElementNet, tol: float = 1e-8):
         resid = np.linalg.norm(dn + R[..., None] * dx, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(dn, axis=-1))
         worst = np.max(resid / scale)
-        if worst > tol:
+        if not (worst <= tol):
             idx = np.unravel_index(np.argmax(resid / scale), resid.shape)
             raise NotPrincipal(
                 f"{name}-edge {tuple(int(i) for i in idx)}: dn is not parallel to dx "

@@ -85,11 +85,6 @@ def project(q):
     return coords_complex(q).real
 
 
-def mul(a, b):
-    """Quaternion product (matrix product)."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
 def det(q):
     """Determinant; equals the squared quaternion norm on members."""
     q = np.asarray(q, dtype=complex)

@@ -433,7 +433,7 @@ def conservation_drift(p: Profile) -> float:
         target = 1.0 / p.kappa ** 2
         d1 = p.f ** 2 + p.a ** 2 - target
         d2 = p.f ** 2 - p.b ** 2 + 1.0 - target
-    return float(max(np.max(np.abs(d1)), np.max(np.abs(d2))))
+    return float(np.maximum(np.max(np.abs(d1)), np.max(np.abs(d2))))
 
 
 def edge_residuals(p: Profile) -> float:
@@ -447,7 +447,7 @@ def edge_residuals(p: Profile) -> float:
     r1 = np.abs(df - p.c * sb)
     r2 = np.abs(dh + p.c * sa)
     r3 = np.abs(db + p.K_sign * p.c * sf)
-    return float(max(np.max(r1), np.max(r2), np.max(r3)))
+    return float(np.maximum.reduce([np.max(r1), np.max(r2), np.max(r3)]))
 
 
 def validate_profile(p: Profile, tol: float = 1e-10) -> None:
@@ -455,7 +455,7 @@ def validate_profile(p: Profile, tol: float = 1e-10) -> None:
     r = edge_residuals(p)
     unit = float(np.max(np.abs(p.a ** 2 + p.b ** 2 - 1.0)))
     drift = conservation_drift(p)
-    if max(r, unit) > tol or drift > 100 * tol:
+    if not (r <= tol and unit <= tol and drift <= 100 * tol):
         raise InvalidProfile(
             f"profile relations violated: edges {r:.3e}, unit normal {unit:.3e}, "
             f"conservation {drift:.3e} (tol {tol:.1e})"

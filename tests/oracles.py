@@ -1,0 +1,70 @@
+"""Independent constructions the tests measure the package against.
+
+``integrate_frame`` transports a frame edge by edge instead of forming
+the factorised product ``rotational_frames`` builds; ``cross_ratio``
+reads circularity of a face off the quaternionic cross ratio, which no
+package routine computes.
+"""
+
+import numpy as np
+
+from cknet import quat
+from cknet.errors import ZeroEdge
+from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
+
+
+class NotFlat(Exception):
+    """Path-independent transport failed: the connection is not flat."""
+
+
+def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:
+    """Parallel frame: Phi(0,0)=phi00, transported first along j, then k.
+
+    After integrating along the canonical tree, every j-edge off the k=0
+    row is checked for path independence; a violation beyond ``tol``
+    raises NotFlat.
+    """
+    nj, nk = conn.domain.nj, conn.domain.nk
+    val = np.empty((nj, nk, 2, 2), dtype=complex)
+    dot = np.empty_like(val)
+    val[0, 0], dot[0, 0] = phi00.val, phi00.dot
+    for j in range(nj - 1):
+        step = conn.L[j, 0] @ MatJet(val[j, 0], dot[j, 0])
+        val[j + 1, 0], dot[j + 1, 0] = step.val, step.dot
+    for k in range(nk - 1):
+        step = MatJet(conn.M.val[:, k], conn.M.dot[:, k]) @ MatJet(val[:, k], dot[:, k])
+        val[:, k + 1], dot[:, k + 1] = step.val, step.dot
+    phi = MatJet(val, dot)
+    if nj > 1 and nk > 1:
+        lhs = MatJet(phi.val[1:, 1:], phi.dot[1:, 1:])
+        rhs = MatJet(conn.L.val[:, 1:], conn.L.dot[:, 1:]) @ MatJet(phi.val[:-1, 1:], phi.dot[:-1, 1:])
+        res = jet_residual(lhs, rhs)
+        if not (res <= tol):
+            raise NotFlat(f"path-independence residual {res:.3e} exceeds {tol:.3e}")
+    return FrameFamily(conn.domain, phi, conn.t0)
+
+
+def cross_ratio(net, face, imag_tol: float = 1e-8):
+    """Quaternionic cross ratio of the face corners p, q, r, s.
+
+    Returns (z, embedded) with z = w + i*|vector part| the conjugacy class
+    of (x_p-x_q)(x_q-x_r)^{-1}(x_r-x_s)(x_s-x_p)^{-1}.  The face is
+    concyclic when z is real (|Im z| < imag_tol * |z|) and embedded when
+    additionally z < 0.
+    """
+    j, k = face
+    xp = net.x[j, k]
+    xq = net.x[j + 1, k]
+    xr = net.x[j + 1, k + 1]
+    xs = net.x[j, k + 1]
+    edges = [xp - xq, xq - xr, xr - xs, xs - xp]
+    for i, e in enumerate(edges):
+        if np.linalg.norm(e) < 1e-14:
+            raise ZeroEdge(f"face ({j},{k}): corner edge {i} has zero length")
+    m = (quat.embed(edges[0]) @ quat.inv(quat.embed(edges[1]))
+         @ quat.embed(edges[2]) @ quat.inv(quat.embed(edges[3])))
+    w, vx, vy, vz = quat.parts(m)
+    z = complex(w, np.linalg.norm([vx, vy, vz]))
+    concyclic = abs(z.imag) < imag_tol * abs(z)
+    embedded = bool(concyclic and z.real < 0)
+    return z, embedded

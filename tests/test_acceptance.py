@@ -5,6 +5,9 @@ with ``pytest -rA`` or on failure) and the test asserts that every
 check meets its stated tolerance.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from cknet import checks
@@ -35,3 +38,14 @@ def test_run_criterion_matches_run_all():
     wrapped = checks.run_all({10})
     assert [r.name for r in direct] == [r.name for r in wrapped]
     assert all(r.passed for r in direct)
+
+
+def test_traced_functions_exist():
+    # perfbench/run.py --trace 1 wraps every function named in TRACED by getattr
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"cknet.{layer}"), name, None))]
+    assert missing == []

@@ -282,7 +282,7 @@ def test_double_rejects_non_finite_seed(tmp_path, capsys):
                      "--output.mesh", str(mesh)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
-    assert "stage=config" in err and "s_tilde0" in err
+    assert "stage=config" in err and "backlund.seed" in err
     assert not mesh.exists()
 
 
@@ -330,7 +330,7 @@ def test_nan_theta_is_config_error(tmp_path, capsys):
                      "--output.mesh", str(mesh)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
-    assert "stage=rotation" in err and "inconsistent" in err
+    assert "stage=rotation" in err and "rotation.theta" in err
     assert not mesh.exists()
 
 
@@ -529,3 +529,64 @@ def test_validate_report_takes_number_or_null_residuals():
     entry["max_residual"] = "inf"
     assert cli.validate_report({"checks": [entry], "parameters": {}}) == [
         "$.checks[0].max_residual: expected number or null"]
+
+
+# ---------------------------------------------------------------------------
+# stages each command builds and non-finite inputs
+
+
+def count_calls(monkeypatch, names):
+    """Replace each named CLI stage function with a counting wrapper."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, extra, built", [
+    ("search", ["--backlund.N0", "9"], {"rotational_frames": 0, "gauge_frame": 0, "sym": 0}),
+    ("double", ["--backlund.N0", "9"], {"rotational_frames": 1, "gauge_frame": 1, "sym": 0}),
+    ("backlund", ["--backlund.alpha", "1.0"], {"rotational_frames": 1, "gauge_frame": 1, "sym": 1}),
+])
+def test_commands_build_only_the_stages_they_read(tmp_path, monkeypatch, capsys, command,
+                                                  extra, built):
+    # search reads the normal-form data alone; only backlund compares against the base net
+    calls = count_calls(monkeypatch, built)
+    code, _, _ = run_desk(tmp_path, command, ["--rotation.k_count", "26", *extra], command)
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    assert calls == built
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_double_with_overflowing_seed_is_a_pole(tmp_path, capsys):
+    extra = ["--rotation.k_count", "26", "--backlund.alpha", ALPHA_C, "--backlund.seed", "1e200"]
+    code, mesh, _ = run_desk(tmp_path, "double", extra, "huge")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERIC
+    assert "stage=backlund: PoleHit" in err
+    assert not mesh.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, key, value, extra", [
+    ("generate", "surface.kappa", "inf", []),
+    ("generate", "rotation.theta", "-inf", []),
+    ("double", "backlund.alpha", "nan+1j", []),
+    ("double", "backlund.seed_hat", "inf", ["--backlund.alpha", ALPHA_C]),
+])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, key, value, extra):
+    extra = ["--rotation.k_count", "26", *extra, f"--{key}", value]
+    code, mesh, _ = run_desk(tmp_path, command, extra, "bad")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"config key {key} = {value!r} is not finite" in err
+    assert not mesh.exists()
+
+
+def test_json_number_overflowing_to_inf_is_config_error(tmp_path):
+    cfg = cli.load_config(write(tmp_path, "big.json", '{"surface": {"kappa": 1e999}}'))
+    with pytest.raises(ConfigError, match="surface.kappa"):
+        cli._get(cfg, "surface", "kappa", float)

@@ -8,17 +8,15 @@ from numpy.testing import assert_allclose
 
 from cknet import quat
 from cknet.connect import (CkEdgeData, build_ck_connection,
-                           build_cmc_connection, closing_residual, eigen_split,
-                           gauge_to_hs, helix_check, hs_lax, initial_frame,
-                           rotational_frames)
-from cknet.errors import (CaseMismatch, ConfigError, InvalidProfile,
-                          RepeatedEigenvalue)
+                           build_cmc_connection, closing_residual, gauge_to_hs,
+                           hs_lax, initial_frame, rotational_frames)
+from cknet.errors import CaseMismatch, ConfigError, InvalidProfile
 from cknet import lattice
 from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
-                           flatness_residual, gauge, gauge_frame,
-                           integrate_frame, jet_residual)
-from cknet.nets import rigid_align, sym, cross_ratio
+                           flatness_residual, gauge, gauge_frame, jet_residual)
+from cknet.nets import rigid_align, sym
 from cknet.revolution import build_rcnet, profile_elliptic, profile_trig
+from oracles import cross_ratio, integrate_frame
 
 THETA = np.pi / 6.0
 
@@ -195,42 +193,12 @@ def test_cmc_isothermic_cross_ratios():
 # eigenstructure and frames
 
 
-def test_eigen_split_diagonal_matrix():
-    m = MatJet.constant(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
-    P, D = eigen_split(m)
-    assert_allclose(P.val, np.eye(2), atol=1e-14)
-    assert_allclose(D.val, m.val, atol=1e-14)
-    assert D.val[0, 0].imag >= 0.0
-
-
-def test_eigen_split_reconstructs_randomized():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        if abs(v[0]) > 0.99:
-            continue
-        mval = quat.quat(*v)
-        mdot = mval @ quat.embed(0.3 * rng.normal(size=3))
-        m = MatJet(mval, mdot)
-        P, D = eigen_split(m)
-        assert jet_residual(P @ D @ P.inv(), m) < 1e-13
-        assert abs(np.linalg.det(P.val) - 1.0) < 1e-12
-        assert np.max(np.abs(P.val.conj().T @ P.val - np.eye(2))) < 1e-12
-        assert abs(D.val[0, 1]) + abs(D.val[1, 0]) < 1e-13
-
-
-def test_eigen_split_repeated_raises():
-    with pytest.raises(RepeatedEigenvalue):
-        eigen_split(MatJet.constant(np.eye(2, dtype=complex)))
-
-
 def test_rotation_eigenvalues_constant():
     _, conn, _ = ck_fixture()
     vals = []
     for j in range(conn.domain.nj):
-        _, D = eigen_split(conn.M[j, 0])
-        vals.append(D.val[0, 0])
+        w = np.linalg.eigvals(conn.M.val[j, 0])
+        vals.append(w[np.argmax(w.imag)])
     assert np.max(np.abs(np.diff(vals))) < 1e-12
 
 
@@ -251,11 +219,11 @@ def test_rotational_frames_row_normals():
 
 def test_rotational_frames_column_transport():
     p, conn, _ = ck_fixture()
-    P0, D = eigen_split(conn.M[0, 0])
-    frames = rotational_frames(conn, phi00=P0)
-    val = frames.Phi.val
+    phi00 = initial_frame(p.a[0], p.b[0])
+    D = np.linalg.inv(phi00) @ conn.M.val[0, 0] @ phi00
+    val = rotational_frames(conn, p.a[0], p.b[0]).Phi.val
     for k in range(3):
-        assert np.max(np.abs(val[:4, k + 1] - val[:4, k] @ D.val)) < 1e-12
+        assert np.max(np.abs(val[:4, k + 1] - val[:4, k] @ D)) < 1e-12
 
 
 def test_rotational_frames_unit_with_flipped_seed():
@@ -267,7 +235,7 @@ def test_rotational_frames_unit_with_flipped_seed():
 
 def test_rotational_frames_requires_seed_and_invariance():
     _, conn, _ = ck_fixture()
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         rotational_frames(conn)
     _, conn1, _ = cmc_fixture(1)
     with pytest.raises(ValueError):
@@ -283,7 +251,7 @@ def test_rotational_frames_match_product_loop_and_integration(case):
         if case == 1:
             conn = conn.transpose()
     phi00 = MatJet.constant(initial_frame(p.a[0], p.b[0]))
-    Phi = rotational_frames(conn, phi00=phi00).Phi
+    Phi = rotational_frames(conn, p.a[0], p.b[0]).Phi
     scale = max(1.0, np.max(np.abs(Phi.val)), np.max(np.abs(Phi.dot)))
     D = phi00.inv() @ conn.M[0, 0] @ phi00
     P = phi00
@@ -485,22 +453,3 @@ def test_kappa_identification_identities():
     assert np.max(np.abs(val1 - (1.0 - p1.kappa**2) * s2)) < 1e-9
     assert np.max(np.abs(val1 - 4.0 / d1.alpha0[0] ** 2)) < 1e-9
 
-
-# ---------------------------------------------------------------------------
-# helix families
-
-
-def test_helix_rows_at_base_parameter():
-    _, conn, _ = ck_fixture()
-    rep = helix_check(conn, 0.0)
-    assert rep.residual < 1e-8
-    assert abs(rep.mu) < 1e-12
-    assert abs(abs(rep.theta) - THETA) < 1e-12
-    assert np.all(rep.Upsilon > 0.0)
-
-
-def test_helix_rows_off_base_parameter():
-    _, conn, _ = ck_fixture()
-    rep = helix_check(conn, 0.4)
-    assert rep.residual < 1e-8
-    assert abs(rep.mu) > 1e-4

@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 
 from cknet import quat
 from cknet.connect import build_ck_connection, initial_frame, rotational_frames
-from cknet.errors import NotFlat
 from cknet.lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
                            admissible_gauge, flatness_residual, gauge,
-                           gauge_frame, integrate_frame, jet_residual)
+                           gauge_frame, jet_residual)
 from cknet.revolution import profile_elliptic
+from oracles import NotFlat, integrate_frame
 
 EYE = np.eye(2, dtype=complex)
 

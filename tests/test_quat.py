@@ -70,17 +70,10 @@ def test_membership_closed_under_products_and_inverses():
     for _ in range(100):
         a = random_member(rng)
         b = random_member(rng)
-        assert quat.membership_residual(quat.mul(a, b)) < 1e-12
+        assert quat.membership_residual(a @ b) < 1e-12
         assert quat.membership_residual(a + b) < 1e-12
         if abs(quat.det(a)) > 1e-6:
             assert quat.membership_residual(quat.inv(a)) < 1e-12
-
-
-def test_mul_is_matrix_product():
-    rng = np.random.default_rng(12)
-    a = random_member(rng)
-    b = random_member(rng)
-    np.testing.assert_array_equal(quat.mul(a, b), a @ b)
 
 
 def test_inv_left_and_right():
@@ -112,7 +105,7 @@ def test_inv_non_finite_raises(bad):
 def test_qconj_gives_norm():
     rng = np.random.default_rng(14)
     a = random_member(rng)
-    prod = quat.mul(a, quat.qconj(a))
+    prod = a @ quat.qconj(a)
     assert_allclose(prod, quat.det(a).real * np.eye(2), atol=1e-13)
 
 

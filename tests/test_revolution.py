@@ -17,12 +17,13 @@ from numpy.testing import assert_allclose
 
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
                           ModulusOutOfRange)
-from cknet.nets import cross_ratio, curvature_report
+from cknet.nets import curvature_report
 from cknet.revolution import (_ellipeinc, am, build_rcnet, conservation_drift,
                               edge_residuals, elliptic_K, elliptic_theta,
                               gauss_from_profile, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig,
                               validate_profile)
+from oracles import cross_ratio
 
 
 # ---------------------------------------------------------------------------
