@@ -2,14 +2,19 @@
 
 A single transform with real angle parameter alpha moves every contact
 element by the fixed distance |sin alpha| while tilting the normal by
-the fixed angle alpha; it is driven by a unit scalar field s~ satisfying
+the fixed angle alpha; it is driven by a scalar field s~ satisfying
 Moebius recurrences
 
     s~(j+1, k) = A(j) . s~(j, k),      s~(j, k+1) = B(j) . s~(j, k),
 
-whose coefficient matrices A, B (and C, D for the companion transform
-with angle beta) are built from the normal-form scalars.  The new frame
-is W Phi (or V Phi) with
+whose coefficient matrices A, B (and C, D for the companion field s^ at
+angle beta) are built from the normal-form scalars.  The field is
+explicit: in the eigen-coordinate u = (s~ - zeta_r) / (zeta_a - s~) of
+the fixed points of B(j), B(j) multiplies u by rho and A(j) by c(j), so
+log u(j, k) = log u(0, 0) + sum_{i<j} log c(i) + k log rho, one
+broadcast where iterating the maps is ill-posed (for real alpha the
+field runs onto the repelling fixed point of B(j)).  The new frame is
+W Phi (or V Phi) with
 
     W = [[cot(a/2) s~/s,  i e^t], [i e^t,  cot(a/2) s/s~]],
     V = [[1, i e^{-t} tan(b/2) s^ s], [i e^{-t} tan(b/2)/(s^ s), 1]].
@@ -17,9 +22,9 @@ is W Phi (or V Phi) with
 Composing a pair with beta = -alpha and real sin(alpha) produces a real
 net even for complex alpha = +-pi/2 + i y (then |sin alpha| > 1 and the
 two scalar fields must be seeded as complex conjugates).  Periodicity in
-the rotation direction is controlled by the eigenvalue ratio of B: the
-transform closes after N0 steps when B^{N0} is proportional to the
-identity, that is when the ratio is e^{2 pi i p / N0}, or
+the rotation direction is controlled by the eigenvalue ratio rho of B:
+the transform closes after N0 steps when B^{N0} is proportional to the
+identity, that is when rho = e^{2 pi i p / N0}, or
 
     tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0),
 
@@ -139,52 +144,94 @@ def build_abcd(hs: HsLaxData, alpha: complex, beta: Optional[complex] = None):
             _matrices(hs.u, hs.ell, t1, beta, hat=True), _matrices(hs.s, hs.m, t2, beta, hat=True))
 
 
-def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde",
-              beta: Optional[complex] = None, path_tol: float = 1e-10) -> np.ndarray:
-    """Scalar field of a transform on the whole grid from its corner seed.
+def _fixed_points(M: np.ndarray):
+    """Fixed points q / m21 and -m12 / q of each map in a stack (n, 2, 2): the roots of
+    m21 z^2 - (m11 - m22) z - m12 = 0, formed without cancellation."""
+    d = M[:, 0, 0] - M[:, 1, 1]
+    root = np.sqrt(d * d + 4.0 * M[:, 0, 1] * M[:, 1, 0])
+    q = (d + np.where((d.conjugate() * root).real >= 0.0, root, -root)) / 2.0
+    return q / M[:, 1, 0], -M[:, 0, 1] / q
 
-    Fills the first column along j, then steps every profile row along k
-    at once (B_j is constant along k), then verifies the remaining
-    j-edges (the two recurrences commute on consistent data): a
-    vanishing denominator anywhere raises PoleHit, then deviations
-    beyond path_tol, or non-finite ones, raise PathInconsistent.
+
+def _chordal_step(M: np.ndarray, z: np.ndarray, target: np.ndarray) -> float:
+    """Largest chordal distance between M . z and target over the rows of M; finite
+    at the pole of M."""
+    num, den = (M[:, i, 0, None] * z + M[:, i, 1, None] for i in (0, 1))
+    norm = np.hypot(np.abs(num), np.abs(den))
+    norm *= np.hypot(1.0, np.abs(target))
+    den *= target
+    num -= den
+    return 2.0 * np.max(np.abs(num) / norm, initial=0.0)
+
+
+def linearize(hs: HsLaxData, alpha: complex, which: str = "tilde",
+              beta: Optional[complex] = None):
+    """Per-row linear form (zeta_r, zeta_a, rho, log_c) of the recurrences of one field.
+
+    zeta_r, zeta_a are the fixed points of B(j) (D(j) for which="hat"),
+    paired through A: zeta_r(j+1) is the one nearer A(j) . zeta_r(j), since
+    modulus cannot tell them apart when |rho| = 1.  rho(j) = lambda_a /
+    lambda_r is the ratio of the eigenvalues m21 zeta + m22, and log_c(j)
+    sums log c(i) over i < j, c(i) being the multiplier of A(i) between
+    the eigen-coordinates of rows i and i+1.
     """
-    A, B, C, D = build_abcd(hs, alpha, beta)
-    if which == "tilde":
-        Aj, Bj = A, B
-    elif which == "hat":
-        Aj, Bj = C, D
-    else:
+    if which not in ("tilde", "hat"):
         raise ConfigError(f"which must be 'tilde' or 'hat', got {which!r}")
-    nj, nk = hs.domain.nj, hs.domain.nk
-    s = np.empty((nj, nk), dtype=complex)
-    s[0, 0] = seed
-    for j in range(nj - 1):
-        s[j + 1, 0] = moebius(Aj[j], s[j, 0])
-    # Rows 0 and 1 of w are the denominators and numerators of the k-step of
-    # every profile row.  The complex products are formed on real and
-    # imaginary parts, which round as the scalar product in moebius does;
-    # numpy's vectorised complex multiply may differ in the last bit.
-    scale, shift = Bj[:, ::-1, 0].T, Bj[:, ::-1, 1].T
-    sr, si = scale.real.copy(), scale.imag.copy()
-    w = np.empty_like(scale)
-    den, num = w
-    for k in range(nk - 1):
-        z = s[:, k]
-        np.subtract(sr * z.real, si * z.imag, out=w.real)
-        np.add(sr * z.imag, si * z.real, out=w.imag)
-        w += shift
-        if np.any(np.abs(den) < 1e-14):
-            raise PoleHit(f"Moebius denominator vanished on column {k}")
-        np.divide(num, den, out=s[:, k + 1])
-    a, rows = Aj[..., None], s[:-1, 1:]
-    den = a[:, 1, 0] * rows + a[:, 1, 1]
-    poles = np.nonzero(np.any(np.abs(den) < 1e-14, axis=1))[0]
+    A, B, C, D = build_abcd(hs, alpha, beta)
+    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    with np.errstate(divide="ignore", invalid="ignore"):   # checked by the field residuals
+        z1, z2 = _fixed_points(Bj)
+        lam1, lam2 = (Bj[:, 1, 0] * z + Bj[:, 1, 1] for z in (z1, z2))
+        image = (Aj[:, 0, 0] * z1[:-1] + Aj[:, 0, 1]) / (Aj[:, 1, 0] * z1[:-1] + Aj[:, 1, 1])
+        crossed = np.abs(image - z1[1:]) > np.abs(image - z2[1:])
+        # row 0 names the repelling fixed point zeta_r; A carries the names on
+        flip = np.cumsum(np.concatenate(([abs(lam1[0]) > abs(lam2[0])], crossed))) % 2 == 1
+        zr, za = np.where(flip, z2, z1), np.where(flip, z1, z2)
+        rho = np.where(flip, lam1 / lam2, lam2 / lam1)
+        mu_r, mu_a = (Aj[:, 1, 0] * z[:-1] + Aj[:, 1, 1] for z in (zr, za))
+        log_c = np.concatenate(([0.0], np.cumsum(np.log(mu_a / mu_r))))
+    return zr, za, rho, log_c
+
+
+def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde",
+              beta: Optional[complex] = None) -> np.ndarray:
+    """Scalar field of a transform on the whole grid from its corner seed, in closed form.
+
+    log u(j, k) = log u(0, 0) + log_c(j) + k log rho, with log rho the row
+    mean (A(j) conjugates B(j) to B(j+1); one value keeps the A-residual
+    from growing with k).  A value within the residual tolerance of
+    infinity (|s| >= 2e11, chordal distance <= 1e-11) is PoleHit.  Both
+    recurrences must hold to 1e-11 in the chordal metric: if not, fixed
+    points within 0.05 make it BranchFailure (near-parabolic), and any
+    other failing or non-finite residual PathInconsistent.
+    """
+    zr, za, rho, log_c = linearize(hs, alpha, which, beta)
+    A, B, C, D = build_abcd(hs, alpha, beta)
+    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked below
+        w = (np.log(seed - zr[0]) - np.log(za[0] - seed) + log_c[:, None]
+             + np.arange(hs.domain.nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0]))))
+        # w = u or 1/u with |w| <= 1, then s = p + (q - p) w / (1 + w) for (p, q) = (zeta_r,
+        # zeta_a), swapped where u was inverted; in place, as it sets the peak memory
+        outer = w.real > 0.0
+        np.negative(w, out=w, where=outer)
+        np.exp(w, out=w)
+        w /= 1.0 + w
+        w *= np.where(outer, (zr - za)[:, None], (za - zr)[:, None])
+        s = np.where(outer, za[:, None], zr[:, None])
+        s += w
+        del w
+        s[0, 0] = seed
+        worst = np.maximum(_chordal_step(Aj, s[:-1], s[1:]), _chordal_step(Bj, s[:, :-1], s[:, 1:]))
+        gap = np.min(np.abs(za - zr))
+        poles = np.argwhere(np.abs(s) >= 2e11)
     if poles.size:
-        raise PoleHit(f"Moebius denominator vanished on profile row {poles[0]}")
-    worst = np.max(np.abs((a[:, 0, 0] * rows + a[:, 0, 1]) / den - s[1:, 1:]), initial=0.0)
-    if not (worst <= path_tol):
-        raise PathInconsistent(f"recurrence paths disagree by {worst:.3e} (tol {path_tol:.1e})")
+        raise PoleHit(f"scalar field reaches infinity at (j, k) = ({poles[0][0]}, {poles[0][1]})")
+    if not (worst <= 1e-11):
+        if not (gap >= 0.05):
+            raise BranchFailure(f"rotation recurrence is near-parabolic: min |zeta_a - zeta_r| = "
+                                f"{gap:.3e}, field residual {worst:.3e}")
+        raise PathInconsistent(f"recurrence residual of the field is {worst:.3e} (tol 1.0e-11)")
     return s
 
 
@@ -433,65 +480,3 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
                     return PeriodicAlpha(alpha, int(p_try), residual)
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {y_max:g}) "
                  f"closes the recurrence after {N0} steps for phase indices {ps}")
-
-
-# ---------------------------------------------------------------------------
-# linear form of the recurrence
-
-
-def linearize(hs: HsLaxData, params: BacklundParams, zeta_seed: Optional[complex] = None,
-              pole_tol: float = 1e-14) -> np.ndarray:
-    """Scalar field of the W transform via the linearized recurrence.
-
-    Substituting S = 1/(s~ - zeta) with zeta a Moebius fixed point of B
-    turns both recurrences affine:
-
-        S(j+1,k) = (A21 zeta + A22)^2/det(A) S(j,k) + A21 (A21 zeta + A22)/det(A),
-
-    and likewise with B along k; zeta propagates as zeta(j+1) = A(j).zeta(j)
-    and is invariant along k.  Returns the reconstructed s~ grid.
-    """
-    A, B, _, _ = build_abcd(hs, params.alpha, params.beta)
-    B0 = B[0]
-    if abs(B0[1, 0]) < 1e-14:
-        if abs(B0[1, 1] - B0[0, 0]) < 1e-14:
-            raise BranchFailure("rotation recurrence at the base column is a pure translation")
-        roots = [B0[0, 1] / (B0[1, 1] - B0[0, 0])]
-    else:
-        disc = np.sqrt((B0[1, 1] - B0[0, 0]) ** 2 + 4.0 * B0[1, 0] * B0[0, 1])
-        roots = [((B0[0, 0] - B0[1, 1]) + disc) / (2.0 * B0[1, 0]),
-                 ((B0[0, 0] - B0[1, 1]) - disc) / (2.0 * B0[1, 0])]
-    if zeta_seed is None:
-        lams = [B0[1, 0] * z + B0[1, 1] for z in roots]
-        order = sorted(range(len(roots)),
-                       key=lambda i: (-abs(lams[i]), round(roots[i].real, 12), round(roots[i].imag, 12)))
-        zeta = roots[order[0]]
-    else:
-        zeta = complex(zeta_seed)
-        resid = abs(B0[1, 0] * zeta * zeta + (B0[1, 1] - B0[0, 0]) * zeta - B0[0, 1])
-        if resid > 1e-8 * max(1.0, np.max(np.abs(B0))):
-            raise ConfigError(f"zeta_seed is not a fixed point of the base recurrence "
-                              f"(residual {resid:.3e})")
-    nj, nk = hs.domain.nj, hs.domain.nk
-    if abs(params.s_tilde0 - zeta) < pole_tol:
-        raise PoleHit("seed coincides with the recurrence fixed point")
-    zetas = np.empty(nj, dtype=complex)
-    zetas[0] = zeta
-    for j in range(nj - 1):
-        zetas[j + 1] = moebius(A[j], zetas[j])
-    S = np.empty((nj, nk), dtype=complex)
-    S[0, 0] = 1.0 / (params.s_tilde0 - zeta)
-    for j in range(nj - 1):
-        den = A[j][1, 0] * zetas[j] + A[j][1, 1]
-        detA = A[j][0, 0] * A[j][1, 1] - A[j][0, 1] * A[j][1, 0]
-        S[j + 1, 0] = (den * den / detA) * S[j, 0] + A[j][1, 0] * den / detA
-    for j in range(nj):
-        den = B[j][1, 0] * zetas[j] + B[j][1, 1]
-        detB = B[j][0, 0] * B[j][1, 1] - B[j][0, 1] * B[j][1, 0]
-        slope = den * den / detB
-        offset = B[j][1, 0] * den / detB
-        for k in range(nk - 1):
-            S[j, k + 1] = slope * S[j, k] + offset
-    if np.min(np.abs(S)) < pole_tol:
-        raise PoleHit("linearized field hit a pole of the reconstruction")
-    return 1.0 / S + zetas[:, None]

@@ -102,7 +102,7 @@ def fixture_cmc(case: int):
 
 @lru_cache(maxsize=None)
 def fixture_linear():
-    """Wide K=-1 fixture for the 30 x 50 linearization comparison."""
+    """Wide K=-1 fixture for the 30 x 50 explicit-field comparison."""
     p = profile_elliptic(0.6, -1, (-15, 14), j0=16)
     conn, data = build_ck_connection(p, np.pi / 5.0, 50)
     hs = gauge_to_hs(conn, data)
@@ -253,12 +253,19 @@ def criterion_8() -> list[CheckResult]:
 
 
 def criterion_9() -> list[CheckResult]:
-    """Linearized recurrence reproduces Moebius propagation on a wide grid."""
+    """Explicit eigen-coordinate field reproduces step-by-step Moebius iteration on a wide grid."""
     hs = fixture_linear()
     params = bk.BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    direct = bk.propagate(hs, params.alpha, params.s_tilde0, "tilde")
-    linear = bk.linearize(hs, params)
-    return [CheckResult("c09_linearization", np.max(np.abs(direct - linear)), 1e-9)]
+    explicit = bk.propagate(hs, params.alpha, params.s_tilde0, "tilde")
+    A, B, _, _ = bk.build_abcd(hs, params.alpha)
+    steps = np.empty_like(explicit)
+    steps[0, 0] = params.s_tilde0
+    for j in range(len(A)):
+        steps[j + 1, 0] = bk.moebius(A[j], steps[j, 0])
+    for k in range(steps.shape[1] - 1):   # every profile row at once
+        z = steps[:, k]
+        steps[:, k + 1] = (B[:, 0, 0] * z + B[:, 0, 1]) / (B[:, 1, 0] * z + B[:, 1, 1])
+    return [CheckResult("c09_explicit_field", np.max(np.abs(explicit - steps)), 1e-9)]
 
 
 def _brute_singular(net: ContactElementNet) -> set[tuple[int, int]]:

@@ -146,8 +146,11 @@ def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
             raise ValueError(raw)
         if cast is int and isinstance(raw, str):
             return int(raw, 0)
+        # a JSON number or bool is never truncated into an int or bool key
+        if cast in (int, bool) and (isinstance(raw, bool) != (cast is bool) or raw != int(raw)):
+            raise ValueError(raw)
         value = cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {section}.{key} = {raw!r} is not a {cast.__name__}") from exc
     if cast in (float, complex) and not np.isfinite(value):
         raise ConfigError(f"config key {section}.{key} = {raw!r} is not finite")

@@ -14,7 +14,8 @@ from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
                             find_periodic_alpha, linearize, moebius,
                             propagate, single_backlund)
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
-from cknet.errors import ConfigError, NoRoot, PathInconsistent, PoleHit, RealityViolated
+from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit,
+                          RealityViolated)
 from cknet.lattice import FrameFamily, MatJet, gauge_frame
 from cknet.nets import curvature_report, sym, sym_arrays
 from cknet.revolution import profile_elliptic
@@ -233,8 +234,23 @@ def test_propagate_raises_pole_hit_on_a_k_step():
     A, B, _, _ = build_abcd(hs, np.pi / 3.0)
     adj = lambda m: np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
     seed = moebius(adj(A[0]), moebius(adj(A[1]), -B[2][1, 1] / B[2][1, 0]))
-    with pytest.raises(PoleHit, match="column 0"):
+    with pytest.raises(PoleHit, match=r"\(j, k\) = \(2, 1\)"):
         propagate(hs, np.pi / 3.0, seed)
+
+
+@pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C])
+def test_propagate_pole_hit_next_to_a_pole(alpha):
+    """A seed 1e-12 from the pole of B[0] puts s(0, 1) within chordal 1e-11 of infinity: PoleHit.
+    1e-6 away the field is finite (|s| about 1e7) and holds both recurrences."""
+    hs, _, _ = hs_fixture()
+    A, B, _, _ = build_abcd(hs, alpha)
+    pole = -B[0][1, 1] / B[0][1, 0]
+    with pytest.raises(PoleHit, match=r"\(j, k\) = \(0, 1\)"):
+        propagate(hs, alpha, pole + 1e-12)
+    s = propagate(hs, alpha, pole + 1e-6)
+    assert 1e6 < np.max(np.abs(s)) < 2e11
+    assert np.max(chordal_residuals(A, s[:-1], s[1:])) <= 1e-11
+    assert np.max(chordal_residuals(B, s[:, :-1], s[:, 1:])) <= 1e-11
 
 
 def test_propagate_rejects_unknown_field():
@@ -270,13 +286,7 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     assert np.max(np.abs(frames.Phi.val)) <= 10.0
     base = sym(frames, 2.0)
-    try:
-        net = single_backlund(frames, hs, BacklundParams(alpha, s_tilde0=np.exp(1j * phase)))
-    except PathInconsistent:
-        # alpha near the profile edge angle delta1 (about 0.22 here) makes the
-        # j-recurrence ill-conditioned; that ends as a classified failure.
-        assert abs(alpha - hs.delta1[0].real) < 0.1
-        return
+    net = single_backlund(frames, hs, BacklundParams(alpha, s_tilde0=np.exp(1j * phase)))
     assert np.all(np.isfinite(net.x)) and np.all(np.isfinite(net.n))
     assert max(bk.transform_residuals(base, net, alpha)) <= 1e-9
 
@@ -512,41 +522,137 @@ def test_double_transform_annulus_period():
 # linear form of the recurrence
 
 
-def test_linearize_matches_propagation():
-    hs, _, _ = hs_fixture()
-    params = BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    direct = propagate(hs, params.alpha, params.s_tilde0, "tilde")
-    assert np.max(np.abs(linearize(hs, params) - direct)) < 1e-9
+def eigen_coordinate(s, zr, za):
+    return (s - zr) / (za - s)
+
+
+def chordal_residuals(M, s, target):
+    """Chordal distances between M . s and target, written out per entry."""
+    num = M[:, 0, 0, None] * s + M[:, 0, 1, None]
+    den = M[:, 1, 0, None] * s + M[:, 1, 1, None]
+    return 2.0 * np.abs(num - den * target) / np.sqrt(
+        (np.abs(num) ** 2 + np.abs(den) ** 2) * (1.0 + np.abs(target) ** 2))
 
 
 def test_linearize_fixed_points():
-    """Both quadratic roots are Moebius fixed points and stay fixed along j."""
+    """zeta_r, zeta_a are fixed points of B(j) that A(j) carries to those of row j+1;
+    in the eigen-coordinate B(j) multiplies by rho(j) and A(j) by c(j)."""
     hs, _, _ = hs_fixture()
-    params = BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    A, B, _, _ = build_abcd(hs, params.alpha)
-    B0 = B[0]
-    roots = np.roots([B0[1, 0], B0[1, 1] - B0[0, 0], -B0[0, 1]])
-    assert all(abs(moebius(B0, z) - z) < 1e-10 for z in roots)
-    assert all(abs(abs(z) - 1.0) < 1e-10 for z in roots)
-    mults = [abs(B0[1, 0] * z + B0[1, 1]) for z in roots]
-    zeta = roots[int(np.argmax(mults))]
-    for j in range(len(B)):
-        assert abs(moebius(B[j], zeta) - zeta) < 1e-10
-        if j < len(A):
-            zeta = moebius(A[j], zeta)
-    other = roots[int(np.argmin(mults))]
-    direct = propagate(hs, params.alpha, params.s_tilde0, "tilde")
-    assert np.max(np.abs(linearize(hs, params, zeta_seed=other) - direct)) < 1e-9
+    z = 0.3 + 0.2j
+    for alpha in (np.pi / 3.0, ALPHA_C):
+        A, B, _, _ = build_abcd(hs, alpha)
+        zr, za, rho, log_c = linearize(hs, alpha)
+        assert abs(rho[0]) >= 1.0   # row 0 names the repelling fixed point zeta_r
+        if alpha == np.pi / 3.0:   # a real angle keeps the fixed points on the unit circle
+            assert np.max(np.abs(np.abs(np.concatenate((zr, za))) - 1.0)) < 1e-10
+        for j in range(len(B)):
+            for zeta in (zr[j], za[j]):
+                assert abs(moebius(B[j], zeta) - zeta) < 1e-12
+            u = eigen_coordinate(z, zr[j], za[j])
+            assert_allclose(eigen_coordinate(moebius(B[j], z), zr[j], za[j]), rho[j] * u,
+                            rtol=1e-12)
+            if j < len(A):
+                assert abs(moebius(A[j], zr[j]) - zr[j + 1]) < 1e-12
+                assert abs(moebius(A[j], za[j]) - za[j + 1]) < 1e-12
+                c = np.exp(log_c[j + 1] - log_c[j])
+                assert_allclose(eigen_coordinate(moebius(A[j], z), zr[j + 1], za[j + 1]), c * u,
+                                rtol=1e-12)
+        assert_allclose(rho, rho[0], rtol=1e-12)   # A(j) conjugates B(j) to B(j+1)
 
 
-def test_linearize_rejections():
+def test_linearize_pairs_fixed_points_through_a(monkeypatch):
+    """On an elliptic rotation (|rho| = 1) the names follow A whatever order the roots come in."""
+    hs, _, _ = hex_fixture()
+    alpha = find_periodic_alpha(hs, 8).alpha
+    want = linearize(hs, alpha)
+    assert_allclose(np.abs(want[2]), 1.0, atol=1e-12)
+    roots = bk._fixed_points
+    odd = np.arange(hs.domain.nj) % 2 == 1
+
+    def swapped_on_odd_rows(M):
+        a, b = roots(M)
+        return np.where(odd, b, a), np.where(odd, a, b)
+
+    monkeypatch.setattr(bk, "_fixed_points", swapped_on_odd_rows)
+    for got, ref in zip(linearize(hs, alpha), want):
+        assert_allclose(got, ref, rtol=1e-15)
+
+
+def test_linearize_matches_propagation():
+    """The field is u(j, k) = u(0, 0) exp(log_c(j)) rho(j)^k in the eigen-coordinate of row j."""
     hs, _, _ = hs_fixture()
-    params = BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    A, B, _, _ = build_abcd(hs, params.alpha)
-    B0 = B[0]
-    roots = np.roots([B0[1, 0], B0[1, 1] - B0[0, 0], -B0[0, 1]])
-    zeta = roots[int(np.argmax([abs(B0[1, 0] * z + B0[1, 1]) for z in roots]))]
-    with pytest.raises(PoleHit):
-        linearize(hs, BacklundParams(np.pi / 3.0, s_tilde0=zeta))
+    seed = np.exp(0.3j)
+    zr, za, rho, log_c = linearize(hs, np.pi / 3.0)
+    s = propagate(hs, np.pi / 3.0, seed)
+    u = eigen_coordinate(seed, zr[0], za[0]) * np.exp(log_c)[:, None]
+    u = u * rho[:, None] ** np.arange(s.shape[1])
+    assert_allclose(s, (zr[:, None] + u * za[:, None]) / (1.0 + u), rtol=0.0, atol=1e-12)
+
+
+def test_propagate_seed_on_a_fixed_point_stays_there():
+    hs, _, _ = hs_fixture()
+    zr, za, _, _ = linearize(hs, np.pi / 3.0)
+    for zeta in (zr, za):
+        s = propagate(hs, np.pi / 3.0, zeta[0])
+        assert_allclose(s, np.broadcast_to(zeta[:, None], s.shape), atol=1e-14)
+
+
+def test_linearize_rejections(monkeypatch):
+    hs, _, _ = hs_fixture()
     with pytest.raises(ConfigError):
-        linearize(hs, params, zeta_seed=12.34 + 0.0j)
+        linearize(hs, np.pi / 3.0, "both")
+    A, B, C, D = build_abcd(hs, np.pi / 3.0)
+    # trace 2, determinant 1: one double fixed point at -1
+    shear = np.broadcast_to(np.array([[2.0, 1.0], [-1.0, 0.0]], dtype=complex), B.shape)
+    monkeypatch.setattr(bk, "build_abcd", lambda *args: (A, shear, C, D))
+    with pytest.raises(BranchFailure, match=r"near-parabolic: min \|zeta_a - zeta_r\| = 0\.000e\+00"):
+        propagate(hs, np.pi / 3.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def long_hs(rows, k_count, theta):
+    p = profile_elliptic(0.6, -1, (-(rows // 2), rows - rows // 2 - 1), j0=4)
+    conn, data = build_ck_connection(p, theta, k_count)
+    return gauge_to_hs(conn, data)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(rows=st.sampled_from([7, 61, 121]), k_count=st.sampled_from([2, 50, 200, 2000]),
+       theta=st.sampled_from([np.pi / 3.0, 0.37]),
+       alpha=st.one_of(st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+                       st.floats(0.0, 1.5, exclude_min=True).map(lambda y: complex(np.pi / 2.0, y))),
+       radius=st.floats(0.7, 1.5), phase=st.floats(-np.pi, np.pi),
+       which=st.sampled_from(["tilde", "hat"]))
+def test_explicit_field_satisfies_both_recurrences(rows, k_count, theta, alpha, radius, phase,
+                                                   which):
+    hs = long_hs(rows, k_count, theta)
+    seed = (1.0 if isinstance(alpha, float) else radius) * np.exp(1j * phase)
+    A, B, C, D = build_abcd(hs, alpha)
+    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    try:
+        s = propagate(hs, alpha, seed, which)
+    except BranchFailure:
+        # eigen-coordinates are ill-conditioned next to the parabolic rotation y = ln 3
+        if isinstance(alpha, float) or not abs(alpha.imag - np.log(3.0)) < 1e-3:
+            raise
+        return
+    assert np.all(np.isfinite(s))
+    assert np.max(chordal_residuals(Aj, s[:-1], s[1:])) <= 1e-11
+    assert np.max(chordal_residuals(Bj, s[:, :-1], s[:, 1:])) <= 1e-11
+
+
+@pytest.mark.parametrize("rows, k_count, theta, dy", [
+    (7, 50, np.pi / 3.0, 1e-3), (7, 50, np.pi / 3.0, -1e-3), (7, 50, np.pi / 3.0, 1e-4),
+    (7, 50, np.pi / 3.0, -1e-4), (121, 2000, 0.37, 1e-3), (121, 2000, 0.37, -1e-3)])
+def test_explicit_field_next_to_the_parabolic_rotation(rows, k_count, theta, dy):
+    """The fixed points of B merge at alpha = pi/2 + i ln 3 (kappa = 0.6).  This close to it
+    the field still holds both recurrences, so the BranchFailure window stays this narrow."""
+    hs = long_hs(rows, k_count, theta)
+    alpha = complex(np.pi / 2.0, np.log(3.0) + dy)
+    zr, za, _, _ = linearize(hs, alpha)
+    assert np.min(np.abs(za - zr)) < 0.06
+    A, B, C, D = build_abcd(hs, alpha)
+    for which, M, N, seed in (("tilde", A, B, 1.1 * np.exp(0.7j)), ("hat", C, D, 1.1 * np.exp(-0.7j))):
+        s = propagate(hs, alpha, seed, which)
+        assert np.max(chordal_residuals(M, s[:-1], s[1:])) <= 1e-11
+        assert np.max(chordal_residuals(N, s[:, :-1], s[:, 1:])) <= 1e-11

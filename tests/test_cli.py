@@ -590,3 +590,31 @@ def test_json_number_overflowing_to_inf_is_config_error(tmp_path):
     cfg = cli.load_config(write(tmp_path, "big.json", '{"surface": {"kappa": 1e999}}'))
     with pytest.raises(ConfigError, match="surface.kappa"):
         cli._get(cfg, "surface", "kappa", float)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("rotation", "k_count", 26.5),
+    ("rotation", "k0", 6.9),
+    ("rotation", "k0", True),
+    ("surface", "j_lo", 1e999),
+])
+def test_json_value_truncated_by_an_int_key_is_config_error(tmp_path, capsys, section, key, value):
+    doc = {"surface": {"kind": "elliptic", "kappa": 0.6, "K_sign": -1, "j0": 4,
+                       "j_lo": -3, "j_hi": 3},
+           "rotation": {"k0": 6, "k_count": 26},
+           "output": {"mesh": str(tmp_path / "net.obj")}}
+    doc[section][key] = value
+    cfg = write(tmp_path, "job.json", json.dumps(doc).replace("Infinity", "1e999"))
+    code = cli.main(["generate", "--config", cfg])
+    assert code == cli.EXIT_CONFIG
+    assert f"config key {section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "net.obj").exists()
+
+
+def test_json_whole_number_and_bool_keys_keep_their_values():
+    cfg = {"rotation": {"k_count": 26.0, "flag": True}}
+    assert cli._get(cfg, "rotation", "k_count", int) == 26
+    assert cli._get(cfg, "rotation", "flag", bool) is True
+    for raw in (1, 0.0, [True]):
+        with pytest.raises(ConfigError, match="rotation.flag"):
+            cli._get({"rotation": {"flag": raw}}, "rotation", "flag", bool)
