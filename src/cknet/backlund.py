@@ -40,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .connect import HsLaxData
+from . import quat
+from .connect import HsLaxData, lax_jet
 from .errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent,
                      PoleHit, RealityViolated)
 from .lattice import FrameFamily, MatJet
@@ -122,10 +123,7 @@ def _entries(x, w, t, angle, hat: bool = False):
 
 def _matrices(x, w, t, angle, hat: bool = False) -> np.ndarray:
     """The entries of ``_entries`` packed into matrices of shape (..., 2, 2)."""
-    e = _entries(x, w, t, angle, hat)
-    out = np.empty(np.broadcast(*e).shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e
-    return out
+    return quat.matrix(*_entries(x, w, t, angle, hat))
 
 
 def build_abcd(hs: HsLaxData, alpha: complex, beta: Optional[complex] = None):
@@ -164,6 +162,14 @@ def _chordal_step(M: np.ndarray, z: np.ndarray, target: np.ndarray) -> float:
     return 2.0 * np.max(np.abs(num) / norm, initial=0.0)
 
 
+def _recurrences(hs: HsLaxData, alpha: complex, which: str, beta: Optional[complex]):
+    """The pair (A, B) of the s~ field (which="tilde") or (C, D) of the s^ field."""
+    if which not in ("tilde", "hat"):
+        raise ConfigError(f"which must be 'tilde' or 'hat', got {which!r}")
+    A, B, C, D = build_abcd(hs, alpha, beta)
+    return (A, B) if which == "tilde" else (C, D)
+
+
 def linearize(hs: HsLaxData, alpha: complex, which: str = "tilde",
               beta: Optional[complex] = None):
     """Per-row linear form (zeta_r, zeta_a, rho, log_c) of the recurrences of one field.
@@ -175,10 +181,11 @@ def linearize(hs: HsLaxData, alpha: complex, which: str = "tilde",
     sums log c(i) over i < j, c(i) being the multiplier of A(i) between
     the eigen-coordinates of rows i and i+1.
     """
-    if which not in ("tilde", "hat"):
-        raise ConfigError(f"which must be 'tilde' or 'hat', got {which!r}")
-    A, B, C, D = build_abcd(hs, alpha, beta)
-    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    return _linear_form(*_recurrences(hs, alpha, which, beta))
+
+
+def _linear_form(Aj: np.ndarray, Bj: np.ndarray):
+    """``linearize`` for the recurrence matrices A(j), B(j) of one field."""
     with np.errstate(divide="ignore", invalid="ignore"):   # checked by the field residuals
         z1, z2 = _fixed_points(Bj)
         lam1, lam2 = (Bj[:, 1, 0] * z + Bj[:, 1, 1] for z in (z1, z2))
@@ -205,9 +212,8 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
     points within 0.05 make it BranchFailure (near-parabolic), and any
     other failing or non-finite residual PathInconsistent.
     """
-    zr, za, rho, log_c = linearize(hs, alpha, which, beta)
-    A, B, C, D = build_abcd(hs, alpha, beta)
-    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    Aj, Bj = _recurrences(hs, alpha, which, beta)
+    zr, za, rho, log_c = _linear_form(Aj, Bj)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked below
         w = (np.log(seed - zr[0]) - np.log(za[0] - seed) + log_c[:, None]
              + np.arange(hs.domain.nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0]))))
@@ -239,38 +245,6 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
 # frame transforms
 
 
-def _w_jet(hs: HsLaxData, alpha: complex, s_tilde: np.ndarray, t0: float) -> MatJet:
-    cot = 1.0 / np.tan(alpha / 2.0)
-    ratio = s_tilde / hs.s[:, None]
-    nj, nk = s_tilde.shape
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.zeros_like(val)
-    et = np.exp(t0)
-    val[..., 0, 0] = cot * ratio
-    val[..., 1, 1] = cot / ratio
-    val[..., 0, 1] = 1j * et
-    val[..., 1, 0] = 1j * et
-    dot[..., 0, 1] = 1j * et
-    dot[..., 1, 0] = 1j * et
-    return MatJet(val, dot)
-
-
-def _v_jet(hs: HsLaxData, beta: complex, s_hat: np.ndarray, t0: float) -> MatJet:
-    tn = np.tan(beta / 2.0)
-    prod = s_hat * hs.s[:, None]
-    nj, nk = s_hat.shape
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.zeros_like(val)
-    emt = np.exp(-t0)
-    val[..., 0, 0] = 1.0
-    val[..., 1, 1] = 1.0
-    val[..., 0, 1] = 1j * emt * tn * prod
-    val[..., 1, 0] = 1j * emt * tn / prod
-    dot[..., 0, 1] = -1j * emt * tn * prod
-    dot[..., 1, 0] = -1j * emt * tn / prod
-    return MatJet(val, dot)
-
-
 def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
                     xi: float = 2.0, which: str = "tilde") -> ContactElementNet:
     """Single Backlund transform of the net framed by ``frames``.
@@ -285,11 +259,13 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
         raise ConfigError(f"a real-angle transform needs a unit seed, got |seed| = {abs(seed):.6g}")
     s_grid = propagate(hs, params.alpha, seed, which, beta=params.beta)
     if which == "tilde":
-        T = _w_jet(hs, a, s_grid, frames.t0)
+        cot, ratio, c = 1.0 / np.tan(a / 2.0), s_grid / hs.s[:, None], 1j * np.exp(frames.t0)
+        val, dot = quat.matrix(cot * ratio, c, c, cot / ratio), quat.matrix(0.0, c, c, 0.0)
     else:
-        T = _v_jet(hs, a, s_grid, frames.t0)
-    new_frames = FrameFamily(frames.domain, T @ frames.Phi, frames.t0)
-    return sym(new_frames, xi, 0.0)
+        c, prod = 1j * np.exp(-frames.t0) * np.tan(a / 2.0), s_grid * hs.s[:, None]
+        val = quat.matrix(1.0, c * prod, c / prod, 1.0)
+        dot = quat.matrix(0.0, -c * prod, -c / prod, 0.0)
+    return sym(frames, xi, 0.0, MatJet(val, np.broadcast_to(dot, val.shape)))
 
 
 def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
@@ -349,7 +325,8 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     alpha = params.alpha
     s_tilde = propagate(hs, alpha, params.s_tilde0, "tilde", beta=params.beta)
     s_hat = propagate(hs, alpha, params.s_hat0, "hat", beta=params.beta)
-    tn2 = np.tan(alpha / 2.0) ** 2
+    tn = np.tan(alpha / 2.0)
+    tn2 = tn ** 2
     s_col = hs.s[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
         den = 1.0 - tn2 * s_hat * s_tilde
@@ -359,22 +336,10 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     if not np.all(np.isfinite(shat_tilde) & (shat_tilde != 0)):
         raise PoleHit("composed scalar field is non-finite or zero")
     unit_residual = float(np.max(np.abs(np.abs(shat_tilde) - 1.0)))
-    cot = 1.0 / np.tan(alpha / 2.0)
-    tn = np.tan(alpha / 2.0)
-    et = np.exp(frames.t0)
-    emt = np.exp(-frames.t0)
-    nj, nk = s_tilde.shape
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.zeros_like(val)
-    val[..., 0, 0] = s_tilde * (cot / s_col + tn * shat_tilde)
-    val[..., 1, 1] = (cot * s_col + tn / shat_tilde) / s_tilde
-    val[..., 0, 1] = 1j * (et - emt * s_col * shat_tilde)
-    val[..., 1, 0] = 1j * (et - emt / (s_col * shat_tilde))
-    dot[..., 0, 1] = 1j * (et + emt * s_col * shat_tilde)
-    dot[..., 1, 0] = 1j * (et + emt / (s_col * shat_tilde))
-    VW = MatJet(val, dot)
-    new_frames = FrameFamily(frames.domain, VW @ frames.Phi, frames.t0)
-    x, n = sym_arrays(new_frames, xi, 0.0)
+    cot = 1.0 / tn
+    VW = lax_jet(s_tilde * (cot / s_col + tn * shat_tilde),
+                 (cot * s_col + tn / shat_tilde) / s_tilde, s_col * shat_tilde, frames.t0)
+    x, n = sym_arrays(frames, xi, 0.0, VW)
     imag_residue = float(np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))))
     if not (imag_residue <= reality_tol):
         raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quat
 from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
                      InvalidProfile)
 from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
@@ -78,14 +79,8 @@ def _edge_jet_cgc(diag, u, t):
         raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
     alpha = np.sqrt(alpha2)
     alpha_dot = (ep * ep - em * em) / alpha
-    X = np.empty(diag.shape + (2, 2), dtype=complex)
-    X[..., 0, 0] = diag
-    X[..., 0, 1] = em * u - ep / u
-    X[..., 1, 0] = ep * u - em / u
-    X[..., 1, 1] = np.conj(diag)
-    Xd = np.zeros_like(X)
-    Xd[..., 0, 1] = -em * u - ep / u
-    Xd[..., 1, 0] = ep * u + em / u
+    X = quat.matrix(diag, em * u - ep / u, ep * u - em / u, np.conj(diag))
+    Xd = quat.matrix(0.0, -em * u - ep / u, ep * u + em / u, 0.0)
     a = alpha[..., None, None]
     ad = alpha_dot[..., None, None]
     return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
@@ -102,20 +97,13 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
         raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
     alpha = np.sign(alpha_sign) * np.sqrt(alpha2)
     alpha_dot = -cos_sign * 2.0 * np.sin(2.0 * t) / alpha
-    X = np.empty(diag.shape + (2, 2), dtype=complex)
-    Xd = np.zeros_like(X)
-    X[..., 0, 0] = diag
-    X[..., 1, 1] = np.conj(diag)
     if cos_sign > 0:
-        X[..., 0, 1] = -eit * u - emt / u
-        X[..., 1, 0] = emt * u + eit / u
-        Xd[..., 0, 1] = -1j * eit * u + 1j * emt / u
-        Xd[..., 1, 0] = -1j * emt * u + 1j * eit / u
+        X = quat.matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
+        Xd = quat.matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
     else:
-        X[..., 0, 1] = -1j * eit * u + 1j * emt / u
-        X[..., 1, 0] = 1j * eit / u - 1j * emt * u
-        Xd[..., 0, 1] = eit * u + emt / u
-        Xd[..., 1, 0] = -eit / u - emt * u
+        X = quat.matrix(diag, -1j * eit * u + 1j * emt / u, 1j * eit / u - 1j * emt * u,
+                        np.conj(diag))
+        Xd = quat.matrix(0.0, eit * u + emt / u, -eit / u - emt * u, 0.0)
     a = alpha[..., None, None]
     ad = alpha_dot[..., None, None]
     return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
@@ -315,18 +303,21 @@ def initial_frame(a0: float, b0: float) -> np.ndarray:
 
 
 def _invariance_residual(conn: ConnectionFamily) -> float:
-    """Largest change of the edge matrices along k; NaN when any entry is NaN."""
-    steps = [np.abs(x[:, 1:] - x[:, :-1]).ravel() for x in (conn.L.val, conn.M.val)]
+    """Largest change of the edge matrices along k; NaN when any entry is NaN.  Views
+    broadcast along k (stride 0) repeat their first column, so two columns are compared."""
+    layers = (conn.L.val, conn.M.val)
+    views = all(x.strides[1] == 0 for x in layers)
+    steps = [np.abs(np.diff(x[:, :2] if views else x, axis=1)).ravel() for x in layers]
     return float(np.max(np.concatenate(steps), initial=0.0))
 
 
 def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFamily:
-    """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k.
+    """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k, kept as factors.
 
     P(0) is the standard frame from (a0, b0) as a constant jet,
-    P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0); the grid is one
-    broadcast product of the P(j) and D^k stacks.  For a flat
-    k-invariant family this coincides with direct integration.
+    P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0); the P(j) form the
+    row factor and the D^k the column factor.  For a flat k-invariant
+    family their product coincides with direct integration.
     """
     phi00 = MatJet.constant(initial_frame(a0, b0))
     r = _invariance_residual(conn)
@@ -341,7 +332,7 @@ def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFami
     for k in range(nk - 1):
         Dk.append(D @ Dk[-1])
     stack = lambda jets: MatJet(np.stack([m.val for m in jets]), np.stack([m.dot for m in jets]))
-    return FrameFamily(conn.domain, stack(P)[:, None] @ stack(Dk), conn.t0)
+    return FrameFamily(conn.domain, stack(P)[:, None], conn.t0, stack(Dk))
 
 
 def closing_residual(conn: ConnectionFamily, k0: int) -> float:
@@ -428,11 +419,17 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     ell = data.v_frak / (1.0 / (data.u * t1) + data.u * t1)
     m = data.h_frak / (1.0 / (s * t2) + s * t2)
     sq_i = np.exp(1j * np.pi / 4.0)
-    G = np.zeros((nj, 2, 2), dtype=complex)
-    G[:, 0, 0] = r / sq_i
-    G[:, 1, 1] = sq_i / r
+    G = quat.matrix(r / sq_i, 0.0, 0.0, sq_i / r)
     return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain,
                      _repeat(MatJet.constant(G), conn.domain.nk, 1))
+
+
+def lax_jet(diag_l, diag_r, prod, t: float) -> MatJet:
+    """[[diag_l, i(e^t - e^-t prod)], [i(e^t - e^-t / prod), diag_r]] as a jet in t: the
+    form of the normal-form edge matrices and of the double transform matrix VW."""
+    ep, em = np.exp(t), np.exp(-t)
+    return MatJet(quat.matrix(diag_l, 1j * (ep - em * prod), 1j * (ep - em / prod), diag_r),
+                  quat.matrix(0.0, 1j * (ep + em * prod), 1j * (ep + em / prod), 0.0))
 
 
 def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
@@ -446,27 +443,9 @@ def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
     s, ell, m = hs.s, hs.ell, hs.m
     ct1, tn1 = 1.0 / np.tan(hs.delta1 / 2.0), np.tan(hs.delta1 / 2.0)
     ct2, tn2 = 1.0 / np.tan(hs.delta2 / 2.0), np.tan(hs.delta2 / 2.0)
-    ep, em = np.exp(t), np.exp(-t)
-    nj, nk = hs.domain.nj, hs.domain.nk
-
-    def lax_pair(diag_l, diag_r, prod):
-        n = len(prod)
-        val = np.zeros((n, 2, 2), dtype=complex)
-        dot = np.zeros_like(val)
-        val[:, 0, 0] = diag_l
-        val[:, 1, 1] = diag_r
-        val[:, 0, 1] = 1j * (ep - em * prod)
-        val[:, 1, 0] = 1j * (ep - em / prod)
-        dot[:, 0, 1] = 1j * (ep + em * prod)
-        dot[:, 1, 0] = 1j * (ep + em / prod)
-        return MatJet(val, dot)
-
-    L_edge = lax_pair(ell * (ct1 / s[:-1] + tn1 * s[1:]),
-                      (s[:-1] * ct1 + tn1 / s[1:]) / ell,
-                      s[:-1] * s[1:])
-    M_edge = lax_pair(m * (ct2 / s + tn2 * s),
-                      (s * ct2 + tn2 / s) / m,
-                      s * s)
+    L_edge = lax_jet(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
+                     s[:-1] * s[1:], t)
+    M_edge = lax_jet(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)
     L, M = _tile_k_invariant(L_edge, M_edge, hs.domain)
     return ConnectionFamily(hs.domain, L, M, t, lambda tt: hs_lax(hs, tt))
 

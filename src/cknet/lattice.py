@@ -14,7 +14,7 @@ and inverses propagate both layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,16 +159,23 @@ class ConnectionFamily:
 
 @dataclass(frozen=True)
 class FrameFamily:
-    """Vertex frames Phi(j,k) as jets, shape (nj, nk, 2, 2)."""
+    """Vertex frames Phi = rows @ cols as jets: rows (nj, 1, 2, 2) for frames that factor,
+    (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  ``Phi``
+    forms the (nj, nk, 2, 2) grid only when it is read."""
 
     domain: Domain
-    Phi: MatJet
+    rows: MatJet
     t0: float = 0.0
+    cols: MatJet = field(default_factory=lambda: MatJet.constant(np.eye(2)[None]))
 
     def __post_init__(self):
-        nj, nk = self.domain.nj, self.domain.nk
-        if self.Phi.shape != (nj, nk, 2, 2):
-            raise ValueError(f"Phi shape {self.Phi.shape} != {(nj, nk, 2, 2)}")
+        shapes, grid = (self.rows.shape, self.cols.shape), (self.domain.nj, self.domain.nk, 2, 2)
+        if np.broadcast_shapes(*shapes) != grid:
+            raise ValueError(f"frame factor shapes {shapes} do not make {grid}")
+
+    @property
+    def Phi(self) -> MatJet:
+        return self.rows @ self.cols
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +214,13 @@ def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:
 
 
 def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:
-    """Gauge action on frames: Phi maps to G Phi (parallel for the gauged connection)."""
-    nj, nk = frames.domain.nj, frames.domain.nk
-    if G.shape != (nj, nk, 2, 2):
-        raise ValueError(f"gauge shape {G.shape} != {(nj, nk, 2, 2)}")
-    return FrameFamily(frames.domain, G @ frames.Phi, frames.t0)
+    """Gauge action on frames: Phi maps to G Phi (parallel for the gauged connection).
+
+    G multiplies the row factor.  A G broadcast along k (stride 0), as the normal-form
+    gauge is, acts through its first column, so factored frames stay factored."""
+    if G.val.strides[1] == 0 and G.dot.strides[1] == 0:
+        G = G[:, :1]
+    return replace(frames, rows=G @ frames.rows)
 
 
 def admissible_gauge(c_val, c_dot, y) -> MatJet:
@@ -225,7 +234,5 @@ def admissible_gauge(c_val, c_dot, y) -> MatJet:
     c_dot = np.asarray(c_dot, dtype=float)
     y = np.asarray(y, dtype=float)
     c_val, c_dot, y = np.broadcast_arrays(c_val, c_dot, y)
-    val = np.zeros(c_val.shape + (2, 2), dtype=complex)
-    val[..., 0, 0] = np.exp(c_val + 1j * y)
-    val[..., 1, 1] = np.exp(c_val - 1j * y)
+    val = quat.matrix(np.exp(c_val + 1j * y), 0.0, 0.0, np.exp(c_val - 1j * y))
     return MatJet(val, c_dot[..., None, None] * val)

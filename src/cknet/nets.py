@@ -13,10 +13,15 @@ both diagonals of n).  Curvatures per face:
     K = det(nd1, nd2, N) / det(xd1, xd2, N)
     H = (det(xd1, nd2, N) + det(nd1, xd2, N)) / (2 det(xd1, xd2, N))
 
-Nets are produced from parallel frames Phi by the parameter-derivative
-formula
+Nets are produced from parallel frames Phi = Q D^k and a transform jet T
+(W, V or VW; the identity for the base net) by the Sym formula
+x = xi * coords(F^{-1} dF/dt) + tau * n, n = coords(F^{-1} (-i sigma3) F) for
+F = T Phi, coords being the (x, y, z) part.  It is taken through the 3x3
+adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X), of the row factor Q
+and the column factor D^k, and closed forms in the entries of T:
 
-    x = xi * (Phi^{-1} dPhi/dt)^{tr=0} + tau * n,    n = Phi^{-1} (-i sigma3) Phi.
+    n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
+    x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)) + tau * n.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .errors import DegenerateFace, DegenerateGeometry, NotPrincipal, ZeroEdge
-from .lattice import FrameFamily
+from .errors import DegenerateFace, DegenerateGeometry, NotPrincipal, Singular, ZeroEdge
+from .lattice import FrameFamily, MatJet
 
 
 @dataclass(frozen=True)
@@ -57,24 +62,55 @@ class ContactElementNet:
 # construction from frames
 
 
-def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0):
-    """Complex coordinate arrays (x, n) of the parameter-derivative net.
+_BASIS = np.array([-1j * quat.sigma1, -1j * quat.sigma2, -1j * quat.sigma3])
 
+
+def _factor_terms(F: MatJet):
+    """Planes R[i, j] of the adjoint map R(F) and w[i] of coords(F^{-1} dF) of frame factors."""
+    val, dot = F.val[..., None, :, :], F.dot[..., None, :, :]
+    c = quat.coords_complex(quat.inv(val) @ np.concatenate([_BASIS @ val, dot], axis=-3))
+    c = np.moveaxis(c, (-1, -2), (0, 1))   # c[i, j] = coords_i(F^{-1} E_j F); j = 3: F^{-1} dF
+    return c[:, :3], c[:, 3]
+
+
+def _transform_terms(T: MatJet):
+    """Planes of coords(T^{-1} dT) and coords(T^{-1} (-i sigma3) T) from the entries of T."""
+    (a, b), (c, d) = np.moveaxis(T.val, (-2, -1), (0, 1))
+    (da, db), (dc, dd) = np.moveaxis(T.dot, (-2, -1), (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
+        det = a * d - b * c
+    if not np.all((np.abs(det) > 1e-14) & (np.abs(det) < np.inf)):
+        raise Singular(f"transform |det| <= 1e-14 or non-finite (min {np.min(np.abs(det)):.1e})")
+    r = 1.0 / det   # T^{-1} = [[d, -b], [-c, a]] / det
+    m00, m01, m10, m11 = d * da - b * dc, d * db - b * dd, a * dc - c * da, a * dd - c * db
+    return ([0.5j * (m01 + m10) * r, 0.5 * (m10 - m01) * r, 0.5j * (m00 - m11) * r],
+            [(b * d - a * c) * r, 1j * (a * c + b * d) * r, (a * d + b * c) * r])
+
+
+def _apply(R, v, w=(0.0, 0.0, 0.0)):
+    """Planes of R v + w, broadcasting the planes of R and w against those of v."""
+    return [R[i, 0] * v[0] + R[i, 1] * v[1] + R[i, 2] * v[2] + w[i] for i in range(3)]
+
+
+def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None):
+    """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of T Phi.
+
+    T is a transform jet of shape (nj, nk, 2, 2), the identity by default.
     No reality or unit-length validation is performed; callers that work
-    with complex-parameter transforms inspect the imaginary parts
-    themselves.  Shapes are (nj, nk, 3).
+    with complex-parameter transforms inspect the imaginary parts themselves.
     """
-    phi_inv = frames.Phi.inv()
-    a = phi_inv.val @ frames.Phi.dot
-    n_mat = phi_inv.val @ (-1j * quat.sigma3) @ frames.Phi.val
-    n = quat.coords_complex(n_mat)
-    x = xi * quat.coords_complex(a) + tau * n
-    return x, n
+    RQ, wq = _factor_terms(frames.rows)
+    RD, wd = _factor_terms(frames.cols)
+    tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if T is None else _transform_terms(T)
+    n = _apply(RD, _apply(RQ, tn))
+    x = _apply(RD, _apply(RQ, tx, wq), wd)
+    return np.stack([xi * a + tau * b for a, b in zip(x, n)], axis=-1), np.stack(n, axis=-1)
 
 
-def sym(frames: FrameFamily, xi: float, tau: float = 0.0, reality_tol: float = 1e-6) -> ContactElementNet:
-    """Real parameter-derivative net; raises if coordinates are not real."""
-    x, n = sym_arrays(frames, xi, tau)
+def sym(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None,
+        reality_tol: float = 1e-6) -> ContactElementNet:
+    """Real parameter-derivative net of T Phi; raises if coordinates are not real."""
+    x, n = sym_arrays(frames, xi, tau, T)
     resid = np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag)))
     scale = max(1.0, np.max(np.abs(x.real)))
     if not (resid <= reality_tol * scale):

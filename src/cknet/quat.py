@@ -31,15 +31,17 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def matrix(e11, e12, e21, e22):
+    """Complex matrices [[e11, e12], [e21, e22]] of shape (..., 2, 2) from broadcastable entries."""
+    m = np.empty(np.broadcast(e11, e12, e21, e22).shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = e11, e12, e21, e22
+    return m
+
+
 def quat(w, x, y, z):
     """Build quaternion matrices from four real (broadcastable) components."""
     w, x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (w, x, y, z)))
-    m = np.empty(w.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = w - 1j * z
-    m[..., 0, 1] = -y - 1j * x
-    m[..., 1, 0] = y - 1j * x
-    m[..., 1, 1] = w + 1j * z
-    return m
+    return matrix(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z)
 
 
 def parts(q):
@@ -94,12 +96,7 @@ def det(q):
 def qconj(q):
     """Quaternion conjugate (adjugate matrix): w - xi - yj - zk."""
     q = np.asarray(q, dtype=complex)
-    out = np.empty_like(q)
-    out[..., 0, 0] = q[..., 1, 1]
-    out[..., 0, 1] = -q[..., 0, 1]
-    out[..., 1, 0] = -q[..., 1, 0]
-    out[..., 1, 1] = q[..., 0, 0]
-    return out
+    return matrix(q[..., 1, 1], -q[..., 0, 1], -q[..., 1, 0], q[..., 0, 0])
 
 
 def inv(q, tol=1e-14):

@@ -1,9 +1,13 @@
 """Independent constructions the tests measure the package against.
 
 ``integrate_frame`` transports a frame edge by edge instead of forming
-the factorised product ``rotational_frames`` builds; ``cross_ratio``
-reads circularity of a face off the quaternionic cross ratio, which no
-package routine computes.
+the factorised product ``rotational_frames`` builds; ``dense_sym`` forms
+every gauged and transformed frame on the grid and applies the Sym
+formula with an inverse and 2x2 products per vertex, where
+``nets.sym_arrays`` works through the frame factors; ``w_jet`` and
+``v_jet`` are the transform matrices as the ``backlund`` docstring states
+them; ``cross_ratio`` reads circularity of a face off the quaternionic
+cross ratio, which no package routine computes.
 """
 
 import numpy as np
@@ -42,6 +46,38 @@ def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) ->
         if not (res <= tol):
             raise NotFlat(f"path-independence residual {res:.3e} exceeds {tol:.3e}")
     return FrameFamily(conn.domain, phi, conn.t0)
+
+
+def dense_sym(frames: FrameFamily, xi: float, tau: float = 0.0, G: MatJet = None,
+              T: MatJet = None):
+    """Complex (x, n) of the Sym net of T G Phi with every frame formed on the grid.
+
+    Phi is materialised, gauged (G @ Phi) and transformed (T @ Phi) cell by
+    cell, then x = xi coords(Phi^{-1} dPhi) + tau n and n = coords(Phi^{-1}
+    (-i sigma3) Phi) take an inverse and two 2x2 products per vertex.
+    """
+    phi = frames.Phi
+    for factor in (G, T):
+        if factor is not None:
+            phi = factor @ phi
+    inv = phi.inv()
+    n = quat.coords_complex(inv.val @ (-1j * quat.sigma3) @ phi.val)
+    return xi * quat.coords_complex(inv.val @ phi.dot) + tau * n, n
+
+
+def w_jet(alpha, s_tilde, s, t):
+    """W = [[cot(a/2) s~/s, i e^t], [i e^t, cot(a/2) s/s~]] on the grid of s~."""
+    cot, c, s = 1.0 / np.tan(alpha / 2.0), 1j * np.exp(t), np.asarray(s)[:, None]
+    val = quat.matrix(cot * s_tilde / s, c, c, cot * s / s_tilde)
+    return MatJet(val, np.broadcast_to(quat.matrix(0.0, c, c, 0.0), val.shape))
+
+
+def v_jet(beta, s_hat, s, t):
+    """V = [[1, i e^{-t} tan(b/2) s^ s], [i e^{-t} tan(b/2)/(s^ s), 1]] on the grid of s^;
+    s is a profile column or, over a transformed net, a grid."""
+    c, prod = 1j * np.exp(-t) * np.tan(beta / 2.0), s_hat * (s if np.ndim(s) == 2 else s[:, None])
+    return MatJet(quat.matrix(1.0, c * prod, c / prod, 1.0),
+                  quat.matrix(0.0, -c * prod, -c / prod, 0.0))
 
 
 def cross_ratio(net, face, imag_tol: float = 1e-8):

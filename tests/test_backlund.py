@@ -253,6 +253,19 @@ def test_propagate_pole_hit_next_to_a_pole(alpha):
     assert np.max(chordal_residuals(B, s[:, :-1], s[:, 1:])) <= 1e-11
 
 
+def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
+    hs, frames, _ = hs_fixture()
+    calls = []
+    real = bk.build_abcd
+    monkeypatch.setattr(bk, "build_abcd", lambda *args: calls.append(args) or real(*args))
+    s = propagate(hs, ALPHA_C, 1.3 * np.exp(0.4j), "hat")
+    assert len(calls) == 1
+    D = real(hs, ALPHA_C)[3]
+    assert np.max(chordal_residuals(D, s[:, :-1], s[:, 1:])) <= 1e-11
+    double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
+    assert len(calls) == 3
+
+
 def test_propagate_rejects_unknown_field():
     hs, _, _ = hs_fixture()
     with pytest.raises(ConfigError):
@@ -398,8 +411,8 @@ def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
     hs, frames, _ = hs_fixture()
 
-    def nan_sym(new_frames, xi, t):
-        x, n = sym_arrays(new_frames, xi, t)
+    def nan_sym(frames, xi, t, T):
+        x, n = sym_arrays(frames, xi, t, T)
         x[0, 0, 0] = complex(1.0, np.nan)
         return x, n
 

@@ -13,6 +13,7 @@ import pytest
 from cknet import checks, cli, nets
 from cknet.checks import CheckResult
 from cknet.errors import ConfigError
+from cknet.lattice import FrameFamily
 from cknet.nets import ContactElementNet, CurvatureReport
 from cknet.revolution import build_rcnet, profile_elliptic
 
@@ -558,6 +559,22 @@ def test_commands_build_only_the_stages_they_read(tmp_path, monkeypatch, capsys,
     code, _, _ = run_desk(tmp_path, command, ["--rotation.k_count", "26", *extra], command)
     assert code == cli.EXIT_OK, capsys.readouterr()
     assert calls == built
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("double", ["--backlund.N0", "9"]),
+    ("double", ["--backlund.alpha", "1.0"]),
+    ("backlund", ["--backlund.alpha", "1.0"]),
+])
+def test_transforms_never_materialise_the_frame_grid(tmp_path, monkeypatch, capsys, command,
+                                                     extra):
+    # the Sym formula reads the row and column frame factors, never their (nj, nk) product
+    reads = []
+    phi = FrameFamily.Phi.fget
+    monkeypatch.setattr(FrameFamily, "Phi", property(lambda f: reads.append(1) or phi(f)))
+    code, _, _ = run_desk(tmp_path, command, ["--rotation.k_count", "26", *extra], command)
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    assert len(reads) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cknet import quat
-from cknet.connect import (CkEdgeData, build_ck_connection,
+from cknet.connect import (CkEdgeData, _invariance_residual, build_ck_connection,
                            build_cmc_connection, closing_residual, gauge_to_hs,
                            hs_lax, initial_frame, rotational_frames)
 from cknet.errors import CaseMismatch, ConfigError, InvalidProfile
@@ -326,6 +326,30 @@ def test_flatness_of_non_invariant_families_covers_every_face():
     M_val[:, -1] = M_val[:, -1] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
     bent = ConnectionFamily(conn.domain, conn.L, MatJet(M_val, conn.M.dot), conn.t0)
     assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
+
+
+def test_invariance_check_of_invariant_views_is_zero_and_keeps_nan():
+    # a stride-0 view compares its first two columns only; a NaN in them still fails the check
+    p, conn, _ = ck_fixture()
+    assert _invariance_residual(conn) == _invariance_residual(materialised(conn)) == 0.0
+    edge = conn.L.val[:, :1].copy()
+    edge[2, 0, 0, 0] = np.nan
+    L = MatJet(np.broadcast_to(edge, conn.L.shape), conn.L.dot)
+    nan_view = ConnectionFamily(conn.domain, L, conn.M, conn.t0)
+    assert np.isnan(_invariance_residual(nan_view))
+    with pytest.raises(ValueError, match="not invariant"):
+        rotational_frames(nan_view, a0=p.a[0], b0=p.b[0])
+
+
+def test_non_invariant_dense_family_has_no_rotational_frames():
+    p, conn, _ = ck_fixture()
+    dense = materialised(conn)
+    M_val = dense.M.val.copy()
+    M_val[:, -1] = M_val[:, -1] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
+    bent = ConnectionFamily(conn.domain, dense.L, MatJet(M_val, dense.M.dot), conn.t0)
+    assert _invariance_residual(bent) > 1e-3
+    with pytest.raises(ValueError, match="not invariant"):
+        rotational_frames(bent, a0=p.a[0], b0=p.b[0])
 
 
 def test_closing_residual():

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cknet import quat
-from cknet.connect import build_ck_connection, initial_frame, rotational_frames
+from cknet.connect import build_ck_connection, gauge_to_hs, initial_frame, rotational_frames
 from cknet.lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
                            admissible_gauge, flatness_residual, gauge,
                            gauge_frame, jet_residual)
@@ -168,6 +168,32 @@ def test_integration_matches_eigen_factorized_frames():
     direct = integrate_frame(conn, MatJet.constant(phi00))
     factorized = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     assert jet_residual(direct.Phi, factorized.Phi) < 1e-10
+
+
+def test_rotational_frames_keep_row_and_column_factors():
+    p, conn, data = ck_connection()
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    assert frames.rows.shape == (7, 1, 2, 2) and frames.cols.shape == (8, 2, 2)
+    # the normal-form gauge is a stride-0 view: it multiplies the row factor only
+    hs = gauge_to_hs(conn, data)
+    gauged = gauge_frame(frames, hs.gauge)
+    assert gauged.rows.shape == (7, 1, 2, 2) and gauged.cols is frames.cols
+    assert jet_residual(gauged.Phi, hs.gauge @ frames.Phi) < 1e-14
+    # the same gauge held densely gives a dense row factor over the same columns
+    dense = gauge_frame(frames, MatJet(hs.gauge.val.copy(), hs.gauge.dot.copy()))
+    assert dense.rows.shape == (7, 8, 2, 2) and dense.cols is frames.cols
+    assert jet_residual(dense.Phi, gauged.Phi) < 1e-14
+
+
+def test_frame_factor_shapes_must_make_the_grid():
+    domain = Domain((0, 2), (0, 3))
+    eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
+    for factors in ((eye(3, 4),), (eye(3, 1), 0.0, eye(4)), (eye(3, 4), 0.0, eye(4))):
+        assert FrameFamily(domain, *factors).Phi.shape == (3, 4, 2, 2)
+    for factors in ((eye(3, 1),), (eye(1, 4), 0.0, eye(4)), (eye(3, 1), 0.0, eye(5)),
+                    (eye(3, 4), 0.0, eye(3)), (eye(3, 2, 2), 0.0, eye(4))):
+        with pytest.raises(ValueError):
+            FrameFamily(domain, *factors)
 
 
 def test_connection_derivative_layer_matches_finite_differences():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from cknet import quat
 from cknet.connect import build_ck_connection, rotational_frames
 from cknet.errors import (DegenerateFace, DegenerateGeometry, InvalidProfile,
-                          NotPrincipal, ZeroEdge)
+                          NotPrincipal, Singular, ZeroEdge)
 from cknet.lattice import ConnectionFamily, Domain, FrameFamily, MatJet, jet_residual
 from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
                         face_normal, principal_curvatures, rigid_align,
@@ -88,6 +88,17 @@ def test_sym_arrays_preserves_complex_residue():
     assert np.max(np.abs(x.imag)) > 0.1
     with pytest.raises(ValueError):
         sym(frames, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf])
+def test_sym_arrays_rejects_a_singular_or_non_finite_transform(entry):
+    domain = Domain((0, 1), (0, 2))
+    frames = FrameFamily(domain, MatJet.constant(np.broadcast_to(np.eye(2), (2, 3, 2, 2))))
+    T = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
+    T[1, 2, 1, 1] = entry                # det 0, NaN or inf at one vertex
+    with pytest.raises(Singular):
+        sym_arrays(frames, 2.0, T=MatJet.constant(T))
 
 
 # ---------------------------------------------------------------------------
