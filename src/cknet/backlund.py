@@ -246,7 +246,7 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
 
 
 def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
-                    xi: float = 2.0, which: str = "tilde") -> ContactElementNet:
+                    which: str = "tilde") -> ContactElementNet:
     """Single Backlund transform of the net framed by ``frames``.
 
     Real angle only: params.alpha for the W form ("tilde"), params.beta
@@ -265,7 +265,7 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
         c, prod = 1j * np.exp(-frames.t0) * np.tan(a / 2.0), s_grid * hs.s[:, None]
         val = quat.matrix(1.0, c * prod, c / prod, 1.0)
         dot = quat.matrix(0.0, -c * prod, -c / prod, 0.0)
-    return sym(frames, xi, 0.0, MatJet(val, np.broadcast_to(dot, val.shape)))
+    return sym(frames, 2.0, 0.0, MatJet(val, np.broadcast_to(dot, val.shape)))
 
 
 def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
@@ -309,8 +309,7 @@ def _check_condition_c(params: BacklundParams) -> None:
             raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
 
 
-def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
-                    xi: float = 2.0, reality_tol: float = 1e-6):
+def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
     """Double Backlund transform with beta = -alpha and real sin(alpha).
 
     Returns (ContactElementNet, DoubleReport).  The composed scalar field
@@ -318,8 +317,8 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
         s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~))
 
     feeds the closed-form product frame; its coordinates must come out
-    real (RealityViolated beyond reality_tol says the seeds and angle
-    are inconsistent).
+    real (RealityViolated beyond 1e-6 says the seeds and angle are
+    inconsistent).
     """
     _check_condition_c(params)
     alpha = params.alpha
@@ -339,9 +338,9 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
     cot = 1.0 / tn
     VW = lax_jet(s_tilde * (cot / s_col + tn * shat_tilde),
                  (cot * s_col + tn / shat_tilde) / s_tilde, s_col * shat_tilde, frames.t0)
-    x, n = sym_arrays(frames, xi, 0.0, VW)
+    x, n = sym_arrays(frames, 2.0, 0.0, VW)
     imag_residue = float(np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))))
-    if not (imag_residue <= reality_tol):
+    if not (imag_residue <= 1e-6):
         raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")
     net = ContactElementNet(x.real, n.real)
     return net, DoubleReport(imag_residue, unit_residual, s_tilde, s_hat, shat_tilde)
@@ -389,21 +388,23 @@ def _power_residual(mat: np.ndarray, N0: int) -> float:
     return r if np.isfinite(r) else np.inf
 
 
+_Y_MAX = 8.0   # end of the search path pi/2 + iy
+
+
 def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
-                        which: str = "B", n_scan: int = 720,
-                        phase_tol: float = 1e-12, verify_tol: float = 1e-9,
-                        y_max: float = 8.0) -> PeriodicAlpha:
+                        which: str = "B") -> PeriodicAlpha:
     """Transform angle whose rotational recurrence closes after N0 steps.
 
     Solves tr(M)^2 / det(M) = 2 + 2 cos(2 pi p / N0) for M = B[0] (or D[0]),
     i.e. eigenvalue ratio e^{2 pi i p / N0}, on the folded phase
     arccos(Re(tr^2/det)/2 - 1): one vectorised scan per path, then
     bisection, first for alpha on the real interval (0, pi) and then along
-    the line pi/2 + iy where sin alpha is real and > 1 (the regime where
-    only the double transform is real); p defaults to the smallest index
-    coprime to N0 whose phase the scan reaches.  The returned residual is
-    the entrywise distance of the normalized N0-th power from +-identity,
-    verified against verify_tol.
+    the line pi/2 + iy, 0 < y < 8, where sin alpha is real and > 1 (the
+    regime where only the double transform is real); each path is scanned
+    at 720 points and bisected to a phase error below 1e-12.  p defaults
+    to the smallest index coprime to N0 whose phase the scan reaches.  The
+    returned residual is the entrywise distance of the normalized N0-th
+    power from +-identity, at most 1e-9.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
@@ -412,9 +413,9 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
     ps = [p] if p is not None else [q for q in range(1, N0) if gcd(q, N0) == 1]
     paths = (
         lambda sigma: sigma + 0j,
-        lambda sigma: np.pi / 2.0 + 1j * sigma * (y_max / np.pi),
+        lambda sigma: np.pi / 2.0 + 1j * sigma * (_Y_MAX / np.pi),
     )
-    grid = np.linspace(1e-6, np.pi - 1e-6, n_scan)
+    grid = np.linspace(1e-6, np.pi - 1e-6, 720)
     phase_rows = [_rotation_phase(hs, path(grid), which) for path in paths]
     for p_try in ps:
         target = (2.0 * np.pi * p_try / N0) % (2.0 * np.pi)
@@ -427,7 +428,7 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
                 for _ in range(200):
                     mid = (lo + hi) / 2.0
                     fm = _rotation_phase(hs, path(mid), which) - target
-                    if abs(fm) < phase_tol or hi - lo < 1e-15:
+                    if abs(fm) < 1e-12 or hi - lo < 1e-15:
                         lo = hi = mid
                         break
                     if flo * fm <= 0.0:
@@ -441,7 +442,7 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
                 mat = _matrices(hs.s, hs.m, np.tan(hs.delta2 / 2.0),
                                 -alpha if which == "D" else alpha, which == "D")[0]
                 residual = _power_residual(mat, N0)
-                if residual <= verify_tol:
+                if residual <= 1e-9:
                     return PeriodicAlpha(alpha, int(p_try), residual)
-    raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {y_max:g}) "
+    raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {_Y_MAX:g}) "
                  f"closes the recurrence after {N0} steps for phase indices {ps}")

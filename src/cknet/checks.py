@@ -174,10 +174,9 @@ def criterion_4() -> list[CheckResult]:
     out = []
     for case, p, conn in _cases():
         xi = 2.0 if case == 3 else -2.0
-        work = conn.transpose() if case == 1 else conn
-        frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
+        frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
         net = sym(frames, xi)
-        target = build_rcnet(p, work.domain.nk, theta=THETA)
+        target = build_rcnet(p, conn.domain.nk, theta=THETA)
         out.append(CheckResult(f"c04_sym[case{case}]", rigid_align(net, target).residual, 1e-8))
     return out
 
@@ -306,9 +305,8 @@ def criterion_11() -> list[CheckResult]:
     out = []
     for case, p, conn in _cases():
         xi = 2.0 if case == 3 else -2.0
-        work = conn.transpose() if case == 1 else conn
-        out.append(CheckResult(f"c11_monodromy[case{case}]", closing_residual(work, 12), 1e-10))
-        frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
+        out.append(CheckResult(f"c11_monodromy[case{case}]", closing_residual(conn, 12), 1e-10))
+        frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
         out.append(CheckResult(f"c11_period[case{case}]", period_drift(sym(frames, xi), 12), 1e-8))
     return out
 

@@ -12,9 +12,12 @@ scalar edge data (u, v, v_frak, h_frak):
 
 and M of the same shape built from (v, h_frak, beta) with the sign of
 the cos 2t term flipped in the K = +1 case.  Three constructions cover
-the parameter ranges: rotation-invariant K=+1 data with kappa < 1
-(case 1, invariant along j), kappa > 1 (case 2, invariant along k), and
-K=-1 (case 3, invariant along k).
+the parameter ranges: K=+1 with kappa < 1 (case 1), K=+1 with kappa > 1
+(case 2) and K=-1 (case 3).  Every family runs the profile along j and
+the rotation along k, and is invariant along k, so it is held once per
+profile row: L of shape (nj-1, 1, 2, 2) and M of shape (nj, 1, 2, 2).
+Case 1 exchanges the roles of the edge data: its L is the flipped form
+built from (h_frak, v) and its M the L form built from (v_frak, u).
 
 The K=-1 family can be gauged into a normal form whose entries depend
 on a unit vertex function s and edge angles delta with sin(delta) =
@@ -35,6 +38,9 @@ from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
 from .revolution import Profile
 
 
+_BRANCH_TOL = 1e-9   # below it a pair of edge scalars counts as equal and the mirrored branch is taken
+
+
 def _check_theta(theta: float) -> None:
     if not (0.0 < abs(theta) < np.pi):
         raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
@@ -42,13 +48,13 @@ def _check_theta(theta: float) -> None:
 
 @dataclass(frozen=True)
 class CkEdgeData:
-    """Scalar edge data of a rotational flat connection.
+    """Scalar edge data of a rotational flat connection at t = 0.
 
-    For invariant == "k" (cases 2, 3) the profile runs along j: u,
-    v_frak, alpha0 live on profile edges and v, h_frak on the k-edges of
-    each profile column; beta0 is the same number for every k-edge.  For
-    invariant == "j" (case 1) the roles of the directions are exchanged
-    and alpha0 is the global constant.
+    In cases 2 and 3, u, v_frak and alpha0 live on the profile edges and
+    v, h_frak on the profile vertices, whose rotation edges they build;
+    beta0 is the same number for every row.  Case 1 exchanges the roles:
+    u and v_frak live on the profile vertices, v, h_frak and beta0 on the
+    profile edges, and alpha0 is the same number for every row.
     """
 
     u: np.ndarray
@@ -59,10 +65,8 @@ class CkEdgeData:
     beta0: np.ndarray
     K_sign: int
     case: int
-    invariant: str
     theta: float
     kappa: float
-    t0: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +113,12 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
     return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
 
 
-def _repeat(jet: MatJet, n: int, axis: int) -> MatJet:
-    """Read-only view of a stack of 2x2 jets repeated n times along lattice axis 0 (j) or 1 (k)."""
-    shape = jet.shape[:axis] + (n,) + jet.shape[axis:]
-    view = lambda a: np.broadcast_to(np.expand_dims(a, axis), shape)
-    return MatJet(view(jet.val), view(jet.dot))
-
-
-def _tile_k_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
-    return _repeat(L_edge, domain.nk, 1), _repeat(M_edge, domain.nk - 1, 1)
-
-
-def _tile_j_invariant(L_edge: MatJet, M_edge: MatJet, domain: Domain):
-    return _repeat(L_edge, domain.nj - 1, 0), _repeat(M_edge, domain.nj, 0)
-
-
 # ---------------------------------------------------------------------------
 # K = -1 (case 3)
 
 
-def build_ck_connection(p: Profile, theta: float, k_count: int, t0: float = 0.0,
-                        k_lo: int = 0, branch_tol: float = 1e-9):
-    """Flat K=-1 connection family for the rotational net of profile p.
+def build_ck_connection(p: Profile, theta: float, k_count: int, k_lo: int = 0):
+    """Flat K=-1 connection family for the rotational net of profile p, anchored at t = 0.
 
     Returns (ConnectionFamily, CkEdgeData).  The connection is invariant
     along the rotation direction k; edge scalars are seeded from the
@@ -162,11 +150,11 @@ def build_ck_connection(p: Profile, theta: float, k_count: int, t0: float = 0.0,
     db = b[1:] - b[:-1]
     sb = b[1:] + b[:-1]
     v_frak = np.empty(len(u), dtype=complex)
-    generic = np.abs(v_sum) > branch_tol
+    generic = np.abs(v_sum) > _BRANCH_TOL
     v_frak[generic] = (u * 2j * kappa * sb / v_sum)[generic]
     if np.any(~generic):
         alt = ~generic
-        if np.any(np.abs(sb[alt]) > branch_tol) or np.any(np.abs(db[alt]) < 1e-12):
+        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
             raise BranchFailure("degenerate column pair without mirrored normals")
         uv = (u * v[:-1])[alt]
         v_frak[alt] = 2.0 * (uv + 1.0 / uv) / (2j * kappa * db[alt])
@@ -181,45 +169,44 @@ def build_ck_connection(p: Profile, theta: float, k_count: int, t0: float = 0.0,
         M_edge, _ = _edge_jet_cgc(h_frak, v, t)
         if beta0 < 0:
             M_edge = MatJet(-M_edge.val, -M_edge.dot)
-        L, M = _tile_k_invariant(L_edge, M_edge, domain)
-        return ConnectionFamily(domain, L, M, t, assemble)
+        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, alpha0 = _edge_jet_cgc(v_frak, u, 0.0)
     data = CkEdgeData(u, v, v_frak, h_frak, alpha0,
-                      np.full(p.nj, beta0), -1, 3, "k", float(theta), kappa, t0)
-    return assemble(t0), data
+                      np.full(p.nj, beta0), -1, 3, float(theta), kappa)
+    return assemble(0.0), data
 
 
 # ---------------------------------------------------------------------------
 # K = +1 (cases 1 and 2)
 
 
-def build_cmc_connection(p: Profile, theta: float, rot_count: int, case: int,
-                         t0: float = 0.0, rot_lo: int = 0, branch_tol: float = 1e-9):
-    """Flat K=+1 connection family for the rotational net of profile p.
+def build_cmc_connection(p: Profile, theta: float, k_count: int, case: int):
+    """Flat K=+1 connection family for the rotational net of profile p, anchored at t = 0.
 
-    case=1 handles kappa < 1 (connection invariant along j, the profile
-    running along k); case=2 handles kappa > 1 (invariant along k).
-    rot_count is the vertex count in the rotation direction.  kappa = 1
-    is covered by neither construction (CaseMismatch).
+    case=1 handles kappa < 1 and case=2 kappa > 1; both run the profile
+    along j and are invariant along the rotation direction k, which has
+    k_count vertices.  kappa = 1 is covered by neither construction
+    (CaseMismatch).
     """
     if p.K_sign != +1:
         raise InvalidProfile("K=+1 connection requires a K=+1 profile")
     _check_theta(theta)
-    if rot_count < 2:
-        raise ConfigError(f"need at least two rotational vertices, got {rot_count}")
+    if k_count < 2:
+        raise ConfigError(f"need at least two rotational vertices, got {k_count}")
+    domain = Domain((p.j_lo, p.j_lo + p.nj - 1), (0, k_count - 1))
     if case == 1:
         if not p.kappa < 1.0:
             raise CaseMismatch(f"case 1 requires kappa < 1, got kappa = {p.kappa}")
-        return _cmc_case1(p, theta, rot_count, t0, rot_lo, branch_tol)
+        return _cmc_case1(p, theta, domain)
     if case == 2:
         if not p.kappa > 1.0:
             raise CaseMismatch(f"case 2 requires kappa > 1, got kappa = {p.kappa}")
-        return _cmc_case2(p, theta, rot_count, t0, rot_lo, branch_tol)
+        return _cmc_case2(p, theta, domain)
     raise ConfigError(f"case must be 1 or 2, got {case}")
 
 
-def _cmc_case2(p, theta, k_count, t0, k_lo, branch_tol):
+def _cmc_case2(p, theta, domain):
     q = np.sqrt(p.kappa ** 2 - 1.0)
     a, b = p.a, p.b
     v = a / q + np.sqrt((a / q) ** 2 + 1.0)
@@ -231,30 +218,28 @@ def _cmc_case2(p, theta, k_count, t0, k_lo, branch_tol):
     db = b[1:] - b[:-1]
     sb = b[1:] + b[:-1]
     v_frak = np.empty(len(u), dtype=float)
-    generic = np.abs(v_diff) > branch_tol
+    generic = np.abs(v_diff) > _BRANCH_TOL
     v_frak[generic] = (2.0 * u * sb / (q * v_diff))[generic]
     if np.any(~generic):
         alt = ~generic
-        if np.any(np.abs(sb[alt]) > branch_tol) or np.any(np.abs(db[alt]) < 1e-12):
+        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
             raise BranchFailure("equal-v column pair without mirrored normals")
         uv = (u * v[:-1])[alt]
         v_frak[alt] = ((uv - 1.0 / uv) * q / db)[alt]
     beta0 = 2.0 / (q * np.sin(theta / 2.0))
-    domain = Domain((p.j_lo, p.j_lo + p.nj - 1), (k_lo, k_lo + k_count - 1))
 
     def assemble(t: float) -> ConnectionFamily:
         L_edge, _ = _edge_jet_cmc(v_frak, u, t, +1.0)
         M_edge, _ = _edge_jet_cmc(h_frak, v, t, -1.0, alpha_sign=beta0)
-        L, M = _tile_k_invariant(L_edge, M_edge, domain)
-        return ConnectionFamily(domain, L, M, t, assemble)
+        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, alpha0 = _edge_jet_cmc(v_frak, u, 0.0, +1.0)
     data = CkEdgeData(u, v, v_frak.astype(complex), h_frak, alpha0,
-                      np.full(p.nj, beta0), +1, 2, "k", float(theta), p.kappa, t0)
-    return assemble(t0), data
+                      np.full(p.nj, beta0), +1, 2, float(theta), p.kappa)
+    return assemble(0.0), data
 
 
-def _cmc_case1(p, theta, j_count, t0, j_lo, branch_tol):
+def _cmc_case1(p, theta, domain):
     q = np.sqrt(1.0 - p.kappa ** 2)
     a, b, f = p.a, p.b, p.f
     if not (np.all(a > 0) or np.all(a < 0)):
@@ -266,27 +251,25 @@ def _cmc_case1(p, theta, j_count, t0, j_lo, branch_tol):
     db = b[1:] - b[:-1]
     sb = b[1:] + b[:-1]
     h_frak = np.empty(len(v), dtype=float)
-    generic = np.abs(u_diff) > branch_tol
+    generic = np.abs(u_diff) > _BRANCH_TOL
     h_frak[generic] = (-2.0 * v * sb / (q * u_diff))[generic]
     if np.any(~generic):
         alt = ~generic
-        if np.any(np.abs(sb[alt]) > branch_tol) or np.any(np.abs(db[alt]) < 1e-12):
+        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
             raise BranchFailure("equal-u row pair without mirrored normals")
         uv = (u[:-1] * v)[alt]
         h_frak[alt] = (-(uv - 1.0 / uv) * q / db)[alt]
     alpha0 = 2.0 / (q * np.sin(theta / 2.0))
-    domain = Domain((j_lo, j_lo + j_count - 1), (p.j_lo, p.j_lo + p.nj - 1))
 
     def assemble(t: float) -> ConnectionFamily:
-        L_edge, _ = _edge_jet_cmc(v_frak, u, t, +1.0, alpha_sign=alpha0)
-        M_edge, _ = _edge_jet_cmc(h_frak, v, t, -1.0)
-        L, M = _tile_j_invariant(L_edge, M_edge, domain)
-        return ConnectionFamily(domain, L, M, t, assemble)
+        L_edge, _ = _edge_jet_cmc(h_frak, v, t, -1.0)
+        M_edge, _ = _edge_jet_cmc(v_frak, u, t, +1.0, alpha_sign=alpha0)
+        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, beta0 = _edge_jet_cmc(h_frak, v, 0.0, -1.0)
     data = CkEdgeData(u, v.astype(complex), v_frak, h_frak.astype(complex),
-                      np.full(p.nj, alpha0), beta0, +1, 1, "j", float(theta), p.kappa, t0)
-    return assemble(t0), data
+                      np.full(p.nj, alpha0), beta0, +1, 1, float(theta), p.kappa)
+    return assemble(0.0), data
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +285,20 @@ def initial_frame(a0: float, b0: float) -> np.ndarray:
     )
 
 
-def _invariance_residual(conn: ConnectionFamily) -> float:
-    """Largest change of the edge matrices along k; NaN when any entry is NaN.  Views
-    broadcast along k (stride 0) repeat their first column, so two columns are compared."""
-    layers = (conn.L.val, conn.M.val)
-    views = all(x.strides[1] == 0 for x in layers)
-    steps = [np.abs(np.diff(x[:, :2] if views else x, axis=1)).ravel() for x in layers]
-    return float(np.max(np.concatenate(steps), initial=0.0))
-
-
 def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFamily:
     """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k, kept as factors.
 
     P(0) is the standard frame from (a0, b0) as a constant jet,
-    P(j+1) = L(j,0) P(j) and D = P(0)^{-1} M(:,0) P(0); the P(j) form the
+    P(j+1) = L(j) P(j) and D = P(0)^{-1} M(0) P(0); the P(j) form the
     row factor and the D^k the column factor.  For a flat k-invariant
-    family their product coincides with direct integration.
+    family their product coincides with direct integration.  L and M
+    must be held once per profile row (length 1 along k); any other
+    family raises ValueError.
     """
+    if conn.L.shape[1] != 1 or conn.M.shape[1] != 1:
+        raise ValueError(f"connection is not invariant along k: L {conn.L.shape} and "
+                         f"M {conn.M.shape} are not held once per profile row")
     phi00 = MatJet.constant(initial_frame(a0, b0))
-    r = _invariance_residual(conn)
-    if not (r <= 1e-9):
-        raise ValueError(f"connection is not invariant along k (residual {r:.3e})")
     nj, nk = conn.domain.nj, conn.domain.nk
     P = [phi00]
     for j in range(nj - 1):
@@ -364,8 +340,8 @@ class HsLaxData:
     eigenvalue-like scalars; delta1 (per profile edge) and delta2
     (global) are the edge angles, complex of the form +-pi/2 + i y when
     |2/alpha| > 1.  ``gauge`` is the unit-determinant vertex gauge
-    diag(sqrt_s/sqrt(i), sqrt(i)/sqrt_s): one matrix per profile row,
-    held as a read-only view broadcast along k.
+    diag(sqrt_s/sqrt(i), sqrt(i)/sqrt_s): one matrix per profile row, of
+    shape (nj, 1, 2, 2).
     """
 
     s: np.ndarray
@@ -408,7 +384,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     r[0] = np.sqrt(s[0])
     for j in range(nj - 1):
         r[j + 1] = data.u[j] / r[j]
-    beta0 = float(data.beta0[0]) if np.ndim(data.beta0) else float(data.beta0)
+    beta0 = float(data.beta0[0])
     delta1 = np.array([_angle_from_sin(2.0 / a) for a in data.alpha0])
     delta2 = _angle_from_sin(2.0 / beta0)
     t1 = np.tan(delta1 / 2.0)
@@ -421,7 +397,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     sq_i = np.exp(1j * np.pi / 4.0)
     G = quat.matrix(r / sq_i, 0.0, 0.0, sq_i / r)
     return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain,
-                     _repeat(MatJet.constant(G), conn.domain.nk, 1))
+                     MatJet.constant(G[:, None]))
 
 
 def lax_jet(diag_l, diag_r, prod, t: float) -> MatJet:
@@ -446,6 +422,6 @@ def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
     L_edge = lax_jet(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
                      s[:-1] * s[1:], t)
     M_edge = lax_jet(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)
-    L, M = _tile_k_invariant(L_edge, M_edge, hs.domain)
-    return ConnectionFamily(hs.domain, L, M, t, lambda tt: hs_lax(hs, tt))
+    return ConnectionFamily(hs.domain, L_edge[:, None], M_edge[:, None], t,
+                            lambda tt: hs_lax(hs, tt))
 

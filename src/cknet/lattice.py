@@ -84,6 +84,13 @@ def jet_residual(a: MatJet, b: MatJet) -> float:
 # domain and families
 
 
+def _check_broadcast(name: str, shape: tuple, grid: tuple) -> None:
+    """Raise ValueError unless ``shape`` has the axes of ``grid``, its length along j,
+    and broadcasts to it."""
+    if len(shape) != len(grid) or shape[0] != grid[0] or np.broadcast_shapes(shape, grid) != grid:
+        raise ValueError(f"{name} shape {shape} does not broadcast to {grid}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangular index window; both ranges are inclusive."""
@@ -111,17 +118,16 @@ class Domain:
     def ks(self) -> np.ndarray:
         return np.arange(self.k_range[0], self.k_range[1] + 1)
 
-    def transpose(self) -> "Domain":
-        return Domain(self.k_range, self.j_range)
-
 
 @dataclass(frozen=True)
 class ConnectionFamily:
     """Edge matrices as jets in t, anchored at the base parameter t0.
 
-    L has shape (nj-1, nk, 2, 2) (edges (j,k)->(j+1,k)) and M has shape
-    (nj, nk-1, 2, 2) (edges (j,k)->(j,k+1)).  ``rebuild``, when present,
-    reconstructs the same family anchored at another t.
+    L holds the edges (j,k)->(j+1,k) and M the edges (j,k)->(j,k+1); their
+    shapes broadcast to (nj-1, nk, 2, 2) and (nj, nk-1, 2, 2).  A family
+    invariant along k (the rotation) is held once per profile row: L of
+    shape (nj-1, 1, 2, 2) and M of shape (nj, 1, 2, 2).  ``rebuild``, when
+    present, reconstructs the same family anchored at another t.
     """
 
     domain: Domain
@@ -134,10 +140,8 @@ class ConnectionFamily:
 
     def __post_init__(self):
         nj, nk = self.domain.nj, self.domain.nk
-        if self.L.shape != (nj - 1, nk, 2, 2):
-            raise ValueError(f"L shape {self.L.shape} != {(nj - 1, nk, 2, 2)}")
-        if self.M.shape != (nj, nk - 1, 2, 2):
-            raise ValueError(f"M shape {self.M.shape} != {(nj, nk - 1, 2, 2)}")
+        _check_broadcast("L", self.L.shape, (nj - 1, nk, 2, 2))
+        _check_broadcast("M", self.M.shape, (nj, nk - 1, 2, 2))
 
     def at(self, t: float) -> "ConnectionFamily":
         """The same family re-anchored at t (requires a rebuild hook)."""
@@ -146,15 +150,6 @@ class ConnectionFamily:
         if self.rebuild is None:
             raise ValueError("connection has no rebuild hook; cannot change t")
         return self.rebuild(t)
-
-    def transpose(self) -> "ConnectionFamily":
-        """Swap the two lattice directions (L and M exchange roles)."""
-        swap = lambda jet: MatJet(jet.val.swapaxes(0, 1), jet.dot.swapaxes(0, 1))
-        reb = None
-        if self.rebuild is not None:
-            base = self.rebuild
-            reb = lambda t: base(t).transpose()
-        return ConnectionFamily(self.domain.transpose(), swap(self.M), swap(self.L), self.t0, reb)
 
 
 @dataclass(frozen=True)
@@ -182,44 +177,44 @@ class FrameFamily:
 # flatness / gauging
 
 
+def _k_ends(jet: MatJet):
+    """(jet[:, 1:], jet[:, :-1]): the far and near ends of the k-steps.  A length-1
+    k axis holds the same jet for every column and stands for both ends as it is."""
+    if jet.shape[1] == 1:
+        return jet, jet
+    return jet[:, 1:], jet[:, :-1]
+
+
 def flatness_residual(conn: ConnectionFamily) -> float:
     """Entrywise max over faces and jet layers of M_rq L_qp - L_rs M_sp.
 
-    When L and M are both broadcast (stride 0) along k, as the views of
-    a rotation-invariant family are, every column of faces repeats the
-    first and only that column is formed; likewise for rows along j.
+    A rotation-invariant family (L and M of length 1 along k) forms one
+    column of faces, which every other column repeats.
     """
-    L, M = conn.L, conn.M
-    layers = (L.val, L.dot, M.val, M.dot)
-    if all(x.strides[1] == 0 for x in layers):
-        L, M = L[:, :2], M[:, :1]
-    elif all(x.strides[0] == 0 for x in layers):
-        L, M = L[:1], M[:2]
-    return jet_residual(M[1:] @ L[:, :-1], L[:, 1:] @ M[:-1])
+    L_far, L_near = _k_ends(conn.L)
+    return jet_residual(conn.M[1:] @ L_near, L_far @ conn.M[:-1])
 
 
 def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:
     """Gauge action on a connection: edge pq maps to G_q eta_qp G_p^{-1}.
 
-    G is a vertex family of jets with shape (nj, nk, 2, 2).  The rebuild
-    hook is dropped (the gauged family is anchored at conn.t0 only).
+    G is a vertex family of jets of shape (nj, nk, 2, 2), or (nj, 1, 2, 2)
+    for one gauge per profile row, which keeps an invariant family
+    invariant.  The rebuild hook is dropped (the gauged family is anchored
+    at conn.t0 only).
     """
-    nj, nk = conn.domain.nj, conn.domain.nk
-    if G.shape != (nj, nk, 2, 2):
-        raise ValueError(f"gauge shape {G.shape} != {(nj, nk, 2, 2)}")
+    _check_broadcast("gauge", G.shape, (conn.domain.nj, conn.domain.nk, 2, 2))
     Gi = G.inv()
-    L = MatJet(G.val[1:, :], G.dot[1:, :]) @ conn.L @ MatJet(Gi.val[:-1, :], Gi.dot[:-1, :])
-    M = MatJet(G.val[:, 1:], G.dot[:, 1:]) @ conn.M @ MatJet(Gi.val[:, :-1], Gi.dot[:, :-1])
+    L = G[1:] @ conn.L @ Gi[:-1]
+    M = _k_ends(G)[0] @ conn.M @ _k_ends(Gi)[1]
     return ConnectionFamily(conn.domain, L, M, conn.t0)
 
 
 def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:
     """Gauge action on frames: Phi maps to G Phi (parallel for the gauged connection).
 
-    G multiplies the row factor.  A G broadcast along k (stride 0), as the normal-form
-    gauge is, acts through its first column, so factored frames stay factored."""
-    if G.val.strides[1] == 0 and G.dot.strides[1] == 0:
-        G = G[:, :1]
+    G multiplies the row factor, so a gauge held once per profile row keeps
+    factored frames factored."""
     return replace(frames, rows=G @ frames.rows)
 
 

@@ -107,13 +107,14 @@ def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | Non
     return np.stack([xi * a + tau * b for a, b in zip(x, n)], axis=-1), np.stack(n, axis=-1)
 
 
-def sym(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None,
-        reality_tol: float = 1e-6) -> ContactElementNet:
-    """Real parameter-derivative net of T Phi; raises if coordinates are not real."""
+def sym(frames: FrameFamily, xi: float, tau: float = 0.0,
+        T: MatJet | None = None) -> ContactElementNet:
+    """Real parameter-derivative net of T Phi; raises if an imaginary part exceeds
+    1e-6 of the largest coordinate (or of 1)."""
     x, n = sym_arrays(frames, xi, tau, T)
     resid = np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag)))
     scale = max(1.0, np.max(np.abs(x.real)))
-    if not (resid <= reality_tol * scale):
+    if not (resid <= 1e-6 * scale):
         raise ValueError(f"net coordinates have imaginary residue {resid:.3e}")
     return ContactElementNet(x.real, n.real)
 
@@ -152,39 +153,43 @@ def face_diagonals(net: ContactElementNet):
     return xd1, xd2, nd1, nd2
 
 
+_RANK_TOL = 1e-10
+
+
 def _det3(a, b, c):
     return np.einsum("...i,...i->...", np.cross(a, b), c)
 
 
-def face_normal(net: ContactElementNet, rank_tol: float = 1e-10) -> np.ndarray:
+def face_normal(net: ContactElementNet) -> np.ndarray:
     """Unit face normals N, shape (nj-1, nk-1, 3).
 
     N is orthogonal to both diagonals of n, oriented so that
     det(xd1, xd2, N) >= 0.  When the normal diagonals span only a line,
     the component of xd1 x xd2 orthogonal to that line is used; when they
     both vanish, N falls back to the normalized xd1 x xd2.  A face whose
-    x-diagonals are also degenerate raises DegenerateFace.
+    x-diagonals are also degenerate raises DegenerateFace.  Cross products
+    and vectors of norm at most 1e-10 count as degenerate.
     """
     xd1, xd2, nd1, nd2 = face_diagonals(net)
     c_n = np.cross(nd1, nd2)
     c_x = np.cross(xd1, xd2)
     N = np.empty_like(c_n)
-    generic = np.linalg.norm(c_n, axis=-1) > rank_tol
+    generic = np.linalg.norm(c_n, axis=-1) > _RANK_TOL
     g = c_n[generic]
     # a batched 1x3 @ 3x1 product rounds like np.linalg.norm of one vector
     N[generic] = g / np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0])
     for j, k in zip(*np.nonzero(~generic)):
         m = nd1[j, k] if np.linalg.norm(nd1[j, k]) >= np.linalg.norm(nd2[j, k]) else nd2[j, k]
-        if np.linalg.norm(m) > rank_tol:
+        if np.linalg.norm(m) > _RANK_TOL:
             mhat = m / np.linalg.norm(m)
             v = c_x[j, k] - np.dot(c_x[j, k], mhat) * mhat
-            if np.linalg.norm(v) <= rank_tol:
+            if np.linalg.norm(v) <= _RANK_TOL:
                 axis = np.zeros(3)
                 axis[int(np.argmin(np.abs(mhat)))] = 1.0
                 v = np.cross(mhat, axis)
         else:
             v = c_x[j, k]
-            if np.linalg.norm(v) <= rank_tol:
+            if np.linalg.norm(v) <= _RANK_TOL:
                 raise DegenerateFace(
                     f"face ({j},{k}): neither normal nor position diagonals span a plane"
                 )
@@ -216,12 +221,13 @@ def unit_normal_residual(net: ContactElementNet) -> float:
     return float(np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)))
 
 
-def curvature_report(net: ContactElementNet, det_tol: float = 1e-12) -> CurvatureReport:
-    """Gauss and mean curvature for every face; no raise on degenerate faces."""
+def curvature_report(net: ContactElementNet) -> CurvatureReport:
+    """Gauss and mean curvature for every face; no raise on degenerate faces, which are
+    those with |det(xd1, xd2, N)| <= 1e-12."""
     xd1, xd2, nd1, nd2 = face_diagonals(net)
     N = face_normal(net)
     den = _det3(xd1, xd2, N)
-    degenerate = np.abs(den) <= det_tol
+    degenerate = np.abs(den) <= 1e-12
     safe = np.where(degenerate, 1.0, den)
     K = np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe)
     H = np.where(degenerate, np.nan, 0.5 * (_det3(xd1, nd2, N) + _det3(nd1, xd2, N)) / safe)

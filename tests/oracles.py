@@ -24,24 +24,28 @@ class NotFlat(Exception):
 def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:
     """Parallel frame: Phi(0,0)=phi00, transported first along j, then k.
 
+    L and M are broadcast to every edge of the grid on entry, so a family
+    held once per profile row is integrated edge by edge like any other.
     After integrating along the canonical tree, every j-edge off the k=0
     row is checked for path independence; a violation beyond ``tol``
     raises NotFlat.
     """
     nj, nk = conn.domain.nj, conn.domain.nk
+    grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape), np.broadcast_to(jet.dot, shape))
+    L, M = grid(conn.L, (nj - 1, nk, 2, 2)), grid(conn.M, (nj, nk - 1, 2, 2))
     val = np.empty((nj, nk, 2, 2), dtype=complex)
     dot = np.empty_like(val)
     val[0, 0], dot[0, 0] = phi00.val, phi00.dot
     for j in range(nj - 1):
-        step = conn.L[j, 0] @ MatJet(val[j, 0], dot[j, 0])
+        step = L[j, 0] @ MatJet(val[j, 0], dot[j, 0])
         val[j + 1, 0], dot[j + 1, 0] = step.val, step.dot
     for k in range(nk - 1):
-        step = MatJet(conn.M.val[:, k], conn.M.dot[:, k]) @ MatJet(val[:, k], dot[:, k])
+        step = M[:, k] @ MatJet(val[:, k], dot[:, k])
         val[:, k + 1], dot[:, k + 1] = step.val, step.dot
     phi = MatJet(val, dot)
     if nj > 1 and nk > 1:
         lhs = MatJet(phi.val[1:, 1:], phi.dot[1:, 1:])
-        rhs = MatJet(conn.L.val[:, 1:], conn.L.dot[:, 1:]) @ MatJet(phi.val[:-1, 1:], phi.dot[:-1, 1:])
+        rhs = L[:, 1:] @ MatJet(phi.val[:-1, 1:], phi.dot[:-1, 1:])
         res = jet_residual(lhs, rhs)
         if not (res <= tol):
             raise NotFlat(f"path-independence residual {res:.3e} exceeds {tol:.3e}")

@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cknet import quat
-from cknet.connect import (CkEdgeData, _invariance_residual, build_ck_connection,
-                           build_cmc_connection, closing_residual, gauge_to_hs,
-                           hs_lax, initial_frame, rotational_frames)
+from cknet.connect import (build_ck_connection, build_cmc_connection, closing_residual,
+                           gauge_to_hs, hs_lax, initial_frame, rotational_frames)
 from cknet.errors import CaseMismatch, ConfigError, InvalidProfile
 from cknet import lattice
 from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
@@ -84,12 +83,13 @@ def test_flatness_along_parameter():
 
 
 def test_face_equations_per_face():
-    # every face satisfies M(j+1,k) L(j,k) = L(j,k+1) M(j,k) on both jet layers
+    # every face satisfies M(j+1,k) L(j,k) = L(j,k+1) M(j,k) on both jet layers;
+    # the family is held once per row, so L(j,k+1) = L(j,k)
     _, conn, _ = ck_fixture()
     L, M = conn.L, conn.M
     for j in range(conn.domain.nj - 1):
         lhs = M[j + 1, 0] @ L[j, 0]
-        rhs = L[j, 1] @ M[j, 0]
+        rhs = L[j, 0] @ M[j, 0]
         assert jet_residual(lhs, rhs) < 1e-12
 
 
@@ -141,7 +141,6 @@ def test_cmc_case2_seeding_identities():
     assert_allclose(q * (data.v - 1.0 / data.v).real / 2.0, p.a, atol=1e-10)
     assert_allclose(q * data.h_frak.imag / 2.0, p.b, atol=1e-10)
     assert_allclose(data.h_frak.real, 2.0 / (q * np.tan(THETA / 2.0)), atol=1e-12)
-    assert data.invariant == "k"
 
 
 def test_cmc_case1_seeding_identities():
@@ -150,19 +149,16 @@ def test_cmc_case1_seeding_identities():
     assert_allclose(q * (data.u + 1.0 / data.u).real / 2.0, p.a, atol=1e-10)
     assert_allclose(q * data.v_frak.imag / 2.0, p.b, atol=1e-10)
     assert np.max(np.abs(data.alpha0 - 2.0 / (q * np.sin(THETA / 2.0)))) < 1e-12
-    assert data.invariant == "j"
 
 
 def test_sym_matches_rcnet_all_cases():
     p3, conn3, _ = ck_fixture()
     p1, conn1, _ = cmc_fixture(1)
     p2, conn2, _ = cmc_fixture(2)
-    for p, work, xi in ((p3, conn3, 2.0),
-                        (p1, conn1.transpose(), -2.0),
-                        (p2, conn2, -2.0)):
-        frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
+    for p, conn, xi in ((p3, conn3, 2.0), (p1, conn1, -2.0), (p2, conn2, -2.0)):
+        frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
         net = sym(frames, xi)
-        ref = build_rcnet(p, work.domain.nk, theta=THETA)
+        ref = build_rcnet(p, conn.domain.nk, theta=THETA)
         assert rigid_align(net, ref).residual < 1e-8
 
 
@@ -179,12 +175,12 @@ def test_cmc_isothermic_cross_ratios():
                 assert abs(z.real - expected) < 1e-10 * abs(expected)
                 assert abs(z.imag) < 1e-12
     p1, conn1, d1 = cmc_fixture(1)
-    fr1 = rotational_frames(conn1.transpose(), a0=p1.a[0], b0=p1.b[0])
+    fr1 = rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0])
     for tau in (1.0, -1.0):
         net = sym(fr1, -2.0, tau)
         for j in range(net.shape[0] - 1):
             z, _ = cross_ratio(net, (j, 3))
-            # the transposed traversal inverts the face ratio
+            # case 1 exchanges the edge data: alpha0 belongs to the rotation edges
             expected = -d1.alpha0[0] ** 2 / d1.beta0[j] ** 2
             assert abs(z.real - expected) < 1e-10 * abs(expected)
 
@@ -239,7 +235,7 @@ def test_rotational_frames_requires_seed_and_invariance():
         rotational_frames(conn)
     _, conn1, _ = cmc_fixture(1)
     with pytest.raises(ValueError):
-        rotational_frames(conn1, a0=0.0, b0=1.0)
+        rotational_frames(materialised(conn1), a0=0.0, b0=1.0)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -248,8 +244,6 @@ def test_rotational_frames_match_product_loop_and_integration(case):
         p, conn, _ = ck_fixture()
     else:
         p, conn, _ = cmc_fixture(case)
-        if case == 1:
-            conn = conn.transpose()
     phi00 = MatJet.constant(initial_frame(p.a[0], p.b[0]))
     Phi = rotational_frames(conn, p.a[0], p.b[0]).Phi
     scale = max(1.0, np.max(np.abs(Phi.val)), np.max(np.abs(Phi.dot)))
@@ -267,87 +261,93 @@ def test_rotational_frames_match_product_loop_and_integration(case):
     assert jet_residual(Phi, integrate_frame(conn, phi00).Phi) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("case", [1, 3])
+@pytest.mark.parametrize("case", [1, 2, 3])
 def test_invariant_connections_are_views_of_edge_data(case):
-    if case == 3:
-        p, conn, _ = ck_fixture()
-        repeated = (conn.L.val[:, 0], conn.L.val[:, -1]), (conn.M.dot[:, 0], conn.M.dot[:, -1])
-        work = conn
-    else:
-        p, conn, _ = cmc_fixture(1)
-        repeated = (conn.L.val[0], conn.L.val[-1]), (conn.M.dot[0], conn.M.dot[-1])
-        work = conn.transpose()
-    for first, last in repeated:
-        assert np.shares_memory(first, last)
-    assert not conn.L.val.flags.writeable and not conn.M.dot.flags.writeable
+    # one edge jet per profile row, the same for every column: L (nj-1, 1), M (nj, 1)
+    p, conn, _ = ck_fixture() if case == 3 else cmc_fixture(case)
+    nj = conn.domain.nj
+    assert conn.L.shape == (nj - 1, 1, 2, 2) and conn.M.shape == (nj, 1, 2, 2)
+    for t in (0.0, 0.5):
+        family = conn.at(t)
+        assert family.L.shape == conn.L.shape and family.M.shape == conn.M.shape
     assert flatness_residual(conn) < 1e-11
-    assert flatness_residual(conn.transpose()) < 1e-11
-    frames = rotational_frames(work, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     assert np.all(np.isfinite(frames.Phi.val)) and np.all(np.isfinite(frames.Phi.dot))
+    hs = hs_fixture()[3]
+    for family in (hs_lax(hs, 0.0), gauge(ck_fixture()[1], hs.gauge)):
+        assert family.L.shape == (hs.domain.nj - 1, 1, 2, 2)
+        assert family.M.shape == (hs.domain.nj, 1, 2, 2)
+
+
+def materialised(conn):
+    """The family with L and M broadcast to every edge of the grid and copied."""
+    nj, nk = conn.domain.nj, conn.domain.nk
+    grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape).copy(),
+                                     np.broadcast_to(jet.dot, shape).copy())
+    return ConnectionFamily(conn.domain, grid(conn.L, (nj - 1, nk, 2, 2)),
+                            grid(conn.M, (nj, nk - 1, 2, 2)), conn.t0)
 
 
 def full_grid_flatness(conn):
-    """M_rq L_qp - L_rs M_sp formed on every face, the residual's definition."""
-    L, M = conn.L, conn.M
+    """M_rq L_qp - L_rs M_sp formed on every face of the materialised family, the
+    residual's definition."""
+    dense = materialised(conn)
+    L, M = dense.L, dense.M
     a = MatJet(M.val[1:, :], M.dot[1:, :]) @ MatJet(L.val[:, :-1], L.dot[:, :-1])
     b = MatJet(L.val[:, 1:], L.dot[:, 1:]) @ MatJet(M.val[:-1, :], M.dot[:-1, :])
     return jet_residual(a, b)
 
 
-def materialised(conn):
-    copy = lambda jet: MatJet(jet.val.copy(), jet.dot.copy())
-    return ConnectionFamily(conn.domain, copy(conn.L), copy(conn.M), conn.t0)
+def bent_column(jet, column):
+    """A copy of a dense edge family with one column turned by a unit quaternion."""
+    val = jet.val.copy()
+    val[:, column] = val[:, column] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
+    return MatJet(val, jet.dot)
 
 
-@pytest.mark.parametrize("case", [1, 3])
+@pytest.mark.parametrize("case", [1, 2, 3])
 def test_flatness_of_invariant_views_forms_one_line_of_faces(case, monkeypatch):
-    conn = ck_fixture()[1] if case == 3 else cmc_fixture(1)[1]
+    # an invariant family forms one column of faces; its dense copy forms all of them
+    conn = ck_fixture()[1] if case == 3 else cmc_fixture(case)[1]
     shapes = []
     real = lattice.jet_residual
     monkeypatch.setattr(lattice, "jet_residual", lambda a, b: shapes.append(a.shape) or real(a, b))
-    for family in (conn, conn.transpose()):
-        tiles = materialised(family)
-        got = flatness_residual(family)
-        assert got == flatness_residual(tiles) == full_grid_flatness(tiles)
-        assert got == full_grid_flatness(family)
+    dense = materialised(conn)
+    got = flatness_residual(conn)
+    assert got == flatness_residual(dense) == full_grid_flatness(conn)
     nj, nk = conn.domain.nj, conn.domain.nk
-    one_line = (nj - 1, 1, 2, 2) if case == 3 else (1, nk - 1, 2, 2)
-    full = (nj - 1, nk - 1, 2, 2)
-    flipped = lambda s: (s[1], s[0], 2, 2)
-    assert shapes == [one_line, full, flipped(one_line), flipped(full)]
+    assert shapes == [(nj - 1, 1, 2, 2), (nj - 1, nk - 1, 2, 2)]
 
 
 def test_flatness_of_non_invariant_families_covers_every_face():
     _, conn, _, _, conn_gauged, _ = hs_fixture()
     assert flatness_residual(conn_gauged) == full_grid_flatness(conn_gauged)
-    # L stays a broadcast view while one column of M is bent: the bent
-    # faces must count, so no single column may stand in for the rest.
-    M_val = conn.M.val.copy()
-    M_val[:, -1] = M_val[:, -1] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
-    bent = ConnectionFamily(conn.domain, conn.L, MatJet(M_val, conn.M.dot), conn.t0)
-    assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
+    # L stays one jet per row while one column of a dense M is bent (and the
+    # other way round): the bent faces must count, so no single column may
+    # stand in for the rest.
+    dense = materialised(conn)
+    for L, M in ((conn.L, bent_column(dense.M, -1)), (bent_column(dense.L, 1), conn.M)):
+        bent = ConnectionFamily(conn.domain, L, M, conn.t0)
+        assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
 
 
 def test_invariance_check_of_invariant_views_is_zero_and_keeps_nan():
-    # a stride-0 view compares its first two columns only; a NaN in them still fails the check
+    # only a family held once per row has rotational frames: its dense copy is
+    # refused, including one with a NaN in column 1
     p, conn, _ = ck_fixture()
-    assert _invariance_residual(conn) == _invariance_residual(materialised(conn)) == 0.0
-    edge = conn.L.val[:, :1].copy()
-    edge[2, 0, 0, 0] = np.nan
-    L = MatJet(np.broadcast_to(edge, conn.L.shape), conn.L.dot)
-    nan_view = ConnectionFamily(conn.domain, L, conn.M, conn.t0)
-    assert np.isnan(_invariance_residual(nan_view))
-    with pytest.raises(ValueError, match="not invariant"):
-        rotational_frames(nan_view, a0=p.a[0], b0=p.b[0])
+    rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    dense = materialised(conn)
+    dense.L.val[2, 1, 0, 0] = np.nan
+    for family in (materialised(conn), dense):
+        with pytest.raises(ValueError, match="not invariant"):
+            rotational_frames(family, a0=p.a[0], b0=p.b[0])
 
 
 def test_non_invariant_dense_family_has_no_rotational_frames():
     p, conn, _ = ck_fixture()
     dense = materialised(conn)
-    M_val = dense.M.val.copy()
-    M_val[:, -1] = M_val[:, -1] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
-    bent = ConnectionFamily(conn.domain, dense.L, MatJet(M_val, dense.M.dot), conn.t0)
-    assert _invariance_residual(bent) > 1e-3
+    bent = ConnectionFamily(conn.domain, dense.L, bent_column(dense.M, -1), conn.t0)
+    assert flatness_residual(bent) > 1e-3
     with pytest.raises(ValueError, match="not invariant"):
         rotational_frames(bent, a0=p.a[0], b0=p.b[0])
 
@@ -472,7 +472,7 @@ def test_kappa_identification_identities():
     assert np.max(np.abs(val2 - 4.0 / d2.beta0[0] ** 2)) < 1e-9
 
     p1, conn1, d1 = cmc_fixture(1)
-    net1 = sym(rotational_frames(conn1.transpose(), a0=p1.a[0], b0=p1.b[0]), -2.0)
+    net1 = sym(rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0]), -2.0)
     val1 = -rotation_edge_combination(net1, -1.0)
     assert np.max(np.abs(val1 - (1.0 - p1.kappa**2) * s2)) < 1e-9
     assert np.max(np.abs(val1 - 4.0 / d1.alpha0[0] ** 2)) < 1e-9

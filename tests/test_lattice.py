@@ -90,18 +90,21 @@ def test_domain_properties():
     assert d.nj == 4 and d.nk == 4
     np.testing.assert_array_equal(d.js, [-1, 0, 1, 2])
     np.testing.assert_array_equal(d.ks, [0, 1, 2, 3])
-    t = d.transpose()
-    assert t.j_range == d.k_range and t.k_range == d.j_range
     with pytest.raises(ValueError):
         Domain((2, 1), (0, 1))
 
 
 def test_connection_shape_validation():
-    domain = Domain((0, 2), (0, 2))
-    good = MatJet.constant(np.broadcast_to(EYE, (2, 3, 2, 2)).copy())
-    bad = MatJet.constant(np.broadcast_to(EYE, (3, 3, 2, 2)).copy())
-    with pytest.raises(ValueError):
-        ConnectionFamily(domain, bad, good)
+    domain = Domain((0, 2), (0, 3))
+    eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
+    # dense edges, or one jet per profile row for either family
+    for L, M in ((eye(2, 4), eye(3, 3)), (eye(2, 1), eye(3, 1)), (eye(2, 1), eye(3, 3)),
+                 (eye(2, 4), eye(3, 1))):
+        ConnectionFamily(domain, L, M)
+    for L, M in ((eye(3, 4), eye(3, 3)), (eye(2, 3), eye(3, 3)), (eye(2, 4), eye(3, 4)),
+                 (eye(1, 4), eye(3, 3)), (eye(2, 4), eye(3)), (eye(4), eye(3, 3))):
+        with pytest.raises(ValueError):
+            ConnectionFamily(domain, L, M)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +177,15 @@ def test_rotational_frames_keep_row_and_column_factors():
     p, conn, data = ck_connection()
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     assert frames.rows.shape == (7, 1, 2, 2) and frames.cols.shape == (8, 2, 2)
-    # the normal-form gauge is a stride-0 view: it multiplies the row factor only
+    # the normal-form gauge is one matrix per profile row: it multiplies the row factor only
     hs = gauge_to_hs(conn, data)
+    assert hs.gauge.shape == (7, 1, 2, 2)
     gauged = gauge_frame(frames, hs.gauge)
     assert gauged.rows.shape == (7, 1, 2, 2) and gauged.cols is frames.cols
     assert jet_residual(gauged.Phi, hs.gauge @ frames.Phi) < 1e-14
     # the same gauge held densely gives a dense row factor over the same columns
-    dense = gauge_frame(frames, MatJet(hs.gauge.val.copy(), hs.gauge.dot.copy()))
+    grid = lambda a: np.broadcast_to(a, (7, 8, 2, 2)).copy()
+    dense = gauge_frame(frames, MatJet(grid(hs.gauge.val), grid(hs.gauge.dot)))
     assert dense.rows.shape == (7, 8, 2, 2) and dense.cols is frames.cols
     assert jet_residual(dense.Phi, gauged.Phi) < 1e-14
 

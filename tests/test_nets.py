@@ -458,9 +458,11 @@ def _nan_profile_height():
 def _nan_connection_column():
     p, _ = rc_net()
     conn, _ = build_ck_connection(p, np.pi / 6.0, 6)
-    lval = conn.L.val.copy()
+    grid = (conn.domain.nj - 1, conn.domain.nk, 2, 2)
+    lval = np.broadcast_to(conn.L.val, grid).copy()
     lval[0, 1, 0, 0] = np.nan
-    rotational_frames(ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M), p.a[0], p.b[0])
+    L = MatJet(lval, np.broadcast_to(conn.L.dot, grid))
+    rotational_frames(ConnectionFamily(conn.domain, L, conn.M), p.a[0], p.b[0])
 
 
 NAN_GUARDS = {

@@ -1,9 +1,12 @@
 """Tests for elliptic functions and constant-curvature profiles.
 
 Independent oracles: scipy.special.ellipj / ellipk (parameter m = kappa^2)
-and direct quadrature of sn^2 via scipy.integrate.quad; the private
+and direct quadrature of sn^2 via scipy.integrate.quad.  The private
 E(phi | m) is held bit for bit to scipy.special.ellipeinc, the Cephes
-routine it ports.
+routine it ports, except where a Landen step lands on an odd multiple of
+pi/2: there Cephes takes the wrong pi-branch (at least 1e-6 off a
+quadrature of the integrand) and the port must match the quadrature
+within 1e-13.
 """
 
 import dataclasses
@@ -145,6 +148,28 @@ def ellipeinc_port(phi, m):
     return [_ellipeinc(v, m) for v in np.ravel(phi).tolist()]
 
 
+def quad_ellipeinc(phi, m):
+    """E(phi | m) by adaptive quadrature of sqrt(1 - m sin^2)."""
+    value, _ = scipy.integrate.quad(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi,
+                                    epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
+def mended_scipy_ellipeinc(phi, m):
+    """scipy.special.ellipeinc, with the port's value wherever the two differ in any bit;
+    at each such point scipy must be at least 1e-6 off the quadrature and the port
+    within 1e-13 of it."""
+    phi = np.asarray(phi, dtype=float)
+    port = np.array(ellipeinc_port(phi, m)).reshape(phi.shape)
+    ref = scipy.special.ellipeinc(phi, m)
+    for i in np.argwhere(port.view(np.int64) != ref.view(np.int64)):
+        i = tuple(i)
+        exact = quad_ellipeinc(phi[i], m)
+        assert abs(ref[i] - exact) >= 1e-6 and abs(port[i] - exact) <= 1e-13, (phi[i], m)
+        ref[i] = port[i]
+    return ref
+
+
 def test_ellipeinc_matches_scipy_on_random_sweep():
     rng = np.random.default_rng(20261018)
     phi = rng.uniform(-60.0, 60.0, 20000)
@@ -158,9 +183,17 @@ def test_ellipeinc_matches_scipy_on_profile_amplitudes(kappa):
     m = kappa * kappa
     for j0 in (2, 4, 16):
         phi = am(elliptic_theta(kappa, j0) * np.arange(-2000, 2001), kappa)
-        assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m))
+        assert_bitwise(ellipeinc_port(phi, m), mended_scipy_ellipeinc(phi, m))
     u = elliptic_theta(kappa, 4) * np.arange(-40, 41)
-    assert_bitwise(int_sn2(u, kappa), (u - scipy.special.ellipeinc(am(u, kappa), m)) / m)
+    assert_bitwise(int_sn2(u, kappa), (u - mended_scipy_ellipeinc(am(u, kappa), m)) / m)
+
+
+def test_ellipeinc_where_a_landen_step_lands_on_three_half_pi():
+    # 1 - b tan^2 is -1.3e-15 on that step, just past the cutoff; Cephes (and
+    # scipy) then counts one pi-branch too many and returns 0.7924
+    phi, m = 1.703221544034659, 0.99 ** 2
+    for sign in (1.0, -1.0):
+        assert abs(_ellipeinc(sign * phi, m) - sign * quad_ellipeinc(phi, m)) <= 1e-13
 
 
 def test_ellipeinc_branches_match_scipy():
@@ -329,6 +362,15 @@ def test_elliptic_profile_conserved_combinations():
         p = profile_elliptic(kappa, K_sign, (-2, 2), j0=3)
         vals = combo(p)
         assert np.max(np.abs(vals - vals[0])) < 1e-12
+
+
+def test_negative_curvature_profiles_keep_their_relations_across_moduli():
+    # heights come from E(phi | m) on every vertex; j0 = 4, 8 and 16 put Landen
+    # steps on odd multiples of pi/2 for many moduli
+    for kappa in np.arange(0.01, 1.0, 0.007):
+        for j0 in (2, 3, 4, 5, 6, 8, 16):
+            p = profile_elliptic(kappa, -1, (-2 * j0, 4 * j0), j0=j0)
+            assert edge_residuals(p) <= 1e-10, (kappa, j0)
 
 
 def test_elliptic_profile_unit_modulus_is_tractrix():
