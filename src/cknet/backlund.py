@@ -26,16 +26,19 @@ the rotation direction is controlled by the eigenvalue ratio rho of B:
 the transform closes after N0 steps when B^{N0} is proportional to the
 identity, that is when rho = e^{2 pi i p / N0}, or
 
-    tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0),
+    tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0).
 
-a real equation in alpha solved by a one-parameter root search.
+Both sides depend on alpha only through S = sin(alpha)^2, and the left
+is a Moebius function of S, so the condition is solved in closed form:
+a root 0 < S <= 1 is a real angle, a root S > 1 the angle
+pi/2 + i arccosh(sqrt(S)).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -364,19 +367,6 @@ class PeriodicAlpha:
     residual: float
 
 
-def _rotation_phase(hs: HsLaxData, alpha, which: str):
-    """Folded eigenphase |arg(lam1/lam2)| in [0, pi] of B[0] (or D[0]), broadcast over alpha.
-
-    A 2x2 matrix with eigenvalue ratio e^{i phi} has tr^2/det = 2 + 2 cos(phi);
-    real eigenvalues fold to 0 (same sign) or pi (opposite signs).
-    """
-    hat = which == "D"
-    e11, e12, e21, e22 = _entries(hs.s[0], hs.m[0], np.tan(hs.delta2 / 2.0),
-                                  -alpha if hat else alpha, hat)
-    tr = e11 + e22
-    return np.arccos(np.clip((tr * tr / (e11 * e22 - e12 * e21)).real / 2.0 - 1.0, -1.0, 1.0))
-
-
 def _power_residual(mat: np.ndarray, N0: int) -> float:
     """Entrywise distance of the unit-determinant N0-th power from +-identity; inf if it diverges."""
     d = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
@@ -388,61 +378,50 @@ def _power_residual(mat: np.ndarray, N0: int) -> float:
     return r if np.isfinite(r) else np.inf
 
 
-_Y_MAX = 8.0   # end of the search path pi/2 + iy
+_Y_MAX = 8.0   # largest y of a root alpha = pi/2 + iy
 
 
-def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None,
-                        which: str = "B") -> PeriodicAlpha:
-    """Transform angle whose rotational recurrence closes after N0 steps.
+def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> PeriodicAlpha:
+    """Transform angle whose rotational recurrence closes after N0 steps, in closed form.
 
-    Solves tr(M)^2 / det(M) = 2 + 2 cos(2 pi p / N0) for M = B[0] (or D[0]),
-    i.e. eigenvalue ratio e^{2 pi i p / N0}, on the folded phase
-    arccos(Re(tr^2/det)/2 - 1): one vectorised scan per path, then
-    bisection, first for alpha on the real interval (0, pi) and then along
-    the line pi/2 + iy, 0 < y < 8, where sin alpha is real and > 1 (the
-    regime where only the double transform is real); each path is scanned
-    at 720 points and bisected to a phase error below 1e-12.  p defaults
-    to the smallest index coprime to N0 whose phase the scan reaches.  The
-    returned residual is the entrywise distance of the normalized N0-th
-    power from +-identity, at most 1e-9.
+    B = B[0] closes when its eigenvalue ratio is e^{2 pi i p / N0}, that is
+    tr(B)^2 / det(B) = c with c = 2 + 2 cos(2 pi p / N0).  With x = s(0),
+    w = m(0), tau = tan(delta2/2) and S = sin(alpha)^2, tr(B)^2 = S P^2 and
+    det(B) = S Q - 4 for
+
+        P = (x/tau + tau/x) / w + w (1/(x tau) + x tau),
+        Q = (x/tau + tau/x) (1/(x tau) + x tau) - (1/x - x)^2,
+
+    so S = 4c / (cQ - P^2).  0 < S <= 1 gives the real root
+    alpha = arcsin(sqrt(S)) in (0, pi/2]; 1 < S < cosh(8)^2 gives
+    alpha = pi/2 + i arccosh(sqrt(S)), on the line where sin alpha is real
+    and > 1 (the regime where only the double transform is real).  D[0] at
+    -alpha is the adjugate form with the same tr^2/det, so the root closes
+    both fields.  p defaults to the smallest index coprime to N0 that has a
+    root.  The returned residual is the entrywise distance of the
+    normalized N0-th power of B[0] from +-identity, at most 1e-9.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
-    if which not in ("B", "D"):
-        raise ConfigError(f"which must be 'B' or 'D', got {which!r}")
-    ps = [p] if p is not None else [q for q in range(1, N0) if gcd(q, N0) == 1]
-    paths = (
-        lambda sigma: sigma + 0j,
-        lambda sigma: np.pi / 2.0 + 1j * sigma * (_Y_MAX / np.pi),
-    )
-    grid = np.linspace(1e-6, np.pi - 1e-6, 720)
-    phase_rows = [_rotation_phase(hs, path(grid), which) for path in paths]
+    ps = [p] if p is not None else [q for q in range(1, N0) if math.gcd(q, N0) == 1]
+    t2 = np.tan(hs.delta2 / 2.0)
+    x, w, tau = complex(hs.s[0]), complex(hs.m[0]), complex(t2)
+    a, b = x / tau + tau / x, 1.0 / (x * tau) + x * tau
+    P = a / w + w * b
+    Q = a * b - (1.0 / x - x) * (1.0 / x - x)
     for p_try in ps:
-        target = (2.0 * np.pi * p_try / N0) % (2.0 * np.pi)
-        target = min(target, 2.0 * np.pi - target)
-        for path, phases in zip(paths, phase_rows):
-            f = phases - target
-            for i in np.nonzero(f[:-1] * f[1:] <= 0.0)[0]:
-                lo, hi = grid[int(i)], grid[int(i) + 1]
-                flo = f[int(i)]
-                for _ in range(200):
-                    mid = (lo + hi) / 2.0
-                    fm = _rotation_phase(hs, path(mid), which) - target
-                    if abs(fm) < 1e-12 or hi - lo < 1e-15:
-                        lo = hi = mid
-                        break
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                alpha = path((lo + hi) / 2.0)
-                if abs(alpha.imag) < 1e-12:
-                    alpha = complex(alpha.real)
-                # full rows, so the matrix is bit for bit the one build_abcd returns
-                mat = _matrices(hs.s, hs.m, np.tan(hs.delta2 / 2.0),
-                                -alpha if which == "D" else alpha, which == "D")[0]
-                residual = _power_residual(mat, N0)
-                if residual <= 1e-9:
-                    return PeriodicAlpha(alpha, int(p_try), residual)
+        c = 2.0 + 2.0 * math.cos(2.0 * math.pi * p_try / N0)
+        den = c * Q - P * P
+        S = (4.0 * c / den).real if den != 0 else 0.0
+        if 0.0 < S <= 1.0:
+            alpha = complex(math.asin(math.sqrt(S)))
+        elif 1.0 < S < math.cosh(_Y_MAX) ** 2:
+            alpha = complex(math.pi / 2.0, math.acosh(math.sqrt(S)))
+        else:
+            continue
+        # full rows, so the matrix is bit for bit the one build_abcd returns
+        residual = _power_residual(_matrices(hs.s, hs.m, t2, alpha)[0], N0)
+        if residual <= 1e-9:
+            return PeriodicAlpha(alpha, int(p_try), residual)
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {_Y_MAX:g}) "
                  f"closes the recurrence after {N0} steps for phase indices {ps}")

@@ -300,15 +300,15 @@ def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFami
                          f"M {conn.M.shape} are not held once per profile row")
     phi00 = MatJet.constant(initial_frame(a0, b0))
     nj, nk = conn.domain.nj, conn.domain.nk
-    P = [phi00]
+    cat = lambda *jets: MatJet(np.concatenate([m.val for m in jets]), np.concatenate([m.dot for m in jets]))
+    P = [phi00[None]]
     for j in range(nj - 1):
         P.append(conn.L[j, 0] @ P[-1])
     D = phi00.inv() @ conn.M[0, 0] @ phi00
-    Dk = [MatJet.constant(np.eye(2))]
-    for k in range(nk - 1):
-        Dk.append(D @ Dk[-1])
-    stack = lambda jets: MatJet(np.stack([m.val for m in jets]), np.stack([m.dot for m in jets]))
-    return FrameFamily(conn.domain, stack(P)[:, None], conn.t0, stack(Dk))
+    Dk = MatJet.constant(np.eye(2)[None])
+    while Dk.shape[0] < nk:   # doubling: D^n .. D^{2n-1} = D^n (D^0 .. D^{n-1}), up to D^{nk-1}
+        Dk, D = cat(Dk, D @ Dk[:nk - Dk.shape[0]]), D @ D
+    return FrameFamily(conn.domain, cat(*P)[:, None], conn.t0, Dk)
 
 
 def closing_residual(conn: ConnectionFamily, k0: int) -> float:

@@ -204,13 +204,13 @@ def int_sn2(u, kappa):
     u = np.asarray(u, dtype=float)
     if kappa < 0:
         raise ModulusOutOfRange(f"modulus must be >= 0, got {kappa}")
-    if kappa == 0:
-        return u / 2.0 - np.sin(2.0 * u) / 4.0
     if kappa == 1:
         return u - np.tanh(u)
     if kappa > 1:
         return int_sn2(kappa * u, 1.0 / kappa) / kappa ** 3
     m = kappa * kappa
+    if m == 0.0:   # kappa = 0, or kappa^2 below the smallest double
+        return u / 2.0 - np.sin(2.0 * u) / 4.0
     phi = am(u, kappa)
     e = np.fromiter((_ellipeinc(v, m) for v in phi.ravel().tolist()), float, phi.size)
     return (u - e.reshape(phi.shape)) / m
@@ -300,13 +300,13 @@ def profile_trig(c, A, B, j_lo=0):
 
     c is the edge sequence; f(j) = A cos(phase(j) + B) and
     b(j) = A sin(phase(j) + B) where each edge turns the phase by the
-    angle with cos = (1-c^2)/(1+c^2), sin = -2c/(1+c^2).  The curvature
-    radius parameter is kappa = |A|.
+    angle -2 arctan(c), with cos = (1-c^2)/(1+c^2), sin = -2c/(1+c^2).
+    The curvature radius parameter is kappa = |A|.
     """
     c = np.asarray(c, dtype=float)
     if abs(A) < 1e-14:
         raise InvalidProfile("amplitude A must be nonzero")
-    theta = np.arctan2(-2.0 * c, 1.0 - c * c)
+    theta = -2.0 * np.arctan(c)
     phase = np.concatenate([[0.0], np.cumsum(theta)])
     phase = phase - phase[_anchor_pos(j_lo, len(phase))]
     f = A * np.cos(phase + B)

@@ -425,21 +425,35 @@ def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
 # rotational periodicity
 
 
-@pytest.mark.parametrize("which", ["B", "D"])
-def test_rotation_phase_matches_eigenvalue_ratio(which):
-    """tr^2/det = 2 + 2 cos(phase) agrees with the eigenvalue route on both search paths."""
-    hs = real_path_hs()
-    sigma = np.linspace(0.01, np.pi - 0.01, 61)
-    for path in (sigma + 0j, np.pi / 2.0 + 1j * sigma * (8.0 / np.pi)):
-        closed = bk._rotation_phase(hs, path, which)
-        ref = []
-        for alpha in path:
-            lam = np.linalg.eigvals(build_abcd(hs, alpha)[1 if which == "B" else 3][0])
-            ref.append(abs(np.angle(lam[0] / lam[1])))
-        ref = np.array(ref)
-        away = (ref > 0.05) & (ref < np.pi - 0.05)
-        assert np.count_nonzero(away) > 20
-        assert_allclose(closed[away], ref[away], rtol=0.0, atol=1e-12)
+@lru_cache(maxsize=None)
+def closing_hs(kappa, k0):
+    p = profile_elliptic(kappa, -1, (-3, 3), j0=4)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / k0, 8)
+    return gauge_to_hs(conn, data)
+
+
+@pytest.mark.parametrize("kappa", [0.6, 1.5, 2.5])
+@pytest.mark.parametrize("k0", [5, 6, 12])
+def test_closed_form_root_gives_the_eigenvalue_ratio(kappa, k0):
+    """Every returned alpha puts the eigenvalue ratio of B[0] and D[0] at e^{+-2 pi i p / N0}."""
+    hs = closing_hs(kappa, k0)
+    roots = 0
+    for N0 in range(2, 40):
+        for p in (None, 1, 2, 3):
+            if p is not None and p >= N0:
+                continue
+            try:
+                found = find_periodic_alpha(hs, N0, p=p)
+            except NoRoot:
+                continue
+            roots += 1
+            _, B, _, D = build_abcd(hs, found.alpha)
+            want = np.exp(2j * np.pi * found.p / N0)
+            for M in (B[0], D[0]):
+                lam = np.linalg.eigvals(M)
+                ratio = lam[0] / lam[1]
+                assert min(abs(ratio - want), abs(ratio - np.conj(want))) < 1e-9
+    assert roots > 50
 
 
 def test_find_periodic_alpha_real_root():
@@ -478,7 +492,7 @@ def test_periodic_alpha_power_and_phase_dual_route():
 
 def test_find_periodic_alpha_on_d():
     hs, _, _ = hex_fixture()
-    found = find_periodic_alpha(hs, 8, which="D")
+    found = find_periodic_alpha(hs, 8)
     assert found.p == 1
     D0 = build_abcd(hs, found.alpha)[3][0]
     hat = D0 / np.sqrt(D0[0, 0] * D0[1, 1] - D0[0, 1] * D0[1, 0])
@@ -487,14 +501,16 @@ def test_find_periodic_alpha_on_d():
 
 
 def test_find_periodic_alpha_skips_diverging_candidates_quietly():
-    """At N0 = 39 a rejected bracket's power overflows; no numpy warning may escape."""
+    """No numpy warning escapes the search at N0 = 39, and a diverging power reads as inf."""
     hs, _, _ = hex_fixture()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = find_periodic_alpha(hs, 39)
         assert bk._power_residual(np.diag([2.0, 0.5]), 2000) == np.inf
     assert found.p == 1 and found.residual < 1e-9
-    assert complex(found.alpha) == complex(np.pi / 2.0, 1.1109189658225873)
+    # 50-digit root of tr^2/det = 2 + 2 cos(2 pi / 39) on the float64 normal-form data
+    assert complex(found.alpha).real == np.pi / 2.0
+    assert abs(complex(found.alpha).imag - 1.110918965822448688557) < 1e-14
 
 
 def test_find_periodic_alpha_no_root():
@@ -505,8 +521,6 @@ def test_find_periodic_alpha_no_root():
         find_periodic_alpha(hs, 8, p=3)
     with pytest.raises(ConfigError):
         find_periodic_alpha(hs, 1)
-    with pytest.raises(ConfigError):
-        find_periodic_alpha(hs, 8, which="X")
 
 
 def test_scalar_field_closes_with_the_found_angle():

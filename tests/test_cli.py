@@ -335,6 +335,28 @@ def test_nan_theta_is_config_error(tmp_path, capsys):
     assert not mesh.exists()
 
 
+DEGENERATE_ROWS = ["--surface.j_lo", "-2", "--surface.j_hi", "2",
+                   "--rotation.k0", "6", "--rotation.k_count", "8"]
+
+
+def test_huge_trig_edge_is_profile_error(capsys):
+    """A huge trig edge coefficient (c = 1e300) is a profile error, with no numpy warning."""
+    code = cli.main(["generate", "--surface.kind", "trig", "--surface.c", "1e300",
+                     "--surface.A", "0.6"] + DEGENERATE_ROWS)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "stage=profile: InvalidProfile" in err
+
+
+def test_underflowing_modulus_is_profile_error(capsys):
+    """A modulus whose square underflows (kappa = 1e-300) is a profile error, without a warning."""
+    code = cli.main(["generate", "--surface.kind", "elliptic", "--surface.kappa", "1e-300",
+                     "--surface.K_sign", "-1"] + DEGENERATE_ROWS)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "stage=profile: InvalidProfile" in err
+
+
 # The desk fixture as overrides only: elliptic kappa = 0.6, rows -3..3, k0 = 6.
 DESK_KEYS = ["--surface.kind", "elliptic", "--surface.kappa", "0.6", "--surface.K_sign", "-1",
              "--surface.j0", "4", "--surface.j_lo", "-3", "--surface.j_hi", "3",
