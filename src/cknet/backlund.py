@@ -321,12 +321,14 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
 
     feeds the closed-form product frame; its coordinates must come out
     real (RealityViolated beyond 1e-6 says the seeds and angle are
-    inconsistent).
+    inconsistent).  When |sin alpha| > 1 the seeds are conjugate and so are
+    the fields, s^ = conj(s~), which is taken as such rather than propagated.
     """
     _check_condition_c(params)
     alpha = params.alpha
     s_tilde = propagate(hs, alpha, params.s_tilde0, "tilde", beta=params.beta)
-    s_hat = propagate(hs, alpha, params.s_hat0, "hat", beta=params.beta)
+    s_hat = (np.conj(s_tilde) if abs(np.sin(alpha).real) > 1.0
+             else propagate(hs, alpha, params.s_hat0, "hat", beta=params.beta))
     tn = np.tan(alpha / 2.0)
     tn2 = tn ** 2
     s_col = hs.s[:, None]

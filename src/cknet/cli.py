@@ -223,15 +223,18 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
     nj, nk = net.shape
     if rep is None:
         rep = curvature_report(net)
-    parts = [f"# cknet quad mesh {nj} x {nk}\n",
-             ("v %.17g %.17g %.17g\n" * (nj * nk)) % tuple(net.x.reshape(-1).tolist()),
-             ("vn %.17g %.17g %.17g\n" * (nj * nk)) % tuple(net.n.reshape(-1).tolist())]
-    for j, row in enumerate(rep.degenerate.tolist()):
-        for k, bad in enumerate(row):
-            a = j * nk + k + 1
-            parts.append(f"# degenerate {j} {k}\n" if bad else f"f {a} {a + 1} {a + nk + 1} {a + nk}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+        fh.write(f"# cknet quad mesh {nj} x {nk}\n")
+        for tag, arr in (("v", net.x), ("vn", net.n)):
+            fh.write((f"{tag} %.17g %.17g %.17g\n" * (nj * nk)) % tuple(arr.reshape(-1).tolist()))
+        # one block's objects live at a time; runs of faces share one integer template
+        a = (np.arange(nj - 1)[:, None] * nk + np.arange(1, nk)).reshape(-1, 1)   # 1-based (j, k)
+        corners = (a + [0, 1, nk + 1, nk]).reshape(-1).tolist()
+        start = 0
+        for stop in np.flatnonzero(rep.degenerate).tolist() + [a.size]:
+            fh.write(("f %d %d %d %d\n" * (stop - start)) % tuple(corners[4 * start:4 * stop]))
+            fh.write("# degenerate %d %d\n" % divmod(stop, nk - 1) if stop < a.size else "")
+            start = stop + 1
 
 
 def report_json(entries: list, parameters: dict, path: str) -> None:

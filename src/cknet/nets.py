@@ -156,23 +156,20 @@ def face_diagonals(net: ContactElementNet):
 _RANK_TOL = 1e-10
 
 
-def _det3(a, b, c):
-    return np.einsum("...i,...i->...", np.cross(a, b), c)
+def _cross(a, b):
+    """a x b over the last axis, broadcast and rounded like np.cross: a product minus a product."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
 
 
-def face_normal(net: ContactElementNet) -> np.ndarray:
-    """Unit face normals N, shape (nj-1, nk-1, 3).
-
-    N is orthogonal to both diagonals of n, oriented so that
-    det(xd1, xd2, N) >= 0.  When the normal diagonals span only a line,
-    the component of xd1 x xd2 orthogonal to that line is used; when they
-    both vanish, N falls back to the normalized xd1 x xd2.  A face whose
-    x-diagonals are also degenerate raises DegenerateFace.  Cross products
-    and vectors of norm at most 1e-10 count as degenerate.
-    """
-    xd1, xd2, nd1, nd2 = face_diagonals(net)
-    c_n = np.cross(nd1, nd2)
-    c_x = np.cross(xd1, xd2)
+def _face_pass(net: ContactElementNet):
+    """One pass over the faces: diagonals, nd1 x nd2, the normals N and det(xd1, xd2, N)."""
+    xd1, xd2, nd1, nd2 = diagonals = face_diagonals(net)
+    c_n = _cross(nd1, nd2)
+    c_x = _cross(xd1, xd2)
     N = np.empty_like(c_n)
     generic = np.linalg.norm(c_n, axis=-1) > _RANK_TOL
     g = c_n[generic]
@@ -194,9 +191,24 @@ def face_normal(net: ContactElementNet) -> np.ndarray:
                     f"face ({j},{k}): neither normal nor position diagonals span a plane"
                 )
         N[j, k] = v / np.linalg.norm(v)
-    sign = _det3(xd1, xd2, N)
-    N[sign < 0] *= -1.0
-    return N
+    det_x = np.einsum("...i,...i->...", c_x, N)
+    flip = det_x < 0
+    N[flip] *= -1.0
+    np.negative(det_x, out=det_x, where=flip)   # exactly det(xd1, xd2, N) of the flipped N
+    return diagonals, c_n, N, det_x
+
+
+def face_normal(net: ContactElementNet) -> np.ndarray:
+    """Unit face normals N, shape (nj-1, nk-1, 3).
+
+    N is orthogonal to both diagonals of n, oriented so that
+    det(xd1, xd2, N) >= 0.  When the normal diagonals span only a line,
+    the component of xd1 x xd2 orthogonal to that line is used; when they
+    both vanish, N falls back to the normalized xd1 x xd2.  A face whose
+    x-diagonals are also degenerate raises DegenerateFace.  Cross products
+    and vectors of norm at most 1e-10 count as degenerate.
+    """
+    return _face_pass(net)[2]
 
 
 @dataclass(frozen=True)
@@ -224,13 +236,13 @@ def unit_normal_residual(net: ContactElementNet) -> float:
 def curvature_report(net: ContactElementNet) -> CurvatureReport:
     """Gauss and mean curvature for every face; no raise on degenerate faces, which are
     those with |det(xd1, xd2, N)| <= 1e-12."""
-    xd1, xd2, nd1, nd2 = face_diagonals(net)
-    N = face_normal(net)
-    den = _det3(xd1, xd2, N)
+    (xd1, xd2, nd1, nd2), c_n, N, den = _face_pass(net)
     degenerate = np.abs(den) <= 1e-12
     safe = np.where(degenerate, 1.0, den)
-    K = np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe)
-    H = np.where(degenerate, np.nan, 0.5 * (_det3(xd1, nd2, N) + _det3(nd1, xd2, N)) / safe)
+    det_n, det_1, det_2 = (np.einsum("...i,...i->...", c, N)
+                           for c in (c_n, _cross(xd1, nd2), _cross(nd1, xd2)))
+    K = np.where(degenerate, np.nan, det_n / safe)
+    H = np.where(degenerate, np.nan, 0.5 * (det_1 + det_2) / safe)
     return CurvatureReport(K, H, den, degenerate, N)
 
 

@@ -258,9 +258,12 @@ def _anchor_pos(j_lo: int, n: int) -> int:
 
 
 def _heights(c, a, j_lo):
-    dh = -c * (a[1:] + a[:-1])
-    h = np.concatenate([[0.0], np.cumsum(dh)])
-    return h - h[_anchor_pos(j_lo, len(h))]
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        h = np.concatenate([[0.0], np.cumsum(-c * (a[1:] + a[:-1]))])
+        h -= h[_anchor_pos(j_lo, len(h))]
+    if not np.all(np.isfinite(h)):
+        raise InvalidProfile("profile heights overflow")
+    return h
 
 
 def _finalize(f, h, a, b, c, kappa, K_sign, j_lo, tol=1e-12):

@@ -7,14 +7,19 @@ formula with an inverse and 2x2 products per vertex, where
 ``nets.sym_arrays`` works through the frame factors; ``w_jet`` and
 ``v_jet`` are the transform matrices as the ``backlund`` docstring states
 them; ``cross_ratio`` reads circularity of a face off the quaternionic
-cross ratio, which no package routine computes.
+cross ratio, which no package routine computes.  ``seven_cross_report``
+takes every determinant of the curvature formulas through its own
+``np.cross``, where ``nets.curvature_report`` shares four cross products
+in one face pass; ``joined_obj`` builds the OBJ text line by line and
+writes it in one piece, where ``cli.export_obj`` streams its blocks.
 """
 
 import numpy as np
 
 from cknet import quat
-from cknet.errors import ZeroEdge
+from cknet.errors import DegenerateFace, ZeroEdge
 from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
+from cknet.nets import CurvatureReport, face_diagonals
 
 
 class NotFlat(Exception):
@@ -108,3 +113,54 @@ def cross_ratio(net, face, imag_tol: float = 1e-8):
     concyclic = abs(z.imag) < imag_tol * abs(z)
     embedded = bool(concyclic and z.real < 0)
     return z, embedded
+
+
+def _det3(a, b, c):
+    return np.einsum("...i,...i->...", np.cross(a, b), c)
+
+
+def seven_cross_report(net, rank_tol: float = 1e-10) -> CurvatureReport:
+    """The curvature report with seven np.cross calls: two for the face normals, one to
+    orient them, and one per determinant of K = det(nd1, nd2, N) / det(xd1, xd2, N) and
+    H = (det(xd1, nd2, N) + det(nd1, xd2, N)) / (2 det(xd1, xd2, N))."""
+    xd1, xd2, nd1, nd2 = face_diagonals(net)
+    c_n = np.cross(nd1, nd2)
+    c_x = np.cross(xd1, xd2)
+    N = np.empty_like(c_n)
+    generic = np.linalg.norm(c_n, axis=-1) > rank_tol
+    g = c_n[generic]
+    N[generic] = g / np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0])
+    for j, k in zip(*np.nonzero(~generic)):
+        m = nd1[j, k] if np.linalg.norm(nd1[j, k]) >= np.linalg.norm(nd2[j, k]) else nd2[j, k]
+        if np.linalg.norm(m) > rank_tol:
+            mhat = m / np.linalg.norm(m)
+            v = c_x[j, k] - np.dot(c_x[j, k], mhat) * mhat
+            if np.linalg.norm(v) <= rank_tol:
+                v = np.cross(mhat, np.eye(3)[int(np.argmin(np.abs(mhat)))])
+        else:
+            v = c_x[j, k]
+            if np.linalg.norm(v) <= rank_tol:
+                raise DegenerateFace(f"face ({j},{k})")
+        N[j, k] = v / np.linalg.norm(v)
+    N[_det3(xd1, xd2, N) < 0] *= -1.0
+    den = _det3(xd1, xd2, N)
+    degenerate = np.abs(den) <= 1e-12
+    safe = np.where(degenerate, 1.0, den)
+    K = np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe)
+    H = np.where(degenerate, np.nan, 0.5 * (_det3(xd1, nd2, N) + _det3(nd1, xd2, N)) / safe)
+    return CurvatureReport(K, H, den, degenerate, N)
+
+
+def joined_obj(net, degenerate) -> bytes:
+    """OBJ bytes of ``net`` with the faces flagged in ``degenerate`` commented out, one
+    line at a time."""
+    nj, nk = net.shape
+    lines = [f"# cknet quad mesh {nj} x {nk}"]
+    for tag, arr in (("v", net.x), ("vn", net.n)):
+        lines += [f"{tag} {x:.17g} {y:.17g} {z:.17g}" for x, y, z in arr.reshape(-1, 3).tolist()]
+    for j in range(nj - 1):
+        for k in range(nk - 1):
+            a = j * nk + k + 1
+            lines.append(f"# degenerate {j} {k}" if degenerate[j, k]
+                         else f"f {a} {a + 1} {a + nk + 1} {a + nk}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

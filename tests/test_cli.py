@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its report artifacts."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from cknet.errors import ConfigError
 from cknet.lattice import FrameFamily
 from cknet.nets import ContactElementNet, CurvatureReport
 from cknet.revolution import build_rcnet, profile_elliptic
+from oracles import joined_obj
 
 PSEUDO_INI = """
 [surface]
@@ -219,6 +221,19 @@ def test_obj_export_matches_per_value_format(tmp_path):
     assert expected[3] == "v 1.0000000000000001e+300 0 0"
 
 
+@pytest.mark.parametrize("faces", [
+    [], [(0, 0), (0, 3)], [(5, 1), (5, 5)], [(1, 5), (2, 5), (4, 5)], [(2, k) for k in range(6)],
+], ids=["none", "first_row", "last_row", "last_column", "whole_row"])
+def test_obj_export_matches_joined_writer(tmp_path, faces):
+    net = build_rcnet(profile_elliptic(0.6, -1, (-3, 3), j0=4), 7, theta=0.5)
+    degenerate = np.zeros((6, 6), dtype=bool)
+    degenerate[tuple(np.array(faces, dtype=int).reshape(-1, 2).T)] = True
+    rep = dataclasses.replace(nets.curvature_report(net), degenerate=degenerate)
+    path = tmp_path / "mesh.obj"
+    cli.export_obj(net, str(path), rep)
+    assert path.read_bytes() == joined_obj(net, degenerate)
+
+
 # ---------------------------------------------------------------------------
 # transform subcommands
 
@@ -348,6 +363,15 @@ def test_huge_trig_edge_is_profile_error(capsys):
     assert "stage=profile: InvalidProfile" in err
 
 
+def test_overflowing_trig_heights_are_profile_error(capsys):
+    """c = 1e308 overflows the profile heights: a profile error, with no numpy warning."""
+    code = cli.main(["generate", "--surface.kind", "trig", "--surface.c", "1e308",
+                     "--surface.A", "0.6"] + DEGENERATE_ROWS)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "stage=profile: InvalidProfile: profile heights overflow" in err
+
+
 def test_underflowing_modulus_is_profile_error(capsys):
     """A modulus whose square underflows (kappa = 1e-300) is a profile error, without a warning."""
     code = cli.main(["generate", "--surface.kind", "elliptic", "--surface.kappa", "1e-300",
@@ -368,6 +392,9 @@ LONG_GRIDS = {
     "double_400": ("double", ["--rotation.k_count", "400", "--backlund.alpha", ALPHA_C], (7, 400)),
     "double_2000": ("double", ["--rotation.k_count", "2000", "--backlund.alpha", ALPHA_C], (7, 2000)),
     "backlund_400": ("backlund", ["--rotation.k_count", "400", "--backlund.alpha", "1.0"], (7, 400)),
+    # annulus with N0 = 400: the s^ field is conj(s~) instead of a second, drifting field
+    "annulus_400": ("double", ["--rotation.k_count", "2401", "--backlund.N0", "400",
+                               "--backlund.seed", "(1.2+0.5j)"], (7, 2401)),
     "double_121_rows": ("double", ["--surface.j_lo", "-60", "--surface.j_hi", "60",
                                    "--rotation.k_count", "200", "--backlund.alpha", ALPHA_C],
                         (121, 200)),
@@ -450,9 +477,10 @@ def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, cap
 
 
 def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
+    """The curvature report and the OBJ writer share one pass over the faces."""
     calls = []
-    real = nets.face_normal
-    monkeypatch.setattr(nets, "face_normal", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = nets._face_pass
+    monkeypatch.setattr(nets, "_face_pass", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     cfg = write(tmp_path, "job.ini", PSEUDO_INI)
     code = cli.main(["generate", "--config", cfg, "--output.mesh", str(tmp_path / "out.obj")])
     assert code == cli.EXIT_OK

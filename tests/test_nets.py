@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cknet import quat
+from cknet import nets, quat
+from cknet.backlund import BacklundParams, double_backlund, single_backlund
+from cknet.checks import PROFILE_SPECS, fixture_ck_hs, fixture_profile
 from cknet.connect import build_ck_connection, rotational_frames
 from cknet.errors import (DegenerateFace, DegenerateGeometry, InvalidProfile,
                           NotPrincipal, Singular, ZeroEdge)
@@ -17,7 +19,7 @@ from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
                         singular_vertices, sym, sym_arrays, validate_ec)
 from cknet.revolution import (build_rcnet, conservation_drift, edge_residuals,
                               profile_elliptic, validate_profile)
-from oracles import cross_ratio
+from oracles import cross_ratio, seven_cross_report
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -250,6 +252,37 @@ def test_degenerate_face_flagged_and_raises():
     rep = curvature_report(net)
     assert rep.degenerate[0, 0]
     assert np.isnan(rep.K[0, 0]) and np.isnan(rep.H[0, 0])
+
+
+def test_cross_kernel_matches_np_cross_on_broadcast_shapes():
+    rng = np.random.default_rng(11)
+    wide = rng.normal(size=(6, 10, 3)) * 10.0 ** rng.integers(-8, 9, size=(6, 10, 3))
+    for a, b in ((wide, wide[::-1]), (wide[:, ::2], wide[:, 1::2]), (wide[:, :1], wide[:1]),
+                 (wide[0, 0], wide), (wide[:, :, None], wide[0])):
+        assert np.array_equal(nets._cross(a, b), np.cross(a, b))
+
+
+def assert_report_matches_seven_crosses(net):
+    rep, ref = curvature_report(net), seven_cross_report(net)
+    for name in ("K", "H", "det_x", "degenerate", "normal"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name), equal_nan=True), name
+    assert np.array_equal(face_normal(net), ref.normal)
+
+
+@pytest.mark.parametrize("spec", PROFILE_SPECS, ids=lambda s: f"{s[0]}-{s[1]:g}-{s[2]:+d}")
+def test_face_pass_matches_seven_crosses_on_rcnets(spec):
+    assert_report_matches_seven_crosses(build_rcnet(fixture_profile(*spec), 13, k0=12))
+
+
+def test_face_pass_matches_seven_crosses_on_transforms():
+    hs, frames, _ = fixture_ck_hs()
+    assert_report_matches_seven_crosses(single_backlund(frames, hs, BacklundParams(np.pi / 3.0)))
+    params = BacklundParams(np.pi / 2.0 + 0.5j, s_tilde0=1.3 * np.exp(0.4j))
+    assert_report_matches_seven_crosses(double_backlund(frames, hs, params)[0])
+
+
+def test_face_pass_matches_seven_crosses_on_mixed_net():
+    assert_report_matches_seven_crosses(mixed_net())
 
 
 # ---------------------------------------------------------------------------
