@@ -23,7 +23,7 @@ import argparse
 import configparser
 import json
 import sys
-from importlib.resources import files
+from functools import cache
 from math import isfinite, lcm
 
 import numpy as np
@@ -33,7 +33,7 @@ from .checks import CheckResult
 from .backlund import (BacklundParams, double_backlund, find_periodic_alpha, single_backlund,
                        transform_residuals)
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
-from .errors import (CaseMismatch, CknetError, ConfigError, InvalidProfile,
+from .errors import (CaseMismatch, CknetError, ConfigError, DegenerateGeometry, InvalidProfile,
                      ModulusOutOfRange)
 from .lattice import flatness_residual, gauge_frame
 from .nets import (ContactElementNet, CurvatureReport, curvature_report, gauss_residual,
@@ -211,6 +211,76 @@ def rotation_step(cfg: dict):
 # artifacts
 
 
+# %.17g of a float64 x with 1e-4 <= |x| < 1e16 is fixed notation: the 17
+# digits of D = round(|x| * 10**(16 - E)), E = floor(log10 |x|), which
+# Dekker's two-product forms exactly (README, "Output formats").  A value
+# fills five little-endian uint64 words ("<u8", byte i of a word is byte i
+# of the file on every host) with NUL in every unused byte: separator, sign,
+# "0." and leading zeros, digit 0, then [point slot, digit] pairs for 1..16.
+_POW10 = 10.0 ** np.arange(22)
+_OBJ_ROWS = 512   # vertices per formatted chunk: bounds the writer's memory
+
+
+@cache
+def _digit_tables() -> tuple:
+    """Lookup tables built on first use: the word of each 4-digit group, the place among digits
+    1..16 of its last nonzero digit, and point, keep and head words (see ``_fill_cells``)."""
+    E, slots = np.arange(-4, 16)[:, None], np.arange(32)     # slots: bytes of the group words
+    digits = np.indices((10,) * 4, dtype=np.int64).reshape(4, -1).T
+    places = np.where(digits != 0, np.arange(1, 5), 0).max(axis=1)
+    head = np.zeros((2, 20, 10, 8), np.uint8)                 # by (negative, E + 4, digit 0)
+    head[..., 0], head[1, ..., 1], head[..., 7] = 32, 45, np.arange(48, 58)
+    head[..., 2:7] = np.where(np.arange(5) < (1 - E) * (E < 0), list(b"0.000"), 0)[:, None]
+    return (((digits + 48) @ 256 ** np.arange(1, 8, 2, dtype=np.int64)).astype("<u8"),
+            ((4 * np.arange(4)[:, None] + places) * (places > 0)).astype(np.int8).reshape(-1),
+            (46 * (slots == 2 * E)).astype(np.uint8).view("<u8").T,
+            (255 * (slots < 2 * np.arange(17)[:, None])).astype(np.uint8).view("<u8").T,
+            head.view("<u8").reshape(-1))
+
+
+def _scaled(a, k):
+    """a * 10**k rounded half to even, as int64, for 1e-4 <= a < 1e16 and 10**16 <= a * 10**k."""
+    b = _POW10[k]
+    p = a * b
+    ah, bh = 134217729.0 * a, 134217729.0 * b                 # 2**27 + 1: Veltkamp's split
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    err = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _fill_cells(xyz, cell) -> None:
+    """Write %.17g of each value of the (n, 3) array ``xyz`` into its (n, 3, 5) word cell."""
+    group, last_place, point, keep, head = _digit_tables()      # point and head by E + 4
+    a = np.abs(xyz)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a.flat[slow] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    D = _scaled(a, k)
+    off = np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
+    if off.size:   # floor(log10 a) was one off, or D = 10**17 carries into E + 1
+        k.flat[off] += np.where(D.flat[off] < 10 ** 16, 1, -1)
+        D.flat[off] = _scaled(a.flat[off], k.flat[off])
+    E4 = 20 - k                                                      # E + 4
+    w = D // np.array([10 ** 12, 10 ** 8, 10 ** 4, 1], np.int64)[:, None, None] % 10000  # 1-16
+    last = last_place.take(w + np.arange(0, 40000, 10000)[:, None, None]).max(axis=0)
+    cell[..., 0] = head.take(((xyz < 0) * 20 + E4) * 10 + D // 10 ** 16)
+    w = group.take(w)
+    w |= point.take(E4, axis=1)
+    w &= keep.take(np.maximum(last, E4 - 4), axis=1)          # keep digits 1..max(last, E)
+    cell[..., 1:] = np.moveaxis(w, 0, -1)
+    if slow.size:
+        text = np.array([b" %.17g" % v for v in xyz.flat[slow].tolist()], dtype="S40")
+        cell[slow // 3, slow % 3] = text.view("<u8").reshape(-1, 5)
+
+
+def _obj_lines(tag: bytes, xyz) -> bytes:
+    """The bytes of ``b"<tag> %.17g %.17g %.17g\\n" % row`` for each row of ``xyz``."""
+    out = np.zeros((len(xyz), 17), "<u8")
+    out[:, 0], out[:, 16] = int.from_bytes(tag, "little"), 10
+    _fill_cells(xyz, out[:, 1:16].reshape(-1, 3, 5))
+    return out.tobytes().translate(None, b"\0")
+
+
 def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = None) -> None:
     """Wavefront OBJ quad mesh: v/vn per vertex, f per nondegenerate face.
 
@@ -218,22 +288,27 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
     references, in order, (j,k), (j,k+1), (j+1,k+1), (j+1,k) by 1-based
     index.  Degenerate faces, taken from ``rep`` (computed when not
     given), become `# degenerate j k` comments.  Coordinates are written
-    with 17 significant digits, so they read back exactly.
+    as ``%.17g``, so they read back exactly; a non-finite one raises
+    DegenerateGeometry before the file is opened.
     """
     nj, nk = net.shape
+    if not (np.isfinite(net.x).all() and np.isfinite(net.n).all()):
+        raise DegenerateGeometry("the net has a non-finite coordinate; no mesh written")
     if rep is None:
         rep = curvature_report(net)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# cknet quad mesh {nj} x {nk}\n")
-        for tag, arr in (("v", net.x), ("vn", net.n)):
-            fh.write((f"{tag} %.17g %.17g %.17g\n" * (nj * nk)) % tuple(arr.reshape(-1).tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"# cknet quad mesh %d x %d\n" % (nj, nk))
+        for tag, arr in ((b"v", net.x), (b"vn", net.n)):
+            rows = arr.reshape(-1, 3)
+            for start in range(0, len(rows), _OBJ_ROWS):
+                fh.write(_obj_lines(tag, rows[start:start + _OBJ_ROWS]))
         # one block's objects live at a time; runs of faces share one integer template
         a = (np.arange(nj - 1)[:, None] * nk + np.arange(1, nk)).reshape(-1, 1)   # 1-based (j, k)
         corners = (a + [0, 1, nk + 1, nk]).reshape(-1).tolist()
         start = 0
         for stop in np.flatnonzero(rep.degenerate).tolist() + [a.size]:
-            fh.write(("f %d %d %d %d\n" * (stop - start)) % tuple(corners[4 * start:4 * stop]))
-            fh.write("# degenerate %d %d\n" % divmod(stop, nk - 1) if stop < a.size else "")
+            fh.write((b"f %d %d %d %d\n" * (stop - start)) % tuple(corners[4 * start:4 * stop]))
+            fh.write(b"# degenerate %d %d\n" % divmod(stop, nk - 1) if stop < a.size else b"")
             start = stop + 1
 
 
@@ -245,53 +320,6 @@ def report_json(entries: list, parameters: dict, path: str) -> None:
     doc = {"checks": checks, "parameters": dict(parameters)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def report_schema() -> dict:
-    return json.loads(files("cknet").joinpath("report_schema.json").read_text(encoding="utf-8"))
-
-
-def validate_report(doc) -> list:
-    """Errors of ``doc`` against the shipped report schema (empty = valid)."""
-
-    def walk(instance, schema, where):
-        errs = []
-        t = schema.get("type")
-        if isinstance(t, list):
-            if any(not walk(instance, {**schema, "type": one}, where) for one in t):
-                return []
-            return [f"{where}: expected {' or '.join(t)}"]
-        if t == "object":
-            if not isinstance(instance, dict):
-                return [f"{where}: expected object"]
-            for req in schema.get("required", ()):
-                if req not in instance:
-                    errs.append(f"{where}: missing required key {req!r}")
-            for key, sub in schema.get("properties", {}).items():
-                if key in instance:
-                    errs.extend(walk(instance[key], sub, f"{where}.{key}"))
-        elif t == "array":
-            if not isinstance(instance, list):
-                return [f"{where}: expected array"]
-            sub = schema.get("items")
-            if sub:
-                for i, item in enumerate(instance):
-                    errs.extend(walk(item, sub, f"{where}[{i}]"))
-        elif t == "number":
-            if isinstance(instance, bool) or not isinstance(instance, (int, float)):
-                errs.append(f"{where}: expected number")
-        elif t == "string":
-            if not isinstance(instance, str):
-                errs.append(f"{where}: expected string")
-        elif t == "boolean":
-            if not isinstance(instance, bool):
-                errs.append(f"{where}: expected boolean")
-        elif t == "null":
-            if instance is not None:
-                errs.append(f"{where}: expected null")
-        return errs
-
-    return walk(doc, report_schema(), "$")
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +364,13 @@ def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alp
 def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> int:
     mesh_path = _get(cfg, "output", "mesh", str, None)
     report_path = _get(cfg, "output", "report", str, None)
-    if net is not None and mesh_path:
-        export_obj(net, mesh_path, rep)
     if report_path:
         report_json(entries, parameters, report_path)
     for r in entries:
         print(("PASS" if r.passed else "FAIL")
               + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")
+    if net is not None and mesh_path:   # last, so a refused mesh still leaves the report
+        _stage("export", export_obj, net, mesh_path, rep)
     return EXIT_OK if all(r.passed for r in entries) else EXIT_INVARIANT
 
 
@@ -472,19 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="discrete constant-curvature rotational nets and their transforms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "backlund", "double", "search"):
+    for name in ("generate", "backlund", "double", "search", "check"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="INI or JSON config file")
-    sp = sub.add_parser("check")
-    sp.add_argument("--config", help="INI or JSON config file")
-    sp.add_argument("--criterion", type=int, action="append",
-                    help="run only this acceptance criterion (repeatable)")
+    sub.choices["check"].add_argument("--criterion", type=int, action="append",
+                                      help="run only this acceptance criterion (repeatable)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
         overrides = parse_overrides(extra)
         cfg = load_config(args.config) if args.config else {}

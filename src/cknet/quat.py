@@ -21,15 +21,9 @@ import numpy as np
 
 from .errors import Singular
 
-sigma0 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
 sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
-
 
 def matrix(e11, e12, e21, e22):
     """Complex matrices [[e11, e12], [e21, e22]] of shape (..., 2, 2) from broadcastable entries."""
@@ -54,14 +48,6 @@ def parts(q):
     return w, x, y, z
 
 
-def membership_residual(q):
-    """Max deviation from the quaternion-span conditions."""
-    q = np.asarray(q, dtype=complex)
-    r1 = np.abs(q[..., 1, 1] - q[..., 0, 0].conj())
-    r2 = np.abs(q[..., 1, 0] + q[..., 0, 1].conj())
-    return float(np.max(np.maximum(r1, r2))) if q.size else 0.0
-
-
 def embed(v):
     """Vec3 -> imaginary quaternion: (x,y,z) |-> x(-i s1) + y(-i s2) + z(-i s3)."""
     v = np.asarray(v, dtype=float)
@@ -82,17 +68,6 @@ def coords_complex(q):
     return np.stack([x, y, z], axis=-1)
 
 
-def project(q):
-    """Trace-free projection followed by reading real R^3 coordinates."""
-    return coords_complex(q).real
-
-
-def det(q):
-    """Determinant; equals the squared quaternion norm on members."""
-    q = np.asarray(q, dtype=complex)
-    return q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
-
-
 def qconj(q):
     """Quaternion conjugate (adjugate matrix): w - xi - yj - zk."""
     q = np.asarray(q, dtype=complex)
@@ -103,7 +78,7 @@ def inv(q, tol=1e-14):
     """Inverse via adjugate / determinant; raises Singular on det ~ 0 or a non-finite det."""
     q = np.asarray(q, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
-        d = det(q)
+        d = q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
     mag = np.abs(d)
     if not np.all((mag > tol) & (mag < np.inf)):
         raise Singular(f"matrix with |det| <= {tol:g} or non-finite (min |det| = {np.min(mag):.3e})")
@@ -111,6 +86,6 @@ def inv(q, tol=1e-14):
 
 
 def conjugate_rotate(R, v):
-    """Rotate v by conjugation: project(R^{-1} embed(v) R)."""
+    """Rotate v by conjugation: the real R^3 coordinates of R^{-1} embed(v) R."""
     Rm = np.asarray(R, dtype=complex)
-    return project(inv(Rm) @ embed(v) @ Rm)
+    return coords_complex(inv(Rm) @ embed(v) @ Rm).real

@@ -12,7 +12,14 @@ takes every determinant of the curvature formulas through its own
 ``np.cross``, where ``nets.curvature_report`` shares four cross products
 in one face pass; ``joined_obj`` builds the OBJ text line by line and
 writes it in one piece, where ``cli.export_obj`` streams its blocks.
+
+The quaternion helpers (``det``, ``project``, ``membership_residual``) and
+the report schema check (``report_schema``, ``validate_report``) are the
+test-side readers of package data that the package itself never needs.
 """
+
+import json
+from importlib.resources import files
 
 import numpy as np
 
@@ -164,3 +171,70 @@ def joined_obj(net, degenerate) -> bytes:
             lines.append(f"# degenerate {j} {k}" if degenerate[j, k]
                          else f"f {a} {a + 1} {a + nk + 1} {a + nk}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def det(q):
+    """Determinant; equals the squared quaternion norm on members."""
+    q = np.asarray(q, dtype=complex)
+    return q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
+
+
+def project(q):
+    """Trace-free projection followed by reading real R^3 coordinates."""
+    return quat.coords_complex(q).real
+
+
+def membership_residual(q):
+    """Max deviation from the quaternion-span conditions."""
+    q = np.asarray(q, dtype=complex)
+    r1 = np.abs(q[..., 1, 1] - q[..., 0, 0].conj())
+    r2 = np.abs(q[..., 1, 0] + q[..., 0, 1].conj())
+    return float(np.max(np.maximum(r1, r2))) if q.size else 0.0
+
+
+def report_schema() -> dict:
+    """The JSON schema shipped with the package for ``cknet`` reports."""
+    return json.loads(files("cknet").joinpath("report_schema.json").read_text(encoding="utf-8"))
+
+
+def validate_report(doc) -> list:
+    """Errors of ``doc`` against the shipped report schema (empty = valid)."""
+
+    def walk(instance, schema, where):
+        errs = []
+        t = schema.get("type")
+        if isinstance(t, list):
+            if any(not walk(instance, {**schema, "type": one}, where) for one in t):
+                return []
+            return [f"{where}: expected {' or '.join(t)}"]
+        if t == "object":
+            if not isinstance(instance, dict):
+                return [f"{where}: expected object"]
+            for req in schema.get("required", ()):
+                if req not in instance:
+                    errs.append(f"{where}: missing required key {req!r}")
+            for key, sub in schema.get("properties", {}).items():
+                if key in instance:
+                    errs.extend(walk(instance[key], sub, f"{where}.{key}"))
+        elif t == "array":
+            if not isinstance(instance, list):
+                return [f"{where}: expected array"]
+            sub = schema.get("items")
+            if sub:
+                for i, item in enumerate(instance):
+                    errs.extend(walk(item, sub, f"{where}[{i}]"))
+        elif t == "number":
+            if isinstance(instance, bool) or not isinstance(instance, (int, float)):
+                errs.append(f"{where}: expected number")
+        elif t == "string":
+            if not isinstance(instance, str):
+                errs.append(f"{where}: expected string")
+        elif t == "boolean":
+            if not isinstance(instance, bool):
+                errs.append(f"{where}: expected boolean")
+        elif t == "null":
+            if instance is not None:
+                errs.append(f"{where}: expected null")
+        return errs
+
+    return walk(doc, report_schema(), "$")

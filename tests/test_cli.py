@@ -13,11 +13,11 @@ import pytest
 
 from cknet import checks, cli, nets
 from cknet.checks import CheckResult
-from cknet.errors import ConfigError
+from cknet.errors import ConfigError, DegenerateGeometry
 from cknet.lattice import FrameFamily
 from cknet.nets import ContactElementNet, CurvatureReport
 from cknet.revolution import build_rcnet, profile_elliptic
-from oracles import joined_obj
+from oracles import joined_obj, validate_report
 
 PSEUDO_INI = """
 [surface]
@@ -113,7 +113,7 @@ def test_generate_pseudosphere(tmp_path, capsys):
     assert names == ["gaussian_constancy", "edge_constraint", "profile_relations",
                      "conservation", "unit_normal", "rotational_period"]
     assert all(e["pass"] for e in doc["checks"])
-    assert cli.validate_report(doc) == []
+    assert validate_report(doc) == []
     assert doc["parameters"]["rotation.theta_effective"] == 2.0 * np.pi / 6.0
     lines = open(mesh, encoding="utf-8").read().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 5 * 8
@@ -234,6 +234,35 @@ def test_obj_export_matches_joined_writer(tmp_path, faces):
     assert path.read_bytes() == joined_obj(net, degenerate)
 
 
+def test_non_finite_net_is_refused_at_export(tmp_path, monkeypatch, capsys):
+    """A NaN position makes the run exit 3 at the export stage, with no mesh written; the
+    report is still written as strict JSON and every check line is still printed."""
+    real = cli.build_rcnet
+
+    def planted(*args, **kwargs):
+        net = real(*args, **kwargs)
+        x = net.x.copy()
+        x[1, 2, 0] = np.nan
+        return ContactElementNet(x, net.n)
+
+    monkeypatch.setattr(cli, "build_rcnet", planted)
+    mesh, report = tmp_path / "out.obj", tmp_path / "report.json"
+    code = cli.main(["generate", "--config", write(tmp_path, "job.ini", PSEUDO_INI),
+                     "--output.mesh", str(mesh), "--output.report", str(report)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert "error: stage=export: DegenerateGeometry" in captured.err
+    assert not mesh.exists()
+    doc = strict_json(report)
+    assert validate_report(doc) == []
+    names = [e["name"] for e in doc["checks"]]
+    assert names and not all(e["pass"] for e in doc["checks"])
+    assert [line.split()[1] for line in captured.out.splitlines()] == names
+    with pytest.raises(DegenerateGeometry):
+        cli.export_obj(planted(profile_elliptic(1.0, -1, (-2, 2)), 8, k0=6), str(mesh))
+    assert not mesh.exists()
+
+
 # ---------------------------------------------------------------------------
 # transform subcommands
 
@@ -249,7 +278,7 @@ def test_backlund_real_angle(tmp_path, capsys):
     assert names == ["flatness", "backlund_distance", "backlund_normal_angle",
                      "backlund_orthogonality", "transformed_gauss"]
     assert all(e["pass"] for e in doc["checks"])
-    assert cli.validate_report(doc) == []
+    assert validate_report(doc) == []
 
 
 def test_backlund_complex_angle_points_to_double(tmp_path, capsys):
@@ -415,7 +444,7 @@ def test_long_grids_run_finite(tmp_path, capsys, name):
     code, mesh, report = run_desk(tmp_path, command, extra, name)
     assert code == cli.EXIT_OK, capsys.readouterr()
     doc = strict_json(report)
-    assert cli.validate_report(doc) == []
+    assert validate_report(doc) == []
     assert doc["checks"] and all(e["pass"] for e in doc["checks"])
     x, n = obj_arrays(mesh, *shape)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(n))
@@ -458,7 +487,7 @@ def test_non_finite_residuals_make_strict_json_reports(tmp_path):
     doc = strict_json(path)
     assert [(e["max_residual"], e["pass"]) for e in doc["checks"]] == [
         (None, False), (None, False), (1e-12, True)]
-    assert cli.validate_report(doc) == []
+    assert validate_report(doc) == []
 
 
 def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, capsys):
@@ -473,7 +502,7 @@ def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, cap
     doc = strict_json(report)
     assert doc["checks"] == [{"name": "c01_error[ZeroDivisionError]", "max_residual": None,
                               "tolerance": 0.0, "pass": False}]
-    assert cli.validate_report(doc) == []
+    assert validate_report(doc) == []
 
 
 def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
@@ -567,18 +596,18 @@ def test_rotation_step_rules():
 
 
 def test_validate_report_spots_malformed_documents():
-    assert cli.validate_report({"checks": [], "parameters": {}}) == []
-    errs = cli.validate_report({"checks": [{"name": 1}], "parameters": {}})
+    assert validate_report({"checks": [], "parameters": {}}) == []
+    errs = validate_report({"checks": [{"name": 1}], "parameters": {}})
     assert any("name" in e for e in errs)
     assert any("missing required key" in e for e in errs)
-    assert cli.validate_report({"checks": {}}) != []
+    assert validate_report({"checks": {}}) != []
 
 
 def test_validate_report_takes_number_or_null_residuals():
     entry = {"name": "a", "max_residual": None, "tolerance": 1e-9, "pass": False}
-    assert cli.validate_report({"checks": [entry], "parameters": {}}) == []
+    assert validate_report({"checks": [entry], "parameters": {}}) == []
     entry["max_residual"] = "inf"
-    assert cli.validate_report({"checks": [entry], "parameters": {}}) == [
+    assert validate_report({"checks": [entry], "parameters": {}}) == [
         "$.checks[0].max_residual: expected number or null"]
 
 

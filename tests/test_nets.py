@@ -19,7 +19,7 @@ from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
                         singular_vertices, sym, sym_arrays, validate_ec)
 from cknet.revolution import (build_rcnet, conservation_drift, edge_residuals,
                               profile_elliptic, validate_profile)
-from oracles import cross_ratio, seven_cross_report
+from oracles import cross_ratio, det, seven_cross_report
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -63,7 +63,7 @@ def test_net_requires_unit_normals():
 def test_sym_constant_frame_is_a_point():
     domain = Domain((0, 2), (0, 2))
     rotor = quat.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
-    rotor /= np.sqrt(quat.det(rotor).real)
+    rotor /= np.sqrt(det(rotor).real)
     val = np.broadcast_to(rotor, (3, 3, 2, 2)).astype(complex)
     frames = FrameFamily(domain, MatJet.constant(val.copy()))
     net = sym(frames, 2.0)
@@ -448,7 +448,7 @@ def test_frame_initial_condition_changes_net_by_rigid_motion():
     conn, _ = build_ck_connection(p, np.pi / 6.0, 10)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
     h0 = quat.quat(np.cos(0.35), *(np.sin(0.35) * np.array([0.2, 0.6, -0.774596669241483])))
-    h0 /= np.sqrt(quat.det(h0).real)
+    h0 /= np.sqrt(det(h0).real)
     H = MatJet(h0, h0 @ quat.embed(np.array([0.1, -0.2, 0.3])))
     moved = FrameFamily(frames.domain, frames.Phi @ H)
     res = rigid_align(sym(frames, 2.0), sym(moved, 2.0))
