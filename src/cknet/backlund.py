@@ -48,7 +48,7 @@ from .connect import HsLaxData, lax_jet
 from .errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent,
                      PoleHit, RealityViolated)
 from .lattice import FrameFamily, MatJet
-from .nets import ContactElementNet, sym, sym_arrays
+from .nets import ContactElementNet, sym, sym_blocks
 
 
 @dataclass(frozen=True)
@@ -262,13 +262,20 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
         raise ConfigError(f"a real-angle transform needs a unit seed, got |seed| = {abs(seed):.6g}")
     s_grid = propagate(hs, params.alpha, seed, which, beta=params.beta)
     if which == "tilde":
-        cot, ratio, c = 1.0 / np.tan(a / 2.0), s_grid / hs.s[:, None], 1j * np.exp(frames.t0)
-        val, dot = quat.matrix(cot * ratio, c, c, cot / ratio), quat.matrix(0.0, c, c, 0.0)
+        cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
+
+        def transform(rows):
+            ratio = s_grid[rows] / hs.s[rows, None]
+            val = quat.matrix(cot * ratio, c, c, cot / ratio)
+            return MatJet(val, np.broadcast_to(quat.matrix(0.0, c, c, 0.0), val.shape))
     else:
-        c, prod = 1j * np.exp(-frames.t0) * np.tan(a / 2.0), s_grid * hs.s[:, None]
-        val = quat.matrix(1.0, c * prod, c / prod, 1.0)
-        dot = quat.matrix(0.0, -c * prod, -c / prod, 0.0)
-    return sym(frames, 2.0, 0.0, MatJet(val, np.broadcast_to(dot, val.shape)))
+        c = 1j * np.exp(-frames.t0) * np.tan(a / 2.0)
+
+        def transform(rows):
+            prod = s_grid[rows] * hs.s[rows, None]
+            val = quat.matrix(1.0, c * prod, c / prod, 1.0)
+            return MatJet(val, quat.matrix(0.0, -c * prod, -c / prod, 0.0))
+    return sym(frames, 2.0, 0.0, transform)
 
 
 def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
@@ -276,9 +283,9 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
     distance |sin alpha|, normal angle alpha, and edge orthogonality to both normals."""
     dx = new.x - base.x
     dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
-    ang = np.abs(np.einsum("...i,...i->...", base.n, new.n) - np.cos(alpha))
-    orth = np.maximum(np.abs(np.einsum("...i,...i->...", dx, base.n)),
-                      np.abs(np.einsum("...i,...i->...", dx, new.n)))
+    # (a * b).sum adds the three products in order whatever the layout; einsum does not
+    ang = np.abs((base.n * new.n).sum(axis=-1) - np.cos(alpha))
+    orth = np.maximum(np.abs((dx * base.n).sum(axis=-1)), np.abs((dx * new.n).sum(axis=-1)))
     return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
 
 
@@ -288,13 +295,10 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
 
 @dataclass(frozen=True)
 class DoubleReport:
-    """Scalar fields and reality/unitarity residues of a double transform."""
+    """Reality and unitarity residues of a double transform."""
 
     imag_residue: float
     unit_residual: float
-    s_tilde: np.ndarray
-    s_hat: np.ndarray
-    shat_tilde: np.ndarray
 
 
 def _check_condition_c(params: BacklundParams) -> None:
@@ -339,16 +343,18 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
         raise PoleHit("composed scalar field hit a pole")
     if not np.all(np.isfinite(shat_tilde) & (shat_tilde != 0)):
         raise PoleHit("composed scalar field is non-finite or zero")
+    del s_hat, den
     unit_residual = float(np.max(np.abs(np.abs(shat_tilde) - 1.0)))
     cot = 1.0 / tn
-    VW = lax_jet(s_tilde * (cot / s_col + tn * shat_tilde),
-                 (cot * s_col + tn / shat_tilde) / s_tilde, s_col * shat_tilde, frames.t0)
-    x, n = sym_arrays(frames, 2.0, 0.0, VW)
-    imag_residue = float(np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))))
+
+    def vw(rows):
+        st, sht, sc = s_tilde[rows], shat_tilde[rows], s_col[rows]
+        return lax_jet(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
+
+    x, n, imag_residue = sym_blocks(frames, 2.0, 0.0, vw)
     if not (imag_residue <= 1e-6):
         raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")
-    net = ContactElementNet(x.real, n.real)
-    return net, DoubleReport(imag_residue, unit_residual, s_tilde, s_hat, shat_tilde)
+    return ContactElementNet(x, n), DoubleReport(imag_residue, unit_residual)
 
 
 # ---------------------------------------------------------------------------

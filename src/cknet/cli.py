@@ -219,6 +219,7 @@ def rotation_step(cfg: dict):
 # "0." and leading zeros, digit 0, then [point slot, digit] pairs for 1..16.
 _POW10 = 10.0 ** np.arange(22)
 _OBJ_ROWS = 512   # vertices per formatted chunk: bounds the writer's memory
+_OBJ_FACES = 4096   # faces per run of f lines, for the same reason
 
 
 @cache
@@ -281,6 +282,22 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def _face_rows(faces, nk: int):
+    """Rows of ``b"f %d %d %d %d\\n"`` for the row-major face indices ``faces``, NUL where no
+    digit is printed: the 1-based indices of the corners (j,k), (j,k+1), (j+1,k+1), (j+1,k)."""
+    j, k = np.divmod(faces, nk - 1)
+    v = (j * nk + k + 1)[:, None] + np.array([0, 1, nk + 1, nk], np.int64)
+    width = len(str(int(v.max())))
+    rows = np.zeros((len(v), 4 * width + 6), np.uint8)
+    rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
+    cells = rows[:, 1:-1].reshape(len(v), 4, width + 1)      # a view: " " and the digits
+    cells[..., 0] = ord(" ")
+    for i in range(width):
+        place = 10 ** (width - 1 - i)
+        np.copyto(cells[..., 1 + i], v // place % 10 + 48, casting="unsafe", where=v >= place)
+    return rows
+
+
 def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = None) -> None:
     """Wavefront OBJ quad mesh: v/vn per vertex, f per nondegenerate face.
 
@@ -302,14 +319,14 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
             rows = arr.reshape(-1, 3)
             for start in range(0, len(rows), _OBJ_ROWS):
                 fh.write(_obj_lines(tag, rows[start:start + _OBJ_ROWS]))
-        # one block's objects live at a time; runs of faces share one integer template
-        a = (np.arange(nj - 1)[:, None] * nk + np.arange(1, nk)).reshape(-1, 1)   # 1-based (j, k)
-        corners = (a + [0, 1, nk + 1, nk]).reshape(-1).tolist()
-        start = 0
-        for stop in np.flatnonzero(rep.degenerate).tolist() + [a.size]:
-            fh.write((b"f %d %d %d %d\n" * (stop - start)) % tuple(corners[4 * start:4 * stop]))
-            fh.write(b"# degenerate %d %d\n" % divmod(stop, nk - 1) if stop < a.size else b"")
-            start = stop + 1
+        # one chunk's lines live at a time; runs between degenerate faces are cut out of them
+        bad, faces = rep.degenerate.reshape(-1), (nj - 1) * (nk - 1)
+        for lo in range(0, faces, _OBJ_FACES):
+            lines, start = _face_rows(np.arange(lo, min(lo + _OBJ_FACES, faces)), nk), 0
+            for i in np.flatnonzero(bad[lo:lo + _OBJ_FACES]).tolist() + [len(lines)]:
+                fh.write(lines[start:i].tobytes().translate(None, b"\0"))
+                fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < len(lines) else b"")
+                start = i + 1
 
 
 def report_json(entries: list, parameters: dict, path: str) -> None:

@@ -22,6 +22,8 @@ and the column factor D^k, and closed forms in the entries of T:
 
     n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
     x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)) + tau * n.
+
+``sym_blocks`` evaluates these one block of profile rows at a time into real arrays.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from .lattice import FrameFamily, MatJet
 
 @dataclass(frozen=True)
 class ContactElementNet:
-    """Positions and unit normals on a rectangular grid, shape (nj, nk, 3)."""
+    """Positions and unit normals on a rectangular grid: C-contiguous float64, shape (nj, nk, 3)."""
 
     x: np.ndarray
     n: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        n = np.asarray(self.n, dtype=float)
+        x = np.ascontiguousarray(self.x, dtype=float)
+        n = np.ascontiguousarray(self.n, dtype=float)
         if x.shape != n.shape or x.ndim != 3 or x.shape[-1] != 3:
             raise ValueError(f"bad net shapes: x {x.shape}, n {n.shape}")
         err = np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) if n.size else 0.0
@@ -92,31 +94,61 @@ def _apply(R, v, w=(0.0, 0.0, 0.0)):
     return [R[i, 0] * v[0] + R[i, 1] * v[1] + R[i, 2] * v[2] + w[i] for i in range(3)]
 
 
-def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None):
-    """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of T Phi.
+_SYM_VERTICES = 2048   # vertices per block of profile rows: bounds the Sym formula's memory
 
-    T is a transform jet of shape (nj, nk, 2, 2), the identity by default.
-    No reality or unit-length validation is performed; callers that work
-    with complex-parameter transforms inspect the imaginary parts themselves.
+
+def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None,
+               rows: slice = slice(None), cols=None):
+    """Complex coordinate arrays (x, n), shape (len(rows), nk, 3), of the Sym net of T Phi on
+    the profile rows ``rows`` (all of them by default).
+
+    T is the transform jet of those rows, shape (len(rows), nk, 2, 2), the
+    identity by default; ``cols`` holds the column factor's terms when a
+    caller evaluates several blocks of rows.  No reality or unit-length
+    validation is performed; callers that work with complex-parameter
+    transforms inspect the imaginary parts themselves.
     """
-    RQ, wq = _factor_terms(frames.rows)
-    RD, wd = _factor_terms(frames.cols)
+    RQ, wq = _factor_terms(frames.rows[rows])
+    RD, wd = _factor_terms(frames.cols) if cols is None else cols
     tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if T is None else _transform_terms(T)
+    del T   # a block's transform jet is freed once its terms are formed
     n = _apply(RD, _apply(RQ, tn))
     x = _apply(RD, _apply(RQ, tx, wq), wd)
     return np.stack([xi * a + tau * b for a, b in zip(x, n)], axis=-1), np.stack(n, axis=-1)
 
 
-def sym(frames: FrameFamily, xi: float, tau: float = 0.0,
-        T: MatJet | None = None) -> ContactElementNet:
-    """Real parameter-derivative net of T Phi; raises if an imaginary part exceeds
-    1e-6 of the largest coordinate (or of 1)."""
-    x, n = sym_arrays(frames, xi, tau, T)
-    resid = np.maximum(np.max(np.abs(x.imag)), np.max(np.abs(n.imag)))
-    scale = max(1.0, np.max(np.abs(x.real)))
+def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None):
+    """Real parts (x, n) of the Sym net of T Phi and the largest imaginary part dropped.
+
+    The net is evaluated a block of whole profile rows (about
+    ``_SYM_VERTICES`` vertices) at a time, so only the block's complex
+    intermediates exist next to the two C-contiguous (nj, nk, 3) results.
+    ``transform(rows)`` returns the jet T on the profile rows of the slice
+    ``rows``; None stands for the identity.
+    """
+    nj, nk = frames.domain.nj, frames.domain.nk
+    x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
+    cols = _factor_terms(frames.cols)
+    step = max(1, _SYM_VERTICES // nk)
+    imag = 0.0
+    for j in range(0, nj, step):
+        rows = slice(j, j + step)
+        xb, nb = sym_arrays(frames, xi, tau, None if transform is None else transform(rows),
+                            rows, cols)
+        # np.maximum, unlike max, carries a NaN through to the caller's check
+        imag = np.maximum(imag, np.maximum(np.max(np.abs(xb.imag)), np.max(np.abs(nb.imag))))
+        x[rows], n[rows] = xb.real, nb.real
+    return x, n, float(imag)
+
+
+def sym(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None) -> ContactElementNet:
+    """Real parameter-derivative net of T Phi (``sym_blocks``); raises if an imaginary part
+    exceeds 1e-6 of the largest coordinate (or of 1)."""
+    x, n, resid = sym_blocks(frames, xi, tau, transform)
+    scale = max(1.0, np.max(np.abs(x)))
     if not (resid <= 1e-6 * scale):
         raise ValueError(f"net coordinates have imaginary residue {resid:.3e}")
-    return ContactElementNet(x.real, n.real)
+    return ContactElementNet(x, n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ the factorised product ``rotational_frames`` builds; ``dense_sym`` forms
 every gauged and transformed frame on the grid and applies the Sym
 formula with an inverse and 2x2 products per vertex, where
 ``nets.sym_arrays`` works through the frame factors; ``w_jet`` and
-``v_jet`` are the transform matrices as the ``backlund`` docstring states
-them; ``cross_ratio`` reads circularity of a face off the quaternionic
-cross ratio, which no package routine computes.  ``seven_cross_report``
+``v_jet`` are the transform matrices and ``composed_field`` the composed
+scalar field as the ``backlund`` docstrings state them; ``cross_ratio``
+reads circularity of a face off the quaternionic cross ratio, which no
+package routine computes.  ``seven_cross_report``
 takes every determinant of the curvature formulas through its own
 ``np.cross``, where ``nets.curvature_report`` shares four cross products
 in one face pass; ``joined_obj`` builds the OBJ text line by line and
@@ -24,6 +25,7 @@ from importlib.resources import files
 import numpy as np
 
 from cknet import quat
+from cknet.backlund import propagate
 from cknet.errors import DegenerateFace, ZeroEdge
 from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
 from cknet.nets import CurvatureReport, face_diagonals
@@ -94,6 +96,17 @@ def v_jet(beta, s_hat, s, t):
     c, prod = 1j * np.exp(-t) * np.tan(beta / 2.0), s_hat * (s if np.ndim(s) == 2 else s[:, None])
     return MatJet(quat.matrix(1.0, c * prod, c / prod, 1.0),
                   quat.matrix(0.0, -c * prod, -c / prod, 0.0))
+
+
+def composed_field(hs, params):
+    """(s~, s^~) of a double transform, by the formula of the ``double_backlund`` docstring:
+    s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~)), with s^ = conj(s~) when
+    |sin alpha| > 1."""
+    s_tilde = propagate(hs, params.alpha, params.s_tilde0, "tilde")
+    s_hat = (s_tilde.conj() if abs(np.sin(params.alpha)) > 1.0
+             else propagate(hs, params.alpha, params.s_hat0, "hat"))
+    tn2, s = np.tan(params.alpha / 2.0) ** 2, hs.s[:, None]
+    return s_tilde, (s_hat * s_tilde - tn2) / (s * (1.0 - tn2 * s_hat * s_tilde))
 
 
 def cross_ratio(net, face, imag_tol: float = 1e-8):

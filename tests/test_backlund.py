@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cknet import backlund as bk
+from cknet import backlund as bk, nets
 from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
                             find_periodic_alpha, linearize, moebius,
                             propagate, single_backlund)
@@ -19,6 +19,7 @@ from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, 
 from cknet.lattice import FrameFamily, MatJet, gauge_frame
 from cknet.nets import curvature_report, sym, sym_arrays
 from cknet.revolution import profile_elliptic
+from oracles import composed_field
 
 ALPHA_C = np.pi / 2.0 + 0.5j  # sin is real with |sin| = cosh(0.5) > 1
 
@@ -381,10 +382,25 @@ def test_double_backlund_real_angle_permutability():
     hs, frames, _ = hs_fixture()
     params = BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.4j), s_hat0=np.exp(-0.4j))
     net, rep = double_backlund(frames, hs, params)
-    assert abs(rep.shat_tilde[0, 0] - 1.0 / hs.s[0]) < 1e-10
+    assert abs(composed_field(hs, params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
     assert rep.unit_residual < 1e-10
     assert rep.imag_residue < 1e-9
     assert gauss_deviation(net) < 1e-7
+
+
+@pytest.mark.parametrize("transform", ["base", "single", "double"])
+def test_nets_own_contiguous_real_coordinates(transform):
+    """x and n of every Sym net are C-contiguous float64 arrays that own their memory, not
+    strided real views that keep a complex parent alive."""
+    hs, frames, base = hs_fixture()
+    if transform == "single":
+        net = single_backlund(frames, hs, BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.4j)))
+    elif transform == "double":
+        net, _ = double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
+    else:
+        net = base
+    for arr in (net.x, net.n):
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.owndata
 
 
 def test_double_backlund_condition_rejections():
@@ -411,12 +427,12 @@ def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
     hs, frames, _ = hs_fixture()
 
-    def nan_sym(frames, xi, t, T):
-        x, n = sym_arrays(frames, xi, t, T)
+    def nan_sym(*args):
+        x, n = sym_arrays(*args)
         x[0, 0, 0] = complex(1.0, np.nan)
         return x, n
 
-    monkeypatch.setattr(bk, "sym_arrays", nan_sym)
+    monkeypatch.setattr(nets, "sym_arrays", nan_sym)
     with pytest.raises(RealityViolated):
         double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
 

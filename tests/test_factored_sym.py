@@ -18,7 +18,7 @@ from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs
 from cknet.lattice import gauge_frame
 from cknet.nets import sym_arrays
 from cknet.revolution import profile_elliptic, profile_trig
-from oracles import dense_sym, v_jet, w_jet
+from oracles import composed_field, dense_sym, v_jet, w_jet
 
 TOL = 1e-13
 THETA = np.pi / 6.0
@@ -76,10 +76,11 @@ def test_single_transforms_match_dense_frames(which, alpha):
     assert max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))) <= TOL
 
 
-def dense_double(frames, hs, rep, alpha):
+def dense_double(frames, hs, params):
     """Dense (x, n) of V W Phi: V at -alpha from the composed field over the W-transformed net."""
-    W = w_jet(alpha, rep.s_tilde, hs.s, frames.t0)
-    V = v_jet(-alpha, rep.shat_tilde, rep.s_tilde, frames.t0)
+    s_tilde, shat_tilde = composed_field(hs, params)
+    W = w_jet(params.alpha, s_tilde, hs.s, frames.t0)
+    V = v_jet(-params.alpha, shat_tilde, s_tilde, frames.t0)
     return dense_sym(frames, 2.0, G=hs.gauge, T=V @ W)
 
 
@@ -91,8 +92,9 @@ def dense_double(frames, hs, rep, alpha):
 ])
 def test_double_transforms_match_dense_frames(alpha, seed):
     frames, hs, frames_hs = ck_grid()
-    net, rep = double_backlund(frames_hs, hs, BacklundParams(alpha, s_tilde0=seed))
-    assert worst((net.x, net.n), dense_double(frames, hs, rep, alpha)) <= TOL
+    params = BacklundParams(alpha, s_tilde0=seed)
+    net, _ = double_backlund(frames_hs, hs, params)
+    assert worst((net.x, net.n), dense_double(frames, hs, params)) <= TOL
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -104,5 +106,6 @@ def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, real, angle, 
     frames, hs, frames_hs = ck_grid(nj, nk, np.pi / 3.0)
     alpha = angle if real else np.pi / 2.0 + 1j * y
     seed = np.exp(1j * phase) * (1.0 if real else radius)
-    net, rep = double_backlund(frames_hs, hs, BacklundParams(alpha, s_tilde0=seed))
-    assert worst((net.x, net.n), dense_double(frames, hs, rep, alpha)) <= TOL
+    params = BacklundParams(alpha, s_tilde0=seed)
+    net, _ = double_backlund(frames_hs, hs, params)
+    assert worst((net.x, net.n), dense_double(frames, hs, params)) <= TOL

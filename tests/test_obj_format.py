@@ -115,3 +115,17 @@ def test_obj_blocks_match_the_joined_writer(tmp_path, nj, nk):
     cli.export_obj(net, str(path), rep)
     assert path.read_bytes() == joined_obj(net, degenerate)
     assert path.read_bytes().count(b"# degenerate") == degenerate.sum()
+
+
+def test_face_runs_match_the_joined_writer(tmp_path):
+    """The f lines go out in chunks of ``_OBJ_FACES`` faces, cut at degenerate faces: one
+    first in a chunk, one last in a chunk, two adjacent ones and the last face of the mesh."""
+    F = cli._OBJ_FACES
+    net = mesh(4, F + 2, seed=3)                      # 3 rows of F + 1 faces: four chunks
+    degenerate = np.zeros((3, F + 1), dtype=bool)
+    degenerate.flat[[F, 2 * F - 1, 2 * F + 3, 2 * F + 4, 3 * F + 2]] = True
+    blank = np.zeros(degenerate.shape)
+    rep = CurvatureReport(blank, blank, blank, degenerate, np.zeros(degenerate.shape + (3,)))
+    path = tmp_path / "mesh.obj"
+    cli.export_obj(net, str(path), rep)
+    assert path.read_bytes() == joined_obj(net, degenerate)
