@@ -282,19 +282,30 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _face_rows(faces, nk: int):
-    """Rows of ``b"f %d %d %d %d\\n"`` for the row-major face indices ``faces``, NUL where no
-    digit is printed: the 1-based indices of the corners (j,k), (j,k+1), (j+1,k+1), (j+1,k)."""
-    j, k = np.divmod(faces, nk - 1)
-    v = (j * nk + k + 1)[:, None] + np.array([0, 1, nk + 1, nk], np.int64)
-    width = len(str(int(v.max())))
-    rows = np.zeros((len(v), 4 * width + 6), np.uint8)
-    rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
-    cells = rows[:, 1:-1].reshape(len(v), 4, width + 1)      # a view: " " and the digits
-    cells[..., 0] = ord(" ")
+def _face_rows(lo: int, hi: int, nk: int):
+    """Rows of ``b"f %d %d %d %d\\n"`` for the row-major faces lo..hi-1, as little-endian uint64
+    words with NUL where no byte is printed: the 1-based indices of the corners (j,k), (j,k+1),
+    (j+1,k+1), (j+1,k).  Each index the faces touch is formatted once, into a cell of words
+    holding " %d", and the cells are gathered per corner."""
+    corner = np.arange(lo, hi)
+    corner += corner // (nk - 1) + 1   # the index of corner (j,k) of each face
+    # corners (j,k) and (j,k+1) lie in a..b, the other two nk further on, in b+1+gap..b+nk
+    a, b = int(corner[0]), int(corner[-1]) + 1
+    gap = max(a + nk - b - 1, 0)
+    v = np.r_[a:b + 1, b + 1 + gap:b + nk + 1]   # every index the faces touch, once
+    width = len(str(b + nk))
+    cells = np.zeros((len(v), (width + 8) // 8 * 8), np.uint8)
+    cells[:, 0] = ord(" ")
     for i in range(width):
         place = 10 ** (width - 1 - i)
-        np.copyto(cells[..., 1 + i], v // place % 10 + 48, casting="unsafe", where=v >= place)
+        np.copyto(cells[:, 1 + i], v // place % 10 + 48, casting="unsafe", where=v >= place)
+    cells = cells.view("<u8")
+    rows = np.empty((len(corner), 4 * cells.shape[1] + 2), "<u8")
+    rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
+    corners = rows[:, 1:-1].reshape(len(corner), 4, -1)
+    corner -= a
+    for i, offset in enumerate((0, 1, nk + 1 - gap, nk - gap)):
+        corners[:, i] = cells[corner + offset]
     return rows
 
 
@@ -322,7 +333,7 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
         # one chunk's lines live at a time; runs between degenerate faces are cut out of them
         bad, faces = rep.degenerate.reshape(-1), (nj - 1) * (nk - 1)
         for lo in range(0, faces, _OBJ_FACES):
-            lines, start = _face_rows(np.arange(lo, min(lo + _OBJ_FACES, faces)), nk), 0
+            lines, start = _face_rows(lo, min(lo + _OBJ_FACES, faces), nk), 0
             for i in np.flatnonzero(bad[lo:lo + _OBJ_FACES]).tolist() + [len(lines)]:
                 fh.write(lines[start:i].tobytes().translate(None, b"\0"))
                 fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < len(lines) else b"")
@@ -476,11 +487,12 @@ def cmd_double(cfg: dict) -> int:
         kwargs["s_hat0"] = seed_hat
     bp = BacklundParams(alpha, **kwargs)
     net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
-    crep = curvature_report(net)
+    unit = unit_normal_residual(net)   # its whole-grid temporaries go before the report's arrays
+    crep = _stage("verify", curvature_report, net)
     entries = [
         CheckResult("flatness", flatness_residual(conn), 1e-11),
         CheckResult("imag_residue", rep.imag_residue, 1e-9),
-        CheckResult("unit_normal", unit_normal_residual(net), 1e-9),
+        CheckResult("unit_normal", unit, 1e-9),
         CheckResult("transformed_gauss", gauss_residual(crep, -1), 1e-7),
         CheckResult("permutability_unit", rep.unit_residual, 1e-10),
     ]

@@ -94,7 +94,7 @@ def _apply(R, v, w=(0.0, 0.0, 0.0)):
     return [R[i, 0] * v[0] + R[i, 1] * v[1] + R[i, 2] * v[2] + w[i] for i in range(3)]
 
 
-_SYM_VERTICES = 2048   # vertices per block of profile rows: bounds the Sym formula's memory
+_BLOCK_VERTICES = 2048   # vertices per block of rows: bounds the Sym and face passes' memory
 
 
 def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None,
@@ -121,7 +121,7 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     """Real parts (x, n) of the Sym net of T Phi and the largest imaginary part dropped.
 
     The net is evaluated a block of whole profile rows (about
-    ``_SYM_VERTICES`` vertices) at a time, so only the block's complex
+    ``_BLOCK_VERTICES`` vertices) at a time, so only the block's complex
     intermediates exist next to the two C-contiguous (nj, nk, 3) results.
     ``transform(rows)`` returns the jet T on the profile rows of the slice
     ``rows``; None stands for the identity.
@@ -129,7 +129,7 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     nj, nk = frames.domain.nj, frames.domain.nk
     x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
     cols = _factor_terms(frames.cols)
-    step = max(1, _SYM_VERTICES // nk)
+    step = max(1, _BLOCK_VERTICES // nk)
     imag = 0.0
     for j in range(0, nj, step):
         rows = slice(j, j + step)
@@ -171,13 +171,15 @@ def _sums_k(arr):
     return arr[:, 1:] + arr[:, :-1]
 
 
-def face_diagonals(net: ContactElementNet):
+def face_diagonals(net: ContactElementNet, rows: slice = slice(None)):
     """Both diagonal differences of x and n per face: (xd1, xd2, nd1, nd2).
 
     xd1 = x(j+1,k+1) - x(j,k),  xd2 = x(j+1,k) - x(j,k+1); same for n.
-    Shapes (nj-1, nk-1, 3).
+    Shapes (nj-1, nk-1, 3), or (len(rows), nk-1, 3) on the face rows of the
+    unit-step slice ``rows``.
     """
-    x, n = net.x, net.n
+    j, stop, _ = rows.indices(net.shape[0] - 1)
+    x, n = net.x[j:stop + 1], net.n[j:stop + 1]
     xd1 = x[1:, 1:] - x[:-1, :-1]
     xd2 = x[1:, :-1] - x[:-1, 1:]
     nd1 = n[1:, 1:] - n[:-1, :-1]
@@ -197,9 +199,10 @@ def _cross(a, b):
     return out
 
 
-def _face_pass(net: ContactElementNet):
-    """One pass over the faces: diagonals, nd1 x nd2, the normals N and det(xd1, xd2, N)."""
-    xd1, xd2, nd1, nd2 = diagonals = face_diagonals(net)
+def _face_pass(net: ContactElementNet, rows: slice):
+    """K, H, det(xd1, xd2, N), the degenerate mask and the normals N on the face rows ``rows``
+    (a unit-step slice with a start), from one pass: diagonals, four cross products, N."""
+    xd1, xd2, nd1, nd2 = face_diagonals(net, rows)
     c_n = _cross(nd1, nd2)
     c_x = _cross(xd1, xd2)
     N = np.empty_like(c_n)
@@ -219,15 +222,20 @@ def _face_pass(net: ContactElementNet):
         else:
             v = c_x[j, k]
             if np.linalg.norm(v) <= _RANK_TOL:
-                raise DegenerateFace(
-                    f"face ({j},{k}): neither normal nor position diagonals span a plane"
-                )
+                raise DegenerateFace(f"face ({rows.start + j},{k}): "
+                                     "neither normal nor position diagonals span a plane")
         N[j, k] = v / np.linalg.norm(v)
     det_x = np.einsum("...i,...i->...", c_x, N)
     flip = det_x < 0
     N[flip] *= -1.0
     np.negative(det_x, out=det_x, where=flip)   # exactly det(xd1, xd2, N) of the flipped N
-    return diagonals, c_n, N, det_x
+    degenerate = np.abs(det_x) <= 1e-12
+    safe = np.where(degenerate, 1.0, det_x)
+    det_n, det_1, det_2 = (np.einsum("...i,...i->...", c, N)
+                           for c in (c_n, _cross(xd1, nd2), _cross(nd1, xd2)))
+    K = np.where(degenerate, np.nan, det_n / safe)
+    H = np.where(degenerate, np.nan, 0.5 * (det_1 + det_2) / safe)
+    return K, H, det_x, degenerate, N
 
 
 def face_normal(net: ContactElementNet) -> np.ndarray:
@@ -240,7 +248,7 @@ def face_normal(net: ContactElementNet) -> np.ndarray:
     x-diagonals are also degenerate raises DegenerateFace.  Cross products
     and vectors of norm at most 1e-10 count as degenerate.
     """
-    return _face_pass(net)[2]
+    return curvature_report(net).normal
 
 
 @dataclass(frozen=True)
@@ -267,15 +275,22 @@ def unit_normal_residual(net: ContactElementNet) -> float:
 
 def curvature_report(net: ContactElementNet) -> CurvatureReport:
     """Gauss and mean curvature for every face; no raise on degenerate faces, which are
-    those with |det(xd1, xd2, N)| <= 1e-12."""
-    (xd1, xd2, nd1, nd2), c_n, N, den = _face_pass(net)
-    degenerate = np.abs(den) <= 1e-12
-    safe = np.where(degenerate, 1.0, den)
-    det_n, det_1, det_2 = (np.einsum("...i,...i->...", c, N)
-                           for c in (c_n, _cross(xd1, nd2), _cross(nd1, xd2)))
-    K = np.where(degenerate, np.nan, det_n / safe)
-    H = np.where(degenerate, np.nan, 0.5 * (det_1 + det_2) / safe)
-    return CurvatureReport(K, H, den, degenerate, N)
+    those with |det(xd1, xd2, N)| <= 1e-12.
+
+    The faces are taken a block of whole face rows (about ``_BLOCK_VERTICES``
+    vertices) at a time, so one block's diagonals and cross products exist
+    next to the report's own arrays.
+    """
+    nj, nk = net.shape
+    faces = (nj - 1, nk - 1)
+    out = (np.empty(faces), np.empty(faces), np.empty(faces), np.empty(faces, dtype=bool),
+           np.empty(faces + (3,)))
+    step = max(1, _BLOCK_VERTICES // nk)
+    for j in range(0, nj - 1, step):
+        rows = slice(j, j + step)
+        for whole, block in zip(out, _face_pass(net, rows)):
+            whole[rows] = block
+    return CurvatureReport(*out)
 
 
 # ---------------------------------------------------------------------------

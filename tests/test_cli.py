@@ -13,7 +13,7 @@ import pytest
 
 from cknet import checks, cli, nets
 from cknet.checks import CheckResult
-from cknet.errors import ConfigError, DegenerateGeometry
+from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
 from cknet.lattice import FrameFamily
 from cknet.nets import ContactElementNet, CurvatureReport
 from cknet.revolution import build_rcnet, profile_elliptic
@@ -506,14 +506,24 @@ def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, cap
 
 
 def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
-    """The curvature report and the OBJ writer share one pass over the faces."""
-    calls = []
-    real = nets._face_pass
-    monkeypatch.setattr(nets, "_face_pass", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    """The curvature report and the OBJ writer share one report, so one pass over the faces."""
+    calls = count_calls(monkeypatch, ["curvature_report"])
     cfg = write(tmp_path, "job.ini", PSEUDO_INI)
     code = cli.main(["generate", "--config", cfg, "--output.mesh", str(tmp_path / "out.obj")])
     assert code == cli.EXIT_OK
-    assert len(calls) == 1
+    assert calls == {"curvature_report": 1}
+
+
+def test_double_names_the_verify_stage_of_a_face_failure(tmp_path, monkeypatch, capsys):
+    def degenerate(net):
+        raise DegenerateFace("face (0,0): planted")
+
+    monkeypatch.setattr(cli, "curvature_report", degenerate)
+    extra = ["--rotation.k_count", "26", "--backlund.alpha", ALPHA_C]
+    code, mesh, _ = run_desk(tmp_path, "double", extra, "double")
+    assert code == cli.EXIT_NUMERIC
+    assert "error: stage=verify: DegenerateFace: face (0,0): planted" in capsys.readouterr().err
+    assert not mesh.exists()
 
 
 def test_cli_import_loads_no_scipy():

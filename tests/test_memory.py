@@ -15,7 +15,7 @@ from cknet import cli
 from cknet.backlund import BacklundParams, double_backlund
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
 from cknet.lattice import gauge_frame
-from cknet.nets import ContactElementNet, CurvatureReport
+from cknet.nets import ContactElementNet, CurvatureReport, curvature_report
 from cknet.revolution import profile_elliptic
 
 MiB = 2 ** 20
@@ -49,13 +49,27 @@ def test_double_transform_memory_is_the_net_and_one_block():
     assert added_mib(double_backlund, frames, hs, params) <= 2.75
 
 
-def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
-    """121 x 2000 vertices: the writer holds one chunk of lines at a time (about 1 MiB),
-    where one list of Python ints for the whole face block took 57 MiB."""
+@lru_cache(maxsize=None)
+def seeded_net():
+    """A 121 x 2000 net of seeded random positions and unit normals."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-3.0, 3.0, size=(121, 2000, 3))
     n = rng.normal(size=x.shape)
-    net = ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+    return ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+
+
+def test_curvature_report_memory_is_its_arrays_and_one_block():
+    """The report's own arrays (K, H, det_x, degenerate and the normals: 49 bytes a face,
+    11.2 MiB here) and one block of face rows, where the whole-grid pass added about 55 MiB."""
+    net = seeded_net()
+    faces = (net.shape[0] - 1) * (net.shape[1] - 1)
+    assert added_mib(curvature_report, net) <= 49 * faces / MiB + 1.5
+
+
+def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
+    """121 x 2000 vertices: the writer holds one chunk of lines at a time (about 1 MiB),
+    where one list of Python ints for the whole face block took 57 MiB."""
+    net = seeded_net()
     degenerate = np.zeros((120, 1999), dtype=bool)
     degenerate[::17, ::301] = True
     blank = np.zeros(degenerate.shape)

@@ -285,6 +285,43 @@ def test_face_pass_matches_seven_crosses_on_mixed_net():
     assert_report_matches_seven_crosses(mixed_net())
 
 
+def blocked_net(nj=100, nk=64):
+    """A curved net of four blocks of face rows, with planted faces in the first face row of
+    the second and third blocks: (32, 10) has parallel position diagonals, so det(xd1, xd2, N)
+    vanishes, and on (64, 5) the normals depend on j only (rank-deficient normal diagonals)."""
+    j, k = np.meshgrid(np.arange(nj, dtype=float), np.arange(nk, dtype=float), indexing="ij")
+    z = np.sin(0.3 * j) * np.cos(0.2 * k)
+    x = np.stack([j, k, z], axis=-1)
+    n = np.stack([-0.3 * np.cos(0.3 * j) * np.cos(0.2 * k),
+                  0.2 * np.sin(0.3 * j) * np.sin(0.2 * k), np.ones_like(z)], axis=-1)
+    x[33, 11] = x[32, 10] + (x[33, 10] - x[32, 11])
+    n[64, 5:7], n[65, 5:7] = n[64, 5], n[65, 5]
+    return ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+
+
+def test_face_pass_matches_seven_crosses_across_blocks():
+    net = blocked_net()
+    step = nets._BLOCK_VERTICES // net.shape[1]
+    assert (32, 64) == (step, 2 * step) and net.shape[0] - 1 > 3 * step
+    rep = curvature_report(net)
+    assert rep.degenerate[32, 10] and np.count_nonzero(rep.degenerate) == 1
+    _, _, nd1, nd2 = face_diagonals(net)
+    assert np.linalg.norm(np.cross(nd1[64, 5], nd2[64, 5])) <= 1e-10 < np.linalg.norm(nd1[64, 5])
+    assert_report_matches_seven_crosses(net)
+
+
+def test_degenerate_face_in_a_later_block_names_its_grid_index():
+    net = blocked_net()
+    x, n = net.x.copy(), net.n.copy()
+    x[65, 21] = x[64, 20] + (x[65, 20] - x[64, 21])   # parallel position diagonals
+    n[64:66, 20:22] = n[64, 20]                       # and constant normals
+    broken = ContactElementNet(x, n)
+    with pytest.raises(DegenerateFace, match=r"face \(64,20\)"):
+        seven_cross_report(broken)
+    with pytest.raises(DegenerateFace, match=r"face \(64,20\)"):
+        curvature_report(broken)
+
+
 # ---------------------------------------------------------------------------
 # cross ratios
 
