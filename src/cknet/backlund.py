@@ -7,24 +7,29 @@ Moebius recurrences
 
     s~(j+1, k) = A(j) . s~(j, k),      s~(j, k+1) = B(j) . s~(j, k),
 
-whose coefficient matrices A, B (and C, D for the companion field s^ at
-angle beta) are built from the normal-form scalars.  The field is
-explicit: in the eigen-coordinate u = (s~ - zeta_r) / (zeta_a - s~) of
-the fixed points of B(j), B(j) multiplies u by rho and A(j) by c(j), so
+whose coefficient matrices A, B are built from the normal-form scalars
+at the angle alpha.  The field is explicit: in the eigen-coordinate
+u = (s~ - zeta_r) / (zeta_a - s~) of the fixed points of B(j), B(j)
+multiplies u by rho and A(j) by c(j), so
 log u(j, k) = log u(0, 0) + sum_{i<j} log c(i) + k log rho, one
 broadcast where iterating the maps is ill-posed (for real alpha the
-field runs onto the repelling fixed point of B(j)).  The new frame is
-W Phi (or V Phi) with
+field runs onto the repelling fixed point of B(j)).  The single
+transform's new frame is W Phi with
 
-    W = [[cot(a/2) s~/s,  i e^t], [i e^t,  cot(a/2) s/s~]],
-    V = [[1, i e^{-t} tan(b/2) s^ s], [i e^{-t} tan(b/2)/(s^ s), 1]].
+    W = [[cot(a/2) s~/s,  i e^t], [i e^t,  cot(a/2) s/s~]].
 
-Composing a pair with beta = -alpha and real sin(alpha) produces a real
-net even for complex alpha = +-pi/2 + i y (then |sin alpha| > 1 and the
-two scalar fields must be seeded as complex conjugates).  Periodicity in
-the rotation direction is controlled by the eigenvalue ratio rho of B:
-the transform closes after N0 steps when B^{N0} is proportional to the
-identity, that is when rho = e^{2 pi i p / N0}, or
+A double transform composes W at alpha with the V form at beta = -alpha,
+
+    V = [[1, i e^{-t} tan(b/2) s^ s], [i e^{-t} tan(b/2)/(s^ s), 1]],
+
+whose scalar field s^ steps by the adjugates adj A(beta), adj B(beta):
+the Moebius map of adj M is that of M^{-1}, so one field construction
+serves both.  With real sin(alpha) the composed net is real even for
+complex alpha = +-pi/2 + i y (then |sin alpha| > 1 and the two fields
+are complex conjugates).  Periodicity in the rotation direction is
+controlled by the eigenvalue ratio rho of B: the transform closes after
+N0 steps when B^{N0} is proportional to the identity, that is when
+rho = e^{2 pi i p / N0}, or
 
     tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0).
 
@@ -51,36 +56,34 @@ from .lattice import FrameFamily, MatJet
 from .nets import ContactElementNet, sym, sym_blocks
 
 
+def _sine_beyond_one(alpha: complex) -> bool:
+    """Re sin(alpha) beyond +-1: on the line pi/2 + iy, where only the double transform
+    is real and its two scalar fields are complex conjugates."""
+    return abs(np.sin(alpha).real) > 1.0
+
+
 @dataclass(frozen=True)
 class BacklundParams:
-    """Angle parameters and scalar seeds of a (double) Backlund transform.
+    """Angle parameter and scalar seeds of a (double) Backlund transform.
 
-    beta defaults to -alpha; s_hat0 defaults to 1 for real alpha and to
-    conj(s_tilde0) when |sin alpha| > 1 (the reality condition of the
-    double transform).
+    s_hat0 defaults to 1 for real alpha and to conj(s_tilde0) when
+    |sin alpha| > 1 (the reality condition of the double transform).
     """
 
     alpha: complex
-    beta: Optional[complex] = None
     s_tilde0: complex = 1.0 + 0.0j
     s_hat0: Optional[complex] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
-        if self.beta is None:
-            object.__setattr__(self, "beta", -self.alpha)
-        else:
-            object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "s_tilde0", complex(self.s_tilde0))
-        for name in ("alpha", "beta", "s_tilde0", "s_hat0"):
+        for name in ("alpha", "s_tilde0", "s_hat0"):
             value = getattr(self, name)
             if value is not None and not cmath.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.s_hat0 is None:
-            if abs(np.sin(self.alpha)) > 1.0 and abs(np.sin(self.alpha).imag) < 1e-12:
-                object.__setattr__(self, "s_hat0", np.conj(self.s_tilde0))
-            else:
-                object.__setattr__(self, "s_hat0", 1.0 + 0.0j)
+            object.__setattr__(self, "s_hat0", np.conj(self.s_tilde0)
+                               if _sine_beyond_one(self.alpha) else 1.0 + 0.0j)
         else:
             object.__setattr__(self, "s_hat0", complex(self.s_hat0))
 
@@ -106,43 +109,24 @@ def moebius(mat, z):
     return (mat[0, 0] * z + mat[0, 1]) / den
 
 
-def _entries(x, w, t, angle, hat: bool = False):
-    """Entries (e11, e12, e21, e22) of one recurrence matrix, broadcast over all inputs.
+def _matrices(x, w, t, angle) -> np.ndarray:
+    """Recurrence matrices (..., 2, 2) of the W form at ``angle``, broadcast over all inputs.
 
     (x, w, t) is (u, ell, tan(delta1/2)) along j or (s, m, tan(delta2/2))
-    along k; hat selects the V form (C, D) at angle beta, whose matrix is
-    the adjugate of the W form's (A, B) at the same angle.
+    along k.
     """
     sa, ca = np.sin(angle), np.cos(angle)
     inv = 1.0 / x
-    diag1 = sa * (x / t + t / x) / w
-    diag2 = sa * w * (1.0 / (x * t) + x * t)
-    off1 = (inv - x) * ca
-    off2 = (x - inv) * ca
-    if hat:
-        return diag2, off2 + x + inv, off1 + x + inv, diag1
-    return diag1, off1 - x - inv, off2 - x - inv, diag2
+    return quat.matrix(sa * (x / t + t / x) / w, (inv - x) * ca - x - inv,
+                       (x - inv) * ca - x - inv, sa * w * (1.0 / (x * t) + x * t))
 
 
-def _matrices(x, w, t, angle, hat: bool = False) -> np.ndarray:
-    """The entries of ``_entries`` packed into matrices of shape (..., 2, 2)."""
-    return quat.matrix(*_entries(x, w, t, angle, hat))
-
-
-def build_abcd(hs: HsLaxData, alpha: complex, beta: Optional[complex] = None):
-    """Coefficient matrices of the scalar recurrences, per profile edge/column.
-
-    A (shape (nj-1, 2, 2)) and B (shape (nj, 2, 2)) propagate s~ along j
-    and k for the W transform with angle alpha; C and D do the same for
-    the V transform with angle beta (default -alpha).  All four are
-    independent of the spectral parameter.
-    """
-    if beta is None:
-        beta = -alpha
-    t1 = np.tan(hs.delta1 / 2.0)
-    t2 = np.tan(hs.delta2 / 2.0)
-    return (_matrices(hs.u, hs.ell, t1, alpha), _matrices(hs.s, hs.m, t2, alpha),
-            _matrices(hs.u, hs.ell, t1, beta, hat=True), _matrices(hs.s, hs.m, t2, beta, hat=True))
+def build_abcd(hs: HsLaxData, angle: complex):
+    """Recurrence matrices A (shape (nj-1, 2, 2)) along j and B (shape (nj, 2, 2)) along k
+    of the W field at ``angle``; the V field at beta steps by their adjugates at beta.
+    Both are independent of the spectral parameter."""
+    return (_matrices(hs.u, hs.ell, np.tan(hs.delta1 / 2.0), angle),
+            _matrices(hs.s, hs.m, np.tan(hs.delta2 / 2.0), angle))
 
 
 def _fixed_points(M: np.ndarray):
@@ -165,47 +149,34 @@ def _chordal_step(M: np.ndarray, z: np.ndarray, target: np.ndarray) -> float:
     return 2.0 * np.max(np.abs(num) / norm, initial=0.0)
 
 
-def _recurrences(hs: HsLaxData, alpha: complex, which: str, beta: Optional[complex]):
-    """The pair (A, B) of the s~ field (which="tilde") or (C, D) of the s^ field."""
-    if which not in ("tilde", "hat"):
-        raise ConfigError(f"which must be 'tilde' or 'hat', got {which!r}")
-    A, B, C, D = build_abcd(hs, alpha, beta)
-    return (A, B) if which == "tilde" else (C, D)
+def linearize(A: np.ndarray, B: np.ndarray):
+    """Per-row linear form (zeta_r, zeta_a, rho, log_c) of the field stepped by A(j) along j
+    and B(j) along k.
 
-
-def linearize(hs: HsLaxData, alpha: complex, which: str = "tilde",
-              beta: Optional[complex] = None):
-    """Per-row linear form (zeta_r, zeta_a, rho, log_c) of the recurrences of one field.
-
-    zeta_r, zeta_a are the fixed points of B(j) (D(j) for which="hat"),
-    paired through A: zeta_r(j+1) is the one nearer A(j) . zeta_r(j), since
-    modulus cannot tell them apart when |rho| = 1.  rho(j) = lambda_a /
-    lambda_r is the ratio of the eigenvalues m21 zeta + m22, and log_c(j)
-    sums log c(i) over i < j, c(i) being the multiplier of A(i) between
-    the eigen-coordinates of rows i and i+1.
+    zeta_r, zeta_a are the fixed points of B(j), paired through A:
+    zeta_r(j+1) is the one nearer A(j) . zeta_r(j), since modulus cannot
+    tell them apart when |rho| = 1.  rho(j) = lambda_a / lambda_r is the
+    ratio of the eigenvalues m21 zeta + m22, and log_c(j) sums log c(i)
+    over i < j, c(i) being the multiplier of A(i) between the
+    eigen-coordinates of rows i and i+1.
     """
-    return _linear_form(*_recurrences(hs, alpha, which, beta))
-
-
-def _linear_form(Aj: np.ndarray, Bj: np.ndarray):
-    """``linearize`` for the recurrence matrices A(j), B(j) of one field."""
     with np.errstate(divide="ignore", invalid="ignore"):   # checked by the field residuals
-        z1, z2 = _fixed_points(Bj)
-        lam1, lam2 = (Bj[:, 1, 0] * z + Bj[:, 1, 1] for z in (z1, z2))
-        image = (Aj[:, 0, 0] * z1[:-1] + Aj[:, 0, 1]) / (Aj[:, 1, 0] * z1[:-1] + Aj[:, 1, 1])
+        z1, z2 = _fixed_points(B)
+        lam1, lam2 = (B[:, 1, 0] * z + B[:, 1, 1] for z in (z1, z2))
+        image = (A[:, 0, 0] * z1[:-1] + A[:, 0, 1]) / (A[:, 1, 0] * z1[:-1] + A[:, 1, 1])
         crossed = np.abs(image - z1[1:]) > np.abs(image - z2[1:])
         # row 0 names the repelling fixed point zeta_r; A carries the names on
         flip = np.cumsum(np.concatenate(([abs(lam1[0]) > abs(lam2[0])], crossed))) % 2 == 1
         zr, za = np.where(flip, z2, z1), np.where(flip, z1, z2)
         rho = np.where(flip, lam1 / lam2, lam2 / lam1)
-        mu_r, mu_a = (Aj[:, 1, 0] * z[:-1] + Aj[:, 1, 1] for z in (zr, za))
+        mu_r, mu_a = (A[:, 1, 0] * z[:-1] + A[:, 1, 1] for z in (zr, za))
         log_c = np.concatenate(([0.0], np.cumsum(np.log(mu_a / mu_r))))
     return zr, za, rho, log_c
 
 
-def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde",
-              beta: Optional[complex] = None) -> np.ndarray:
-    """Scalar field of a transform on the whole grid from its corner seed, in closed form.
+def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarray:
+    """Scalar field on the (len(B), nk) grid stepped by A(j) along j and B(j) along k, from
+    its corner seed, in closed form.
 
     log u(j, k) = log u(0, 0) + log_c(j) + k log rho, with log rho the row
     mean (A(j) conjugates B(j) to B(j+1); one value keeps the A-residual
@@ -215,11 +186,10 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
     points within 0.05 make it BranchFailure (near-parabolic), and any
     other failing or non-finite residual PathInconsistent.
     """
-    Aj, Bj = _recurrences(hs, alpha, which, beta)
-    zr, za, rho, log_c = _linear_form(Aj, Bj)
+    zr, za, rho, log_c = linearize(A, B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked below
         w = (np.log(seed - zr[0]) - np.log(za[0] - seed) + log_c[:, None]
-             + np.arange(hs.domain.nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0]))))
+             + np.arange(nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0]))))
         # w = u or 1/u with |w| <= 1, then s = p + (q - p) w / (1 + w) for (p, q) = (zeta_r,
         # zeta_a), swapped where u was inverted; in place, as it sets the peak memory
         outer = w.real > 0.0
@@ -231,7 +201,7 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
         s += w
         del w
         s[0, 0] = seed
-        worst = np.maximum(_chordal_step(Aj, s[:-1], s[1:]), _chordal_step(Bj, s[:, :-1], s[:, 1:]))
+        worst = np.maximum(_chordal_step(A, s[:-1], s[1:]), _chordal_step(B, s[:, :-1], s[:, 1:]))
         gap = np.min(np.abs(za - zr))
         poles = np.argwhere(np.abs(s) >= 2e11)
     if poles.size:
@@ -248,33 +218,23 @@ def propagate(hs: HsLaxData, alpha: complex, seed: complex, which: str = "tilde"
 # frame transforms
 
 
-def single_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams,
-                    which: str = "tilde") -> ContactElementNet:
-    """Single Backlund transform of the net framed by ``frames``.
+def single_backlund(frames: FrameFamily, hs: HsLaxData,
+                    params: BacklundParams) -> ContactElementNet:
+    """Single Backlund transform, the W form at params.alpha, of the net framed by ``frames``.
 
-    Real angle only: params.alpha for the W form ("tilde"), params.beta
-    for the V form ("hat").  Seeds must be unit scalars.
+    Real angle only, and the seed params.s_tilde0 must be a unit scalar.
     """
-    angle = params.alpha if which == "tilde" else params.beta
-    seed = params.s_tilde0 if which == "tilde" else params.s_hat0
-    a = _require_real_angle(complex(angle))
+    a = _require_real_angle(params.alpha)
+    seed = params.s_tilde0
     if abs(abs(seed) - 1.0) > 1e-10:
         raise ConfigError(f"a real-angle transform needs a unit seed, got |seed| = {abs(seed):.6g}")
-    s_grid = propagate(hs, params.alpha, seed, which, beta=params.beta)
-    if which == "tilde":
-        cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
+    s_grid = propagate(*build_abcd(hs, params.alpha), seed, hs.domain.nk)
+    cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
 
-        def transform(rows):
-            ratio = s_grid[rows] / hs.s[rows, None]
-            val = quat.matrix(cot * ratio, c, c, cot / ratio)
-            return MatJet(val, np.broadcast_to(quat.matrix(0.0, c, c, 0.0), val.shape))
-    else:
-        c = 1j * np.exp(-frames.t0) * np.tan(a / 2.0)
-
-        def transform(rows):
-            prod = s_grid[rows] * hs.s[rows, None]
-            val = quat.matrix(1.0, c * prod, c / prod, 1.0)
-            return MatJet(val, quat.matrix(0.0, -c * prod, -c / prod, 0.0))
+    def transform(rows):
+        ratio = s_grid[rows] / hs.s[rows, None]
+        val = quat.matrix(cot * ratio, c, c, cot / ratio)
+        return MatJet(val, np.broadcast_to(quat.matrix(0.0, c, c, 0.0), val.shape))
     return sym(frames, 2.0, 0.0, transform)
 
 
@@ -302,18 +262,15 @@ class DoubleReport:
 
 
 def _check_condition_c(params: BacklundParams) -> None:
-    if abs(params.beta + params.alpha) > 1e-12:
-        raise ConfigError("double transform requires beta = -alpha")
     sa = np.sin(params.alpha)
     if abs(sa.imag) > 1e-12:
         raise ConfigError(f"double transform requires real sin(alpha), got sin = {sa}")
-    if abs(sa.real) <= 1.0:
+    if not _sine_beyond_one(params.alpha):
         for name, seed in (("s_tilde0", params.s_tilde0), ("s_hat0", params.s_hat0)):
             if abs(abs(seed) - 1.0) > 1e-10:
                 raise ConfigError(f"|sin alpha| <= 1 requires unit seed {name}")
-    else:
-        if abs(params.s_hat0 - np.conj(params.s_tilde0)) > 1e-12:
-            raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
+    elif abs(params.s_hat0 - np.conj(params.s_tilde0)) > 1e-12:
+        raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
 
 
 def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
@@ -326,13 +283,14 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
     feeds the closed-form product frame; its coordinates must come out
     real (RealityViolated beyond 1e-6 says the seeds and angle are
     inconsistent).  When |sin alpha| > 1 the seeds are conjugate and so are
-    the fields, s^ = conj(s~), which is taken as such rather than propagated.
+    the fields, s^ = conj(s~), which is taken as such rather than propagated;
+    otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
     """
     _check_condition_c(params)
-    alpha = params.alpha
-    s_tilde = propagate(hs, alpha, params.s_tilde0, "tilde", beta=params.beta)
-    s_hat = (np.conj(s_tilde) if abs(np.sin(alpha).real) > 1.0
-             else propagate(hs, alpha, params.s_hat0, "hat", beta=params.beta))
+    alpha, nk = params.alpha, hs.domain.nk
+    s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, nk)
+    s_hat = (np.conj(s_tilde) if _sine_beyond_one(alpha)
+             else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), params.s_hat0, nk))
     tn = np.tan(alpha / 2.0)
     tn2 = tn ** 2
     s_col = hs.s[:, None]
@@ -403,14 +361,18 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
     so S = 4c / (cQ - P^2).  0 < S <= 1 gives the real root
     alpha = arcsin(sqrt(S)) in (0, pi/2]; 1 < S < cosh(8)^2 gives
     alpha = pi/2 + i arccosh(sqrt(S)), on the line where sin alpha is real
-    and > 1 (the regime where only the double transform is real).  D[0] at
-    -alpha is the adjugate form with the same tr^2/det, so the root closes
-    both fields.  p defaults to the smallest index coprime to N0 that has a
-    root.  The returned residual is the entrywise distance of the
-    normalized N0-th power of B[0] from +-identity, at most 1e-9.
+    and > 1 (the regime where only the double transform is real).  The s^
+    field steps by adj B[0] at -alpha, whose tr^2/det, a function of S
+    alone, is that of B[0] at alpha, so the root closes both fields.  p
+    defaults to the smallest index coprime to N0 that has a root; a given p
+    must satisfy 1 <= p < N0.  The returned residual is the entrywise
+    distance of the normalized N0-th power of B[0] from +-identity, at
+    most 1e-9.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
+    if p is not None and not 1 <= p < N0:
+        raise ConfigError(f"phase index p must satisfy 1 <= p < N0 = {N0}, got {p}")
     ps = [p] if p is not None else [q for q in range(1, N0) if math.gcd(q, N0) == 1]
     t2 = np.tan(hs.delta2 / 2.0)
     x, w, tau = complex(hs.s[0]), complex(hs.m[0]), complex(t2)

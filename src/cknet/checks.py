@@ -255,8 +255,8 @@ def criterion_9() -> list[CheckResult]:
     """Explicit eigen-coordinate field reproduces step-by-step Moebius iteration on a wide grid."""
     hs = fixture_linear()
     params = bk.BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    explicit = bk.propagate(hs, params.alpha, params.s_tilde0, "tilde")
-    A, B, _, _ = bk.build_abcd(hs, params.alpha)
+    A, B = bk.build_abcd(hs, params.alpha)
+    explicit = bk.propagate(A, B, params.s_tilde0, hs.domain.nk)
     steps = np.empty_like(explicit)
     steps[0, 0] = params.s_tilde0
     for j in range(len(A)):

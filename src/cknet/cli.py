@@ -354,20 +354,22 @@ def report_json(entries: list, parameters: dict, path: str) -> None:
 # invariant measurements shared by the subcommands
 
 
-def net_report_entries(p: Profile, net: ContactElementNet, k0=None,
-                       rep: CurvatureReport | None = None) -> list:
-    if rep is None:
-        rep = curvature_report(net)
+def net_report_entries(p: Profile, net: ContactElementNet, k0=None):
+    """Report entries of a net and its curvature report, which is made after the whole-grid
+    residuals, so their temporaries never sit on top of its arrays."""
+    ec, unit = validate_ec(net), unit_normal_residual(net)
+    drift = period_drift(net, k0) if k0 is not None and net.shape[1] > k0 else None
+    rep = curvature_report(net)
     out = [
         CheckResult("gaussian_constancy", gauss_residual(rep, p.K_sign), 1e-9),
-        CheckResult("edge_constraint", validate_ec(net), 1e-9),
+        CheckResult("edge_constraint", ec, 1e-9),
         CheckResult("profile_relations", edge_residuals(p), 1e-10),
         CheckResult("conservation", conservation_drift(p), 1e-10),
-        CheckResult("unit_normal", unit_normal_residual(net), 1e-9),
+        CheckResult("unit_normal", unit, 1e-9),
     ]
-    if k0 is not None and net.shape[1] > k0:
-        out.append(CheckResult("rotational_period", period_drift(net, k0), 1e-8))
-    return out
+    if drift is not None:
+        out.append(CheckResult("rotational_period", drift, 1e-8))
+    return out, rep
 
 
 def _transformed_period(cfg: dict, k0, net: ContactElementNet) -> list:
@@ -378,15 +380,17 @@ def _transformed_period(cfg: dict, k0, net: ContactElementNet) -> list:
     return [CheckResult("transformed_period", period_drift(net, lcm(k0, N0)), 1e-8)]
 
 
-def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float,
-                            rep: CurvatureReport) -> list:
+def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float):
+    """Report entries of a single transform and the curvature report of the new net, made
+    after the whole-grid residuals as in ``net_report_entries``."""
     dist, ang, orth = transform_residuals(base, net, alpha)
+    rep = curvature_report(net)
     return [
         CheckResult("backlund_distance", dist, 1e-9),
         CheckResult("backlund_normal_angle", ang, 1e-9),
         CheckResult("backlund_orthogonality", orth, 1e-9),
         CheckResult("transformed_gauss", gauss_residual(rep, -1), 1e-7),
-    ]
+    ], rep
 
 
 def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> int:
@@ -415,8 +419,7 @@ def cmd_generate(cfg: dict) -> int:
         net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
     else:
         net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
-    rep = _stage("verify", curvature_report, net)
-    entries = _stage("verify", net_report_entries, p, net, k0, rep)
+    entries, rep = _stage("verify", net_report_entries, p, net, k0)
     params = flat_parameters(cfg)
     params["rotation.theta_effective"] = float(theta)
     return _finish(entries, params, cfg, net, rep)
@@ -469,10 +472,9 @@ def cmd_backlund(cfg: dict) -> int:
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
-    rep = _stage("verify", curvature_report, net)
-    entries += _stage("verify", backlund_report_entries, base, net, float(alpha.real), rep)
-    entries += _transformed_period(cfg, k0, net)
-    return _finish(entries, params, cfg, net, rep)
+    period = _transformed_period(cfg, k0, net)   # before the curvature report, like the residuals
+    transform, rep = _stage("verify", backlund_report_entries, base, net, float(alpha.real))
+    return _finish(entries + transform + period, params, cfg, net, rep)
 
 
 def cmd_double(cfg: dict) -> int:

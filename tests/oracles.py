@@ -6,7 +6,9 @@ every gauged and transformed frame on the grid and applies the Sym
 formula with an inverse and 2x2 products per vertex, where
 ``nets.sym_arrays`` works through the frame factors; ``w_jet`` and
 ``v_jet`` are the transform matrices and ``composed_field`` the composed
-scalar field as the ``backlund`` docstrings state them; ``cross_ratio``
+scalar field as the ``backlund`` docstrings state them, its s^ field
+stepped by ``v_form_matrices``, the V-form recurrence matrices written
+entry by entry where the package takes adjugates; ``cross_ratio``
 reads circularity of a face off the quaternionic cross ratio, which no
 package routine computes.  ``seven_cross_report``
 takes every determinant of the curvature formulas through its own
@@ -25,7 +27,7 @@ from importlib.resources import files
 import numpy as np
 
 from cknet import quat
-from cknet.backlund import propagate
+from cknet.backlund import build_abcd, propagate
 from cknet.errors import DegenerateFace, ZeroEdge
 from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
 from cknet.nets import CurvatureReport, face_diagonals
@@ -98,13 +100,28 @@ def v_jet(beta, s_hat, s, t):
                   quat.matrix(0.0, -c * prod, -c / prod, 0.0))
 
 
+def v_form_matrices(hs, beta):
+    """Recurrence matrices C (along j) and D (along k) of the s^ field of the V form at beta,
+    from their entries (diag2, off2 + x + inv, off1 + x + inv, diag1)."""
+
+    def form(x, w, t):
+        sa, ca = np.sin(beta), np.cos(beta)
+        inv = 1.0 / x
+        diag1, diag2 = sa * (x / t + t / x) / w, sa * w * (1.0 / (x * t) + x * t)
+        off1, off2 = (inv - x) * ca, (x - inv) * ca
+        return quat.matrix(diag2, off2 + x + inv, off1 + x + inv, diag1)
+
+    return form(hs.u, hs.ell, np.tan(hs.delta1 / 2.0)), form(hs.s, hs.m, np.tan(hs.delta2 / 2.0))
+
+
 def composed_field(hs, params):
     """(s~, s^~) of a double transform, by the formula of the ``double_backlund`` docstring:
     s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~)), with s^ = conj(s~) when
     |sin alpha| > 1."""
-    s_tilde = propagate(hs, params.alpha, params.s_tilde0, "tilde")
+    nk = hs.domain.nk
+    s_tilde = propagate(*build_abcd(hs, params.alpha), params.s_tilde0, nk)
     s_hat = (s_tilde.conj() if abs(np.sin(params.alpha)) > 1.0
-             else propagate(hs, params.alpha, params.s_hat0, "hat"))
+             else propagate(*v_form_matrices(hs, -params.alpha), params.s_hat0, nk))
     tn2, s = np.tan(params.alpha / 2.0) ** 2, hs.s[:, None]
     return s_tilde, (s_hat * s_tilde - tn2) / (s * (1.0 - tn2 * s_hat * s_tilde))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cknet import backlund as bk, nets
+from cknet import backlund as bk, nets, quat
 from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
                             find_periodic_alpha, linearize, moebius,
                             propagate, single_backlund)
@@ -19,7 +19,7 @@ from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, 
 from cknet.lattice import FrameFamily, MatJet, gauge_frame
 from cknet.nets import curvature_report, sym, sym_arrays
 from cknet.revolution import profile_elliptic
-from oracles import composed_field
+from oracles import composed_field, v_form_matrices
 
 ALPHA_C = np.pi / 2.0 + 0.5j  # sin is real with |sin| = cosh(0.5) > 1
 
@@ -53,6 +53,17 @@ def real_path_hs():
     return gauge_to_hs(conn, data)
 
 
+def pair(hs, alpha, field="tilde"):
+    """Recurrence matrices of the s~ field at alpha, or of the s^ field at beta = -alpha:
+    the adjugates of the s~ matrices at beta."""
+    A, B = build_abcd(hs, alpha if field == "tilde" else -alpha)
+    return (A, B) if field == "tilde" else (quat.qconj(A), quat.qconj(B))
+
+
+def field_grid(hs, alpha, seed, field="tilde"):
+    return propagate(*pair(hs, alpha, field), seed, hs.domain.nk)
+
+
 def transform_residuals(base, new, angle):
     """Distance / normal-angle / tangency deviations of a claimed transform."""
     dx = new.x - base.x
@@ -76,7 +87,6 @@ def gauss_deviation(net):
 
 def test_params_defaults_real_angle():
     p = BacklundParams(np.pi / 3.0)
-    assert p.beta == -p.alpha
     assert p.s_tilde0 == 1.0 + 0.0j
     assert p.s_hat0 == 1.0 + 0.0j
 
@@ -84,13 +94,12 @@ def test_params_defaults_real_angle():
 def test_params_defaults_complex_angle_conjugate_seed():
     seed = 1.3 * np.exp(0.4j)
     p = BacklundParams(ALPHA_C, s_tilde0=seed)
-    assert p.beta == -ALPHA_C
     assert p.s_hat0 == np.conj(seed)
     q = BacklundParams(ALPHA_C, s_tilde0=seed, s_hat0=2.0j)
     assert q.s_hat0 == 2.0j
 
 
-@pytest.mark.parametrize("field", ["alpha", "beta", "s_tilde0", "s_hat0"])
+@pytest.mark.parametrize("field", ["alpha", "s_tilde0", "s_hat0"])
 def test_params_reject_non_finite(field):
     for bad in (complex("nan"), complex("inf"), complex(0.0, float("nan"))):
         with pytest.raises(ConfigError, match=field):
@@ -118,15 +127,14 @@ def test_moebius_pole():
 
 def test_abcd_shapes():
     hs, _, _ = hs_fixture()
-    A, B, C, D = build_abcd(hs, np.pi / 3.0)
-    assert A.shape == (6, 2, 2) and C.shape == (6, 2, 2)
-    assert B.shape == (7, 2, 2) and D.shape == (7, 2, 2)
+    A, B = build_abcd(hs, np.pi / 3.0)
+    assert A.shape == (6, 2, 2) and B.shape == (7, 2, 2)
 
 
 def test_abcd_real_angle_structure():
     """Real angle: entries pair up by conjugation and the maps fix |z| = 1."""
     hs, _, _ = hs_fixture()
-    A, B, C, D = build_abcd(hs, np.pi / 3.0)
+    (A, B), (C, D) = pair(hs, np.pi / 3.0), pair(hs, np.pi / 3.0, "hat")
     for M in (A, B):
         assert np.max(np.abs(M[:, 1, 1] - M[:, 0, 0].conj())) < 1e-12
         assert np.max(np.abs(M[:, 1, 0] - M[:, 0, 1].conj())) < 1e-12
@@ -141,7 +149,7 @@ def test_abcd_real_angle_structure():
 def test_abcd_complex_angle_structure():
     """On the line pi/2 + iy the off-diagonals are real and |z| = 1 moves."""
     hs, _, _ = hs_fixture()
-    A, B, C, D = build_abcd(hs, ALPHA_C)
+    (A, B), (C, D) = pair(hs, ALPHA_C), pair(hs, ALPHA_C, "hat")
     for M in (A, B, C, D):
         assert np.max(np.abs(M[..., 0, 1].imag)) < 1e-12
         assert np.max(np.abs(M[..., 1, 0].imag)) < 1e-12
@@ -155,17 +163,25 @@ def test_companion_matrices_mirror_the_first_pair():
     """With beta = -alpha, C and D are -sigma1 A^T sigma1 and -sigma1 B^T sigma1."""
     hs, _, _ = hs_fixture()
     for alpha in (np.pi / 3.0, ALPHA_C):
-        A, B, C, D = build_abcd(hs, alpha)
+        (A, B), (C, D) = pair(hs, alpha), pair(hs, alpha, "hat")
         for X, Y in ((A, C), (B, D)):
             mirror = -np.einsum("ab,jbc,cd->jad", SIGMA1, X.transpose(0, 2, 1), SIGMA1)
             assert np.max(np.abs(Y - mirror)) < 1e-14
 
 
+@pytest.mark.parametrize("alpha", [np.pi / 3.0, 2.4, ALPHA_C, np.pi / 2.0 + 1.4j])
+def test_adjugate_pair_equals_the_v_form_entries(alpha):
+    """The s^ field steps by the adjugates of the W-form matrices at beta = -alpha; they are
+    the V-form matrices C(beta), D(beta) written entry by entry, equal in value."""
+    hs, _, _ = hs_fixture()
+    for got, want in zip(pair(hs, alpha, "hat"), v_form_matrices(hs, -alpha)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_recurrence_face_compatibility():
     """B(j+1) A(j) and A(j) B(j) agree as Moebius maps on every face."""
     hs, _, _ = hs_fixture()
-    A, B, C, D = build_abcd(hs, np.pi / 3.0)
-    for X, Y in ((A, B), (C, D)):
+    for X, Y in (pair(hs, np.pi / 3.0), pair(hs, np.pi / 3.0, "hat")):
         for j in range(len(X)):
             n1 = Y[j + 1] @ X[j]
             n2 = X[j] @ Y[j]
@@ -179,8 +195,8 @@ def test_recurrence_face_compatibility():
 
 def test_propagate_keeps_unit_fields_for_real_angle():
     hs, _, _ = hs_fixture()
-    for which, seed in (("tilde", np.exp(0.4j)), ("hat", np.exp(-0.4j))):
-        s = propagate(hs, np.pi / 3.0, seed, which)
+    for field, seed in (("tilde", np.exp(0.4j)), ("hat", np.exp(-0.4j))):
+        s = field_grid(hs, np.pi / 3.0, seed, field)
         assert s.shape == (hs.domain.nj, hs.domain.nk)
         assert s[0, 0] == seed
         assert np.max(np.abs(np.abs(s) - 1.0)) < 1e-12
@@ -189,8 +205,8 @@ def test_propagate_keeps_unit_fields_for_real_angle():
 def test_propagate_conjugate_fields_on_complex_angle():
     hs, _, _ = hs_fixture()
     seed = 1.3 * np.exp(0.4j)
-    s_tilde = propagate(hs, ALPHA_C, seed, "tilde")
-    s_hat = propagate(hs, ALPHA_C, np.conj(seed), "hat")
+    s_tilde = field_grid(hs, ALPHA_C, seed)
+    s_hat = field_grid(hs, ALPHA_C, np.conj(seed), "hat")
     assert np.max(np.abs(s_hat - s_tilde.conj())) < 1e-12
 
 
@@ -198,27 +214,25 @@ def test_propagate_conjugate_fields_on_complex_angle():
 def test_propagate_rejects_non_finite_field():
     hs, _, _ = hs_fixture()
     with pytest.raises(PathInconsistent, match="nan"):
-        propagate(hs, np.pi / 3.0, complex("nan"))
+        field_grid(hs, np.pi / 3.0, complex("nan"))
 
 
 def test_propagate_path_check_reports_pole_first():
     """A seed whose k-neighbour sits on the pole of A[0] fails as PoleHit, not PathInconsistent."""
     hs, _, _ = hs_fixture()
-    A, B, _, _ = build_abcd(hs, np.pi / 3.0)
+    A, B = build_abcd(hs, np.pi / 3.0)
     pole = -A[0][1, 1] / A[0][1, 0]
-    B0 = B[0]
-    seed = moebius(np.array([[B0[1, 1], -B0[0, 1]], [-B0[1, 0], B0[0, 0]]]), pole)
+    seed = moebius(quat.qconj(B[0]), pole)
     with pytest.raises(PoleHit):
-        propagate(hs, np.pi / 3.0, seed)
+        propagate(A, B, seed, hs.domain.nk)
 
 
-@pytest.mark.parametrize("which", ["tilde", "hat"])
-def test_propagate_matches_scalar_moebius_steps(which):
+@pytest.mark.parametrize("field", ["tilde", "hat"])
+def test_propagate_matches_scalar_moebius_steps(field):
     hs, _, _ = hs_fixture()
-    A, B, C, D = build_abcd(hs, ALPHA_C)
-    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    Aj, Bj = pair(hs, ALPHA_C, field)
     seed = 1.3 * np.exp(0.4j)
-    s = propagate(hs, ALPHA_C, seed, which)
+    s = propagate(Aj, Bj, seed, hs.domain.nk)
     ref = np.empty_like(s)
     ref[0, 0] = seed
     for j in range(1, s.shape[0]):
@@ -232,11 +246,10 @@ def test_propagate_matches_scalar_moebius_steps(which):
 def test_propagate_raises_pole_hit_on_a_k_step():
     """A seed that A carries onto the pole of B[2] fails in the first k step of row 2."""
     hs, _, _ = hs_fixture()
-    A, B, _, _ = build_abcd(hs, np.pi / 3.0)
-    adj = lambda m: np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    seed = moebius(adj(A[0]), moebius(adj(A[1]), -B[2][1, 1] / B[2][1, 0]))
+    A, B = build_abcd(hs, np.pi / 3.0)
+    seed = moebius(quat.qconj(A[0]), moebius(quat.qconj(A[1]), -B[2][1, 1] / B[2][1, 0]))
     with pytest.raises(PoleHit, match=r"\(j, k\) = \(2, 1\)"):
-        propagate(hs, np.pi / 3.0, seed)
+        propagate(A, B, seed, hs.domain.nk)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C])
@@ -244,11 +257,11 @@ def test_propagate_pole_hit_next_to_a_pole(alpha):
     """A seed 1e-12 from the pole of B[0] puts s(0, 1) within chordal 1e-11 of infinity: PoleHit.
     1e-6 away the field is finite (|s| about 1e7) and holds both recurrences."""
     hs, _, _ = hs_fixture()
-    A, B, _, _ = build_abcd(hs, alpha)
+    A, B = build_abcd(hs, alpha)
     pole = -B[0][1, 1] / B[0][1, 0]
     with pytest.raises(PoleHit, match=r"\(j, k\) = \(0, 1\)"):
-        propagate(hs, alpha, pole + 1e-12)
-    s = propagate(hs, alpha, pole + 1e-6)
+        propagate(A, B, pole + 1e-12, hs.domain.nk)
+    s = propagate(A, B, pole + 1e-6, hs.domain.nk)
     assert 1e6 < np.max(np.abs(s)) < 2e11
     assert np.max(chordal_residuals(A, s[:-1], s[1:])) <= 1e-11
     assert np.max(chordal_residuals(B, s[:, :-1], s[:, 1:])) <= 1e-11
@@ -259,18 +272,13 @@ def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
     calls = []
     real = bk.build_abcd
     monkeypatch.setattr(bk, "build_abcd", lambda *args: calls.append(args) or real(*args))
-    s = propagate(hs, ALPHA_C, 1.3 * np.exp(0.4j), "hat")
-    assert len(calls) == 1
-    D = real(hs, ALPHA_C)[3]
-    assert np.max(chordal_residuals(D, s[:, :-1], s[:, 1:])) <= 1e-11
+    single_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+    assert [angle for _, angle in calls] == [np.pi / 3.0]
+    double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+    # s~ at alpha, s^ from the adjugates of the pair at -alpha
+    assert [angle for _, angle in calls[1:]] == [np.pi / 3.0, -np.pi / 3.0]
     double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
-    assert len(calls) == 2   # |sin alpha| > 1: s^ is conj(s~), built from one field
-
-
-def test_propagate_rejects_unknown_field():
-    hs, _, _ = hs_fixture()
-    with pytest.raises(ConfigError):
-        propagate(hs, np.pi / 3.0, 1.0, "both")
+    assert [angle for _, angle in calls[3:]] == [ALPHA_C]   # |sin alpha| > 1: s^ = conj(s~)
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +313,9 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
     assert max(bk.transform_residuals(base, net, alpha)) <= 1e-9
 
 
-def test_single_backlund_hat_uses_beta():
-    hs, frames, base = hs_fixture()
-    params = BacklundParams(np.pi / 3.0)
-    net = single_backlund(frames, hs, params, which="hat")
-    dist, ang, orth = transform_residuals(base, net, params.beta.real)
-    assert dist < 1e-9
-    assert ang < 1e-9
-    assert orth < 1e-9
-    assert gauss_deviation(net) < 1e-7
-
-
 def docstring_w_frames(hs, frames, alpha, seed):
     """New frames built directly from the documented W matrix."""
-    s_grid = propagate(hs, alpha, seed, "tilde")
+    s_grid = field_grid(hs, alpha, seed)
     cot = 1.0 / np.tan(alpha / 2.0)
     ratio = s_grid / hs.s[:, None]
     et = np.exp(frames.t0)
@@ -405,8 +402,6 @@ def test_nets_own_contiguous_real_coordinates(transform):
 
 def test_double_backlund_condition_rejections():
     hs, frames, _ = hs_fixture()
-    with pytest.raises(ConfigError):  # beta must be -alpha
-        double_backlund(frames, hs, BacklundParams(np.pi / 3.0, beta=np.pi / 4.0))
     with pytest.raises(ConfigError):  # sin(alpha) must be real
         double_backlund(frames, hs, BacklundParams(np.pi / 3.0 + 0.2j))
     with pytest.raises(ConfigError):  # |sin| <= 1 needs unit seeds
@@ -463,7 +458,7 @@ def test_closed_form_root_gives_the_eigenvalue_ratio(kappa, k0):
             except NoRoot:
                 continue
             roots += 1
-            _, B, _, D = build_abcd(hs, found.alpha)
+            B, D = pair(hs, found.alpha)[1], pair(hs, found.alpha, "hat")[1]
             want = np.exp(2j * np.pi * found.p / N0)
             for M in (B[0], D[0]):
                 lam = np.linalg.eigvals(M)
@@ -510,7 +505,7 @@ def test_find_periodic_alpha_on_d():
     hs, _, _ = hex_fixture()
     found = find_periodic_alpha(hs, 8)
     assert found.p == 1
-    D0 = build_abcd(hs, found.alpha)[3][0]
+    D0 = pair(hs, found.alpha, "hat")[1][0]
     hat = D0 / np.sqrt(D0[0, 0] * D0[1, 1] - D0[0, 1] * D0[1, 0])
     power = np.linalg.matrix_power(hat, 8)
     assert min(np.max(np.abs(power - np.eye(2))), np.max(np.abs(power + np.eye(2)))) < 1e-9
@@ -537,12 +532,15 @@ def test_find_periodic_alpha_no_root():
         find_periodic_alpha(hs, 8, p=3)
     with pytest.raises(ConfigError):
         find_periodic_alpha(hs, 1)
+    for p in (0, -1, 8, 9):   # phase indices outside 1 <= p < N0
+        with pytest.raises(ConfigError, match=f"1 <= p < N0 = 8, got {p}"):
+            find_periodic_alpha(hs, 8, p=p)
 
 
 def test_scalar_field_closes_with_the_found_angle():
     hs, _, _ = hex_fixture()
     found = find_periodic_alpha(hs, 8)
-    s = propagate(hs, found.alpha, np.exp(0.3j))
+    s = field_grid(hs, found.alpha, np.exp(0.3j))
     nk = s.shape[1]
     assert np.max(np.abs(s[:, 8:] - s[:, : nk - 8])) < 1e-8
 
@@ -583,8 +581,8 @@ def test_linearize_fixed_points():
     hs, _, _ = hs_fixture()
     z = 0.3 + 0.2j
     for alpha in (np.pi / 3.0, ALPHA_C):
-        A, B, _, _ = build_abcd(hs, alpha)
-        zr, za, rho, log_c = linearize(hs, alpha)
+        A, B = build_abcd(hs, alpha)
+        zr, za, rho, log_c = linearize(A, B)
         assert abs(rho[0]) >= 1.0   # row 0 names the repelling fixed point zeta_r
         if alpha == np.pi / 3.0:   # a real angle keeps the fixed points on the unit circle
             assert np.max(np.abs(np.abs(np.concatenate((zr, za))) - 1.0)) < 1e-10
@@ -607,7 +605,7 @@ def test_linearize_pairs_fixed_points_through_a(monkeypatch):
     """On an elliptic rotation (|rho| = 1) the names follow A whatever order the roots come in."""
     hs, _, _ = hex_fixture()
     alpha = find_periodic_alpha(hs, 8).alpha
-    want = linearize(hs, alpha)
+    want = linearize(*build_abcd(hs, alpha))
     assert_allclose(np.abs(want[2]), 1.0, atol=1e-12)
     roots = bk._fixed_points
     odd = np.arange(hs.domain.nj) % 2 == 1
@@ -617,7 +615,7 @@ def test_linearize_pairs_fixed_points_through_a(monkeypatch):
         return np.where(odd, b, a), np.where(odd, a, b)
 
     monkeypatch.setattr(bk, "_fixed_points", swapped_on_odd_rows)
-    for got, ref in zip(linearize(hs, alpha), want):
+    for got, ref in zip(linearize(*build_abcd(hs, alpha)), want):
         assert_allclose(got, ref, rtol=1e-15)
 
 
@@ -625,8 +623,9 @@ def test_linearize_matches_propagation():
     """The field is u(j, k) = u(0, 0) exp(log_c(j)) rho(j)^k in the eigen-coordinate of row j."""
     hs, _, _ = hs_fixture()
     seed = np.exp(0.3j)
-    zr, za, rho, log_c = linearize(hs, np.pi / 3.0)
-    s = propagate(hs, np.pi / 3.0, seed)
+    A, B = build_abcd(hs, np.pi / 3.0)
+    zr, za, rho, log_c = linearize(A, B)
+    s = propagate(A, B, seed, hs.domain.nk)
     u = eigen_coordinate(seed, zr[0], za[0]) * np.exp(log_c)[:, None]
     u = u * rho[:, None] ** np.arange(s.shape[1])
     assert_allclose(s, (zr[:, None] + u * za[:, None]) / (1.0 + u), rtol=0.0, atol=1e-12)
@@ -634,22 +633,20 @@ def test_linearize_matches_propagation():
 
 def test_propagate_seed_on_a_fixed_point_stays_there():
     hs, _, _ = hs_fixture()
-    zr, za, _, _ = linearize(hs, np.pi / 3.0)
+    A, B = build_abcd(hs, np.pi / 3.0)
+    zr, za, _, _ = linearize(A, B)
     for zeta in (zr, za):
-        s = propagate(hs, np.pi / 3.0, zeta[0])
+        s = propagate(A, B, zeta[0], hs.domain.nk)
         assert_allclose(s, np.broadcast_to(zeta[:, None], s.shape), atol=1e-14)
 
 
-def test_linearize_rejections(monkeypatch):
+def test_linearize_rejections():
     hs, _, _ = hs_fixture()
-    with pytest.raises(ConfigError):
-        linearize(hs, np.pi / 3.0, "both")
-    A, B, C, D = build_abcd(hs, np.pi / 3.0)
+    A, B = build_abcd(hs, np.pi / 3.0)
     # trace 2, determinant 1: one double fixed point at -1
     shear = np.broadcast_to(np.array([[2.0, 1.0], [-1.0, 0.0]], dtype=complex), B.shape)
-    monkeypatch.setattr(bk, "build_abcd", lambda *args: (A, shear, C, D))
     with pytest.raises(BranchFailure, match=r"near-parabolic: min \|zeta_a - zeta_r\| = 0\.000e\+00"):
-        propagate(hs, np.pi / 3.0, 1.0)
+        propagate(A, shear, 1.0, hs.domain.nk)
 
 
 @lru_cache(maxsize=None)
@@ -665,15 +662,14 @@ def long_hs(rows, k_count, theta):
        alpha=st.one_of(st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
                        st.floats(0.0, 1.5, exclude_min=True).map(lambda y: complex(np.pi / 2.0, y))),
        radius=st.floats(0.7, 1.5), phase=st.floats(-np.pi, np.pi),
-       which=st.sampled_from(["tilde", "hat"]))
+       field=st.sampled_from(["tilde", "hat"]))
 def test_explicit_field_satisfies_both_recurrences(rows, k_count, theta, alpha, radius, phase,
-                                                   which):
+                                                   field):
     hs = long_hs(rows, k_count, theta)
     seed = (1.0 if isinstance(alpha, float) else radius) * np.exp(1j * phase)
-    A, B, C, D = build_abcd(hs, alpha)
-    Aj, Bj = (A, B) if which == "tilde" else (C, D)
+    Aj, Bj = pair(hs, alpha, field)
     try:
-        s = propagate(hs, alpha, seed, which)
+        s = propagate(Aj, Bj, seed, hs.domain.nk)
     except BranchFailure:
         # eigen-coordinates are ill-conditioned next to the parabolic rotation y = ln 3
         if isinstance(alpha, float) or not abs(alpha.imag - np.log(3.0)) < 1e-3:
@@ -692,10 +688,10 @@ def test_explicit_field_next_to_the_parabolic_rotation(rows, k_count, theta, dy)
     the field still holds both recurrences, so the BranchFailure window stays this narrow."""
     hs = long_hs(rows, k_count, theta)
     alpha = complex(np.pi / 2.0, np.log(3.0) + dy)
-    zr, za, _, _ = linearize(hs, alpha)
+    zr, za, _, _ = linearize(*build_abcd(hs, alpha))
     assert np.min(np.abs(za - zr)) < 0.06
-    A, B, C, D = build_abcd(hs, alpha)
-    for which, M, N, seed in (("tilde", A, B, 1.1 * np.exp(0.7j)), ("hat", C, D, 1.1 * np.exp(-0.7j))):
-        s = propagate(hs, alpha, seed, which)
+    for field, seed in (("tilde", 1.1 * np.exp(0.7j)), ("hat", 1.1 * np.exp(-0.7j))):
+        M, N = pair(hs, alpha, field)
+        s = propagate(M, N, seed, hs.domain.nk)
         assert np.max(chordal_residuals(M, s[:-1], s[1:])) <= 1e-11
         assert np.max(chordal_residuals(N, s[:, :-1], s[:, 1:])) <= 1e-11

@@ -540,7 +540,7 @@ def test_invariant_failure_exit_code(capsys):
     net = build_rcnet(p, 13, theta=np.pi / 6.0)
     warped = ContactElementNet(
         net.x + 1e-3 * np.sin(np.arange(net.x.size).reshape(net.x.shape)), net.n)
-    entries = cli.net_report_entries(p, warped)
+    entries, _ = cli.net_report_entries(p, warped)
     gauss = next(e for e in entries if e.name == "gaussian_constancy")
     assert not gauss.passed
     assert 1e-5 < gauss.max_residual < 1e-1
@@ -689,6 +689,17 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert f"config key {key} = {value!r} is not finite" in err
+    assert not mesh.exists()
+
+
+@pytest.mark.parametrize("command, p", [("search", "0"), ("double", "0"), ("double", "-1"),
+                                        ("double", "8"), ("double", "9")])
+def test_phase_index_outside_1_to_n0_is_config_error(tmp_path, capsys, command, p):
+    extra = ["--rotation.k_count", "26", "--backlund.N0", "8", "--backlund.p", p]
+    code, mesh, _ = run_desk(tmp_path, command, extra, "bad_p")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"stage=search: ConfigError: phase index p must satisfy 1 <= p < N0 = 8, got {p}" in err
     assert not mesh.exists()
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cknet.backlund import BacklundParams, double_backlund, propagate, single_backlund
+from cknet.backlund import BacklundParams, build_abcd, double_backlund, propagate, single_backlund
 from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs, rotational_frames
 from cknet.lattice import gauge_frame
 from cknet.nets import sym_arrays
@@ -61,16 +61,13 @@ def test_gauged_base_net_matches_dense_frames():
     assert worst(sym_arrays(frames_hs, 2.0), dense_sym(frames, 2.0, G=hs.gauge)) <= TOL
 
 
-@pytest.mark.parametrize("which", ["tilde", "hat"])
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, 2.0])
-def test_single_transforms_match_dense_frames(which, alpha):
+def test_single_transforms_match_dense_frames(alpha):
     frames, hs, frames_hs = ck_grid()
-    params = BacklundParams(alpha, s_tilde0=np.exp(0.7j), s_hat0=np.exp(-1.9j))
-    net = single_backlund(frames_hs, hs, params, which=which)
-    if which == "tilde":
-        T = w_jet(alpha, propagate(hs, alpha, params.s_tilde0, "tilde"), hs.s, frames.t0)
-    else:
-        T = v_jet(-alpha, propagate(hs, alpha, params.s_hat0, "hat"), hs.s, frames.t0)
+    params = BacklundParams(alpha, s_tilde0=np.exp(0.7j))
+    net = single_backlund(frames_hs, hs, params)
+    s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, hs.domain.nk)
+    T = w_jet(alpha, s_tilde, hs.s, frames.t0)
     x, n = dense_sym(frames, 2.0, G=hs.gauge, T=T)
     assert worst((net.x, net.n), (x, n)) <= TOL
     assert max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))) <= TOL

@@ -66,6 +66,17 @@ def test_curvature_report_memory_is_its_arrays_and_one_block():
     assert added_mib(curvature_report, net) <= 49 * faces / MiB + 1.5
 
 
+def test_report_entries_run_their_residuals_before_the_curvature_report():
+    """The whole-grid residuals (validate_ec alone adds 14.75 MiB here) run before the
+    curvature report (11.2 MiB) exists, so their temporaries never sit on top of it: 15.1 MiB
+    for a net and 18.5 MiB for a single transform, where 26.0 and 29.7 MiB did."""
+    net = seeded_net()
+    other = ContactElementNet(net.x[::-1].copy(), net.n[::-1].copy())
+    p = profile_elliptic(0.6, -1, (-60, 60), j0=4)
+    assert added_mib(cli.net_report_entries, p, net, 6) <= 16.5
+    assert added_mib(cli.backlund_report_entries, net, other, 1.0) <= 20.0
+
+
 def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
     """121 x 2000 vertices: the writer holds one chunk of lines at a time (about 1 MiB),
     where one list of Python ints for the whole face block took 57 MiB."""
