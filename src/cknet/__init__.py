@@ -10,7 +10,7 @@ periodicity searches for annular pseudospherical meshes.
 
 from .backlund import (BacklundParams, DoubleReport, PeriodicAlpha, build_abcd,
                        double_backlund, find_periodic_alpha, linearize, moebius,
-                       propagate, single_backlund, transform_residuals)
+                       propagate, single_backlund)
 from .checks import CheckResult, run_all, run_criterion
 from .connect import (CkEdgeData, HsLaxData, build_ck_connection,
                       build_cmc_connection, closing_residual, gauge_to_hs,
@@ -23,10 +23,10 @@ from .errors import (BranchFailure, CaseMismatch, CknetError, ConfigError,
 from .lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
                       admissible_gauge, flatness_residual, gauge, gauge_frame,
                       jet_residual)
-from .nets import (AlignResult, ContactElementNet, CurvatureReport,
-                   curvature_report, face_normal, period_drift,
-                   principal_curvatures, rigid_align, singular_vertices, sym,
-                   sym_arrays, validate_ec)
+from .nets import (AlignResult, ContactElementNet, curvature_report,
+                   face_normal, period_drift, principal_curvatures, rigid_align,
+                   singular_vertices, sym, sym_arrays, transform_residuals,
+                   validate_ec)
 from .revolution import (Profile, build_rcnet, conservation_drift,
                          edge_residuals, elliptic_K, elliptic_theta,
                          gauss_from_profile, int_sn2, jacobi, profile_elliptic,

@@ -59,7 +59,8 @@ from .nets import ContactElementNet, sym, sym_blocks
 def _sine_beyond_one(alpha: complex) -> bool:
     """Re sin(alpha) beyond +-1: on the line pi/2 + iy, where only the double transform
     is real and its two scalar fields are complex conjugates."""
-    return abs(np.sin(alpha).real) > 1.0
+    with np.errstate(over="ignore"):   # an infinite sine is beyond one
+        return abs(np.sin(alpha).real) > 1.0
 
 
 @dataclass(frozen=True)
@@ -238,17 +239,6 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData,
     return sym(frames, 2.0, 0.0, transform)
 
 
-def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float):
-    """Worst deviations of a real-angle transform from its defining geometry:
-    distance |sin alpha|, normal angle alpha, and edge orthogonality to both normals."""
-    dx = new.x - base.x
-    dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
-    # (a * b).sum adds the three products in order whatever the layout; einsum does not
-    ang = np.abs((base.n * new.n).sum(axis=-1) - np.cos(alpha))
-    orth = np.maximum(np.abs((dx * base.n).sum(axis=-1)), np.abs((dx * new.n).sum(axis=-1)))
-    return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
-
-
 # ---------------------------------------------------------------------------
 # double transforms
 
@@ -262,9 +252,12 @@ class DoubleReport:
 
 
 def _check_condition_c(params: BacklundParams) -> None:
-    sa = np.sin(params.alpha)
-    if abs(sa.imag) > 1e-12:
+    with np.errstate(over="ignore"):   # an infinite sine is not real either
+        sa = np.sin(params.alpha)
+    if not abs(sa.imag) <= 1e-12:
         raise ConfigError(f"double transform requires real sin(alpha), got sin = {sa}")
+    if np.tan(params.alpha / 2.0) == 0:
+        raise ConfigError(f"double transform requires tan(alpha/2) != 0, got alpha = {params.alpha}")
     if not _sine_beyond_one(params.alpha):
         for name, seed in (("s_tilde0", params.s_tilde0), ("s_hat0", params.s_hat0)):
             if abs(abs(seed) - 1.0) > 1e-10:

@@ -18,8 +18,7 @@ from . import backlund as bk
 from .connect import (build_ck_connection, build_cmc_connection,
                       closing_residual, gauge_to_hs, hs_lax, rotational_frames)
 from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
-from .nets import (ContactElementNet, curvature_report, gauss_residual, period_drift,
-                   rigid_align, singular_vertices, sym, unit_normal_residual, validate_ec)
+from .nets import ContactElementNet, curvature_report, rigid_align, singular_vertices, sym
 from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
                          gauss_from_profile, jacobi, profile_elliptic,
                          profile_hyp, profile_trig)
@@ -128,10 +127,9 @@ def criterion_1() -> list[CheckResult]:
         tag = f"[{kind},kappa={kappa:g},K={K_sign:+d}]"
         out.append(CheckResult(f"c01_gauss_profile{tag}",
                                np.max(np.abs(gauss_from_profile(p) - K_sign)), 1e-12))
-        net = build_rcnet(p, 13, k0=12)
-        rep = curvature_report(net)
-        out.append(CheckResult(f"c01_gauss_faces{tag}", gauss_residual(rep, K_sign), 1e-9))
-        out.append(CheckResult(f"c01_ec{tag}", validate_ec(net), 1e-9))
+        worst, _ = curvature_report(build_rcnet(p, 13, k0=12), K_sign, edge=True)
+        out.append(CheckResult(f"c01_gauss_faces{tag}", worst["gauss"], 1e-9))
+        out.append(CheckResult(f"c01_ec{tag}", worst["edge"], 1e-9))
     return out
 
 
@@ -211,13 +209,12 @@ def criterion_6() -> list[CheckResult]:
         for seed in (1.0 + 0.0j, np.exp(0.7j), np.exp(-1.9j)):
             params = bk.BacklundParams(alpha, s_tilde0=seed)
             net = bk.single_backlund(frames_hs, hs, params)
-            dist, ang, orth = bk.transform_residuals(base_net, net, alpha)
-            kres = gauss_residual(curvature_report(net), -1)
+            worst, _ = curvature_report(net, base=base_net, alpha=alpha)
             tag = f"[alpha={alpha:.3f},seed={np.angle(seed):+.2f}]"
-            out.append(CheckResult(f"c06_distance{tag}", dist, 1e-9))
-            out.append(CheckResult(f"c06_angle{tag}", ang, 1e-9))
-            out.append(CheckResult(f"c06_orthogonality{tag}", orth, 1e-9))
-            out.append(CheckResult(f"c06_gauss{tag}", kres, 1e-7))
+            out.append(CheckResult(f"c06_distance{tag}", worst["distance"], 1e-9))
+            out.append(CheckResult(f"c06_angle{tag}", worst["angle"], 1e-9))
+            out.append(CheckResult(f"c06_orthogonality{tag}", worst["orthogonality"], 1e-9))
+            out.append(CheckResult(f"c06_gauss{tag}", worst["gauss"], 1e-7))
     return out
 
 
@@ -234,7 +231,8 @@ def criterion_7() -> list[CheckResult]:
         else:
             params = bk.BacklundParams(found.alpha, s_tilde0=1.3 * np.exp(0.4j))
             net, _ = bk.double_backlund(frames_hs, hs, params)
-        out.append(CheckResult(f"c07_period[N0={N0}]", period_drift(net, lcm(6, N0)), 1e-8))
+        drift = curvature_report(net, faces=False, period=lcm(6, N0))[0]["period"]
+        out.append(CheckResult(f"c07_period[N0={N0}]", drift, 1e-8))
     return out
 
 
@@ -243,10 +241,11 @@ def criterion_8() -> list[CheckResult]:
     hs, frames_hs, _ = fixture_ck_hs()
     params = bk.BacklundParams(np.pi / 2.0 + 0.5j, s_tilde0=1.3 * np.exp(0.4j))
     net, rep = bk.double_backlund(frames_hs, hs, params)
+    worst, _ = curvature_report(net, unit=True)
     return [
         CheckResult("c08_imag_residue", rep.imag_residue, 1e-9),
-        CheckResult("c08_unit_normal", unit_normal_residual(net), 1e-9),
-        CheckResult("c08_gauss", gauss_residual(curvature_report(net), -1), 1e-7),
+        CheckResult("c08_unit_normal", worst["unit"], 1e-9),
+        CheckResult("c08_gauss", worst["gauss"], 1e-7),
         CheckResult("c08_permutability_unit", rep.unit_residual, 1e-10),
     ]
 
@@ -307,7 +306,8 @@ def criterion_11() -> list[CheckResult]:
         xi = 2.0 if case == 3 else -2.0
         out.append(CheckResult(f"c11_monodromy[case{case}]", closing_residual(conn, 12), 1e-10))
         frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
-        out.append(CheckResult(f"c11_period[case{case}]", period_drift(sym(frames, xi), 12), 1e-8))
+        drift = curvature_report(sym(frames, xi), faces=False, period=12)[0]["period"]
+        out.append(CheckResult(f"c11_period[case{case}]", drift, 1e-8))
     return out
 
 

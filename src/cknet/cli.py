@@ -30,14 +30,12 @@ import numpy as np
 
 from . import checks as checksmod
 from .checks import CheckResult
-from .backlund import (BacklundParams, double_backlund, find_periodic_alpha, single_backlund,
-                       transform_residuals)
+from .backlund import BacklundParams, double_backlund, find_periodic_alpha, single_backlund
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import (CaseMismatch, CknetError, ConfigError, DegenerateGeometry, InvalidProfile,
                      ModulusOutOfRange)
 from .lattice import flatness_residual, gauge_frame
-from .nets import (ContactElementNet, CurvatureReport, curvature_report, gauss_residual,
-                   period_drift, sym, unit_normal_residual, validate_ec)
+from .nets import ContactElementNet, curvature_report, sym
 from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
                          profile_elliptic, profile_hyp, profile_trig)
 
@@ -309,21 +307,22 @@ def _face_rows(lo: int, hi: int, nk: int):
     return rows
 
 
-def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = None) -> None:
+def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray | None = None) -> None:
     """Wavefront OBJ quad mesh: v/vn per vertex, f per nondegenerate face.
 
     Vertices are written row-major (j outer, k inner); a face at (j, k)
     references, in order, (j,k), (j,k+1), (j+1,k+1), (j+1,k) by 1-based
-    index.  Degenerate faces, taken from ``rep`` (computed when not
-    given), become `# degenerate j k` comments.  Coordinates are written
+    index.  Degenerate faces, the sorted row-major face indices
+    ``degenerate`` (found by ``curvature_report`` when not given), become
+    `# degenerate j k` comments.  Coordinates are written
     as ``%.17g``, so they read back exactly; a non-finite one raises
     DegenerateGeometry before the file is opened.
     """
     nj, nk = net.shape
     if not (np.isfinite(net.x).all() and np.isfinite(net.n).all()):
         raise DegenerateGeometry("the net has a non-finite coordinate; no mesh written")
-    if rep is None:
-        rep = curvature_report(net)
+    if degenerate is None:
+        degenerate = curvature_report(net)[1]
     with open(path, "wb") as fh:
         fh.write(b"# cknet quad mesh %d x %d\n" % (nj, nk))
         for tag, arr in ((b"v", net.x), (b"vn", net.n)):
@@ -331,10 +330,12 @@ def export_obj(net: ContactElementNet, path: str, rep: CurvatureReport | None = 
             for start in range(0, len(rows), _OBJ_ROWS):
                 fh.write(_obj_lines(tag, rows[start:start + _OBJ_ROWS]))
         # one chunk's lines live at a time; runs between degenerate faces are cut out of them
-        bad, faces = rep.degenerate.reshape(-1), (nj - 1) * (nk - 1)
+        faces = (nj - 1) * (nk - 1)
         for lo in range(0, faces, _OBJ_FACES):
-            lines, start = _face_rows(lo, min(lo + _OBJ_FACES, faces), nk), 0
-            for i in np.flatnonzero(bad[lo:lo + _OBJ_FACES]).tolist() + [len(lines)]:
+            hi = min(lo + _OBJ_FACES, faces)
+            lines, start = _face_rows(lo, hi, nk), 0
+            a, b = np.searchsorted(degenerate, (lo, hi))
+            for i in (degenerate[a:b] - lo).tolist() + [len(lines)]:
                 fh.write(lines[start:i].tobytes().translate(None, b"\0"))
                 fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < len(lines) else b"")
                 start = i + 1
@@ -354,46 +355,43 @@ def report_json(entries: list, parameters: dict, path: str) -> None:
 # invariant measurements shared by the subcommands
 
 
-def net_report_entries(p: Profile, net: ContactElementNet, k0=None):
-    """Report entries of a net and its curvature report, which is made after the whole-grid
-    residuals, so their temporaries never sit on top of its arrays."""
-    ec, unit = validate_ec(net), unit_normal_residual(net)
-    drift = period_drift(net, k0) if k0 is not None and net.shape[1] > k0 else None
-    rep = curvature_report(net)
-    out = [
-        CheckResult("gaussian_constancy", gauss_residual(rep, p.K_sign), 1e-9),
-        CheckResult("edge_constraint", ec, 1e-9),
+def _period_entry(name: str, worst: dict) -> list:
+    return [CheckResult(name, worst["period"], 1e-8)] if "period" in worst else []
+
+
+def net_report_entries(p: Profile, worst: dict) -> list:
+    """Report entries of a net of the profile ``p`` from its ``curvature_report`` residuals
+    (Gauss, edge, unit and, when measured, period)."""
+    return [
+        CheckResult("gaussian_constancy", worst["gauss"], 1e-9),
+        CheckResult("edge_constraint", worst["edge"], 1e-9),
         CheckResult("profile_relations", edge_residuals(p), 1e-10),
         CheckResult("conservation", conservation_drift(p), 1e-10),
-        CheckResult("unit_normal", unit, 1e-9),
-    ]
-    if drift is not None:
-        out.append(CheckResult("rotational_period", drift, 1e-8))
-    return out, rep
+        CheckResult("unit_normal", worst["unit"], 1e-9),
+    ] + _period_entry("rotational_period", worst)
 
 
-def _transformed_period(cfg: dict, k0, net: ContactElementNet) -> list:
-    """The transformed net repeats after lcm(k0, N0) columns, when both are set."""
+def backlund_report_entries(worst: dict) -> list:
+    """Report entries of a single transform from the ``curvature_report`` residuals of the
+    new net against the base net (transform, Gauss and, when measured, period)."""
+    return [
+        CheckResult("backlund_distance", worst["distance"], 1e-9),
+        CheckResult("backlund_normal_angle", worst["angle"], 1e-9),
+        CheckResult("backlund_orthogonality", worst["orthogonality"], 1e-9),
+        CheckResult("transformed_gauss", worst["gauss"], 1e-7),
+    ] + _period_entry("transformed_period", worst)
+
+
+def _transformed_period(cfg: dict, k0, net: ContactElementNet):
+    """lcm(k0, N0), after which a transformed net repeats, when both are set and the net
+    has more columns; None otherwise."""
     N0 = _get(cfg, "backlund", "N0", int, None)
     if k0 is None or N0 is None or net.shape[1] <= lcm(k0, N0):
-        return []
-    return [CheckResult("transformed_period", period_drift(net, lcm(k0, N0)), 1e-8)]
+        return None
+    return lcm(k0, N0)
 
 
-def backlund_report_entries(base: ContactElementNet, net: ContactElementNet, alpha: float):
-    """Report entries of a single transform and the curvature report of the new net, made
-    after the whole-grid residuals as in ``net_report_entries``."""
-    dist, ang, orth = transform_residuals(base, net, alpha)
-    rep = curvature_report(net)
-    return [
-        CheckResult("backlund_distance", dist, 1e-9),
-        CheckResult("backlund_normal_angle", ang, 1e-9),
-        CheckResult("backlund_orthogonality", orth, 1e-9),
-        CheckResult("transformed_gauss", gauss_residual(rep, -1), 1e-7),
-    ], rep
-
-
-def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> int:
+def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=None) -> int:
     mesh_path = _get(cfg, "output", "mesh", str, None)
     report_path = _get(cfg, "output", "report", str, None)
     if report_path:
@@ -402,7 +400,7 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, rep=None) -> i
         print(("PASS" if r.passed else "FAIL")
               + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")
     if net is not None and mesh_path:   # last, so a refused mesh still leaves the report
-        _stage("export", export_obj, net, mesh_path, rep)
+        _stage("export", export_obj, net, mesh_path, degenerate)
     return EXIT_OK if all(r.passed for r in entries) else EXIT_INVARIANT
 
 
@@ -419,10 +417,12 @@ def cmd_generate(cfg: dict) -> int:
         net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
     else:
         net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
-    entries, rep = _stage("verify", net_report_entries, p, net, k0)
+    period = k0 if k0 is not None and net.shape[1] > k0 else None
+    worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True, unit=True,
+                               period=period)
     params = flat_parameters(cfg)
     params["rotation.theta_effective"] = float(theta)
-    return _finish(entries, params, cfg, net, rep)
+    return _finish(net_report_entries(p, worst), params, cfg, net, degenerate)
 
 
 def _hs_pipeline(cfg: dict):
@@ -460,7 +460,7 @@ def _gauged_frames(p: Profile, conn, hs):
 def cmd_backlund(cfg: dict) -> int:
     p, theta, k0, conn, hs = _hs_pipeline(cfg)
     frames_hs = _gauged_frames(p, conn, hs)
-    base = _stage("sym", sym, frames_hs, 2.0)   # transform_residuals compares against it
+    base = _stage("sym", sym, frames_hs, 2.0)   # the transform checks compare against it
     params = flat_parameters(cfg)
     alpha = _resolve_alpha(cfg, hs, params)
     if abs(alpha.imag) > 1e-12:
@@ -471,10 +471,10 @@ def cmd_backlund(cfg: dict) -> int:
     seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
+    worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha.real,
+                               period=_transformed_period(cfg, k0, net))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
-    period = _transformed_period(cfg, k0, net)   # before the curvature report, like the residuals
-    transform, rep = _stage("verify", backlund_report_entries, base, net, float(alpha.real))
-    return _finish(entries + transform + period, params, cfg, net, rep)
+    return _finish(entries + backlund_report_entries(worst), params, cfg, net, degenerate)
 
 
 def cmd_double(cfg: dict) -> int:
@@ -489,17 +489,16 @@ def cmd_double(cfg: dict) -> int:
         kwargs["s_hat0"] = seed_hat
     bp = BacklundParams(alpha, **kwargs)
     net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
-    unit = unit_normal_residual(net)   # its whole-grid temporaries go before the report's arrays
-    crep = _stage("verify", curvature_report, net)
+    worst, degenerate = _stage("verify", curvature_report, net, unit=True,
+                               period=_transformed_period(cfg, k0, net))
     entries = [
         CheckResult("flatness", flatness_residual(conn), 1e-11),
         CheckResult("imag_residue", rep.imag_residue, 1e-9),
-        CheckResult("unit_normal", unit, 1e-9),
-        CheckResult("transformed_gauss", gauss_residual(crep, -1), 1e-7),
+        CheckResult("unit_normal", worst["unit"], 1e-9),
+        CheckResult("transformed_gauss", worst["gauss"], 1e-7),
         CheckResult("permutability_unit", rep.unit_residual, 1e-10),
-    ]
-    entries += _transformed_period(cfg, k0, net)
-    return _finish(entries, params, cfg, net, crep)
+    ] + _period_entry("transformed_period", worst)
+    return _finish(entries, params, cfg, net, degenerate)
 
 
 def cmd_search(cfg: dict) -> int:

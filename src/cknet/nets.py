@@ -8,10 +8,9 @@ The defining edge condition couples neighbouring contact elements:
 with non-degeneracy: no vanishing position edge, no vanishing normal sum,
 and per face a nonzero volume det(xd1, xd2, N) where xd1, xd2 are the two
 face diagonals of x and N is the unit normal of the face (orthogonal to
-both diagonals of n).  Curvatures per face:
+both diagonals of n).  The Gauss curvature of a face is
 
-    K = det(nd1, nd2, N) / det(xd1, xd2, N)
-    H = (det(xd1, nd2, N) + det(nd1, xd2, N)) / (2 det(xd1, xd2, N))
+    K = det(nd1, nd2, N) / det(xd1, xd2, N).
 
 Nets are produced from parallel frames Phi = Q D^k and a transform jet T
 (W, V or VW; the identity for the base net) by the Sym formula
@@ -23,7 +22,8 @@ and the column factor D^k, and closed forms in the entries of T:
     n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
     x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)) + tau * n.
 
-``sym_blocks`` evaluates these one block of profile rows at a time into real arrays.
+``sym_blocks`` evaluates these one block of profile rows at a time into real arrays, and
+``curvature_report`` checks a net over the same blocks.
 """
 
 from __future__ import annotations
@@ -45,15 +45,13 @@ class ContactElementNet:
     n: np.ndarray
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=float)
-        n = np.ascontiguousarray(self.n, dtype=float)
-        if x.shape != n.shape or x.ndim != 3 or x.shape[-1] != 3:
-            raise ValueError(f"bad net shapes: x {x.shape}, n {n.shape}")
-        err = np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) if n.size else 0.0
+        object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
+        object.__setattr__(self, "n", np.ascontiguousarray(self.n, dtype=float))
+        if self.x.shape != self.n.shape or self.x.ndim != 3 or self.x.shape[-1] != 3:
+            raise ValueError(f"bad net shapes: x {self.x.shape}, n {self.n.shape}")
+        err = curvature_report(self, faces=False, unit=True)[0]["unit"] if self.n.size else 0.0
         if not (err <= 1e-8):
             raise ValueError(f"normals deviate from unit length by {err:.3e}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "n", n)
 
     @property
     def shape(self):
@@ -152,23 +150,7 @@ def sym(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None) -> Con
 
 
 # ---------------------------------------------------------------------------
-# edge / face helpers
-
-
-def _edges_j(arr):
-    return arr[1:, :] - arr[:-1, :]
-
-
-def _edges_k(arr):
-    return arr[:, 1:] - arr[:, :-1]
-
-
-def _sums_j(arr):
-    return arr[1:, :] + arr[:-1, :]
-
-
-def _sums_k(arr):
-    return arr[:, 1:] + arr[:, :-1]
+# faces
 
 
 def face_diagonals(net: ContactElementNet, rows: slice = slice(None)):
@@ -200,8 +182,8 @@ def _cross(a, b):
 
 
 def _face_pass(net: ContactElementNet, rows: slice):
-    """K, H, det(xd1, xd2, N), the degenerate mask and the normals N on the face rows ``rows``
-    (a unit-step slice with a start), from one pass: diagonals, four cross products, N."""
+    """K, the degenerate mask and the normals N on the face rows ``rows`` (a unit-step slice
+    with a start), from one pass: diagonals, two cross products, N."""
     xd1, xd2, nd1, nd2 = face_diagonals(net, rows)
     c_n = _cross(nd1, nd2)
     c_x = _cross(xd1, xd2)
@@ -230,12 +212,8 @@ def _face_pass(net: ContactElementNet, rows: slice):
     N[flip] *= -1.0
     np.negative(det_x, out=det_x, where=flip)   # exactly det(xd1, xd2, N) of the flipped N
     degenerate = np.abs(det_x) <= 1e-12
-    safe = np.where(degenerate, 1.0, det_x)
-    det_n, det_1, det_2 = (np.einsum("...i,...i->...", c, N)
-                           for c in (c_n, _cross(xd1, nd2), _cross(nd1, xd2)))
-    K = np.where(degenerate, np.nan, det_n / safe)
-    H = np.where(degenerate, np.nan, 0.5 * (det_1 + det_2) / safe)
-    return K, H, det_x, degenerate, N
+    K = np.einsum("...i,...i->...", c_n, N) / np.where(degenerate, 1.0, det_x)
+    return K, degenerate, N
 
 
 def face_normal(net: ContactElementNet) -> np.ndarray:
@@ -248,66 +226,89 @@ def face_normal(net: ContactElementNet) -> np.ndarray:
     x-diagonals are also degenerate raises DegenerateFace.  Cross products
     and vectors of norm at most 1e-10 count as degenerate.
     """
-    return curvature_report(net).normal
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Aggregated per-face curvature arrays; degenerate faces are flagged."""
-
-    K: np.ndarray          # (nj-1, nk-1), nan on degenerate faces
-    H: np.ndarray
-    det_x: np.ndarray
-    degenerate: np.ndarray  # bool mask
-    normal: np.ndarray      # (nj-1, nk-1, 3)
-
-
-def gauss_residual(rep: CurvatureReport, K_sign: int) -> float:
-    """max |K - K_sign| over the non-degenerate faces; inf when there are none."""
-    keep = ~rep.degenerate
-    return float(np.max(np.abs(rep.K[keep] - K_sign))) if np.any(keep) else np.inf
-
-
-def unit_normal_residual(net: ContactElementNet) -> float:
-    """max | |n| - 1 | over the vertices."""
-    return float(np.max(np.abs(np.linalg.norm(net.n, axis=-1) - 1.0)))
-
-
-def curvature_report(net: ContactElementNet) -> CurvatureReport:
-    """Gauss and mean curvature for every face; no raise on degenerate faces, which are
-    those with |det(xd1, xd2, N)| <= 1e-12.
-
-    The faces are taken a block of whole face rows (about ``_BLOCK_VERTICES``
-    vertices) at a time, so one block's diagonals and cross products exist
-    next to the report's own arrays.
-    """
-    nj, nk = net.shape
-    faces = (nj - 1, nk - 1)
-    out = (np.empty(faces), np.empty(faces), np.empty(faces), np.empty(faces, dtype=bool),
-           np.empty(faces + (3,)))
-    step = max(1, _BLOCK_VERTICES // nk)
-    for j in range(0, nj - 1, step):
-        rows = slice(j, j + step)
-        for whole, block in zip(out, _face_pass(net, rows)):
-            whole[rows] = block
-    return CurvatureReport(*out)
+    return _face_pass(net, slice(0, None))[2]
 
 
 # ---------------------------------------------------------------------------
-# validation
+# residuals: each takes the vertex rows ``rows`` (a unit-step slice; all by default)
 
 
-def validate_ec(net: ContactElementNet) -> float:
-    """Largest edge-condition residual |<x(next) - x, n(next) + n>| over both directions."""
-    x, n = net.x, net.n
-    ec_j = np.abs(np.einsum("...i,...i->...", _edges_j(x), _sums_j(n)))
-    ec_k = np.abs(np.einsum("...i,...i->...", _edges_k(x), _sums_k(n)))
+def validate_ec(net: ContactElementNet, rows: slice = slice(None)) -> float:
+    """Largest edge-condition residual |<x(next) - x, n(next) + n>| over the k-edges of the
+    rows and the j-edges leaving them."""
+    j, stop, _ = rows.indices(net.shape[0])
+    x, n = net.x[j:stop + 1], net.n[j:stop + 1]   # one overlap row for the j-edges
+    ec_j = np.abs(np.einsum("...i,...i->...", x[1:] - x[:-1], n[1:] + n[:-1]))
+    x, n = x[:stop - j], n[:stop - j]
+    ec_k = np.abs(np.einsum("...i,...i->...", x[:, 1:] - x[:, :-1], n[:, 1:] + n[:, :-1]))
     return float(np.maximum(np.max(ec_j), np.max(ec_k)))
 
 
-def period_drift(net: ContactElementNet, period: int) -> float:
-    """Largest coordinate change of the positions under a shift by ``period`` columns."""
-    return float(np.max(np.abs(net.x[:, period:] - net.x[:, : net.shape[1] - period])))
+def unit_normal_residual(net: ContactElementNet, rows: slice = slice(None)) -> float:
+    """max | |n| - 1 | over the vertices of the rows."""
+    return float(np.max(np.abs(np.linalg.norm(net.n[rows], axis=-1) - 1.0)))
+
+
+def period_drift(net: ContactElementNet, period: int, rows: slice = slice(None)) -> float:
+    """Largest coordinate change of the positions of the rows under a shift by ``period``
+    columns."""
+    x = net.x[rows]
+    return float(np.max(np.abs(x[:, period:] - x[:, : net.shape[1] - period])))
+
+
+def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float,
+                        rows: slice = slice(None)):
+    """Worst deviations of a real-angle transform from its defining geometry on the rows:
+    distance |sin alpha|, normal angle alpha, and edge orthogonality to both normals."""
+    bn, nn = base.n[rows], new.n[rows]
+    dx = new.x[rows] - base.x[rows]
+    dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
+    # (a * b).sum adds the three products in order whatever the layout; einsum does not
+    ang = np.abs((bn * nn).sum(axis=-1) - np.cos(alpha))
+    orth = np.maximum(np.abs((dx * bn).sum(axis=-1)), np.abs((dx * nn).sum(axis=-1)))
+    return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
+
+
+def curvature_report(net: ContactElementNet, K_sign: int = -1, *, faces: bool = True,
+                     edge: bool = False, unit: bool = False, period: int | None = None,
+                     base: ContactElementNet | None = None, alpha: float = 0.0):
+    """(worst, degenerate) of a net from one pass over blocks of whole profile rows (about
+    ``_BLOCK_VERTICES`` vertices), so only one block's temporaries exist at a time.
+
+    ``worst`` maps each reduction asked for to its largest value: "gauss",
+    |K - K_sign| over the non-degenerate faces (inf when there are none);
+    "edge", "unit" and "period" (``validate_ec``, ``unit_normal_residual``,
+    ``period_drift``); "distance", "angle" and "orthogonality", the
+    ``transform_residuals`` against ``base`` at ``alpha``.  ``degenerate``
+    holds the sorted row-major indices of the faces with |det(xd1, xd2, N)|
+    <= 1e-12 (empty unless ``faces``); the face pass raises DegenerateFace
+    where ``face_normal`` does.
+    """
+    nj, nk = net.shape
+    step = max(1, _BLOCK_VERTICES // nk)
+    worst, degenerate = {}, []
+    for j in range(0, max(nj - 1, 1), step):
+        rows = slice(j, j + step if j + step < nj - 1 else nj)   # the last block ends the grid
+        found = {}
+        if faces:
+            K, bad, _ = _face_pass(net, rows)
+            found["gauss"] = np.max(np.abs(K[~bad] - K_sign), initial=-np.inf)
+            degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
+        if edge:
+            found["edge"] = validate_ec(net, rows)
+        if unit:
+            found["unit"] = unit_normal_residual(net, rows)
+        if period is not None:
+            found["period"] = period_drift(net, period, rows)
+        if base is not None:
+            found.update(zip(("distance", "angle", "orthogonality"),
+                             transform_residuals(base, net, alpha, rows)))
+        for name, value in found.items():   # np.maximum, unlike max, carries a NaN through
+            worst[name] = np.maximum(worst.get(name, -np.inf), value)
+    if worst.get("gauss") == -np.inf:
+        worst["gauss"] = np.inf   # every face degenerate
+    return ({name: float(value) for name, value in worst.items()},
+            np.concatenate(degenerate) if degenerate else np.empty(0, np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +323,8 @@ def principal_curvatures(net: ContactElementNet, tol: float = 1e-8):
     ``tol`` raises NotPrincipal; a zero position edge raises ZeroEdge.
     """
     out = []
-    for dx, dn, name in (
-        (_edges_j(net.x), _edges_j(net.n), "j"),
-        (_edges_k(net.x), _edges_k(net.n), "k"),
-    ):
+    for axis, name in ((0, "j"), (1, "k")):
+        dx, dn = np.diff(net.x, axis=axis), np.diff(net.n, axis=axis)
         nx2 = np.einsum("...i,...i->...", dx, dx)
         if np.min(nx2) < 1e-28:
             raise ZeroEdge(f"zero {name}-edge in position net")

@@ -10,10 +10,10 @@ scalar field as the ``backlund`` docstrings state them, its s^ field
 stepped by ``v_form_matrices``, the V-form recurrence matrices written
 entry by entry where the package takes adjugates; ``cross_ratio``
 reads circularity of a face off the quaternionic cross ratio, which no
-package routine computes.  ``seven_cross_report``
-takes every determinant of the curvature formulas through its own
-``np.cross``, where ``nets.curvature_report`` shares four cross products
-in one face pass; ``joined_obj`` builds the OBJ text line by line and
+package routine computes.  ``cross_product_report`` takes every
+determinant of the Gauss curvature through its own ``np.cross``, where
+the face pass of ``nets.curvature_report`` shares two cross products;
+``joined_obj`` builds the OBJ text line by line and
 writes it in one piece, where ``cli.export_obj`` streams its blocks.
 
 The quaternion helpers (``det``, ``project``, ``membership_residual``) and
@@ -30,7 +30,7 @@ from cknet import quat
 from cknet.backlund import build_abcd, propagate
 from cknet.errors import DegenerateFace, ZeroEdge
 from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
-from cknet.nets import CurvatureReport, face_diagonals
+from cknet.nets import face_diagonals
 
 
 class NotFlat(Exception):
@@ -156,10 +156,9 @@ def _det3(a, b, c):
     return np.einsum("...i,...i->...", np.cross(a, b), c)
 
 
-def seven_cross_report(net, rank_tol: float = 1e-10) -> CurvatureReport:
-    """The curvature report with seven np.cross calls: two for the face normals, one to
-    orient them, and one per determinant of K = det(nd1, nd2, N) / det(xd1, xd2, N) and
-    H = (det(xd1, nd2, N) + det(nd1, xd2, N)) / (2 det(xd1, xd2, N))."""
+def cross_product_report(net, rank_tol: float = 1e-10):
+    """(K, degenerate, N) per face with five np.cross calls: two for the face normals, one
+    to orient them, and one per determinant of K = det(nd1, nd2, N) / det(xd1, xd2, N)."""
     xd1, xd2, nd1, nd2 = face_diagonals(net)
     c_n = np.cross(nd1, nd2)
     c_x = np.cross(xd1, xd2)
@@ -183,9 +182,7 @@ def seven_cross_report(net, rank_tol: float = 1e-10) -> CurvatureReport:
     den = _det3(xd1, xd2, N)
     degenerate = np.abs(den) <= 1e-12
     safe = np.where(degenerate, 1.0, den)
-    K = np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe)
-    H = np.where(degenerate, np.nan, 0.5 * (_det3(xd1, nd2, N) + _det3(nd1, xd2, N)) / safe)
-    return CurvatureReport(K, H, den, degenerate, N)
+    return np.where(degenerate, np.nan, _det3(nd1, nd2, N) / safe), degenerate, N
 
 
 def joined_obj(net, degenerate) -> bytes:

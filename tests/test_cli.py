@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its report artifacts."""
 
-import dataclasses
 import json
 import math
 import os
@@ -15,7 +14,7 @@ from cknet import checks, cli, nets
 from cknet.checks import CheckResult
 from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
 from cknet.lattice import FrameFamily
-from cknet.nets import ContactElementNet, CurvatureReport
+from cknet.nets import ContactElementNet
 from cknet.revolution import build_rcnet, profile_elliptic
 from oracles import joined_obj, validate_report
 
@@ -228,9 +227,8 @@ def test_obj_export_matches_joined_writer(tmp_path, faces):
     net = build_rcnet(profile_elliptic(0.6, -1, (-3, 3), j0=4), 7, theta=0.5)
     degenerate = np.zeros((6, 6), dtype=bool)
     degenerate[tuple(np.array(faces, dtype=int).reshape(-1, 2).T)] = True
-    rep = dataclasses.replace(nets.curvature_report(net), degenerate=degenerate)
     path = tmp_path / "mesh.obj"
-    cli.export_obj(net, str(path), rep)
+    cli.export_obj(net, str(path), np.flatnonzero(degenerate))
     assert path.read_bytes() == joined_obj(net, degenerate)
 
 
@@ -463,6 +461,49 @@ def test_long_grid_starts_like_the_short_grid(tmp_path, capsys):
         assert np.max(np.abs(long[:, :26] - short)) <= 1e-12
 
 
+@pytest.mark.parametrize("vertex", [(60, 150), (40, 77)], ids=["last_block", "overlap_row"])
+def test_nan_in_a_later_block_fails_its_checks(tmp_path, monkeypatch, capsys, vertex):
+    """A NaN vertex in the last of the six blocks of rows of a 61 x 200 net, or in the row
+    the fourth and fifth blocks share, reaches the Gauss, edge and unit entries; Python's max
+    over the blocks would keep the first block's finite value."""
+    assert nets._BLOCK_VERTICES // 200 == 10   # blocks of face rows 0, 10, ..., 50
+    real = cli.build_rcnet
+
+    def planted(*args, **kwargs):
+        net = real(*args, **kwargs)
+        x = net.x.copy()
+        x[vertex] = np.nan
+        net = ContactElementNet(x, net.n.copy())
+        net.n[vertex] = np.nan   # past the constructor's unit-length check
+        return net
+
+    monkeypatch.setattr(cli, "build_rcnet", planted)
+    report = tmp_path / "report.json"
+    code = cli.main(["generate", *DESK_KEYS, "--surface.j_lo", "-30", "--surface.j_hi", "30",
+                     "--rotation.k_count", "200", "--output.report", str(report)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_INVARIANT
+    doc = strict_json(report)
+    assert validate_report(doc) == []
+    checks = {e["name"]: e for e in doc["checks"]}
+    for name in ("gaussian_constancy", "edge_constraint", "unit_normal"):
+        assert checks[name]["max_residual"] is None and checks[name]["pass"] is False
+        assert f"FAIL {name} residual=nan" in out
+    assert checks["profile_relations"]["pass"] and checks["conservation"]["pass"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["0", "(1.5707963267948966+800j)"],
+                         ids=["tan_half_zero", "sine_overflows"])
+def test_double_rejects_an_angle_it_cannot_use(tmp_path, capsys, alpha):
+    extra = ["--rotation.k_count", "26", "--backlund.alpha", alpha]
+    code, mesh, _ = run_desk(tmp_path, "double", extra, "bad_alpha")
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: stage=backlund: ConfigError: ")
+    assert not mesh.exists()
+
+
 def test_stage_names_floating_point_errors():
     def trapped():
         with np.errstate(over="raise"):
@@ -477,10 +518,14 @@ def test_stage_names_floating_point_errors():
 
 
 def test_non_finite_residuals_make_strict_json_reports(tmp_path):
-    # every face degenerate: the Gauss residual has no face to measure
-    flat = np.zeros((1, 1))
-    rep = CurvatureReport(flat + np.nan, flat + np.nan, flat, flat == 0.0, np.zeros((1, 1, 3)))
-    entries = [CheckResult("gauss", nets.gauss_residual(rep, -1), 1e-9),
+    # one face, degenerate (a vanishing position diagonal): the Gauss residual has no face to
+    # measure
+    x = np.array([[[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    n = np.array([[[0.0, 0.0, 1.0], [0.3, 0.0, 1.0]], [[0.0, 0.3, 1.0], [0.3, 0.3, 1.0]]])
+    net = ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
+    worst, degenerate = nets.curvature_report(net)
+    assert degenerate.tolist() == [0]
+    entries = [CheckResult("gauss", worst["gauss"], 1e-9),
                CheckResult("nan", np.nan, 1e-9), CheckResult("fine", 1e-12, 1e-9)]
     path = tmp_path / "report.json"
     cli.report_json(entries, {"n": 1}, str(path))
@@ -515,7 +560,7 @@ def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
 
 
 def test_double_names_the_verify_stage_of_a_face_failure(tmp_path, monkeypatch, capsys):
-    def degenerate(net):
+    def degenerate(net, *args, **kwargs):
         raise DegenerateFace("face (0,0): planted")
 
     monkeypatch.setattr(cli, "curvature_report", degenerate)
@@ -540,7 +585,8 @@ def test_invariant_failure_exit_code(capsys):
     net = build_rcnet(p, 13, theta=np.pi / 6.0)
     warped = ContactElementNet(
         net.x + 1e-3 * np.sin(np.arange(net.x.size).reshape(net.x.shape)), net.n)
-    entries, _ = cli.net_report_entries(p, warped)
+    worst, _ = nets.curvature_report(warped, p.K_sign, edge=True, unit=True)
+    entries = cli.net_report_entries(p, worst)
     gauss = next(e for e in entries if e.name == "gaussian_constancy")
     assert not gauss.passed
     assert 1e-5 < gauss.max_residual < 1e-1

@@ -15,18 +15,18 @@ from cknet import cli
 from cknet.backlund import BacklundParams, double_backlund
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
 from cknet.lattice import gauge_frame
-from cknet.nets import ContactElementNet, CurvatureReport, curvature_report
+from cknet.nets import ContactElementNet, curvature_report
 from cknet.revolution import profile_elliptic
 
 MiB = 2 ** 20
 
 
-def added_mib(fn, *args):
+def added_mib(fn, *args, **kwargs):
     """tracemalloc peak of one call of ``fn``, in MiB, after a warm-up call."""
-    fn(*args)
+    fn(*args, **kwargs)
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] / MiB
     finally:
         tracemalloc.stop()
@@ -58,23 +58,35 @@ def seeded_net():
     return ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
 
 
-def test_curvature_report_memory_is_its_arrays_and_one_block():
-    """The report's own arrays (K, H, det_x, degenerate and the normals: 49 bytes a face,
-    11.2 MiB here) and one block of face rows, where the whole-grid pass added about 55 MiB."""
+def test_curvature_report_memory_is_one_block():
+    """Every reduction of the loop at once over a net and a transform of it: one block of
+    rows (0.56 MiB), where the report's arrays alone took 49 bytes a face (11.2 MiB here)."""
     net = seeded_net()
-    faces = (net.shape[0] - 1) * (net.shape[1] - 1)
-    assert added_mib(curvature_report, net) <= 49 * faces / MiB + 1.5
+    other = ContactElementNet(net.x[::-1].copy(), net.n[::-1].copy())
+    assert added_mib(curvature_report, net, -1, edge=True, unit=True, period=6,
+                     base=other, alpha=1.0) <= 1.0
 
 
-def test_report_entries_run_their_residuals_before_the_curvature_report():
-    """The whole-grid residuals (validate_ec alone adds 14.75 MiB here) run before the
-    curvature report (11.2 MiB) exists, so their temporaries never sit on top of it: 15.1 MiB
-    for a net and 18.5 MiB for a single transform, where 26.0 and 29.7 MiB did."""
+def verify_net(p, net):
+    """The checks of ``cknet generate`` on ``net``."""
+    worst, _ = curvature_report(net, p.K_sign, edge=True, unit=True, period=6)
+    return cli.net_report_entries(p, worst)
+
+
+def verify_transform(base, net):
+    """The checks of ``cknet backlund`` on ``net``, a transform of ``base`` at angle 1."""
+    worst, _ = curvature_report(net, base=base, alpha=1.0)
+    return cli.backlund_report_entries(worst)
+
+
+def test_report_entries_add_one_block():
+    """The entries of a net and of a single transform add one block of rows over their
+    inputs, where whole-grid residuals added 15.1 and 18.5 MiB."""
     net = seeded_net()
     other = ContactElementNet(net.x[::-1].copy(), net.n[::-1].copy())
     p = profile_elliptic(0.6, -1, (-60, 60), j0=4)
-    assert added_mib(cli.net_report_entries, p, net, 6) <= 16.5
-    assert added_mib(cli.backlund_report_entries, net, other, 1.0) <= 20.0
+    assert added_mib(verify_net, p, net) <= 2.0
+    assert added_mib(verify_transform, net, other) <= 2.0
 
 
 def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
@@ -83,6 +95,5 @@ def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
     net = seeded_net()
     degenerate = np.zeros((120, 1999), dtype=bool)
     degenerate[::17, ::301] = True
-    blank = np.zeros(degenerate.shape)
-    rep = CurvatureReport(blank, blank, blank, degenerate, np.zeros(degenerate.shape + (3,)))
-    assert added_mib(cli.export_obj, net, str(tmp_path / "mesh.obj"), rep) <= 2.0
+    degenerate = np.flatnonzero(degenerate)
+    assert added_mib(cli.export_obj, net, str(tmp_path / "mesh.obj"), degenerate) <= 2.0

@@ -19,7 +19,7 @@ from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
                         singular_vertices, sym, sym_arrays, validate_ec)
 from cknet.revolution import (build_rcnet, conservation_drift, edge_residuals,
                               profile_elliptic, validate_profile)
-from oracles import cross_ratio, det, seven_cross_report
+from oracles import cross_product_report, cross_ratio, det
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -220,24 +220,22 @@ def test_face_normal_rcnet_orthogonal_to_normal_diagonals():
 
 
 def test_unit_sphere_curvatures_are_one():
-    rep = curvature_report(sphere_net())
-    assert not np.any(rep.degenerate)
-    assert np.all(rep.K == 1.0)
-    assert np.all(rep.H == 1.0)
+    worst, degenerate = curvature_report(sphere_net(), 1)
+    assert degenerate.size == 0
+    assert worst == {"gauss": 0.0}   # K == 1 on every face
 
 
 def test_planar_curvatures_vanish():
-    rep = curvature_report(planar_net())
-    assert not np.any(rep.degenerate)
-    assert np.all(rep.K == 0.0)
-    assert np.all(rep.H == 0.0)
+    worst, degenerate = curvature_report(planar_net(), 0)
+    assert degenerate.size == 0
+    assert worst == {"gauss": 0.0}
 
 
 def test_rcnet_gaussian_curvature_constant():
     _, net = rc_net()
-    rep = curvature_report(net)
-    assert not np.any(rep.degenerate)
-    assert np.max(np.abs(rep.K + 1.0)) < 1e-9
+    worst, degenerate = curvature_report(net)
+    assert degenerate.size == 0
+    assert worst["gauss"] < 1e-9
 
 
 def test_degenerate_face_flagged_and_raises():
@@ -249,9 +247,9 @@ def test_degenerate_face_flagged_and_raises():
                   [[0.0, 0.3, 0.0], [0.3, 0.0, 0.0]]])
     n[..., 2] = np.sqrt(1.0 - 0.09)
     net = ContactElementNet(x, n)
-    rep = curvature_report(net)
-    assert rep.degenerate[0, 0]
-    assert np.isnan(rep.K[0, 0]) and np.isnan(rep.H[0, 0])
+    worst, degenerate = curvature_report(net)
+    assert degenerate.tolist() == [0]
+    assert worst["gauss"] == np.inf   # no face left to measure
 
 
 def test_cross_kernel_matches_np_cross_on_broadcast_shapes():
@@ -263,10 +261,14 @@ def test_cross_kernel_matches_np_cross_on_broadcast_shapes():
 
 
 def assert_report_matches_seven_crosses(net):
-    rep, ref = curvature_report(net), seven_cross_report(net)
-    for name in ("K", "H", "det_x", "degenerate", "normal"):
-        assert np.array_equal(getattr(rep, name), getattr(ref, name), equal_nan=True), name
-    assert np.array_equal(face_normal(net), ref.normal)
+    """The face pass and the blocked report against the independent cross products."""
+    K, degenerate, normal = cross_product_report(net)
+    keep = ~degenerate
+    assert np.array_equal(nets._face_pass(net, slice(0, None))[0][keep], K[keep])
+    worst, found = curvature_report(net)
+    assert worst["gauss"] == np.max(np.abs(K[keep] + 1.0))
+    assert np.array_equal(found, np.flatnonzero(degenerate))
+    assert np.array_equal(face_normal(net), normal)
 
 
 @pytest.mark.parametrize("spec", PROFILE_SPECS, ids=lambda s: f"{s[0]}-{s[1]:g}-{s[2]:+d}")
@@ -303,8 +305,7 @@ def test_face_pass_matches_seven_crosses_across_blocks():
     net = blocked_net()
     step = nets._BLOCK_VERTICES // net.shape[1]
     assert (32, 64) == (step, 2 * step) and net.shape[0] - 1 > 3 * step
-    rep = curvature_report(net)
-    assert rep.degenerate[32, 10] and np.count_nonzero(rep.degenerate) == 1
+    assert curvature_report(net)[1].tolist() == [32 * (net.shape[1] - 1) + 10]
     _, _, nd1, nd2 = face_diagonals(net)
     assert np.linalg.norm(np.cross(nd1[64, 5], nd2[64, 5])) <= 1e-10 < np.linalg.norm(nd1[64, 5])
     assert_report_matches_seven_crosses(net)
@@ -317,7 +318,7 @@ def test_degenerate_face_in_a_later_block_names_its_grid_index():
     n[64:66, 20:22] = n[64, 20]                       # and constant normals
     broken = ContactElementNet(x, n)
     with pytest.raises(DegenerateFace, match=r"face \(64,20\)"):
-        seven_cross_report(broken)
+        cross_product_report(broken)
     with pytest.raises(DegenerateFace, match=r"face \(64,20\)"):
         curvature_report(broken)
 
@@ -380,6 +381,18 @@ def test_validate_ec_planar():
 def test_validate_ec_rcnet():
     _, net = rc_net()
     assert validate_ec(net) < 1e-12
+
+
+def test_edge_constraint_reaches_the_j_edges_between_blocks():
+    """Rows 32 on move away from rows 0..31, so the worst residual sits on the j-edges from
+    row 31, the last of the first block, to row 32, the first of the second."""
+    net = blocked_net()
+    assert nets._BLOCK_VERTICES // net.shape[1] == 32
+    x = net.x.copy()
+    x[32:] += [0.0, 0.0, 5.0]
+    moved = ContactElementNet(x, net.n)
+    worst = curvature_report(moved, faces=False, edge=True)[0]["edge"]
+    assert worst == validate_ec(moved) > 2.0 * validate_ec(net)
 
 
 # ---------------------------------------------------------------------------

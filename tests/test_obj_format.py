@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cknet import cli
-from cknet.nets import ContactElementNet, CurvatureReport
+from cknet.nets import ContactElementNet
 from oracles import joined_obj
 
 
@@ -109,10 +109,8 @@ def test_obj_blocks_match_the_joined_writer(tmp_path, nj, nk):
     net = mesh(nj, nk, seed=nj * nk)
     degenerate = np.zeros((nj - 1, nk - 1), dtype=bool)
     degenerate[:, ::7] = True
-    blank = np.zeros(degenerate.shape)
-    rep = CurvatureReport(blank, blank, blank, degenerate, np.zeros(degenerate.shape + (3,)))
     path = tmp_path / "mesh.obj"
-    cli.export_obj(net, str(path), rep)
+    cli.export_obj(net, str(path), np.flatnonzero(degenerate))
     assert path.read_bytes() == joined_obj(net, degenerate)
     assert path.read_bytes().count(b"# degenerate") == degenerate.sum()
 
@@ -124,8 +122,6 @@ def test_face_runs_match_the_joined_writer(tmp_path):
     net = mesh(4, F + 2, seed=3)                      # 3 rows of F + 1 faces: four chunks
     degenerate = np.zeros((3, F + 1), dtype=bool)
     degenerate.flat[[F, 2 * F - 1, 2 * F + 3, 2 * F + 4, 3 * F + 2]] = True
-    blank = np.zeros(degenerate.shape)
-    rep = CurvatureReport(blank, blank, blank, degenerate, np.zeros(degenerate.shape + (3,)))
     path = tmp_path / "mesh.obj"
-    cli.export_obj(net, str(path), rep)
+    cli.export_obj(net, str(path), np.flatnonzero(degenerate))
     assert path.read_bytes() == joined_obj(net, degenerate)

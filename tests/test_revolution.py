@@ -422,8 +422,8 @@ def test_validate_profile_detects_corruption():
 def test_build_rcnet_constant_curvature():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
     net = build_rcnet(p, 10, theta=np.pi / 6.0)
-    rep = curvature_report(net)
-    assert np.max(np.abs(rep.K - p.K_sign)) < 1e-9
+    worst, degenerate = curvature_report(net, p.K_sign)
+    assert degenerate.size == 0 and worst["gauss"] < 1e-9
     z, embedded = cross_ratio(net, (2, 3))
     assert abs(z.imag) < 1e-10 * abs(z)
     assert embedded
