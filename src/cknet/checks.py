@@ -91,11 +91,9 @@ def fixture_ck_hs(theta: float = THETA, k_count: int = 15):
 
 @lru_cache(maxsize=None)
 def fixture_cmc(case: int):
-    if case == 1:
-        p = fixture_profile("trig", 0.6, +1)
-    else:
-        p = fixture_profile("trig", 1.4, +1)
-    conn, data = build_cmc_connection(p, THETA, 15, case)
+    """K=+1 fixture of construction 1 (kappa = 0.6) or 2 (kappa = 1.4)."""
+    p = fixture_profile("trig", 0.6 if case == 1 else 1.4, +1)
+    conn, data = build_cmc_connection(p, THETA, 15)
     return p, conn, data
 
 

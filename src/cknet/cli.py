@@ -427,11 +427,12 @@ def cmd_generate(cfg: dict) -> int:
 
 def _hs_pipeline(cfg: dict):
     """Profile, rotation step, connection and its normal-form data: what every transform reads."""
+    if (k_lo := _get(cfg, "rotation", "k_lo", int, 0)) != 0:
+        raise ConfigError(f"rotation.k_lo = {k_lo} is read by generate only; transforms start at 0")
     p = _stage("profile", build_profile, cfg)
     theta, k0 = _stage("rotation", rotation_step, cfg)
     k_count = _get(cfg, "rotation", "k_count", int)
-    k_lo = _get(cfg, "rotation", "k_lo", int, 0)
-    conn, data = _stage("connect", build_ck_connection, p, theta, k_count, k_lo=k_lo)
+    conn, data = _stage("connect", build_ck_connection, p, theta, k_count)
     hs = _stage("gauge", gauge_to_hs, conn, data)
     return p, theta, k0, conn, hs
 

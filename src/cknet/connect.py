@@ -11,13 +11,18 @@ scalar edge data (u, v, v_frak, h_frak):
              alpha^2 = |v_frak|^2 + u^2 + u^{-2} + 2 cos 2t,  u real,
 
 and M of the same shape built from (v, h_frak, beta) with the sign of
-the cos 2t term flipped in the K = +1 case.  Three constructions cover
-the parameter ranges: K=+1 with kappa < 1 (case 1), K=+1 with kappa > 1
-(case 2) and K=-1 (case 3).  Every family runs the profile along j and
-the rotation along k, and is invariant along k, so it is held once per
-profile row: L of shape (nj-1, 1, 2, 2) and M of shape (nj, 1, 2, 2).
-Case 1 exchanges the roles of the edge data: its L is the flipped form
-built from (h_frak, v) and its M the L form built from (v_frak, u).
+the cos 2t term flipped in the K = +1 case.  Every family runs the
+profile along j and the rotation along k, and is invariant along k, so
+it is held once per profile row: L of shape (nj-1, 1, 2, 2) and M of
+shape (nj, 1, 2, 2).  For K = +1 the construction follows from kappa:
+kappa > 1 (construction 2) keeps the forms above, kappa < 1
+(construction 1) exchanges the roles of the edge data, so its L is the
+flipped form built from (h_frak, v) and its M the L form built from
+(v_frak, u); kappa = 1 is covered by neither.  K = -1 is construction 3.
+In every construction one rule closes flatness on each face: the
+diagonal scalar of the profile edge is a generic formula where its two
+vertex scalars differ and a mirrored one where they coincide, which
+happens when b(j+1) = -b(j).
 
 The K=-1 family can be gauged into a normal form whose entries depend
 on a unit vertex function s and edge angles delta with sin(delta) =
@@ -38,23 +43,28 @@ from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
 from .revolution import Profile
 
 
-_BRANCH_TOL = 1e-9   # below it a pair of edge scalars counts as equal and the mirrored branch is taken
+_BRANCH_TOL = 1e-9   # below it a pair of vertex scalars counts as equal and the mirrored formula is taken
 
 
-def _check_theta(theta: float) -> None:
+def _rotation_domain(p: Profile, theta: float, k_count: int) -> Domain:
     if not (0.0 < abs(theta) < np.pi):
         raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
+    if k_count < 2:
+        raise ConfigError(f"need at least two rotational vertices, got {k_count}")
+    return Domain((p.j_lo, p.j_lo + p.nj - 1), (0, k_count - 1))
 
 
 @dataclass(frozen=True)
 class CkEdgeData:
     """Scalar edge data of a rotational flat connection at t = 0.
 
-    In cases 2 and 3, u, v_frak and alpha0 live on the profile edges and
-    v, h_frak on the profile vertices, whose rotation edges they build;
-    beta0 is the same number for every row.  Case 1 exchanges the roles:
-    u and v_frak live on the profile vertices, v, h_frak and beta0 on the
-    profile edges, and alpha0 is the same number for every row.
+    K_sign and, for K = +1, kappa choose the construction.  For K = -1
+    and for K = +1 with kappa > 1, u, v_frak and alpha0 live on the
+    profile edges and v, h_frak on the profile vertices, whose rotation
+    edges they build; beta0 is the same number for every row.  K = +1
+    with kappa < 1 exchanges the roles: u and v_frak live on the profile
+    vertices, v, h_frak and beta0 on the profile edges, and alpha0 is the
+    same number for every row.  u and v are real when K = +1.
     """
 
     u: np.ndarray
@@ -64,13 +74,17 @@ class CkEdgeData:
     alpha0: np.ndarray
     beta0: np.ndarray
     K_sign: int
-    case: int
-    theta: float
-    kappa: float
 
 
 # ---------------------------------------------------------------------------
 # edge matrices as jets
+
+
+def _normalised(X, Xd, alpha, alpha_dot):
+    """Jet of X/alpha in t from X, its derivative Xd, alpha and its derivative; and alpha."""
+    a = alpha[..., None, None]
+    ad = alpha_dot[..., None, None]
+    return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
 
 
 def _edge_jet_cgc(diag, u, t):
@@ -82,12 +96,9 @@ def _edge_jet_cgc(diag, u, t):
     if np.any(alpha2 <= 0):
         raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
     alpha = np.sqrt(alpha2)
-    alpha_dot = (ep * ep - em * em) / alpha
     X = quat.matrix(diag, em * u - ep / u, ep * u - em / u, np.conj(diag))
     Xd = quat.matrix(0.0, -em * u - ep / u, ep * u + em / u, 0.0)
-    a = alpha[..., None, None]
-    ad = alpha_dot[..., None, None]
-    return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
+    return _normalised(X, Xd, alpha, (ep * ep - em * em) / alpha)
 
 
 def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
@@ -100,7 +111,6 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
     if np.any(alpha2 <= 0):
         raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
     alpha = np.sign(alpha_sign) * np.sqrt(alpha2)
-    alpha_dot = -cos_sign * 2.0 * np.sin(2.0 * t) / alpha
     if cos_sign > 0:
         X = quat.matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
         Xd = quat.matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
@@ -108,21 +118,40 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
         X = quat.matrix(diag, -1j * eit * u + 1j * emt / u, 1j * eit / u - 1j * emt * u,
                         np.conj(diag))
         Xd = quat.matrix(0.0, eit * u + emt / u, -eit / u - emt * u, 0.0)
-    a = alpha[..., None, None]
-    ad = alpha_dot[..., None, None]
-    return MatJet(X / a, Xd / a - X * ad / (a * a)), alpha
+    return _normalised(X, Xd, alpha, -cos_sign * 2.0 * np.sin(2.0 * t) / alpha)
+
+
+def _closing_scalar(w, x, b, d, generic, mirrored):
+    """Diagonal scalar of each profile edge that closes flatness on its faces.
+
+    w holds the edge scalars, x the vertex scalars and d their pairing
+    along each edge.  Where |d| > _BRANCH_TOL the value is generic(w, sb,
+    d) with sb = b(j) + b(j+1).  Elsewhere the normals must be mirrored,
+    b(j+1) = -b(j), and the value is mirrored(w x(j), db) with db =
+    b(j+1) - b(j).  Each formula sees only its own edges, so neither
+    divides by a vanishing d or db.
+    """
+    sb, db = b[1:] + b[:-1], b[1:] - b[:-1]
+    gen = np.abs(d) > _BRANCH_TOL
+    mir = ~gen
+    if np.any(np.abs(sb[mir]) > _BRANCH_TOL) or np.any(np.abs(db[mir]) < 1e-12):
+        raise BranchFailure("equal vertex scalars on a profile edge without mirrored normals")
+    out = np.empty(len(w), dtype=w.dtype)
+    out[gen] = generic(w[gen], sb[gen], d[gen])
+    out[mir] = mirrored(w[mir] * x[:-1][mir], db[mir])
+    return out
 
 
 # ---------------------------------------------------------------------------
-# K = -1 (case 3)
+# K = -1 (construction 3)
 
 
-def build_ck_connection(p: Profile, theta: float, k_count: int, k_lo: int = 0):
+def build_ck_connection(p: Profile, theta: float, k_count: int):
     """Flat K=-1 connection family for the rotational net of profile p, anchored at t = 0.
 
     Returns (ConnectionFamily, CkEdgeData).  The connection is invariant
-    along the rotation direction k; edge scalars are seeded from the
-    profile normals:
+    along the rotation direction k, whose k_count columns are labelled
+    0 .. k_count-1; edge scalars are seeded from the profile normals:
 
         v(j)    = (-1)^j (sqrt(1 - kappa^2 a^2) - i kappa a(j)),
         h_frak  = 2 kappa cot(theta/2) + 2 i kappa b(j),
@@ -133,9 +162,7 @@ def build_ck_connection(p: Profile, theta: float, k_count: int, k_lo: int = 0):
     """
     if p.K_sign != -1:
         raise InvalidProfile("K=-1 connection requires a K=-1 profile")
-    _check_theta(theta)
-    if k_count < 2:
-        raise ConfigError(f"need at least two columns, got {k_count}")
+    domain = _rotation_domain(p, theta, k_count)
     kappa, a, b = p.kappa, p.a, p.b
     par = np.where(p.js % 2 == 0, 1.0, -1.0)
     re2 = 1.0 - (kappa * a) ** 2
@@ -146,23 +173,13 @@ def build_ck_connection(p: Profile, theta: float, k_count: int, k_lo: int = 0):
     if np.min(u.real) < 1e-12:
         raise BranchFailure("u has vanishing real part on some profile edge")
     h_frak = 2.0 * kappa / np.tan(theta / 2.0) + 2j * kappa * b
-    v_sum = v[:-1] + v[1:]
-    db = b[1:] - b[:-1]
-    sb = b[1:] + b[:-1]
-    v_frak = np.empty(len(u), dtype=complex)
-    generic = np.abs(v_sum) > _BRANCH_TOL
-    v_frak[generic] = (u * 2j * kappa * sb / v_sum)[generic]
-    if np.any(~generic):
-        alt = ~generic
-        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
-            raise BranchFailure("degenerate column pair without mirrored normals")
-        uv = (u * v[:-1])[alt]
-        v_frak[alt] = 2.0 * (uv + 1.0 / uv) / (2j * kappa * db[alt])
+    v_frak = _closing_scalar(u, v, b, v[:-1] + v[1:],
+                             lambda w, sb, d: w * 2j * kappa * sb / d,
+                             lambda uv, db: 2.0 * (uv + 1.0 / uv) / (2j * kappa * db))
     if np.max(np.abs(v_frak.real)) > 1e-9:
         raise BranchFailure(f"edge scalar v_frak not imaginary (|Re| = {np.max(np.abs(v_frak.real)):.3e})")
     v_frak = 1j * v_frak.imag
     beta0 = 2.0 * kappa / np.sin(theta / 2.0)
-    domain = Domain((p.j_lo, p.j_lo + p.nj - 1), (k_lo, k_lo + k_count - 1))
 
     def assemble(t: float) -> ConnectionFamily:
         L_edge, _ = _edge_jet_cgc(v_frak, u, t)
@@ -172,104 +189,58 @@ def build_ck_connection(p: Profile, theta: float, k_count: int, k_lo: int = 0):
         return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, alpha0 = _edge_jet_cgc(v_frak, u, 0.0)
-    data = CkEdgeData(u, v, v_frak, h_frak, alpha0,
-                      np.full(p.nj, beta0), -1, 3, float(theta), kappa)
-    return assemble(0.0), data
+    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, np.full(p.nj, beta0), -1)
 
 
 # ---------------------------------------------------------------------------
-# K = +1 (cases 1 and 2)
+# K = +1 (constructions 1 and 2)
 
 
-def build_cmc_connection(p: Profile, theta: float, k_count: int, case: int):
+def build_cmc_connection(p: Profile, theta: float, k_count: int):
     """Flat K=+1 connection family for the rotational net of profile p, anchored at t = 0.
 
-    case=1 handles kappa < 1 and case=2 kappa > 1; both run the profile
-    along j and are invariant along the rotation direction k, which has
-    k_count vertices.  kappa = 1 is covered by neither construction
-    (CaseMismatch).
+    kappa chooses the construction: kappa > 1 seeds the real vertex
+    scalars v = a/q + sqrt((a/q)^2 + 1) with q = sqrt(kappa^2 - 1) and
+    closes v_frak on the profile edges; kappa < 1 exchanges the roles,
+    seeding u = (a + |f|)/q with q = sqrt(1 - kappa^2) and closing
+    h_frak.  Both run the profile along j and are invariant along the
+    rotation direction k, which has k_count vertices.  kappa = 1 is
+    covered by neither construction (CaseMismatch).
     """
     if p.K_sign != +1:
         raise InvalidProfile("K=+1 connection requires a K=+1 profile")
-    _check_theta(theta)
-    if k_count < 2:
-        raise ConfigError(f"need at least two rotational vertices, got {k_count}")
-    domain = Domain((p.j_lo, p.j_lo + p.nj - 1), (0, k_count - 1))
-    if case == 1:
-        if not p.kappa < 1.0:
-            raise CaseMismatch(f"case 1 requires kappa < 1, got kappa = {p.kappa}")
-        return _cmc_case1(p, theta, domain)
-    if case == 2:
-        if not p.kappa > 1.0:
-            raise CaseMismatch(f"case 2 requires kappa > 1, got kappa = {p.kappa}")
-        return _cmc_case2(p, theta, domain)
-    raise ConfigError(f"case must be 1 or 2, got {case}")
-
-
-def _cmc_case2(p, theta, domain):
-    q = np.sqrt(p.kappa ** 2 - 1.0)
+    domain = _rotation_domain(p, theta, k_count)
+    if not (p.kappa < 1.0 or p.kappa > 1.0):
+        raise CaseMismatch(f"no K=+1 construction covers kappa = {p.kappa}")
+    exchanged = p.kappa < 1.0
+    sgn = -1.0 if exchanged else 1.0   # sign of the cos 2t term of L, and of the closing scalar
+    q = np.sqrt(sgn * (p.kappa ** 2 - 1.0))
     a, b = p.a, p.b
-    v = a / q + np.sqrt((a / q) ** 2 + 1.0)
-    u = np.sqrt(v[:-1] * v[1:])
-    if np.min(np.abs(np.abs(u) - 1.0)) < 1e-12:
+    if exchanged:
+        if not (np.all(a > 0) or np.all(a < 0)):
+            raise CaseMismatch("kappa < 1 requires the radial normal component to keep its sign")
+        x = (a + np.abs(p.f)) / q
+    else:
+        x = a / q + np.sqrt((a / q) ** 2 + 1.0)
+    w = np.sqrt(x[:-1] * x[1:])
+    if not exchanged and np.min(np.abs(np.abs(w) - 1.0)) < 1e-12:
         raise BranchFailure("u = +-1 on some profile edge (mirrored radial normals)")
-    h_frak = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
-    v_diff = v[:-1] - v[1:]
-    db = b[1:] - b[:-1]
-    sb = b[1:] + b[:-1]
-    v_frak = np.empty(len(u), dtype=float)
-    generic = np.abs(v_diff) > _BRANCH_TOL
-    v_frak[generic] = (2.0 * u * sb / (q * v_diff))[generic]
-    if np.any(~generic):
-        alt = ~generic
-        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
-            raise BranchFailure("equal-v column pair without mirrored normals")
-        uv = (u * v[:-1])[alt]
-        v_frak[alt] = ((uv - 1.0 / uv) * q / db)[alt]
-    beta0 = 2.0 / (q * np.sin(theta / 2.0))
+    vertex_diag = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
+    edge_diag = _closing_scalar(w, x, b, x[:-1] - x[1:],
+                                lambda w, sb, d: sgn * 2.0 * w * sb / (q * d),
+                                lambda uv, db: sgn * (uv - 1.0 / uv) * q / db)
+    vertex_norm0 = 2.0 / (q * np.sin(theta / 2.0))
 
     def assemble(t: float) -> ConnectionFamily:
-        L_edge, _ = _edge_jet_cmc(v_frak, u, t, +1.0)
-        M_edge, _ = _edge_jet_cmc(h_frak, v, t, -1.0, alpha_sign=beta0)
+        L_edge, _ = _edge_jet_cmc(edge_diag, w, t, sgn)
+        M_edge, _ = _edge_jet_cmc(vertex_diag, x, t, -sgn, alpha_sign=vertex_norm0)
         return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
-    _, alpha0 = _edge_jet_cmc(v_frak, u, 0.0, +1.0)
-    data = CkEdgeData(u, v, v_frak.astype(complex), h_frak, alpha0,
-                      np.full(p.nj, beta0), +1, 2, float(theta), p.kappa)
-    return assemble(0.0), data
-
-
-def _cmc_case1(p, theta, domain):
-    q = np.sqrt(1.0 - p.kappa ** 2)
-    a, b, f = p.a, p.b, p.f
-    if not (np.all(a > 0) or np.all(a < 0)):
-        raise CaseMismatch("case 1 requires the radial normal component to keep its sign")
-    u = (a + np.abs(f)) / q
-    v = np.sqrt(u[:-1] * u[1:])
-    v_frak = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
-    u_diff = u[:-1] - u[1:]
-    db = b[1:] - b[:-1]
-    sb = b[1:] + b[:-1]
-    h_frak = np.empty(len(v), dtype=float)
-    generic = np.abs(u_diff) > _BRANCH_TOL
-    h_frak[generic] = (-2.0 * v * sb / (q * u_diff))[generic]
-    if np.any(~generic):
-        alt = ~generic
-        if np.any(np.abs(sb[alt]) > _BRANCH_TOL) or np.any(np.abs(db[alt]) < 1e-12):
-            raise BranchFailure("equal-u row pair without mirrored normals")
-        uv = (u[:-1] * v)[alt]
-        h_frak[alt] = (-(uv - 1.0 / uv) * q / db)[alt]
-    alpha0 = 2.0 / (q * np.sin(theta / 2.0))
-
-    def assemble(t: float) -> ConnectionFamily:
-        L_edge, _ = _edge_jet_cmc(h_frak, v, t, -1.0)
-        M_edge, _ = _edge_jet_cmc(v_frak, u, t, +1.0, alpha_sign=alpha0)
-        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
-
-    _, beta0 = _edge_jet_cmc(h_frak, v, 0.0, -1.0)
-    data = CkEdgeData(u, v.astype(complex), v_frak, h_frak.astype(complex),
-                      np.full(p.nj, alpha0), beta0, +1, 1, float(theta), p.kappa)
-    return assemble(0.0), data
+    _, edge_norm0 = _edge_jet_cmc(edge_diag, w, 0.0, sgn)
+    edge = (w, edge_diag.astype(complex), edge_norm0)
+    vertex = (x, vertex_diag, np.full(p.nj, vertex_norm0))
+    (u, v_frak, alpha0), (v, h_frak, beta0) = (vertex, edge) if exchanged else (edge, vertex)
+    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, beta0, +1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +345,8 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     are left out of the gauge and gauged frames stay unit-sized on grids
     of any length.
     """
-    if data.case != 3 or data.K_sign != -1:
-        raise CaseMismatch("normal form gauge applies to the K=-1 (case 3) family")
+    if data.K_sign != -1:
+        raise CaseMismatch("normal form gauge applies to the K=-1 family")
     if conn.t0 != 0.0:
         raise ConfigError("normal form gauge is anchored at t0 = 0")
     nj = conn.domain.nj

@@ -504,6 +504,42 @@ def test_double_rejects_an_angle_it_cannot_use(tmp_path, capsys, alpha):
     assert not mesh.exists()
 
 
+# A = B(1+c)/(1-c) gives b(1) = -b(0): the profile edge at label 0 has mirrored normals
+MIRRORED_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.05", "--surface.A",
+                     "0.5526315789473685", "--surface.B", "0.5", "--surface.j_lo", "-2",
+                     "--surface.j_hi", "3", "--rotation.k0", "6", "--rotation.k_count", "13"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, extra", [("double", ["--backlund.alpha", "1.0"]),
+                                            ("search", ["--backlund.N0", "8"])])
+def test_mirrored_profile_edge_runs_clean(capsys, command, extra):
+    p = cli.build_profile(cli.parse_overrides(MIRRORED_HYP_KEYS))
+    assert abs(p.b[p.index(0)] + p.b[p.index(1)]) < 1e-12
+    code = cli.main([command, *MIRRORED_HYP_KEYS, *extra])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_OK, err
+    assert err == "" and "FAIL" not in out
+
+
+@pytest.mark.parametrize("command, extra, code", [
+    ("generate", [], cli.EXIT_OK),
+    ("backlund", ["--backlund.alpha", "1.0"], cli.EXIT_CONFIG),
+    ("double", ["--backlund.alpha", ALPHA_C], cli.EXIT_CONFIG),
+    ("search", ["--backlund.N0", "8"], cli.EXIT_CONFIG),
+])
+def test_column_offset_is_refused_where_it_would_be_ignored(tmp_path, capsys, command, extra,
+                                                           code):
+    # k_lo rotates the mesh of generate; the transforms have no use for it
+    got, mesh, report = run_desk(tmp_path, command,
+                                 ["--rotation.k_count", "26", "--rotation.k_lo", "3", *extra], "k_lo")
+    err = capsys.readouterr().err.splitlines()
+    assert got == code
+    if code == cli.EXIT_CONFIG:
+        assert len(err) == 1 and err[0].startswith("error: stage=config: ConfigError: rotation.k_lo")
+        assert not mesh.exists() and not report.exists()
+
+
 def test_stage_names_floating_point_errors():
     def trapped():
         with np.errstate(over="raise"):

@@ -1,20 +1,22 @@
 """Tests for rotational flat connections, frames, and the gauged normal form."""
 
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cknet import quat
 from cknet.connect import (build_ck_connection, build_cmc_connection, closing_residual,
                            gauge_to_hs, hs_lax, initial_frame, rotational_frames)
-from cknet.errors import CaseMismatch, ConfigError, InvalidProfile
+from cknet.errors import CaseMismatch, CknetError, ConfigError, InvalidProfile
 from cknet import lattice
 from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
                            flatness_residual, gauge, gauge_frame, jet_residual)
 from cknet.nets import rigid_align, sym
-from cknet.revolution import build_rcnet, profile_elliptic, profile_trig
+from cknet.revolution import build_rcnet, profile_elliptic, profile_hyp, profile_trig
 from oracles import cross_ratio, integrate_frame
 
 THETA = np.pi / 6.0
@@ -31,7 +33,7 @@ def ck_fixture():
 def cmc_fixture(case):
     kappa = 0.6 if case == 1 else 1.4
     p = profile_trig(np.full(6, -np.tan(0.05)), kappa, 0.0, j_lo=-3)
-    conn, data = build_cmc_connection(p, THETA, 15, case)
+    conn, data = build_cmc_connection(p, THETA, 15)
     return p, conn, data
 
 
@@ -117,15 +119,14 @@ def test_invalid_inputs():
 
 
 def test_cmc_case_ranges():
-    p1, _, _ = cmc_fixture(1)
-    p2, _, _ = cmc_fixture(2)
-    with pytest.raises(CaseMismatch):
-        build_cmc_connection(p2, THETA, 8, 1)
-    with pytest.raises(CaseMismatch):
-        build_cmc_connection(p1, THETA, 8, 2)
+    # kappa picks the construction; kappa = 1 is covered by neither
+    sphere = profile_trig(np.full(6, -np.tan(0.05)), 1.0, 0.0, j_lo=-3)
+    for p in (sphere, replace(sphere, kappa=np.nan)):
+        with pytest.raises(CaseMismatch):
+            build_cmc_connection(p, THETA, 8)
     hyp_like = profile_elliptic(0.6, -1, (-2, 2), j0=3)
     with pytest.raises(InvalidProfile):
-        build_cmc_connection(hyp_like, THETA, 8, 1)
+        build_cmc_connection(hyp_like, THETA, 8)
 
 
 def test_cmc_flatness():
@@ -149,6 +150,77 @@ def test_cmc_case1_seeding_identities():
     assert_allclose(q * (data.u + 1.0 / data.u).real / 2.0, p.a, atol=1e-10)
     assert_allclose(q * data.v_frak.imag / 2.0, p.b, atol=1e-10)
     assert np.max(np.abs(data.alpha0 - 2.0 / (q * np.sin(THETA / 2.0)))) < 1e-12
+
+
+def zigzag_profile(phases, kappa):
+    """K=+1 profile whose normals pass through the phases phi(j): c = -tan(dphi/2) turns
+    each edge by dphi, so phases of opposite sign give mirrored normals b(j+1) = -b(j)."""
+    phases = np.asarray(phases)
+    return profile_trig(-np.tan(np.diff(phases) / 2.0), kappa, phases[0])
+
+
+ZIGZAG_PHASES = [(-0.1, 0.1, -0.1), (-0.1, 0.1, -0.1, 0.25), (0.05, -0.1, 0.1, -0.1, 0.25)]
+MIRRORED_PROFILES = {f"trig_{len(phases)}_rows_kappa_{kappa}": partial(zigzag_profile, phases, kappa)
+                     for phases in ZIGZAG_PHASES for kappa in (0.6, 1.4)}
+# A = B(1+c)/(1-c) gives b(1) = -b(0): the K=-1 profile edge at label 0 is mirrored
+MIRRORED_PROFILES["hyp"] = partial(profile_hyp, np.full(5, 0.05), 0.5526315789473685, 0.5, j_lo=-2)
+
+
+def build_rotational(p, theta):
+    if p.K_sign == -1:
+        return build_ck_connection(p, theta, 15)
+    return build_cmc_connection(p, theta, 15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(MIRRORED_PROFILES))
+def test_mirrored_profile_edges_close_flat(name):
+    # every construction takes the mirrored formula on the mirrored edges, the generic one elsewhere
+    p = MIRRORED_PROFILES[name]()
+    assert np.min(np.abs(p.b[1:] + p.b[:-1])) < 1e-12
+    conn, _ = build_rotational(p, THETA)
+    for t in (-0.5, 0.0, 0.5):
+        assert flatness_residual(conn.at(t)) < 1e-11
+
+
+@st.composite
+def profile_recipes(draw):
+    """A profile builder with its arguments: trig, hyp, or elliptic of either sign; trig and
+    elliptic take kappa in (0.2, 0.95) or (1.05, 2)."""
+    rows = draw(st.integers(3, 13))
+    j_lo = -(rows // 2)
+    kappa = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 2.0)))
+    kind = draw(st.sampled_from(["trig", "hyp", "elliptic"]))
+    cs = np.array(draw(st.lists(st.one_of(st.floats(-0.15, -0.01), st.floats(0.01, 0.15)),
+                                min_size=rows - 1, max_size=rows - 1)))
+    if kind == "trig":
+        return partial(profile_trig, cs, kappa, draw(st.floats(-0.5, 0.5)), j_lo=j_lo)
+    if kind == "hyp":
+        return partial(profile_hyp, cs, draw(st.floats(0.05, 0.8)), draw(st.floats(-0.2, 0.8)),
+                       j_lo=j_lo)
+    return partial(profile_elliptic, kappa, draw(st.sampled_from([-1, 1])),
+                   (j_lo, j_lo + rows - 1), j0=draw(st.integers(2, 8)))
+
+
+def _mirrored_examples(test):
+    for recipe in MIRRORED_PROFILES.values():
+        test = example(recipe, THETA)(test)
+    return test
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(recipe=profile_recipes(),
+       theta=st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)))
+@_mirrored_examples
+def test_connections_are_flat_or_refused(recipe, theta):
+    # a profile or connection the constructions cannot serve is a CknetError, never a crash
+    try:
+        conn, _ = build_rotational(recipe(), theta)
+    except CknetError:
+        return
+    for t in (-0.5, 0.0, 0.5):
+        assert flatness_residual(conn.at(t)) < 1e-11
 
 
 def test_sym_matches_rcnet_all_cases():

@@ -48,7 +48,7 @@ def test_base_nets_match_dense_frames(case, tau):
         xi = 2.0
     else:
         p = profile_trig(np.full(6, -np.tan(0.05)), 0.6 if case == 1 else 1.4, 0.0, j_lo=-3)
-        conn, _ = build_cmc_connection(p, THETA, 15, case)
+        conn, _ = build_cmc_connection(p, THETA, 15)
         frames = rotational_frames(conn, p.a[0], p.b[0])
         xi = -2.0
     assert frames.rows.shape[1] == 1
