@@ -17,6 +17,7 @@ import numpy as np
 from . import backlund as bk
 from .connect import (build_ck_connection, build_cmc_connection,
                       closing_residual, gauge_to_hs, hs_lax, rotational_frames)
+from .errors import ConfigError
 from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
 from .nets import ContactElementNet, curvature_report, rigid_align, singular_vertices, sym
 from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
@@ -316,19 +317,15 @@ ALL_CRITERIA = (
 )
 
 
-def run_criterion(number: int) -> list[CheckResult]:
-    for num, fn in ALL_CRITERIA:
-        if num == number:
-            return fn()
-    raise ValueError(f"no criterion {number}")
-
-
 def run_all(numbers=None) -> list[CheckResult]:
     """All acceptance checks (or the listed criterion numbers), flattened.
 
-    A criterion that raises is reported as a single failed entry naming
-    the exception instead of aborting the remaining criteria.
+    A number outside 1..11 raises ConfigError before any criterion runs.  A
+    criterion that raises is reported as a single failed entry naming the
+    exception instead of aborting the remaining criteria.
     """
+    if unknown := sorted(set(numbers or ()) - {num for num, _ in ALL_CRITERIA}):
+        raise ConfigError(f"no criterion {', '.join(map(str, unknown))}; they are numbered 1..11")
     out = []
     for num, fn in ALL_CRITERIA:
         if numbers is None or num in numbers:

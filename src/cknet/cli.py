@@ -9,12 +9,12 @@ Subcommands:
     cknet check    [--criterion N ...] [--output.report path]
 
 Config files are INI sections with key = value lines (JSON documents of
-the same two-level shape are accepted too); any key can be overridden on
-the command line as --section.key value.  Meshes are written as
-Wavefront OBJ, reports as JSON with one entry per measured invariant.
+the same two-level shape are accepted too); --section.key value overrides
+any key some subcommand reads, and any other key is refused.  Meshes are
+Wavefront OBJ, reports JSON with one entry per measured invariant.
 
 Exit codes: 0 success, 1 an invariant check failed, 2 configuration
-error, 3 numeric failure inside the pipeline.
+error (unknown key or criterion number too), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from . import checks as checksmod
 from .checks import CheckResult
 from .backlund import BacklundParams, double_backlund, find_periodic_alpha, single_backlund
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
-from .errors import (CaseMismatch, CknetError, ConfigError, DegenerateGeometry, InvalidProfile,
-                     ModulusOutOfRange)
+from .errors import CknetError, ConfigError, DegenerateGeometry
 from .lattice import flatness_residual, gauge_frame
 from .nets import ContactElementNet, curvature_report, sym
 from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
@@ -41,7 +40,14 @@ from .revolution import (Profile, build_rcnet, conservation_drift, edge_residual
 
 EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
-_CONFIG_ERRORS = (ConfigError, InvalidProfile, ModulusOutOfRange, CaseMismatch)
+# every key some subcommand reads through _get; main refuses any other
+CONFIG_KEYS = frozenset((
+    "surface.kind", "surface.j_lo", "surface.j_hi", "surface.c", "surface.A", "surface.B",
+    "surface.kappa", "surface.K_sign", "surface.Theta", "surface.j0",
+    "rotation.theta", "rotation.k0", "rotation.k_count", "rotation.k_lo",
+    "backlund.alpha", "backlund.N0", "backlund.p", "backlund.seed", "backlund.seed_hat",
+    "output.mesh", "output.report",
+))
 
 
 class _StagedError(Exception):
@@ -128,6 +134,8 @@ _MISSING = object()
 
 
 def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
+    if f"{section}.{key}" not in CONFIG_KEYS:
+        raise KeyError(f"{section}.{key} is not in CONFIG_KEYS")
     sec = cfg.get(section, {})
     if key not in sec:
         if default is _MISSING:
@@ -135,17 +143,10 @@ def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
         return default
     raw = sec[key]
     try:
-        if cast is bool and isinstance(raw, str):
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         if cast is int and isinstance(raw, str):
             return int(raw, 0)
-        # a JSON number or bool is never truncated into an int or bool key
-        if cast in (int, bool) and (isinstance(raw, bool) != (cast is bool) or raw != int(raw)):
+        # a JSON number or bool is never truncated into an int key
+        if cast is int and (isinstance(raw, bool) or raw != int(raw)):
             raise ValueError(raw)
         value = cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -545,6 +546,8 @@ def main(argv=None) -> int:
         overrides = parse_overrides(extra)
         cfg = load_config(args.config) if args.config else {}
         cfg = merge_config(cfg, overrides)
+        if unknown := sorted(set(flat_parameters(cfg)) - CONFIG_KEYS):
+            raise ConfigError(f"unknown config key {unknown[0]}")
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "backlund":
@@ -554,14 +557,10 @@ def main(argv=None) -> int:
         if args.command == "search":
             return cmd_search(cfg)
         return cmd_check(cfg, args.criterion)
-    except _StagedError as exc:
-        code = EXIT_CONFIG if isinstance(exc.error, _CONFIG_ERRORS) else EXIT_NUMERIC
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except CknetError as exc:
-        code = EXIT_CONFIG if isinstance(exc, _CONFIG_ERRORS) else EXIT_NUMERIC
-        print(f"error: stage=config: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return code
+    except (_StagedError, CknetError) as exc:
+        staged = exc if isinstance(exc, _StagedError) else _StagedError("config", exc)
+        print(f"error: {staged}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(staged.error, ConfigError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ def _rotation_domain(p: Profile, theta: float, k_count: int) -> Domain:
         raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
     if k_count < 2:
         raise ConfigError(f"need at least two rotational vertices, got {k_count}")
-    return Domain((p.j_lo, p.j_lo + p.nj - 1), (0, k_count - 1))
+    return Domain(p.nj, k_count)
 
 
 @dataclass(frozen=True)
@@ -306,23 +306,20 @@ def closing_residual(conn: ConnectionFamily, k0: int) -> float:
 class HsLaxData:
     """Scalar data of the gauged K=-1 normal form.
 
-    s is the unit vertex function per profile column, sqrt_s its branch
-    chain with sqrt_s(j+1) = u(j)/sqrt_s(j); ell and m are the edge
-    eigenvalue-like scalars; delta1 (per profile edge) and delta2
+    s is the unit vertex function per profile column; ell and m are the
+    edge eigenvalue-like scalars; delta1 (per profile edge) and delta2
     (global) are the edge angles, complex of the form +-pi/2 + i y when
     |2/alpha| > 1.  ``gauge`` is the unit-determinant vertex gauge
-    diag(sqrt_s/sqrt(i), sqrt(i)/sqrt_s): one matrix per profile row, of
-    shape (nj, 1, 2, 2).
+    diag(r/sqrt(i), sqrt(i)/r) with r(j+1) = u(j)/r(j), a square root of
+    s: one matrix per profile row, of shape (nj, 1, 2, 2).
     """
 
     s: np.ndarray
-    sqrt_s: np.ndarray
     ell: np.ndarray
     m: np.ndarray
     delta1: np.ndarray
     delta2: complex
     u: np.ndarray
-    v: np.ndarray
     domain: Domain
     gauge: MatJet = field(repr=False, compare=False, default=None)
 
@@ -367,8 +364,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     m = data.h_frak / (1.0 / (s * t2) + s * t2)
     sq_i = np.exp(1j * np.pi / 4.0)
     G = quat.matrix(r / sq_i, 0.0, 0.0, sq_i / r)
-    return HsLaxData(s, r, ell, m, delta1, delta2, data.u, data.v, conn.domain,
-                     MatJet.constant(G[:, None]))
+    return HsLaxData(s, ell, m, delta1, delta2, data.u, conn.domain, MatJet.constant(G[:, None]))
 
 
 def lax_jet(diag_l, diag_r, prod, t: float) -> MatJet:

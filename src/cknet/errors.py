@@ -11,7 +11,7 @@ class CknetError(Exception):
 
 
 class ConfigError(CknetError):
-    """Invalid or inconsistent job configuration."""
+    """Invalid or inconsistent job configuration: CLI exit 2, subclasses included."""
 
 
 class Singular(CknetError):
@@ -34,11 +34,11 @@ class DegenerateGeometry(CknetError):
     """Point data too degenerate for the requested fit (e.g. collinear)."""
 
 
-class ModulusOutOfRange(CknetError):
+class ModulusOutOfRange(ConfigError):
     """Elliptic modulus outside the supported range."""
 
 
-class InvalidProfile(CknetError):
+class InvalidProfile(ConfigError):
     """Meridian profile data violates a defining invariant."""
 
 
@@ -50,7 +50,7 @@ class BranchFailure(CknetError):
     """No admissible sign/branch assignment exists for the connection data."""
 
 
-class CaseMismatch(CknetError):
+class CaseMismatch(ConfigError):
     """Curvature modulus kappa outside the requested construction case."""
 
 

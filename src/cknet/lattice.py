@@ -65,11 +65,9 @@ class MatJet:
     def __mul__(self, scalar):
         return MatJet(self.val * scalar, self.dot * scalar)
 
-    __rmul__ = __mul__
-
-    def inv(self, tol=1e-14):
+    def inv(self):
         """Jet of the inverse: d/dt A^{-1} = -A^{-1} (dA) A^{-1}."""
-        iv = quat.inv(self.val, tol=tol)
+        iv = quat.inv(self.val)
         return MatJet(iv, -iv @ self.dot @ iv)
 
 
@@ -93,30 +91,14 @@ def _check_broadcast(name: str, shape: tuple, grid: tuple) -> None:
 
 @dataclass(frozen=True)
 class Domain:
-    """Rectangular index window; both ranges are inclusive."""
+    """Grid shape: nj vertices along j (the profile) by nk along k (the rotation)."""
 
-    j_range: tuple[int, int]
-    k_range: tuple[int, int]
+    nj: int
+    nk: int
 
     def __post_init__(self):
-        if self.j_range[1] < self.j_range[0] or self.k_range[1] < self.k_range[0]:
-            raise ValueError(f"empty domain: {self.j_range} x {self.k_range}")
-
-    @property
-    def nj(self) -> int:
-        return self.j_range[1] - self.j_range[0] + 1
-
-    @property
-    def nk(self) -> int:
-        return self.k_range[1] - self.k_range[0] + 1
-
-    @property
-    def js(self) -> np.ndarray:
-        return np.arange(self.j_range[0], self.j_range[1] + 1)
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.arange(self.k_range[0], self.k_range[1] + 1)
+        if self.nj < 1 or self.nk < 1:
+            raise ValueError(f"empty domain: {self.nj} x {self.nk}")
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,7 @@ def face_diagonals(net: ContactElementNet, rows: slice = slice(None)):
 
 
 _RANK_TOL = 1e-10
+_PRINCIPAL_TOL = 1e-8   # largest |dn + R dx| / max(1, |dn|) of curvature-line data
 
 
 def _cross(a, b):
@@ -315,12 +316,12 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, faces: bool = 
 # principal curvatures and singular vertices
 
 
-def principal_curvatures(net: ContactElementNet, tol: float = 1e-8):
+def principal_curvatures(net: ContactElementNet):
     """Per-edge principal curvatures R with dn = -R dx (least squares).
 
     Returns (Rj, Rk) of shapes (nj-1, nk) and (nj, nk-1).  An edge whose
     normal difference is not parallel to its position difference within
-    ``tol`` raises NotPrincipal; a zero position edge raises ZeroEdge.
+    ``_PRINCIPAL_TOL`` raises NotPrincipal; a zero position edge raises ZeroEdge.
     """
     out = []
     for axis, name in ((0, "j"), (1, "k")):
@@ -332,24 +333,24 @@ def principal_curvatures(net: ContactElementNet, tol: float = 1e-8):
         resid = np.linalg.norm(dn + R[..., None] * dx, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(dn, axis=-1))
         worst = np.max(resid / scale)
-        if not (worst <= tol):
+        if not (worst <= _PRINCIPAL_TOL):
             idx = np.unravel_index(np.argmax(resid / scale), resid.shape)
             raise NotPrincipal(
                 f"{name}-edge {tuple(int(i) for i in idx)}: dn is not parallel to dx "
-                f"(residual {worst:.3e} > {tol:.3e})"
+                f"(residual {worst:.3e} > {_PRINCIPAL_TOL:.3e})"
             )
         out.append(R)
     return out[0], out[1]
 
 
-def singular_vertices(net: ContactElementNet, tol: float = 1e-8) -> set[tuple[int, int]]:
+def singular_vertices(net: ContactElementNet) -> set[tuple[int, int]]:
     """Grid indices where a principal curvature changes sign (or vanishes).
 
     A vertex interior to a lattice direction is singular when the product
     of the incoming and outgoing principal curvatures along that
     direction is <= 0.
     """
-    Rj, Rk = principal_curvatures(net, tol)
+    Rj, Rk = principal_curvatures(net)
     bad: set[tuple[int, int]] = set()
     prod_j = Rj[:-1, :] * Rj[1:, :]
     for j, k in zip(*np.nonzero(prod_j <= 0.0)):

@@ -24,6 +24,7 @@ from .errors import Singular
 sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SINGULAR_TOL = 1e-14   # |det| at or below it makes a matrix singular
 
 def matrix(e11, e12, e21, e22):
     """Complex matrices [[e11, e12], [e21, e22]] of shape (..., 2, 2) from broadcastable entries."""
@@ -74,14 +75,15 @@ def qconj(q):
     return matrix(q[..., 1, 1], -q[..., 0, 1], -q[..., 1, 0], q[..., 0, 0])
 
 
-def inv(q, tol=1e-14):
+def inv(q):
     """Inverse via adjugate / determinant; raises Singular on det ~ 0 or a non-finite det."""
     q = np.asarray(q, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
         d = q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
     mag = np.abs(d)
-    if not np.all((mag > tol) & (mag < np.inf)):
-        raise Singular(f"matrix with |det| <= {tol:g} or non-finite (min |det| = {np.min(mag):.3e})")
+    if not np.all((mag > _SINGULAR_TOL) & (mag < np.inf)):
+        raise Singular(f"matrix with |det| <= {_SINGULAR_TOL:g} or non-finite "
+                       f"(min |det| = {np.min(mag):.3e})")
     return qconj(q) / d[..., None, None]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .nets import ContactElementNet
 
 _LADDER_TOL = 1e-16
 _LADDER_MAX = 64
+_UNIT_TOL = 1e-12      # how far |b| may exceed 1
+_PROFILE_TOL = 1e-10   # drift of the profile relations that validate_profile accepts
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,6 @@ class Profile:
 
     Vertex sequences f, h, a, b (length nj) are indexed by the absolute
     labels j_lo .. j_lo+nj-1; the edge sequence c has length nj-1.
-    ``flagged`` lists vertices with |b| = 1 (axial normal).
     """
 
     f: np.ndarray
@@ -237,7 +238,6 @@ class Profile:
     kappa: float
     K_sign: int
     j_lo: int = 0
-    flagged: tuple[int, ...] = field(default=())
 
     @property
     def nj(self) -> int:
@@ -246,9 +246,6 @@ class Profile:
     @property
     def js(self) -> np.ndarray:
         return np.arange(self.j_lo, self.j_lo + self.nj)
-
-    def index(self, j: int) -> int:
-        return int(j) - self.j_lo
 
 
 def _anchor_pos(j_lo: int, n: int) -> int:
@@ -266,7 +263,7 @@ def _heights(c, a, j_lo):
     return h
 
 
-def _finalize(f, h, a, b, c, kappa, K_sign, j_lo, tol=1e-12):
+def _finalize(f, h, a, b, c, kappa, K_sign, j_lo):
     f = np.asarray(f, dtype=float)
     h = np.asarray(h, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -274,7 +271,7 @@ def _finalize(f, h, a, b, c, kappa, K_sign, j_lo, tol=1e-12):
     c = np.asarray(c, dtype=float)
     if np.any(np.abs(c) < 1e-14):
         raise InvalidProfile("edge coefficient c vanishes")
-    if np.max(np.abs(b)) > 1.0 + tol:
+    if np.max(np.abs(b)) > 1.0 + _UNIT_TOL:
         raise InvalidProfile(f"axial normal component exceeds 1: max |b| = {np.max(np.abs(b)):.6g}")
     if np.min(np.abs(f)) < 1e-12:
         raise InvalidProfile("radius f vanishes")
@@ -286,14 +283,13 @@ def _finalize(f, h, a, b, c, kappa, K_sign, j_lo, tol=1e-12):
     sa, sb = a[1:] + a[:-1], b[1:] + b[:-1]
     if np.min(np.maximum(np.abs(sa), np.abs(sb))) < 1e-12:
         raise InvalidProfile("normal sums (sigma a, sigma b) vanish on an edge")
-    flagged = tuple(int(j_lo + i) for i in np.nonzero(np.abs(np.abs(b) - 1.0) <= tol)[0])
-    return Profile(f, h, a, b, c, float(kappa), int(K_sign), int(j_lo), flagged)
+    return Profile(f, h, a, b, c, float(kappa), int(K_sign), int(j_lo))
 
 
 def _axial_from_b(b):
     """The non-negative radial normal component a = sqrt(1 - b^2)."""
     b = np.asarray(b, dtype=float)
-    if np.max(np.abs(b)) > 1.0 + 1e-12:
+    if np.max(np.abs(b)) > 1.0 + _UNIT_TOL:
         raise InvalidProfile(f"axial normal component exceeds 1: max |b| = {np.max(np.abs(b)):.6g}")
     return np.sqrt(np.clip(1.0 - b * b, 0.0, None))
 
@@ -403,19 +399,15 @@ def profile_elliptic(kappa, K_sign, j_range, Theta=None, j0=2):
 # curvature from a profile, and the rotational net
 
 
-def gauss_from_profile(p: Profile, j=None):
+def gauss_from_profile(p: Profile):
     """Discrete Gauss curvature per edge: K = -(b(j+1)-b(j)) / (c (f(j+1)+f(j))).
 
-    With j given (absolute label) returns that edge's value; otherwise the
-    full edge array.  Raises DegenerateEdge when f(j+1) = -f(j).
+    Raises DegenerateEdge when f(j+1) = -f(j).
     """
     sf = p.f[1:] + p.f[:-1]
     if np.any(np.abs(sf) < 1e-14):
         raise DegenerateEdge("f(j+1) = -f(j) on some edge; curvature undefined")
-    K = -(p.b[1:] - p.b[:-1]) / (p.c * sf)
-    if j is None:
-        return K
-    return float(K[p.index(j)])
+    return -(p.b[1:] - p.b[:-1]) / (p.c * sf)
 
 
 def conservation_drift(p: Profile) -> float:
@@ -449,15 +441,15 @@ def edge_residuals(p: Profile) -> float:
     return float(np.maximum.reduce([np.max(r1), np.max(r2), np.max(r3)]))
 
 
-def validate_profile(p: Profile, tol: float = 1e-10) -> None:
-    """Raise InvalidProfile when the defining relations drift beyond tol."""
+def validate_profile(p: Profile) -> None:
+    """Raise InvalidProfile when the defining relations drift beyond ``_PROFILE_TOL``."""
     r = edge_residuals(p)
     unit = float(np.max(np.abs(p.a ** 2 + p.b ** 2 - 1.0)))
     drift = conservation_drift(p)
-    if not (r <= tol and unit <= tol and drift <= 100 * tol):
+    if not (r <= _PROFILE_TOL and unit <= _PROFILE_TOL and drift <= 100 * _PROFILE_TOL):
         raise InvalidProfile(
             f"profile relations violated: edges {r:.3e}, unit normal {unit:.3e}, "
-            f"conservation {drift:.3e} (tol {tol:.1e})"
+            f"conservation {drift:.3e} (tol {_PROFILE_TOL:.1e})"
         )
 
 

@@ -11,14 +11,15 @@ from pathlib import Path
 import pytest
 
 from cknet import checks
+from cknet.errors import ConfigError
 
 CRITERIA = [num for num, _ in checks.ALL_CRITERIA]
 
 
 def test_criteria_catalogue_is_complete():
     assert CRITERIA == list(range(1, 12))
-    with pytest.raises(ValueError):
-        checks.run_criterion(99)
+    with pytest.raises(ConfigError, match="no criterion 99"):
+        checks.run_all({99})
 
 
 @pytest.mark.parametrize("number", CRITERIA)
@@ -31,13 +32,6 @@ def test_criterion(number):
     print("\n".join(lines))
     failed = [line for line, r in zip(lines, results) if not r.passed]
     assert not failed, "failed acceptance checks:\n" + "\n".join(failed)
-
-
-def test_run_criterion_matches_run_all():
-    direct = checks.run_criterion(10)
-    wrapped = checks.run_all({10})
-    assert [r.name for r in direct] == [r.name for r in wrapped]
-    assert all(r.passed for r in direct)
 
 
 def test_traced_functions_exist():

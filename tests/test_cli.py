@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cknet import checks, cli, nets
+from cknet import checks, cli, errors, nets
 from cknet.checks import CheckResult
 from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
 from cknet.lattice import FrameFamily
@@ -515,7 +516,7 @@ MIRRORED_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.05", "--surface.
                                             ("search", ["--backlund.N0", "8"])])
 def test_mirrored_profile_edge_runs_clean(capsys, command, extra):
     p = cli.build_profile(cli.parse_overrides(MIRRORED_HYP_KEYS))
-    assert abs(p.b[p.index(0)] + p.b[p.index(1)]) < 1e-12
+    assert abs(p.b[-p.j_lo] + p.b[1 - p.j_lo]) < 1e-12
     code = cli.main([command, *MIRRORED_HYP_KEYS, *extra])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_OK, err
@@ -639,6 +640,81 @@ def test_check_single_criterion(capsys):
     assert code == cli.EXIT_OK
     assert "c10_singular" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("number", ["0", "12"])
+def test_unknown_criterion_number_exits_2_without_a_report(tmp_path, capsys, number):
+    report = tmp_path / "check.json"
+    code = cli.main(["check", "--criterion", "10", "--criterion", number,
+                     "--output.report", str(report)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [
+        f"error: stage=check: ConfigError: no criterion {number}; they are numbered 1..11"]
+    assert out == "" and not report.exists()
+
+
+def test_run_all_refuses_unknown_numbers_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(checks, "ALL_CRITERIA",
+                        tuple((n, lambda n=n: ran.append(n) or []) for n in range(1, 12)))
+    with pytest.raises(ConfigError, match="no criterion 0, 12;"):
+        checks.run_all({1, 0, 12})
+    assert ran == []
+
+
+@pytest.mark.parametrize("where", ["override", "file"])
+@pytest.mark.parametrize("key", ["surface.kapa", "rotation.kcount", "backlund.sead",
+                                 "output.mesj"])
+def test_misspelt_config_key_exits_2_and_writes_nothing(tmp_path, capsys, key, where):
+    section, name = key.split(".")
+    mesh, report = tmp_path / "net.obj", tmp_path / "net.json"
+    misspelt = ([f"--{key}", "1"] if where == "override" else
+                ["--config", write(tmp_path, "job.ini", f"[{section}]\n{name} = 1\n")])
+    code = cli.main(["double", *DESK_KEYS, "--rotation.k_count", "26", "--backlund.alpha", ALPHA_C,
+                     "--output.mesh", str(mesh), "--output.report", str(report), *misspelt])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [f"error: stage=config: ConfigError: unknown config key {key}"]
+    assert out == "" and not mesh.exists() and not report.exists()
+
+
+def test_generate_accepts_the_transform_keys_of_a_shared_job_file(tmp_path, capsys):
+    # one job.ini serves backlund, double and search; generate reads none of [backlund]
+    cfg = write(tmp_path, "job.ini", HEX_INI + "alpha = 1.0\np = 1\nseed = 1j\nseed_hat = 1j\n")
+    report = tmp_path / "net.json"
+    code = cli.main(["generate", "--config", cfg, "--output.report", str(report)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    assert validate_report(strict_json(report)) == []
+
+
+def test_config_keys_are_the_keys_the_subcommands_read():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    read = {f"{s}.{k}" for s, k in re.findall(r'_get\(cfg, "(\w+)", "(\w+)"', source)}
+    assert read == cli.CONFIG_KEYS
+    with pytest.raises(KeyError):
+        cli._get({"rotation": {"flag": "1"}}, "rotation", "flag")
+
+
+CONFIG_ERROR_NAMES = {"ConfigError", "InvalidProfile", "ModulusOutOfRange", "CaseMismatch"}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.CknetError)]
+
+
+@pytest.mark.parametrize("stage", ["check", "config"])
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_has_its_exit_code_and_one_stage_line(monkeypatch, capsys, error,
+                                                                 stage):
+    def fail(*args):
+        raise error("planted")
+
+    # run_all runs inside the check stage; cmd_check itself runs outside any stage
+    monkeypatch.setattr(*((checks, "run_all") if stage == "check" else (cli, "cmd_check")), fail)
+    code = cli.main(["check"])
+    out, err = capsys.readouterr()
+    assert code == (cli.EXIT_CONFIG if error.__name__ in CONFIG_ERROR_NAMES else cli.EXIT_NUMERIC)
+    assert err.splitlines() == [f"error: stage={stage}: {error.__name__}: planted"]
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -810,10 +886,5 @@ def test_json_value_truncated_by_an_int_key_is_config_error(tmp_path, capsys, se
     assert not (tmp_path / "net.obj").exists()
 
 
-def test_json_whole_number_and_bool_keys_keep_their_values():
-    cfg = {"rotation": {"k_count": 26.0, "flag": True}}
-    assert cli._get(cfg, "rotation", "k_count", int) == 26
-    assert cli._get(cfg, "rotation", "flag", bool) is True
-    for raw in (1, 0.0, [True]):
-        with pytest.raises(ConfigError, match="rotation.flag"):
-            cli._get({"rotation": {"flag": raw}}, "rotation", "flag", bool)
+def test_json_whole_number_keeps_its_int_key_value():
+    assert cli._get({"rotation": {"k_count": 26.0}}, "rotation", "k_count", int) == 26

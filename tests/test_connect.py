@@ -479,9 +479,10 @@ def test_hs_angle_identities():
     _, _, data, hs, _, _ = hs_fixture()
     assert np.max(np.abs(np.sin(hs.delta1) - 2.0 / data.alpha0)) < 1e-12
     assert abs(np.sin(hs.delta2) - 2.0 / data.beta0[0]) < 1e-12
-    # the square-root chain pairs adjacent vertex scalars into the edge scalar
-    assert np.max(np.abs(hs.sqrt_s[1:] * hs.sqrt_s[:-1] - hs.u)) < 1e-12
-    assert abs(hs.sqrt_s[0] ** 2 - hs.s[0]) < 1e-12
+    # the gauge's square-root chain pairs adjacent vertex scalars into the edge scalar
+    sqrt_s = hs.gauge.val[:, 0, 0, 0] * np.exp(1j * np.pi / 4.0)
+    assert np.max(np.abs(sqrt_s[1:] * sqrt_s[:-1] - hs.u)) < 1e-12
+    assert abs(sqrt_s[0] ** 2 - hs.s[0]) < 1e-12
     assert np.max(np.abs(np.abs(hs.s) - 1.0)) < 1e-12
 
 

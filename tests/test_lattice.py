@@ -45,7 +45,7 @@ def random_flat_connection():
     phi_inv = phi.inv()
     L = MatJet(val[1:], dot[1:]) @ MatJet(phi_inv.val[:-1], phi_inv.dot[:-1])
     M = MatJet(val[:, 1:], dot[:, 1:]) @ MatJet(phi_inv.val[:, :-1], phi_inv.dot[:, :-1])
-    domain = Domain((0, nj - 1), (0, nk - 1))
+    domain = Domain(nj, nk)
     conn = ConnectionFamily(domain, L, M)
     frames = FrameFamily(domain, phi)
     return conn, frames
@@ -86,16 +86,14 @@ def test_jet_residual_covers_both_layers():
 
 
 def test_domain_properties():
-    d = Domain((-1, 2), (0, 3))
-    assert d.nj == 4 and d.nk == 4
-    np.testing.assert_array_equal(d.js, [-1, 0, 1, 2])
-    np.testing.assert_array_equal(d.ks, [0, 1, 2, 3])
+    d = Domain(4, 3)
+    assert d.nj == 4 and d.nk == 3
     with pytest.raises(ValueError):
-        Domain((2, 1), (0, 1))
+        Domain(0, 1)
 
 
 def test_connection_shape_validation():
-    domain = Domain((0, 2), (0, 3))
+    domain = Domain(3, 4)
     eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
     # dense edges, or one jet per profile row for either family
     for L, M in ((eye(2, 4), eye(3, 3)), (eye(2, 1), eye(3, 1)), (eye(2, 1), eye(3, 3)),
@@ -112,7 +110,7 @@ def test_connection_shape_validation():
 
 
 def identity_connection(nj, nk):
-    domain = Domain((0, nj - 1), (0, nk - 1))
+    domain = Domain(nj, nk)
     L = MatJet.constant(np.broadcast_to(EYE, (nj - 1, nk, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(EYE, (nj, nk - 1, 2, 2)).copy())
     return ConnectionFamily(domain, L, M)
@@ -138,7 +136,7 @@ def test_single_edge_defect_breaks_flatness():
 
 def test_constant_connection_two_steps():
     g = quat.quat(1.0, 0.2, -0.4, 0.3)
-    domain = Domain((0, 1), (0, 1))
+    domain = Domain(2, 2)
     L = MatJet.constant(np.broadcast_to(g, (1, 2, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(g, (2, 1, 2, 2)).copy())
     conn = ConnectionFamily(domain, L, M)
@@ -191,7 +189,7 @@ def test_rotational_frames_keep_row_and_column_factors():
 
 
 def test_frame_factor_shapes_must_make_the_grid():
-    domain = Domain((0, 2), (0, 3))
+    domain = Domain(3, 4)
     eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
     for factors in ((eye(3, 4),), (eye(3, 1), 0.0, eye(4)), (eye(3, 4), 0.0, eye(4))):
         assert FrameFamily(domain, *factors).Phi.shape == (3, 4, 2, 2)

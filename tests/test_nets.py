@@ -61,7 +61,7 @@ def test_net_requires_unit_normals():
 
 
 def test_sym_constant_frame_is_a_point():
-    domain = Domain((0, 2), (0, 2))
+    domain = Domain(3, 3)
     rotor = quat.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
     rotor /= np.sqrt(det(rotor).real)
     val = np.broadcast_to(rotor, (3, 3, 2, 2)).astype(complex)
@@ -72,7 +72,7 @@ def test_sym_constant_frame_is_a_point():
 
 
 def test_sym_identity_frame_with_normal_shift():
-    domain = Domain((0, 1), (0, 2))
+    domain = Domain(2, 3)
     val = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
     frames = FrameFamily(domain, MatJet.constant(val))
     net = sym(frames, 2.0, tau=1.0)
@@ -81,7 +81,7 @@ def test_sym_identity_frame_with_normal_shift():
 
 
 def test_sym_arrays_preserves_complex_residue():
-    domain = Domain((0, 1), (0, 1))
+    domain = Domain(2, 2)
     val = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2, 2)).copy()
     dot = np.zeros_like(val)
     dot[..., 0, 1] = 0.25j
@@ -95,7 +95,7 @@ def test_sym_arrays_preserves_complex_residue():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf])
 def test_sym_arrays_rejects_a_singular_or_non_finite_transform(entry):
-    domain = Domain((0, 1), (0, 2))
+    domain = Domain(2, 3)
     frames = FrameFamily(domain, MatJet.constant(np.broadcast_to(np.eye(2), (2, 3, 2, 2))))
     T = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
     T[1, 2, 1, 1] = entry                # det 0, NaN or inf at one vertex
@@ -517,7 +517,7 @@ def _nan_unit_normal():
 
 
 def _nan_frame_derivative():
-    domain = Domain((0, 2), (0, 2))
+    domain = Domain(3, 3)
     val = np.broadcast_to(np.eye(2, dtype=complex), (3, 3, 2, 2)).copy()
     dot = np.zeros_like(val)
     dot[1, 1, 0, 1] = np.nan

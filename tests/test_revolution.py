@@ -337,7 +337,7 @@ def test_elliptic_profile_negative_curvature_structure():
     assert_allclose(p.b, cn, atol=1e-10)
     assert conservation_drift(p) < 1e-12
     assert edge_residuals(p) < 1e-12
-    assert p.h[p.index(0)] == 0.0
+    assert p.h[-p.j_lo] == 0.0
 
 
 def test_elliptic_profile_positive_curvature_structure():
@@ -388,7 +388,7 @@ def test_gauss_from_profile_signs():
     assert np.max(np.abs(gauss_from_profile(trig) - 1.0)) < 1e-12
     hyp = profile_hyp(np.full(5, 0.1), 0.4, 0.5, j_lo=-2)
     assert np.max(np.abs(gauss_from_profile(hyp) + 1.0)) < 1e-12
-    assert abs(gauss_from_profile(hyp, 0) + 1.0) < 1e-12
+    assert abs(gauss_from_profile(hyp)[-hyp.j_lo] + 1.0) < 1e-12
 
 
 def test_gauss_expressions_agree():
