@@ -143,10 +143,11 @@ def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
         return default
     raw = sec[key]
     try:
+        if isinstance(raw, bool):   # a JSON true/false is no number, string or path
+            raise ValueError(raw)
         if cast is int and isinstance(raw, str):
             return int(raw, 0)
-        # a JSON number or bool is never truncated into an int key
-        if cast is int and (isinstance(raw, bool) or raw != int(raw)):
+        if cast is int and raw != int(raw):   # a JSON number is never truncated into an int key
             raise ValueError(raw)
         value = cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -18,13 +18,12 @@ Conserved along valid profiles:
 
 Closed-form families: trigonometric (K=+1), exponential/hyperbolic
 (K=-1), and elliptic (both signs) built on the Jacobi functions sn, cn,
-dn, computed here by the arithmetic-geometric-mean ladder.
+dn and the integral of sn^2, all computed here from one
+arithmetic-geometric-mean (Landen) ladder.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,35 +38,38 @@ _PROFILE_TOL = 1e-10   # drift of the profile relations that validate_profile ac
 
 
 # ---------------------------------------------------------------------------
-# Jacobi elliptic functions (AGM ladder)
+# Jacobi elliptic functions and integrals: one descending AGM/Landen ladder
+# (Abramowitz & Stegun 16.4 and 17.6)
 
 
-def _agm_phi(u, kappa):
-    """Amplitude am(u, kappa) for 0 < kappa < 1 via the descending ladder."""
-    a = [1.0]
-    b = [float(np.sqrt(1.0 - kappa * kappa))]
-    c = [float(kappa)]
+def _ladder(kappa):
+    """The ladder a_n, c_n, e_n (n = 0..N) from a_0 = 1, b_0 = sqrt(1 - kappa^2), c_0 = kappa.
+
+    c_n = (a_(n-1) - b_(n-1))/2 drives the amplitude; e_n is the same
+    number formed as e_(n-1)^2 / (4 a_n), which keeps its relative
+    accuracy where the difference cancels (small kappa).
+    """
+    a, b, c, e = [1.0], float(np.sqrt(1.0 - kappa * kappa)), [float(kappa)], [float(kappa)]
     while abs(c[-1]) > _LADDER_TOL and len(a) < _LADDER_MAX:
-        an = (a[-1] + b[-1]) / 2.0
-        bn = float(np.sqrt(a[-1] * b[-1]))
-        c.append((a[-1] - b[-1]) / 2.0)
+        an = (a[-1] + b) / 2.0
+        c.append((a[-1] - b) / 2.0)
+        b = float(np.sqrt(a[-1] * b))
         a.append(an)
-        b.append(bn)
+        e.append(e[-1] * e[-1] / (4.0 * an))
+    return a, c, e
+
+
+def _amplitude(u, kappa):
+    """am(u), the Jacobi zeta Z(u) = sum_(n>=1) e_n sin(phi_n) down the ladder's phases, and e."""
+    a, c, e = _ladder(kappa)
     n = len(a) - 1
     phi = (2.0 ** n) * a[n] * np.asarray(u, dtype=float)
+    zeta = 0.0
     for i in range(n, 0, -1):
-        arg = np.clip(c[i] * np.sin(phi) / a[i], -1.0, 1.0)
-        phi = (phi + np.arcsin(arg)) / 2.0
-    return phi
-
-
-def am(u, kappa):
-    """Jacobi amplitude for modulus 0 <= kappa < 1."""
-    if kappa < 0 or kappa >= 1:
-        raise ModulusOutOfRange(f"amplitude requires 0 <= kappa < 1, got {kappa}")
-    if kappa == 0:
-        return np.asarray(u, dtype=float)
-    return _agm_phi(u, kappa)
+        s = np.sin(phi)
+        zeta = zeta + e[i] * s
+        phi = (phi + np.arcsin(np.clip(c[i] * s / a[i], -1.0, 1.0))) / 2.0
+    return phi, zeta, e
 
 
 def jacobi(u, kappa):
@@ -89,7 +91,7 @@ def jacobi(u, kappa):
     if kappa > 1:
         sn, cn, dn = jacobi(kappa * u, 1.0 / kappa)
         return sn / kappa, dn, cn
-    phi = _agm_phi(u, kappa)
+    phi = _amplitude(u, kappa)[0]
     sn = np.sin(phi)
     cn = np.cos(phi)
     # dn as sqrt(1 - kappa^2 sn^2) rewritten without cancellation; the
@@ -100,109 +102,23 @@ def jacobi(u, kappa):
 
 
 def elliptic_K(kappa):
-    """Complete elliptic integral of the first kind, modulus convention."""
+    """Complete elliptic integral of the first kind, modulus convention: pi / (2 a_N)."""
     if kappa < 0:
         raise ModulusOutOfRange(f"modulus must be >= 0, got {kappa}")
     if kappa > 1:
         raise ModulusOutOfRange(f"complete integral requires kappa <= 1, got {kappa}")
     if kappa == 1:
         return np.inf
-    a, b = 1.0, float(np.sqrt(1.0 - kappa * kappa))
-    for _ in range(_LADDER_MAX):
-        if abs(a - b) <= _LADDER_TOL * a:
-            break
-        a, b = (a + b) / 2.0, float(np.sqrt(a * b))
-    return float(np.pi / (2.0 * a))
-
-
-# ---------------------------------------------------------------------------
-# E(phi | m) for 0 <= m < 1: Cephes ellie/ellpe/ellpk (S. L. Moshier, Methods
-# and Programs for Mathematical Functions, 1989), the routine behind
-# scipy.special.ellipeinc, cut to the branches that range reaches.  Scalar
-# libm calls through ``math`` round as the C code does, so results are equal,
-# except where a Landen step lands on an odd multiple of pi/2: Cephes then
-# counts one pi-branch too many, and the port takes the branch that t agrees
-# with (E(1.703221544034659 | 0.99^2) is 1.0496, where Cephes gives 0.7924).
-
-_MACHEP = 1.11022302462515654042e-16
-_ELLPE_P = (1.53552577301013293365e-4, 2.50888492163602060990e-3, 8.68786816565889628429e-3,
-            1.07350949056076193403e-2, 7.77395492516787092951e-3, 7.58395289413514708519e-3,
-            1.15688436810574127319e-2, 2.18317996015557253103e-2, 5.68051945617860553470e-2,
-            4.43147180560990850618e-1, 1.00000000000000000299e0)
-_ELLPE_Q = (3.27954898576485872656e-5, 1.00962792679356715133e-3, 6.50609489976927491433e-3,
-            1.68862163993311317300e-2, 2.61769742454493659583e-2, 3.34833904888224918614e-2,
-            4.27180926518931511717e-2, 5.85936634471101055642e-2, 9.37499997197644278445e-2,
-            2.49999999999888314361e-1)
-_ELLPK_P = (1.37982864606273237150e-4, 2.28025724005875567385e-3, 7.97404013220415179367e-3,
-            9.85821379021226008714e-3, 6.87489687449949877925e-3, 6.18901033637687613229e-3,
-            8.79078273952743772254e-3, 1.49380448916805252718e-2, 3.08851465246711995998e-2,
-            9.65735902811690126535e-2, 1.38629436111989062502e0)
-_ELLPK_Q = (2.94078955048598507511e-5, 9.14184723865917226571e-4, 5.94058303753167793257e-3,
-            1.54850516649762399335e-2, 2.39089602715924892727e-2, 3.01204715227604046988e-2,
-            3.73774314173823228969e-2, 4.88280347570998239232e-2, 7.03124996963957469739e-2,
-            1.24999999999870820058e-1, 4.99999999999999999821e-1)
-
-
-def _polevl(x, coef):
-    return functools.reduce(lambda acc, c: acc * x + c, coef)
-
-
-@functools.lru_cache(maxsize=16)
-def _complete(m):
-    """(E(m), E(m)/K(m)) for 0 < m < 1 by Cephes ellpe and ellpk, computed once per m."""
-    x = 1.0 - m
-    E = _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
-    return E, E / (_polevl(x, _ELLPK_P) - math.log(x) * _polevl(x, _ELLPK_Q))
-
-
-def _ellipeinc(phi, m):
-    """E(phi | m) for real phi, reduced to |phi| <= pi/2 by quarter periods."""
-    if m == 0.0 or not math.isfinite(phi):
-        return phi
-    npio2 = float(math.floor(phi / (math.pi / 2.0)))
-    if math.fmod(abs(npio2), 2.0) == 1.0:
-        npio2 += 1.0
-    lphi = phi - npio2 * (math.pi / 2.0)
-    E = _complete(m)[0]
-    return math.copysign(_ellie_quarter(abs(lphi), m), lphi) + npio2 * E
-
-
-def _ellie_quarter(lphi, m):
-    """E(lphi | m) for 0 <= lphi <= pi/2."""
-    if lphi < 0.135:
-        m11 = (((((-7.0 / 2816.0) * m + (5.0 / 1056.0)) * m - (7.0 / 2640.0)) * m
-                + (17.0 / 41580.0)) * m - (1.0 / 155925.0)) * m
-        m9 = ((((-5.0 / 1152.0) * m + (1.0 / 144.0)) * m - (1.0 / 360.0)) * m + (1.0 / 5670.0)) * m
-        m7 = ((-m / 112.0 + (1.0 / 84.0)) * m - (1.0 / 315.0)) * m
-        m5 = (-m / 40.0 + (1.0 / 30.0)) * m
-        m3 = -m / 6.0
-        p2 = lphi * lphi
-        return ((((m11 * p2 + m9) * p2 + m7) * p2 + m5) * p2 + m3) * p2 * lphi + lphi
-    t = math.tan(lphi)
-    b = math.sqrt(1.0 - m)
-    if abs(t) > 10.0 and abs(1.0 / (b * t)) < 10.0:
-        # near pi/2: E(phi) = E - E(e) + m sin(phi) sin(e) with tan(e) = 1/(b tan(phi))
-        e = math.atan(1.0 / (b * t))
-        return _complete(m)[0] + m * math.sin(lphi) * math.sin(e) - _ellipeinc(e, m)
-    c, a, d, e, mod = math.sqrt(m), 1.0, 1, 0.0, 0
-    while abs(c / a) > _MACHEP:   # descending Landen transformation
-        temp = b / a
-        lphi = lphi + math.atan(t * temp) + mod * math.pi
-        denom = 1.0 - temp * t * t
-        if abs(denom) > 10.0 * _MACHEP:
-            t = t * (1.0 + temp) / denom
-            mod = round((lphi - math.atan(t)) / math.pi)   # the branch of the updated t
-        else:
-            t = math.tan(lphi)
-            mod = math.floor((lphi - math.atan(t)) / math.pi)
-        c, a, b = (a - b) / 2.0, (a + b) / 2.0, math.sqrt(a * b)
-        d += d
-        e += c * math.sin(lphi)
-    return _complete(m)[1] * ((math.atan(t) + mod * math.pi) / (d * a)) + e
+    return float(np.pi / (2.0 * _ladder(kappa)[0][-1]))
 
 
 def int_sn2(u, kappa):
-    """Integral of sn(v, kappa)^2 over v in [0, u]."""
+    """Integral of sn(v, kappa)^2 over v in [0, u].
+
+    For 0 < kappa < 1 this is (u - E(am u)) / kappa^2 with
+    E(am u) = u E/K + Z(u) and 1 - E/K = sum_(n>=0) 2^(n-1) e_n^2, all read
+    off the ladder, so u and E(am u) are never subtracted.
+    """
     u = np.asarray(u, dtype=float)
     if kappa < 0:
         raise ModulusOutOfRange(f"modulus must be >= 0, got {kappa}")
@@ -210,12 +126,11 @@ def int_sn2(u, kappa):
         return u - np.tanh(u)
     if kappa > 1:
         return int_sn2(kappa * u, 1.0 / kappa) / kappa ** 3
-    m = kappa * kappa
-    if m == 0.0:   # kappa = 0, or kappa^2 below the smallest double
+    if kappa <= _LADDER_TOL:   # the ladder takes no step: sn is sin to double precision
         return u / 2.0 - np.sin(2.0 * u) / 4.0
-    phi = am(u, kappa)
-    e = np.fromiter((_ellipeinc(v, m) for v in phi.ravel().tolist()), float, phi.size)
-    return (u - e.reshape(phi.shape)) / m
+    _, zeta, e = _amplitude(u, kappa)
+    s = sum(2.0 ** (n - 1) * e[n] * e[n] for n in range(1, len(e)))
+    return (u * s - zeta) / (kappa * kappa) + u / 2.0
 
 
 # ---------------------------------------------------------------------------

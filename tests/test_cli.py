@@ -886,5 +886,24 @@ def test_json_value_truncated_by_an_int_key_is_config_error(tmp_path, capsys, se
     assert not (tmp_path / "net.obj").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("surface", "kappa", True),
+    ("output", "report", True),
+    ("output", "mesh", False),
+])
+def test_json_bool_is_config_error(tmp_path, capsys, monkeypatch, section, key, value):
+    # float(True) and str(False) succeed, so a bool would run on kappa = 1 or write "True"
+    monkeypatch.chdir(tmp_path)
+    doc = {"surface": {"kind": "elliptic", "kappa": 0.6, "K_sign": -1, "j0": 4,
+                       "j_lo": -3, "j_hi": 3},
+           "rotation": {"k0": 6, "k_count": 26},
+           "output": {"mesh": "net.obj"}}
+    doc[section][key] = value
+    code = cli.main(["generate", "--config", write(tmp_path, "job.json", json.dumps(doc))])
+    assert code == cli.EXIT_CONFIG
+    assert f": ConfigError: config key {section}.{key} = {value!r} is not a" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
 def test_json_whole_number_keeps_its_int_key_value():
     assert cli._get({"rotation": {"k_count": 26.0}}, "rotation", "k_count", int) == 26

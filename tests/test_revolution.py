@@ -1,12 +1,13 @@
 """Tests for elliptic functions and constant-curvature profiles.
 
-Independent oracles: scipy.special.ellipj / ellipk (parameter m = kappa^2)
-and direct quadrature of sn^2 via scipy.integrate.quad.  The private
-E(phi | m) is held bit for bit to scipy.special.ellipeinc, the Cephes
-routine it ports, except where a Landen step lands on an odd multiple of
-pi/2: there Cephes takes the wrong pi-branch (at least 1e-6 off a
-quadrature of the integrand) and the port must match the quadrature
-within 1e-13.
+Independent oracles: scipy.special.ellipj / ellipk / ellipeinc (parameter
+m = kappa^2) and direct quadrature of sn^2 and of sqrt(1 - m sin^2) via
+scipy.integrate.quad.  am, sn, cn, dn, K and the integral of sn^2 all come
+from one AGM/Landen ladder, the last through the Jacobi zeta function; the
+E(am u | m) that it implies is held to scipy.special.ellipeinc, except where
+a Landen step of the Cephes routine behind ellipeinc lands on an odd
+multiple of pi/2: there Cephes takes the wrong pi-branch (at least 1e-6 off
+the quadrature) and the zeta form must match the quadrature within 1e-13.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from numpy.testing import assert_allclose
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
                           ModulusOutOfRange)
 from cknet.nets import curvature_report
-from cknet.revolution import (_ellipeinc, am, build_rcnet, conservation_drift,
+from cknet.revolution import (_amplitude, build_rcnet, conservation_drift,
                               edge_residuals, elliptic_K, elliptic_theta,
                               gauss_from_profile, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig,
@@ -101,8 +102,9 @@ def test_jacobi_rejects_negative_modulus():
 def test_amplitude_matches_scipy_phase():
     u = np.linspace(-3.0, 3.0, 25)
     ph = scipy.special.ellipj(u, 0.64)[3]
-    assert_allclose(am(u, 0.8), ph, atol=1e-10)
-    assert_allclose(np.sin(am(u, 0.8)), scipy.special.ellipj(u, 0.64)[0], atol=1e-12)
+    phi = _amplitude(u, 0.8)[0]
+    assert_allclose(phi, ph, atol=1e-10)
+    assert_allclose(np.sin(phi), scipy.special.ellipj(u, 0.64)[0], atol=1e-12)
 
 
 def test_elliptic_K_values():
@@ -139,13 +141,14 @@ def test_int_sn2_degenerate_moduli():
     assert abs(int_sn2(u, 1.0) - (u - np.tanh(u))) < 1e-13
 
 
-def assert_bitwise(got, ref, err_msg=""):
-    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
-    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=err_msg)
-
-
-def ellipeinc_port(phi, m):
-    return [_ellipeinc(v, m) for v in np.ravel(phi).tolist()]
+@pytest.mark.parametrize("kappa", [1e-8, 1e-4, 1e-2])
+def test_int_sn2_small_modulus_matches_quadrature(kappa):
+    # the zeta form never subtracts u and E(am u), so nothing cancels as kappa -> 0
+    for u in (0.5, 1.5, 3.0):
+        ref, err = scipy.integrate.quad(lambda w: scipy.special.ellipj(w, kappa**2)[0] ** 2,
+                                        0.0, u, epsabs=1e-13, epsrel=1e-13)
+        assert err < 1e-13
+        assert abs(int_sn2(u, kappa) - ref) < 2e-14
 
 
 def quad_ellipeinc(phi, m):
@@ -155,72 +158,36 @@ def quad_ellipeinc(phi, m):
     return value
 
 
-def mended_scipy_ellipeinc(phi, m):
-    """scipy.special.ellipeinc, with the port's value wherever the two differ in any bit;
-    at each such point scipy must be at least 1e-6 off the quadrature and the port
-    within 1e-13 of it."""
-    phi = np.asarray(phi, dtype=float)
-    port = np.array(ellipeinc_port(phi, m)).reshape(phi.shape)
-    ref = scipy.special.ellipeinc(phi, m)
-    for i in np.argwhere(port.view(np.int64) != ref.view(np.int64)):
-        i = tuple(i)
-        exact = quad_ellipeinc(phi[i], m)
-        assert abs(ref[i] - exact) >= 1e-6 and abs(port[i] - exact) <= 1e-13, (phi[i], m)
-        ref[i] = port[i]
-    return ref
-
-
-def test_ellipeinc_matches_scipy_on_random_sweep():
-    rng = np.random.default_rng(20261018)
-    phi = rng.uniform(-60.0, 60.0, 20000)
-    m = rng.uniform(0.0, 1.0, 20000)
-    got = [_ellipeinc(p, q) for p, q in zip(phi.tolist(), m.tolist())]
-    assert_bitwise(got, scipy.special.ellipeinc(phi, m))
+def ellipeinc_from_int_sn2(u, kappa):
+    """E(am u | kappa^2) = u - kappa^2 * (integral of sn^2 over [0, u])."""
+    return u - kappa * kappa * int_sn2(u, kappa)
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.6, 0.9, 0.99])
 def test_ellipeinc_matches_scipy_on_profile_amplitudes(kappa):
     m = kappa * kappa
     for j0 in (2, 4, 16):
-        phi = am(elliptic_theta(kappa, j0) * np.arange(-2000, 2001), kappa)
-        assert_bitwise(ellipeinc_port(phi, m), mended_scipy_ellipeinc(phi, m))
-    u = elliptic_theta(kappa, 4) * np.arange(-40, 41)
-    assert_bitwise(int_sn2(u, kappa), (u - mended_scipy_ellipeinc(am(u, kappa), m)) / m)
+        u = elliptic_theta(kappa, j0) * np.arange(-2000, 2001)
+        phi = _amplitude(u, kappa)[0]
+        got = ellipeinc_from_int_sn2(u, kappa)
+        ref = scipy.special.ellipeinc(phi, m)
+        off = np.abs(got - ref) > 2e-15 * np.maximum(1.0, np.abs(ref))
+        for i in np.flatnonzero(off):
+            exact = quad_ellipeinc(phi[i], m)
+            assert abs(ref[i] - exact) >= 1e-6 and abs(got[i] - exact) <= 1e-13, (phi[i], m)
 
 
 def test_ellipeinc_where_a_landen_step_lands_on_three_half_pi():
-    # 1 - b tan^2 is -1.3e-15 on that step, just past the cutoff; Cephes (and
-    # scipy) then counts one pi-branch too many and returns 0.7924
-    phi, m = 1.703221544034659, 0.99 ** 2
+    # am(5 K(0.99) / 4) = 1.703221544034659, where 1 - b tan^2 of a Cephes
+    # Landen step is -1.3e-15: scipy's ellipeinc counts one pi-branch too many
+    # there and returns 0.7924; the zeta form has no branch to count
+    kappa = 0.99
+    u = 5.0 * elliptic_theta(kappa, 4)
+    phi = _amplitude(u, kappa)[0]
+    assert abs(phi - 1.703221544034659) < 1e-14
     for sign in (1.0, -1.0):
-        assert abs(_ellipeinc(sign * phi, m) - sign * quad_ellipeinc(phi, m)) <= 1e-13
-
-
-def test_ellipeinc_branches_match_scipy():
-    branches = {
-        "series below 0.135": [0.0, -0.0, 1e-300, 1e-8, 0.05, 0.1349],
-        "amplitude transform, tan > 10": [np.arctan(10.5), np.arctan(1e3), np.pi / 2 - 1e-9],
-        "ladder": [0.135, 0.8, 1.4],
-        "quarter periods": [q * np.pi / 2 + d for q in (1, 2, 3, 7, 40) for d in (-0.3, 0.0, 0.3)],
-        "negative": [-0.05, -0.8, -1.5, -7.0, -123.4],
-    }
-    for name, phi in branches.items():
-        for m in (0.7, 1e-6, 0.999):
-            assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m), name)
-    # tan > 10, but 1/(b tan) >= 10 too: no transform, straight to the ladder
-    m = 1.0 - 1e-6
-    phi = [np.arctan(20.0), np.arctan(50.0)]
-    assert 1.0 / (math.sqrt(1.0 - m) * 20.0) >= 10.0
-    assert_bitwise(ellipeinc_port(phi, m), scipy.special.ellipeinc(phi, m))
-    # the first ladder step's 1 - b tan^2 is exactly 0 here
-    m = 0.01
-    b = math.sqrt(1.0 - m)
-    phi = math.atan(1.0 / math.sqrt(b))
-    assert 1.0 - b * math.tan(phi) * math.tan(phi) == 0.0
-    assert_bitwise(_ellipeinc(phi, m), scipy.special.ellipeinc(phi, m))
-    phi = np.linspace(-9.0, 9.0, 37)
-    assert_bitwise(ellipeinc_port(phi, 0.0), phi)
-    assert_bitwise(ellipeinc_port(phi, 0.0), scipy.special.ellipeinc(phi, 0.0))
+        got = ellipeinc_from_int_sn2(sign * u, kappa)
+        assert abs(got - sign * quad_ellipeinc(phi, kappa * kappa)) <= 1e-13
 
 
 def test_elliptic_theta_period_rule():
@@ -365,12 +332,17 @@ def test_elliptic_profile_conserved_combinations():
 
 
 def test_negative_curvature_profiles_keep_their_relations_across_moduli():
-    # heights come from E(phi | m) on every vertex; j0 = 4, 8 and 16 put Landen
-    # steps on odd multiples of pi/2 for many moduli
+    # heights come from the integral of sn^2 on every vertex; the worst edge
+    # residual of this sweep is 2.0e-14 (kappa = 0.01, j0 = 5), and 1.6e-13
+    # when the heights took u - E(am u) (kappa = 0.01, j0 = 4)
     for kappa in np.arange(0.01, 1.0, 0.007):
         for j0 in (2, 3, 4, 5, 6, 8, 16):
             p = profile_elliptic(kappa, -1, (-2 * j0, 4 * j0), j0=j0)
-            assert edge_residuals(p) <= 1e-10, (kappa, j0)
+            assert edge_residuals(p) <= 5e-14, (kappa, j0)
+    # 121 rows at small moduli: 3.8e-15 and 4.6e-15 (1.2e-13 and 3.2e-14 by u - E(am u))
+    for kappa in (0.05, 0.1):
+        p = profile_elliptic(kappa, -1, (-60, 60), j0=4)
+        assert edge_residuals(p) <= 1e-14, kappa
 
 
 def test_elliptic_profile_unit_modulus_is_tractrix():
