@@ -376,12 +376,9 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
         c = 2.0 + 2.0 * math.cos(2.0 * math.pi * p_try / N0)
         den = c * Q - P * P
         S = (4.0 * c / den).real if den != 0 else 0.0
-        if 0.0 < S <= 1.0:
-            alpha = complex(math.asin(math.sqrt(S)))
-        elif 1.0 < S < math.cosh(_Y_MAX) ** 2:
-            alpha = complex(math.pi / 2.0, math.acosh(math.sqrt(S)))
-        else:
+        if not 0.0 < S < math.cosh(_Y_MAX) ** 2:
             continue
+        alpha = cmath.asin(math.sqrt(S))   # real for S <= 1, else pi/2 + i arccosh(sqrt(S))
         # full rows, so the matrix is bit for bit the one build_abcd returns
         residual = _power_residual(_matrices(hs.s, hs.m, t2, alpha)[0], N0)
         if residual <= 1e-9:

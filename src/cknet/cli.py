@@ -58,10 +58,10 @@ class _StagedError(Exception):
 
 
 def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage; package errors and float overflow carry its name."""
+    """Run one pipeline stage; package errors, float overflow and failed allocations carry its name."""
     try:
         return fn(*args, **kwargs)
-    except (CknetError, OverflowError, FloatingPointError) as exc:
+    except (CknetError, OverflowError, FloatingPointError, MemoryError) as exc:
         raise _StagedError(name, exc) from exc
 
 

@@ -19,10 +19,14 @@ kappa > 1 (construction 2) keeps the forms above, kappa < 1
 (construction 1) exchanges the roles of the edge data, so its L is the
 flipped form built from (h_frak, v) and its M the L form built from
 (v_frak, u); kappa = 1 is covered by neither.  K = -1 is construction 3.
-In every construction one rule closes flatness on each face: the
-diagonal scalar of the profile edge is a generic formula where its two
-vertex scalars differ and a mirrored one where they coincide, which
-happens when b(j+1) = -b(j).
+In every construction one closed form, with no branch, gives the
+diagonal scalar of each profile edge that closes flatness on its faces:
+sa/db times an edge factor, with sa = a(j) + a(j+1) and
+db = b(j+1) - b(j) = -K c (f(j) + f(j+1)), which never vanishes.  Its
+defining quotient, (b(j) + b(j+1)) over the difference of the two vertex
+scalars, carries the factor a(j) - a(j+1) above and below; the unit
+normal cancels it by hand, (a(j) - a(j+1)) sa = db (b(j) + b(j+1)), so
+mirrored edges, b(j+1) = -b(j), need no formula of their own.
 
 The K=-1 family can be gauged into a normal form whose entries depend
 on a unit vertex function s and edge angles delta with sin(delta) =
@@ -41,9 +45,6 @@ from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
                      InvalidProfile)
 from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
 from .revolution import Profile
-
-
-_BRANCH_TOL = 1e-9   # below it a pair of vertex scalars counts as equal and the mirrored formula is taken
 
 
 def _rotation_domain(p: Profile, theta: float, k_count: int) -> Domain:
@@ -121,27 +122,6 @@ def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
     return _normalised(X, Xd, alpha, -cos_sign * 2.0 * np.sin(2.0 * t) / alpha)
 
 
-def _closing_scalar(w, x, b, d, generic, mirrored):
-    """Diagonal scalar of each profile edge that closes flatness on its faces.
-
-    w holds the edge scalars, x the vertex scalars and d their pairing
-    along each edge.  Where |d| > _BRANCH_TOL the value is generic(w, sb,
-    d) with sb = b(j) + b(j+1).  Elsewhere the normals must be mirrored,
-    b(j+1) = -b(j), and the value is mirrored(w x(j), db) with db =
-    b(j+1) - b(j).  Each formula sees only its own edges, so neither
-    divides by a vanishing d or db.
-    """
-    sb, db = b[1:] + b[:-1], b[1:] - b[:-1]
-    gen = np.abs(d) > _BRANCH_TOL
-    mir = ~gen
-    if np.any(np.abs(sb[mir]) > _BRANCH_TOL) or np.any(np.abs(db[mir]) < 1e-12):
-        raise BranchFailure("equal vertex scalars on a profile edge without mirrored normals")
-    out = np.empty(len(w), dtype=w.dtype)
-    out[gen] = generic(w[gen], sb[gen], d[gen])
-    out[mir] = mirrored(w[mir] * x[:-1][mir], db[mir])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # K = -1 (construction 3)
 
@@ -157,8 +137,8 @@ def build_ck_connection(p: Profile, theta: float, k_count: int):
         h_frak  = 2 kappa cot(theta/2) + 2 i kappa b(j),
         u(j)^2  = v(j) v(j+1)  (branch with Re u > 0),
 
-    and v_frak(j) is the unique imaginary scalar closing the flatness
-    equations on each face.
+    and v_frak(j) = -2i (-1)^j sa Im u(j) / db, the unique scalar closing
+    the flatness equations on each face, is imaginary by construction.
     """
     if p.K_sign != -1:
         raise InvalidProfile("K=-1 connection requires a K=-1 profile")
@@ -173,12 +153,7 @@ def build_ck_connection(p: Profile, theta: float, k_count: int):
     if np.min(u.real) < 1e-12:
         raise BranchFailure("u has vanishing real part on some profile edge")
     h_frak = 2.0 * kappa / np.tan(theta / 2.0) + 2j * kappa * b
-    v_frak = _closing_scalar(u, v, b, v[:-1] + v[1:],
-                             lambda w, sb, d: w * 2j * kappa * sb / d,
-                             lambda uv, db: 2.0 * (uv + 1.0 / uv) / (2j * kappa * db))
-    if np.max(np.abs(v_frak.real)) > 1e-9:
-        raise BranchFailure(f"edge scalar v_frak not imaginary (|Re| = {np.max(np.abs(v_frak.real)):.3e})")
-    v_frak = 1j * v_frak.imag
+    v_frak = -2j * par[:-1] * (a[:-1] + a[1:]) * u.imag / (b[1:] - b[:-1])
     beta0 = 2.0 * kappa / np.sin(theta / 2.0)
 
     def assemble(t: float) -> ConnectionFamily:
@@ -203,9 +178,12 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     scalars v = a/q + sqrt((a/q)^2 + 1) with q = sqrt(kappa^2 - 1) and
     closes v_frak on the profile edges; kappa < 1 exchanges the roles,
     seeding u = (a + |f|)/q with q = sqrt(1 - kappa^2) and closing
-    h_frak.  Both run the profile along j and are invariant along the
-    rotation direction k, which has k_count vertices.  kappa = 1 is
-    covered by neither construction (CaseMismatch).
+    h_frak.  With sgn = -1 for kappa < 1 and +1 otherwise, the vertex
+    scalars x satisfy x - sgn/x = 2a/q, and the edge scalars
+    w = sqrt(x(j) x(j+1)) give the closing scalar sgn sa (w + sgn/w) / db.
+    Both run the profile along j and are invariant along the rotation
+    direction k, which has k_count vertices.  kappa = 1 is covered by
+    neither construction (CaseMismatch).
     """
     if p.K_sign != +1:
         raise InvalidProfile("K=+1 connection requires a K=+1 profile")
@@ -226,9 +204,7 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     if not exchanged and np.min(np.abs(np.abs(w) - 1.0)) < 1e-12:
         raise BranchFailure("u = +-1 on some profile edge (mirrored radial normals)")
     vertex_diag = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
-    edge_diag = _closing_scalar(w, x, b, x[:-1] - x[1:],
-                                lambda w, sb, d: sgn * 2.0 * w * sb / (q * d),
-                                lambda uv, db: sgn * (uv - 1.0 / uv) * q / db)
+    edge_diag = sgn * (a[:-1] + a[1:]) * (w + sgn / w) / (b[1:] - b[:-1])
     vertex_norm0 = 2.0 / (q * np.sin(theta / 2.0))
 
     def assemble(t: float) -> ConnectionFamily:
@@ -324,13 +300,6 @@ class HsLaxData:
     gauge: MatJet = field(repr=False, compare=False, default=None)
 
 
-def _angle_from_sin(w: float) -> complex:
-    """delta with sin(delta) = w: real for |w| <= 1, else +-pi/2 + i arccosh|w|."""
-    if abs(w) <= 1.0:
-        return complex(np.arcsin(w))
-    return complex(np.sign(w) * np.pi / 2.0, np.arccosh(abs(w)))
-
-
 def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     """Gauge a K=-1 rotational connection into its normal Lax form.
 
@@ -352,14 +321,13 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     r[0] = np.sqrt(s[0])
     for j in range(nj - 1):
         r[j + 1] = data.u[j] / r[j]
-    beta0 = float(data.beta0[0])
-    delta1 = np.array([_angle_from_sin(2.0 / a) for a in data.alpha0])
-    delta2 = _angle_from_sin(2.0 / beta0)
-    t1 = np.tan(delta1 / 2.0)
-    t2 = np.tan(delta2 / 2.0)
-    for t in np.concatenate([t1, [t2]]):
-        if not np.isfinite(t) or abs(t) < 1e-14:
-            raise DivisionByZero(f"edge angle produced tan(delta/2) = {t}")
+    # the complex arcsin of w = 2/alpha is real for |w| <= 1, else +-pi/2 + i arccosh|w|
+    delta = np.arcsin(2.0 / np.append(data.alpha0, data.beta0[0]).astype(complex))
+    tn = np.tan(delta / 2.0)
+    bad = ~(np.isfinite(tn) & (np.abs(tn) >= 1e-14))
+    if np.any(bad):
+        raise DivisionByZero(f"edge angle produced tan(delta/2) = {tn[bad][0]}")
+    delta1, delta2, t1, t2 = delta[:-1], complex(delta[-1]), tn[:-1], tn[-1]
     ell = data.v_frak / (1.0 / (data.u * t1) + data.u * t1)
     m = data.h_frak / (1.0 / (s * t2) + s * t2)
     sq_i = np.exp(1j * np.pi / 4.0)

@@ -509,6 +509,11 @@ def test_double_rejects_an_angle_it_cannot_use(tmp_path, capsys, alpha):
 MIRRORED_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.05", "--surface.A",
                      "0.5526315789473685", "--surface.B", "0.5", "--surface.j_lo", "-2",
                      "--surface.j_hi", "3", "--rotation.k0", "6", "--rotation.k_count", "13"]
+# the same edge 1e-5 and 1e-8 (relative) off mirrored, and a fine meridian with edges of 1e-5
+NEAR_MIRRORED_A = ["0.5526371052631579", "0.5526315844736842"]
+FINE_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.00001", "--surface.A", "0.6",
+                 "--surface.B", "0.3", "--surface.j_lo", "-5", "--surface.j_hi", "5",
+                 "--rotation.k0", "6", "--rotation.k_count", "13"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -517,10 +522,12 @@ MIRRORED_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.05", "--surface.
 def test_mirrored_profile_edge_runs_clean(capsys, command, extra):
     p = cli.build_profile(cli.parse_overrides(MIRRORED_HYP_KEYS))
     assert abs(p.b[-p.j_lo] + p.b[1 - p.j_lo]) < 1e-12
-    code = cli.main([command, *MIRRORED_HYP_KEYS, *extra])
-    out, err = capsys.readouterr()
-    assert code == cli.EXIT_OK, err
-    assert err == "" and "FAIL" not in out
+    near = [MIRRORED_HYP_KEYS + ["--surface.A", A] for A in NEAR_MIRRORED_A]
+    for keys in [MIRRORED_HYP_KEYS, FINE_HYP_KEYS, *near]:
+        code = cli.main([command, *keys, *extra])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK, (keys, err)
+        assert err == "" and "FAIL" not in out
 
 
 @pytest.mark.parametrize("command, extra, code", [
@@ -552,6 +559,19 @@ def test_stage_names_floating_point_errors():
     with pytest.raises(cli._StagedError) as info:
         cli._stage("gauge", math.pow, 2.4, 2000)
     assert str(info.value).startswith("stage=gauge: OverflowError: ")
+
+
+@pytest.mark.parametrize("extra, stage", [
+    (["--rotation.k_count", "100000000000000"], "rcnet"),
+    (["--rotation.k_count", "26", "--surface.j_hi", "100000000000000"], "profile"),
+])
+def test_grid_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys, extra, stage):
+    # numpy refuses the allocation at once; the run names the stage instead of a traceback
+    code, mesh, report = run_desk(tmp_path, "generate", extra, "huge")
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: stage={stage}: MemoryError: ")
+    assert out == "" and not mesh.exists() and not report.exists()
 
 
 def test_non_finite_residuals_make_strict_json_reports(tmp_path):

@@ -164,6 +164,12 @@ MIRRORED_PROFILES = {f"trig_{len(phases)}_rows_kappa_{kappa}": partial(zigzag_pr
                      for phases in ZIGZAG_PHASES for kappa in (0.6, 1.4)}
 # A = B(1+c)/(1-c) gives b(1) = -b(0): the K=-1 profile edge at label 0 is mirrored
 MIRRORED_PROFILES["hyp"] = partial(profile_hyp, np.full(5, 0.05), 0.5526315789473685, 0.5, j_lo=-2)
+for rel in (1e-5, -1e-5, 1e-8, -1e-8):   # the same edge nearly mirrored
+    MIRRORED_PROFILES[f"hyp_A_off_{rel:+g}"] = partial(
+        profile_hyp, np.full(5, 0.05), 0.5526315789473685 * (1.0 + rel), 0.5, j_lo=-2)
+# short profile edges, where the closing scalar is a ratio of two small differences
+FINE_PROFILES = {"trig_kappa_1.05": partial(profile_trig, [0.01, 0.01], 1.05, 0.01, j_lo=-1),
+                 "hyp_c_1e-05": partial(profile_hyp, np.full(10, 1e-5), 0.6, 0.3, j_lo=-5)}
 
 
 def build_rotational(p, theta):
@@ -173,14 +179,16 @@ def build_rotational(p, theta):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(MIRRORED_PROFILES))
+@pytest.mark.parametrize("name", sorted(MIRRORED_PROFILES) + sorted(FINE_PROFILES))
 def test_mirrored_profile_edges_close_flat(name):
-    # every construction takes the mirrored formula on the mirrored edges, the generic one elsewhere
-    p = MIRRORED_PROFILES[name]()
-    assert np.min(np.abs(p.b[1:] + p.b[:-1])) < 1e-12
-    conn, _ = build_rotational(p, THETA)
-    for t in (-0.5, 0.0, 0.5):
-        assert flatness_residual(conn.at(t)) < 1e-11
+    # one closed form closes mirrored, nearly mirrored and short profile edges to rounding
+    p = {**MIRRORED_PROFILES, **FINE_PROFILES}[name]()
+    if name in MIRRORED_PROFILES:
+        assert np.min(np.abs(p.b[1:] + p.b[:-1])) < 2e-5
+    for theta in (THETA, 3.0, -3.0):
+        conn, _ = build_rotational(p, theta)
+        for t in (-0.5, 0.0, 0.5):
+            assert flatness_residual(conn.at(t)) < 1e-13
 
 
 @st.composite
@@ -191,7 +199,7 @@ def profile_recipes(draw):
     j_lo = -(rows // 2)
     kappa = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 2.0)))
     kind = draw(st.sampled_from(["trig", "hyp", "elliptic"]))
-    cs = np.array(draw(st.lists(st.one_of(st.floats(-0.15, -0.01), st.floats(0.01, 0.15)),
+    cs = np.array(draw(st.lists(st.one_of(st.floats(-0.15, -1e-6), st.floats(1e-6, 0.15)),
                                 min_size=rows - 1, max_size=rows - 1)))
     if kind == "trig":
         return partial(profile_trig, cs, kappa, draw(st.floats(-0.5, 0.5)), j_lo=j_lo)
