@@ -49,11 +49,11 @@ from typing import Optional
 import numpy as np
 
 from . import quat
-from .connect import HsLaxData, lax_jet
+from .connect import HsLaxData, lax_entries
 from .errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent,
                      PoleHit, RealityViolated)
-from .lattice import FrameFamily, MatJet
-from .nets import ContactElementNet, sym, sym_blocks
+from .lattice import FrameFamily
+from .nets import ContactElementNet, row_blocks, sym, sym_blocks
 
 
 def _sine_beyond_one(alpha: complex) -> bool:
@@ -232,10 +232,9 @@ def single_backlund(frames: FrameFamily, hs: HsLaxData,
     s_grid = propagate(*build_abcd(hs, params.alpha), seed, hs.domain.nk)
     cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
 
-    def transform(rows):
+    def transform(rows):   # the entries of W and dW
         ratio = s_grid[rows] / hs.s[rows, None]
-        val = quat.matrix(cot * ratio, c, c, cot / ratio)
-        return MatJet(val, np.broadcast_to(quat.matrix(0.0, c, c, 0.0), val.shape))
+        return cot * ratio, c, c, cot / ratio, 0.0, c, c, 0.0
     return sym(frames, 2.0, 0.0, transform)
 
 
@@ -280,32 +279,38 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
     otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
     """
     _check_condition_c(params)
-    alpha, nk = params.alpha, hs.domain.nk
+    alpha, nj, nk = params.alpha, hs.domain.nj, hs.domain.nk
     s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, nk)
-    s_hat = (np.conj(s_tilde) if _sine_beyond_one(alpha)
+    s_hat = (None if _sine_beyond_one(alpha)   # then conj(s~), formed per block
              else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), params.s_hat0, nk))
     tn = np.tan(alpha / 2.0)
     tn2 = tn ** 2
     s_col = hs.s[:, None]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
-        den = 1.0 - tn2 * s_hat * s_tilde
-        shat_tilde = (s_hat * s_tilde - tn2) / (s_col * den)
-    if not (np.min(np.abs(den)) >= 1e-14):
+
+    def composed(rows):   # s~, the composed field s^~ and 1 - tan^2(a/2) s^ s~ on the rows
+        st, sh = s_tilde[rows], (np.conj(s_tilde[rows]) if s_hat is None else s_hat[rows])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
+            den = 1.0 - tn2 * sh * st
+            return st, (sh * st - tn2) / (s_col[rows] * den), den
+
+    # per block: min |den|, s^~ finite and nonzero, max ||s^~| - 1|; all before the Sym pass
+    worst = np.array([(np.min(np.abs(den)), np.all(np.isfinite(sht) & (sht != 0)),
+                       np.max(np.abs(np.abs(sht) - 1.0)))
+                      for _, sht, den in map(composed, row_blocks(nj, nk))])
+    if not (np.min(worst[:, 0]) >= 1e-14):
         raise PoleHit("composed scalar field hit a pole")
-    if not np.all(np.isfinite(shat_tilde) & (shat_tilde != 0)):
+    if not np.all(worst[:, 1]):
         raise PoleHit("composed scalar field is non-finite or zero")
-    del s_hat, den
-    unit_residual = float(np.max(np.abs(np.abs(shat_tilde) - 1.0)))
     cot = 1.0 / tn
 
-    def vw(rows):
-        st, sht, sc = s_tilde[rows], shat_tilde[rows], s_col[rows]
-        return lax_jet(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
+    def vw(rows):   # the entries of VW and d(VW)
+        (st, sht), sc = composed(rows)[:2], s_col[rows]
+        return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
 
     x, n, imag_residue = sym_blocks(frames, 2.0, 0.0, vw)
     if not (imag_residue <= 1e-6):
         raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")
-    return ContactElementNet(x, n), DoubleReport(imag_residue, unit_residual)
+    return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(worst[:, 2])))
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,13 @@ class _StagedError(Exception):
 
 
 def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage; package errors, float overflow and failed allocations carry its name."""
+    """Run one pipeline stage: its errors carry its name, an unwritable output as a ConfigError."""
     try:
         return fn(*args, **kwargs)
     except (CknetError, OverflowError, FloatingPointError, MemoryError) as exc:
         raise _StagedError(name, exc) from exc
+    except OSError as exc:
+        raise _StagedError(name, ConfigError(f"cannot write output: {exc}")) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=Non
     mesh_path = _get(cfg, "output", "mesh", str, None)
     report_path = _get(cfg, "output", "report", str, None)
     if report_path:
-        report_json(entries, parameters, report_path)
+        _stage("report", report_json, entries, parameters, report_path)
     for r in entries:
         print(("PASS" if r.passed else "FAIL")
               + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")

@@ -247,14 +247,19 @@ def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFami
                          f"M {conn.M.shape} are not held once per profile row")
     phi00 = MatJet.constant(initial_frame(a0, b0))
     nj, nk = conn.domain.nj, conn.domain.nk
+    # the column factor is allocated before any work, so a grid too large fails at once
+    Dk = MatJet(np.empty((nk, 2, 2), complex), np.zeros((nk, 2, 2), complex))
+    Dk.val[0] = np.eye(2)
     cat = lambda *jets: MatJet(np.concatenate([m.val for m in jets]), np.concatenate([m.dot for m in jets]))
     P = [phi00[None]]
     for j in range(nj - 1):
         P.append(conn.L[j, 0] @ P[-1])
     D = phi00.inv() @ conn.M[0, 0] @ phi00
-    Dk = MatJet.constant(np.eye(2)[None])
-    while Dk.shape[0] < nk:   # doubling: D^n .. D^{2n-1} = D^n (D^0 .. D^{n-1}), up to D^{nk-1}
-        Dk, D = cat(Dk, D @ Dk[:nk - Dk.shape[0]]), D @ D
+    n = 1
+    while n < nk:   # doubling: D^n .. D^{2n-1} = D^n (D^0 .. D^{n-1}), up to D^{nk-1}
+        step = D @ Dk[:min(n, nk - n)]
+        Dk.val[n:2 * n], Dk.dot[n:2 * n] = step.val, step.dot
+        D, n = D @ D, 2 * n
     return FrameFamily(conn.domain, cat(*P)[:, None], conn.t0, Dk)
 
 
@@ -335,12 +340,12 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     return HsLaxData(s, ell, m, delta1, delta2, data.u, conn.domain, MatJet.constant(G[:, None]))
 
 
-def lax_jet(diag_l, diag_r, prod, t: float) -> MatJet:
-    """[[diag_l, i(e^t - e^-t prod)], [i(e^t - e^-t / prod), diag_r]] as a jet in t: the
-    form of the normal-form edge matrices and of the double transform matrix VW."""
+def lax_entries(diag_l, diag_r, prod, t: float):
+    """Entries (a, b, c, d, da, db, dc, dd) of [[diag_l, i(e^t - e^-t prod)], [i(e^t - e^-t / prod),
+    diag_r]] and of its t-derivative: the normal-form edge matrices and the double transform VW."""
     ep, em = np.exp(t), np.exp(-t)
-    return MatJet(quat.matrix(diag_l, 1j * (ep - em * prod), 1j * (ep - em / prod), diag_r),
-                  quat.matrix(0.0, 1j * (ep + em * prod), 1j * (ep + em / prod), 0.0))
+    return (diag_l, 1j * (ep - em * prod), 1j * (ep - em / prod), diag_r,
+            0.0, 1j * (ep + em * prod), 1j * (ep + em / prod), 0.0)
 
 
 def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
@@ -354,9 +359,10 @@ def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
     s, ell, m = hs.s, hs.ell, hs.m
     ct1, tn1 = 1.0 / np.tan(hs.delta1 / 2.0), np.tan(hs.delta1 / 2.0)
     ct2, tn2 = 1.0 / np.tan(hs.delta2 / 2.0), np.tan(hs.delta2 / 2.0)
-    L_edge = lax_jet(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
-                     s[:-1] * s[1:], t)
-    M_edge = lax_jet(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)
+    L_edge, M_edge = (MatJet(quat.matrix(*e[:4]), quat.matrix(*e[4:])) for e in (
+        lax_entries(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
+                    s[:-1] * s[1:], t),
+        lax_entries(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)))
     return ConnectionFamily(hs.domain, L_edge[:, None], M_edge[:, None], t,
                             lambda tt: hs_lax(hs, tt))
 

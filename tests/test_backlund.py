@@ -417,14 +417,17 @@ def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
 
 
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
+    """A NaN in one transform term, which every Sym block forms through
+    ``nets._transform_terms``, makes a coordinate NaN and must not pass as real."""
     hs, frames, _ = hs_fixture()
+    transform_terms = nets._transform_terms
 
-    def nan_sym(*args):
-        x, n = sym_arrays(*args)
-        x[0, 0, 0] = complex(1.0, np.nan)
-        return x, n
+    def nan_terms(*entries):
+        tx, tn = transform_terms(*entries)
+        tx[0][0, 0] = complex(1.0, np.nan)
+        return tx, tn
 
-    monkeypatch.setattr(nets, "sym_arrays", nan_sym)
+    monkeypatch.setattr(nets, "_transform_terms", nan_terms)
     with pytest.raises(RealityViolated):
         double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
 

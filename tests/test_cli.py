@@ -122,6 +122,23 @@ def test_generate_pseudosphere(tmp_path, capsys):
     assert next(l for l in lines if l.startswith("f ")) == "f 1 2 10 9"
 
 
+README_INI = re.findall(r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1]
+                                                / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+@pytest.mark.parametrize("text", README_INI)
+def test_readme_ini_examples_generate(tmp_path, capsys, text):
+    """Each INI example of the README runs as written; its outputs go under tmp_path."""
+    code = cli.main(["generate", "--config", write(tmp_path, "example.ini", text),
+                     "--output.mesh", str(tmp_path / "out.obj"),
+                     "--output.report", str(tmp_path / "out.json")])
+    assert code == cli.EXIT_OK, capsys.readouterr()
+
+
+def test_readme_has_an_ini_example():
+    assert README_INI
+
+
 def test_generate_theta_route_has_no_period_entry(tmp_path, capsys):
     cfg = write(tmp_path, "job.ini", PSEUDO_INI.replace("k0 = 6", "theta = 0.5"))
     report = str(tmp_path / "out.json")
@@ -260,6 +277,27 @@ def test_non_finite_net_is_refused_at_export(tmp_path, monkeypatch, capsys):
     with pytest.raises(DegenerateGeometry):
         cli.export_obj(planted(profile_elliptic(1.0, -1, (-2, 2)), 8, k0=6), str(mesh))
     assert not mesh.exists()
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+@pytest.mark.parametrize("key, stage", [("mesh", "export"), ("report", "report")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, key, stage, where):
+    """An output path in a missing directory, or naming a directory, exits 2 with one
+    ``error: stage=...`` line and no traceback.  The report is written first, so a refused
+    mesh still leaves it and the printed checks, and a refused report stops the run."""
+    path = tmp_path / "no_such_dir" / "out" if where == "missing_dir" else tmp_path
+    other = tmp_path / ("out.json" if key == "mesh" else "out.obj")
+    code = cli.main(["generate", "--config", write(tmp_path, "job.ini", PSEUDO_INI),
+                     f"--output.{key}", str(path),
+                     "--output." + ("report" if key == "mesh" else "mesh"), str(other)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: stage={stage}: ConfigError: cannot write output: ")
+    if key == "mesh":   # the report comes first and the checks are still printed
+        assert validate_report(strict_json(other)) == [] and "PASS" in out
+    else:
+        assert out == "" and not other.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +609,18 @@ def test_grid_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys, extra
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NUMERIC
     assert len(err.splitlines()) == 1 and err.startswith(f"error: stage={stage}: MemoryError: ")
+    assert out == "" and not mesh.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["double", "backlund"])
+def test_transform_grid_too_large_for_its_frames_is_a_numeric_failure(tmp_path, capsys, command):
+    # the column factor's first allocation, about 6 PB, is refused at once, before the frames
+    # are doubled towards it
+    extra = ["--rotation.k_count", "100000000000000", "--backlund.alpha", "1.0"]
+    code, mesh, report = run_desk(tmp_path, command, extra, "huge")
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert len(err.splitlines()) == 1 and err.startswith("error: stage=frames: MemoryError: ")
     assert out == "" and not mesh.exists() and not report.exists()
 
 
