@@ -371,7 +371,7 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
         raise ConfigError(f"need N0 >= 2, got {N0}")
     if p is not None and not 1 <= p < N0:
         raise ConfigError(f"phase index p must satisfy 1 <= p < N0 = {N0}, got {p}")
-    ps = [p] if p is not None else [q for q in range(1, N0) if math.gcd(q, N0) == 1]
+    ps = [p] if p is not None else (q for q in range(1, N0) if math.gcd(q, N0) == 1)
     t2 = np.tan(hs.delta2 / 2.0)
     x, w, tau = complex(hs.s[0]), complex(hs.m[0]), complex(t2)
     a, b = x / tau + tau / x, 1.0 / (x * tau) + x * tau
@@ -388,5 +388,6 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
         residual = _power_residual(_matrices(hs.s, hs.m, t2, alpha)[0], N0)
         if residual <= 1e-9:
             return PeriodicAlpha(alpha, int(p_try), residual)
+    tried = f"p = {p}" if p is not None else f"every p in 1..{N0 - 1} coprime to {N0}"
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {_Y_MAX:g}) "
-                 f"closes the recurrence after {N0} steps for phase indices {ps}")
+                 f"closes the recurrence after {N0} steps for {tried}")

@@ -1,25 +1,25 @@
 """Command-line front end: build nets, transform them, export, verify.
 
-Subcommands:
+    cknet COMMAND [--config job.ini] [--section.key value ...]
+    cknet check [--config job.ini] [--criterion N ...] [--section.key value ...]
+    cknet [COMMAND] -h | --help
 
-    cknet generate --config job.ini [--section.key value ...]
-    cknet backlund --config job.ini ...
-    cknet double   --config job.ini ...
-    cknet search   --config job.ini ...
-    cknet check    [--criterion N ...] [--output.report path]
+COMMAND (generate, backlund, double, search or check) comes first.  Each
+flag takes one value, as --name value or --name=value; names match exactly.
+--config names an INI file of key = value sections, read without
+interpolation, or a JSON object of section objects.  --criterion (check
+only, repeatable) runs one acceptance criterion.  --section.key overrides
+any key some subcommand reads; any other key is refused.  -h or --help
+prints this text.  Meshes are Wavefront OBJ, reports JSON with one entry
+per measured invariant.
 
-Config files are INI sections with key = value lines (JSON documents of
-the same two-level shape are accepted too); --section.key value overrides
-any key some subcommand reads, and any other key is refused.  Meshes are
-Wavefront OBJ, reports JSON with one entry per measured invariant.
-
-Exit codes: 0 success, 1 an invariant check failed, 2 configuration
-error (unknown key or criterion number too), 3 numeric failure.
+Exit codes: 0 success, 1 an invariant check failed, 2 configuration or
+usage error (an unknown command, flag, key or criterion number too), 3
+numeric failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import json
 import sys
@@ -80,7 +80,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -91,7 +91,7 @@ def load_config(path: str) -> dict:
         if not isinstance(doc, dict) or any(not isinstance(v, dict) for v in doc.values()):
             raise ConfigError("JSON config must be an object of section objects")
         return {str(s): {str(k): v for k, v in sec.items()} for s, sec in doc.items()}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         parser.read_string(text, source=path)
@@ -100,29 +100,45 @@ def load_config(path: str) -> dict:
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def parse_overrides(extra: list) -> dict:
-    """--section.key value pairs (or --section.key=value) into a config dict."""
-    out: dict = {}
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
+_HELP = ("-h", "--help")
+
+
+def parse_argv(argv: list):
+    """(command, config path or None, criterion numbers, overrides) of a command line, or None
+    when it asks for help; see the module docstring for the grammar."""
+    if argv and argv[0] in _HELP:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise ConfigError(f"expected a command first ({', '.join(COMMANDS)}), got {argv[:1]}")
+    command, path, criteria, overrides = argv[0], None, [], {}
+    i = 1
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _HELP:
+            return None
         if not tok.startswith("--"):
             raise ConfigError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, value = body.split("=", 1)
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(extra):
+        key, eq, value = tok[2:].partition("=")
+        if not eq:
+            if i + 1 >= len(argv):
                 raise ConfigError(f"flag --{key} is missing a value")
-            value = extra[i + 1]
-            i += 2
-        if "." not in key:
-            raise ConfigError(f"override keys look like section.key, got {key!r}")
-        sec, opt = key.split(".", 1)
-        out.setdefault(sec, {})[opt] = value
-    return out
+            i += 1
+            value = argv[i]
+        i += 1
+        if key == "config":
+            path = value
+        elif key == "criterion" and command == "check":
+            try:
+                criteria.append(int(value))
+            except ValueError:
+                raise ConfigError(f"--criterion takes an integer, got {value!r}") from None
+        elif "." in key:
+            sec, opt = key.split(".", 1)
+            overrides.setdefault(sec, {})[opt] = value
+        else:
+            raise ConfigError(f"{command} has no flag --{key}; flags are --config, --section.key "
+                              "and, for check only, --criterion")
+    return command, path, criteria, overrides
 
 
 def merge_config(base: dict, overrides: dict) -> dict:
@@ -386,13 +402,12 @@ def backlund_report_entries(worst: dict) -> list:
     ] + _period_entry("transformed_period", worst)
 
 
-def _transformed_period(cfg: dict, k0, net: ContactElementNet):
-    """lcm(k0, N0), after which a transformed net repeats, when both are set and the net
-    has more columns; None otherwise."""
-    N0 = _get(cfg, "backlund", "N0", int, None)
-    if k0 is None or N0 is None or net.shape[1] <= lcm(k0, N0):
+def _period(net: ContactElementNet, *steps):
+    """The lcm of the steps (k0, and N0 for a transformed net), after which the net repeats,
+    when every step is set and the net has more columns; None otherwise."""
+    if None in steps or net.shape[1] <= lcm(*steps):
         return None
-    return lcm(k0, N0)
+    return lcm(*steps)
 
 
 def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=None) -> int:
@@ -421,9 +436,8 @@ def cmd_generate(cfg: dict) -> int:
         net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
     else:
         net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
-    period = k0 if k0 is not None and net.shape[1] > k0 else None
     worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True, unit=True,
-                               period=period)
+                               period=_period(net, k0))
     params = flat_parameters(cfg)
     params["rotation.theta_effective"] = float(theta)
     return _finish(net_report_entries(p, worst), params, cfg, net, degenerate)
@@ -441,6 +455,15 @@ def _hs_pipeline(cfg: dict):
     return p, theta, k0, conn, hs
 
 
+def _search(cfg: dict, hs, N0: int, params: dict):
+    """The angle that closes the transform after N0 steps, recorded in ``params``."""
+    found = _stage("search", find_periodic_alpha, hs, N0, p=_get(cfg, "backlund", "p", int, None))
+    params["backlund.alpha_found"] = str(complex(found.alpha))
+    params["backlund.p_found"] = found.p
+    params["backlund.power_residual"] = found.residual
+    return found
+
+
 def _resolve_alpha(cfg: dict, hs, params: dict):
     alpha = _get(cfg, "backlund", "alpha", complex, None)
     if alpha is not None:
@@ -448,12 +471,7 @@ def _resolve_alpha(cfg: dict, hs, params: dict):
     N0 = _get(cfg, "backlund", "N0", int, None)
     if N0 is None:
         raise ConfigError("backlund needs alpha or N0")
-    p_idx = _get(cfg, "backlund", "p", int, None)
-    found = _stage("search", find_periodic_alpha, hs, N0, p=p_idx)
-    params["backlund.alpha_found"] = str(complex(found.alpha))
-    params["backlund.p_found"] = found.p
-    params["backlund.power_residual"] = found.residual
-    return complex(found.alpha)
+    return complex(_search(cfg, hs, N0, params).alpha)
 
 
 def _gauged_frames(p: Profile, conn, hs):
@@ -477,7 +495,7 @@ def cmd_backlund(cfg: dict) -> int:
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
     worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha.real,
-                               period=_transformed_period(cfg, k0, net))
+                               period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
     return _finish(entries + backlund_report_entries(worst), params, cfg, net, degenerate)
 
@@ -495,7 +513,7 @@ def cmd_double(cfg: dict) -> int:
     bp = BacklundParams(alpha, **kwargs)
     net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
     worst, degenerate = _stage("verify", curvature_report, net, unit=True,
-                               period=_transformed_period(cfg, k0, net))
+                               period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [
         CheckResult("flatness", flatness_residual(conn), 1e-11),
         CheckResult("imag_residue", rep.imag_residue, 1e-9),
@@ -508,19 +526,15 @@ def cmd_double(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     *_, hs = _hs_pipeline(cfg)
-    N0 = _get(cfg, "backlund", "N0", int)
-    p_idx = _get(cfg, "backlund", "p", int, None)
-    found = _stage("search", find_periodic_alpha, hs, N0, p=p_idx)
     params = flat_parameters(cfg)
-    params["backlund.alpha_found"] = str(complex(found.alpha))
-    params["backlund.p_found"] = found.p
+    found = _search(cfg, hs, _get(cfg, "backlund", "N0", int), params)
     entries = [CheckResult("periodicity_power", found.residual, 1e-9)]
     print(f"alpha = {found.alpha!r}  p = {found.p}  residual = {found.residual:.3e}")
     return _finish(entries, params, cfg)
 
 
-def cmd_check(cfg: dict, criteria) -> int:
-    numbers = set(criteria) if criteria else None
+def cmd_check(cfg: dict, *criteria: int) -> int:
+    numbers = set(criteria) or None
     results = _stage("check", checksmod.run_all, numbers)
     params = {"criteria": sorted(numbers) if numbers else "all"}
     return _finish(results, params, cfg)
@@ -529,37 +543,21 @@ def cmd_check(cfg: dict, criteria) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cknet",
-        description="discrete constant-curvature rotational nets and their transforms",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "backlund", "double", "search", "check"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="INI or JSON config file")
-    sub.choices["check"].add_argument("--criterion", type=int, action="append",
-                                      help="run only this acceptance criterion (repeatable)")
-    return parser
+COMMANDS = {"generate": cmd_generate, "backlund": cmd_backlund, "double": cmd_double,
+            "search": cmd_search, "check": cmd_check}
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
     try:
-        overrides = parse_overrides(extra)
-        cfg = load_config(args.config) if args.config else {}
-        cfg = merge_config(cfg, overrides)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(__doc__)
+            return EXIT_OK
+        command, path, criteria, overrides = args
+        cfg = merge_config(load_config(path) if path is not None else {}, overrides)
         if unknown := sorted(set(flat_parameters(cfg)) - CONFIG_KEYS):
             raise ConfigError(f"unknown config key {unknown[0]}")
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "backlund":
-            return cmd_backlund(cfg)
-        if args.command == "double":
-            return cmd_double(cfg)
-        if args.command == "search":
-            return cmd_search(cfg)
-        return cmd_check(cfg, args.criterion)
+        return COMMANDS[command](cfg, *criteria)
     except (_StagedError, CknetError) as exc:
         staged = exc if isinstance(exc, _StagedError) else _StagedError("config", exc)
         print(f"error: {staged}", file=sys.stderr)

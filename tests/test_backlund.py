@@ -1,5 +1,6 @@
 """Tests for Backlund transforms: recurrences, invariants, periodicity."""
 
+import tracemalloc
 import warnings
 from functools import lru_cache
 from math import lcm
@@ -526,8 +527,10 @@ def test_find_periodic_alpha_skips_diverging_candidates_quietly():
 
 def test_find_periodic_alpha_no_root():
     hs, _, _ = hex_fixture()
-    with pytest.raises(NoRoot):
+    with pytest.raises(NoRoot, match="after 9 steps for p = 2$"):
         find_periodic_alpha(hs, 9, p=2)
+    with pytest.raises(NoRoot, match="after 2 steps for every p in 1..1 coprime to 2$"):
+        find_periodic_alpha(hs, 2)
     with pytest.raises(NoRoot):
         find_periodic_alpha(hs, 8, p=3)
     with pytest.raises(ConfigError):
@@ -535,6 +538,20 @@ def test_find_periodic_alpha_no_root():
     for p in (0, -1, 8, 9):   # phase indices outside 1 <= p < N0
         with pytest.raises(ConfigError, match=f"1 <= p < N0 = 8, got {p}"):
             find_periodic_alpha(hs, 8, p=p)
+
+
+def test_find_periodic_alpha_holds_no_list_of_phase_indices():
+    """The phase indices coprime to N0 are tried one at a time; at N0 = 10**5 a list of
+    them takes about 1.5 MiB."""
+    hs, _, _ = hex_fixture()
+    tracemalloc.start()
+    try:
+        found = find_periodic_alpha(hs, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.p == 789 and found.residual <= 1e-9
+    assert peak < 2 ** 18
 
 
 def test_scalar_field_closes_with_the_found_angle():

@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface and its report artifacts."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cknet import checks, cli, errors, nets
 from cknet.checks import CheckResult
@@ -357,6 +361,20 @@ def test_search_finds_annulus_angle(tmp_path, capsys):
     assert doc["parameters"]["backlund.alpha_found"].startswith("(1.5707963267948966+1.51")
 
 
+def test_search_and_double_record_the_same_root(tmp_path, capsys):
+    cfg = write(tmp_path, "hex.ini", HEX_INI)
+    found = {}
+    for command in ("search", "double"):
+        report = str(tmp_path / f"{command}.json")
+        assert cli.main([command, "--config", cfg, "--output.report", report]) == cli.EXIT_OK
+        params = entry_names(report)[1]["parameters"]
+        found[command] = [params[f"backlund.{key}"]
+                          for key in ("alpha_found", "p_found", "power_residual")]
+    capsys.readouterr()
+    assert found["search"] == found["double"]
+    assert found["search"][1] == 1 and 0.0 <= found["search"][2] <= 1e-9
+
+
 def test_double_rejects_non_finite_seed(tmp_path, capsys):
     cfg = write(tmp_path, "hex.ini", HEX_INI)
     mesh = tmp_path / "out.obj"
@@ -558,7 +576,7 @@ FINE_HYP_KEYS = ["--surface.kind", "hyp", "--surface.c", "0.00001", "--surface.A
 @pytest.mark.parametrize("command, extra", [("double", ["--backlund.alpha", "1.0"]),
                                             ("search", ["--backlund.N0", "8"])])
 def test_mirrored_profile_edge_runs_clean(capsys, command, extra):
-    p = cli.build_profile(cli.parse_overrides(MIRRORED_HYP_KEYS))
+    p = cli.build_profile(cli.parse_argv([command, *MIRRORED_HYP_KEYS])[3])
     assert abs(p.b[-p.j_lo] + p.b[1 - p.j_lo]) < 1e-12
     near = [MIRRORED_HYP_KEYS + ["--surface.A", A] for A in NEAR_MIRRORED_A]
     for keys in [MIRRORED_HYP_KEYS, FINE_HYP_KEYS, *near]:
@@ -678,9 +696,10 @@ def test_double_names_the_verify_stage_of_a_face_failure(tmp_path, monkeypatch, 
     assert not mesh.exists()
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_neither_scipy_nor_argparse():
     src = Path(cli.__file__).resolve().parents[1]
-    probe = "import sys, cknet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("import sys, cknet.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'argparse', 'gettext')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -779,7 +798,10 @@ def test_every_error_class_has_its_exit_code_and_one_stage_line(monkeypatch, cap
         raise error("planted")
 
     # run_all runs inside the check stage; cmd_check itself runs outside any stage
-    monkeypatch.setattr(*((checks, "run_all") if stage == "check" else (cli, "cmd_check")), fail)
+    if stage == "check":
+        monkeypatch.setattr(checks, "run_all", fail)
+    else:
+        monkeypatch.setitem(cli.COMMANDS, "check", fail)
     code = cli.main(["check"])
     out, err = capsys.readouterr()
     assert code == (cli.EXIT_CONFIG if error.__name__ in CONFIG_ERROR_NAMES else cli.EXIT_NUMERIC)
@@ -791,15 +813,89 @@ def test_every_error_class_has_its_exit_code_and_one_stage_line(monkeypatch, cap
 # config plumbing units
 
 
-def test_parse_overrides_forms():
-    got = cli.parse_overrides(["--a.b", "1", "--c.d=2"])
-    assert got == {"a": {"b": "1"}, "c": {"d": "2"}}
-    with pytest.raises(ConfigError):
-        cli.parse_overrides(["positional"])
-    with pytest.raises(ConfigError):
-        cli.parse_overrides(["--a.b"])
-    with pytest.raises(ConfigError):
-        cli.parse_overrides(["--nodot", "1"])
+def test_parse_argv_forms():
+    got = cli.parse_argv(["check", "--a.b", "1", "--c.d=2", "--config=x.ini", "--criterion", "+7",
+                          "--criterion=10", "--a.b", "3"])
+    assert got == ("check", "x.ini", [7, 10], {"a": {"b": "3"}, "c": {"d": "2"}})
+    # a value is the next token, whatever it looks like
+    assert cli.parse_argv(["double", "--backlund.p", "-1", "--config", "--x"]) == (
+        "double", "--x", [], {"backlund": {"p": "-1"}})
+    for argv in (["-h"], ["--help"], ["double", "-h"], ["check", "--criterion", "7", "--help"]):
+        assert cli.parse_argv(argv) is None
+    # more refusals than the usage errors main is tested with below
+    for argv in (["--config", "x.ini", "double"], ["double", "--a.b"], ["double", "--nodot", "1"],
+                 ["double", "--conf", "x.ini"], ["check", "--criterion=0x3"], ["check", "--help=1"]):
+        with pytest.raises(ConfigError):
+            cli.parse_argv(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["check", "--criterion", "abc"], ["double", "--criterion", "7"],
+    ["double", "--config"], ["generate", "job.ini"],
+], ids=["no_arguments", "unknown_command", "criterion_abc", "criterion_on_double",
+        "config_without_value", "bare_positional"])
+def test_usage_error_exits_2_with_one_stage_line(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith("error: stage=config: ConfigError: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["double", "--help"]])
+def test_help_prints_the_usage(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == cli.__doc__ + "\n" and "cknet check" in out and err == ""
+
+
+# --config targets of the argv property: a valid file, one holding a %, one that is not UTF-8
+ARGV_FIXTURES = {"valid.ini": b"[rotation]\nk0 = 6\nk_count = 8\n",
+                 "percent.ini": b"[output]\nmesh = run%1.obj\nreport = %(mesh)s.json\n",
+                 "latin1.ini": b"[rotation]\nk0 = \xff\n"}
+# surface.kind is never drawn, so every pipeline command stops at its profile stage
+FLAG_NAMES = ["config", "criterion", "help", "surface.kappa", "rotation.k0", "backlund.N0",
+              "backlund.alpha", "output.report", "surface.kapa", "a.b", "nodot", "conf"]
+FLAG_VALUES = ["1", "10", "-3", "0.6", "nan", "abc", "0x3", "(1+2j)", "", *ARGV_FIXTURES]
+
+
+@st.composite
+def argv_tokens(draw):
+    command = draw(st.sampled_from(["check", "generate", "backlund", "double", "search", "-h",
+                                    "frobnicate", None]))
+    argv = [] if command is None else [command]
+    for _ in range(draw(st.integers(0, 4))):
+        name, value = draw(st.sampled_from(FLAG_NAMES)), draw(st.sampled_from(FLAG_VALUES))
+        # mostly well-formed pairs; a flag without a value, or a bare value, now and then
+        argv += draw(st.sampled_from([[f"--{name}", value], [f"--{name}={value}"],
+                                      [f"--{name}", value], [f"--{name}"], [value]]))
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv_tokens())
+def test_every_command_line_exits_0_to_3_and_failures_print_one_stage_line(argv):
+    """Argv token shapes: commands (and junk ones), flag pairs, = forms, flags without a value,
+    bare values, dotless names and --config files that are valid, hold a % or are not UTF-8.
+    No surface.kind is drawn, so no pipeline runs past its profile stage and 200 examples
+    take about two seconds; only check runs to completion."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)   # outputs the draw names land here
+        try:
+            for name, data in ARGV_FIXTURES.items():
+                Path(name).write_bytes(data)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC):
+        assert len(lines) == 1 and re.match(r"error: stage=\w+: \w+: ", lines[0]), (argv, lines)
+    else:
+        assert lines == [], (argv, lines)
 
 
 def test_merge_config_override_wins():
@@ -816,6 +912,27 @@ def test_load_config_preserves_key_case(tmp_path):
         cli.load_config(write(tmp_path, "flat.json", '{"a": 1}'))
     with pytest.raises(ConfigError):
         cli.load_config(write(tmp_path, "bad.json", "{nope"))
+
+
+def test_ini_values_are_read_raw(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "job.ini", PSEUDO_INI + "\n[output]\nmesh = run%1.obj\nreport = %(mesh)s.json\n")
+    assert cli.load_config(cfg)["output"] == {"mesh": "run%1.obj", "report": "%(mesh)s.json"}
+    assert cli.main(["generate", "--config", cfg]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "run%1.obj").is_file() and (tmp_path / "%(mesh)s.json").is_file()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "job.ini"
+    path.write_bytes(b"[surface]\nkind = \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        cli.load_config(str(path))
+    assert cli.main(["generate", "--config", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: stage=config: ConfigError: cannot read config {path}: ")
+    assert out == ""
 
 
 def test_json_config_rejects_bare_constants(tmp_path):
