@@ -6,8 +6,12 @@ on top of them.  The inputs are fixed: one profile, angle and seed, and a
 net drawn from a seeded generator.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -101,3 +105,16 @@ def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
     degenerate[::17, ::301] = True
     degenerate = np.flatnonzero(degenerate)
     assert added_mib(cli.export_obj, net, str(tmp_path / "mesh.obj"), degenerate) <= 2.0
+
+
+def test_cold_digit_tables_build_within_a_quarter_megabyte():
+    """The OBJ writer's tables, built once per process on the first export: 0.185 MB at the
+    peak for 0.163 MB kept, in a fresh interpreter, where int64 digit arrays and a matmul
+    peaked at 1.15 MB.  The bound leaves 65 kB of margin."""
+    probe = ("import tracemalloc; tracemalloc.start(); from cknet import cli; "
+             "tracemalloc.reset_peak(); base = tracemalloc.get_traced_memory()[0]; "
+             "cli._digit_tables(); print(tracemalloc.get_traced_memory()[1] - base)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert int(done.stdout) <= 250_000

@@ -1,13 +1,16 @@
 """The OBJ coordinate writer against Python's own ``%.17g``.
 
 ``cli._obj_lines`` forms the 17 digits of each coordinate with numpy
-(Dekker's two-product on |x| * 10**k, a four-digit table, NUL-padded
-cells); every line it writes must equal ``b"v %.17g %.17g %.17g\\n" % row``
-byte for byte.  ``oracles.joined_obj`` builds a whole mesh line by line
-with ``format``.
+(Dekker's two-product on |x| * 10**k, four-digit tables, NUL-padded
+cells), in fixed notation for 1e-4 <= |x| < 1e16 and in exponent notation
+for 1e-28 <= |x| < 1e-4; every line it writes must equal
+``b"v %.17g %.17g %.17g\\n" % row`` byte for byte.  ``oracles.joined_obj``
+builds a whole mesh line by line with ``format``.
 """
 
+import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,14 +36,23 @@ def from_bits(bits):
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
-# sign, biased binary exponent of 2**-14 .. 2**53 and mantissa: the fixed-notation range
-fast_range_bits = st.builds(lambda s, e, m: (s << 63) | (e << 52) | m,
-                            st.integers(0, 1), st.integers(1009, 1076), st.integers(0, 2 ** 52 - 1))
+def range_bits(lo, hi):
+    """Bit patterns of sign, a biased binary exponent in lo..hi and any mantissa."""
+    return st.builds(lambda s, e, m: (s << 63) | (e << 52) | m,
+                     st.integers(0, 1), st.integers(lo, hi), st.integers(0, 2 ** 52 - 1))
+
+
+fast_range_bits = range_bits(1009, 1076)    # 2**-14 .. 2**53: the fixed-notation range
+small_range_bits = range_bits(929, 1009)    # 2**-94 .. 2**-14: the kernel's exponent form
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), fast_range_bits), min_size=1, max_size=60))
+@given(st.lists(st.builds(lambda pick, s, o: s if pick else o, st.booleans(), small_range_bits,
+                          st.one_of(st.integers(0, 2 ** 64 - 1), fast_range_bits)),
+                min_size=1, max_size=60))
 def test_random_bit_patterns_format_like_python(bits):
+    """Half the values come from the exponent-form range, the rest from any bit pattern and
+    the fixed range."""
     assert_formats_like_python(from_bits(bits))
 
 
@@ -65,6 +77,30 @@ def test_ties_round_half_to_even_like_python():
     assert_formats_like_python(values)
 
 
+def small_ties():
+    """Values of 1e-28 <= |x| < 1e-4 that round near half-way: exact ties (18 significant
+    digits ending in 5, which only E = -5..-7 have) and their neighbours, and per exponent
+    E = -28..-5 the two of 400 seeded doubles whose x * 10**(16 - E) lies nearest a
+    half-integer."""
+    out = [(int(f * 10.0 ** E * 2.0 ** (17 - E)) | 1) * 2.0 ** (E - 17)
+           for E in (-5, -6, -7) for f in (2.5, 5.5, 9.5)]
+    out += [np.nextafter(v, d) for v in out for d in (0.0, 1.0)]
+    rng = np.random.default_rng(7)
+    for E in range(-28, -4):
+        x = rng.uniform(1.0, 10.0, 400) * 10.0 ** E
+        x = x[(x >= 10.0 ** E) & (x < 10.0 ** (E + 1))]
+        off = [abs(Fraction(v) * 10 ** (16 - E) % 1 - Fraction(1, 2)) for v in x.tolist()]
+        out += [float(v) for v in x[np.argsort(off)[:2]]]
+    return out + [-v for v in out[::3]]
+
+
+def test_small_ties_round_half_to_even_like_python():
+    values = small_ties()
+    digits = [Decimal(v).as_tuple().digits for v in values[:9]]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+    assert_formats_like_python(values)
+
+
 def powers_of_ten():
     p = 10.0 ** np.arange(-30, 31)
     return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
@@ -78,9 +114,20 @@ def powers_of_ten():
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
     [1.7976931348623157e308, -1e300, 1e17, 123456789012345678.0, np.inf, -np.inf, np.nan],
     [0.1, 0.2, 0.3, 1 / 3, 2 / 3, np.pi, -np.e, 100.0, 1e15, 1234.5, 0.00012, 7.0e-4],
-], ids=["powers_of_ten", "range_edges", "zeros_and_subnormals", "huge_and_non_finite", "common"])
+    [1e-28, np.nextafter(1e-28, 0.0), np.nextafter(1e-28, 1.0), -1e-28, 1e-5, -1e-5,
+     2.0 ** -20, -(2.0 ** -20), 1e-16, 0.0, -0.0, 2.5e-12, 1.25e-20, 3e-10, 9.5e-5],
+], ids=["powers_of_ten", "range_edges", "zeros_and_subnormals", "huge_and_non_finite", "common",
+        "exponent_form"])
 def test_listed_values_format_like_python(values):
     assert_formats_like_python(values)
+
+
+def test_exponent_form_trims_like_python():
+    """Trailing zeros and a bare point go, as %.17g drops them; 1e-16 lies below 10**-16, so
+    its 17 digits are not those of a rounded-up 1e-16."""
+    xyz = np.array([[2.0 ** -20, 1e-5, -0.0], [1e-16, 0.0, 2.0 ** -30]])
+    assert cli._obj_lines(b"v", xyz) == (b"v 9.5367431640625e-07 1.0000000000000001e-05 -0\n"
+                                         b"v 9.9999999999999998e-17 0 9.3132257461547852e-10\n")
 
 
 @pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
@@ -89,7 +136,22 @@ def test_a_log10_guess_one_ulp_off_is_corrected(monkeypatch, toward):
     low guess gives D = 10**17, a carry; both directions must still print like Python."""
     real = np.log10
     monkeypatch.setattr(np, "log10", lambda a: np.nextafter(real(a), toward))
-    assert_formats_like_python(np.concatenate([powers_of_ten(), ties(), [3.0, 1e15, 999.0]]))
+    assert_formats_like_python(np.concatenate([powers_of_ten(), ties(), small_ties(),
+                                               [3.0, 1e15, 999.0, 2.0 ** -20, 1e-5, 1e-28]]))
+
+
+def test_one_chunk_adds_no_more_than_before():
+    """One 512-row chunk with zeros, both notations and values left to Python: 242.8 KiB.  The
+    bound is the 265.7 KiB the writer added when it gathered point and keep words apart from
+    the group words; the desk_annulus job's allocation peak sits beside this chunk."""
+    rows = mesh(2, cli._OBJ_ROWS // 2, seed=5).x.reshape(-1, 3)
+    cli._obj_lines(b"v", rows)
+    tracemalloc.start()
+    try:
+        cli._obj_lines(b"v", rows)
+        assert tracemalloc.get_traced_memory()[1] <= 266 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def mesh(nj, nk, seed):
