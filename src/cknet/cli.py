@@ -25,7 +25,6 @@ import json
 import sys
 from functools import cache
 from math import isfinite, lcm
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -230,58 +229,34 @@ def rotation_step(cfg: dict):
 # artifacts
 
 
-# %.17g of a float64 x is the 17 digits d0 d1 ... d16 of D = round(|x| * 10**(16 - E)),
-# E = floor(log10 |x|), in fixed notation for -4 <= E <= 15 and as d0.d1...e-NN below.  Dekker's
-# two-product forms D exactly (README, "Output formats").  A value fills five little-endian
-# uint64 words ("<u8": byte i of a word is byte i of the file on every host), NUL in every unused
-# byte.  In the fixed range: separator, sign, "0." and leading zeros, digit 0, then [point slot,
-# digit] pairs for 1..16 from a table of 4-digit groups.  The kernel also writes ±0 and the
-# exponent form of 1e-28 <= |x| < 1e-4, where 10**(16 - E) is no double but 2**k times a sum
-# of two exact doubles (``_small_digits``).  Python's own %.17g writes the rest: subnormals,
-# 0 < |x| < 1e-28, |x| >= 1e16, non-finite values and the small values whose rounding the
-# kernel cannot certify (exact ties among them).
+# %.17g of a float64 x with 1e-4 <= |x| < 1e16 is fixed notation: the 17 digits d0 d1 ... d16 of
+# D = round(|x| * 10**(16 - E)), E = floor(log10 |x|), which Dekker's two-product forms exactly
+# (README, "Output formats").  A value fills five little-endian uint64 words ("<u8": byte i of a
+# word is byte i of the file on every host), NUL in every unused byte: separator, sign, "0." and
+# leading zeros, digit 0, then [point slot, digit] pairs for 1..16 from a table of 4-digit
+# groups.  Python's own %.17g writes every other value: ±0, the exponent form of |x| < 1e-4,
+# |x| >= 1e16 and non-finite values.
 _OBJ_ROWS = 512   # vertices per formatted chunk: bounds the writer's memory
 _OBJ_FACES = 4096   # faces per run of f lines, for the same reason
 _VELTKAMP = 134217729.0   # 2**27 + 1: splits a float64 into two halves of at most 26 bits
 _FIXED_BITS = np.array([1e-4, 1e16]).view(np.uint64)   # bit patterns order like |x|
 
 
-def _halves(b):
-    """(b, hi, lo): Veltkamp's split b = hi + lo into halves whose products are exact."""
-    hi = _VELTKAMP * b
-    hi -= hi - b
-    return np.stack([b, hi, b - hi])
-
-
-def _two_product(a, b, bh, bl):
-    """(p, e): p = fl(a * b) and a * b = p + e exactly (Dekker 1971), for b = bh + bl split
-    by ``_halves`` and no overflow or underflow."""
-    p = a * b
-    ah = _VELTKAMP * a
-    ah -= ah - a
-    al = a - ah
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 @cache
-def _digit_tables() -> SimpleNamespace:
+def _digit_tables() -> tuple:
     """Lookup tables of the OBJ number writer, built on first use (not at import) from uint8
     pieces: the 10**4 groups' digits take 40 kB, where int64 ones and a matmul peaked at 1.1 MB.
 
-    group, packed: "<u8" and "<u4" words of each 4-digit group, its digits at bytes 1, 3, 5, 7
-        and at bytes 0-3; place: the place 1..4 of its last nonzero digit, 0 for none.
+    group: "<u8" word of each 4-digit group, its digits at bytes 1, 3, 5, 7; place: the place
+        1..4 of its last nonzero digit, 0 for none.
     fix: (17 * 20, 4) words added to the group words, by (last place, E + 4).
     head: head words by (negative, E + 4, digit 0).
-    small_head: "<u4" " d0." by (negative, digit 0); suffix: "<u4" "e-NN", NN = k - 16, by k;
-        trim: (17, 5) "<u4" words subtracted from " d0." and digits 1-16, by last place.
-    ten: 10**(20 - i) for i = E + 4 in 0..20 with its halves, (3, 21).
-    five: 5**k rounded, its halves, and 5**k minus it, k in 0..46, (4, 47).
+    ten: 10**(20 - i) for i = E + 4 in 0..20 and its Veltkamp halves, (3, 21).
     """
     ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48   # digits 1-4 of a group
     place = (np.arange(1, 5, dtype=np.uint8) * (ascii != 48)).max(axis=1).astype(np.int16)
     group = np.zeros((10 ** 4, 8), np.uint8)
     group[:, 1::2] = ascii
-    packed = np.ascontiguousarray(ascii)
     del ascii
     # bytes added to a group word: "." in the point slot of digit E + 1 when a later digit is
     # kept, and -"0" on every digit past max(last, E), so trailing zeros become NUL; the word
@@ -291,65 +266,30 @@ def _digit_tables() -> SimpleNamespace:
     add = np.where(b % 2 == 1, np.int8(-48) * (b // 2 + 1 > np.maximum(L, E)),
                    np.int8(46) * ((b == 2 * E) & (L > E)))
     fix = add.view("<u8") - ((add < 0).view("<u8") << np.uint64(8))
-    trim = np.zeros((17, 5, 4), np.uint8)            # no point without a digit after it
-    trim[:, 0, 3], trim[:, 1:] = 46 * (L[:, 0, 0] == 0), 48 * (np.arange(1, 17).reshape(4, 4) > L)
-    small_head = np.zeros((2, 10, 4), np.uint8)                # by (negative, digit 0)
-    small_head[..., 0], small_head[1, :, 1], small_head[..., 3] = 32, 45, 46
-    small_head[..., 2] = np.arange(48, 58)
     head = np.zeros((2, 20, 10, 8), np.uint8)                 # by (negative, E + 4, digit 0)
     head[..., 0], head[1, ..., 1], head[..., 7] = 32, 45, np.arange(48, 58)
     head[..., 2:7] = np.where(np.arange(5) < (1 - E) * (E < 0), list(b"0.000"), 0)[:, None]
-    n = np.maximum(np.arange(47) - 16, 0)   # k = 16 - E, up to 46
-    suffix = np.stack([np.full(47, 101), np.full(47, 45), 48 + n // 10, 48 + n % 10], axis=-1)
-    five = np.array([float(5 ** k) for k in range(47)])
-    five = np.concatenate([_halves(five), [[5 ** k - int(f) for k, f in enumerate(five)]]])
-    return SimpleNamespace(
-        group=group.view("<u8").reshape(-1), packed=packed.view("<u4").reshape(-1), place=place,
-        fix=fix.reshape(-1, 4), head=head.view("<u8").reshape(-1),
-        small_head=small_head.view("<u4").reshape(-1), trim=trim.view("<u4").reshape(17, 5),
-        suffix=suffix.astype(np.uint8).view("<u4").reshape(-1),
-        ten=_halves(10.0 ** np.arange(20, -1, -1)), five=five)
+    ten = 10.0 ** np.arange(20, -1, -1)
+    hi = _VELTKAMP * ten
+    hi -= hi - ten
+    return (group.view("<u8").reshape(-1), place, fix.reshape(-1, 4), head.view("<u8").reshape(-1),
+            np.stack([ten, hi, ten - hi]))
 
 
 def _fixed_digits(a, E4, ten):
     """D = round(a * 10**(20 - E4)) as int64 for 1e-4 <= a < 1e16 and E4 = E + 4 or one off.
-    10**(20 - E4) is an exact double, so Dekker's a * 10**k = p + e has no rounding at all, and
-    once p reaches 2**53 it is an even integer: p + rint(e) is the product rounded half to even,
-    as CPython rounds.  No double in [1e-4, 1e16) lies within half a unit of the 17th digit
-    below a power of ten, so D never rounds up to 10**16 from below."""
-    p, e = _two_product(a, *[t.take(E4) for t in ten])
+    b = 10**(20 - E4) is an exact double, and with both factors split by Veltkamp, Dekker's
+    a * b = p + e has no rounding at all; once p reaches 2**53 it is an even integer, so
+    p + rint(e) is the product rounded half to even, as CPython rounds.  No double in
+    [1e-4, 1e16) lies within half a unit of the 17th digit below a power of ten, so D never
+    rounds up to 10**16 from below."""
+    b, bh, bl = (t.take(E4) for t in ten)
+    p = a * b
+    ah = _VELTKAMP * a
+    ah -= ah - a
+    al = a - ah
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
-
-
-def _small_digits(a, five):
-    """(D, k, certain): k = 16 - floor(log10 a) and D = round(a * 10**k) as int64 for
-    1e-28 <= a < 1e-4, wherever ``certain`` holds.
-
-    10**k = 2**k * 5**k, and for k <= 46 the integer 5**k is F + f exactly, F the double nearest
-    it and f = 5**k - F an integer of at most 2**53, so a double too.  s = a * 2**k is exact,
-    s * F = p + e exactly (a two-product), and q = fl(s * f) is within half an ulp of s * f, so
-    a * 10**k = p + e + s * f.  Where D < 10**17 (p below 2**57), |e| <= 8 and |q| < 12, so
-    t = fl(e + q) lies within 2**-48 of the exact remainder e + s * f, and rint(t) rounds as the
-    exact remainder does unless t lies within 2**-44 of a half-integer: those values, exact ties
-    among them, are not certain.  Neither is D = 10**16: it may be rounded up from just below
-    10**16, where %.17g prints the digits of the decade below.  Where D >= 10**16, p >= 2**53
-    is an even integer, so D = p + rint(t) rounds half to even."""
-    k = 16 - np.floor(np.log10(a)).astype(np.intp)
-
-    def digits(a, k):
-        s = np.ldexp(a, k)
-        p, e = _two_product(s, *[f.take(k) for f in five[:3]])
-        t = e + s * five[3].take(k)
-        r = np.rint(t)
-        return p.astype(np.int64) + r.astype(np.int64), np.abs(t - r) < 0.5 - 2.0 ** -44
-
-    D, certain = digits(a, k)
-    off = (D - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16
-    if off.any():   # as in _fill_cells
-        off = np.flatnonzero(off)
-        k[off] += np.where(D[off] < 10 ** 16, 1, -1)
-        D[off], certain[off] = digits(a[off], k[off])
-    return D, k, certain & (D != 10 ** 16)
 
 
 def _digit_groups(D):
@@ -380,54 +320,30 @@ def _last_place(g, place):
 
 def _fill_cells(xyz, cell) -> None:
     """Write %.17g of each value of the (n, 3) array ``xyz`` into its (n, 3, 5) word cell."""
-    t = _digit_tables()
+    group, place, fix, head, ten = _digit_tables()
     a = np.abs(xyz)
     outside = (a.view(np.uint64) - _FIXED_BITS[0]) >= _FIXED_BITS[1] - _FIXED_BITS[0]   # NaN too
     slow = np.flatnonzero(outside) if outside.any() else None
     if slow is not None:
         a.flat[slow] = 1.0 + 2.0 ** -52   # in range, and its digit 16 is nonzero
     E4 = (np.log10(a) + 4.0).astype(np.intp)                  # E + 4, or one off
-    D = _fixed_digits(a, E4, t.ten)
+    D = _fixed_digits(a, E4, ten)
     off = (D - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16      # D outside [10**16, 10**17)
     if off.any():   # floor(log10 a) was one off, or D = 10**17 carries into E + 1
         off = np.flatnonzero(off)
         E4.flat[off] += np.where(D.flat[off] < 10 ** 16, -1, 1)
-        D.flat[off] = _fixed_digits(a.flat[off], E4.flat[off], t.ten)
+        D.flat[off] = _fixed_digits(a.flat[off], E4.flat[off], ten)
     del a
     g, d0 = _digit_groups(D)
-    cell[..., 0] = t.head.take(((xyz < 0) * 20 + E4) * 10 + d0)
-    E4 += 20 * _last_place(g, t.place)                        # the row of fix
-    w = t.group.take(g)
+    cell[..., 0] = head.take(((xyz < 0) * 20 + E4) * 10 + d0)
+    E4 += 20 * _last_place(g, place)                          # the row of fix
+    w = group.take(g)
     del g, d0
-    w += t.fix.take(E4, axis=0).transpose(2, 0, 1)
+    w += fix.take(E4, axis=0).transpose(2, 0, 1)
     cell[..., 1:] = w.transpose(1, 2, 0)
     if slow is not None:
-        cell[slow // 3, slow % 3] = _slow_words(xyz.flat[slow])
-
-
-def _slow_words(v):
-    """The five words of " %.17g" of each value of ``v``, outside the fixed range: ±0 and the
-    certain small values here, the rest through Python."""
-    t = _digit_tables()
-    a = np.abs(v)
-    small = (a >= 1e-28) & (a < 1e-4)
-    D, k, certain = _small_digits(np.where(small, a, 3e-10), t.five)   # 3e-10 for the rest
-    g, d0 = _digit_groups(D)
-    text = np.zeros((len(v), 10), "<u4")   # " d0.", digits 1-16, "e-NN", NUL
-    text[:, 0] = t.small_head.take((v < 0) * 10 + d0)
-    text[:, 1:5] = t.packed.take(g.T)
-    text[:, :5] -= t.trim.take(_last_place(g, t.place), axis=0)
-    text[:, 5] = t.suffix.take(k)
-    words = text.view("<u8")
-    zero = a == 0
-    if zero.any():
-        words[zero] = 0
-        words[zero, 0] = np.where(np.signbit(v[zero]), 0x302D20, 0x3020)   # " -0", " 0"
-    python = np.flatnonzero(~(small & certain | zero))
-    if python.size:
-        text = np.array([b" %.17g" % x for x in v[python].tolist()], dtype="S40")
-        words[python] = text.view("<u8").reshape(-1, 5)
-    return words
+        text = np.array([b" %.17g" % v for v in xyz.flat[slow].tolist()], dtype="S40")
+        cell[slow // 3, slow % 3] = text.view("<u8").reshape(-1, 5)
 
 
 def _obj_lines(tag: bytes, xyz) -> bytes:

@@ -105,11 +105,10 @@ def row_blocks(nj: int, nk: int):
     return [slice(j, j + step) for j in range(0, nj, step)]
 
 
-def _sym_planes(xi: float, tau: float, rows: slice, row_terms, cols, transform):
+def _sym_planes(frames: FrameFamily, xi: float, tau: float, rows: slice, cols, transform):
     """The complex coordinate planes [x_i], [n_i], i = 0, 1, 2, of the Sym net of T Phi on the
-    profile rows ``rows``, from the ``_factor_terms`` of the row and column factors (see
-    ``sym_blocks``)."""
-    (RQ, wq), (RD, wd) = (row_terms[0][:, :, rows], row_terms[1][:, rows]), cols
+    profile rows ``rows``, from the column factor's terms ``cols`` (see ``sym_blocks``)."""
+    (RQ, wq), (RD, wd) = _factor_terms(frames.rows[rows]), cols
     tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if transform is None else _transform_terms(*transform(rows))
     n, xq = _apply(RD, _apply(RQ, tn)), _apply(RQ, tx, wq)
     del tx, tn   # the block's transform terms go before its coordinates are formed
@@ -122,8 +121,7 @@ def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | Non
     complex-parameter transforms inspect the imaginary parts themselves."""
     entries = None if T is None else (   # views of the entries of T and dT
         lambda rows: [m[..., i, j] for m in (T.val, T.dot) for i in (0, 1) for j in (0, 1)])
-    x, n = _sym_planes(xi, tau, slice(None), _factor_terms(frames.rows), _factor_terms(frames.cols),
-                       entries)
+    x, n = _sym_planes(frames, xi, tau, slice(None), _factor_terms(frames.cols), entries)
     return np.stack(x, axis=-1), np.stack(n, axis=-1)
 
 
@@ -136,11 +134,11 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     on the profile rows ``rows``, as planes or scalars; None stands for the identity.
     """
     nj, nk = frames.domain.nj, frames.domain.nk
-    terms = _factor_terms(frames.rows), _factor_terms(frames.cols)   # 192 B a profile row
     x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
+    cols = _factor_terms(frames.cols)
     imag = 0.0
-    for rows in row_blocks(nj, nk):   # one block's planes are alive at a time
-        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(xi, tau, rows, *terms, transform))):
+    for rows in row_blocks(nj, nk):
+        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, tau, rows, cols, transform))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
             # np.maximum, unlike max, carries a NaN through to the caller's check
             imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))

@@ -108,9 +108,9 @@ def test_obj_export_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def test_cold_digit_tables_build_within_a_quarter_megabyte():
-    """The OBJ writer's tables, built once per process on the first export: 0.185 MB at the
-    peak for 0.163 MB kept, in a fresh interpreter, where int64 digit arrays and a matmul
-    peaked at 1.15 MB.  The bound leaves 65 kB of margin."""
+    """The OBJ writer's tables, built once per process on the first export: 0.145 MB at the
+    peak for 0.118 MB kept, in a fresh interpreter, where int64 digit arrays and a matmul
+    peaked at 1.15 MB.  The bound leaves 105 kB of margin."""
     probe = ("import tracemalloc; tracemalloc.start(); from cknet import cli; "
              "tracemalloc.reset_peak(); base = tracemalloc.get_traced_memory()[0]; "
              "cli._digit_tables(); print(tracemalloc.get_traced_memory()[1] - base)")

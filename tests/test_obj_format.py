@@ -2,8 +2,8 @@
 
 ``cli._obj_lines`` forms the 17 digits of each coordinate with numpy
 (Dekker's two-product on |x| * 10**k, four-digit tables, NUL-padded
-cells), in fixed notation for 1e-4 <= |x| < 1e16 and in exponent notation
-for 1e-28 <= |x| < 1e-4; every line it writes must equal
+cells) in fixed notation for 1e-4 <= |x| < 1e16 and leaves every other
+value, exponent notation among them, to Python; every line it writes must equal
 ``b"v %.17g %.17g %.17g\\n" % row`` byte for byte.  ``oracles.joined_obj``
 builds a whole mesh line by line with ``format``.
 """
@@ -43,7 +43,7 @@ def range_bits(lo, hi):
 
 
 fast_range_bits = range_bits(1009, 1076)    # 2**-14 .. 2**53: the fixed-notation range
-small_range_bits = range_bits(929, 1009)    # 2**-94 .. 2**-14: the kernel's exponent form
+small_range_bits = range_bits(929, 1009)    # 2**-94 .. 2**-14: exponent notation
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -141,7 +141,7 @@ def test_a_log10_guess_one_ulp_off_is_corrected(monkeypatch, toward):
 
 
 def test_one_chunk_adds_no_more_than_before():
-    """One 512-row chunk with zeros, both notations and values left to Python: 242.8 KiB.  The
+    """One 512-row chunk with zeros and both notations: 244.4 KiB.  The
     bound is the 265.7 KiB the writer added when it gathered point and keep words apart from
     the group words; the desk_annulus job's allocation peak sits beside this chunk."""
     rows = mesh(2, cli._OBJ_ROWS // 2, seed=5).x.reshape(-1, 3)
