@@ -50,10 +50,9 @@ import numpy as np
 
 from . import quat
 from .connect import HsLaxData, lax_entries
-from .errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent,
-                     PoleHit, RealityViolated)
+from .errors import BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit
 from .lattice import FrameFamily
-from .nets import ContactElementNet, row_blocks, sym, sym_blocks
+from .nets import ContactElementNet, sym, sym_blocks
 
 
 def _sine_beyond_one(alpha: complex) -> bool:
@@ -91,7 +90,8 @@ class BacklundParams:
 
 def _require_real_angle(alpha: complex) -> float:
     if abs(alpha.imag) > 1e-12:
-        raise ConfigError(f"single transform needs a real angle, got {alpha}")
+        raise ConfigError(f"transform angle {alpha} is not real; only the double transform "
+                          "produces a real net there (use the 'double' command)")
     a = float(alpha.real)
     if not (0.0 < abs(a) < np.pi):
         raise ConfigError(f"angle must lie in (-pi,0) or (0,pi), got {a}")
@@ -272,45 +272,39 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
 
         s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~))
 
-    feeds the closed-form product frame; its coordinates must come out
-    real (RealityViolated beyond 1e-6 says the seeds and angle are
+    feeds the closed-form product frame one block of profile rows at a
+    time: each block's s^~ must stay off the pole (PoleHit) before its
+    entries reach the Sym pass, and the coordinates must come out real
+    (``sym_blocks`` raises RealityViolated: the seeds and angle are
     inconsistent).  When |sin alpha| > 1 the seeds are conjugate and so are
     the fields, s^ = conj(s~), which is taken as such rather than propagated;
     otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
     """
     _check_condition_c(params)
-    alpha, nj, nk = params.alpha, hs.domain.nj, hs.domain.nk
+    alpha, nk = params.alpha, hs.domain.nk
     s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, nk)
     s_hat = (None if _sine_beyond_one(alpha)   # then conj(s~), formed per block
              else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), params.s_hat0, nk))
     tn = np.tan(alpha / 2.0)
-    tn2 = tn ** 2
+    tn2, cot = tn ** 2, 1.0 / tn
     s_col = hs.s[:, None]
+    unit = []   # max ||s^~| - 1| of each block
 
-    def composed(rows):   # s~, the composed field s^~ and 1 - tan^2(a/2) s^ s~ on the rows
-        st, sh = s_tilde[rows], (np.conj(s_tilde[rows]) if s_hat is None else s_hat[rows])
+    def vw(rows):   # the entries of VW and d(VW), once s^~ on the rows has passed its checks
+        st, sc = s_tilde[rows], s_col[rows]
+        sh = np.conj(st) if s_hat is None else s_hat[rows]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
             den = 1.0 - tn2 * sh * st
-            return st, (sh * st - tn2) / (s_col[rows] * den), den
-
-    # per block: min |den|, s^~ finite and nonzero, max ||s^~| - 1|; all before the Sym pass
-    worst = np.array([(np.min(np.abs(den)), np.all(np.isfinite(sht) & (sht != 0)),
-                       np.max(np.abs(np.abs(sht) - 1.0)))
-                      for _, sht, den in map(composed, row_blocks(nj, nk))])
-    if not (np.min(worst[:, 0]) >= 1e-14):
-        raise PoleHit("composed scalar field hit a pole")
-    if not np.all(worst[:, 1]):
-        raise PoleHit("composed scalar field is non-finite or zero")
-    cot = 1.0 / tn
-
-    def vw(rows):   # the entries of VW and d(VW)
-        (st, sht), sc = composed(rows)[:2], s_col[rows]
+            sht = (sh * st - tn2) / (sc * den)
+        if not (np.min(np.abs(den)) >= 1e-14):
+            raise PoleHit("composed scalar field hit a pole")
+        if not np.all(np.isfinite(sht) & (sht != 0)):
+            raise PoleHit("composed scalar field is non-finite or zero")
+        unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
         return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
 
     x, n, imag_residue = sym_blocks(frames, 2.0, 0.0, vw)
-    if not (imag_residue <= 1e-6):
-        raise RealityViolated(f"double transform left R^3 (residue {imag_residue:.3e})")
-    return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(worst[:, 2])))
+    return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
 
 
 # ---------------------------------------------------------------------------

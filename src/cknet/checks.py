@@ -19,7 +19,8 @@ from .connect import (build_ck_connection, build_cmc_connection,
                       closing_residual, gauge_to_hs, hs_lax, rotational_frames)
 from .errors import ConfigError
 from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
-from .nets import ContactElementNet, curvature_report, rigid_align, singular_vertices, sym
+from .nets import (ContactElementNet, curvature_report, period_drift, rigid_align,
+                   singular_vertices, sym)
 from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
                          gauss_from_profile, jacobi, profile_elliptic,
                          profile_hyp, profile_trig)
@@ -230,7 +231,7 @@ def criterion_7() -> list[CheckResult]:
         else:
             params = bk.BacklundParams(found.alpha, s_tilde0=1.3 * np.exp(0.4j))
             net, _ = bk.double_backlund(frames_hs, hs, params)
-        drift = curvature_report(net, faces=False, period=lcm(6, N0))[0]["period"]
+        drift = period_drift(net, lcm(6, N0))
         out.append(CheckResult(f"c07_period[N0={N0}]", drift, 1e-8))
     return out
 
@@ -305,7 +306,7 @@ def criterion_11() -> list[CheckResult]:
         xi = 2.0 if case == 3 else -2.0
         out.append(CheckResult(f"c11_monodromy[case{case}]", closing_residual(conn, 12), 1e-10))
         frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
-        drift = curvature_report(sym(frames, xi), faces=False, period=12)[0]["period"]
+        drift = period_drift(sym(frames, xi), 12)
         out.append(CheckResult(f"c11_period[case{case}]", drift, 1e-8))
     return out
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import checks as checksmod
 from .checks import CheckResult
-from .backlund import BacklundParams, double_backlund, find_periodic_alpha, single_backlund
+from .backlund import (BacklundParams, _require_real_angle, double_backlund, find_periodic_alpha,
+                       single_backlund)
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import CknetError, ConfigError, DegenerateGeometry
 from .lattice import flatness_residual, gauge_frame
@@ -90,7 +91,12 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"invalid JSON config {path}: {exc}") from exc
         if not isinstance(doc, dict) or any(not isinstance(v, dict) for v in doc.values()):
             raise ConfigError("JSON config must be an object of section objects")
-        return {str(s): {str(k): v for k, v in sec.items()} for s, sec in doc.items()}
+        for sec, kv in doc.items():
+            for key, value in kv.items():   # a bool is an int to isinstance, and no number here
+                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                    raise ConfigError(f"config key {sec}.{key} = {value!r} is not a string or "
+                                      "a number")
+        return doc
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -159,10 +165,8 @@ def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
         if default is _MISSING:
             raise ConfigError(f"missing config key {section}.{key}")
         return default
-    raw = sec[key]
+    raw = sec[key]   # a str, int or float (see load_config)
     try:
-        if isinstance(raw, bool):   # a JSON true/false is no number, string or path
-            raise ValueError(raw)
         if cast is int and isinstance(raw, str):
             return int(raw, 0)
         if cast is int and raw != int(raw):   # a JSON number is never truncated into an int key
@@ -381,13 +385,13 @@ def _face_rows(lo: int, hi: int, nk: int):
     return rows
 
 
-def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray | None = None) -> None:
+def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> None:
     """Wavefront OBJ quad mesh: v/vn per vertex, f per nondegenerate face.
 
     Vertices are written row-major (j outer, k inner); a face at (j, k)
     references, in order, (j,k), (j,k+1), (j+1,k+1), (j+1,k) by 1-based
     index.  Degenerate faces, the sorted row-major face indices
-    ``degenerate`` (found by ``curvature_report`` when not given), become
+    ``degenerate`` that ``curvature_report`` returns, become
     `# degenerate j k` comments.  Coordinates are written
     as ``%.17g``, so they read back exactly; a non-finite one raises
     DegenerateGeometry before the file is opened.
@@ -395,8 +399,6 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray | None 
     nj, nk = net.shape
     if not (np.isfinite(net.x).all() and np.isfinite(net.n).all()):
         raise DegenerateGeometry("the net has a non-finite coordinate; no mesh written")
-    if degenerate is None:
-        degenerate = curvature_report(net)[1]
     with open(path, "wb") as fh:
         fh.write(b"# cknet quad mesh %d x %d\n" % (nj, nk))
         for tag, arr in ((b"v", net.x), (b"vn", net.n)):
@@ -539,16 +541,11 @@ def cmd_backlund(cfg: dict) -> int:
     frames_hs = _gauged_frames(p, conn, hs)
     base = _stage("sym", sym, frames_hs, 2.0)   # the transform checks compare against it
     params = flat_parameters(cfg)
-    alpha = _resolve_alpha(cfg, hs, params)
-    if abs(alpha.imag) > 1e-12:
-        raise ConfigError(
-            f"transform angle {alpha} is not real; only the double transform "
-            "produces a real net there (use the 'double' command)")
-    alpha = complex(alpha.real)
+    alpha = _require_real_angle(_resolve_alpha(cfg, hs, params))
     seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
     bp = BacklundParams(alpha, s_tilde0=seed)
     net = _stage("backlund", single_backlund, frames_hs, hs, bp)
-    worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha.real,
+    worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
     return _finish(entries + backlund_report_entries(worst), params, cfg, net, degenerate)
@@ -559,12 +556,8 @@ def cmd_double(cfg: dict) -> int:
     frames_hs = _gauged_frames(p, conn, hs)
     params = flat_parameters(cfg)
     alpha = _resolve_alpha(cfg, hs, params)
-    seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
-    seed_hat = _get(cfg, "backlund", "seed_hat", complex, None)
-    kwargs = {"s_tilde0": seed}
-    if seed_hat is not None:
-        kwargs["s_hat0"] = seed_hat
-    bp = BacklundParams(alpha, **kwargs)
+    bp = BacklundParams(alpha, _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j),
+                        _get(cfg, "backlund", "seed_hat", complex, None))
     net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
     worst, degenerate = _stage("verify", curvature_report, net, unit=True,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))

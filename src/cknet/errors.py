@@ -71,4 +71,4 @@ class NoRoot(CknetError):
 
 
 class RealityViolated(CknetError):
-    """A double transform left R^3 x S^2 beyond tolerance."""
+    """A Sym net left R^3 x S^2: an imaginary part beyond 1e-6."""

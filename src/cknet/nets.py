@@ -26,6 +26,7 @@ and the column factor D^k, and closed forms in the entries of T:
 ``curvature_report`` checks a net over the same blocks.  A transform hands each block the entry
 planes (a, b, c, d, da, db, dc, dd) of T and dT, and each real plane goes straight into the net:
 a complex-angle ``cknet double`` job peaks at 1.41 MiB on 61 x 200, 17.4 MiB on 121 x 2000.
+One reality rule holds for every Sym net: an imaginary part beyond 1e-6 raises RealityViolated.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .errors import DegenerateFace, DegenerateGeometry, NotPrincipal, Singular, ZeroEdge
+from .errors import (DegenerateFace, DegenerateGeometry, NotPrincipal, RealityViolated, Singular,
+                     ZeroEdge)
 from .lattice import FrameFamily, MatJet
 
 
@@ -51,7 +53,9 @@ class ContactElementNet:
         object.__setattr__(self, "n", np.ascontiguousarray(self.n, dtype=float))
         if self.x.shape != self.n.shape or self.x.ndim != 3 or self.x.shape[-1] != 3:
             raise ValueError(f"bad net shapes: x {self.x.shape}, n {self.n.shape}")
-        err = curvature_report(self, faces=False, unit=True)[0]["unit"] if self.n.size else 0.0
+        # np.max, unlike max, carries a NaN through to the check
+        err = (np.max([unit_normal_residual(self, rows) for rows in row_blocks(*self.shape)])
+               if self.n.size else 0.0)
         if not (err <= 1e-8):
             raise ValueError(f"normals deviate from unit length by {err:.3e}")
 
@@ -131,7 +135,8 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     Each of the ``row_blocks`` writes its complex coordinate planes into the two
     C-contiguous (nj, nk, 3) results as they are formed.  ``transform(rows)`` returns the
     entries (a, b, c, d, da, db, dc, dd) of T = [[a, b], [c, d]] and of its t-derivative
-    on the profile rows ``rows``, as planes or scalars; None stands for the identity.
+    on the profile rows ``rows``, as planes or scalars; None stands for the identity.  An
+    imaginary part beyond 1e-6, or NaN, raises RealityViolated: the net left R^3.
     """
     nj, nk = frames.domain.nj, frames.domain.nk
     x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
@@ -140,19 +145,16 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     for rows in row_blocks(nj, nk):
         for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, tau, rows, cols, transform))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
-            # np.maximum, unlike max, carries a NaN through to the caller's check
+            # np.maximum, unlike max, carries a NaN through to the check
             imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))
+    if not (imag <= 1e-6):
+        raise RealityViolated(f"Sym net left R^3 (imaginary residue {imag:.3e})")
     return x, n, float(imag)
 
 
 def sym(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None) -> ContactElementNet:
-    """Real parameter-derivative net of T Phi (``sym_blocks``); raises if an imaginary part
-    exceeds 1e-6 of the largest coordinate (or of 1)."""
-    x, n, resid = sym_blocks(frames, xi, tau, transform)
-    scale = max(1.0, np.max(np.abs(x)))
-    if not (resid <= 1e-6 * scale):
-        raise ValueError(f"net coordinates have imaginary residue {resid:.3e}")
-    return ContactElementNet(x, n)
+    """Real parameter-derivative net of T Phi (``sym_blocks``)."""
+    return ContactElementNet(*sym_blocks(frames, xi, tau, transform)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +278,29 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
     return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
 
 
-def curvature_report(net: ContactElementNet, K_sign: int = -1, *, faces: bool = True,
-                     edge: bool = False, unit: bool = False, period: int | None = None,
+def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = False,
+                     unit: bool = False, period: int | None = None,
                      base: ContactElementNet | None = None, alpha: float = 0.0):
     """(worst, degenerate) of a net from one pass over blocks of whole profile rows (about
     ``_BLOCK_VERTICES`` vertices), so only one block's temporaries exist at a time.
 
-    ``worst`` maps each reduction asked for to its largest value: "gauss",
-    |K - K_sign| over the non-degenerate faces (inf when there are none);
-    "edge", "unit" and "period" (``validate_ec``, ``unit_normal_residual``,
-    ``period_drift``); "distance", "angle" and "orthogonality", the
-    ``transform_residuals`` against ``base`` at ``alpha``.  ``degenerate``
-    holds the sorted row-major indices of the faces with |det(xd1, xd2, N)|
-    <= 1e-12 (empty unless ``faces``); the face pass raises DegenerateFace
-    where ``face_normal`` does.
+    ``worst`` maps "gauss", |K - K_sign| over the non-degenerate faces (inf
+    when there are none), and each further reduction asked for to its
+    largest value: "edge", "unit" and "period" (``validate_ec``,
+    ``unit_normal_residual``, ``period_drift``); "distance", "angle" and
+    "orthogonality", the ``transform_residuals`` against ``base`` at
+    ``alpha``.  ``degenerate`` holds the sorted row-major indices of the
+    faces with |det(xd1, xd2, N)| <= 1e-12; the face pass raises
+    DegenerateFace where ``face_normal`` does.
     """
     nj, nk = net.shape
     step = max(1, _BLOCK_VERTICES // nk)
     worst, degenerate = {}, []
     for j in range(0, max(nj - 1, 1), step):
         rows = slice(j, j + step if j + step < nj - 1 else nj)   # the last block ends the grid
-        found = {}
-        if faces:
-            K, bad, _ = _face_pass(net, rows)
-            found["gauss"] = np.max(np.abs(K[~bad] - K_sign), initial=-np.inf)
-            degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
+        K, bad, _ = _face_pass(net, rows)
+        found = {"gauss": np.max(np.abs(K[~bad] - K_sign), initial=-np.inf)}
+        degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
         if edge:
             found["edge"] = validate_ec(net, rows)
         if unit:
@@ -312,10 +312,9 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, faces: bool = 
                              transform_residuals(base, net, alpha, rows)))
         for name, value in found.items():   # np.maximum, unlike max, carries a NaN through
             worst[name] = np.maximum(worst.get(name, -np.inf), value)
-    if worst.get("gauss") == -np.inf:
+    if worst["gauss"] == -np.inf:
         worst["gauss"] = np.inf   # every face degenerate
-    return ({name: float(value) for name, value in worst.items()},
-            np.concatenate(degenerate) if degenerate else np.empty(0, np.intp))
+    return {name: float(value) for name, value in worst.items()}, np.concatenate(degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,10 @@ def _finalize(f, h, a, b, c, kappa, K_sign, j_lo):
 
 
 def _axial_from_b(b):
-    """The non-negative radial normal component a = sqrt(1 - b^2)."""
-    b = np.asarray(b, dtype=float)
-    if np.max(np.abs(b)) > 1.0 + _UNIT_TOL:
-        raise InvalidProfile(f"axial normal component exceeds 1: max |b| = {np.max(np.abs(b)):.6g}")
-    return np.sqrt(np.clip(1.0 - b * b, 0.0, None))
+    """The non-negative radial normal component a = sqrt(1 - b^2), 0 where |b| > 1 (which
+    _finalize refuses)."""
+    b = np.clip(b, -1.0, 1.0)   # so b * b cannot overflow
+    return np.sqrt(1.0 - b * b)
 
 
 def profile_trig(c, A, B, j_lo=0):

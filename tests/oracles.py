@@ -15,6 +15,9 @@ determinant of the Gauss curvature through its own ``np.cross``, where
 the face pass of ``nets.curvature_report`` shares two cross products;
 ``joined_obj`` builds the OBJ text line by line and
 writes it in one piece, where ``cli.export_obj`` streams its blocks.
+``ellipeinc`` is E(phi | m) through Carlson's symmetric integrals after
+taking out whole half-periods, where ``revolution`` forms E(am u | m) as
+u - m times the integral of sn^2 through the Jacobi zeta function.
 
 The quaternion helpers (``det``, ``project``, ``membership_residual``) and
 the report schema check (``report_schema``, ``validate_report``) are the
@@ -124,6 +127,45 @@ def composed_field(hs, params):
              else propagate(*v_form_matrices(hs, -params.alpha), params.s_hat0, nk))
     tn2, s = np.tan(params.alpha / 2.0) ** 2, hs.s[:, None]
     return s_tilde, (s_hat * s_tilde - tn2) / (s * (1.0 - tn2 * s_hat * s_tilde))
+
+
+def carlson_rf_rd(x, y, z):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z): duplication x -> (x + lam) / 4 (and y, z
+    alike) until x, y, z agree to 1e-3, then the fifth-order series of each about its mean,
+    whose truncation is below 1e-17."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    rd_sum, scale = 0.0, 1.0
+    while np.any(np.maximum(np.maximum(x, y), z) - np.minimum(np.minimum(x, y), z)
+                 > 1e-3 * np.minimum(np.minimum(x, y), z)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        rd_sum = rd_sum + scale / (sz * (z + lam))
+        scale /= 4.0
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    a = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
+    a = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy) / 3.0
+    ea, eb = dx * dy, dz * dz
+    e2, e3, e4, e5 = ea - 6.0 * eb, (3.0 * ea - 8.0 * eb) * dz, 3.0 * (ea - eb) * eb, ea * eb * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, 3.0 * rd_sum + scale * series / (a * np.sqrt(a))
+
+
+def ellipeinc(phi, m):
+    """E(phi | m) for 0 <= m < 1: E(r + n pi | m) = E(r | m) + 2 n E(m) with |r| <= pi / 2,
+    and E(r | m) = sin r R_F - (m / 3) sin^3 r R_D at (cos^2 r, 1 - m sin^2 r, 1)."""
+    n = np.round(np.asarray(phi, dtype=float) / np.pi)
+    r = phi - n * np.pi
+    sin = np.sin(r)
+    rf, rd = carlson_rf_rd(np.cos(r) ** 2, 1.0 - m * sin * sin, 1.0)
+    rf_m, rd_m = carlson_rf_rd(0.0, 1.0 - m, 1.0)
+    return sin * rf - m * sin**3 / 3.0 * rd + 2.0 * n * (rf_m - m / 3.0 * rd_m)
 
 
 def cross_ratio(net, face, imag_tol: float = 1e-8):

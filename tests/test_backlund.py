@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cknet import backlund as bk, nets, quat
+from cknet import backlund as bk, cli, nets, quat
 from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
                             find_periodic_alpha, linearize, moebius,
                             propagate, single_backlund)
@@ -37,12 +37,18 @@ def hs_fixture():
 
 
 @lru_cache(maxsize=None)
-def hex_fixture():
-    """Closing rotation (theta = 2 pi / 6) with enough columns for lcm(6, 9)."""
+def hex_grid(nk):
+    """(hs, frames) of the closing rotation (theta = 2 pi / 6) over nk columns."""
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 26)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, nk)
     hs = gauge_to_hs(conn, data)
-    frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    return hs, gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+
+
+@lru_cache(maxsize=None)
+def hex_fixture():
+    """Closing rotation with enough columns for lcm(6, 9), and its Sym net."""
+    hs, frames = hex_grid(26)
     return hs, frames, sym(frames, 2.0)
 
 
@@ -415,6 +421,57 @@ def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
     monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
     with pytest.raises(PoleHit):
         double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+
+
+@pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C], ids=["real", "complex"])
+def test_double_backlund_forms_each_block_once(monkeypatch, alpha):
+    """The Sym pass calls the transform hook once per block of profile rows, and the hook
+    forms that block's VW entries once: one lax_entries call per entry of row_blocks."""
+    hs, frames = hex_grid(700)
+    blocks = nets.row_blocks(7, 700)
+    assert len(blocks) == 4
+    real, shapes = bk.lax_entries, []
+
+    def counted(diag_l, *args):
+        shapes.append(diag_l.shape)
+        return real(diag_l, *args)
+
+    monkeypatch.setattr(bk, "lax_entries", counted)
+    double_backlund(frames, hs, BacklundParams(alpha))
+    assert shapes == [(len(range(7)[rows]), 700) for rows in blocks]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, capsys):
+    """On 7 x 2000 each profile row is a block.  s^ is planted so that
+    1 - tan^2(a/2) s^ s~ vanishes (to rounding) in row 5: the transform stops in the sixth
+    block, after the first five have formed their entries, and the CLI exits 3 at the
+    backlund stage with one error line and no mesh."""
+    hs, frames = hex_grid(2000)
+    assert nets.row_blocks(7, 2000) == [slice(j, j + 1) for j in range(7)]
+    propagate, fields = bk.propagate, []
+
+    def planted(*args):   # s^ is the second field a real-angle double transform propagates
+        fields.append(propagate(*args))
+        if len(fields) % 2 == 0:
+            fields[-1][5, 7] = 1.0 / (np.tan(0.5) ** 2 * fields[-2][5, 7])
+        return fields[-1]
+
+    lax_entries, blocks = bk.lax_entries, []
+    monkeypatch.setattr(bk, "propagate", planted)
+    monkeypatch.setattr(bk, "lax_entries", lambda *args: blocks.append(1) or lax_entries(*args))
+    with pytest.raises(PoleHit, match="composed scalar field hit a pole"):
+        double_backlund(frames, hs, BacklundParams(1.0))
+    assert len(blocks) == 5
+    mesh = tmp_path / "pole.obj"
+    code = cli.main(["double", "--surface.kind", "elliptic", "--surface.kappa", "0.6",
+                     "--surface.K_sign", "-1", "--surface.j0", "4", "--surface.j_lo", "-3",
+                     "--surface.j_hi", "3", "--rotation.k0", "6", "--rotation.k_count", "2000",
+                     "--backlund.alpha", "1.0", "--output.mesh", str(mesh)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert err.splitlines() == ["error: stage=backlund: PoleHit: composed scalar field hit a pole"]
+    assert out == "" and not mesh.exists()
 
 
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):

@@ -198,7 +198,7 @@ def test_obj_export_round_trip(tmp_path):
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
     net = build_rcnet(p, 4, theta=0.5)
     path = str(tmp_path / "mesh.obj")
-    cli.export_obj(net, path)
+    cli.export_obj(net, path, nets.curvature_report(net)[1])
     lines = open(path, encoding="utf-8").read().splitlines()
     vs = np.array([[float(t) for t in l.split()[1:]]
                    for l in lines if l.startswith("v ")]).reshape(net.x.shape)
@@ -215,7 +215,8 @@ def test_obj_export_single_quad(tmp_path):
     n = np.zeros_like(x)
     n[..., 2] = 1.0
     path = str(tmp_path / "quad.obj")
-    cli.export_obj(ContactElementNet(x, n), path)
+    net = ContactElementNet(x, n)
+    cli.export_obj(net, path, nets.curvature_report(net)[1])
     lines = open(path, encoding="utf-8").read().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 4
     assert sum(1 for l in lines if l.startswith("vn ")) == 4
@@ -230,7 +231,7 @@ def test_obj_export_matches_per_value_format(tmp_path):
                   [[1.0, 1.0, 1.0], [-1.0, 0.0, 2.0], [0.0, -1.0, 2.0]]])
     net = ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
     path = tmp_path / "mesh.obj"
-    cli.export_obj(net, str(path))
+    cli.export_obj(net, str(path), nets.curvature_report(net)[1])
     expected = ["# cknet quad mesh 2 x 3"]
     for tag, arr in (("v", net.x), ("vn", net.n)):
         for j in range(2):
@@ -278,8 +279,10 @@ def test_non_finite_net_is_refused_at_export(tmp_path, monkeypatch, capsys):
     names = [e["name"] for e in doc["checks"]]
     assert names and not all(e["pass"] for e in doc["checks"])
     assert [line.split()[1] for line in captured.out.splitlines()] == names
+    net = planted(profile_elliptic(1.0, -1, (-2, 2)), 8, k0=6)
+    degenerate = nets.curvature_report(net)[1]
     with pytest.raises(DegenerateGeometry):
-        cli.export_obj(planted(profile_elliptic(1.0, -1, (-2, 2)), 8, k0=6), str(mesh))
+        cli.export_obj(net, str(mesh), degenerate)
     assert not mesh.exists()
 
 
@@ -1077,9 +1080,16 @@ def test_json_value_truncated_by_an_int_key_is_config_error(tmp_path, capsys, se
     ("surface", "kappa", True),
     ("output", "report", True),
     ("output", "mesh", False),
+    ("surface", "kappa", None),
+    ("output", "mesh", None),
+    ("surface", "kappa", []),
+    ("output", "report", ["a", "b"]),
+    ("surface", "kappa", {}),
+    ("output", "mesh", {}),
 ])
 def test_json_bool_is_config_error(tmp_path, capsys, monkeypatch, section, key, value):
-    # float(True) and str(False) succeed, so a bool would run on kappa = 1 or write "True"
+    # float(True) and str(False) succeed, so a bool would run on kappa = 1 or write "True";
+    # str() of null, an array or an object would name an output file "None" or "['a', 'b']"
     monkeypatch.chdir(tmp_path)
     doc = {"surface": {"kind": "elliptic", "kappa": 0.6, "K_sign": -1, "j0": 4,
                        "j_lo": -3, "j_hi": 3},

@@ -1,22 +1,18 @@
 """Tests for elliptic functions and constant-curvature profiles.
 
-Independent oracles: scipy.special.ellipj / ellipk / ellipeinc (parameter
-m = kappa^2) and direct quadrature of sn^2 and of sqrt(1 - m sin^2) via
-scipy.integrate.quad.  am, sn, cn, dn, K and the integral of sn^2 all come
-from one AGM/Landen ladder, the last through the Jacobi zeta function; the
-E(am u | m) that it implies is held to scipy.special.ellipeinc, except where
-a Landen step of the Cephes routine behind ellipeinc lands on an odd
-multiple of pi/2: there Cephes takes the wrong pi-branch (at least 1e-6 off
-the quadrature) and the zeta form must match the quadrature within 1e-13.
+Independent oracles: mpmath.ellipfun / ellipk / ellipe (parameter
+m = kappa^2) and direct quadrature of sn^2 via mpmath.quad.  am, sn, cn,
+dn, K and the integral of sn^2 all come from one AGM/Landen ladder, the
+last through the Jacobi zeta function; the E(am u | m) that it implies is
+held to mpmath.ellipe, and on every profile amplitude of the sweep to the
+Carlson form of oracles.ellipeinc, itself held to mpmath.ellipe.
 """
 
 import dataclasses
-import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
 from numpy.testing import assert_allclose
 
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
@@ -27,11 +23,27 @@ from cknet.revolution import (_amplitude, build_rcnet, conservation_drift,
                               gauss_from_profile, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig,
                               validate_profile)
-from oracles import cross_ratio
+from oracles import cross_ratio, ellipeinc
 
 
 # ---------------------------------------------------------------------------
 # elliptic functions
+
+
+def ellipj(u, m):
+    """sn, cn, dn and am = atan2(sn, cn) of each u at parameter m, from mpmath; the
+    amplitude is right for |u| < 2 K(m)."""
+    sn, cn, dn = (np.array([float(mpmath.ellipfun(kind, v, m=m)) for v in np.ravel(u)])
+                  for kind in ("sn", "cn", "dn"))
+    return sn, cn, dn, np.arctan2(sn, cn)
+
+
+def quad_sn2(u, m, kappa=1.0):
+    """Integral over [0, u] of (sn(kappa w | m) / kappa)^2 by mpmath quadrature, and its
+    error estimate."""
+    value, err = mpmath.quad(lambda w: (mpmath.ellipfun("sn", kappa * w, m=m) / kappa) ** 2,
+                             [0.0, u], error=True)
+    return float(value), float(err)
 
 
 def test_jacobi_at_zero():
@@ -64,7 +76,7 @@ def test_jacobi_matches_scipy():
     u = np.linspace(-2.5, 2.5, 21)
     for kappa in (0.25, 0.5, 0.7, 0.95):
         sn, cn, dn = jacobi(u, kappa)
-        ref_sn, ref_cn, ref_dn, _ = scipy.special.ellipj(u, kappa**2)
+        ref_sn, ref_cn, ref_dn, _ = ellipj(u, kappa**2)
         assert_allclose(sn, ref_sn, atol=1e-12)
         assert_allclose(cn, ref_cn, atol=1e-12)
         assert_allclose(dn, ref_dn, atol=1e-12)
@@ -77,7 +89,7 @@ def test_jacobi_quarter_period():
         K = elliptic_K(kappa)
         u = np.array([K, -K, 3.0 * K, K * (1.0 + 1e-13), K * (1.0 - 1e-13)])
         sn, cn, dn = jacobi(u, kappa)
-        ref_sn, ref_cn, ref_dn, _ = scipy.special.ellipj(u, kappa**2)
+        ref_sn, ref_cn, ref_dn, _ = ellipj(u, kappa**2)
         assert_allclose(dn, ref_dn, atol=1e-13)
         assert_allclose(dn[:3], np.sqrt(1.0 - kappa**2), atol=1e-13)
         assert_allclose(sn, ref_sn, atol=1e-13)
@@ -88,7 +100,7 @@ def test_jacobi_reciprocal_modulus_transform():
     u = np.linspace(-1.5, 1.5, 13)
     kappa = 1.8
     sn, cn, dn = jacobi(u, kappa)
-    rs, rc, rd, _ = scipy.special.ellipj(kappa * u, 1.0 / kappa**2)
+    rs, rc, rd, _ = ellipj(kappa * u, 1.0 / kappa**2)
     assert_allclose(sn, rs / kappa, atol=1e-12)
     assert_allclose(cn, rd, atol=1e-12)
     assert_allclose(dn, rc, atol=1e-12)
@@ -101,16 +113,16 @@ def test_jacobi_rejects_negative_modulus():
 
 def test_amplitude_matches_scipy_phase():
     u = np.linspace(-3.0, 3.0, 25)
-    ph = scipy.special.ellipj(u, 0.64)[3]
+    ref_sn, _, _, ph = ellipj(u, 0.64)   # |u| <= 3 < 2 K(0.64) = 3.99
     phi = _amplitude(u, 0.8)[0]
     assert_allclose(phi, ph, atol=1e-10)
-    assert_allclose(np.sin(phi), scipy.special.ellipj(u, 0.64)[0], atol=1e-12)
+    assert_allclose(np.sin(phi), ref_sn, atol=1e-12)
 
 
 def test_elliptic_K_values():
     assert abs(elliptic_K(0.0) - np.pi / 2.0) < 1e-15
     for kappa in (0.2, 0.6, 0.9, 0.99):
-        assert abs(elliptic_K(kappa) - scipy.special.ellipk(kappa**2)) < 1e-12
+        assert abs(elliptic_K(kappa) - float(mpmath.ellipk(kappa**2))) < 1e-12
     assert elliptic_K(1.0) == np.inf
     with pytest.raises(ModulusOutOfRange):
         elliptic_K(1.2)
@@ -119,8 +131,7 @@ def test_elliptic_K_values():
 def test_int_sn2_matches_quadrature():
     for kappa in (0.3, 0.9):
         for u in (0.5, 1.5):
-            ref, err = scipy.integrate.quad(
-                lambda w: scipy.special.ellipj(w, kappa**2)[0] ** 2, 0.0, u)
+            ref, err = quad_sn2(u, kappa**2)
             assert err < 1e-12
             assert abs(int_sn2(u, kappa) - ref) < 1e-10
 
@@ -128,9 +139,7 @@ def test_int_sn2_matches_quadrature():
 def test_int_sn2_large_modulus_matches_quadrature():
     kappa = 1.8
     for u in (0.4, 1.1):
-        ref, err = scipy.integrate.quad(
-            lambda w: (scipy.special.ellipj(kappa * w, 1.0 / kappa**2)[0] / kappa) ** 2,
-            0.0, u)
+        ref, err = quad_sn2(u, 1.0 / kappa**2, kappa)
         assert err < 1e-12
         assert abs(int_sn2(u, kappa) - ref) < 1e-10
 
@@ -145,17 +154,9 @@ def test_int_sn2_degenerate_moduli():
 def test_int_sn2_small_modulus_matches_quadrature(kappa):
     # the zeta form never subtracts u and E(am u), so nothing cancels as kappa -> 0
     for u in (0.5, 1.5, 3.0):
-        ref, err = scipy.integrate.quad(lambda w: scipy.special.ellipj(w, kappa**2)[0] ** 2,
-                                        0.0, u, epsabs=1e-13, epsrel=1e-13)
+        ref, err = quad_sn2(u, kappa**2)
         assert err < 1e-13
         assert abs(int_sn2(u, kappa) - ref) < 2e-14
-
-
-def quad_ellipeinc(phi, m):
-    """E(phi | m) by adaptive quadrature of sqrt(1 - m sin^2)."""
-    value, _ = scipy.integrate.quad(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi,
-                                    epsabs=1e-13, epsrel=1e-13)
-    return value
 
 
 def ellipeinc_from_int_sn2(u, kappa):
@@ -165,29 +166,34 @@ def ellipeinc_from_int_sn2(u, kappa):
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.6, 0.9, 0.99])
 def test_ellipeinc_matches_scipy_on_profile_amplitudes(kappa):
+    """E(am u | m) on every profile amplitude u = Theta j out to |j| = 2000, against the
+    Carlson form of oracles.ellipeinc; that oracle, and E(am u | m) itself, against
+    mpmath.ellipe on every 125th j (125 is prime to 2 j0, so these meet every residue of
+    j mod 2 j0, that is every position within the period 2 K, from near and far)."""
     m = kappa * kappa
     for j0 in (2, 4, 16):
         u = elliptic_theta(kappa, j0) * np.arange(-2000, 2001)
         phi = _amplitude(u, kappa)[0]
         got = ellipeinc_from_int_sn2(u, kappa)
-        ref = scipy.special.ellipeinc(phi, m)
-        off = np.abs(got - ref) > 2e-15 * np.maximum(1.0, np.abs(ref))
-        for i in np.flatnonzero(off):
-            exact = quad_ellipeinc(phi[i], m)
-            assert abs(ref[i] - exact) >= 1e-6 and abs(got[i] - exact) <= 1e-13, (phi[i], m)
+        ref = ellipeinc(phi, m)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref))), (j0, got - ref)
+        exact = np.array([float(mpmath.ellipe(p, m)) for p in phi[::125].tolist()])
+        scale = np.maximum(1.0, np.abs(exact))
+        assert np.all(np.abs(ref[::125] - exact) <= 1e-15 * scale), (j0, ref[::125] - exact)
+        assert np.all(np.abs(got[::125] - exact) <= 2e-15 * scale), (j0, got[::125] - exact)
 
 
 def test_ellipeinc_where_a_landen_step_lands_on_three_half_pi():
-    # am(5 K(0.99) / 4) = 1.703221544034659, where 1 - b tan^2 of a Cephes
-    # Landen step is -1.3e-15: scipy's ellipeinc counts one pi-branch too many
-    # there and returns 0.7924; the zeta form has no branch to count
+    # am(5 K(0.99) / 4) = 1.703221544034659, where 1 - b tan^2 of a Landen step of
+    # E(phi | m) is -1.3e-15, so a ladder over phi can count one pi-branch too many (Cephes,
+    # behind scipy's ellipeinc, returns 0.7924); the zeta form has no branch to count
     kappa = 0.99
     u = 5.0 * elliptic_theta(kappa, 4)
     phi = _amplitude(u, kappa)[0]
     assert abs(phi - 1.703221544034659) < 1e-14
     for sign in (1.0, -1.0):
         got = ellipeinc_from_int_sn2(sign * u, kappa)
-        assert abs(got - sign * quad_ellipeinc(phi, kappa * kappa)) <= 1e-13
+        assert abs(got - sign * float(mpmath.ellipe(phi, kappa * kappa))) <= 1e-13
 
 
 def test_elliptic_theta_period_rule():
@@ -290,6 +296,14 @@ def test_hyp_profile_invalid_inputs():
         profile_hyp(np.full(3, 0.1), 0.5, -0.5)
 
 
+@pytest.mark.parametrize("make, A, B", [(profile_trig, 1.5, 1.0), (profile_trig, -1e300, 1.0),
+                                        (profile_hyp, 1.5, 0.3), (profile_hyp, 1e200, 0.3)])
+def test_profile_with_b_beyond_one_is_refused(make, A, B):
+    # warnings are errors here, so an overflowing b * b would fail too
+    with pytest.raises(InvalidProfile, match=r"axial normal component exceeds 1: max \|b\| = "):
+        make(np.full(4, 0.1), A, B, j_lo=-2)
+
+
 # ---------------------------------------------------------------------------
 # elliptic profiles
 
@@ -298,7 +312,7 @@ def test_elliptic_profile_negative_curvature_structure():
     kappa = 0.6
     p = profile_elliptic(kappa, -1, (-3, 3), j0=4)
     Theta = elliptic_theta(kappa, 4)
-    sn, cn, dn, _ = scipy.special.ellipj(Theta * p.js, kappa**2)
+    sn, cn, dn, _ = ellipj(Theta * p.js, kappa**2)
     assert_allclose(p.f, dn / kappa, atol=1e-10)
     assert_allclose(p.a, sn, atol=1e-10)
     assert_allclose(p.b, cn, atol=1e-10)
