@@ -8,9 +8,9 @@ formula, and applies single and double Backlund transforms including
 periodicity searches for annular pseudospherical meshes.
 """
 
-from .backlund import (BacklundParams, DoubleReport, PeriodicAlpha, build_abcd,
-                       double_backlund, find_periodic_alpha, linearize, moebius,
-                       propagate, single_backlund)
+from .backlund import (DoubleReport, PeriodicAlpha, build_abcd, double_backlund,
+                       find_periodic_alpha, linearize, moebius, propagate,
+                       single_backlund)
 from .checks import CheckResult, run_all
 from .connect import (CkEdgeData, HsLaxData, build_ck_connection,
                       build_cmc_connection, closing_residual, gauge_to_hs,

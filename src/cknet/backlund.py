@@ -37,6 +37,11 @@ Both sides depend on alpha only through S = sin(alpha)^2, and the left
 is a Moebius function of S, so the condition is solved in closed form:
 a root 0 < S <= 1 is a real angle, a root S > 1 the angle
 pi/2 + i arccosh(sqrt(S)).
+
+Each transform takes its angle and seeds as arguments and checks them
+itself, so a NaN or infinite one is refused: the single transform needs
+a real angle and a unit seed, the double transform real sin(alpha) and
+unit seeds when |sin alpha| <= 1, conjugate seeds when |sin alpha| > 1.
 """
 
 from __future__ import annotations
@@ -55,47 +60,19 @@ from .lattice import FrameFamily
 from .nets import ContactElementNet, sym, sym_blocks
 
 
-def _sine_beyond_one(alpha: complex) -> bool:
-    """Re sin(alpha) beyond +-1: on the line pi/2 + iy, where only the double transform
-    is real and its two scalar fields are complex conjugates."""
-    with np.errstate(over="ignore"):   # an infinite sine is beyond one
-        return abs(np.sin(alpha).real) > 1.0
-
-
-@dataclass(frozen=True)
-class BacklundParams:
-    """Angle parameter and scalar seeds of a (double) Backlund transform.
-
-    s_hat0 defaults to 1 for real alpha and to conj(s_tilde0) when
-    |sin alpha| > 1 (the reality condition of the double transform).
-    """
-
-    alpha: complex
-    s_tilde0: complex = 1.0 + 0.0j
-    s_hat0: Optional[complex] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "s_tilde0", complex(self.s_tilde0))
-        for name in ("alpha", "s_tilde0", "s_hat0"):
-            value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.s_hat0 is None:
-            object.__setattr__(self, "s_hat0", np.conj(self.s_tilde0)
-                               if _sine_beyond_one(self.alpha) else 1.0 + 0.0j)
-        else:
-            object.__setattr__(self, "s_hat0", complex(self.s_hat0))
-
-
 def _require_real_angle(alpha: complex) -> float:
-    if abs(alpha.imag) > 1e-12:
+    if not abs(alpha.imag) <= 1e-12:
         raise ConfigError(f"transform angle {alpha} is not real; only the double transform "
                           "produces a real net there (use the 'double' command)")
     a = float(alpha.real)
     if not (0.0 < abs(a) < np.pi):
         raise ConfigError(f"angle must lie in (-pi,0) or (0,pi), got {a}")
     return a
+
+
+def _require_unit_seed(name: str, seed: complex) -> None:
+    if not abs(abs(seed) - 1.0) <= 1e-10:
+        raise ConfigError(f"|sin alpha| <= 1 requires a unit seed {name}, got |{name}| = {abs(seed):.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +196,21 @@ def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarra
 # frame transforms
 
 
-def single_backlund(frames: FrameFamily, hs: HsLaxData,
-                    params: BacklundParams) -> ContactElementNet:
-    """Single Backlund transform, the W form at params.alpha, of the net framed by ``frames``.
+def single_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
+                    s_tilde0: complex = 1.0) -> ContactElementNet:
+    """Single Backlund transform, the W form at ``alpha``, of the net framed by ``frames``.
 
-    Real angle only, and the seed params.s_tilde0 must be a unit scalar.
+    alpha must be real, in (-pi, 0) or (0, pi), and the seed s_tilde0 a unit scalar.
     """
-    a = _require_real_angle(params.alpha)
-    seed = params.s_tilde0
-    if abs(abs(seed) - 1.0) > 1e-10:
-        raise ConfigError(f"a real-angle transform needs a unit seed, got |seed| = {abs(seed):.6g}")
-    s_grid = propagate(*build_abcd(hs, params.alpha), seed, hs.domain.nk)
+    a = _require_real_angle(alpha)
+    _require_unit_seed("s_tilde0", s_tilde0)
+    s_grid = propagate(*build_abcd(hs, complex(alpha)), complex(s_tilde0), hs.domain.nk)
     cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
 
     def transform(rows):   # the entries of W and dW
         ratio = s_grid[rows] / hs.s[rows, None]
         return cot * ratio, c, c, cot / ratio, 0.0, c, c, 0.0
-    return sym(frames, 2.0, 0.0, transform)
+    return sym(frames, 2.0, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +225,15 @@ class DoubleReport:
     unit_residual: float
 
 
-def _check_condition_c(params: BacklundParams) -> None:
-    with np.errstate(over="ignore"):   # an infinite sine is not real either
-        sa = np.sin(params.alpha)
-    if not abs(sa.imag) <= 1e-12:
-        raise ConfigError(f"double transform requires real sin(alpha), got sin = {sa}")
-    if np.tan(params.alpha / 2.0) == 0:
-        raise ConfigError(f"double transform requires tan(alpha/2) != 0, got alpha = {params.alpha}")
-    if not _sine_beyond_one(params.alpha):
-        for name, seed in (("s_tilde0", params.s_tilde0), ("s_hat0", params.s_hat0)):
-            if abs(abs(seed) - 1.0) > 1e-10:
-                raise ConfigError(f"|sin alpha| <= 1 requires unit seed {name}")
-    elif abs(params.s_hat0 - np.conj(params.s_tilde0)) > 1e-12:
-        raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
-
-
-def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
+def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
+                    s_tilde0: complex = 1.0, s_hat0: Optional[complex] = None):
     """Double Backlund transform with beta = -alpha and real sin(alpha).
 
-    Returns (ContactElementNet, DoubleReport).  The composed scalar field
+    Returns (ContactElementNet, DoubleReport).  sin(alpha) must be real and
+    tan(alpha/2) nonzero.  When |sin alpha| <= 1 both seeds must be unit
+    scalars, and an omitted s_hat0 is 1.  When |sin alpha| > 1 the seeds must
+    be conjugate, s_hat0 = conj(s_tilde0) to 1e-12 (the default when omitted),
+    and s_tilde0 finite.  The composed scalar field
 
         s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~))
 
@@ -276,16 +241,28 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
     time: each block's s^~ must stay off the pole (PoleHit) before its
     entries reach the Sym pass, and the coordinates must come out real
     (``sym_blocks`` raises RealityViolated: the seeds and angle are
-    inconsistent).  When |sin alpha| > 1 the seeds are conjugate and so are
-    the fields, s^ = conj(s~), which is taken as such rather than propagated;
+    inconsistent).  When |sin alpha| > 1 the fields are conjugate too,
+    s^ = conj(s~), which is taken as such rather than propagated;
     otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
     """
-    _check_condition_c(params)
-    alpha, nk = params.alpha, hs.domain.nk
-    s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, nk)
-    s_hat = (None if _sine_beyond_one(alpha)   # then conj(s~), formed per block
-             else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), params.s_hat0, nk))
-    tn = np.tan(alpha / 2.0)
+    alpha, s_tilde0 = complex(alpha), complex(s_tilde0)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite angle is refused below
+        sa, tn = np.sin(alpha), np.tan(alpha / 2.0)
+    if not abs(sa.imag) <= 1e-12:
+        raise ConfigError(f"double transform requires real sin(alpha), got sin = {sa}")
+    if not abs(tn) > 0.0:
+        raise ConfigError(f"double transform requires tan(alpha/2) != 0, got alpha = {alpha}")
+    beyond = abs(sa.real) > 1.0   # on the line pi/2 + iy
+    s_hat0 = (s_tilde0.conjugate() if beyond else 1.0 + 0.0j) if s_hat0 is None else complex(s_hat0)
+    if not beyond:
+        _require_unit_seed("s_tilde0", s_tilde0)
+        _require_unit_seed("s_hat0", s_hat0)
+    elif not abs(s_hat0 - s_tilde0.conjugate()) <= 1e-12:   # NaN for a non-finite s_tilde0
+        raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
+    nk = hs.domain.nk
+    s_tilde = propagate(*build_abcd(hs, alpha), s_tilde0, nk)
+    s_hat = (None if beyond   # then conj(s~), formed per block
+             else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), s_hat0, nk))
     tn2, cot = tn ** 2, 1.0 / tn
     s_col = hs.s[:, None]
     unit = []   # max ||s^~| - 1| of each block
@@ -303,7 +280,7 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, params: BacklundParams):
         unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
         return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
 
-    x, n, imag_residue = sym_blocks(frames, 2.0, 0.0, vw)
+    x, n, imag_residue = sym_blocks(frames, 2.0, vw)
     return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
 
 

@@ -207,8 +207,7 @@ def criterion_6() -> list[CheckResult]:
     out = []
     for alpha in (np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0):
         for seed in (1.0 + 0.0j, np.exp(0.7j), np.exp(-1.9j)):
-            params = bk.BacklundParams(alpha, s_tilde0=seed)
-            net = bk.single_backlund(frames_hs, hs, params)
+            net = bk.single_backlund(frames_hs, hs, alpha, seed)
             worst, _ = curvature_report(net, base=base_net, alpha=alpha)
             tag = f"[alpha={alpha:.3f},seed={np.angle(seed):+.2f}]"
             out.append(CheckResult(f"c06_distance{tag}", worst["distance"], 1e-9))
@@ -226,11 +225,9 @@ def criterion_7() -> list[CheckResult]:
         found = bk.find_periodic_alpha(hs, N0)
         out.append(CheckResult(f"c07_power[N0={N0}]", found.residual, 1e-9))
         if abs(complex(found.alpha).imag) < 1e-12:
-            params = bk.BacklundParams(found.alpha.real)
-            net = bk.single_backlund(frames_hs, hs, params)
+            net = bk.single_backlund(frames_hs, hs, found.alpha.real)
         else:
-            params = bk.BacklundParams(found.alpha, s_tilde0=1.3 * np.exp(0.4j))
-            net, _ = bk.double_backlund(frames_hs, hs, params)
+            net, _ = bk.double_backlund(frames_hs, hs, found.alpha, 1.3 * np.exp(0.4j))
         drift = period_drift(net, lcm(6, N0))
         out.append(CheckResult(f"c07_period[N0={N0}]", drift, 1e-8))
     return out
@@ -239,8 +236,7 @@ def criterion_7() -> list[CheckResult]:
 def criterion_8() -> list[CheckResult]:
     """Double transform with complex angle stays real, unit, pseudospherical."""
     hs, frames_hs, _ = fixture_ck_hs()
-    params = bk.BacklundParams(np.pi / 2.0 + 0.5j, s_tilde0=1.3 * np.exp(0.4j))
-    net, rep = bk.double_backlund(frames_hs, hs, params)
+    net, rep = bk.double_backlund(frames_hs, hs, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
     worst, _ = curvature_report(net, unit=True)
     return [
         CheckResult("c08_imag_residue", rep.imag_residue, 1e-9),
@@ -253,11 +249,11 @@ def criterion_8() -> list[CheckResult]:
 def criterion_9() -> list[CheckResult]:
     """Explicit eigen-coordinate field reproduces step-by-step Moebius iteration on a wide grid."""
     hs = fixture_linear()
-    params = bk.BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.3j))
-    A, B = bk.build_abcd(hs, params.alpha)
-    explicit = bk.propagate(A, B, params.s_tilde0, hs.domain.nk)
+    seed = np.exp(0.3j)
+    A, B = bk.build_abcd(hs, complex(np.pi / 3.0))
+    explicit = bk.propagate(A, B, seed, hs.domain.nk)
     steps = np.empty_like(explicit)
-    steps[0, 0] = params.s_tilde0
+    steps[0, 0] = seed
     for j in range(len(A)):
         steps[j + 1, 0] = bk.moebius(A[j], steps[j, 0])
     for k in range(steps.shape[1] - 1):   # every profile row at once

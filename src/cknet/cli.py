@@ -30,8 +30,7 @@ import numpy as np
 
 from . import checks as checksmod
 from .checks import CheckResult
-from .backlund import (BacklundParams, _require_real_angle, double_backlund, find_periodic_alpha,
-                       single_backlund)
+from .backlund import _require_real_angle, double_backlund, find_periodic_alpha, single_backlund
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import CknetError, ConfigError, DegenerateGeometry
 from .lattice import flatness_residual, gauge_frame
@@ -542,9 +541,8 @@ def cmd_backlund(cfg: dict) -> int:
     base = _stage("sym", sym, frames_hs, 2.0)   # the transform checks compare against it
     params = flat_parameters(cfg)
     alpha = _require_real_angle(_resolve_alpha(cfg, hs, params))
-    seed = _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j)
-    bp = BacklundParams(alpha, s_tilde0=seed)
-    net = _stage("backlund", single_backlund, frames_hs, hs, bp)
+    seed = _get(cfg, "backlund", "seed", complex, 1.0)
+    net = _stage("backlund", single_backlund, frames_hs, hs, alpha, seed)
     worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
@@ -556,9 +554,9 @@ def cmd_double(cfg: dict) -> int:
     frames_hs = _gauged_frames(p, conn, hs)
     params = flat_parameters(cfg)
     alpha = _resolve_alpha(cfg, hs, params)
-    bp = BacklundParams(alpha, _get(cfg, "backlund", "seed", complex, 1.0 + 0.0j),
-                        _get(cfg, "backlund", "seed_hat", complex, None))
-    net, rep = _stage("backlund", double_backlund, frames_hs, hs, bp)
+    net, rep = _stage("backlund", double_backlund, frames_hs, hs, alpha,
+                      _get(cfg, "backlund", "seed", complex, 1.0),
+                      _get(cfg, "backlund", "seed_hat", complex, None))
     worst, degenerate = _stage("verify", curvature_report, net, unit=True,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [

@@ -14,13 +14,13 @@ both diagonals of n).  The Gauss curvature of a face is
 
 Nets are produced from parallel frames Phi = Q D^k and a transform jet T
 (W, V or VW; the identity for the base net) by the Sym formula
-x = xi * coords(F^{-1} dF/dt) + tau * n, n = coords(F^{-1} (-i sigma3) F) for
-F = T Phi, coords being the (x, y, z) part.  It is taken through the 3x3
-adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X), of the row factor Q
-and the column factor D^k, and closed forms in the entries of T:
+x = xi * coords(F^{-1} dF/dt), n = coords(F^{-1} (-i sigma3) F) for F = T Phi,
+coords being the (x, y, z) part; the parallel net at distance tau is x + tau n.
+It is taken through the 3x3 adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X),
+of the row factor Q and the column factor D^k, and closed forms in the entries of T:
 
     n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
-    x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)) + tau * n.
+    x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)).
 
 ``sym_blocks`` evaluates these one block of profile rows at a time into real arrays, and
 ``curvature_report`` checks a net over the same blocks.  A transform hands each block the entry
@@ -109,27 +109,27 @@ def row_blocks(nj: int, nk: int):
     return [slice(j, j + step) for j in range(0, nj, step)]
 
 
-def _sym_planes(frames: FrameFamily, xi: float, tau: float, rows: slice, cols, transform):
+def _sym_planes(frames: FrameFamily, xi: float, rows: slice, cols, transform):
     """The complex coordinate planes [x_i], [n_i], i = 0, 1, 2, of the Sym net of T Phi on the
     profile rows ``rows``, from the column factor's terms ``cols`` (see ``sym_blocks``)."""
     (RQ, wq), (RD, wd) = _factor_terms(frames.rows[rows]), cols
     tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if transform is None else _transform_terms(*transform(rows))
     n, xq = _apply(RD, _apply(RQ, tn)), _apply(RQ, tx, wq)
     del tx, tn   # the block's transform terms go before its coordinates are formed
-    return [xi * x_i + tau * n_i for x_i, n_i in zip(_apply(RD, xq, wd), n)], n
+    return [xi * x_i for x_i in _apply(RD, xq, wd)], n
 
 
-def sym_arrays(frames: FrameFamily, xi: float, tau: float = 0.0, T: MatJet | None = None):
+def sym_arrays(frames: FrameFamily, xi: float, T: MatJet | None = None):
     """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of T Phi, T a jet of
     shape (nj, nk, 2, 2) (the identity by default).  Nothing is validated: callers of
     complex-parameter transforms inspect the imaginary parts themselves."""
     entries = None if T is None else (   # views of the entries of T and dT
         lambda rows: [m[..., i, j] for m in (T.val, T.dot) for i in (0, 1) for j in (0, 1)])
-    x, n = _sym_planes(frames, xi, tau, slice(None), _factor_terms(frames.cols), entries)
+    x, n = _sym_planes(frames, xi, slice(None), _factor_terms(frames.cols), entries)
     return np.stack(x, axis=-1), np.stack(n, axis=-1)
 
 
-def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None):
+def sym_blocks(frames: FrameFamily, xi: float, transform=None):
     """Real parts (x, n) of the Sym net of T Phi and the largest imaginary part dropped.
 
     Each of the ``row_blocks`` writes its complex coordinate planes into the two
@@ -143,7 +143,7 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     cols = _factor_terms(frames.cols)
     imag = 0.0
     for rows in row_blocks(nj, nk):
-        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, tau, rows, cols, transform))):
+        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, rows, cols, transform))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
             # np.maximum, unlike max, carries a NaN through to the check
             imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))
@@ -152,9 +152,9 @@ def sym_blocks(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None)
     return x, n, float(imag)
 
 
-def sym(frames: FrameFamily, xi: float, tau: float = 0.0, transform=None) -> ContactElementNet:
+def sym(frames: FrameFamily, xi: float, transform=None) -> ContactElementNet:
     """Real parameter-derivative net of T Phi (``sym_blocks``)."""
-    return ContactElementNet(*sym_blocks(frames, xi, tau, transform)[:2])
+    return ContactElementNet(*sym_blocks(frames, xi, transform)[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -242,10 +242,12 @@ def profile_hyp(c, A, B, j_lo=0):
     if 1.0 + 4.0 * A * B <= 0:
         raise InvalidProfile(f"1 + 4AB = {1.0 + 4.0 * A * B:.6g} <= 0 admits no curvature radius")
     rho = (1.0 + c) / (1.0 - c)
-    r = np.concatenate([[1.0], np.cumprod(rho)])
-    r = r / r[_anchor_pos(j_lo, len(r))]
-    f = A / r + B * r
-    b = -A / r + B * r
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
+        r = np.concatenate([[1.0], np.cumprod(rho)])
+        r = r / r[_anchor_pos(j_lo, len(r))]
+        f, b = A / r + B * r, -A / r + B * r
+    if not np.all(np.isfinite(f) & np.isfinite(b)):
+        raise InvalidProfile("the exponential solution overflows on this meridian")
     a = _axial_from_b(b)
     h = _heights(c, a, j_lo)
     kappa = 1.0 / np.sqrt(1.0 + 4.0 * A * B)

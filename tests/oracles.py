@@ -117,15 +117,15 @@ def v_form_matrices(hs, beta):
     return form(hs.u, hs.ell, np.tan(hs.delta1 / 2.0)), form(hs.s, hs.m, np.tan(hs.delta2 / 2.0))
 
 
-def composed_field(hs, params):
+def composed_field(hs, alpha, s_tilde0, s_hat0=None):
     """(s~, s^~) of a double transform, by the formula of the ``double_backlund`` docstring:
     s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~)), with s^ = conj(s~) when
-    |sin alpha| > 1."""
-    nk = hs.domain.nk
-    s_tilde = propagate(*build_abcd(hs, params.alpha), params.s_tilde0, nk)
-    s_hat = (s_tilde.conj() if abs(np.sin(params.alpha)) > 1.0
-             else propagate(*v_form_matrices(hs, -params.alpha), params.s_hat0, nk))
-    tn2, s = np.tan(params.alpha / 2.0) ** 2, hs.s[:, None]
+    |sin alpha| > 1 and s^ seeded by s_hat0 (1 when omitted) otherwise."""
+    alpha, nk = complex(alpha), hs.domain.nk
+    s_tilde = propagate(*build_abcd(hs, alpha), s_tilde0, nk)
+    s_hat = (s_tilde.conj() if abs(np.sin(alpha)) > 1.0
+             else propagate(*v_form_matrices(hs, -alpha), 1.0 if s_hat0 is None else s_hat0, nk))
+    tn2, s = np.tan(alpha / 2.0) ** 2, hs.s[:, None]
     return s_tilde, (s_hat * s_tilde - tn2) / (s * (1.0 - tn2 * s_hat * s_tilde))
 
 

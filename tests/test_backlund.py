@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cknet import backlund as bk, cli, nets, quat
-from cknet.backlund import (BacklundParams, build_abcd, double_backlund,
-                            find_periodic_alpha, linearize, moebius,
-                            propagate, single_backlund)
+from cknet.backlund import (build_abcd, double_backlund, find_periodic_alpha, linearize,
+                            moebius, propagate, single_backlund)
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
 from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit,
                           RealityViolated)
@@ -86,28 +85,38 @@ def gauss_deviation(net):
 
 
 # ---------------------------------------------------------------------------
-# parameters and Moebius helpers
+# transform parameters and Moebius helpers
 
 
-def test_params_defaults_real_angle():
-    p = BacklundParams(np.pi / 3.0)
-    assert p.s_tilde0 == 1.0 + 0.0j
-    assert p.s_hat0 == 1.0 + 0.0j
-
-
-def test_params_defaults_complex_angle_conjugate_seed():
-    seed = 1.3 * np.exp(0.4j)
-    p = BacklundParams(ALPHA_C, s_tilde0=seed)
-    assert p.s_hat0 == np.conj(seed)
-    q = BacklundParams(ALPHA_C, s_tilde0=seed, s_hat0=2.0j)
-    assert q.s_hat0 == 2.0j
+@pytest.mark.parametrize("alpha, seed, s_hat0", [
+    (np.pi / 3.0, np.exp(0.4j), 1.0),
+    (ALPHA_C, 1.3 * np.exp(0.4j), 1.3 * np.exp(-0.4j)),
+], ids=["real", "complex"])
+def test_double_backlund_default_s_hat0(alpha, seed, s_hat0):
+    """An omitted s_hat0 is 1 for real alpha and conj(s_tilde0) when |sin alpha| > 1."""
+    hs, frames, _ = hs_fixture()
+    net, rep = double_backlund(frames, hs, alpha, seed)
+    given, given_rep = double_backlund(frames, hs, alpha, seed, s_hat0)
+    assert np.array_equal(net.x, given.x) and np.array_equal(net.n, given.n)
+    assert rep == given_rep
+    with pytest.raises(ConfigError):   # a different s_hat0 is read, not ignored
+        double_backlund(frames, hs, alpha, seed, 2.0j)
 
 
 @pytest.mark.parametrize("field", ["alpha", "s_tilde0", "s_hat0"])
-def test_params_reject_non_finite(field):
-    for bad in (complex("nan"), complex("inf"), complex(0.0, float("nan"))):
-        with pytest.raises(ConfigError, match=field):
-            BacklundParams(**{"alpha": np.pi / 3.0, field: bad})
+@pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C], ids=["real", "complex"])
+def test_transforms_refuse_non_finite_parameters(field, alpha):
+    hs, frames, _ = hs_fixture()
+    seed = 1.0 if alpha == np.pi / 3.0 else 1.3 * np.exp(0.4j)
+    # complex(1, nan) would pass an `abs(alpha.imag) > 1e-12` test of the real-angle rule
+    for bad in (complex("nan"), complex("inf"), complex(0.0, float("nan")), complex(1.0, float("nan")),
+                complex(1.0, float("inf"))):
+        args = {"alpha": alpha, "s_tilde0": seed, field: bad}
+        with pytest.raises(ConfigError):
+            double_backlund(frames, hs, **args)
+        if field != "s_hat0":
+            with pytest.raises(ConfigError):
+                single_backlund(frames, hs, **args)
 
 
 def test_moebius_identity_and_composition():
@@ -276,12 +285,12 @@ def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
     calls = []
     real = bk.build_abcd
     monkeypatch.setattr(bk, "build_abcd", lambda *args: calls.append(args) or real(*args))
-    single_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+    single_backlund(frames, hs, np.pi / 3.0)
     assert [angle for _, angle in calls] == [np.pi / 3.0]
-    double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+    double_backlund(frames, hs, np.pi / 3.0)
     # s~ at alpha, s^ from the adjugates of the pair at -alpha
     assert [angle for _, angle in calls[1:]] == [np.pi / 3.0, -np.pi / 3.0]
-    double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
+    double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     assert [angle for _, angle in calls[3:]] == [ALPHA_C]   # |sin alpha| > 1: s^ = conj(s~)
 
 
@@ -292,7 +301,7 @@ def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
 def test_single_backlund_invariants():
     hs, frames, base = hs_fixture()
     for alpha in (np.pi / 3.0, 2.0 * np.pi / 3.0):
-        net = single_backlund(frames, hs, BacklundParams(alpha, s_tilde0=np.exp(0.7j)))
+        net = single_backlund(frames, hs, alpha, s_tilde0=np.exp(0.7j))
         dist, ang, orth = transform_residuals(base, net, alpha)
         assert dist < 1e-9
         assert ang < 1e-9
@@ -312,7 +321,7 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     assert np.max(np.abs(frames.Phi.val)) <= 10.0
     base = sym(frames, 2.0)
-    net = single_backlund(frames, hs, BacklundParams(alpha, s_tilde0=np.exp(1j * phase)))
+    net = single_backlund(frames, hs, alpha, s_tilde0=np.exp(1j * phase))
     assert np.all(np.isfinite(net.x)) and np.all(np.isfinite(net.n))
     assert max(nets.transform_residuals(base, net, alpha)) <= 1e-9
 
@@ -337,7 +346,7 @@ def docstring_w_frames(hs, frames, alpha, seed):
 def test_single_matches_documented_w_matrix():
     hs, frames, _ = hs_fixture()
     seed = np.exp(0.4j)
-    net = single_backlund(frames, hs, BacklundParams(np.pi / 3.0, s_tilde0=seed))
+    net = single_backlund(frames, hs, np.pi / 3.0, s_tilde0=seed)
     x, n = sym_arrays(docstring_w_frames(hs, frames, np.pi / 3.0, seed), 2.0)
     assert np.max(np.abs(x.imag)) < 1e-10
     assert np.max(np.abs(x.real - net.x)) < 1e-10
@@ -354,11 +363,11 @@ def test_complex_angle_w_frame_leaves_real_space():
 def test_single_backlund_rejections():
     hs, frames, _ = hs_fixture()
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
+        single_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, BacklundParams(0.0))
+        single_backlund(frames, hs, 0.0)
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, BacklundParams(np.pi / 3.0, s_tilde0=1.2 + 0.0j))
+        single_backlund(frames, hs, np.pi / 3.0, s_tilde0=1.2 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +376,7 @@ def test_single_backlund_rejections():
 
 def test_double_backlund_complex_angle_returns_real_net():
     hs, frames, base = hs_fixture()
-    params = BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
-    net, rep = double_backlund(frames, hs, params)
+    net, rep = double_backlund(frames, hs, ALPHA_C, 1.3 * np.exp(0.4j))
     assert net.x.dtype == float and net.n.dtype == float
     assert rep.imag_residue < 1e-9
     assert rep.unit_residual < 1e-10
@@ -381,9 +389,9 @@ def test_double_backlund_complex_angle_returns_real_net():
 def test_double_backlund_real_angle_permutability():
     """Seeds with s~ s^ = 1 compose to the field 1/s at the corner."""
     hs, frames, _ = hs_fixture()
-    params = BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.4j), s_hat0=np.exp(-0.4j))
-    net, rep = double_backlund(frames, hs, params)
-    assert abs(composed_field(hs, params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
+    params = (np.pi / 3.0, np.exp(0.4j), np.exp(-0.4j))
+    net, rep = double_backlund(frames, hs, *params)
+    assert abs(composed_field(hs, *params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
     assert rep.unit_residual < 1e-10
     assert rep.imag_residue < 1e-9
     assert gauss_deviation(net) < 1e-7
@@ -395,9 +403,9 @@ def test_nets_own_contiguous_real_coordinates(transform):
     strided real views that keep a complex parent alive."""
     hs, frames, base = hs_fixture()
     if transform == "single":
-        net = single_backlund(frames, hs, BacklundParams(np.pi / 3.0, s_tilde0=np.exp(0.4j)))
+        net = single_backlund(frames, hs, np.pi / 3.0, s_tilde0=np.exp(0.4j))
     elif transform == "double":
-        net, _ = double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j)))
+        net, _ = double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     else:
         net = base
     for arr in (net.x, net.n):
@@ -407,12 +415,12 @@ def test_nets_own_contiguous_real_coordinates(transform):
 def test_double_backlund_condition_rejections():
     hs, frames, _ = hs_fixture()
     with pytest.raises(ConfigError):  # sin(alpha) must be real
-        double_backlund(frames, hs, BacklundParams(np.pi / 3.0 + 0.2j))
+        double_backlund(frames, hs, np.pi / 3.0 + 0.2j)
     with pytest.raises(ConfigError):  # |sin| <= 1 needs unit seeds
-        double_backlund(frames, hs, BacklundParams(np.pi / 3.0, s_tilde0=1.3 * np.exp(0.4j)))
+        double_backlund(frames, hs, np.pi / 3.0, s_tilde0=1.3 * np.exp(0.4j))
     with pytest.raises(ConfigError):  # |sin| > 1 needs conjugate seeds
-        double_backlund(frames, hs, BacklundParams(ALPHA_C, s_tilde0=1.3 * np.exp(0.4j),
-                                                   s_hat0=1.0 + 0.0j))
+        double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j),
+                                                   s_hat0=1.0 + 0.0j)
 
 
 def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
@@ -420,7 +428,7 @@ def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
     nan_field = np.full((hs.domain.nj, hs.domain.nk), np.nan + 0j)
     monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
     with pytest.raises(PoleHit):
-        double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+        double_backlund(frames, hs, np.pi / 3.0)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C], ids=["real", "complex"])
@@ -437,7 +445,7 @@ def test_double_backlund_forms_each_block_once(monkeypatch, alpha):
         return real(diag_l, *args)
 
     monkeypatch.setattr(bk, "lax_entries", counted)
-    double_backlund(frames, hs, BacklundParams(alpha))
+    double_backlund(frames, hs, alpha)
     assert shapes == [(len(range(7)[rows]), 700) for rows in blocks]
 
 
@@ -461,7 +469,7 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bk, "propagate", planted)
     monkeypatch.setattr(bk, "lax_entries", lambda *args: blocks.append(1) or lax_entries(*args))
     with pytest.raises(PoleHit, match="composed scalar field hit a pole"):
-        double_backlund(frames, hs, BacklundParams(1.0))
+        double_backlund(frames, hs, 1.0)
     assert len(blocks) == 5
     mesh = tmp_path / "pole.obj"
     code = cli.main(["double", "--surface.kind", "elliptic", "--surface.kappa", "0.6",
@@ -487,7 +495,7 @@ def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
 
     monkeypatch.setattr(nets, "_transform_terms", nan_terms)
     with pytest.raises(RealityViolated):
-        double_backlund(frames, hs, BacklundParams(np.pi / 3.0))
+        double_backlund(frames, hs, np.pi / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +633,7 @@ def test_double_transform_annulus_period():
     assert np.max(np.abs(base.x[:, 6:] - base.x[:, : nk - 6])) < 1e-8
     for N0 in (8, 9):
         found = find_periodic_alpha(hs, N0)
-        params = BacklundParams(found.alpha, s_tilde0=1.3 * np.exp(0.4j))
-        net, _ = double_backlund(frames, hs, params)
+        net, _ = double_backlund(frames, hs, found.alpha, 1.3 * np.exp(0.4j))
         period = lcm(6, N0)
         drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
         assert drift < 1e-8

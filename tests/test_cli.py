@@ -459,6 +459,20 @@ def test_overflowing_trig_heights_are_profile_error(capsys):
     assert "stage=profile: InvalidProfile: profile heights overflow" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c, j_lo, j_hi", [("0.9", "0", "300"), ("-0.9", "0", "300"),
+                                           ("0.5", "-1100", "0")])
+def test_long_hyp_meridian_is_profile_error(capsys, c, j_lo, j_hi):
+    """The running product r of (1+c)/(1-c) overflows (or its anchor does) on a long
+    hyperbolic meridian: one profile error line, with no numpy warning."""
+    code = cli.main(["generate", "--surface.kind", "hyp", "--surface.c", c, "--surface.A", "0.5",
+                     "--surface.B", "0.5", "--surface.j_lo", j_lo, "--surface.j_hi", j_hi,
+                     "--rotation.k0", "6", "--rotation.k_count", "8"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: stage=profile: InvalidProfile: ")
+
+
 def test_underflowing_modulus_is_profile_error(capsys):
     """A modulus whose square underflows (kappa = 1e-300) is a profile error, without a warning."""
     code = cli.main(["generate", "--surface.kind", "elliptic", "--surface.kappa", "1e-300",

@@ -15,7 +15,7 @@ from cknet.errors import CaseMismatch, CknetError, ConfigError, InvalidProfile
 from cknet import lattice
 from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
                            flatness_residual, gauge, gauge_frame, jet_residual)
-from cknet.nets import rigid_align, sym
+from cknet.nets import ContactElementNet, rigid_align, sym
 from cknet.revolution import build_rcnet, profile_elliptic, profile_hyp, profile_trig
 from oracles import cross_ratio, integrate_frame
 
@@ -246,8 +246,9 @@ def test_cmc_isothermic_cross_ratios():
     # the shifted nets factorize face cross ratios through the edge angles
     _, conn2, d2 = cmc_fixture(2)
     fr2 = rotational_frames(conn2, a0=cmc_fixture(2)[0].a[0], b0=cmc_fixture(2)[0].b[0])
+    base = sym(fr2, -2.0)
     for tau in (1.0, -1.0):
-        net = sym(fr2, -2.0, tau)
+        net = ContactElementNet(base.x + tau * base.n, base.n)   # the parallel net at distance tau
         for j in range(net.shape[0] - 1):
             for k in (0, 4, 9):
                 z, _ = cross_ratio(net, (j, k))
@@ -256,8 +257,9 @@ def test_cmc_isothermic_cross_ratios():
                 assert abs(z.imag) < 1e-12
     p1, conn1, d1 = cmc_fixture(1)
     fr1 = rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0])
+    base = sym(fr1, -2.0)
     for tau in (1.0, -1.0):
-        net = sym(fr1, -2.0, tau)
+        net = ContactElementNet(base.x + tau * base.n, base.n)
         for j in range(net.shape[0] - 1):
             z, _ = cross_ratio(net, (j, 3))
             # case 1 exchanges the edge data: alpha0 belongs to the rotation edges

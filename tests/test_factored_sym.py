@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cknet.backlund import BacklundParams, build_abcd, double_backlund, propagate, single_backlund
+from cknet.backlund import build_abcd, double_backlund, propagate, single_backlund
 from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs, rotational_frames
 from cknet.lattice import gauge_frame
 from cknet.nets import sym_arrays
@@ -52,7 +52,8 @@ def test_base_nets_match_dense_frames(case, tau):
         frames = rotational_frames(conn, p.a[0], p.b[0])
         xi = -2.0
     assert frames.rows.shape[1] == 1
-    assert worst(sym_arrays(frames, xi, tau), dense_sym(frames, xi, tau)) <= TOL
+    x, n = sym_arrays(frames, xi)
+    assert worst((x + tau * n, n), dense_sym(frames, xi, tau)) <= TOL   # the parallel net x + tau n
 
 
 def test_gauged_base_net_matches_dense_frames():
@@ -64,20 +65,19 @@ def test_gauged_base_net_matches_dense_frames():
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, 2.0])
 def test_single_transforms_match_dense_frames(alpha):
     frames, hs, frames_hs = ck_grid()
-    params = BacklundParams(alpha, s_tilde0=np.exp(0.7j))
-    net = single_backlund(frames_hs, hs, params)
-    s_tilde = propagate(*build_abcd(hs, alpha), params.s_tilde0, hs.domain.nk)
+    net = single_backlund(frames_hs, hs, alpha, np.exp(0.7j))
+    s_tilde = propagate(*build_abcd(hs, alpha), np.exp(0.7j), hs.domain.nk)
     T = w_jet(alpha, s_tilde, hs.s, frames.t0)
     x, n = dense_sym(frames, 2.0, G=hs.gauge, T=T)
     assert worst((net.x, net.n), (x, n)) <= TOL
     assert max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))) <= TOL
 
 
-def dense_double(frames, hs, params):
+def dense_double(frames, hs, alpha, seed):
     """Dense (x, n) of V W Phi: V at -alpha from the composed field over the W-transformed net."""
-    s_tilde, shat_tilde = composed_field(hs, params)
-    W = w_jet(params.alpha, s_tilde, hs.s, frames.t0)
-    V = v_jet(-params.alpha, shat_tilde, s_tilde, frames.t0)
+    s_tilde, shat_tilde = composed_field(hs, alpha, seed)
+    W = w_jet(alpha, s_tilde, hs.s, frames.t0)
+    V = v_jet(-alpha, shat_tilde, s_tilde, frames.t0)
     return dense_sym(frames, 2.0, G=hs.gauge, T=V @ W)
 
 
@@ -89,9 +89,8 @@ def dense_double(frames, hs, params):
 ])
 def test_double_transforms_match_dense_frames(alpha, seed):
     frames, hs, frames_hs = ck_grid()
-    params = BacklundParams(alpha, s_tilde0=seed)
-    net, _ = double_backlund(frames_hs, hs, params)
-    assert worst((net.x, net.n), dense_double(frames, hs, params)) <= TOL
+    net, _ = double_backlund(frames_hs, hs, alpha, seed)
+    assert worst((net.x, net.n), dense_double(frames, hs, alpha, seed)) <= TOL
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -103,6 +102,5 @@ def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, real, angle, 
     frames, hs, frames_hs = ck_grid(nj, nk, np.pi / 3.0)
     alpha = angle if real else np.pi / 2.0 + 1j * y
     seed = np.exp(1j * phase) * (1.0 if real else radius)
-    params = BacklundParams(alpha, s_tilde0=seed)
-    net, _ = double_backlund(frames_hs, hs, params)
-    assert worst((net.x, net.n), dense_double(frames, hs, params)) <= TOL
+    net, _ = double_backlund(frames_hs, hs, alpha, seed)
+    assert worst((net.x, net.n), dense_double(frames, hs, alpha, seed)) <= TOL

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from cknet import cli
-from cknet.backlund import BacklundParams, double_backlund
+from cknet.backlund import double_backlund
 from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
 from cknet.lattice import gauge_frame
 from cknet.nets import ContactElementNet, curvature_report
@@ -52,9 +52,8 @@ def test_double_transform_memory_is_the_net_and_one_block():
     bound is that peak plus 0.1 MiB.  Storing the composed field and packing every block's
     transform into a (..., 2, 2) jet took 1.83 MiB, and whole-grid intermediates 5.6 MiB."""
     frames, hs = wide_frames()
-    params = BacklundParams(np.pi / 2.0 + 0.5j, s_tilde0=1.2 + 0.5j)
-    assert added_mib(double_backlund, frames, hs, params) <= 1.41
-    assert added_mib(double_backlund, frames, hs, BacklundParams(1.2)) <= 1.59
+    assert added_mib(double_backlund, frames, hs, np.pi / 2.0 + 0.5j, 1.2 + 0.5j) <= 1.41
+    assert added_mib(double_backlund, frames, hs, 1.2) <= 1.59
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cknet import nets, quat
-from cknet.backlund import BacklundParams, double_backlund, single_backlund
+from cknet.backlund import double_backlund, single_backlund
 from cknet.checks import PROFILE_SPECS, fixture_ck_hs, fixture_profile
 from cknet.connect import build_ck_connection, rotational_frames
 from cknet.errors import (DegenerateFace, DegenerateGeometry, InvalidProfile,
@@ -75,8 +75,8 @@ def test_sym_identity_frame_with_normal_shift():
     domain = Domain(2, 3)
     val = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
     frames = FrameFamily(domain, MatJet.constant(val))
-    net = sym(frames, 2.0, tau=1.0)
-    assert_allclose(net.x, np.broadcast_to(E3, net.x.shape), atol=1e-15)
+    net = sym(frames, 2.0)
+    assert_allclose(net.x + net.n, np.broadcast_to(E3, net.x.shape), atol=1e-15)   # x + tau n, tau = 1
     assert_allclose(net.n, np.broadcast_to(E3, net.n.shape), atol=1e-15)
 
 
@@ -278,9 +278,9 @@ def test_face_pass_matches_seven_crosses_on_rcnets(spec):
 
 def test_face_pass_matches_seven_crosses_on_transforms():
     hs, frames, _ = fixture_ck_hs()
-    assert_report_matches_seven_crosses(single_backlund(frames, hs, BacklundParams(np.pi / 3.0)))
-    params = BacklundParams(np.pi / 2.0 + 0.5j, s_tilde0=1.3 * np.exp(0.4j))
-    assert_report_matches_seven_crosses(double_backlund(frames, hs, params)[0])
+    assert_report_matches_seven_crosses(single_backlund(frames, hs, np.pi / 3.0))
+    net, _ = double_backlund(frames, hs, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
+    assert_report_matches_seven_crosses(net)
 
 
 def test_face_pass_matches_seven_crosses_on_mixed_net():
