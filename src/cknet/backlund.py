@@ -120,11 +120,13 @@ def _chordal_step(M: np.ndarray, z: np.ndarray, target: np.ndarray) -> float:
     """Largest chordal distance between M . z and target over the rows of M; finite
     at the pole of M."""
     num, den = (M[:, i, 0, None] * z + M[:, i, 1, None] for i in (0, 1))
-    norm = np.hypot(np.abs(num), np.abs(den))
-    norm *= np.hypot(1.0, np.abs(target))
+    norm = np.abs(num)   # real planes are reused: at most two exist beside num and den
+    np.hypot(norm, np.abs(den), out=norm)
+    scale = np.abs(target)
+    norm *= np.hypot(1.0, scale, out=scale)
     den *= target
     num -= den
-    return 2.0 * np.max(np.abs(num) / norm, initial=0.0)
+    return 2.0 * np.max(np.divide(np.abs(num, out=scale), norm, out=scale), initial=0.0)
 
 
 def linearize(A: np.ndarray, B: np.ndarray):

@@ -434,15 +434,15 @@ def _period_entry(name: str, worst: dict) -> list:
     return [CheckResult(name, worst["period"], 1e-8)] if "period" in worst else []
 
 
-def net_report_entries(p: Profile, worst: dict) -> list:
-    """Report entries of a net of the profile ``p`` from its ``curvature_report`` residuals
-    (Gauss, edge, unit and, when measured, period)."""
+def net_report_entries(p: Profile, net: ContactElementNet, worst: dict) -> list:
+    """Report entries of a net of the profile ``p``: its unit residual and its
+    ``curvature_report`` residuals (Gauss, edge and, when measured, period)."""
     return [
         CheckResult("gaussian_constancy", worst["gauss"], 1e-9),
         CheckResult("edge_constraint", worst["edge"], 1e-9),
         CheckResult("profile_relations", edge_residuals(p), 1e-10),
         CheckResult("conservation", conservation_drift(p), 1e-10),
-        CheckResult("unit_normal", worst["unit"], 1e-9),
+        CheckResult("unit_normal", net.unit_residual, 1e-9),
     ] + _period_entry("rotational_period", worst)
 
 
@@ -491,11 +491,11 @@ def cmd_generate(cfg: dict) -> int:
         net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
     else:
         net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
-    worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True, unit=True,
+    worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True,
                                period=_period(net, k0))
     params = flat_parameters(cfg)
     params["rotation.theta_effective"] = float(theta)
-    return _finish(net_report_entries(p, worst), params, cfg, net, degenerate)
+    return _finish(net_report_entries(p, net, worst), params, cfg, net, degenerate)
 
 
 def _hs_pipeline(cfg: dict):
@@ -551,18 +551,18 @@ def cmd_backlund(cfg: dict) -> int:
 
 def cmd_double(cfg: dict) -> int:
     p, theta, k0, conn, hs = _hs_pipeline(cfg)
-    frames_hs = _gauged_frames(p, conn, hs)
     params = flat_parameters(cfg)
-    alpha = _resolve_alpha(cfg, hs, params)
-    net, rep = _stage("backlund", double_backlund, frames_hs, hs, alpha,
+    # frames stage, then search; the frames, and the terms they keep, go when the transform returns
+    net, rep = _stage("backlund", double_backlund, _gauged_frames(p, conn, hs), hs,
+                      _resolve_alpha(cfg, hs, params),
                       _get(cfg, "backlund", "seed", complex, 1.0),
                       _get(cfg, "backlund", "seed_hat", complex, None))
-    worst, degenerate = _stage("verify", curvature_report, net, unit=True,
+    worst, degenerate = _stage("verify", curvature_report, net,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [
         CheckResult("flatness", flatness_residual(conn), 1e-11),
         CheckResult("imag_residue", rep.imag_residue, 1e-9),
-        CheckResult("unit_normal", worst["unit"], 1e-9),
+        CheckResult("unit_normal", net.unit_residual, 1e-9),
         CheckResult("transformed_gauss", worst["gauss"], 1e-7),
         CheckResult("permutability_unit", rep.unit_residual, 1e-10),
     ] + _period_entry("transformed_period", worst)

@@ -16,8 +16,8 @@ Nets are produced from parallel frames Phi = Q D^k and a transform jet T
 (W, V or VW; the identity for the base net) by the Sym formula
 x = xi * coords(F^{-1} dF/dt), n = coords(F^{-1} (-i sigma3) F) for F = T Phi,
 coords being the (x, y, z) part; the parallel net at distance tau is x + tau n.
-It is taken through the 3x3 adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X),
-of the row factor Q and the column factor D^k, and closed forms in the entries of T:
+It is taken through the 3x3 adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X), of the frame
+factors Q and D^k (kept from a family's first Sym pass), and closed forms in the entries of T:
 
     n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
     x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)).
@@ -31,7 +31,7 @@ One reality rule holds for every Sym net: an imaginary part beyond 1e-6 raises R
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,12 @@ from .lattice import FrameFamily, MatJet
 
 @dataclass(frozen=True)
 class ContactElementNet:
-    """Positions and unit normals on a rectangular grid: C-contiguous float64, shape (nj, nk, 3)."""
+    """Positions and unit normals on a rectangular grid: C-contiguous float64, shape (nj, nk, 3);
+    ``unit_residual``, max | |n| - 1 | (at most 1e-8), is measured once, on construction."""
 
     x: np.ndarray
     n: np.ndarray
+    unit_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
@@ -58,6 +60,7 @@ class ContactElementNet:
                if self.n.size else 0.0)
         if not (err <= 1e-8):
             raise ValueError(f"normals deviate from unit length by {err:.3e}")
+        object.__setattr__(self, "unit_residual", float(err))
 
     @property
     def shape(self):
@@ -66,17 +69,6 @@ class ContactElementNet:
 
 # ---------------------------------------------------------------------------
 # construction from frames
-
-
-_BASIS = np.array([-1j * quat.sigma1, -1j * quat.sigma2, -1j * quat.sigma3])
-
-
-def _factor_terms(F: MatJet):
-    """Planes R[i, j] of the adjoint map R(F) and w[i] of coords(F^{-1} dF) of frame factors."""
-    val, dot = F.val[..., None, :, :], F.dot[..., None, :, :]
-    c = quat.coords_complex(quat.inv(val) @ np.concatenate([_BASIS @ val, dot], axis=-3))
-    c = np.moveaxis(c, (-1, -2), (0, 1))   # c[i, j] = coords_i(F^{-1} E_j F); j = 3: F^{-1} dF
-    return c[:, :3], c[:, 3]
 
 
 def _transform_terms(a, b, c, d, da, db, dc, dd):
@@ -92,7 +84,10 @@ def _transform_terms(a, b, c, d, da, db, dc, dd):
     tx = [0.5j * (m01 + m10) * r, 0.5 * (m10 - m01) * r]
     del m01, m10
     tx.append(0.5j * ((d * da - b * dc) - (a * dd - c * db)) * r)   # m00 - m11
-    return tx, [(b * d - a * c) * r, 1j * (a * c + b * d) * r, (a * d + b * c) * r]
+    tn = [(b * d - a * c) * r, 1j * (a * c + b * d) * r, a * d]
+    tn[2] += b * c   # in place: the last plane sets the peak of the block
+    tn[2] *= r
+    return tx, tn
 
 
 def _apply(R, v, w=(0.0, 0.0, 0.0)):
@@ -109,10 +104,10 @@ def row_blocks(nj: int, nk: int):
     return [slice(j, j + step) for j in range(0, nj, step)]
 
 
-def _sym_planes(frames: FrameFamily, xi: float, rows: slice, cols, transform):
+def _sym_planes(frames: FrameFamily, xi: float, rows: slice, transform):
     """The complex coordinate planes [x_i], [n_i], i = 0, 1, 2, of the Sym net of T Phi on the
-    profile rows ``rows``, from the column factor's terms ``cols`` (see ``sym_blocks``)."""
-    (RQ, wq), (RD, wd) = _factor_terms(frames.rows[rows]), cols
+    profile rows ``rows``, from the kept adjoint terms of the frames (see ``sym_blocks``)."""
+    (RQ, wq), (RD, wd) = [t[..., rows, :] for t in frames.terms[0]], frames.terms[1]
     tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if transform is None else _transform_terms(*transform(rows))
     n, xq = _apply(RD, _apply(RQ, tn)), _apply(RQ, tx, wq)
     del tx, tn   # the block's transform terms go before its coordinates are formed
@@ -125,7 +120,7 @@ def sym_arrays(frames: FrameFamily, xi: float, T: MatJet | None = None):
     complex-parameter transforms inspect the imaginary parts themselves."""
     entries = None if T is None else (   # views of the entries of T and dT
         lambda rows: [m[..., i, j] for m in (T.val, T.dot) for i in (0, 1) for j in (0, 1)])
-    x, n = _sym_planes(frames, xi, slice(None), _factor_terms(frames.cols), entries)
+    x, n = _sym_planes(frames, xi, slice(None), entries)
     return np.stack(x, axis=-1), np.stack(n, axis=-1)
 
 
@@ -140,10 +135,9 @@ def sym_blocks(frames: FrameFamily, xi: float, transform=None):
     """
     nj, nk = frames.domain.nj, frames.domain.nk
     x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
-    cols = _factor_terms(frames.cols)
     imag = 0.0
     for rows in row_blocks(nj, nk):
-        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, rows, cols, transform))):
+        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, rows, transform))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
             # np.maximum, unlike max, carries a NaN through to the check
             imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))
@@ -279,15 +273,15 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
 
 
 def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = False,
-                     unit: bool = False, period: int | None = None,
-                     base: ContactElementNet | None = None, alpha: float = 0.0):
+                     period: int | None = None, base: ContactElementNet | None = None,
+                     alpha: float = 0.0):
     """(worst, degenerate) of a net from one pass over blocks of whole profile rows (about
     ``_BLOCK_VERTICES`` vertices), so only one block's temporaries exist at a time.
 
     ``worst`` maps "gauss", |K - K_sign| over the non-degenerate faces (inf
     when there are none), and each further reduction asked for to its
-    largest value: "edge", "unit" and "period" (``validate_ec``,
-    ``unit_normal_residual``, ``period_drift``); "distance", "angle" and
+    largest value: "edge" and "period" (``validate_ec``, ``period_drift``;
+    the net measured its unit residual when it was built); "distance", "angle" and
     "orthogonality", the ``transform_residuals`` against ``base`` at
     ``alpha``.  ``degenerate`` holds the sorted row-major indices of the
     faces with |det(xd1, xd2, N)| <= 1e-12; the face pass raises
@@ -303,8 +297,6 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = F
         degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
         if edge:
             found["edge"] = validate_ec(net, rows)
-        if unit:
-            found["unit"] = unit_normal_residual(net, rows)
         if period is not None:
             found["period"] = period_drift(net, period, rows)
         if base is not None:

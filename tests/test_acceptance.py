@@ -34,6 +34,32 @@ def test_criterion(number):
     assert not failed, "failed acceptance checks:\n" + "\n".join(failed)
 
 
+def clear_fixtures():
+    for fixture in vars(checks).values():
+        if hasattr(fixture, "cache_clear"):
+            fixture.cache_clear()
+
+
+def entries(results):
+    return [(r.name, r.max_residual.hex(), r.tolerance) for r in results]
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    clear_fixtures()
+    return entries(checks.run_all())
+
+
+@pytest.mark.parametrize("number", CRITERIA)
+def test_criterion_alone_matches_the_full_run(number, full_run):
+    """A shared fixture is built by the first criterion that reads it, so any criterion run
+    alone from cold caches builds what it needs and gives its entries of the full run bit
+    for bit."""
+    clear_fixtures()
+    alone = entries(checks.run_all({number}))
+    assert alone == [e for e in full_run if e[0].startswith(f"c{number:02d}_")]
+
+
 def test_traced_functions_exist():
     # perfbench/run.py --trace 1 wraps every function named in TRACED by getattr
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -776,3 +776,26 @@ def test_explicit_field_next_to_the_parabolic_rotation(rows, k_count, theta, dy)
         s = propagate(M, N, seed, hs.domain.nk)
         assert np.max(chordal_residuals(M, s[:-1], s[1:])) <= 1e-11
         assert np.max(chordal_residuals(N, s[:, :-1], s[:, 1:])) <= 1e-11
+
+
+def chordal_step_unbuffered(M, z, target):
+    """The chordal step as it was written before it reused its buffers."""
+    num, den = (M[:, i, 0, None] * z + M[:, i, 1, None] for i in (0, 1))
+    norm = np.hypot(np.abs(num), np.abs(den))
+    norm *= np.hypot(1.0, np.abs(target))
+    den *= target
+    num -= den
+    return 2.0 * np.max(np.abs(num) / norm, initial=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chordal_step_with_reused_buffers_is_bit_for_bit(seed):
+    """Random maps and fields, with z on the pole of one map (its denominator exactly 0)."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(30, 2, 2)) + 1j * rng.normal(size=(30, 2, 2))
+    z, target = (rng.normal(size=(30, 50)) * np.exp(2j * np.pi * rng.random((30, 50)))
+                 for _ in range(2))
+    M[3, 1] = 1.0, -z[3, 7]
+    assert M[3, 1, 0] * z[3, 7] + M[3, 1, 1] == 0.0
+    got = bk._chordal_step(M, z, target)
+    assert np.isfinite(got) and got.hex() == chordal_step_unbuffered(M, z, target).hex()

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,28 @@ def run_desk(tmp_path, command, extra, tag):
     return code, mesh, report
 
 
+def test_double_releases_its_frames_after_the_transform(tmp_path, monkeypatch, capsys):
+    """The gauged frames, and the adjoint terms they keep, are gone before verify and export."""
+    refs, alive = [], []
+    real_gauge, real_export = cli.gauge_frame, cli.export_obj
+
+    def gauged(*args):
+        frames = real_gauge(*args)
+        refs.append(weakref.ref(frames))
+        return frames
+
+    def export(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return real_export(*args)
+
+    monkeypatch.setattr(cli, "gauge_frame", gauged)
+    monkeypatch.setattr(cli, "export_obj", export)
+    code, mesh, _ = run_desk(tmp_path, "double", ["--rotation.k_count", "26", "--backlund.N0", "9"],
+                             "double")
+    assert code == cli.EXIT_OK and mesh.exists()
+    assert alive == [False]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(LONG_GRIDS))
 def test_long_grids_run_finite(tmp_path, capsys, name):
@@ -538,15 +561,18 @@ def test_long_grid_starts_like_the_short_grid(tmp_path, capsys):
 @pytest.mark.parametrize("vertex", [(60, 150), (40, 77)], ids=["last_block", "overlap_row"])
 def test_nan_in_a_later_block_fails_its_checks(tmp_path, monkeypatch, capsys, vertex):
     """A NaN vertex in the last of the six blocks of rows of a 61 x 200 net, or in the row
-    the fourth and fifth blocks share, reaches the Gauss, edge and unit entries; Python's max
-    over the blocks would keep the first block's finite value."""
+    the fourth and fifth blocks share, reaches the Gauss and edge entries, and the net's
+    constructor, which measures the unit entry, refuses it as a normal; Python's max over
+    the blocks would keep the first block's finite value."""
     assert nets._BLOCK_VERTICES // 200 == 10   # blocks of face rows 0, 10, ..., 50
     real = cli.build_rcnet
 
     def planted(*args, **kwargs):
         net = real(*args, **kwargs)
-        x = net.x.copy()
-        x[vertex] = np.nan
+        x, n = net.x.copy(), net.n.copy()
+        x[vertex] = n[vertex] = np.nan
+        with pytest.raises(ValueError, match="unit length by nan"):
+            ContactElementNet(x, n)
         net = ContactElementNet(x, net.n.copy())
         net.n[vertex] = np.nan   # past the constructor's unit-length check
         return net
@@ -560,10 +586,11 @@ def test_nan_in_a_later_block_fails_its_checks(tmp_path, monkeypatch, capsys, ve
     doc = strict_json(report)
     assert validate_report(doc) == []
     checks = {e["name"]: e for e in doc["checks"]}
-    for name in ("gaussian_constancy", "edge_constraint", "unit_normal"):
+    for name in ("gaussian_constancy", "edge_constraint"):
         assert checks[name]["max_residual"] is None and checks[name]["pass"] is False
         assert f"FAIL {name} residual=nan" in out
     assert checks["profile_relations"]["pass"] and checks["conservation"]["pass"]
+    assert checks["unit_normal"]["pass"]   # measured on construction, before the planted normal
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -728,8 +755,8 @@ def test_invariant_failure_exit_code(capsys):
     net = build_rcnet(p, 13, theta=np.pi / 6.0)
     warped = ContactElementNet(
         net.x + 1e-3 * np.sin(np.arange(net.x.size).reshape(net.x.shape)), net.n)
-    worst, _ = nets.curvature_report(warped, p.K_sign, edge=True, unit=True)
-    entries = cli.net_report_entries(p, worst)
+    worst, _ = nets.curvature_report(warped, p.K_sign, edge=True)
+    entries = cli.net_report_entries(p, warped, worst)
     gauss = next(e for e in entries if e.name == "gaussian_constancy")
     assert not gauss.passed
     assert 1e-5 < gauss.max_residual < 1e-1

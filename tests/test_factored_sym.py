@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cknet import lattice, quat
 from cknet.backlund import build_abcd, double_backlund, propagate, single_backlund
 from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs, rotational_frames
-from cknet.lattice import gauge_frame
-from cknet.nets import sym_arrays
+from cknet.lattice import MatJet, gauge_frame
+from cknet.nets import sym, sym_arrays
 from cknet.revolution import profile_elliptic, profile_trig
 from oracles import composed_field, dense_sym, v_jet, w_jet
 
@@ -104,3 +105,31 @@ def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, real, angle, 
     seed = np.exp(1j * phase) * (1.0 if real else radius)
     net, _ = double_backlund(frames_hs, hs, alpha, seed)
     assert worst((net.x, net.n), dense_double(frames, hs, alpha, seed)) <= TOL
+
+
+def test_a_family_forms_its_adjoint_terms_once(monkeypatch):
+    """A base Sym pass and a transform on one frame family form the row and the column terms
+    once each, where every Sym pass formed them again."""
+    frames, hs, _ = ck_grid()
+    calls, real = [], lattice._factor_terms
+    monkeypatch.setattr(lattice, "_factor_terms", lambda F: calls.append(F.shape) or real(F))
+    fresh = gauge_frame(frames, hs.gauge)
+    sym(fresh, 2.0)
+    single_backlund(fresh, hs, np.pi / 3.0)
+    assert calls == [fresh.rows.shape, fresh.cols.shape]
+
+
+def test_gauging_a_family_with_formed_terms_forms_new_ones():
+    """``gauge_frame`` of a family that has formed its terms gives a family that forms its
+    own: its Sym net is bit for bit the one gauged from frames that never ran a pass."""
+    frames, hs, _ = ck_grid()
+    jj, kk = np.meshgrid(np.arange(7), np.arange(15), indexing="ij")
+    th = 0.3 * np.sin(3.0 * jj + kk)   # exp(-i th sigma1) per vertex turns the normals
+    G = MatJet.constant(quat.matrix(np.cos(th), -1j * np.sin(th), -1j * np.sin(th), np.cos(th)))
+    used = gauge_frame(frames, hs.gauge)
+    sym(used, 2.0)
+    assert "terms" in vars(used)
+    got = sym(gauge_frame(used, G), 2.0)
+    want = sym(gauge_frame(gauge_frame(frames, hs.gauge), G), 2.0)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.n, want.n)
+    assert np.max(np.abs(got.n - sym(used, 2.0).n)) > 0.1

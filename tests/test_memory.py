@@ -70,14 +70,14 @@ def test_curvature_report_memory_is_one_block():
     rows (0.56 MiB), where the report's arrays alone took 49 bytes a face (11.2 MiB here)."""
     net = seeded_net()
     other = ContactElementNet(net.x[::-1].copy(), net.n[::-1].copy())
-    assert added_mib(curvature_report, net, -1, edge=True, unit=True, period=6,
+    assert added_mib(curvature_report, net, -1, edge=True, period=6,
                      base=other, alpha=1.0) <= 1.0
 
 
 def verify_net(p, net):
     """The checks of ``cknet generate`` on ``net``."""
-    worst, _ = curvature_report(net, p.K_sign, edge=True, unit=True, period=6)
-    return cli.net_report_entries(p, worst)
+    worst, _ = curvature_report(net, p.K_sign, edge=True, period=6)
+    return cli.net_report_entries(p, net, worst)
 
 
 def verify_transform(base, net):

@@ -103,6 +103,26 @@ def test_sym_arrays_rejects_a_singular_or_non_finite_transform(entry):
         sym_arrays(frames, 2.0, T=MatJet.constant(T))
 
 
+def transform_normal_terms_out_of_place(a, b, c, d):
+    """The three coords(T^{-1} (-i sigma3) T) planes as written before the last was formed in
+    place."""
+    r = 1.0 / (a * d - b * c)
+    return [(b * d - a * c) * r, 1j * (a * c + b * d) * r, (a * d + b * c) * r]
+
+
+@pytest.mark.parametrize("scalars", ["none", "b_c"], ids=["planes", "scalar_b_c"])
+def test_transform_terms_in_place_are_bit_for_bit(scalars):
+    """Random entry planes, and scalar b and c as the single transform passes them."""
+    rng = np.random.default_rng(7)
+    a, b, c, d, da, db, dc, dd = (rng.normal(size=(10, 200)) + 1j * rng.normal(size=(10, 200))
+                                  for _ in range(8))
+    if scalars == "b_c":
+        b, c = 1j * np.exp(0.3), 1j * np.exp(0.3)
+    _, tn = nets._transform_terms(a, b, c, d, da, db, dc, dd)
+    for got, want in zip(tn, transform_normal_terms_out_of_place(a, b, c, d)):
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # face geometry
 
@@ -277,7 +297,7 @@ def test_face_pass_matches_seven_crosses_on_rcnets(spec):
 
 
 def test_face_pass_matches_seven_crosses_on_transforms():
-    hs, frames, _ = fixture_ck_hs()
+    hs, frames = fixture_ck_hs()
     assert_report_matches_seven_crosses(single_backlund(frames, hs, np.pi / 3.0))
     net, _ = double_backlund(frames, hs, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
     assert_report_matches_seven_crosses(net)
