@@ -292,11 +292,13 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
 
 @dataclass(frozen=True)
 class PeriodicAlpha:
-    """Root of the periodicity condition: angle, phase index, power residual.
+    """Root of the periodicity condition: angle, phase index, trace residual.
 
     alpha is real when the recurrence closes for an ordinary transform
     angle; otherwise it lies on the line pi/2 + iy (real sin alpha with
     |sin alpha| > 1), where only the double transform yields a real net.
+    residual is |tr(B)^2 / det(B) - (2 + 2 cos(2 pi p / N0))| of B = B[0]
+    built at alpha, at most ``_CLOSE_TOL``.
     """
 
     alpha: complex
@@ -304,17 +306,7 @@ class PeriodicAlpha:
     residual: float
 
 
-def _power_residual(mat: np.ndarray, N0: int) -> float:
-    """Entrywise distance of the unit-determinant N0-th power from +-identity; inf if it diverges."""
-    d = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    hat = mat / np.sqrt(d)
-    eye = np.eye(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = np.linalg.matrix_power(hat, N0)
-        r = float(min(np.max(np.abs(P - eye)), np.max(np.abs(P + eye))))
-    return r if np.isfinite(r) else np.inf
-
-
+_CLOSE_TOL = 1e-12   # largest trace residual of an accepted root
 _Y_MAX = 8.0   # largest y of a root alpha = pi/2 + iy
 
 
@@ -336,9 +328,10 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
     field steps by adj B[0] at -alpha, whose tr^2/det, a function of S
     alone, is that of B[0] at alpha, so the root closes both fields.  p
     defaults to the smallest index coprime to N0 that has a root; a given p
-    must satisfy 1 <= p < N0.  The returned residual is the entrywise
-    distance of the normalized N0-th power of B[0] from +-identity, at
-    most 1e-9.
+    must satisfy 1 <= p < N0.  A candidate is the root when tr^2/det of
+    B[0], built by the same matrix builder the transforms use, lies within
+    ``_CLOSE_TOL`` of c: tr^2/det fixes the class of a 2x2 map, so then
+    B[0]^N0 is proportional to the identity, and no power is formed.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
@@ -358,8 +351,10 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
             continue
         alpha = cmath.asin(math.sqrt(S))   # real for S <= 1, else pi/2 + i arccosh(sqrt(S))
         # full rows, so the matrix is bit for bit the one build_abcd returns
-        residual = _power_residual(_matrices(hs.s, hs.m, t2, alpha)[0], N0)
-        if residual <= 1e-9:
+        (m11, m12), (m21, m22) = _matrices(hs.s, hs.m, t2, alpha)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):   # NaN fails the test below
+            residual = float(abs((m11 + m22) ** 2 / (m11 * m22 - m12 * m21) - c))
+        if residual <= _CLOSE_TOL:
             return PeriodicAlpha(alpha, int(p_try), residual)
     tried = f"p = {p}" if p is not None else f"every p in 1..{N0 - 1} coprime to {N0}"
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {_Y_MAX:g}) "

@@ -228,7 +228,7 @@ def criterion_7() -> list[CheckResult]:
     out = []
     for N0 in (8, 9):
         found = bk.find_periodic_alpha(hs, N0)
-        out.append(CheckResult(f"c07_power[N0={N0}]", found.residual, 1e-9))
+        out.append(CheckResult(f"c07_power[N0={N0}]", found.residual, bk._CLOSE_TOL))
         if abs(complex(found.alpha).imag) < 1e-12:
             net = bk.single_backlund(frames_hs, hs, found.alpha.real)
         else:

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import checks as checksmod
 from .checks import CheckResult
-from .backlund import _require_real_angle, double_backlund, find_periodic_alpha, single_backlund
+from .backlund import (_CLOSE_TOL, _require_real_angle, double_backlund, find_periodic_alpha,
+                       single_backlund)
 from .connect import build_ck_connection, gauge_to_hs, rotational_frames
 from .errors import CknetError, ConfigError, DegenerateGeometry
 from .lattice import flatness_residual, gauge_frame
@@ -515,7 +516,7 @@ def _search(cfg: dict, hs, N0: int, params: dict):
     found = _stage("search", find_periodic_alpha, hs, N0, p=_get(cfg, "backlund", "p", int, None))
     params["backlund.alpha_found"] = str(complex(found.alpha))
     params["backlund.p_found"] = found.p
-    params["backlund.power_residual"] = found.residual
+    params["backlund.trace_residual"] = found.residual
     return found
 
 
@@ -573,7 +574,7 @@ def cmd_search(cfg: dict) -> int:
     *_, hs = _hs_pipeline(cfg)
     params = flat_parameters(cfg)
     found = _search(cfg, hs, _get(cfg, "backlund", "N0", int), params)
-    entries = [CheckResult("periodicity_power", found.residual, 1e-9)]
+    entries = [CheckResult("periodicity_power", found.residual, _CLOSE_TOL)]
     print(f"alpha = {found.alpha!r}  p = {found.p}  residual = {found.residual:.3e}")
     return _finish(entries, params, cfg)
 

@@ -10,15 +10,16 @@ scalar edge data (u, v, v_frak, h_frak):
     K = +1:  L = (1/alpha) [[v_frak, -e^{it} u - e^{-it}/u], [e^{-it} u + e^{it}/u, conj v_frak]]
              alpha^2 = |v_frak|^2 + u^2 + u^{-2} + 2 cos 2t,  u real,
 
-and M of the same shape built from (v, h_frak, beta) with the sign of
-the cos 2t term flipped in the K = +1 case.  Every family runs the
-profile along j and the rotation along k, and is invariant along k, so
-it is held once per profile row: L of shape (nj-1, 1, 2, 2) and M of
-shape (nj, 1, 2, 2).  For K = +1 the construction follows from kappa:
-kappa > 1 (construction 2) keeps the forms above, kappa < 1
-(construction 1) exchanges the roles of the edge data, so its L is the
-flipped form built from (h_frak, v) and its M the L form built from
-(v_frak, u); kappa = 1 is covered by neither.  K = -1 is construction 3.
+and M of the same shape built from (v, h_frak, beta).  For K = +1, M is
+the flipped form: the L form a quarter turn on, at t + pi/2, which flips
+the sign of the cos 2t term.  Every family runs the profile along j and
+the rotation along k, and is invariant along k, so it is held once per
+profile row: L of shape (nj-1, 1, 2, 2) and M of shape (nj, 1, 2, 2).
+For K = +1 the construction follows from kappa: kappa > 1
+(construction 2) keeps the forms above, kappa < 1 (construction 1)
+exchanges the roles of the edge data, so its L is the flipped form built
+from (h_frak, v) and its M the L form built from (v_frak, u); kappa = 1
+is covered by neither.  K = -1 is construction 3.
 In every construction one closed form, with no branch, gives the
 diagonal scalar of each profile edge that closes flatness on its faces:
 sa/db times an edge factor, with sa = a(j) + a(j+1) and
@@ -102,24 +103,19 @@ def _edge_jet_cgc(diag, u, t):
     return _normalised(X, Xd, alpha, (ep * ep - em * em) / alpha)
 
 
-def _edge_jet_cmc(diag, u, t, cos_sign, alpha_sign=1.0):
-    """K=+1 edge matrix jet; cos_sign=+1 for the L form, -1 for the M form."""
+def _edge_jet_cmc(diag, u, t, alpha_sign=1.0):
+    """K=+1 edge matrix jet of the L form; the flipped (M) form is this one at t + pi/2."""
     diag = np.asarray(diag, dtype=complex)
     u = np.asarray(u, dtype=float)
     eit = np.exp(1j * t)
     emt = np.exp(-1j * t)
-    alpha2 = np.abs(diag) ** 2 + u * u + 1.0 / (u * u) + cos_sign * 2.0 * np.cos(2.0 * t)
+    alpha2 = np.abs(diag) ** 2 + u * u + 1.0 / (u * u) + 2.0 * np.cos(2.0 * t)
     if np.any(alpha2 <= 0):
         raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
     alpha = np.sign(alpha_sign) * np.sqrt(alpha2)
-    if cos_sign > 0:
-        X = quat.matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
-        Xd = quat.matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
-    else:
-        X = quat.matrix(diag, -1j * eit * u + 1j * emt / u, 1j * eit / u - 1j * emt * u,
-                        np.conj(diag))
-        Xd = quat.matrix(0.0, eit * u + emt / u, -eit / u - emt * u, 0.0)
-    return _normalised(X, Xd, alpha, -cos_sign * 2.0 * np.sin(2.0 * t) / alpha)
+    X = quat.matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
+    Xd = quat.matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
+    return _normalised(X, Xd, alpha, -2.0 * np.sin(2.0 * t) / alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     if not (p.kappa < 1.0 or p.kappa > 1.0):
         raise CaseMismatch(f"no K=+1 construction covers kappa = {p.kappa}")
     exchanged = p.kappa < 1.0
-    sgn = -1.0 if exchanged else 1.0   # sign of the cos 2t term of L, and of the closing scalar
+    sgn = -1.0 if exchanged else 1.0   # sign of the closing scalar
     q = np.sqrt(sgn * (p.kappa ** 2 - 1.0))
     a, b = p.a, p.b
     if exchanged:
@@ -206,13 +202,15 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     vertex_diag = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
     edge_diag = sgn * (a[:-1] + a[1:]) * (w + sgn / w) / (b[1:] - b[:-1])
     vertex_norm0 = 2.0 / (q * np.sin(theta / 2.0))
+    # the flipped form is the L form a quarter turn on: M's for kappa > 1, L's for kappa < 1
+    edge_turn, vertex_turn = (np.pi / 2.0, 0.0) if exchanged else (0.0, np.pi / 2.0)
 
     def assemble(t: float) -> ConnectionFamily:
-        L_edge, _ = _edge_jet_cmc(edge_diag, w, t, sgn)
-        M_edge, _ = _edge_jet_cmc(vertex_diag, x, t, -sgn, alpha_sign=vertex_norm0)
+        L_edge, _ = _edge_jet_cmc(edge_diag, w, t + edge_turn)
+        M_edge, _ = _edge_jet_cmc(vertex_diag, x, t + vertex_turn, alpha_sign=vertex_norm0)
         return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
 
-    _, edge_norm0 = _edge_jet_cmc(edge_diag, w, 0.0, sgn)
+    _, edge_norm0 = _edge_jet_cmc(edge_diag, w, edge_turn)
     edge = (w, edge_diag.astype(complex), edge_norm0)
     vertex = (x, vertex_diag, np.full(p.nj, vertex_norm0))
     (u, v_frak, alpha0), (v, h_frak, beta0) = (vertex, edge) if exchanged else (edge, vertex)

@@ -5,6 +5,7 @@ import warnings
 from functools import lru_cache
 from math import lcm
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -578,12 +579,11 @@ def test_find_periodic_alpha_on_d():
 
 
 def test_find_periodic_alpha_skips_diverging_candidates_quietly():
-    """No numpy warning escapes the search at N0 = 39, and a diverging power reads as inf."""
+    """No numpy warning escapes the search at N0 = 39."""
     hs, _, _ = hex_fixture()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = find_periodic_alpha(hs, 39)
-        assert bk._power_residual(np.diag([2.0, 0.5]), 2000) == np.inf
     assert found.p == 1 and found.residual < 1e-9
     # 50-digit root of tr^2/det = 2 + 2 cos(2 pi / 39) on the float64 normal-form data
     assert complex(found.alpha).real == np.pi / 2.0
@@ -615,8 +615,51 @@ def test_find_periodic_alpha_holds_no_list_of_phase_indices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert found.p == 789 and found.residual <= 1e-9
+    assert found.p == 1 and found.residual <= bk._CLOSE_TOL
     assert peak < 2 ** 18
+
+
+@pytest.mark.parametrize("excess, accepted", [(-0.01, True), (0.01, False)])
+def test_trace_gate_sits_at_close_tol(monkeypatch, excess, accepted):
+    """A candidate whose tr^2/det misses c by just over _CLOSE_TOL is skipped; just under, kept."""
+    hs, _, _ = hex_fixture()
+    c = 2.0 + 2.0 * np.cos(2.0 * np.pi / 8)
+    # tr^2/det of diag(1, e^{i phi}) is 2 + 2 cos(phi)
+    phi = np.arccos((c + (1.0 + excess) * bk._CLOSE_TOL - 2.0) / 2.0)
+    fake = np.diag([1.0, np.exp(1j * phi)])
+    monkeypatch.setattr(bk, "_matrices", lambda x, w, t, angle: np.broadcast_to(fake, (len(x), 2, 2)))
+    if accepted:
+        found = find_periodic_alpha(hs, 8, p=1)
+        assert 0.98 * bk._CLOSE_TOL <= found.residual <= bk._CLOSE_TOL
+    else:
+        with pytest.raises(NoRoot):
+            find_periodic_alpha(hs, 8, p=1)
+
+
+@pytest.mark.parametrize("kappa", [0.6, 1.4, 2.5])
+@pytest.mark.parametrize("N0", [400, 1000, 3000])
+def test_large_annuli_close_at_the_first_phase_index(kappa, N0):
+    found = find_periodic_alpha(closing_hs(kappa, 6), N0)
+    assert found.p == 1 and found.residual <= bk._CLOSE_TOL
+
+
+@pytest.mark.parametrize("kappa", [0.6, 1.4, 2.5])
+@pytest.mark.parametrize("N0", [8, 9, 39, 400, 3000])
+def test_found_root_meets_the_trace_condition_in_40_digits(kappa, N0):
+    """tr^2/det of B(0), written out in 40-digit arithmetic from the float64 normal-form
+    scalars at the returned angle, is 2 + 2 cos(2 pi p / N0)."""
+    hs = closing_hs(kappa, 6)
+    found = find_periodic_alpha(hs, N0)
+    with mpmath.workdps(40):
+        x, w = mpmath.mpc(complex(hs.s[0])), mpmath.mpc(complex(hs.m[0]))
+        t = mpmath.tan(mpmath.mpc(complex(hs.delta2)) / 2)
+        alpha = mpmath.mpc(complex(found.alpha))
+        sa, ca = mpmath.sin(alpha), mpmath.cos(alpha)
+        m11, m22 = sa * (x / t + t / x) / w, sa * w * (1 / (x * t) + x * t)
+        m12, m21 = (1 / x - x) * ca - x - 1 / x, (x - 1 / x) * ca - x - 1 / x
+        ratio = (m11 + m22) ** 2 / (m11 * m22 - m12 * m21)
+        want = 2 + 2 * mpmath.cos(2 * mpmath.pi * found.p / N0)
+        assert abs(ratio - want) < 1e-13
 
 
 def test_scalar_field_closes_with_the_found_angle():

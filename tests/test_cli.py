@@ -373,10 +373,10 @@ def test_search_and_double_record_the_same_root(tmp_path, capsys):
         assert cli.main([command, "--config", cfg, "--output.report", report]) == cli.EXIT_OK
         params = entry_names(report)[1]["parameters"]
         found[command] = [params[f"backlund.{key}"]
-                          for key in ("alpha_found", "p_found", "power_residual")]
+                          for key in ("alpha_found", "p_found", "trace_residual")]
     capsys.readouterr()
     assert found["search"] == found["double"]
-    assert found["search"][1] == 1 and 0.0 <= found["search"][2] <= 1e-9
+    assert found["search"][1] == 1 and 0.0 <= found["search"][2] <= cli._CLOSE_TOL
 
 
 def test_double_rejects_non_finite_seed(tmp_path, capsys):
