@@ -297,8 +297,7 @@ class PeriodicAlpha:
     alpha is real when the recurrence closes for an ordinary transform
     angle; otherwise it lies on the line pi/2 + iy (real sin alpha with
     |sin alpha| > 1), where only the double transform yields a real net.
-    residual is |tr(B)^2 / det(B) - (2 + 2 cos(2 pi p / N0))| of B = B[0]
-    built at alpha, at most ``_CLOSE_TOL``.
+    residual is |tr^2/det - c| of B[0] at alpha, at most ``_CLOSE_TOL``.
     """
 
     alpha: complex
@@ -306,7 +305,7 @@ class PeriodicAlpha:
     residual: float
 
 
-_CLOSE_TOL = 1e-12   # largest trace residual of an accepted root
+_CLOSE_TOL = 1e-12   # largest trace residual of a root
 _Y_MAX = 8.0   # largest y of a root alpha = pi/2 + iy
 
 
@@ -327,11 +326,13 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
     and > 1 (the regime where only the double transform is real).  The s^
     field steps by adj B[0] at -alpha, whose tr^2/det, a function of S
     alone, is that of B[0] at alpha, so the root closes both fields.  p
-    defaults to the smallest index coprime to N0 that has a root; a given p
-    must satisfy 1 <= p < N0.  A candidate is the root when tr^2/det of
-    B[0], built by the same matrix builder the transforms use, lies within
-    ``_CLOSE_TOL`` of c: tr^2/det fixes the class of a 2x2 map, so then
-    B[0]^N0 is proportional to the identity, and no power is formed.
+    defaults to the smallest index coprime to N0 that has a root the
+    transforms can step; a given p must satisfy 1 <= p < N0.  A root has
+    |tr^2/det - c| <= ``_CLOSE_TOL`` for B[0] from the transforms' builder,
+    which checks the closed form but, at large N0, not closure (README).
+    Without a given p, the float64 N0-th power of B[0] / sqrt(det) must
+    also lie within 1e-9 of +-identity, which skips the near-parabolic
+    indices (small p / N0) whose fields the transforms cannot close yet.
     """
     if N0 < 2:
         raise ConfigError(f"need N0 >= 2, got {N0}")
@@ -343,6 +344,7 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
     a, b = x / tau + tau / x, 1.0 / (x * tau) + x * tau
     P = a / w + w * b
     Q = a * b - (1.0 / x - x) * (1.0 / x - x)
+    eye = np.eye(2)
     for p_try in ps:
         c = 2.0 + 2.0 * math.cos(2.0 * math.pi * p_try / N0)
         den = c * Q - P * P
@@ -351,10 +353,13 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> Peri
             continue
         alpha = cmath.asin(math.sqrt(S))   # real for S <= 1, else pi/2 + i arccosh(sqrt(S))
         # full rows, so the matrix is bit for bit the one build_abcd returns
-        (m11, m12), (m21, m22) = _matrices(hs.s, hs.m, t2, alpha)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):   # NaN fails the test below
-            residual = float(abs((m11 + m22) ** 2 / (m11 * m22 - m12 * m21) - c))
-        if residual <= _CLOSE_TOL:
+        (m11, m12), (m21, m22) = B = _matrices(hs.s, hs.m, t2, alpha)[0]
+        det = m11 * m22 - m12 * m21
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # NaN fails below
+            residual = float(abs((m11 + m22) ** 2 / det - c))
+            power = np.linalg.matrix_power(B / np.sqrt(det), N0) if p is None else eye
+            steps = min(np.max(np.abs(power - eye)), np.max(np.abs(power + eye)))
+        if residual <= _CLOSE_TOL and steps <= 1e-9:
             return PeriodicAlpha(alpha, int(p_try), residual)
     tried = f"p = {p}" if p is not None else f"every p in 1..{N0 - 1} coprime to {N0}"
     raise NoRoot(f"no transform angle (real, or on the line pi/2 + iy with y < {_Y_MAX:g}) "

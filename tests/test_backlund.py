@@ -578,12 +578,24 @@ def test_find_periodic_alpha_on_d():
     assert min(np.max(np.abs(power - np.eye(2))), np.max(np.abs(power + np.eye(2)))) < 1e-9
 
 
-def test_find_periodic_alpha_skips_diverging_candidates_quietly():
-    """No numpy warning escapes the search at N0 = 39."""
+def test_find_periodic_alpha_skips_diverging_candidates_quietly(monkeypatch):
+    """No numpy warning escapes the search at N0 = 39; a singular B[0] (trace residual NaN)
+    and a power that overflows are skipped without one."""
     hs, _, _ = hex_fixture()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = find_periodic_alpha(hs, 39)
+        real, calls = bk._matrices, []
+
+        def singular_first(*args):   # det = 0 at p = 1, the real matrices after
+            calls.append(args)
+            return np.zeros((len(args[0]), 2, 2)) if len(calls) == 1 else real(*args)
+        monkeypatch.setattr(bk, "_matrices", singular_first)
+        assert find_periodic_alpha(hs, 39).p == 2
+        monkeypatch.setattr(bk, "_matrices", lambda x, *_: np.broadcast_to(np.diag([2.0, 0.5]),
+                                                                            (len(x), 2, 2)))
+        with pytest.raises(NoRoot):   # 2^2000 overflows in every candidate's power
+            find_periodic_alpha(hs, 2000)
     assert found.p == 1 and found.residual < 1e-9
     # 50-digit root of tr^2/det = 2 + 2 cos(2 pi / 39) on the float64 normal-form data
     assert complex(found.alpha).real == np.pi / 2.0
@@ -615,7 +627,7 @@ def test_find_periodic_alpha_holds_no_list_of_phase_indices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert found.p == 1 and found.residual <= bk._CLOSE_TOL
+    assert found.p == 789 and found.residual <= bk._CLOSE_TOL
     assert peak < 2 ** 18
 
 
@@ -639,17 +651,31 @@ def test_trace_gate_sits_at_close_tol(monkeypatch, excess, accepted):
 @pytest.mark.parametrize("kappa", [0.6, 1.4, 2.5])
 @pytest.mark.parametrize("N0", [400, 1000, 3000])
 def test_large_annuli_close_at_the_first_phase_index(kappa, N0):
-    found = find_periodic_alpha(closing_hs(kappa, 6), N0)
+    found = find_periodic_alpha(closing_hs(kappa, 6), N0, p=1)
     assert found.p == 1 and found.residual <= bk._CLOSE_TOL
 
 
+# the first index whose float64 N0-th power closes, which the transforms can step
+@pytest.mark.parametrize("kappa, N0, p", [(0.6, 400, 1), (0.6, 1000, 7), (0.6, 3000, 11),
+                                          (1.4, 400, 1), (1.4, 1000, 7), (1.4, 3000, 23),
+                                          (2.5, 400, 3), (2.5, 1000, 7), (2.5, 3000, 19)])
+def test_auto_p_skips_the_indices_the_float64_steps_do_not_close(kappa, N0, p):
+    found = find_periodic_alpha(closing_hs(kappa, 6), N0)
+    assert found.p == p and found.residual <= bk._CLOSE_TOL
+
+
+@pytest.mark.parametrize("p", [None, 1])
 @pytest.mark.parametrize("kappa", [0.6, 1.4, 2.5])
 @pytest.mark.parametrize("N0", [8, 9, 39, 400, 3000])
-def test_found_root_meets_the_trace_condition_in_40_digits(kappa, N0):
+def test_found_root_meets_the_trace_condition_in_40_digits(kappa, N0, p):
     """tr^2/det of B(0), written out in 40-digit arithmetic from the float64 normal-form
     scalars at the returned angle, is 2 + 2 cos(2 pi p / N0)."""
     hs = closing_hs(kappa, 6)
-    found = find_periodic_alpha(hs, N0)
+    try:
+        found = find_periodic_alpha(hs, N0, p)
+    except NoRoot:   # kappa = 2.5 has no root at p = 1 for N0 = 8, 9
+        assert (kappa, p) == (2.5, 1) and N0 < 39
+        return
     with mpmath.workdps(40):
         x, w = mpmath.mpc(complex(hs.s[0])), mpmath.mpc(complex(hs.m[0]))
         t = mpmath.tan(mpmath.mpc(complex(hs.delta2)) / 2)

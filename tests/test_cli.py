@@ -379,6 +379,22 @@ def test_search_and_double_record_the_same_root(tmp_path, capsys):
     assert found["search"][1] == 1 and 0.0 <= found["search"][2] <= cli._CLOSE_TOL
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_auto_p_double_skips_a_root_its_field_cannot_close(tmp_path, capsys):
+    """At kappa = 0.05, N0 = 306 the p = 1 root exists but lies so near the parabolic point
+    that the transform's field fails; without p the search takes p = 5, whose float64 steps
+    close, and the annulus passes every entry."""
+    extra = ["--surface.kappa", "0.05", "--rotation.k_count", "307", "--backlund.N0", "306"]
+    code, _, report = run_desk(tmp_path, "double", extra, "auto_p")
+    doc = entry_names(report)[1]
+    assert code == cli.EXIT_OK and all(e["pass"] for e in doc["checks"])
+    assert doc["parameters"]["backlund.p_found"] == 5
+    code, _, _ = run_desk(tmp_path, "double", extra + ["--backlund.p", "1"], "p_1")
+    assert code == cli.EXIT_NUMERIC
+    assert "stage=backlund: BranchFailure: rotation recurrence is near-parabolic" in (
+        capsys.readouterr().err)
+
+
 def test_double_rejects_non_finite_seed(tmp_path, capsys):
     cfg = write(tmp_path, "hex.ini", HEX_INI)
     mesh = tmp_path / "out.obj"
