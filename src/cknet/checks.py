@@ -2,9 +2,10 @@
 
 Each criterion function measures residuals on small desk-scale fixtures
 and returns CheckResult entries; ``run_all`` executes the lot.  A fixture
-several criteria read is built once, by the first that reads it, and keeps
-only what the later ones read.  The CLI ``check`` subcommand and the
-acceptance tests are thin wrappers around this module.
+several criteria read is built once and keeps only what later ones read;
+the transformed K=-1 fixtures are built by each reader, so none outlives
+it.  The CLI ``check`` subcommand and the acceptance tests are thin
+wrappers around this module.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# fixtures (cached; every criterion works on the same small grids)
+# fixtures (every criterion works on the same small grids)
 
 PROFILE_SPECS = (
     ("trig", 0.6, +1), ("trig", 1.0, +1), ("trig", 1.4, +1),
@@ -78,12 +79,11 @@ def fixture_ck():
     return p, conn, data
 
 
-@lru_cache(maxsize=None)
 def fixture_ck_hs(theta: float = THETA, k_count: int = 15):
-    """Normal-form data and gauged frames of the K=-1 fixture profile.
+    """Normal-form data and gauged frames of the K=-1 fixture profile, built on each call.
 
     The defaults are the grid of ``fixture_ck``; criterion 7 takes k0 = 6
-    (theta = pi/3) and 26 columns for periodicity, past the cache.
+    (theta = pi/3) and 26 columns for periodicity.
     """
     p = fixture_profile("elliptic", 0.6, -1)
     conn, data = build_ck_connection(p, theta, k_count)
@@ -99,9 +99,8 @@ def fixture_cmc(case: int):
     return p, conn, data
 
 
-@lru_cache(maxsize=None)
 def fixture_linear():
-    """Wide K=-1 fixture for the 30 x 50 explicit-field comparison."""
+    """Wide K=-1 fixture for the 30 x 50 explicit-field comparison (criterion 9 alone)."""
     p = profile_elliptic(0.6, -1, (-15, 14), j0=16)
     conn, data = build_ck_connection(p, np.pi / 5.0, 50)
     hs = gauge_to_hs(conn, data)
@@ -224,7 +223,7 @@ def criterion_6() -> list[CheckResult]:
 
 def criterion_7() -> list[CheckResult]:
     """Annulus search: the rotational recurrence closes and the net repeats."""
-    hs, frames_hs = fixture_ck_hs.__wrapped__(2.0 * np.pi / 6.0, 26)   # no later criterion reads it
+    hs, frames_hs = fixture_ck_hs(np.pi / 3, 26)
     out = []
     for N0 in (8, 9):
         found = bk.find_periodic_alpha(hs, N0)

@@ -9,13 +9,13 @@ flag takes one value, as --name value or --name=value; names match exactly.
 --config names an INI file of key = value sections, read without
 interpolation, or a JSON object of section objects.  --criterion (check
 only, repeatable) runs one acceptance criterion.  --section.key overrides
-any key some subcommand reads; any other key is refused.  -h or --help
-prints this text.  Meshes are Wavefront OBJ, reports JSON with one entry
-per measured invariant.
+one config key.  A key the command does not read, from the file or an
+override, is refused.  -h or --help prints this text.  Meshes are
+Wavefront OBJ, reports JSON with one entry per measured invariant.
 
 Exit codes: 0 success, 1 an invariant check failed, 2 configuration or
-usage error (an unknown command, flag, key or criterion number too), 3
-numeric failure.
+usage error (an unknown command, flag or criterion number, or a key the
+command does not read, too), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ from .revolution import (Profile, build_rcnet, conservation_drift, edge_residual
                          profile_elliptic, profile_hyp, profile_trig)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
-
-# every key some subcommand reads through _get; main refuses any other
-CONFIG_KEYS = frozenset((
-    "surface.kind", "surface.j_lo", "surface.j_hi", "surface.c", "surface.A", "surface.B",
-    "surface.kappa", "surface.K_sign", "surface.Theta", "surface.j0",
-    "rotation.theta", "rotation.k0", "rotation.k_count", "rotation.k_lo",
-    "backlund.alpha", "backlund.N0", "backlund.p", "backlund.seed", "backlund.seed_hat",
-    "output.mesh", "output.report",
-))
-
 
 class _StagedError(Exception):
     def __init__(self, stage: str, error: Exception):
@@ -158,8 +148,8 @@ _MISSING = object()
 
 
 def _get(cfg: dict, section: str, key: str, cast=str, default=_MISSING):
-    if f"{section}.{key}" not in CONFIG_KEYS:
-        raise KeyError(f"{section}.{key} is not in CONFIG_KEYS")
+    if not any(f"{section}.{key}" in keys for keys in KEYS.values()):
+        raise KeyError(f"no subcommand reads {section}.{key}")
     sec = cfg.get(section, {})
     if key not in sec:
         if default is _MISSING:
@@ -467,14 +457,14 @@ def _period(net: ContactElementNet, *steps):
 
 
 def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=None) -> int:
-    mesh_path = _get(cfg, "output", "mesh", str, None)
     report_path = _get(cfg, "output", "report", str, None)
     if report_path:
         _stage("report", report_json, entries, parameters, report_path)
     for r in entries:
         print(("PASS" if r.passed else "FAIL")
               + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")
-    if net is not None and mesh_path:   # last, so a refused mesh still leaves the report
+    # the mesh last, so a refused one still leaves the report; search and check build no net
+    if net is not None and (mesh_path := _get(cfg, "output", "mesh", str, None)):
         _stage("export", export_obj, net, mesh_path, degenerate)
     return EXIT_OK if all(r.passed for r in entries) else EXIT_INVARIANT
 
@@ -501,14 +491,12 @@ def cmd_generate(cfg: dict) -> int:
 
 def _hs_pipeline(cfg: dict):
     """Profile, rotation step, connection and its normal-form data: what every transform reads."""
-    if (k_lo := _get(cfg, "rotation", "k_lo", int, 0)) != 0:
-        raise ConfigError(f"rotation.k_lo = {k_lo} is read by generate only; transforms start at 0")
     p = _stage("profile", build_profile, cfg)
     theta, k0 = _stage("rotation", rotation_step, cfg)
     k_count = _get(cfg, "rotation", "k_count", int)
     conn, data = _stage("connect", build_ck_connection, p, theta, k_count)
     hs = _stage("gauge", gauge_to_hs, conn, data)
-    return p, theta, k0, conn, hs
+    return p, k0, conn, hs
 
 
 def _search(cfg: dict, hs, N0: int, params: dict):
@@ -537,7 +525,7 @@ def _gauged_frames(p: Profile, conn, hs):
 
 
 def cmd_backlund(cfg: dict) -> int:
-    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    p, k0, conn, hs = _hs_pipeline(cfg)
     frames_hs = _gauged_frames(p, conn, hs)
     base = _stage("sym", sym, frames_hs, 2.0)   # the transform checks compare against it
     params = flat_parameters(cfg)
@@ -551,7 +539,7 @@ def cmd_backlund(cfg: dict) -> int:
 
 
 def cmd_double(cfg: dict) -> int:
-    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    p, k0, conn, hs = _hs_pipeline(cfg)
     params = flat_parameters(cfg)
     # frames stage, then search; the frames, and the terms they keep, go when the transform returns
     net, rep = _stage("backlund", double_backlund, _gauged_frames(p, conn, hs), hs,
@@ -592,6 +580,18 @@ def cmd_check(cfg: dict, *criteria: int) -> int:
 COMMANDS = {"generate": cmd_generate, "backlund": cmd_backlund, "double": cmd_double,
             "search": cmd_search, "check": cmd_check}
 
+# the config keys each subcommand reads, from three shared groups; main refuses every other key
+_NET = frozenset(("surface.kind", "surface.j_lo", "surface.j_hi", "surface.c", "surface.A",
+                  "surface.B", "surface.kappa", "surface.K_sign", "surface.Theta", "surface.j0",
+                  "rotation.theta", "rotation.k0", "rotation.k_count"))   # profile and rotation
+_TRANSFORM = frozenset(("backlund.alpha", "backlund.N0", "backlund.p", "backlund.seed"))
+_OUTPUT = frozenset(("output.mesh", "output.report"))
+KEYS = {"generate": _NET | _OUTPUT | {"rotation.k_lo"},
+        "backlund": _NET | _TRANSFORM | _OUTPUT,
+        "double": _NET | _TRANSFORM | _OUTPUT | {"backlund.seed_hat"},
+        "search": _NET | {"backlund.N0", "backlund.p", "output.report"},
+        "check": frozenset(("output.report",))}
+
 
 def main(argv=None) -> int:
     try:
@@ -601,8 +601,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         command, path, criteria, overrides = args
         cfg = merge_config(load_config(path) if path is not None else {}, overrides)
-        if unknown := sorted(set(flat_parameters(cfg)) - CONFIG_KEYS):
-            raise ConfigError(f"unknown config key {unknown[0]}")
+        if unread := sorted(set(flat_parameters(cfg)) - KEYS[command]):
+            raise ConfigError(f"{command} does not read config key {unread[0]}")
         return COMMANDS[command](cfg, *criteria)
     except (_StagedError, CknetError) as exc:
         staged = exc if isinstance(exc, _StagedError) else _StagedError("config", exc)

@@ -520,9 +520,11 @@ LONG_GRIDS = {
 
 
 def run_desk(tmp_path, command, extra, tag):
+    """Run ``command`` on the desk keys, with the outputs it reads (a mesh only where it
+    writes one) in ``tmp_path``."""
     mesh, report = tmp_path / f"{tag}.obj", tmp_path / f"{tag}.json"
-    code = cli.main([command, *DESK_KEYS, *extra,
-                     "--output.mesh", str(mesh), "--output.report", str(report)])
+    outputs = ["--output.mesh", str(mesh)] if "output.mesh" in cli.KEYS[command] else []
+    code = cli.main([command, *DESK_KEYS, *extra, *outputs, "--output.report", str(report)])
     return code, mesh, report
 
 
@@ -654,14 +656,17 @@ def test_mirrored_profile_edge_runs_clean(capsys, command, extra):
 ])
 def test_column_offset_is_refused_where_it_would_be_ignored(tmp_path, capsys, command, extra,
                                                            code):
-    # k_lo rotates the mesh of generate; the transforms have no use for it
-    got, mesh, report = run_desk(tmp_path, command,
-                                 ["--rotation.k_count", "26", "--rotation.k_lo", "3", *extra], "k_lo")
-    err = capsys.readouterr().err.splitlines()
-    assert got == code
-    if code == cli.EXIT_CONFIG:
-        assert len(err) == 1 and err[0].startswith("error: stage=config: ConfigError: rotation.k_lo")
-        assert not mesh.exists() and not report.exists()
+    # k_lo rotates the mesh of generate; the transforms have no use for it, even at 0
+    for k_lo in ("3", "0"):
+        got, mesh, report = run_desk(tmp_path, command,
+                                     ["--rotation.k_count", "26", "--rotation.k_lo", k_lo, *extra],
+                                     "k_lo")
+        err = capsys.readouterr().err.splitlines()
+        assert got == code
+        if code == cli.EXIT_CONFIG:
+            assert err == [f"error: stage=config: ConfigError: {command} does not read config key "
+                           "rotation.k_lo"]
+            assert not mesh.exists() and not report.exists()
 
 
 def test_stage_names_floating_point_errors():
@@ -824,25 +829,91 @@ def test_misspelt_config_key_exits_2_and_writes_nothing(tmp_path, capsys, key, w
                      "--output.mesh", str(mesh), "--output.report", str(report), *misspelt])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_CONFIG
-    assert err.splitlines() == [f"error: stage=config: ConfigError: unknown config key {key}"]
+    assert err.splitlines() == [f"error: stage=config: ConfigError: double does not read config "
+                                f"key {key}"]
     assert out == "" and not mesh.exists() and not report.exists()
 
 
-def test_generate_accepts_the_transform_keys_of_a_shared_job_file(tmp_path, capsys):
-    # one job.ini serves backlund, double and search; generate reads none of [backlund]
+def test_generate_refuses_the_transform_keys_of_a_shared_job_file(tmp_path, capsys):
+    # a job file written for backlund, double or search carries [backlund], which generate
+    # does not read; the first such key in sorted order is named
     cfg = write(tmp_path, "job.ini", HEX_INI + "alpha = 1.0\np = 1\nseed = 1j\nseed_hat = 1j\n")
     report = tmp_path / "net.json"
     code = cli.main(["generate", "--config", cfg, "--output.report", str(report)])
-    assert code == cli.EXIT_OK, capsys.readouterr().err
-    assert validate_report(strict_json(report)) == []
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == ["error: stage=config: ConfigError: generate does not read config "
+                                "key backlund.N0"]
+    assert out == "" and not report.exists()
 
 
 def test_config_keys_are_the_keys_the_subcommands_read():
     source = Path(cli.__file__).read_text(encoding="utf-8")
     read = {f"{s}.{k}" for s, k in re.findall(r'_get\(cfg, "(\w+)", "(\w+)"', source)}
-    assert read == cli.CONFIG_KEYS
+    assert read == set().union(*cli.KEYS.values())
+    assert len(read) == 21 and set(cli.KEYS) == set(cli.COMMANDS)
     with pytest.raises(KeyError):
         cli._get({"rotation": {"flag": "1"}}, "rotation", "flag")
+
+
+# what each command needs to run; check takes no desk key
+NEEDS = {"generate": [*DESK_KEYS, "--rotation.k_count", "26"],
+         "backlund": [*DESK_KEYS, "--rotation.k_count", "26", "--backlund.alpha", "1.0"],
+         "double": [*DESK_KEYS, "--rotation.k_count", "26", "--backlund.alpha", ALPHA_C],
+         "search": [*DESK_KEYS, "--rotation.k_count", "26", "--backlund.N0", "9"], "check": []}
+MISSPELT_KEYS = ["surface.kapa", "rotation.kcount", "backlund.sead", "output.mesj"]
+UNREAD_KEYS = [(command, key) for command, keys in cli.KEYS.items()
+               for key in sorted(set().union(*cli.KEYS.values()) - keys) + MISSPELT_KEYS]
+
+
+@pytest.mark.parametrize("where", ["override", "file"])
+@pytest.mark.parametrize("command, key", UNREAD_KEYS)
+def test_every_command_refuses_every_key_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                          command, key, where):
+    # a key another command reads is refused like a misspelt one, before any stage runs
+    monkeypatch.chdir(tmp_path)
+    section, name = key.split(".")
+    given = ([f"--{key}", "0"] if where == "override" else
+             ["--config", write(tmp_path, "job.ini", f"[{section}]\n{name} = 0\n")])
+    outputs = [f"--output.{o}={o}.out" for o in ("mesh", "report")
+               if f"output.{o}" in cli.KEYS[command]]
+    code = cli.main([command, *NEEDS[command], *given, *outputs])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [f"error: stage=config: ConfigError: {command} does not read "
+                                f"config key {key}"]
+    assert out == "" and sorted(os.listdir(tmp_path)) == (["job.ini"] if where == "file" else [])
+
+
+# desk jobs that between them reach every key their command reads
+READ_JOBS = {
+    "generate": [[*DESK_KEYS, "--rotation.k_count", "26", "--rotation.k_lo", "2"],
+                 [*MIRRORED_HYP_KEYS, "--output.mesh", "net.obj"]],
+    "backlund": [[*DESK_KEYS, "--surface.kappa", "1.4", "--rotation.k_count", "26",
+                  "--backlund.N0", "9"],
+                 [*MIRRORED_HYP_KEYS, "--backlund.alpha", "1.0", "--output.mesh", "net.obj"]],
+    "double": [[*DESK_KEYS, "--rotation.k_count", "26", "--backlund.N0", "9", "--backlund.p", "1"],
+               [*MIRRORED_HYP_KEYS, "--backlund.alpha", "1.0", "--output.mesh", "net.obj"]],
+    "search": [[*DESK_KEYS, "--rotation.k_count", "26", "--backlund.N0", "9"],
+               [*MIRRORED_HYP_KEYS, "--backlund.N0", "8"]],
+    "check": [["--criterion", "2"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_JOBS))
+def test_each_command_reads_exactly_its_keys(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    read, real = set(), cli._get
+
+    def recording(cfg, section, key, *args):
+        read.add(f"{section}.{key}")
+        return real(cfg, section, key, *args)
+
+    monkeypatch.setattr(cli, "_get", recording)
+    for extra in READ_JOBS[command]:
+        code = cli.main([command, *extra, "--output.report", "report.json"])
+        assert code in (cli.EXIT_OK, cli.EXIT_INVARIANT), (extra, capsys.readouterr().err)
+    assert read == cli.KEYS[command]
 
 
 CONFIG_ERROR_NAMES = {"ConfigError", "InvalidProfile", "ModulusOutOfRange", "CaseMismatch"}
