@@ -235,14 +235,9 @@ def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFami
 
     P(0) is the standard frame from (a0, b0) as a constant jet,
     P(j+1) = L(j) P(j) and D = P(0)^{-1} M(0) P(0); the P(j) form the
-    row factor and the D^k the column factor.  For a flat k-invariant
-    family their product coincides with direct integration.  L and M
-    must be held once per profile row (length 1 along k); any other
-    family raises ValueError.
+    row factor and the D^k the column factor.  For a flat family their
+    product coincides with direct integration.
     """
-    if conn.L.shape[1] != 1 or conn.M.shape[1] != 1:
-        raise ValueError(f"connection is not invariant along k: L {conn.L.shape} and "
-                         f"M {conn.M.shape} are not held once per profile row")
     phi00 = MatJet.constant(initial_frame(a0, b0))
     nj, nk = conn.domain.nj, conn.domain.nk
     # the column factor is allocated before any work, so a grid too large fails at once

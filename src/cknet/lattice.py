@@ -7,6 +7,9 @@ p=(j,k), q=(j+1,k), r=(j+1,k+1), s=(j,k+1) flatness reads
 
     M_rq @ L_qp = L_rs @ M_sp.
 
+Every connection is invariant along k (the rotation) and is held as one
+edge jet per profile row; flatness and gauges are formed on that one row.
+
 Everything is carried as a first-order jet in the spectral parameter t:
 ``MatJet(val, dot)`` stores the value and the t-derivative, and products
 and inverses propagate both layers.  A frame family keeps the adjoint terms
@@ -84,13 +87,6 @@ def jet_residual(a: MatJet, b: MatJet) -> float:
 # domain and families
 
 
-def _check_broadcast(name: str, shape: tuple, grid: tuple) -> None:
-    """Raise ValueError unless ``shape`` has the axes of ``grid``, its length along j,
-    and broadcasts to it."""
-    if len(shape) != len(grid) or shape[0] != grid[0] or np.broadcast_shapes(shape, grid) != grid:
-        raise ValueError(f"{name} shape {shape} does not broadcast to {grid}")
-
-
 @dataclass(frozen=True)
 class Domain:
     """Grid shape: nj vertices along j (the profile) by nk along k (the rotation)."""
@@ -105,13 +101,13 @@ class Domain:
 
 @dataclass(frozen=True)
 class ConnectionFamily:
-    """Edge matrices as jets in t, anchored at the base parameter t0.
+    """Edge matrices of a k-invariant family as jets in t, anchored at the base parameter t0.
 
-    L holds the edges (j,k)->(j+1,k) and M the edges (j,k)->(j,k+1); their
-    shapes broadcast to (nj-1, nk, 2, 2) and (nj, nk-1, 2, 2).  A family
-    invariant along k (the rotation) is held once per profile row: L of
-    shape (nj-1, 1, 2, 2) and M of shape (nj, 1, 2, 2).  ``rebuild``, when
-    present, reconstructs the same family anchored at another t.
+    L holds the edges (j,k)->(j+1,k) and M the edges (j,k)->(j,k+1), once
+    per profile row: L of shape (nj-1, 1, 2, 2) and M of shape
+    (nj, 1, 2, 2), the same for every column; any other shape raises
+    ValueError.  ``rebuild``, when present, reconstructs the same family
+    anchored at another t.
     """
 
     domain: Domain
@@ -123,9 +119,10 @@ class ConnectionFamily:
     )
 
     def __post_init__(self):
-        nj, nk = self.domain.nj, self.domain.nk
-        _check_broadcast("L", self.L.shape, (nj - 1, nk, 2, 2))
-        _check_broadcast("M", self.M.shape, (nj, nk - 1, 2, 2))
+        nj = self.domain.nj
+        if self.L.shape != (nj - 1, 1, 2, 2) or self.M.shape != (nj, 1, 2, 2):
+            raise ValueError(f"L {self.L.shape} and M {self.M.shape} are not one edge jet per "
+                             f"profile row, {(nj - 1, 1, 2, 2)} and {(nj, 1, 2, 2)}")
 
     def at(self, t: float) -> "ConnectionFamily":
         """The same family re-anchored at t (requires a rebuild hook)."""
@@ -178,37 +175,28 @@ class FrameFamily:
 # flatness / gauging
 
 
-def _k_ends(jet: MatJet):
-    """(jet[:, 1:], jet[:, :-1]): the far and near ends of the k-steps.  A length-1
-    k axis holds the same jet for every column and stands for both ends as it is."""
-    if jet.shape[1] == 1:
-        return jet, jet
-    return jet[:, 1:], jet[:, :-1]
-
-
 def flatness_residual(conn: ConnectionFamily) -> float:
     """Entrywise max over faces and jet layers of M_rq L_qp - L_rs M_sp.
 
-    A rotation-invariant family (L and M of length 1 along k) forms one
-    column of faces, which every other column repeats.
+    The family is the same in every column, so one column of faces stands
+    for all of them.
     """
-    L_far, L_near = _k_ends(conn.L)
-    return jet_residual(conn.M[1:] @ L_near, L_far @ conn.M[:-1])
+    return jet_residual(conn.M[1:] @ conn.L, conn.L @ conn.M[:-1])
 
 
 def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:
     """Gauge action on a connection: edge pq maps to G_q eta_qp G_p^{-1}.
 
-    G is a vertex family of jets of shape (nj, nk, 2, 2), or (nj, 1, 2, 2)
-    for one gauge per profile row, which keeps an invariant family
-    invariant.  The rebuild hook is dropped (the gauged family is anchored
-    at conn.t0 only).
+    G is one vertex gauge jet per profile row, of shape (nj, 1, 2, 2), so
+    the gauged family is again the same in every column; any other shape
+    raises ValueError.  The rebuild hook is dropped (the gauged family is
+    anchored at conn.t0 only).
     """
-    _check_broadcast("gauge", G.shape, (conn.domain.nj, conn.domain.nk, 2, 2))
+    if G.shape != (conn.domain.nj, 1, 2, 2):
+        raise ValueError(f"gauge shape {G.shape} is not one jet per profile row, "
+                         f"{(conn.domain.nj, 1, 2, 2)}")
     Gi = G.inv()
-    L = G[1:] @ conn.L @ Gi[:-1]
-    M = _k_ends(G)[0] @ conn.M @ _k_ends(Gi)[1]
-    return ConnectionFamily(conn.domain, L, M, conn.t0)
+    return ConnectionFamily(conn.domain, G[1:] @ conn.L @ Gi[:-1], G @ conn.M @ Gi, conn.t0)
 
 
 def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:

@@ -43,8 +43,8 @@ class NotFlat(Exception):
 def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:
     """Parallel frame: Phi(0,0)=phi00, transported first along j, then k.
 
-    L and M are broadcast to every edge of the grid on entry, so a family
-    held once per profile row is integrated edge by edge like any other.
+    L and M, held once per profile row, are broadcast to every edge of the
+    grid on entry, so the family is integrated edge by edge.
     After integrating along the canonical tree, every j-edge off the k=0
     row is checked for path independence; a violation beyond ``tol``
     raises NotFlat.

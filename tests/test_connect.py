@@ -315,9 +315,10 @@ def test_rotational_frames_requires_seed_and_invariance():
     _, conn, _ = ck_fixture()
     with pytest.raises(TypeError):
         rotational_frames(conn)
-    _, conn1, _ = cmc_fixture(1)
-    with pytest.raises(ValueError):
-        rotational_frames(materialised(conn1), a0=0.0, b0=1.0)
+    # invariance is the family's shape: one held on every column is never built
+    dense = MatJet(*(np.broadcast_to(a, (6, 15, 2, 2)) for a in (conn.L.val, conn.L.dot)))
+    with pytest.raises(ValueError, match="one edge jet per profile row"):
+        replace(conn, L=dense)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -361,77 +362,35 @@ def test_invariant_connections_are_views_of_edge_data(case):
         assert family.M.shape == (hs.domain.nj, 1, 2, 2)
 
 
-def materialised(conn):
-    """The family with L and M broadcast to every edge of the grid and copied."""
-    nj, nk = conn.domain.nj, conn.domain.nk
-    grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape).copy(),
-                                     np.broadcast_to(jet.dot, shape).copy())
-    return ConnectionFamily(conn.domain, grid(conn.L, (nj - 1, nk, 2, 2)),
-                            grid(conn.M, (nj, nk - 1, 2, 2)), conn.t0)
-
-
 def full_grid_flatness(conn):
-    """M_rq L_qp - L_rs M_sp formed on every face of the materialised family, the
-    residual's definition."""
-    dense = materialised(conn)
-    L, M = dense.L, dense.M
-    a = MatJet(M.val[1:, :], M.dot[1:, :]) @ MatJet(L.val[:, :-1], L.dot[:, :-1])
-    b = MatJet(L.val[:, 1:], L.dot[:, 1:]) @ MatJet(M.val[:-1, :], M.dot[:-1, :])
-    return jet_residual(a, b)
+    """M_rq L_qp - L_rs M_sp formed on every face of the grid, from L and M broadcast to
+    every edge: the residual's definition."""
+    nj, nk = conn.domain.nj, conn.domain.nk
+    grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape), np.broadcast_to(jet.dot, shape))
+    L, M = grid(conn.L, (nj - 1, nk, 2, 2)), grid(conn.M, (nj, nk - 1, 2, 2))
+    return jet_residual(M[1:] @ L[:, :-1], L[:, 1:] @ M[:-1])
 
 
-def bent_column(jet, column):
-    """A copy of a dense edge family with one column turned by a unit quaternion."""
+def bent_row(jet, row):
+    """A copy of a per-row edge family with one row turned by a unit quaternion."""
     val = jet.val.copy()
-    val[:, column] = val[:, column] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
+    val[row] = val[row] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
     return MatJet(val, jet.dot)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_flatness_of_invariant_views_forms_one_line_of_faces(case, monkeypatch):
-    # an invariant family forms one column of faces; its dense copy forms all of them
+    # a family held once per row forms one column of faces, which stands for every face,
+    # also where one bent row breaks flatness
     conn = ck_fixture()[1] if case == 3 else cmc_fixture(case)[1]
     shapes = []
     real = lattice.jet_residual
     monkeypatch.setattr(lattice, "jet_residual", lambda a, b: shapes.append(a.shape) or real(a, b))
-    dense = materialised(conn)
-    got = flatness_residual(conn)
-    assert got == flatness_residual(dense) == full_grid_flatness(conn)
-    nj, nk = conn.domain.nj, conn.domain.nk
-    assert shapes == [(nj - 1, 1, 2, 2), (nj - 1, nk - 1, 2, 2)]
-
-
-def test_flatness_of_non_invariant_families_covers_every_face():
-    _, conn, _, _, conn_gauged, _ = hs_fixture()
-    assert flatness_residual(conn_gauged) == full_grid_flatness(conn_gauged)
-    # L stays one jet per row while one column of a dense M is bent (and the
-    # other way round): the bent faces must count, so no single column may
-    # stand in for the rest.
-    dense = materialised(conn)
-    for L, M in ((conn.L, bent_column(dense.M, -1)), (bent_column(dense.L, 1), conn.M)):
+    assert flatness_residual(conn) == full_grid_flatness(conn)
+    assert shapes == [(conn.domain.nj - 1, 1, 2, 2)]
+    for L, M in ((conn.L, bent_row(conn.M, 2)), (bent_row(conn.L, 1), conn.M)):
         bent = ConnectionFamily(conn.domain, L, M, conn.t0)
         assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
-
-
-def test_invariance_check_of_invariant_views_is_zero_and_keeps_nan():
-    # only a family held once per row has rotational frames: its dense copy is
-    # refused, including one with a NaN in column 1
-    p, conn, _ = ck_fixture()
-    rotational_frames(conn, a0=p.a[0], b0=p.b[0])
-    dense = materialised(conn)
-    dense.L.val[2, 1, 0, 0] = np.nan
-    for family in (materialised(conn), dense):
-        with pytest.raises(ValueError, match="not invariant"):
-            rotational_frames(family, a0=p.a[0], b0=p.b[0])
-
-
-def test_non_invariant_dense_family_has_no_rotational_frames():
-    p, conn, _ = ck_fixture()
-    dense = materialised(conn)
-    bent = ConnectionFamily(conn.domain, dense.L, bent_column(dense.M, -1), conn.t0)
-    assert flatness_residual(bent) > 1e-3
-    with pytest.raises(ValueError, match="not invariant"):
-        rotational_frames(bent, a0=p.a[0], b0=p.b[0])
 
 
 def test_closing_residual():
@@ -521,8 +480,10 @@ def test_admissible_gauge_keeps_net():
     moved = sym(gauge_frame(frames, G), 2.0)
     assert np.max(np.abs(moved.x - base.x)) < 1e-11
     assert np.max(np.abs(moved.n - base.n)) < 1e-11
-    gauged = gauge(conn, G)
-    assert flatness_residual(gauged) < 1e-11
+    G_row = admissible_gauge(rng.uniform(-0.3, 0.3, (nj, 1)),
+                             rng.uniform(-0.3, 0.3, (nj, 1)),
+                             rng.uniform(-0.5, 0.5, (nj, 1)))
+    assert flatness_residual(gauge(conn, G_row)) < 1e-11
 
 
 def test_profile_edge_data_from_connection_scalars():

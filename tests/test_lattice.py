@@ -30,25 +30,31 @@ def ck_connection():
     return p, conn, data
 
 
+def random_jets(rng, shape, scale=False):
+    """Random unit quaternions (times a random size when ``scale``) with random derivatives."""
+    val = np.empty(shape + (2, 2), dtype=complex)
+    dot = np.empty_like(val)
+    for idx in np.ndindex(shape):
+        val[idx] = random_unit_quat(rng) * (rng.uniform(0.5, 2.0) if scale else 1.0)
+        dot[idx] = val[idx] @ quat.embed(0.1 * rng.normal(size=3))
+    return MatJet(val, dot)
+
+
 @lru_cache(maxsize=None)
 def random_flat_connection():
-    """Flat by construction: edges are transition matrices of random frames."""
+    """Flat by construction from random row frames P(j) and a random D:
+    L(j) = P(j+1) P(j)^{-1} and M(j) = P(j) D P(j)^{-1}, whose parallel frames are P(j) D^k."""
     rng = np.random.default_rng(100)
     nj, nk = 4, 5
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.empty((nj, nk, 2, 2), dtype=complex)
-    for j in range(nj):
-        for k in range(nk):
-            val[j, k] = random_unit_quat(rng)
-            dot[j, k] = val[j, k] @ quat.embed(0.1 * rng.normal(size=3))
-    phi = MatJet(val, dot)
-    phi_inv = phi.inv()
-    L = MatJet(val[1:], dot[1:]) @ MatJet(phi_inv.val[:-1], phi_inv.dot[:-1])
-    M = MatJet(val[:, 1:], dot[:, 1:]) @ MatJet(phi_inv.val[:, :-1], phi_inv.dot[:, :-1])
+    P, D = random_jets(rng, (nj, 1), scale=True), random_jets(rng, ())
+    Pi = P.inv()
+    Dk = [MatJet.constant(EYE)]
+    for _ in range(nk - 1):
+        Dk.append(D @ Dk[-1])
     domain = Domain(nj, nk)
-    conn = ConnectionFamily(domain, L, M)
-    frames = FrameFamily(domain, phi)
-    return conn, frames
+    conn = ConnectionFamily(domain, P[1:] @ Pi[:-1], P @ D @ Pi)
+    cols = MatJet(np.stack([m.val for m in Dk]), np.stack([m.dot for m in Dk]))
+    return conn, FrameFamily(domain, P, cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +101,19 @@ def test_domain_properties():
 def test_connection_shape_validation():
     domain = Domain(3, 4)
     eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
-    # dense edges, or one jet per profile row for either family
-    for L, M in ((eye(2, 4), eye(3, 3)), (eye(2, 1), eye(3, 1)), (eye(2, 1), eye(3, 3)),
-                 (eye(2, 4), eye(3, 1))):
-        ConnectionFamily(domain, L, M)
-    for L, M in ((eye(3, 4), eye(3, 3)), (eye(2, 3), eye(3, 3)), (eye(2, 4), eye(3, 4)),
-                 (eye(1, 4), eye(3, 3)), (eye(2, 4), eye(3)), (eye(4), eye(3, 3))):
-        with pytest.raises(ValueError):
+    # one edge jet per profile row is the only form: dense and mixed families are refused
+    conn = ConnectionFamily(domain, eye(2, 1), eye(3, 1))
+    for L, M in ((eye(2, 4), eye(3, 3)), (eye(2, 1), eye(3, 3)), (eye(2, 4), eye(3, 1)),
+                 (eye(3, 4), eye(3, 3)), (eye(2, 3), eye(3, 3)), (eye(2, 4), eye(3, 4)),
+                 (eye(1, 4), eye(3, 3)), (eye(2, 4), eye(3)), (eye(4), eye(3, 3)),
+                 (eye(3, 1), eye(3, 1)), (eye(2, 1), eye(2, 1)), (eye(2), eye(3)),
+                 (eye(2, 1, 1), eye(3, 1, 1))):
+        with pytest.raises(ValueError, match="one edge jet per profile row"):
             ConnectionFamily(domain, L, M)
+    # so is a gauge that is not one jet per profile row
+    for G in (eye(3, 4), eye(3), eye(2, 1), eye(4, 1), eye(1, 1), eye(3, 1, 1)):
+        with pytest.raises(ValueError, match="one jet per profile row"):
+            gauge(conn, G)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +122,8 @@ def test_connection_shape_validation():
 
 def identity_connection(nj, nk):
     domain = Domain(nj, nk)
-    L = MatJet.constant(np.broadcast_to(EYE, (nj - 1, nk, 2, 2)).copy())
-    M = MatJet.constant(np.broadcast_to(EYE, (nj, nk - 1, 2, 2)).copy())
+    L = MatJet.constant(np.broadcast_to(EYE, (nj - 1, 1, 2, 2)).copy())
+    M = MatJet.constant(np.broadcast_to(EYE, (nj, 1, 2, 2)).copy())
     return ConnectionFamily(domain, L, M)
 
 
@@ -125,10 +136,11 @@ def test_identity_connection_is_flat():
 
 
 def test_single_edge_defect_breaks_flatness():
+    # row 1 of M turned: M(1) L(0) and L(0) M(0) no longer agree
     conn = identity_connection(2, 2)
-    lval = conn.L.val.copy()
-    lval[0, 0] = np.diag([np.exp(0.1j), np.exp(-0.1j)])
-    broken = ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M)
+    mval = conn.M.val.copy()
+    mval[1, 0] = np.diag([np.exp(0.1j), np.exp(-0.1j)])
+    broken = ConnectionFamily(conn.domain, conn.L, MatJet(mval, conn.M.dot))
     assert flatness_residual(broken) > 0.09
     with pytest.raises(NotFlat):
         integrate_frame(broken, MatJet.constant(EYE))
@@ -137,7 +149,7 @@ def test_single_edge_defect_breaks_flatness():
 def test_constant_connection_two_steps():
     g = quat.quat(1.0, 0.2, -0.4, 0.3)
     domain = Domain(2, 2)
-    L = MatJet.constant(np.broadcast_to(g, (1, 2, 2, 2)).copy())
+    L = MatJet.constant(np.broadcast_to(g, (1, 1, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(g, (2, 1, 2, 2)).copy())
     conn = ConnectionFamily(domain, L, M)
     assert flatness_residual(conn) < 1e-15
@@ -155,7 +167,7 @@ def test_random_flat_connection_round_trip():
 def test_perturbed_connection_detected():
     conn, _ = random_flat_connection()
     lval = conn.L.val.copy()
-    lval[1, 2] = lval[1, 2] + 1e-3
+    lval[1, 0] = lval[1, 0] + 1e-3
     broken = ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M)
     assert flatness_residual(broken) > 1e-4
     with pytest.raises(NotFlat):
@@ -214,21 +226,13 @@ def test_connection_derivative_layer_matches_finite_differences():
 
 
 def random_vertex_gauge(domain, seed, unitary=True):
-    rng = np.random.default_rng(seed)
-    nj, nk = domain.nj, domain.nk
-    val = np.empty((nj, nk, 2, 2), dtype=complex)
-    dot = np.empty((nj, nk, 2, 2), dtype=complex)
-    for j in range(nj):
-        for k in range(nk):
-            g = random_unit_quat(rng) if unitary else random_unit_quat(rng) * rng.uniform(0.5, 2.0)
-            val[j, k] = g
-            dot[j, k] = g @ quat.embed(0.05 * rng.normal(size=3))
-    return MatJet(val, dot)
+    """One random gauge jet per profile row."""
+    return random_jets(np.random.default_rng(seed), (domain.nj, 1), scale=not unitary)
 
 
 def test_gauge_identity_leaves_connection_unchanged():
     conn, _ = random_flat_connection()
-    G = MatJet.constant(np.broadcast_to(EYE, (conn.domain.nj, conn.domain.nk, 2, 2)).copy())
+    G = MatJet.constant(np.broadcast_to(EYE, (conn.domain.nj, 1, 2, 2)).copy())
     gauged = gauge(conn, G)
     assert jet_residual(gauged.L, conn.L) == 0.0
     assert jet_residual(gauged.M, conn.M) == 0.0

@@ -559,14 +559,14 @@ def _nan_profile_height():
     validate_profile(dataclasses.replace(p, h=h))
 
 
-def _nan_connection_column():
+def _nan_connection_row():
     p, _ = rc_net()
     conn, _ = build_ck_connection(p, np.pi / 6.0, 6)
-    grid = (conn.domain.nj - 1, conn.domain.nk, 2, 2)
-    lval = np.broadcast_to(conn.L.val, grid).copy()
-    lval[0, 1, 0, 0] = np.nan
-    L = MatJet(lval, np.broadcast_to(conn.L.dot, grid))
-    rotational_frames(ConnectionFamily(conn.domain, L, conn.M), p.a[0], p.b[0])
+    lval = conn.L.val.copy()
+    lval[1, 0, 0, 0] = np.nan
+    frames = rotational_frames(ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M),
+                               p.a[0], p.b[0])
+    sym(frames, 2.0)
 
 
 NAN_GUARDS = {
@@ -574,7 +574,7 @@ NAN_GUARDS = {
     "sym_reality": (_nan_frame_derivative, RealityViolated),
     "principal_curvatures": (_nan_position_edge, NotPrincipal),
     "validate_profile": (_nan_profile_height, InvalidProfile),
-    "rotational_invariance": (_nan_connection_column, ValueError),
+    "frame_row": (_nan_connection_row, Singular),
 }
 
 
