@@ -27,9 +27,9 @@ from .nets import (AlignResult, ContactElementNet, curvature_report,
                    face_normal, period_drift, principal_curvatures, rigid_align,
                    singular_vertices, sym, sym_arrays, transform_residuals,
                    validate_ec)
-from .revolution import (Profile, build_rcnet, conservation_drift,
-                         edge_residuals, elliptic_K, elliptic_theta,
-                         gauss_from_profile, int_sn2, jacobi, profile_elliptic,
-                         profile_hyp, profile_trig, validate_profile)
+from .revolution import (Profile, build_rcnet, column_angles, conservation_drift,
+                         edge_residuals, elliptic_K, elliptic_theta, gauss_from_profile,
+                         int_sn2, jacobi, profile_elliptic, profile_hyp, profile_trig,
+                         validate_profile)
 
 __version__ = "0.1.0"

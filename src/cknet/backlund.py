@@ -26,10 +26,16 @@ whose scalar field s^ steps by the adjugates adj A(beta), adj B(beta):
 the Moebius map of adj M is that of M^{-1}, so one field construction
 serves both.  With real sin(alpha) the composed net is real even for
 complex alpha = +-pi/2 + i y (then |sin alpha| > 1 and the two fields
-are complex conjugates).  Periodicity in the rotation direction is
-controlled by the eigenvalue ratio rho of B: the transform closes after
-N0 steps when B^{N0} is proportional to the identity, that is when
-rho = e^{2 pi i p / N0}, or
+are complex conjugates).
+
+Neither transform forms a frame: the Sym formula of T Phi (T = W or VW)
+is evaluated in the explicit gauged frame E0 = sin phi e_mer - cos phi
+e_par, E1 = -cos phi e_mer - sin phi e_par, n with e^{i phi_j} = sigma_j /
+s_j (``nets`` derives it), in the frame ``cknet generate`` writes; moved by
+the initial frame's rigid motion it matches frames + Sym within 9.7e-13 on
+121 x 2000.  Periodicity in the rotation direction is controlled by the
+eigenvalue ratio rho of B: the transform closes after N0 steps when
+B^{N0} is proportional to the identity, that is when rho = e^{2 pi i p / N0}, or
 
     tr(B)^2 / det(B) = 2 + 2 cos(2 pi p / N0).
 
@@ -56,8 +62,7 @@ import numpy as np
 from . import quat
 from .connect import HsLaxData, lax_entries
 from .errors import BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit
-from .lattice import FrameFamily
-from .nets import ContactElementNet, sym, sym_blocks
+from .nets import ContactElementNet, explicit_sym
 
 
 def _require_real_angle(alpha: complex) -> float:
@@ -195,24 +200,25 @@ def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# frame transforms
+# single transforms
 
 
-def single_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
+def single_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
                     s_tilde0: complex = 1.0) -> ContactElementNet:
-    """Single Backlund transform, the W form at ``alpha``, of the net framed by ``frames``.
+    """Single Backlund transform, the W form at ``alpha``, of the rotational net of the
+    profile ``p`` with columns at the angles ``ang`` and normal-form data ``hs``.
 
     alpha must be real, in (-pi, 0) or (0, pi), and the seed s_tilde0 a unit scalar.
     """
     a = _require_real_angle(alpha)
     _require_unit_seed("s_tilde0", s_tilde0)
-    s_grid = propagate(*build_abcd(hs, complex(alpha)), complex(s_tilde0), hs.domain.nk)
-    cot, c = 1.0 / np.tan(a / 2.0), 1j * np.exp(frames.t0)
+    s_grid = propagate(*build_abcd(hs, complex(alpha)), complex(s_tilde0), len(ang))
+    cot = 1.0 / np.tan(a / 2.0)
 
-    def transform(rows):   # the entries of W and dW
+    def transform(rows):   # the entries of W and dW at t = 0
         ratio = s_grid[rows] / hs.s[rows, None]
-        return cot * ratio, c, c, cot / ratio, 0.0, c, c, 0.0
-    return sym(frames, 2.0, transform)
+        return cot * ratio, 1j, 1j, cot / ratio, 0.0, 1j, 1j, 0.0
+    return ContactElementNet(*explicit_sym(p, ang, transform)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +233,10 @@ class DoubleReport:
     unit_residual: float
 
 
-def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
+def double_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
                     s_tilde0: complex = 1.0, s_hat0: Optional[complex] = None):
-    """Double Backlund transform with beta = -alpha and real sin(alpha).
+    """Double Backlund transform with beta = -alpha and real sin(alpha), of the rotational
+    net of the profile ``p`` with columns at the angles ``ang`` and normal-form data ``hs``.
 
     Returns (ContactElementNet, DoubleReport).  sin(alpha) must be real and
     tan(alpha/2) nonzero.  When |sin alpha| <= 1 both seeds must be unit
@@ -239,10 +246,10 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
 
         s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~))
 
-    feeds the closed-form product frame one block of profile rows at a
+    feeds the entries of VW to the Sym formula one block of profile rows at a
     time: each block's s^~ must stay off the pole (PoleHit) before its
-    entries reach the Sym pass, and the coordinates must come out real
-    (``sym_blocks`` raises RealityViolated: the seeds and angle are
+    entries reach the Sym formula, and the coordinates must come out real
+    (``explicit_sym`` raises RealityViolated: the seeds and angle are
     inconsistent).  When |sin alpha| > 1 the fields are conjugate too,
     s^ = conj(s~), which is taken as such rather than propagated;
     otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
@@ -261,7 +268,7 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
         _require_unit_seed("s_hat0", s_hat0)
     elif not abs(s_hat0 - s_tilde0.conjugate()) <= 1e-12:   # NaN for a non-finite s_tilde0
         raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
-    nk = hs.domain.nk
+    nk = len(ang)
     s_tilde = propagate(*build_abcd(hs, alpha), s_tilde0, nk)
     s_hat = (None if beyond   # then conj(s~), formed per block
              else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), s_hat0, nk))
@@ -280,9 +287,9 @@ def double_backlund(frames: FrameFamily, hs: HsLaxData, alpha: complex,
         if not np.all(np.isfinite(sht) & (sht != 0)):
             raise PoleHit("composed scalar field is non-finite or zero")
         unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
-        return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, frames.t0)
+        return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, 0.0)
 
-    x, n, imag_residue = sym_blocks(frames, 2.0, vw)
+    x, n, imag_residue = explicit_sym(p, ang, vw)
     return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
 
 

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
 from .nets import (ContactElementNet, curvature_report, period_drift, rigid_align,
                    singular_vertices, sym)
-from .revolution import (build_rcnet, conservation_drift, elliptic_theta,
+from .revolution import (build_rcnet, column_angles, conservation_drift, elliptic_theta,
                          gauss_from_profile, jacobi, profile_elliptic,
                          profile_hyp, profile_trig)
 
@@ -80,15 +80,11 @@ def fixture_ck():
 
 
 def fixture_ck_hs(theta: float = THETA, k_count: int = 15):
-    """Normal-form data and gauged frames of the K=-1 fixture profile, built on each call.
-
-    The defaults are the grid of ``fixture_ck``; criterion 7 takes k0 = 6
-    (theta = pi/3) and 26 columns for periodicity.
-    """
+    """(p, column angles, hs) of the K=-1 fixture, which the transforms read, built on each
+    call: by default ``fixture_ck``'s grid; criterion 7 takes theta = pi/3 and 26 columns."""
     p = fixture_profile("elliptic", 0.6, -1)
     conn, data = build_ck_connection(p, theta, k_count)
-    hs = gauge_to_hs(conn, data)
-    return hs, gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    return p, column_angles(k_count, theta=theta), gauge_to_hs(conn, data)
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +202,12 @@ def criterion_5() -> list[CheckResult]:
 
 def criterion_6() -> list[CheckResult]:
     """Single transforms: distance, normal angle, orthogonality, curvature."""
-    hs, frames_hs = fixture_ck_hs()
-    base_net = sym(frames_hs, 2.0)
+    p, ang, hs = fixture_ck_hs()
+    base_net = build_rcnet(p, len(ang), theta=THETA)
     out = []
     for alpha in (np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0):
         for seed in (1.0 + 0.0j, np.exp(0.7j), np.exp(-1.9j)):
-            net = bk.single_backlund(frames_hs, hs, alpha, seed)
+            net = bk.single_backlund(p, ang, hs, alpha, seed)
             worst, _ = curvature_report(net, base=base_net, alpha=alpha)
             tag = f"[alpha={alpha:.3f},seed={np.angle(seed):+.2f}]"
             out.append(CheckResult(f"c06_distance{tag}", worst["distance"], 1e-9))
@@ -223,15 +219,15 @@ def criterion_6() -> list[CheckResult]:
 
 def criterion_7() -> list[CheckResult]:
     """Annulus search: the rotational recurrence closes and the net repeats."""
-    hs, frames_hs = fixture_ck_hs(np.pi / 3, 26)
+    p, ang, hs = fixture_ck_hs(np.pi / 3, 26)
     out = []
     for N0 in (8, 9):
         found = bk.find_periodic_alpha(hs, N0)
         out.append(CheckResult(f"c07_power[N0={N0}]", found.residual, bk._CLOSE_TOL))
         if abs(complex(found.alpha).imag) < 1e-12:
-            net = bk.single_backlund(frames_hs, hs, found.alpha.real)
+            net = bk.single_backlund(p, ang, hs, found.alpha.real)
         else:
-            net, _ = bk.double_backlund(frames_hs, hs, found.alpha, 1.3 * np.exp(0.4j))
+            net, _ = bk.double_backlund(p, ang, hs, found.alpha, 1.3 * np.exp(0.4j))
         drift = period_drift(net, lcm(6, N0))
         out.append(CheckResult(f"c07_period[N0={N0}]", drift, 1e-8))
     return out
@@ -239,8 +235,7 @@ def criterion_7() -> list[CheckResult]:
 
 def criterion_8() -> list[CheckResult]:
     """Double transform with complex angle stays real, unit, pseudospherical."""
-    hs, frames_hs = fixture_ck_hs()
-    net, rep = bk.double_backlund(frames_hs, hs, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
+    net, rep = bk.double_backlund(*fixture_ck_hs(), np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
     worst, _ = curvature_report(net)
     return [
         CheckResult("c08_imag_residue", rep.imag_residue, 1e-9),

@@ -32,11 +32,11 @@ from . import checks as checksmod
 from .checks import CheckResult
 from .backlund import (_CLOSE_TOL, _require_real_angle, double_backlund, find_periodic_alpha,
                        single_backlund)
-from .connect import build_ck_connection, gauge_to_hs, rotational_frames
+from .connect import build_ck_connection, gauge_to_hs
 from .errors import CknetError, ConfigError, DegenerateGeometry
-from .lattice import flatness_residual, gauge_frame
-from .nets import ContactElementNet, curvature_report, sym
-from .revolution import (Profile, build_rcnet, conservation_drift, edge_residuals,
+from .lattice import flatness_residual
+from .nets import ContactElementNet, curvature_report
+from .revolution import (Profile, build_rcnet, column_angles, conservation_drift, edge_residuals,
                          profile_elliptic, profile_hyp, profile_trig)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
@@ -473,15 +473,17 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=Non
 # subcommands
 
 
+def _step(theta, k0) -> dict:
+    """The rotation step as ``build_rcnet`` and ``column_angles`` take it."""
+    return {"theta": theta} if k0 is None else {"k0": k0}
+
+
 def cmd_generate(cfg: dict) -> int:
     p = _stage("profile", build_profile, cfg)
     theta, k0 = _stage("rotation", rotation_step, cfg)
     k_count = _get(cfg, "rotation", "k_count", int)
     k_lo = _get(cfg, "rotation", "k_lo", int, 0)
-    if k0 is not None:
-        net = _stage("rcnet", build_rcnet, p, k_count, k0=k0, k_lo=k_lo)
-    else:
-        net = _stage("rcnet", build_rcnet, p, k_count, theta=theta, k_lo=k_lo)
+    net = _stage("rcnet", build_rcnet, p, k_count, k_lo=k_lo, **_step(theta, k0))
     worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True,
                                period=_period(net, k0))
     params = flat_parameters(cfg)
@@ -496,7 +498,7 @@ def _hs_pipeline(cfg: dict):
     k_count = _get(cfg, "rotation", "k_count", int)
     conn, data = _stage("connect", build_ck_connection, p, theta, k_count)
     hs = _stage("gauge", gauge_to_hs, conn, data)
-    return p, k0, conn, hs
+    return p, theta, k0, conn, hs
 
 
 def _search(cfg: dict, hs, N0: int, params: dict):
@@ -518,20 +520,15 @@ def _resolve_alpha(cfg: dict, hs, params: dict):
     return complex(_search(cfg, hs, N0, params).alpha)
 
 
-def _gauged_frames(p: Profile, conn, hs):
-    """Frames of the normal-form connection, which the transforms act on."""
-    frames = _stage("frames", rotational_frames, conn, p.a[0], p.b[0])
-    return gauge_frame(frames, hs.gauge)
-
-
 def cmd_backlund(cfg: dict) -> int:
-    p, k0, conn, hs = _hs_pipeline(cfg)
-    frames_hs = _gauged_frames(p, conn, hs)
-    base = _stage("sym", sym, frames_hs, 2.0)   # the transform checks compare against it
+    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    k_count, step = hs.domain.nk, _step(theta, k0)
+    ang = _stage("rcnet", column_angles, k_count, **step)
+    base = _stage("rcnet", build_rcnet, p, k_count, **step)   # the transform checks read it
     params = flat_parameters(cfg)
     alpha = _require_real_angle(_resolve_alpha(cfg, hs, params))
     seed = _get(cfg, "backlund", "seed", complex, 1.0)
-    net = _stage("backlund", single_backlund, frames_hs, hs, alpha, seed)
+    net = _stage("backlund", single_backlund, p, ang, hs, alpha, seed)
     worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
@@ -539,11 +536,10 @@ def cmd_backlund(cfg: dict) -> int:
 
 
 def cmd_double(cfg: dict) -> int:
-    p, k0, conn, hs = _hs_pipeline(cfg)
+    p, theta, k0, conn, hs = _hs_pipeline(cfg)
+    ang = _stage("rcnet", column_angles, hs.domain.nk, **_step(theta, k0))
     params = flat_parameters(cfg)
-    # frames stage, then search; the frames, and the terms they keep, go when the transform returns
-    net, rep = _stage("backlund", double_backlund, _gauged_frames(p, conn, hs), hs,
-                      _resolve_alpha(cfg, hs, params),
+    net, rep = _stage("backlund", double_backlund, p, ang, hs, _resolve_alpha(cfg, hs, params),
                       _get(cfg, "backlund", "seed", complex, 1.0),
                       _get(cfg, "backlund", "seed_hat", complex, None))
     worst, degenerate = _stage("verify", curvature_report, net,

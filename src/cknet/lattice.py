@@ -12,14 +12,12 @@ edge jet per profile row; flatness and gauges are formed on that one row.
 
 Everything is carried as a first-order jet in the spectral parameter t:
 ``MatJet(val, dot)`` stores the value and the t-derivative, and products
-and inverses propagate both layers.  A frame family keeps the adjoint terms
-of its two factors, which every Sym pass on it reads, from the first pass on.
+and inverses propagate both layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,24 +131,11 @@ class ConnectionFamily:
         return self.rebuild(t)
 
 
-_BASIS = np.array([-1j * quat.sigma1, -1j * quat.sigma2, -1j * quat.sigma3])
-
-
-def _factor_terms(F: MatJet):
-    """Planes R[i, j] of the adjoint map R(F) and w[i] of coords(F^{-1} dF) of frame factors."""
-    val, dot = F.val[..., None, :, :], F.dot[..., None, :, :]
-    c = quat.coords_complex(quat.inv(val) @ np.concatenate([_BASIS @ val, dot], axis=-3))
-    c = np.moveaxis(c, (-1, -2), (0, 1))   # c[i, j] = coords_i(F^{-1} E_j F); j = 3: F^{-1} dF
-    return c[:, :3], c[:, 3]
-
-
 @dataclass(frozen=True)
 class FrameFamily:
     """Vertex frames Phi = rows @ cols as jets: rows (nj, 1, 2, 2) for frames that factor,
     (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  ``Phi``
-    forms the (nj, nk, 2, 2) grid only when it is read.  ``terms``, the ``_factor_terms``
-    of rows and of cols, are formed on the first Sym pass and kept: a family's arrays must
-    not change after it (``gauge_frame`` returns a new family, which forms its own)."""
+    forms the (nj, nk, 2, 2) grid only when it is read."""
 
     domain: Domain
     rows: MatJet
@@ -165,10 +150,6 @@ class FrameFamily:
     @property
     def Phi(self) -> MatJet:
         return self.rows @ self.cols
-
-    @cached_property
-    def terms(self):   # planes (3, 3, nj, 1 or nk), (3, nj, 1 or nk); (3, 3, nk), (3, nk)
-        return _factor_terms(self.rows), _factor_terms(self.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,21 @@ Nets are produced from parallel frames Phi = Q D^k and a transform jet T
 (W, V or VW; the identity for the base net) by the Sym formula
 x = xi * coords(F^{-1} dF/dt), n = coords(F^{-1} (-i sigma3) F) for F = T Phi,
 coords being the (x, y, z) part; the parallel net at distance tau is x + tau n.
-It is taken through the 3x3 adjoint maps R(g), coords(g^{-1} X g) = R(g) coords(X), of the frame
-factors Q and D^k (kept from a family's first Sym pass), and closed forms in the entries of T:
-
-    n = R(D^k) R(Q) coords(T^{-1} (-i sigma3) T),
-    x = xi * (R(D^k) [R(Q) coords(T^{-1} dT) + coords(Q^{-1} dQ)] + coords(D^-k dD^k)).
-
-``sym_blocks`` evaluates these one block of profile rows at a time into real arrays, and
-``curvature_report`` checks a net over the same blocks.  A transform hands each block the entry
-planes (a, b, c, d, da, db, dc, dd) of T and dT, and each real plane goes straight into the net:
-a complex-angle ``cknet double`` job peaks at 1.41 MiB on 61 x 200, 17.4 MiB on 121 x 2000.
+With the adjoint map R(g), coords(g^{-1} X g) = R(g) coords(X), n = R(Phi) coords(T^{-1}
+(-i sigma3) T) and x = x_Phi + xi R(Phi) coords(T^{-1} dT), x_Phi the Sym net of Phi:
+``sym`` forms it through the adjoint maps of the frame factors.  On a K = -1 rotational
+net R(Phi) is explicit, so ``explicit_sym`` forms no frame.  Up to the rigid motion the
+initial frame at (j_lo, 0) fixes, the ungauged frame P(j) D^k carries e0, e1, e2 to
+-sigma_j e_mer, sigma_j e_par, n (sigma_j = (-1)^j by the absolute row label), where in
+``build_rcnet``'s frame n = (a, 0, b), e_mer = (-b, 0, a) and e_par is the parallel
+direction; the gauge diag(r/sqrt(i), sqrt(i)/r), r^2 = s_j, turns e0, e1 about e2 by
+arg(s_j) - pi/2.  So with e^{i phi_j} = sigma_j / s_j = sqrt(1 - kappa^2 a_j^2) + i kappa a_j,
+R(G Phi) = (E0, E1, n), E0 = sin phi e_mer - cos phi e_par, E1 = -cos phi e_mer - sin phi e_par.
+Moved by that motion, the explicit nets match frames + Sym within 3.3e-15 (7 x 15), 5.5e-14
+(61 x 200) and 9.7e-13 (121 x 2000), as the base Sym net matches ``build_rcnet`` (2.2e-15,
+2.3e-14, 4.3e-13).  Both write each block of rows straight into the net (``_real_blocks``),
+and ``curvature_report`` checks a net over the same blocks: a complex-angle ``cknet double``
+job peaks at 1.22 MiB on 61 x 200, 15.3 MiB on 121 x 2000.
 One reality rule holds for every Sym net: an imaginary part beyond 1e-6 raises RealityViolated.
 """
 
@@ -68,7 +73,18 @@ class ContactElementNet:
 
 
 # ---------------------------------------------------------------------------
-# construction from frames
+# construction: the Sym formula
+
+
+_BASIS = np.array([-1j * quat.sigma1, -1j * quat.sigma2, -1j * quat.sigma3])
+
+
+def _factor_terms(F: MatJet):
+    """Planes R[i, j] of the adjoint map R(F) and w[i] of coords(F^{-1} dF) of frame factors."""
+    val, dot = F.val[..., None, :, :], F.dot[..., None, :, :]
+    c = quat.coords_complex(quat.inv(val) @ np.concatenate([_BASIS @ val, dot], axis=-3))
+    c = np.moveaxis(c, (-1, -2), (0, 1))   # c[i, j] = coords_i(F^{-1} E_j F); j = 3: F^{-1} dF
+    return c[:, :3], c[:, 3]
 
 
 def _transform_terms(a, b, c, d, da, db, dc, dd):
@@ -90,11 +106,6 @@ def _transform_terms(a, b, c, d, da, db, dc, dd):
     return tx, tn
 
 
-def _apply(R, v, w=(0.0, 0.0, 0.0)):
-    """Planes of R v + w, broadcasting the planes of R and w against those of v."""
-    return [R[i, 0] * v[0] + R[i, 1] * v[1] + R[i, 2] * v[2] + w[i] for i in range(3)]
-
-
 _BLOCK_VERTICES = 2048   # vertices per block of rows: bounds the Sym and face passes' memory
 
 
@@ -104,51 +115,67 @@ def row_blocks(nj: int, nk: int):
     return [slice(j, j + step) for j in range(0, nj, step)]
 
 
-def _sym_planes(frames: FrameFamily, xi: float, rows: slice, transform):
-    """The complex coordinate planes [x_i], [n_i], i = 0, 1, 2, of the Sym net of T Phi on the
-    profile rows ``rows``, from the kept adjoint terms of the frames (see ``sym_blocks``)."""
-    (RQ, wq), (RD, wd) = [t[..., rows, :] for t in frames.terms[0]], frames.terms[1]
-    tx, tn = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if transform is None else _transform_terms(*transform(rows))
-    n, xq = _apply(RD, _apply(RQ, tn)), _apply(RQ, tx, wq)
-    del tx, tn   # the block's transform terms go before its coordinates are formed
-    return [xi * x_i for x_i in _apply(RD, xq, wd)], n
-
-
-def sym_arrays(frames: FrameFamily, xi: float, T: MatJet | None = None):
-    """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of T Phi, T a jet of
-    shape (nj, nk, 2, 2) (the identity by default).  Nothing is validated: callers of
-    complex-parameter transforms inspect the imaginary parts themselves."""
-    entries = None if T is None else (   # views of the entries of T and dT
-        lambda rows: [m[..., i, j] for m in (T.val, T.dot) for i in (0, 1) for j in (0, 1)])
-    x, n = _sym_planes(frames, xi, slice(None), entries)
-    return np.stack(x, axis=-1), np.stack(n, axis=-1)
-
-
-def sym_blocks(frames: FrameFamily, xi: float, transform=None):
-    """Real parts (x, n) of the Sym net of T Phi and the largest imaginary part dropped.
-
-    Each of the ``row_blocks`` writes its complex coordinate planes into the two
-    C-contiguous (nj, nk, 3) results as they are formed.  ``transform(rows)`` returns the
-    entries (a, b, c, d, da, db, dc, dd) of T = [[a, b], [c, d]] and of its t-derivative
-    on the profile rows ``rows``, as planes or scalars; None stands for the identity.  An
-    imaginary part beyond 1e-6, or NaN, raises RealityViolated: the net left R^3.
-    """
-    nj, nk = frames.domain.nj, frames.domain.nk
+def _real_blocks(nj: int, nk: int, planes):
+    """Real parts (x, n), C-contiguous (nj, nk, 3), of the complex coordinate planes [x_i],
+    [n_i] that ``planes(rows)`` forms for each of the ``row_blocks``, and the largest imaginary
+    part dropped; beyond 1e-6, or NaN, it raises RealityViolated: the net left R^3."""
     x, n = np.empty((nj, nk, 3)), np.empty((nj, nk, 3))
     imag = 0.0
     for rows in row_blocks(nj, nk):
-        for i, (x_i, n_i) in enumerate(zip(*_sym_planes(frames, xi, rows, transform))):
+        for i, (x_i, n_i) in enumerate(zip(*planes(rows))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
             # np.maximum, unlike max, carries a NaN through to the check
             imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))
+        del x_i, n_i   # before the next block is formed
     if not (imag <= 1e-6):
         raise RealityViolated(f"Sym net left R^3 (imaginary residue {imag:.3e})")
     return x, n, float(imag)
 
 
-def sym(frames: FrameFamily, xi: float, transform=None) -> ContactElementNet:
-    """Real parameter-derivative net of T Phi (``sym_blocks``)."""
-    return ContactElementNet(*sym_blocks(frames, xi, transform)[:2])
+def _sym_planes(frames: FrameFamily, xi: float):
+    """``planes(rows)`` of the Sym net of Phi for ``_real_blocks``, through the adjoint maps of
+    the frame factors: n = R(D^k) R(Q) e3, x = xi (R(D^k) coords(Q^{-1} dQ) + coords(D^-k dD^k))."""
+    (RQ, wq), (RD, wd) = _factor_terms(frames.rows), _factor_terms(frames.cols)
+    apply = lambda v: np.einsum("ij...,j...->i...", RD, v)   # planes of R(D^k) v
+    return lambda rows: (xi * (apply(wq[:, rows]) + wd[:, None]), apply(RQ[:, 2, rows]))
+
+
+def sym_arrays(frames: FrameFamily, xi: float):
+    """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of Phi, unchecked."""
+    return tuple(np.stack(c, axis=-1) for c in _sym_planes(frames, xi)(slice(None)))
+
+
+def sym(frames: FrameFamily, xi: float) -> ContactElementNet:
+    """Real parameter-derivative net of Phi, one block of rows at a time (``_real_blocks``)."""
+    nj, nk = frames.domain.nj, frames.domain.nk
+    return ContactElementNet(*_real_blocks(nj, nk, _sym_planes(frames, xi))[:2])
+
+
+def _in_frame(t, a, b, cos_p, sin_p, cos_t, sin_t, f=0.0, h=0.0):
+    """Planes (x, y, z) of (f, 0, h) + t0 E0 + t1 E1 + t2 n in ``build_rcnet``'s frame at the
+    column angles, E0 = sin p e_mer - cos p e_par and E1 = -cos p e_mer - sin p e_par."""
+    mer, par = t[0] * sin_p - t[1] * cos_p, t[0] * cos_p + t[1] * sin_p   # par: -e_par part
+    radial = a * t[2] - b * mer + f
+    return [radial * cos_t + par * sin_t, radial * sin_t - par * cos_t, a * mer + b * t[2] + h]
+
+
+def explicit_sym(p, ang: np.ndarray, transform):
+    """``_real_blocks`` of the Sym net of T Phi over the K = -1 rotational net of the profile p,
+    in ``build_rcnet``'s frame with columns at the angles ``ang``; ``transform(rows)`` gives the
+    entries (a, b, c, d, da, db, dc, dd) of T and dT/dt on the rows, as planes or scalars."""
+    cos_t, sin_t = np.cos(ang), np.sin(ang)
+    sin_p = p.kappa * p.a   # e^{i phi} = sqrt(1 - kappa^2 a^2) + i kappa a
+    cos_p = np.sqrt(1.0 - sin_p * sin_p)
+
+    def planes(rows):
+        f, h, *frame = (v[rows, None] for v in (p.f, p.h, p.a, p.b, cos_p, sin_p))
+        tx, tn = _transform_terms(*transform(rows))
+        n = _in_frame(tn, *frame, cos_t, sin_t)
+        del tn
+        for t in tx:   # x~ = x + 2 coords(T^{-1} dT)
+            t *= 2.0
+        return _in_frame(tx, *frame, cos_t, sin_t, f, h), n
+    return _real_blocks(p.nj, len(ang), planes)
 
 
 # ---------------------------------------------------------------------------

@@ -369,14 +369,9 @@ def validate_profile(p: Profile) -> None:
         )
 
 
-def build_rcnet(p: Profile, k_count: int, theta: float = None, k0: int = None,
-                k_lo: int = 0) -> ContactElementNet:
-    """Rotational circular net: profile swept by a constant angle step.
-
-    Either theta (the step, in (-pi,0) or (0,pi)) or k0 (integer >= 3,
-    step 2*pi/k0 with exact closure after k0 steps) must be given.
-    Columns carry labels k_lo .. k_lo+k_count-1.
-    """
+def column_angles(k_count: int, theta: float = None, k0: int = None, k_lo: int = 0) -> np.ndarray:
+    """Angles of the columns k_lo .. k_lo+k_count-1: k theta for a step theta in (-pi,0) or
+    (0,pi), or 2 pi (k mod k0) / k0 for an integer k0 >= 3; exactly one must be given."""
     if (theta is None) == (k0 is None):
         raise ConfigError("exactly one of theta and k0 must be given")
     if k_count < 2:
@@ -385,20 +380,17 @@ def build_rcnet(p: Profile, k_count: int, theta: float = None, k0: int = None,
     if k0 is not None:
         if int(k0) != k0 or k0 < 3:
             raise ConfigError(f"k0 must be an integer >= 3, got {k0}")
-        ang = 2.0 * np.pi * np.mod(ks, k0) / k0
-    else:
-        if not (0.0 < abs(theta) < np.pi):
-            raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
-        ang = theta * ks
+        return 2.0 * np.pi * np.mod(ks, k0) / k0
+    if not (0.0 < abs(theta) < np.pi):
+        raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
+    return theta * ks
+
+
+def build_rcnet(p: Profile, k_count: int, theta: float = None, k0: int = None,
+                k_lo: int = 0) -> ContactElementNet:
+    """Rotational circular net: the profile swept to the ``column_angles`` of its columns."""
+    ang = column_angles(k_count, theta, k0, k_lo)
     cos_t, sin_t = np.cos(ang), np.sin(ang)
-    x = np.stack([
-        p.f[:, None] * cos_t[None, :],
-        p.f[:, None] * sin_t[None, :],
-        np.broadcast_to(p.h[:, None], (p.nj, k_count)).copy(),
-    ], axis=-1)
-    n = np.stack([
-        p.a[:, None] * cos_t[None, :],
-        p.a[:, None] * sin_t[None, :],
-        np.broadcast_to(p.b[:, None], (p.nj, k_count)).copy(),
-    ], axis=-1)
-    return ContactElementNet(x, n)
+    sweep = lambda radial, axial: np.stack(np.broadcast_arrays(
+        radial[:, None] * cos_t, radial[:, None] * sin_t, axial[:, None]), axis=-1)
+    return ContactElementNet(sweep(p.f, p.h), sweep(p.a, p.b))

@@ -4,7 +4,10 @@
 the factorised product ``rotational_frames`` builds; ``dense_sym`` forms
 every gauged and transformed frame on the grid and applies the Sym
 formula with an inverse and 2x2 products per vertex, where
-``nets.sym_arrays`` works through the frame factors; ``w_jet`` and
+``nets.sym_arrays`` works through the frame factors and the transforms
+through the explicit frame of ``nets.explicit_sym``; ``sym_frame`` moves a
+net of ``build_rcnet``'s frame into the Sym frame by the exact rigid motion
+of the initial frame, so the two can be compared; ``w_jet`` and
 ``v_jet`` are the transform matrices and ``composed_field`` the composed
 scalar field as the ``backlund`` docstrings state them, its s^ field
 stepped by ``v_form_matrices``, the V-form recurrence matrices written
@@ -31,6 +34,7 @@ import numpy as np
 
 from cknet import quat
 from cknet.backlund import build_abcd, propagate
+from cknet.connect import initial_frame
 from cknet.errors import DegenerateFace, ZeroEdge
 from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
 from cknet.nets import face_diagonals
@@ -86,6 +90,30 @@ def dense_sym(frames: FrameFamily, xi: float, tau: float = 0.0, G: MatJet = None
     inv = phi.inv()
     n = quat.coords_complex(inv.val @ (-1j * quat.sigma3) @ phi.val)
     return xi * quat.coords_complex(inv.val @ phi.dot) + tau * n, n
+
+
+def sym_frame(net, p, hs):
+    """(x, n) of a net of the profile p in ``build_rcnet``'s frame, moved into the Sym frame
+    of the gauged frames G Phi (G = ``hs.gauge``) by the rigid motion the initial frame fixes.
+
+    At (j_lo, 0) the Sym net has x = 0, since G and Phi(0, 0) are constant in t, and the
+    adjoint map R of G(0) Phi(0, 0), R[:, i] = coords(g^{-1} (-i sigma_i) g), is the frame
+    (E0, E1, n) there.  In ``build_rcnet``'s frame that frame is F = (sin p e_mer - cos p
+    e_par, -cos p e_mer - sin p e_par, n) with n = (a, 0, b), e_mer = (-b, 0, a), e_par =
+    (0, 1, 0) and e^{ip} = sqrt(1 - kappa^2 a^2) + i kappa a.  So x -> M (x - x(j_lo, 0))
+    and n -> M n with M = R F^T.
+    """
+    g = hs.gauge.val[0, 0] @ initial_frame(p.a[0], p.b[0])
+    gi = np.linalg.inv(g)
+    R = np.stack([quat.coords_complex(gi @ (-1j * sigma) @ g).real
+                  for sigma in (quat.sigma1, quat.sigma2, quat.sigma3)], axis=-1)
+    a, b = p.a[0], p.b[0]
+    sin_p = p.kappa * a
+    cos_p = np.sqrt(1.0 - sin_p * sin_p)
+    e_mer, e_par, n = np.array([-b, 0.0, a]), np.array([0.0, 1.0, 0.0]), np.array([a, 0.0, b])
+    F = np.stack([sin_p * e_mer - cos_p * e_par, -cos_p * e_mer - sin_p * e_par, n], axis=-1)
+    M = R @ F.T
+    return (net.x - np.array([p.f[0], 0.0, p.h[0]])) @ M.T, net.n @ M.T
 
 
 def w_jet(alpha, s_tilde, s, t):

@@ -18,38 +18,38 @@ from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
 from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit,
                           RealityViolated)
 from cknet.lattice import FrameFamily, MatJet, gauge_frame
-from cknet.nets import curvature_report, sym, sym_arrays
-from cknet.revolution import profile_elliptic
-from oracles import composed_field, v_form_matrices
+from cknet.nets import curvature_report, sym_arrays
+from cknet.revolution import build_rcnet, column_angles, profile_elliptic
+from oracles import composed_field, sym_frame, v_form_matrices
 
 ALPHA_C = np.pi / 2.0 + 0.5j  # sin is real with |sin| = cosh(0.5) > 1
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def desk_grid(theta, nk):
+    """(hs, grid, base) of the desk profile: its normal-form data, (p, ang, hs), which the
+    transforms read, and its rotational net."""
+    p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
+    conn, data = build_ck_connection(p, theta, nk)
+    hs = gauge_to_hs(conn, data)
+    return hs, (p, column_angles(nk, theta=theta), hs), build_rcnet(p, nk, theta=theta)
+
+
 @lru_cache(maxsize=None)
 def hs_fixture():
-    p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, np.pi / 6.0, 15)
-    hs = gauge_to_hs(conn, data)
-    frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
-    return hs, frames, sym(frames, 2.0)
+    return desk_grid(np.pi / 6.0, 15)
 
 
 @lru_cache(maxsize=None)
 def hex_grid(nk):
-    """(hs, frames) of the closing rotation (theta = 2 pi / 6) over nk columns."""
-    p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, nk)
-    hs = gauge_to_hs(conn, data)
-    return hs, gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    """``desk_grid`` of the closing rotation (theta = 2 pi / 6) over nk columns."""
+    return desk_grid(2.0 * np.pi / 6.0, nk)
 
 
-@lru_cache(maxsize=None)
 def hex_fixture():
-    """Closing rotation with enough columns for lcm(6, 9), and its Sym net."""
-    hs, frames = hex_grid(26)
-    return hs, frames, sym(frames, 2.0)
+    """Closing rotation with enough columns for lcm(6, 9)."""
+    return hex_grid(26)
 
 
 @lru_cache(maxsize=None)
@@ -95,29 +95,29 @@ def gauss_deviation(net):
 ], ids=["real", "complex"])
 def test_double_backlund_default_s_hat0(alpha, seed, s_hat0):
     """An omitted s_hat0 is 1 for real alpha and conj(s_tilde0) when |sin alpha| > 1."""
-    hs, frames, _ = hs_fixture()
-    net, rep = double_backlund(frames, hs, alpha, seed)
-    given, given_rep = double_backlund(frames, hs, alpha, seed, s_hat0)
+    hs, grid, _ = hs_fixture()
+    net, rep = double_backlund(*grid, alpha, seed)
+    given, given_rep = double_backlund(*grid, alpha, seed, s_hat0)
     assert np.array_equal(net.x, given.x) and np.array_equal(net.n, given.n)
     assert rep == given_rep
     with pytest.raises(ConfigError):   # a different s_hat0 is read, not ignored
-        double_backlund(frames, hs, alpha, seed, 2.0j)
+        double_backlund(*grid, alpha, seed, 2.0j)
 
 
 @pytest.mark.parametrize("field", ["alpha", "s_tilde0", "s_hat0"])
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C], ids=["real", "complex"])
 def test_transforms_refuse_non_finite_parameters(field, alpha):
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     seed = 1.0 if alpha == np.pi / 3.0 else 1.3 * np.exp(0.4j)
     # complex(1, nan) would pass an `abs(alpha.imag) > 1e-12` test of the real-angle rule
     for bad in (complex("nan"), complex("inf"), complex(0.0, float("nan")), complex(1.0, float("nan")),
                 complex(1.0, float("inf"))):
         args = {"alpha": alpha, "s_tilde0": seed, field: bad}
         with pytest.raises(ConfigError):
-            double_backlund(frames, hs, **args)
+            double_backlund(*grid, **args)
         if field != "s_hat0":
             with pytest.raises(ConfigError):
-                single_backlund(frames, hs, **args)
+                single_backlund(*grid, **args)
 
 
 def test_moebius_identity_and_composition():
@@ -282,16 +282,16 @@ def test_propagate_pole_hit_next_to_a_pole(alpha):
 
 
 def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     calls = []
     real = bk.build_abcd
     monkeypatch.setattr(bk, "build_abcd", lambda *args: calls.append(args) or real(*args))
-    single_backlund(frames, hs, np.pi / 3.0)
+    single_backlund(*grid, np.pi / 3.0)
     assert [angle for _, angle in calls] == [np.pi / 3.0]
-    double_backlund(frames, hs, np.pi / 3.0)
+    double_backlund(*grid, np.pi / 3.0)
     # s~ at alpha, s^ from the adjugates of the pair at -alpha
     assert [angle for _, angle in calls[1:]] == [np.pi / 3.0, -np.pi / 3.0]
-    double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
+    double_backlund(*grid, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     assert [angle for _, angle in calls[3:]] == [ALPHA_C]   # |sin alpha| > 1: s^ = conj(s~)
 
 
@@ -300,9 +300,9 @@ def test_transforms_build_the_recurrence_matrices_once_per_field(monkeypatch):
 
 
 def test_single_backlund_invariants():
-    hs, frames, base = hs_fixture()
+    hs, grid, base = hs_fixture()
     for alpha in (np.pi / 3.0, 2.0 * np.pi / 3.0):
-        net = single_backlund(frames, hs, alpha, s_tilde0=np.exp(0.7j))
+        net = single_backlund(*grid, alpha, s_tilde0=np.exp(0.7j))
         dist, ang, orth = transform_residuals(base, net, alpha)
         assert dist < 1e-9
         assert ang < 1e-9
@@ -321,14 +321,24 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
     hs = gauge_to_hs(conn, data)
     frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
     assert np.max(np.abs(frames.Phi.val)) <= 10.0
-    base = sym(frames, 2.0)
-    net = single_backlund(frames, hs, alpha, s_tilde0=np.exp(1j * phase))
+    base = build_rcnet(p, k_count, theta=np.pi / 3.0)
+    net = single_backlund(p, column_angles(k_count, theta=np.pi / 3.0), hs, alpha,
+                          s_tilde0=np.exp(1j * phase))
     assert np.all(np.isfinite(net.x)) and np.all(np.isfinite(net.n))
     assert max(nets.transform_residuals(base, net, alpha)) <= 1e-9
 
 
-def docstring_w_frames(hs, frames, alpha, seed):
+@lru_cache(maxsize=None)
+def gauged_frames():
+    """The gauged frames of ``hs_fixture``'s grid."""
+    p, ang, hs = hs_fixture()[1]
+    conn, _ = build_ck_connection(p, np.pi / 6.0, len(ang))
+    return gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+
+
+def docstring_w_frames(hs, alpha, seed):
     """New frames built directly from the documented W matrix."""
+    frames = gauged_frames()
     s_grid = field_grid(hs, alpha, seed)
     cot = 1.0 / np.tan(alpha / 2.0)
     ratio = s_grid / hs.s[:, None]
@@ -345,30 +355,31 @@ def docstring_w_frames(hs, frames, alpha, seed):
 
 
 def test_single_matches_documented_w_matrix():
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     seed = np.exp(0.4j)
-    net = single_backlund(frames, hs, np.pi / 3.0, s_tilde0=seed)
-    x, n = sym_arrays(docstring_w_frames(hs, frames, np.pi / 3.0, seed), 2.0)
+    net = single_backlund(*grid, np.pi / 3.0, s_tilde0=seed)
+    x, n = sym_arrays(docstring_w_frames(hs, np.pi / 3.0, seed), 2.0)
     assert np.max(np.abs(x.imag)) < 1e-10
-    assert np.max(np.abs(x.real - net.x)) < 1e-10
-    assert np.max(np.abs(n.real - net.n)) < 1e-10
+    got_x, got_n = sym_frame(net, grid[0], hs)   # the net in the Sym frame
+    assert np.max(np.abs(x.real - got_x)) < 1e-10
+    assert np.max(np.abs(n.real - got_n)) < 1e-10
 
 
 def test_complex_angle_w_frame_leaves_real_space():
     """A lone W step with |sin alpha| > 1 has genuinely complex coordinates."""
-    hs, frames, _ = hs_fixture()
-    x, n = sym_arrays(docstring_w_frames(hs, frames, ALPHA_C, 1.3 * np.exp(0.4j)), 2.0)
+    hs, _, _ = hs_fixture()
+    x, n = sym_arrays(docstring_w_frames(hs, ALPHA_C, 1.3 * np.exp(0.4j)), 2.0)
     assert np.max(np.abs(x.imag)) > 1e-2
 
 
 def test_single_backlund_rejections():
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
+        single_backlund(*grid, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, 0.0)
+        single_backlund(*grid, 0.0)
     with pytest.raises(ConfigError):
-        single_backlund(frames, hs, np.pi / 3.0, s_tilde0=1.2 + 0.0j)
+        single_backlund(*grid, np.pi / 3.0, s_tilde0=1.2 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +387,8 @@ def test_single_backlund_rejections():
 
 
 def test_double_backlund_complex_angle_returns_real_net():
-    hs, frames, base = hs_fixture()
-    net, rep = double_backlund(frames, hs, ALPHA_C, 1.3 * np.exp(0.4j))
+    hs, grid, base = hs_fixture()
+    net, rep = double_backlund(*grid, ALPHA_C, 1.3 * np.exp(0.4j))
     assert net.x.dtype == float and net.n.dtype == float
     assert rep.imag_residue < 1e-9
     assert rep.unit_residual < 1e-10
@@ -389,9 +400,9 @@ def test_double_backlund_complex_angle_returns_real_net():
 
 def test_double_backlund_real_angle_permutability():
     """Seeds with s~ s^ = 1 compose to the field 1/s at the corner."""
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     params = (np.pi / 3.0, np.exp(0.4j), np.exp(-0.4j))
-    net, rep = double_backlund(frames, hs, *params)
+    net, rep = double_backlund(*grid, *params)
     assert abs(composed_field(hs, *params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
     assert rep.unit_residual < 1e-10
     assert rep.imag_residue < 1e-9
@@ -402,11 +413,11 @@ def test_double_backlund_real_angle_permutability():
 def test_nets_own_contiguous_real_coordinates(transform):
     """x and n of every Sym net are C-contiguous float64 arrays that own their memory, not
     strided real views that keep a complex parent alive."""
-    hs, frames, base = hs_fixture()
+    hs, grid, base = hs_fixture()
     if transform == "single":
-        net = single_backlund(frames, hs, np.pi / 3.0, s_tilde0=np.exp(0.4j))
+        net = single_backlund(*grid, np.pi / 3.0, s_tilde0=np.exp(0.4j))
     elif transform == "double":
-        net, _ = double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
+        net, _ = double_backlund(*grid, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j))
     else:
         net = base
     for arr in (net.x, net.n):
@@ -414,29 +425,29 @@ def test_nets_own_contiguous_real_coordinates(transform):
 
 
 def test_double_backlund_condition_rejections():
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     with pytest.raises(ConfigError):  # sin(alpha) must be real
-        double_backlund(frames, hs, np.pi / 3.0 + 0.2j)
+        double_backlund(*grid, np.pi / 3.0 + 0.2j)
     with pytest.raises(ConfigError):  # |sin| <= 1 needs unit seeds
-        double_backlund(frames, hs, np.pi / 3.0, s_tilde0=1.3 * np.exp(0.4j))
+        double_backlund(*grid, np.pi / 3.0, s_tilde0=1.3 * np.exp(0.4j))
     with pytest.raises(ConfigError):  # |sin| > 1 needs conjugate seeds
-        double_backlund(frames, hs, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j),
+        double_backlund(*grid, ALPHA_C, s_tilde0=1.3 * np.exp(0.4j),
                                                    s_hat0=1.0 + 0.0j)
 
 
 def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     nan_field = np.full((hs.domain.nj, hs.domain.nk), np.nan + 0j)
     monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
     with pytest.raises(PoleHit):
-        double_backlund(frames, hs, np.pi / 3.0)
+        double_backlund(*grid, np.pi / 3.0)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C], ids=["real", "complex"])
 def test_double_backlund_forms_each_block_once(monkeypatch, alpha):
     """The Sym pass calls the transform hook once per block of profile rows, and the hook
     forms that block's VW entries once: one lax_entries call per entry of row_blocks."""
-    hs, frames = hex_grid(700)
+    hs, grid, _ = hex_grid(700)
     blocks = nets.row_blocks(7, 700)
     assert len(blocks) == 4
     real, shapes = bk.lax_entries, []
@@ -446,7 +457,7 @@ def test_double_backlund_forms_each_block_once(monkeypatch, alpha):
         return real(diag_l, *args)
 
     monkeypatch.setattr(bk, "lax_entries", counted)
-    double_backlund(frames, hs, alpha)
+    double_backlund(*grid, alpha)
     assert shapes == [(len(range(7)[rows]), 700) for rows in blocks]
 
 
@@ -456,7 +467,7 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
     1 - tan^2(a/2) s^ s~ vanishes (to rounding) in row 5: the transform stops in the sixth
     block, after the first five have formed their entries, and the CLI exits 3 at the
     backlund stage with one error line and no mesh."""
-    hs, frames = hex_grid(2000)
+    hs, grid, _ = hex_grid(2000)
     assert nets.row_blocks(7, 2000) == [slice(j, j + 1) for j in range(7)]
     propagate, fields = bk.propagate, []
 
@@ -470,7 +481,7 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bk, "propagate", planted)
     monkeypatch.setattr(bk, "lax_entries", lambda *args: blocks.append(1) or lax_entries(*args))
     with pytest.raises(PoleHit, match="composed scalar field hit a pole"):
-        double_backlund(frames, hs, 1.0)
+        double_backlund(*grid, 1.0)
     assert len(blocks) == 5
     mesh = tmp_path / "pole.obj"
     code = cli.main(["double", "--surface.kind", "elliptic", "--surface.kappa", "0.6",
@@ -486,7 +497,7 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
     """A NaN in one transform term, which every Sym block forms through
     ``nets._transform_terms``, makes a coordinate NaN and must not pass as real."""
-    hs, frames, _ = hs_fixture()
+    hs, grid, _ = hs_fixture()
     transform_terms = nets._transform_terms
 
     def nan_terms(*entries):
@@ -496,7 +507,7 @@ def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
 
     monkeypatch.setattr(nets, "_transform_terms", nan_terms)
     with pytest.raises(RealityViolated):
-        double_backlund(frames, hs, np.pi / 3.0)
+        double_backlund(*grid, np.pi / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +708,12 @@ def test_scalar_field_closes_with_the_found_angle():
 
 
 def test_double_transform_annulus_period():
-    hs, frames, base = hex_fixture()
+    hs, grid, base = hex_fixture()
     nk = base.x.shape[1]
     assert np.max(np.abs(base.x[:, 6:] - base.x[:, : nk - 6])) < 1e-8
     for N0 in (8, 9):
         found = find_periodic_alpha(hs, N0)
-        net, _ = double_backlund(frames, hs, found.alpha, 1.3 * np.exp(0.4j))
+        net, _ = double_backlund(*grid, found.alpha, 1.3 * np.exp(0.4j))
         period = lcm(6, N0)
         drift = np.max(np.abs(net.x[:, period:] - net.x[:, : nk - period]))
         assert drift < 1e-8

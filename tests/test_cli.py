@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from cknet import checks, cli, errors, nets
 from cknet.checks import CheckResult
+from cknet.connect import rotational_frames
 from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
-from cknet.lattice import FrameFamily
+from cknet.lattice import FrameFamily, gauge_frame
 from cknet.nets import ContactElementNet
 from cknet.revolution import build_rcnet, profile_elliptic
 from oracles import joined_obj, validate_report
@@ -538,28 +538,6 @@ def run_desk(tmp_path, command, extra, tag):
     return code, mesh, report
 
 
-def test_double_releases_its_frames_after_the_transform(tmp_path, monkeypatch, capsys):
-    """The gauged frames, and the adjoint terms they keep, are gone before verify and export."""
-    refs, alive = [], []
-    real_gauge, real_export = cli.gauge_frame, cli.export_obj
-
-    def gauged(*args):
-        frames = real_gauge(*args)
-        refs.append(weakref.ref(frames))
-        return frames
-
-    def export(*args):
-        alive.extend(ref() is not None for ref in refs)
-        return real_export(*args)
-
-    monkeypatch.setattr(cli, "gauge_frame", gauged)
-    monkeypatch.setattr(cli, "export_obj", export)
-    code, mesh, _ = run_desk(tmp_path, "double", ["--rotation.k_count", "26", "--backlund.N0", "9"],
-                             "double")
-    assert code == cli.EXIT_OK and mesh.exists()
-    assert alive == [False]
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(LONG_GRIDS))
 def test_long_grids_run_finite(tmp_path, capsys, name):
@@ -571,6 +549,45 @@ def test_long_grids_run_finite(tmp_path, capsys, name):
     assert doc["checks"] and all(e["pass"] for e in doc["checks"])
     x, n = obj_arrays(mesh, *shape)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(n))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_double_at_a_far_imaginary_angle_keeps_unit_normals(tmp_path, capsys):
+    """Job 0 of the benchmark's wide_double workload at seed 1: 61 x 200, alpha = pi/2 +
+    1.1637i, where |s~| runs from 6.9e-4 to 1.0e2.  The Sym formula in the explicit frame
+    (E0, E1, n) keeps the normals unit and the net real.  A vector form of the double
+    transform built on the single one (d, D, x12, n12 in the meridian and parallel
+    directions) cancels terms of size |s~|^(+-3) there: its normals miss unit length by
+    1.9e-7, and the net's constructor raises an unclassified ValueError."""
+    extra = ["--surface.j_lo", "-30", "--surface.j_hi", "30", "--rotation.k_count", "200",
+             "--backlund.alpha", "(1.5707963267948966+1.163666698104886j)",
+             "--backlund.seed", "(0.05547449308234642+1.0215000209071563j)"]
+    code, _, report = run_desk(tmp_path, "double", extra, "far")
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    worst = {e["name"]: e["max_residual"] for e in strict_json(report)["checks"]}
+    assert worst["unit_normal"] <= 1e-9 and worst["imag_residue"] <= 1e-9
+
+
+LONG_MERIDIAN = ["--surface.j_lo", "-3000", "--surface.j_hi", "3000", "--rotation.k_count", "13"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, alpha", [("double", "1.0"), ("double", ALPHA_C),
+                                            ("backlund", "1.0")])
+def test_long_meridian_transforms_pass_in_the_frame_of_generate(tmp_path, capsys, command,
+                                                                alpha):
+    """Rows -3000..3000 by 13 columns: every entry passes.  The transforms are written in
+    the frame of ``generate``, so the backlund mesh lies |sin alpha| from the generate mesh
+    of the same keys, vertex by vertex."""
+    extra = [*LONG_MERIDIAN, "--backlund.alpha", alpha]
+    code, mesh, report = run_desk(tmp_path, command, extra, command)
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    assert all(e["pass"] for e in strict_json(report)["checks"])
+    if command == "backlund":
+        code, base, _ = run_desk(tmp_path, "generate", LONG_MERIDIAN, "generate")
+        assert code == cli.EXIT_OK
+        gap = np.linalg.norm(obj_arrays(mesh, 6001, 13)[0] - obj_arrays(base, 6001, 13)[0], axis=-1)
+        assert np.max(np.abs(gap - np.sin(1.0))) <= 1e-9
 
 
 @st.composite
@@ -705,8 +722,8 @@ def test_stage_names_floating_point_errors():
             return np.float64(1e300) * 1e300
 
     with pytest.raises(cli._StagedError) as info:
-        cli._stage("frames", trapped)
-    assert str(info.value).startswith("stage=frames: FloatingPointError: overflow")
+        cli._stage("rcnet", trapped)
+    assert str(info.value).startswith("stage=rcnet: FloatingPointError: overflow")
     with pytest.raises(cli._StagedError) as info:
         cli._stage("gauge", math.pow, 2.4, 2000)
     assert str(info.value).startswith("stage=gauge: OverflowError: ")
@@ -727,13 +744,12 @@ def test_grid_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys, extra
 
 @pytest.mark.parametrize("command", ["double", "backlund"])
 def test_transform_grid_too_large_for_its_frames_is_a_numeric_failure(tmp_path, capsys, command):
-    # the column factor's first allocation, about 6 PB, is refused at once, before the frames
-    # are doubled towards it
+    # the column angles, 0.8 PB, are refused at once, before any field or net is formed
     extra = ["--rotation.k_count", "100000000000000", "--backlund.alpha", "1.0"]
     code, mesh, report = run_desk(tmp_path, command, extra, "huge")
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NUMERIC
-    assert len(err.splitlines()) == 1 and err.startswith("error: stage=frames: MemoryError: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: stage=rcnet: MemoryError: ")
     assert out == "" and not mesh.exists() and not report.exists()
 
 
@@ -772,7 +788,7 @@ def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, cap
 
 def test_generate_computes_face_normals_once(tmp_path, monkeypatch, capsys):
     """The curvature report and the OBJ writer share one report, so one pass over the faces."""
-    calls = count_calls(monkeypatch, ["curvature_report"])
+    calls = count_calls(monkeypatch, nets.curvature_report)
     cfg = write(tmp_path, "job.ini", PSEUDO_INI)
     code = cli.main(["generate", "--config", cfg, "--output.mesh", str(tmp_path / "out.obj")])
     assert code == cli.EXIT_OK
@@ -1131,26 +1147,30 @@ def test_validate_report_takes_number_or_null_residuals():
 # stages each command builds and non-finite inputs
 
 
-def count_calls(monkeypatch, names):
-    """Replace each named CLI stage function with a counting wrapper."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+def count_calls(monkeypatch, *functions):
+    """Replace each package function, in every cknet module that holds it, with a counting
+    wrapper; the counts are keyed by name."""
+    calls = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("cknet") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
     return calls
 
 
 @pytest.mark.parametrize("command, extra, built", [
     ("search", ["--backlund.N0", "9"], {"rotational_frames": 0, "gauge_frame": 0, "sym": 0}),
-    ("double", ["--backlund.N0", "9"], {"rotational_frames": 1, "gauge_frame": 1, "sym": 0}),
-    ("backlund", ["--backlund.alpha", "1.0"], {"rotational_frames": 1, "gauge_frame": 1, "sym": 1}),
+    ("double", ["--backlund.N0", "9"], {"rotational_frames": 0, "gauge_frame": 0, "sym": 0}),
+    ("backlund", ["--backlund.alpha", "1.0"], {"rotational_frames": 0, "gauge_frame": 0, "sym": 0}),
 ])
 def test_commands_build_only_the_stages_they_read(tmp_path, monkeypatch, capsys, command,
                                                   extra, built):
-    # search reads the normal-form data alone; only backlund compares against the base net
-    calls = count_calls(monkeypatch, built)
+    # search reads the normal-form data alone, and the transforms evaluate the Sym formula in
+    # the rotational net's frame: no command forms frames, gauges them or runs a Sym pass
+    calls = count_calls(monkeypatch, rotational_frames, gauge_frame, nets.sym)
     code, _, _ = run_desk(tmp_path, command, ["--rotation.k_count", "26", *extra], command)
     assert code == cli.EXIT_OK, capsys.readouterr()
     assert calls == built

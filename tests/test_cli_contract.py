@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cknet import cli, errors
 
-STAGES = {"config", "profile", "rotation", "rcnet", "connect", "gauge", "frames", "sym", "search",
-          "backlund", "verify", "report", "export", "check"}
+STAGES = {"config", "profile", "rotation", "rcnet", "connect", "gauge", "search", "backlund",
+          "verify", "report", "export", "check"}
 ALL_KEYS = set().union(*cli.KEYS.values())
 MISSPELT_KEYS = {"surface.kapa", "rotation.kcount", "backlund.sead", "output.mesj"}
 DESK = {"surface.kind": "elliptic", "surface.kappa": "0.6", "surface.K_sign": "-1",

@@ -1,10 +1,13 @@
-"""The factored Sym formula against frames formed vertex by vertex.
+"""The Sym formula through frame factors and in explicit form, against frames formed vertex
+by vertex.
 
-``nets.sym_arrays`` applies the adjoint maps of the row and column frame
-factors and reads only the transform jet per vertex; ``oracles.dense_sym``
-materialises Phi, multiplies the gauge and the transform onto it and
-inverts the result on every vertex, as the pipeline did before the frames
-were factored.  Both must give the same positions and normals.
+``nets.sym_arrays`` applies the adjoint maps of the row and column frame factors;
+``oracles.dense_sym`` materialises Phi, multiplies the gauge and the transform onto it and
+inverts the result on every vertex, as the pipeline did before the frames were factored.  Both
+must give the same positions and normals, to ``TOL``.  The transforms form no frame: they
+evaluate the Sym formula in ``build_rcnet``'s frame, and ``oracles.sym_frame`` moves their nets
+into the Sym frame by the exact rigid motion of the initial frame.  That compares two
+constructions, so the bound is ``EXPLICIT_TOL``.
 """
 
 from functools import lru_cache
@@ -13,15 +16,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cknet import lattice, quat
 from cknet.backlund import build_abcd, double_backlund, propagate, single_backlund
 from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs, rotational_frames
-from cknet.lattice import MatJet, gauge_frame
-from cknet.nets import sym, sym_arrays
-from cknet.revolution import profile_elliptic, profile_trig
-from oracles import composed_field, dense_sym, v_jet, w_jet
+from cknet.lattice import gauge_frame
+from cknet.nets import sym_arrays
+from cknet.revolution import column_angles, profile_elliptic, profile_trig
+from oracles import composed_field, dense_sym, sym_frame, v_jet, w_jet
 
 TOL = 1e-13
+# The explicit nets, moved by the initial frame's motion, differ from the dense oracles by at
+# most 1.1e-14 on 7 x 15, 2.2e-13 on 61 x 200 and 2.0e-12 on 121 x 2000, over x and n, single
+# and double transforms, alpha in {1.0, 2.4} and pi/2 + {0.5, 1.16, 1.4}i, and three row
+# ranges each, odd and even j_lo.  They grow with the grid as the base Sym net's own distance
+# from build_rcnet does (2.2e-15, 2.3e-14, 4.3e-13): the gap is the rounding of the frame
+# products.  The bound is that worst, 2.0e-12, times 2.
+EXPLICIT_TOL = 4e-12
 THETA = np.pi / 6.0
 
 
@@ -31,21 +40,22 @@ def worst(got, want):
 
 
 @lru_cache(maxsize=None)
-def ck_grid(nj=7, nk=15, theta=THETA):
-    """Ungauged frames, normal-form data and gauged frames of a K = -1 profile of nj rows."""
-    j_lo = -(nj // 2)
+def ck_grid(nj=7, nk=15, theta=THETA, j_lo=None):
+    """Profile, ungauged frames, normal-form data, gauged frames and column angles of a
+    K = -1 profile of nj rows from j_lo (by default -(nj // 2))."""
+    j_lo = -(nj // 2) if j_lo is None else j_lo
     p = profile_elliptic(0.6, -1, (j_lo, j_lo + nj - 1), j0=4)
     conn, data = build_ck_connection(p, theta, nk)
     hs = gauge_to_hs(conn, data)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
-    return frames, hs, gauge_frame(frames, hs.gauge)
+    return p, frames, hs, gauge_frame(frames, hs.gauge), column_angles(nk, theta=theta)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 @pytest.mark.parametrize("tau", [0.0, 1.0])
 def test_base_nets_match_dense_frames(case, tau):
     if case == 3:
-        frames = ck_grid()[0]
+        frames = ck_grid()[1]
         xi = 2.0
     else:
         p = profile_trig(np.full(6, -np.tan(0.05)), 0.6 if case == 1 else 1.4, 0.0, j_lo=-3)
@@ -58,19 +68,23 @@ def test_base_nets_match_dense_frames(case, tau):
 
 
 def test_gauged_base_net_matches_dense_frames():
-    frames, hs, frames_hs = ck_grid()
+    _, frames, hs, frames_hs, _ = ck_grid()
     assert frames_hs.rows.shape == (7, 1, 2, 2)
     assert worst(sym_arrays(frames_hs, 2.0), dense_sym(frames, 2.0, G=hs.gauge)) <= TOL
 
 
+def dense_single(frames, hs, alpha, seed):
+    """Dense (x, n) of W Phi."""
+    s_tilde = propagate(*build_abcd(hs, alpha), seed, hs.domain.nk)
+    return dense_sym(frames, 2.0, G=hs.gauge, T=w_jet(alpha, s_tilde, hs.s, frames.t0))
+
+
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, 2.0])
 def test_single_transforms_match_dense_frames(alpha):
-    frames, hs, frames_hs = ck_grid()
-    net = single_backlund(frames_hs, hs, alpha, np.exp(0.7j))
-    s_tilde = propagate(*build_abcd(hs, alpha), np.exp(0.7j), hs.domain.nk)
-    T = w_jet(alpha, s_tilde, hs.s, frames.t0)
-    x, n = dense_sym(frames, 2.0, G=hs.gauge, T=T)
-    assert worst((net.x, net.n), (x, n)) <= TOL
+    p, frames, hs, _, ang = ck_grid()
+    net = single_backlund(p, ang, hs, alpha, np.exp(0.7j))
+    x, n = dense_single(frames, hs, alpha, np.exp(0.7j))
+    assert worst(sym_frame(net, p, hs), (x, n)) <= EXPLICIT_TOL
     assert max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))) <= TOL
 
 
@@ -89,47 +103,32 @@ def dense_double(frames, hs, alpha, seed):
     (np.pi / 2.0 + 1.4j, 0.8 * np.exp(2.0j)),
 ])
 def test_double_transforms_match_dense_frames(alpha, seed):
-    frames, hs, frames_hs = ck_grid()
-    net, _ = double_backlund(frames_hs, hs, alpha, seed)
-    assert worst((net.x, net.n), dense_double(frames, hs, alpha, seed)) <= TOL
+    p, frames, hs, _, ang = ck_grid()
+    net, _ = double_backlund(p, ang, hs, alpha, seed)
+    assert worst(sym_frame(net, p, hs), dense_double(frames, hs, alpha, seed)) <= EXPLICIT_TOL
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
-@given(nj=st.integers(2, 121), nk=st.integers(2, 2000), real=st.booleans(),
-       angle=st.floats(0.1, np.pi - 0.1), y=st.floats(0.05, 1.0),
-       radius=st.floats(0.7, 1.5), phase=st.floats(-np.pi, np.pi))
-@example(nj=121, nk=2000, real=False, angle=1.0, y=0.5, radius=1.3, phase=0.4)
-def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, real, angle, y, radius, phase):
-    frames, hs, frames_hs = ck_grid(nj, nk, np.pi / 3.0)
+@given(nj=st.integers(2, 121), nk=st.integers(2, 2000), shift=st.integers(-5, 5),
+       real=st.booleans(), single=st.booleans(), angle=st.floats(0.1, np.pi - 0.1),
+       y=st.floats(0.05, 1.0), radius=st.floats(0.7, 1.5), phase=st.floats(-np.pi, np.pi))
+@example(nj=121, nk=2000, shift=0, real=False, single=False, angle=1.0, y=0.5, radius=1.3,
+         phase=0.4)
+@example(nj=61, nk=200, shift=13, real=True, single=True, angle=1.0, y=0.5, radius=1.0,
+         phase=0.4)
+@example(nj=61, nk=200, shift=13, real=False, single=False, angle=1.0, y=0.5, radius=1.3,
+         phase=0.4)
+def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, shift, real, single, angle,
+                                                           y, radius, phase):
+    """Rows from j_lo = shift - nj // 2, where the initial frame's motion also turns the net
+    (the last two examples start at the odd j_lo = -17); a real angle drawn with ``single``
+    checks the single transform instead."""
+    p, frames, hs, _, ang = ck_grid(nj, nk, np.pi / 3.0, shift - nj // 2)
     alpha = angle if real else np.pi / 2.0 + 1j * y
     seed = np.exp(1j * phase) * (1.0 if real else radius)
-    net, _ = double_backlund(frames_hs, hs, alpha, seed)
-    assert worst((net.x, net.n), dense_double(frames, hs, alpha, seed)) <= TOL
-
-
-def test_a_family_forms_its_adjoint_terms_once(monkeypatch):
-    """A base Sym pass and a transform on one frame family form the row and the column terms
-    once each, where every Sym pass formed them again."""
-    frames, hs, _ = ck_grid()
-    calls, real = [], lattice._factor_terms
-    monkeypatch.setattr(lattice, "_factor_terms", lambda F: calls.append(F.shape) or real(F))
-    fresh = gauge_frame(frames, hs.gauge)
-    sym(fresh, 2.0)
-    single_backlund(fresh, hs, np.pi / 3.0)
-    assert calls == [fresh.rows.shape, fresh.cols.shape]
-
-
-def test_gauging_a_family_with_formed_terms_forms_new_ones():
-    """``gauge_frame`` of a family that has formed its terms gives a family that forms its
-    own: its Sym net is bit for bit the one gauged from frames that never ran a pass."""
-    frames, hs, _ = ck_grid()
-    jj, kk = np.meshgrid(np.arange(7), np.arange(15), indexing="ij")
-    th = 0.3 * np.sin(3.0 * jj + kk)   # exp(-i th sigma1) per vertex turns the normals
-    G = MatJet.constant(quat.matrix(np.cos(th), -1j * np.sin(th), -1j * np.sin(th), np.cos(th)))
-    used = gauge_frame(frames, hs.gauge)
-    sym(used, 2.0)
-    assert "terms" in vars(used)
-    got = sym(gauge_frame(used, G), 2.0)
-    want = sym(gauge_frame(gauge_frame(frames, hs.gauge), G), 2.0)
-    assert np.array_equal(got.x, want.x) and np.array_equal(got.n, want.n)
-    assert np.max(np.abs(got.n - sym(used, 2.0).n)) > 0.1
+    if real and single:
+        net, want = single_backlund(p, ang, hs, alpha, seed), dense_single(frames, hs, alpha, seed)
+    else:
+        net = double_backlund(p, ang, hs, alpha, seed)[0]
+        want = dense_double(frames, hs, alpha, seed)
+    assert worst(sym_frame(net, p, hs), want) <= EXPLICIT_TOL

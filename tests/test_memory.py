@@ -17,10 +17,9 @@ import numpy as np
 
 from cknet import cli
 from cknet.backlund import double_backlund
-from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
-from cknet.lattice import gauge_frame
+from cknet.connect import build_ck_connection, gauge_to_hs
 from cknet.nets import ContactElementNet, curvature_report
-from cknet.revolution import profile_elliptic
+from cknet.revolution import column_angles, profile_elliptic
 
 MiB = 2 ** 20
 
@@ -37,23 +36,23 @@ def added_mib(fn, *args, **kwargs):
 
 
 @lru_cache(maxsize=None)
-def wide_frames():
-    """Gauged frames and normal-form data of the 61 x 200 grid of the benchmark's wide jobs."""
+def wide_grid():
+    """Profile, column angles and normal-form data of the 61 x 200 grid of the benchmark's
+    wide jobs."""
     p = profile_elliptic(0.6, -1, (-30, 30), j0=4)
     conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 200)
-    hs = gauge_to_hs(conn, data)
-    return gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge), hs
+    return p, column_angles(200, k0=6), gauge_to_hs(conn, data)
 
 
 def test_double_transform_memory_is_the_net_and_one_block():
     """The result (0.56 MiB of real coordinates), the propagated scalar fields and one block
     of rows.  A complex angle propagates s~ alone (s^ is conj(s~) per block) and measures
-    1.31 MiB; a real angle propagates s^ too (0.19 MiB more) and measures 1.49 MiB.  Each
+    1.18 MiB; a real angle propagates s^ too (0.19 MiB more) and measures 1.37 MiB.  Each
     bound is that peak plus 0.1 MiB.  Storing the composed field and packing every block's
     transform into a (..., 2, 2) jet took 1.83 MiB, and whole-grid intermediates 5.6 MiB."""
-    frames, hs = wide_frames()
-    assert added_mib(double_backlund, frames, hs, np.pi / 2.0 + 0.5j, 1.2 + 0.5j) <= 1.41
-    assert added_mib(double_backlund, frames, hs, 1.2) <= 1.59
+    grid = wide_grid()
+    assert added_mib(double_backlund, *grid, np.pi / 2.0 + 0.5j, 1.2 + 0.5j) <= 1.28
+    assert added_mib(double_backlund, *grid, 1.2) <= 1.47
 
 
 @lru_cache(maxsize=None)

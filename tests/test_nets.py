@@ -94,13 +94,13 @@ def test_sym_arrays_preserves_complex_residue():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf])
-def test_sym_arrays_rejects_a_singular_or_non_finite_transform(entry):
-    domain = Domain(2, 3)
-    frames = FrameFamily(domain, MatJet.constant(np.broadcast_to(np.eye(2), (2, 3, 2, 2))))
-    T = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
-    T[1, 2, 1, 1] = entry                # det 0, NaN or inf at one vertex
+def test_explicit_sym_rejects_a_singular_or_non_finite_transform(entry):
+    p = fixture_profile("elliptic", 0.6, -1)
+    d = np.ones((p.nj, 3), dtype=complex)
+    d[1, 2] = entry                      # T = diag(1, d): det 0, NaN or inf at one vertex
     with pytest.raises(Singular):
-        sym_arrays(frames, 2.0, T=MatJet.constant(T))
+        nets.explicit_sym(p, np.array([0.0, 0.5, 1.0]),
+                          lambda rows: (1.0, 0.0, 0.0, d[rows], 0.0, 0.0, 0.0, 0.0))
 
 
 def transform_normal_terms_out_of_place(a, b, c, d):
@@ -297,9 +297,9 @@ def test_face_pass_matches_seven_crosses_on_rcnets(spec):
 
 
 def test_face_pass_matches_seven_crosses_on_transforms():
-    hs, frames = fixture_ck_hs()
-    assert_report_matches_seven_crosses(single_backlund(frames, hs, np.pi / 3.0))
-    net, _ = double_backlund(frames, hs, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
+    grid = fixture_ck_hs()
+    assert_report_matches_seven_crosses(single_backlund(*grid, np.pi / 3.0))
+    net, _ = double_backlund(*grid, np.pi / 2.0 + 0.5j, 1.3 * np.exp(0.4j))
     assert_report_matches_seven_crosses(net)
 
 
