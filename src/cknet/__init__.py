@@ -20,9 +20,8 @@ from .errors import (BranchFailure, CaseMismatch, CknetError, ConfigError,
                      DivisionByZero, InvalidProfile, ModulusOutOfRange, NoRoot,
                      NotPrincipal, PathInconsistent, PoleHit, RealityViolated,
                      Singular, ZeroEdge)
-from .lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
-                      admissible_gauge, flatness_residual, gauge, gauge_frame,
-                      jet_residual)
+from .lattice import (ConnectionFamily, FrameFamily, MatJet, admissible_gauge,
+                      flatness_residual, gauge, gauge_frame, jet_residual)
 from .nets import (AlignResult, ContactElementNet, curvature_report,
                    face_normal, period_drift, principal_curvatures, rigid_align,
                    singular_vertices, sym, sym_arrays, transform_residuals,

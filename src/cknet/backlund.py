@@ -203,10 +203,10 @@ def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarra
 # single transforms
 
 
-def single_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
+def single_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
                     s_tilde0: complex = 1.0) -> ContactElementNet:
     """Single Backlund transform, the W form at ``alpha``, of the rotational net of the
-    profile ``p`` with columns at the angles ``ang`` and normal-form data ``hs``.
+    normal-form data ``hs`` (its profile ``hs.profile``) at the column angles ``ang``.
 
     alpha must be real, in (-pi, 0) or (0, pi), and the seed s_tilde0 a unit scalar.
     """
@@ -218,7 +218,7 @@ def single_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
     def transform(rows):   # the entries of W and dW at t = 0
         ratio = s_grid[rows] / hs.s[rows, None]
         return cot * ratio, 1j, 1j, cot / ratio, 0.0, 1j, 1j, 0.0
-    return ContactElementNet(*explicit_sym(p, ang, transform)[:2])
+    return ContactElementNet(*explicit_sym(hs.profile, ang, transform)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,10 @@ class DoubleReport:
     unit_residual: float
 
 
-def double_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
+def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
                     s_tilde0: complex = 1.0, s_hat0: Optional[complex] = None):
     """Double Backlund transform with beta = -alpha and real sin(alpha), of the rotational
-    net of the profile ``p`` with columns at the angles ``ang`` and normal-form data ``hs``.
+    net of the normal-form data ``hs`` (its profile ``hs.profile``) at the column angles ``ang``.
 
     Returns (ContactElementNet, DoubleReport).  sin(alpha) must be real and
     tan(alpha/2) nonzero.  When |sin alpha| <= 1 both seeds must be unit
@@ -289,7 +289,7 @@ def double_backlund(p, ang: np.ndarray, hs: HsLaxData, alpha: complex,
         unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
         return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, 0.0)
 
-    x, n, imag_residue = explicit_sym(p, ang, vw)
+    x, n, imag_residue = explicit_sym(hs.profile, ang, vw)
     return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
 
 

@@ -28,6 +28,7 @@ from .revolution import (build_rcnet, column_angles, conservation_drift, ellipti
                          profile_hyp, profile_trig)
 
 THETA = np.pi / 6.0  # rotation step of the shared fixtures (k0 = 12)
+COLUMNS = 15  # columns of the shared fixtures' nets
 
 
 @dataclass(frozen=True)
@@ -73,34 +74,31 @@ def fixture_profile(kind: str, kappa: float, K_sign: int):
 
 @lru_cache(maxsize=None)
 def fixture_ck():
-    """K=-1 fixture: elliptic kappa=0.6 profile, theta=pi/6, 15 columns."""
+    """K=-1 fixture: elliptic kappa=0.6 profile, theta=pi/6, nets of 15 columns."""
     p = fixture_profile("elliptic", 0.6, -1)
-    conn, data = build_ck_connection(p, THETA, 15)
+    conn, data = build_ck_connection(p, THETA)
     return p, conn, data
 
 
-def fixture_ck_hs(theta: float = THETA, k_count: int = 15):
-    """(p, column angles, hs) of the K=-1 fixture, which the transforms read, built on each
-    call: by default ``fixture_ck``'s grid; criterion 7 takes theta = pi/3 and 26 columns."""
-    p = fixture_profile("elliptic", 0.6, -1)
-    conn, data = build_ck_connection(p, theta, k_count)
-    return p, column_angles(k_count, theta=theta), gauge_to_hs(conn, data)
+def fixture_ck_hs(theta: float = THETA, k_count: int = COLUMNS):
+    """(hs, column angles) of the K=-1 fixture, which the transforms read, built on each call:
+    by default ``fixture_ck``'s grid; criterion 7 takes theta = pi/3 and 26 columns."""
+    conn, data = build_ck_connection(fixture_profile("elliptic", 0.6, -1), theta)
+    return gauge_to_hs(conn, data), column_angles(k_count, theta=theta)
 
 
 @lru_cache(maxsize=None)
 def fixture_cmc(case: int):
     """K=+1 fixture of construction 1 (kappa = 0.6) or 2 (kappa = 1.4)."""
     p = fixture_profile("trig", 0.6 if case == 1 else 1.4, +1)
-    conn, data = build_cmc_connection(p, THETA, 15)
+    conn, data = build_cmc_connection(p, THETA)
     return p, conn, data
 
 
 def fixture_linear():
-    """Wide K=-1 fixture for the 30 x 50 explicit-field comparison (criterion 9 alone)."""
+    """Wide K=-1 fixture of 30 rows for the 30 x 50 explicit-field comparison (criterion 9)."""
     p = profile_elliptic(0.6, -1, (-15, 14), j0=16)
-    conn, data = build_ck_connection(p, np.pi / 5.0, 50)
-    hs = gauge_to_hs(conn, data)
-    return hs
+    return gauge_to_hs(*build_ck_connection(p, np.pi / 5.0))
 
 
 def _cases():
@@ -116,13 +114,13 @@ def fixture_sym(case: int):
     rigid-motion residual against the directly built net, the drift under a shift by
     k0 = 12 columns and, for case 3 only, the largest change under an admissible gauge."""
     _, p, conn = _cases()[case - 1]
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=COLUMNS)
     net = sym(frames, 2.0 if case == 3 else -2.0)
-    out = (rigid_align(net, build_rcnet(p, conn.domain.nk, theta=THETA)).residual,
+    out = (rigid_align(net, build_rcnet(p, column_angles(COLUMNS, theta=THETA))).residual,
            period_drift(net, 12))
     if case != 3:
         return out
-    jj, kk = np.meshgrid(np.arange(conn.domain.nj), np.arange(conn.domain.nk), indexing="ij")
+    jj, kk = np.meshgrid(*map(np.arange, frames.shape), indexing="ij")
     G = admissible_gauge(0.02 * np.sin(1.0 + jj + 0.7 * kk),
                          0.10 * np.cos(2.0 + jj - kk),
                          0.30 * np.sin(3.0 * jj + kk))
@@ -142,7 +140,7 @@ def criterion_1() -> list[CheckResult]:
         tag = f"[{kind},kappa={kappa:g},K={K_sign:+d}]"
         out.append(CheckResult(f"c01_gauss_profile{tag}",
                                np.max(np.abs(gauss_from_profile(p) - K_sign)), 1e-12))
-        worst, _ = curvature_report(build_rcnet(p, 13, k0=12), K_sign, edge=True)
+        worst, _ = curvature_report(build_rcnet(p, column_angles(13, k0=12)), K_sign, edge=True)
         out.append(CheckResult(f"c01_gauss_faces{tag}", worst["gauss"], 1e-9))
         out.append(CheckResult(f"c01_ec{tag}", worst["edge"], 1e-9))
     return out
@@ -202,12 +200,12 @@ def criterion_5() -> list[CheckResult]:
 
 def criterion_6() -> list[CheckResult]:
     """Single transforms: distance, normal angle, orthogonality, curvature."""
-    p, ang, hs = fixture_ck_hs()
-    base_net = build_rcnet(p, len(ang), theta=THETA)
+    hs, ang = fixture_ck_hs()
+    base_net = build_rcnet(hs.profile, ang)
     out = []
     for alpha in (np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0):
         for seed in (1.0 + 0.0j, np.exp(0.7j), np.exp(-1.9j)):
-            net = bk.single_backlund(p, ang, hs, alpha, seed)
+            net = bk.single_backlund(hs, ang, alpha, seed)
             worst, _ = curvature_report(net, base=base_net, alpha=alpha)
             tag = f"[alpha={alpha:.3f},seed={np.angle(seed):+.2f}]"
             out.append(CheckResult(f"c06_distance{tag}", worst["distance"], 1e-9))
@@ -219,15 +217,15 @@ def criterion_6() -> list[CheckResult]:
 
 def criterion_7() -> list[CheckResult]:
     """Annulus search: the rotational recurrence closes and the net repeats."""
-    p, ang, hs = fixture_ck_hs(np.pi / 3, 26)
+    hs, ang = fixture_ck_hs(np.pi / 3, 26)
     out = []
     for N0 in (8, 9):
         found = bk.find_periodic_alpha(hs, N0)
         out.append(CheckResult(f"c07_power[N0={N0}]", found.residual, bk._CLOSE_TOL))
         if abs(complex(found.alpha).imag) < 1e-12:
-            net = bk.single_backlund(p, ang, hs, found.alpha.real)
+            net = bk.single_backlund(hs, ang, found.alpha.real)
         else:
-            net, _ = bk.double_backlund(p, ang, hs, found.alpha, 1.3 * np.exp(0.4j))
+            net, _ = bk.double_backlund(hs, ang, found.alpha, 1.3 * np.exp(0.4j))
         drift = period_drift(net, lcm(6, N0))
         out.append(CheckResult(f"c07_period[N0={N0}]", drift, 1e-8))
     return out
@@ -247,10 +245,10 @@ def criterion_8() -> list[CheckResult]:
 
 def criterion_9() -> list[CheckResult]:
     """Explicit eigen-coordinate field reproduces step-by-step Moebius iteration on a wide grid."""
-    hs = fixture_linear()
     seed = np.exp(0.3j)
-    A, B = bk.build_abcd(hs, complex(np.pi / 3.0))
-    explicit = bk.propagate(A, B, seed, hs.domain.nk)
+    # hs and the profile it carries are freed before propagate, which sets the peak
+    A, B = bk.build_abcd(fixture_linear(), complex(np.pi / 3.0))
+    explicit = bk.propagate(A, B, seed, 50)
     steps = np.empty_like(explicit)
     steps[0, 0] = seed
     for j in range(len(A)):
@@ -288,7 +286,7 @@ def criterion_10() -> list[CheckResult]:
     out = []
     for kappa in (0.6, 1.4):
         p = fixture_profile("elliptic", kappa, -1)
-        net = build_rcnet(p, 13, theta=THETA)
+        net = build_rcnet(p, column_angles(13, theta=THETA))
         mism = len(singular_vertices(net) ^ _brute_singular(net))
         out.append(CheckResult(f"c10_singular[kappa={kappa:g}]", float(mism), 0.5))
     return out

@@ -10,8 +10,9 @@ flag takes one value, as --name value or --name=value; names match exactly.
 interpolation, or a JSON object of section objects.  --criterion (check
 only, repeatable) runs one acceptance criterion.  --section.key overrides
 one config key.  A key the command does not read, from the file or an
-override, is refused.  -h or --help prints this text.  Meshes are
-Wavefront OBJ, reports JSON with one entry per measured invariant.
+override, is refused, as is one its job never reads (another family's
+profile key, or backlund.p beside alpha).  -h or --help prints this text.
+Meshes are Wavefront OBJ, reports JSON with one entry per measured invariant.
 
 Exit codes: 0 success, 1 an invariant check failed, 2 configuration or
 usage error (an unknown command, flag or criterion number, or a key the
@@ -204,9 +205,13 @@ def build_profile(cfg: dict) -> Profile:
 
 
 def rotation_step(cfg: dict):
-    """(theta, k0) from the rotation section; both given must be consistent."""
+    """(theta, k0, k_count) from the rotation section: theta and k0 given both must be
+    consistent, and theta is 2 pi / k0 when k0 is given; k_count must be at least 2."""
     theta = _get(cfg, "rotation", "theta", float, None)
     k0 = _get(cfg, "rotation", "k0", int, None)
+    k_count = _get(cfg, "rotation", "k_count", int)
+    if k_count < 2:
+        raise ConfigError(f"rotation.k_count must be >= 2, got {k_count}")
     if theta is None and k0 is None:
         raise ConfigError("rotation needs theta or k0")
     if k0 is not None:
@@ -215,8 +220,8 @@ def rotation_step(cfg: dict):
         exact = 2.0 * np.pi / k0
         if theta is not None and not (abs(theta - exact) <= 1e-12):
             raise ConfigError(f"rotation.theta = {theta} and k0 = {k0} are inconsistent")
-        return exact, k0
-    return theta, None
+        return exact, k0, k_count
+    return theta, None, k_count
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +478,16 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=Non
 # subcommands
 
 
-def _step(theta, k0) -> dict:
-    """The rotation step as ``build_rcnet`` and ``column_angles`` take it."""
-    return {"theta": theta} if k0 is None else {"k0": k0}
+def _angles(theta, k0, k_count: int, k_lo: int = 0):
+    """The column angles of a rotation step from ``rotation_step``: by k0 when it is given."""
+    return _stage("rcnet", column_angles, k_count, None if k0 else theta, k0, k_lo)
 
 
 def cmd_generate(cfg: dict) -> int:
     p = _stage("profile", build_profile, cfg)
-    theta, k0 = _stage("rotation", rotation_step, cfg)
-    k_count = _get(cfg, "rotation", "k_count", int)
-    k_lo = _get(cfg, "rotation", "k_lo", int, 0)
-    net = _stage("rcnet", build_rcnet, p, k_count, k_lo=k_lo, **_step(theta, k0))
+    theta, k0, k_count = _stage("rotation", rotation_step, cfg)
+    net = _stage("rcnet", build_rcnet, p,
+                 _angles(theta, k0, k_count, _get(cfg, "rotation", "k_lo", int, 0)))
     worst, degenerate = _stage("verify", curvature_report, net, p.K_sign, edge=True,
                                period=_period(net, k0))
     params = flat_parameters(cfg)
@@ -492,13 +496,11 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def _hs_pipeline(cfg: dict):
-    """Profile, rotation step, connection and its normal-form data: what every transform reads."""
+    """Profile, rotation, connection and its normal-form data: what every transform reads."""
     p = _stage("profile", build_profile, cfg)
-    theta, k0 = _stage("rotation", rotation_step, cfg)
-    k_count = _get(cfg, "rotation", "k_count", int)
-    conn, data = _stage("connect", build_ck_connection, p, theta, k_count)
-    hs = _stage("gauge", gauge_to_hs, conn, data)
-    return p, theta, k0, conn, hs
+    theta, k0, k_count = _stage("rotation", rotation_step, cfg)
+    conn, data = _stage("connect", build_ck_connection, p, theta)
+    return (theta, k0, k_count), conn, _stage("gauge", gauge_to_hs, conn, data)
 
 
 def _search(cfg: dict, hs, N0: int, params: dict):
@@ -521,14 +523,13 @@ def _resolve_alpha(cfg: dict, hs, params: dict):
 
 
 def cmd_backlund(cfg: dict) -> int:
-    p, theta, k0, conn, hs = _hs_pipeline(cfg)
-    k_count, step = hs.domain.nk, _step(theta, k0)
-    ang = _stage("rcnet", column_angles, k_count, **step)
-    base = _stage("rcnet", build_rcnet, p, k_count, **step)   # the transform checks read it
+    (theta, k0, k_count), conn, hs = _hs_pipeline(cfg)
+    ang = _angles(theta, k0, k_count)
+    base = _stage("rcnet", build_rcnet, hs.profile, ang)   # the transform checks read it
     params = flat_parameters(cfg)
     alpha = _require_real_angle(_resolve_alpha(cfg, hs, params))
     seed = _get(cfg, "backlund", "seed", complex, 1.0)
-    net = _stage("backlund", single_backlund, p, ang, hs, alpha, seed)
+    net = _stage("backlund", single_backlund, hs, ang, alpha, seed)
     worst, degenerate = _stage("verify", curvature_report, net, base=base, alpha=alpha,
                                period=_period(net, k0, _get(cfg, "backlund", "N0", int, None)))
     entries = [CheckResult("flatness", flatness_residual(conn), 1e-11)]
@@ -536,10 +537,10 @@ def cmd_backlund(cfg: dict) -> int:
 
 
 def cmd_double(cfg: dict) -> int:
-    p, theta, k0, conn, hs = _hs_pipeline(cfg)
-    ang = _stage("rcnet", column_angles, hs.domain.nk, **_step(theta, k0))
+    (theta, k0, k_count), conn, hs = _hs_pipeline(cfg)
+    ang = _angles(theta, k0, k_count)
     params = flat_parameters(cfg)
-    net, rep = _stage("backlund", double_backlund, p, ang, hs, _resolve_alpha(cfg, hs, params),
+    net, rep = _stage("backlund", double_backlund, hs, ang, _resolve_alpha(cfg, hs, params),
                       _get(cfg, "backlund", "seed", complex, 1.0),
                       _get(cfg, "backlund", "seed_hat", complex, None))
     worst, degenerate = _stage("verify", curvature_report, net,
@@ -587,6 +588,22 @@ KEYS = {"generate": _NET | _OUTPUT | {"rotation.k_lo"},
         "double": _NET | _TRANSFORM | _OUTPUT | {"backlund.seed_hat"},
         "search": _NET | {"backlund.N0", "backlund.p", "output.report"},
         "check": frozenset(("output.report",))}
+_KIND_UNREAD = {"elliptic": ("c", "A", "B"), "trig": ("kappa", "Theta", "j0"),
+                "hyp": ("kappa", "Theta", "j0")}   # the profile keys each family leaves unread
+
+
+def _refuse_unread(command: str, flat: dict) -> None:
+    """ConfigError for the first key, in sorted order, that the command does not read, or
+    else that its job's path never reads: another family's, or p where no search runs."""
+    if unread := sorted(set(flat) - KEYS[command]):
+        raise ConfigError(f"{command} does not read config key {unread[0]}")
+    kind = flat.get("surface.kind")
+    beside = {f"surface.{key}": f"surface.kind = {kind}" for key in _KIND_UNREAD.get(kind, ())}
+    if "backlund.alpha" in flat:
+        beside["backlund.p"] = "backlund.alpha"
+    if unread := sorted(set(flat) & set(beside)):
+        raise ConfigError(f"{command} does not read config key {unread[0]} beside "
+                          f"{beside[unread[0]]}")
 
 
 def main(argv=None) -> int:
@@ -597,8 +614,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         command, path, criteria, overrides = args
         cfg = merge_config(load_config(path) if path is not None else {}, overrides)
-        if unread := sorted(set(flat_parameters(cfg)) - KEYS[command]):
-            raise ConfigError(f"{command} does not read config key {unread[0]}")
+        _refuse_unread(command, flat_parameters(cfg))
         return COMMANDS[command](cfg, *criteria)
     except (_StagedError, CknetError) as exc:
         staged = exc if isinstance(exc, _StagedError) else _StagedError("config", exc)

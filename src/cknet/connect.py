@@ -44,27 +44,19 @@ import numpy as np
 from . import quat
 from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
                      InvalidProfile)
-from .lattice import ConnectionFamily, Domain, FrameFamily, MatJet
-from .revolution import Profile
-
-
-def _rotation_domain(p: Profile, theta: float, k_count: int) -> Domain:
-    if not (0.0 < abs(theta) < np.pi):
-        raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
-    if k_count < 2:
-        raise ConfigError(f"need at least two rotational vertices, got {k_count}")
-    return Domain(p.nj, k_count)
+from .lattice import ConnectionFamily, FrameFamily, MatJet
+from .revolution import Profile, _require_step
 
 
 @dataclass(frozen=True)
 class CkEdgeData:
-    """Scalar edge data of a rotational flat connection at t = 0.
+    """Scalar edge data of a rotational flat connection at t = 0, seeded from ``profile``.
 
-    K_sign and, for K = +1, kappa choose the construction.  For K = -1
-    and for K = +1 with kappa > 1, u, v_frak and alpha0 live on the
-    profile edges and v, h_frak on the profile vertices, whose rotation
-    edges they build; beta0 is the same number for every row.  K = +1
-    with kappa < 1 exchanges the roles: u and v_frak live on the profile
+    The profile's K_sign and, for K = +1, kappa choose the construction.
+    For K = -1 and for K = +1 with kappa > 1, u, v_frak and alpha0 live on
+    the profile edges and v, h_frak on the profile vertices, whose rotation
+    edges they build; beta0 is the same number for every row.  K = +1 with
+    kappa < 1 exchanges the roles: u and v_frak live on the profile
     vertices, v, h_frak and beta0 on the profile edges, and alpha0 is the
     same number for every row.  u and v are real when K = +1.
     """
@@ -75,7 +67,7 @@ class CkEdgeData:
     h_frak: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
-    K_sign: int
+    profile: Profile
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +114,12 @@ def _edge_jet_cmc(diag, u, t, alpha_sign=1.0):
 # K = -1 (construction 3)
 
 
-def build_ck_connection(p: Profile, theta: float, k_count: int):
+def build_ck_connection(p: Profile, theta: float):
     """Flat K=-1 connection family for the rotational net of profile p, anchored at t = 0.
 
     Returns (ConnectionFamily, CkEdgeData).  The connection is invariant
-    along the rotation direction k, whose k_count columns are labelled
-    0 .. k_count-1; edge scalars are seeded from the profile normals:
+    along the rotation direction k, whose step is theta; edge scalars are
+    seeded from the profile normals:
 
         v(j)    = (-1)^j (sqrt(1 - kappa^2 a^2) - i kappa a(j)),
         h_frak  = 2 kappa cot(theta/2) + 2 i kappa b(j),
@@ -138,7 +130,7 @@ def build_ck_connection(p: Profile, theta: float, k_count: int):
     """
     if p.K_sign != -1:
         raise InvalidProfile("K=-1 connection requires a K=-1 profile")
-    domain = _rotation_domain(p, theta, k_count)
+    _require_step(theta)
     kappa, a, b = p.kappa, p.a, p.b
     par = np.where(p.js % 2 == 0, 1.0, -1.0)
     re2 = 1.0 - (kappa * a) ** 2
@@ -157,17 +149,17 @@ def build_ck_connection(p: Profile, theta: float, k_count: int):
         M_edge, _ = _edge_jet_cgc(h_frak, v, t)
         if beta0 < 0:
             M_edge = MatJet(-M_edge.val, -M_edge.dot)
-        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
+        return ConnectionFamily(L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, alpha0 = _edge_jet_cgc(v_frak, u, 0.0)
-    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, np.full(p.nj, beta0), -1)
+    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, np.full(p.nj, beta0), p)
 
 
 # ---------------------------------------------------------------------------
 # K = +1 (constructions 1 and 2)
 
 
-def build_cmc_connection(p: Profile, theta: float, k_count: int):
+def build_cmc_connection(p: Profile, theta: float):
     """Flat K=+1 connection family for the rotational net of profile p, anchored at t = 0.
 
     kappa chooses the construction: kappa > 1 seeds the real vertex
@@ -178,12 +170,12 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     scalars x satisfy x - sgn/x = 2a/q, and the edge scalars
     w = sqrt(x(j) x(j+1)) give the closing scalar sgn sa (w + sgn/w) / db.
     Both run the profile along j and are invariant along the rotation
-    direction k, which has k_count vertices.  kappa = 1 is covered by
-    neither construction (CaseMismatch).
+    direction k, whose step is theta.  kappa = 1 is covered by neither
+    construction (CaseMismatch).
     """
     if p.K_sign != +1:
         raise InvalidProfile("K=+1 connection requires a K=+1 profile")
-    domain = _rotation_domain(p, theta, k_count)
+    _require_step(theta)
     if not (p.kappa < 1.0 or p.kappa > 1.0):
         raise CaseMismatch(f"no K=+1 construction covers kappa = {p.kappa}")
     exchanged = p.kappa < 1.0
@@ -208,13 +200,13 @@ def build_cmc_connection(p: Profile, theta: float, k_count: int):
     def assemble(t: float) -> ConnectionFamily:
         L_edge, _ = _edge_jet_cmc(edge_diag, w, t + edge_turn)
         M_edge, _ = _edge_jet_cmc(vertex_diag, x, t + vertex_turn, alpha_sign=vertex_norm0)
-        return ConnectionFamily(domain, L_edge[:, None], M_edge[:, None], t, assemble)
+        return ConnectionFamily(L_edge[:, None], M_edge[:, None], t, assemble)
 
     _, edge_norm0 = _edge_jet_cmc(edge_diag, w, edge_turn)
     edge = (w, edge_diag.astype(complex), edge_norm0)
     vertex = (x, vertex_diag, np.full(p.nj, vertex_norm0))
     (u, v_frak, alpha0), (v, h_frak, beta0) = (vertex, edge) if exchanged else (edge, vertex)
-    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, beta0, +1)
+    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, beta0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +222,23 @@ def initial_frame(a0: float, b0: float) -> np.ndarray:
     )
 
 
-def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFamily:
-    """Frames of a rotation-invariant connection: Phi(j,k) = P(j) D^k, kept as factors.
+def rotational_frames(conn: ConnectionFamily, a0: float, b0: float, nk: int) -> FrameFamily:
+    """Frames of a rotation-invariant connection on nk columns: Phi(j,k) = P(j) D^k, as factors.
 
     P(0) is the standard frame from (a0, b0) as a constant jet,
     P(j+1) = L(j) P(j) and D = P(0)^{-1} M(0) P(0); the P(j) form the
-    row factor and the D^k the column factor.  For a flat family their
-    product coincides with direct integration.
+    row factor and the D^k, k = 0 .. nk-1, the column factor.  For a flat
+    family their product coincides with direct integration.
     """
+    if nk < 1:
+        raise ValueError(f"frames need at least one column, got {nk}")
     phi00 = MatJet.constant(initial_frame(a0, b0))
-    nj, nk = conn.domain.nj, conn.domain.nk
     # the column factor is allocated before any work, so a grid too large fails at once
     Dk = MatJet(np.empty((nk, 2, 2), complex), np.zeros((nk, 2, 2), complex))
     Dk.val[0] = np.eye(2)
     cat = lambda *jets: MatJet(np.concatenate([m.val for m in jets]), np.concatenate([m.dot for m in jets]))
     P = [phi00[None]]
-    for j in range(nj - 1):
+    for j in range(conn.L.shape[0]):
         P.append(conn.L[j, 0] @ P[-1])
     D = phi00.inv() @ conn.M[0, 0] @ phi00
     n = 1
@@ -253,7 +246,7 @@ def rotational_frames(conn: ConnectionFamily, a0: float, b0: float) -> FrameFami
         step = D @ Dk[:min(n, nk - n)]
         Dk.val[n:2 * n], Dk.dot[n:2 * n] = step.val, step.dot
         D, n = D @ D, 2 * n
-    return FrameFamily(conn.domain, cat(*P)[:, None], conn.t0, Dk)
+    return FrameFamily(cat(*P)[:, None], conn.t0, Dk)
 
 
 def closing_residual(conn: ConnectionFamily, k0: int) -> float:
@@ -283,7 +276,8 @@ class HsLaxData:
     s is the unit vertex function per profile column; ell and m are the
     edge eigenvalue-like scalars; delta1 (per profile edge) and delta2
     (global) are the edge angles, complex of the form +-pi/2 + i y when
-    |2/alpha| > 1.  ``gauge`` is the unit-determinant vertex gauge
+    |2/alpha| > 1.  ``profile`` is the profile they were built from, which
+    the transforms sweep.  ``gauge`` is the unit-determinant vertex gauge
     diag(r/sqrt(i), sqrt(i)/r) with r(j+1) = u(j)/r(j), a square root of
     s: one matrix per profile row, of shape (nj, 1, 2, 2).
     """
@@ -294,7 +288,7 @@ class HsLaxData:
     delta1: np.ndarray
     delta2: complex
     u: np.ndarray
-    domain: Domain
+    profile: Profile
     gauge: MatJet = field(repr=False, compare=False, default=None)
 
 
@@ -309,15 +303,14 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     are left out of the gauge and gauged frames stay unit-sized on grids
     of any length.
     """
-    if data.K_sign != -1:
+    if data.profile.K_sign != -1:
         raise CaseMismatch("normal form gauge applies to the K=-1 family")
     if conn.t0 != 0.0:
         raise ConfigError("normal form gauge is anchored at t0 = 0")
-    nj = conn.domain.nj
     s = data.v
-    r = np.empty(nj, dtype=complex)
+    r = np.empty(len(s), dtype=complex)
     r[0] = np.sqrt(s[0])
-    for j in range(nj - 1):
+    for j in range(len(s) - 1):
         r[j + 1] = data.u[j] / r[j]
     # the complex arcsin of w = 2/alpha is real for |w| <= 1, else +-pi/2 + i arccosh|w|
     delta = np.arcsin(2.0 / np.append(data.alpha0, data.beta0[0]).astype(complex))
@@ -330,7 +323,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     m = data.h_frak / (1.0 / (s * t2) + s * t2)
     sq_i = np.exp(1j * np.pi / 4.0)
     G = quat.matrix(r / sq_i, 0.0, 0.0, sq_i / r)
-    return HsLaxData(s, ell, m, delta1, delta2, data.u, conn.domain, MatJet.constant(G[:, None]))
+    return HsLaxData(s, ell, m, delta1, delta2, data.u, data.profile, MatJet.constant(G[:, None]))
 
 
 def lax_entries(diag_l, diag_r, prod, t: float):
@@ -356,6 +349,5 @@ def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
         lax_entries(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
                     s[:-1] * s[1:], t),
         lax_entries(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)))
-    return ConnectionFamily(hs.domain, L_edge[:, None], M_edge[:, None], t,
-                            lambda tt: hs_lax(hs, tt))
+    return ConnectionFamily(L_edge[:, None], M_edge[:, None], t, lambda tt: hs_lax(hs, tt))
 

@@ -82,19 +82,7 @@ def jet_residual(a: MatJet, b: MatJet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# domain and families
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Grid shape: nj vertices along j (the profile) by nk along k (the rotation)."""
-
-    nj: int
-    nk: int
-
-    def __post_init__(self):
-        if self.nj < 1 or self.nk < 1:
-            raise ValueError(f"empty domain: {self.nj} x {self.nk}")
+# families
 
 
 @dataclass(frozen=True)
@@ -102,13 +90,12 @@ class ConnectionFamily:
     """Edge matrices of a k-invariant family as jets in t, anchored at the base parameter t0.
 
     L holds the edges (j,k)->(j+1,k) and M the edges (j,k)->(j,k+1), once
-    per profile row: L of shape (nj-1, 1, 2, 2) and M of shape
-    (nj, 1, 2, 2), the same for every column; any other shape raises
-    ValueError.  ``rebuild``, when present, reconstructs the same family
-    anchored at another t.
+    per profile row: M of shape (nj, 1, 2, 2) gives the row count nj and L
+    has shape (nj-1, 1, 2, 2), the same for every column; any other shape
+    raises ValueError.  The family holds no column count.  ``rebuild``,
+    when present, reconstructs the same family anchored at another t.
     """
 
-    domain: Domain
     L: MatJet
     M: MatJet
     t0: float = 0.0
@@ -117,7 +104,7 @@ class ConnectionFamily:
     )
 
     def __post_init__(self):
-        nj = self.domain.nj
+        nj = self.M.shape[0]
         if self.L.shape != (nj - 1, 1, 2, 2) or self.M.shape != (nj, 1, 2, 2):
             raise ValueError(f"L {self.L.shape} and M {self.M.shape} are not one edge jet per "
                              f"profile row, {(nj - 1, 1, 2, 2)} and {(nj, 1, 2, 2)}")
@@ -134,18 +121,23 @@ class ConnectionFamily:
 @dataclass(frozen=True)
 class FrameFamily:
     """Vertex frames Phi = rows @ cols as jets: rows (nj, 1, 2, 2) for frames that factor,
-    (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  ``Phi``
-    forms the (nj, nk, 2, 2) grid only when it is read."""
+    (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  The factors
+    give the grid shape (nj, nk); ``Phi`` forms the (nj, nk, 2, 2) grid only when it is read."""
 
-    domain: Domain
     rows: MatJet
     t0: float = 0.0
     cols: MatJet = field(default_factory=lambda: MatJet.constant(np.eye(2)[None]))
 
     def __post_init__(self):
-        shapes, grid = (self.rows.shape, self.cols.shape), (self.domain.nj, self.domain.nk, 2, 2)
-        if np.broadcast_shapes(*shapes) != grid:
-            raise ValueError(f"frame factor shapes {shapes} do not make {grid}")
+        if len(self.rows.shape) != 4 or len(self.cols.shape) != 3:
+            raise ValueError(f"frame factor shapes {self.rows.shape}, {self.cols.shape} are not "
+                             "(nj, 1 or nk, 2, 2), (nk, 2, 2)")
+        self.shape   # raises ValueError when the factors do not broadcast
+
+    @property
+    def shape(self):
+        """(nj, nk), the grid of the frames."""
+        return np.broadcast_shapes(self.rows.shape, self.cols.shape)[:2]
 
     @property
     def Phi(self) -> MatJet:
@@ -173,11 +165,10 @@ def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:
     raises ValueError.  The rebuild hook is dropped (the gauged family is
     anchored at conn.t0 only).
     """
-    if G.shape != (conn.domain.nj, 1, 2, 2):
-        raise ValueError(f"gauge shape {G.shape} is not one jet per profile row, "
-                         f"{(conn.domain.nj, 1, 2, 2)}")
+    if G.shape != conn.M.shape:
+        raise ValueError(f"gauge shape {G.shape} is not one jet per profile row, {conn.M.shape}")
     Gi = G.inv()
-    return ConnectionFamily(conn.domain, G[1:] @ conn.L @ Gi[:-1], G @ conn.M @ Gi, conn.t0)
+    return ConnectionFamily(G[1:] @ conn.L @ Gi[:-1], G @ conn.M @ Gi, conn.t0)
 
 
 def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:

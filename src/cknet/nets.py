@@ -147,8 +147,7 @@ def sym_arrays(frames: FrameFamily, xi: float):
 
 def sym(frames: FrameFamily, xi: float) -> ContactElementNet:
     """Real parameter-derivative net of Phi, one block of rows at a time (``_real_blocks``)."""
-    nj, nk = frames.domain.nj, frames.domain.nk
-    return ContactElementNet(*_real_blocks(nj, nk, _sym_planes(frames, xi))[:2])
+    return ContactElementNet(*_real_blocks(*frames.shape, _sym_planes(frames, xi))[:2])
 
 
 def _in_frame(t, a, b, cos_p, sin_p, cos_t, sin_t, f=0.0, h=0.0):

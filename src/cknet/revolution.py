@@ -369,6 +369,12 @@ def validate_profile(p: Profile) -> None:
         )
 
 
+def _require_step(theta: float) -> None:
+    """Refuse a rotation step outside (-pi,0) and (0,pi): the connections and column angles."""
+    if not (0.0 < abs(theta) < np.pi):
+        raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
+
+
 def column_angles(k_count: int, theta: float = None, k0: int = None, k_lo: int = 0) -> np.ndarray:
     """Angles of the columns k_lo .. k_lo+k_count-1: k theta for a step theta in (-pi,0) or
     (0,pi), or 2 pi (k mod k0) / k0 for an integer k0 >= 3; exactly one must be given."""
@@ -381,15 +387,12 @@ def column_angles(k_count: int, theta: float = None, k0: int = None, k_lo: int =
         if int(k0) != k0 or k0 < 3:
             raise ConfigError(f"k0 must be an integer >= 3, got {k0}")
         return 2.0 * np.pi * np.mod(ks, k0) / k0
-    if not (0.0 < abs(theta) < np.pi):
-        raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
+    _require_step(theta)
     return theta * ks
 
 
-def build_rcnet(p: Profile, k_count: int, theta: float = None, k0: int = None,
-                k_lo: int = 0) -> ContactElementNet:
-    """Rotational circular net: the profile swept to the ``column_angles`` of its columns."""
-    ang = column_angles(k_count, theta, k0, k_lo)
+def build_rcnet(p: Profile, ang: np.ndarray) -> ContactElementNet:
+    """Rotational circular net: the profile swept to the column angles ``ang``."""
     cos_t, sin_t = np.cos(ang), np.sin(ang)
     sweep = lambda radial, axial: np.stack(np.broadcast_arrays(
         radial[:, None] * cos_t, radial[:, None] * sin_t, axial[:, None]), axis=-1)

@@ -44,8 +44,9 @@ class NotFlat(Exception):
     """Path-independent transport failed: the connection is not flat."""
 
 
-def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) -> FrameFamily:
-    """Parallel frame: Phi(0,0)=phi00, transported first along j, then k.
+def integrate_frame(conn: ConnectionFamily, phi00: MatJet, nk: int,
+                    tol: float = 1e-9) -> FrameFamily:
+    """Parallel frame on nk columns: Phi(0,0)=phi00, transported first along j, then k.
 
     L and M, held once per profile row, are broadcast to every edge of the
     grid on entry, so the family is integrated edge by edge.
@@ -53,7 +54,7 @@ def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) ->
     row is checked for path independence; a violation beyond ``tol``
     raises NotFlat.
     """
-    nj, nk = conn.domain.nj, conn.domain.nk
+    nj = conn.M.shape[0]
     grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape), np.broadcast_to(jet.dot, shape))
     L, M = grid(conn.L, (nj - 1, nk, 2, 2)), grid(conn.M, (nj, nk - 1, 2, 2))
     val = np.empty((nj, nk, 2, 2), dtype=complex)
@@ -72,7 +73,7 @@ def integrate_frame(conn: ConnectionFamily, phi00: MatJet, tol: float = 1e-9) ->
         res = jet_residual(lhs, rhs)
         if not (res <= tol):
             raise NotFlat(f"path-independence residual {res:.3e} exceeds {tol:.3e}")
-    return FrameFamily(conn.domain, phi, conn.t0)
+    return FrameFamily(phi, conn.t0)
 
 
 def dense_sym(frames: FrameFamily, xi: float, tau: float = 0.0, G: MatJet = None,
@@ -92,9 +93,10 @@ def dense_sym(frames: FrameFamily, xi: float, tau: float = 0.0, G: MatJet = None
     return xi * quat.coords_complex(inv.val @ phi.dot) + tau * n, n
 
 
-def sym_frame(net, p, hs):
-    """(x, n) of a net of the profile p in ``build_rcnet``'s frame, moved into the Sym frame
-    of the gauged frames G Phi (G = ``hs.gauge``) by the rigid motion the initial frame fixes.
+def sym_frame(net, hs):
+    """(x, n) of a net of the profile p = ``hs.profile`` in ``build_rcnet``'s frame, moved into
+    the Sym frame of the gauged frames G Phi (G = ``hs.gauge``) by the rigid motion the initial
+    frame fixes.
 
     At (j_lo, 0) the Sym net has x = 0, since G and Phi(0, 0) are constant in t, and the
     adjoint map R of G(0) Phi(0, 0), R[:, i] = coords(g^{-1} (-i sigma_i) g), is the frame
@@ -103,6 +105,7 @@ def sym_frame(net, p, hs):
     (0, 1, 0) and e^{ip} = sqrt(1 - kappa^2 a^2) + i kappa a.  So x -> M (x - x(j_lo, 0))
     and n -> M n with M = R F^T.
     """
+    p = hs.profile
     g = hs.gauge.val[0, 0] @ initial_frame(p.a[0], p.b[0])
     gi = np.linalg.inv(g)
     R = np.stack([quat.coords_complex(gi @ (-1j * sigma) @ g).real
@@ -145,11 +148,12 @@ def v_form_matrices(hs, beta):
     return form(hs.u, hs.ell, np.tan(hs.delta1 / 2.0)), form(hs.s, hs.m, np.tan(hs.delta2 / 2.0))
 
 
-def composed_field(hs, alpha, s_tilde0, s_hat0=None):
-    """(s~, s^~) of a double transform, by the formula of the ``double_backlund`` docstring:
+def composed_field(hs, nk, alpha, s_tilde0, s_hat0=None):
+    """(s~, s^~) of a double transform on nk columns, by the formula of the ``double_backlund``
+    docstring:
     s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~)), with s^ = conj(s~) when
     |sin alpha| > 1 and s^ seeded by s_hat0 (1 when omitted) otherwise."""
-    alpha, nk = complex(alpha), hs.domain.nk
+    alpha = complex(alpha)
     s_tilde = propagate(*build_abcd(hs, alpha), s_tilde0, nk)
     s_hat = (s_tilde.conj() if abs(np.sin(alpha)) > 1.0
              else propagate(*v_form_matrices(hs, -alpha), 1.0 if s_hat0 is None else s_hat0, nk))

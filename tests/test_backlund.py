@@ -28,17 +28,19 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def desk_grid(theta, nk):
-    """(hs, grid, base) of the desk profile: its normal-form data, (p, ang, hs), which the
-    transforms read, and its rotational net."""
+    """(hs, grid, base) of the desk profile on nk columns: its normal-form data, (hs, ang),
+    which the transforms read, and its rotational net."""
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, theta, nk)
-    hs = gauge_to_hs(conn, data)
-    return hs, (p, column_angles(nk, theta=theta), hs), build_rcnet(p, nk, theta=theta)
+    hs, ang = gauge_to_hs(*build_ck_connection(p, theta)), column_angles(nk, theta=theta)
+    return hs, (hs, ang), build_rcnet(p, ang)
+
+
+NK = 15   # columns of hs_fixture's grid
 
 
 @lru_cache(maxsize=None)
 def hs_fixture():
-    return desk_grid(np.pi / 6.0, 15)
+    return desk_grid(np.pi / 6.0, NK)
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +58,7 @@ def hex_fixture():
 def real_path_hs():
     """kappa = 1.5: delta2 is real and B[0] is elliptic on parts of both search paths."""
     p = profile_elliptic(1.5, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 8)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0)
     return gauge_to_hs(conn, data)
 
 
@@ -67,8 +69,8 @@ def pair(hs, alpha, field="tilde"):
     return (A, B) if field == "tilde" else (quat.qconj(A), quat.qconj(B))
 
 
-def field_grid(hs, alpha, seed, field="tilde"):
-    return propagate(*pair(hs, alpha, field), seed, hs.domain.nk)
+def field_grid(hs, alpha, seed, field="tilde", nk=NK):
+    return propagate(*pair(hs, alpha, field), seed, nk)
 
 
 def transform_residuals(base, new, angle):
@@ -211,7 +213,7 @@ def test_propagate_keeps_unit_fields_for_real_angle():
     hs, _, _ = hs_fixture()
     for field, seed in (("tilde", np.exp(0.4j)), ("hat", np.exp(-0.4j))):
         s = field_grid(hs, np.pi / 3.0, seed, field)
-        assert s.shape == (hs.domain.nj, hs.domain.nk)
+        assert s.shape == (hs.profile.nj, NK)
         assert s[0, 0] == seed
         assert np.max(np.abs(np.abs(s) - 1.0)) < 1e-12
 
@@ -238,7 +240,7 @@ def test_propagate_path_check_reports_pole_first():
     pole = -A[0][1, 1] / A[0][1, 0]
     seed = moebius(quat.qconj(B[0]), pole)
     with pytest.raises(PoleHit):
-        propagate(A, B, seed, hs.domain.nk)
+        propagate(A, B, seed, NK)
 
 
 @pytest.mark.parametrize("field", ["tilde", "hat"])
@@ -246,7 +248,7 @@ def test_propagate_matches_scalar_moebius_steps(field):
     hs, _, _ = hs_fixture()
     Aj, Bj = pair(hs, ALPHA_C, field)
     seed = 1.3 * np.exp(0.4j)
-    s = propagate(Aj, Bj, seed, hs.domain.nk)
+    s = propagate(Aj, Bj, seed, NK)
     ref = np.empty_like(s)
     ref[0, 0] = seed
     for j in range(1, s.shape[0]):
@@ -263,7 +265,7 @@ def test_propagate_raises_pole_hit_on_a_k_step():
     A, B = build_abcd(hs, np.pi / 3.0)
     seed = moebius(quat.qconj(A[0]), moebius(quat.qconj(A[1]), -B[2][1, 1] / B[2][1, 0]))
     with pytest.raises(PoleHit, match=r"\(j, k\) = \(2, 1\)"):
-        propagate(A, B, seed, hs.domain.nk)
+        propagate(A, B, seed, NK)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, ALPHA_C])
@@ -274,8 +276,8 @@ def test_propagate_pole_hit_next_to_a_pole(alpha):
     A, B = build_abcd(hs, alpha)
     pole = -B[0][1, 1] / B[0][1, 0]
     with pytest.raises(PoleHit, match=r"\(j, k\) = \(0, 1\)"):
-        propagate(A, B, pole + 1e-12, hs.domain.nk)
-    s = propagate(A, B, pole + 1e-6, hs.domain.nk)
+        propagate(A, B, pole + 1e-12, NK)
+    s = propagate(A, B, pole + 1e-6, NK)
     assert 1e6 < np.max(np.abs(s)) < 2e11
     assert np.max(chordal_residuals(A, s[:-1], s[1:])) <= 1e-11
     assert np.max(chordal_residuals(B, s[:, :-1], s[:, 1:])) <= 1e-11
@@ -317,13 +319,13 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
     # The normal-form gauge is unit-determinant, so frames stay unit-sized
     # however many columns the grid has.
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, np.pi / 3.0, k_count)
+    conn, data = build_ck_connection(p, np.pi / 3.0)
     hs = gauge_to_hs(conn, data)
-    frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    frames = gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=k_count), hs.gauge)
     assert np.max(np.abs(frames.Phi.val)) <= 10.0
-    base = build_rcnet(p, k_count, theta=np.pi / 3.0)
-    net = single_backlund(p, column_angles(k_count, theta=np.pi / 3.0), hs, alpha,
-                          s_tilde0=np.exp(1j * phase))
+    ang = column_angles(k_count, theta=np.pi / 3.0)
+    base = build_rcnet(p, ang)
+    net = single_backlund(hs, ang, alpha, s_tilde0=np.exp(1j * phase))
     assert np.all(np.isfinite(net.x)) and np.all(np.isfinite(net.n))
     assert max(nets.transform_residuals(base, net, alpha)) <= 1e-9
 
@@ -331,9 +333,10 @@ def test_single_backlund_bounded_on_any_grid(k_count, alpha, phase):
 @lru_cache(maxsize=None)
 def gauged_frames():
     """The gauged frames of ``hs_fixture``'s grid."""
-    p, ang, hs = hs_fixture()[1]
-    conn, _ = build_ck_connection(p, np.pi / 6.0, len(ang))
-    return gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0]), hs.gauge)
+    hs = hs_fixture()[0]
+    p = hs.profile
+    conn, _ = build_ck_connection(p, np.pi / 6.0)
+    return gauge_frame(rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK), hs.gauge)
 
 
 def docstring_w_frames(hs, alpha, seed):
@@ -351,7 +354,7 @@ def docstring_w_frames(hs, alpha, seed):
     val[..., 1, 0] = 1j * et
     dot[..., 0, 1] = 1j * et
     dot[..., 1, 0] = 1j * et
-    return FrameFamily(frames.domain, MatJet(val, dot) @ frames.Phi, frames.t0)
+    return FrameFamily(MatJet(val, dot) @ frames.Phi, frames.t0)
 
 
 def test_single_matches_documented_w_matrix():
@@ -360,7 +363,7 @@ def test_single_matches_documented_w_matrix():
     net = single_backlund(*grid, np.pi / 3.0, s_tilde0=seed)
     x, n = sym_arrays(docstring_w_frames(hs, np.pi / 3.0, seed), 2.0)
     assert np.max(np.abs(x.imag)) < 1e-10
-    got_x, got_n = sym_frame(net, grid[0], hs)   # the net in the Sym frame
+    got_x, got_n = sym_frame(net, hs)   # the net in the Sym frame
     assert np.max(np.abs(x.real - got_x)) < 1e-10
     assert np.max(np.abs(n.real - got_n)) < 1e-10
 
@@ -370,6 +373,34 @@ def test_complex_angle_w_frame_leaves_real_space():
     hs, _, _ = hs_fixture()
     x, n = sym_arrays(docstring_w_frames(hs, ALPHA_C, 1.3 * np.exp(0.4j)), 2.0)
     assert np.max(np.abs(x.imag)) > 1e-2
+
+
+@pytest.mark.parametrize("transform", ["single", "double"])
+def test_transforms_sweep_the_profile_their_normal_form_carries(monkeypatch, transform):
+    """The transforms read the profile from hs, so normal-form data and rows cannot be paired
+    wrongly: on rows -2..4 every transform entry passes.  The Sym formula receives the very
+    profile the connection was seeded from, and the net is bit-identical to the one formed
+    from a profile of the same rows built apart and passed beside hs."""
+    p = profile_elliptic(0.6, -1, (-2, 4), j0=4)
+    hs = gauge_to_hs(*build_ck_connection(p, np.pi / 3.0))
+    ang = column_angles(10, theta=np.pi / 3.0)
+    assert hs.profile is p
+    calls, explicit_sym = [], nets.explicit_sym
+    monkeypatch.setattr(bk, "explicit_sym", lambda *args: calls.append(args) or explicit_sym(*args))
+    if transform == "single":
+        net = single_backlund(hs, ang, 1.0, np.exp(0.4j))
+        worst, _ = curvature_report(net, base=build_rcnet(p, ang), alpha=1.0)
+        assert max(worst["distance"], worst["angle"], worst["orthogonality"]) <= 1e-9
+    else:
+        net, rep = double_backlund(hs, ang, ALPHA_C, 1.3 * np.exp(0.4j))
+        worst, _ = curvature_report(net)
+        assert rep.imag_residue <= 1e-9 and rep.unit_residual <= 1e-10
+    assert worst["gauss"] <= 1e-7
+    ((profile, angles, entries),) = calls
+    assert profile is p and angles is ang
+    apart = profile_elliptic(0.6, -1, (-2, 4), j0=4)
+    x, n, _ = explicit_sym(apart, ang, entries)
+    assert np.array_equal(x, net.x) and np.array_equal(n, net.n)
 
 
 def test_single_backlund_rejections():
@@ -403,7 +434,7 @@ def test_double_backlund_real_angle_permutability():
     hs, grid, _ = hs_fixture()
     params = (np.pi / 3.0, np.exp(0.4j), np.exp(-0.4j))
     net, rep = double_backlund(*grid, *params)
-    assert abs(composed_field(hs, *params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
+    assert abs(composed_field(hs, NK, *params)[1][0, 0] - 1.0 / hs.s[0]) < 1e-10
     assert rep.unit_residual < 1e-10
     assert rep.imag_residue < 1e-9
     assert gauss_deviation(net) < 1e-7
@@ -437,7 +468,7 @@ def test_double_backlund_condition_rejections():
 
 def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
     hs, grid, _ = hs_fixture()
-    nan_field = np.full((hs.domain.nj, hs.domain.nk), np.nan + 0j)
+    nan_field = np.full((hs.profile.nj, NK), np.nan + 0j)
     monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
     with pytest.raises(PoleHit):
         double_backlund(*grid, np.pi / 3.0)
@@ -517,7 +548,7 @@ def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):
 @lru_cache(maxsize=None)
 def closing_hs(kappa, k0):
     p = profile_elliptic(kappa, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, 2.0 * np.pi / k0, 8)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / k0)
     return gauge_to_hs(conn, data)
 
 
@@ -702,7 +733,7 @@ def test_found_root_meets_the_trace_condition_in_40_digits(kappa, N0, p):
 def test_scalar_field_closes_with_the_found_angle():
     hs, _, _ = hex_fixture()
     found = find_periodic_alpha(hs, 8)
-    s = field_grid(hs, found.alpha, np.exp(0.3j))
+    s = field_grid(hs, found.alpha, np.exp(0.3j), nk=26)
     nk = s.shape[1]
     assert np.max(np.abs(s[:, 8:] - s[:, : nk - 8])) < 1e-8
 
@@ -769,7 +800,7 @@ def test_linearize_pairs_fixed_points_through_a(monkeypatch):
     want = linearize(*build_abcd(hs, alpha))
     assert_allclose(np.abs(want[2]), 1.0, atol=1e-12)
     roots = bk._fixed_points
-    odd = np.arange(hs.domain.nj) % 2 == 1
+    odd = np.arange(hs.profile.nj) % 2 == 1
 
     def swapped_on_odd_rows(M):
         a, b = roots(M)
@@ -786,7 +817,7 @@ def test_linearize_matches_propagation():
     seed = np.exp(0.3j)
     A, B = build_abcd(hs, np.pi / 3.0)
     zr, za, rho, log_c = linearize(A, B)
-    s = propagate(A, B, seed, hs.domain.nk)
+    s = propagate(A, B, seed, NK)
     u = eigen_coordinate(seed, zr[0], za[0]) * np.exp(log_c)[:, None]
     u = u * rho[:, None] ** np.arange(s.shape[1])
     assert_allclose(s, (zr[:, None] + u * za[:, None]) / (1.0 + u), rtol=0.0, atol=1e-12)
@@ -797,7 +828,7 @@ def test_propagate_seed_on_a_fixed_point_stays_there():
     A, B = build_abcd(hs, np.pi / 3.0)
     zr, za, _, _ = linearize(A, B)
     for zeta in (zr, za):
-        s = propagate(A, B, zeta[0], hs.domain.nk)
+        s = propagate(A, B, zeta[0], NK)
         assert_allclose(s, np.broadcast_to(zeta[:, None], s.shape), atol=1e-14)
 
 
@@ -807,13 +838,13 @@ def test_linearize_rejections():
     # trace 2, determinant 1: one double fixed point at -1
     shear = np.broadcast_to(np.array([[2.0, 1.0], [-1.0, 0.0]], dtype=complex), B.shape)
     with pytest.raises(BranchFailure, match=r"near-parabolic: min \|zeta_a - zeta_r\| = 0\.000e\+00"):
-        propagate(A, shear, 1.0, hs.domain.nk)
+        propagate(A, shear, 1.0, NK)
 
 
 @lru_cache(maxsize=None)
-def long_hs(rows, k_count, theta):
+def long_hs(rows, theta):
     p = profile_elliptic(0.6, -1, (-(rows // 2), rows - rows // 2 - 1), j0=4)
-    conn, data = build_ck_connection(p, theta, k_count)
+    conn, data = build_ck_connection(p, theta)
     return gauge_to_hs(conn, data)
 
 
@@ -826,11 +857,11 @@ def long_hs(rows, k_count, theta):
        field=st.sampled_from(["tilde", "hat"]))
 def test_explicit_field_satisfies_both_recurrences(rows, k_count, theta, alpha, radius, phase,
                                                    field):
-    hs = long_hs(rows, k_count, theta)
+    hs = long_hs(rows, theta)
     seed = (1.0 if isinstance(alpha, float) else radius) * np.exp(1j * phase)
     Aj, Bj = pair(hs, alpha, field)
     try:
-        s = propagate(Aj, Bj, seed, hs.domain.nk)
+        s = propagate(Aj, Bj, seed, k_count)
     except BranchFailure:
         # eigen-coordinates are ill-conditioned next to the parabolic rotation y = ln 3
         if isinstance(alpha, float) or not abs(alpha.imag - np.log(3.0)) < 1e-3:
@@ -847,13 +878,13 @@ def test_explicit_field_satisfies_both_recurrences(rows, k_count, theta, alpha, 
 def test_explicit_field_next_to_the_parabolic_rotation(rows, k_count, theta, dy):
     """The fixed points of B merge at alpha = pi/2 + i ln 3 (kappa = 0.6).  This close to it
     the field still holds both recurrences, so the BranchFailure window stays this narrow."""
-    hs = long_hs(rows, k_count, theta)
+    hs = long_hs(rows, theta)
     alpha = complex(np.pi / 2.0, np.log(3.0) + dy)
     zr, za, _, _ = linearize(*build_abcd(hs, alpha))
     assert np.min(np.abs(za - zr)) < 0.06
     for field, seed in (("tilde", 1.1 * np.exp(0.7j)), ("hat", 1.1 * np.exp(-0.7j))):
         M, N = pair(hs, alpha, field)
-        s = propagate(M, N, seed, hs.domain.nk)
+        s = propagate(M, N, seed, k_count)
         assert np.max(chordal_residuals(M, s[:-1], s[1:])) <= 1e-11
         assert np.max(chordal_residuals(N, s[:, :-1], s[:, 1:])) <= 1e-11
 

@@ -21,7 +21,7 @@ from cknet.connect import rotational_frames
 from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
 from cknet.lattice import FrameFamily, gauge_frame
 from cknet.nets import ContactElementNet
-from cknet.revolution import build_rcnet, profile_elliptic
+from cknet.revolution import build_rcnet, column_angles, profile_elliptic
 from oracles import joined_obj, validate_report
 
 PSEUDO_INI = """
@@ -207,7 +207,7 @@ def test_override_changes_surface(tmp_path, capsys):
 
 def test_obj_export_round_trip(tmp_path):
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    net = build_rcnet(p, 4, theta=0.5)
+    net = build_rcnet(p, column_angles(4, theta=0.5))
     path = str(tmp_path / "mesh.obj")
     cli.export_obj(net, path, nets.curvature_report(net)[1])
     lines = open(path, encoding="utf-8").read().splitlines()
@@ -258,7 +258,7 @@ def test_obj_export_matches_per_value_format(tmp_path):
     [], [(0, 0), (0, 3)], [(5, 1), (5, 5)], [(1, 5), (2, 5), (4, 5)], [(2, k) for k in range(6)],
 ], ids=["none", "first_row", "last_row", "last_column", "whole_row"])
 def test_obj_export_matches_joined_writer(tmp_path, faces):
-    net = build_rcnet(profile_elliptic(0.6, -1, (-3, 3), j0=4), 7, theta=0.5)
+    net = build_rcnet(profile_elliptic(0.6, -1, (-3, 3), j0=4), column_angles(7, theta=0.5))
     degenerate = np.zeros((6, 6), dtype=bool)
     degenerate[tuple(np.array(faces, dtype=int).reshape(-1, 2).T)] = True
     path = tmp_path / "mesh.obj"
@@ -290,7 +290,7 @@ def test_non_finite_net_is_refused_at_export(tmp_path, monkeypatch, capsys):
     names = [e["name"] for e in doc["checks"]]
     assert names and not all(e["pass"] for e in doc["checks"])
     assert [line.split()[1] for line in captured.out.splitlines()] == names
-    net = planted(profile_elliptic(1.0, -1, (-2, 2)), 8, k0=6)
+    net = planted(profile_elliptic(1.0, -1, (-2, 2)), column_angles(8, k0=6))
     degenerate = nets.curvature_report(net)[1]
     with pytest.raises(DegenerateGeometry):
         cli.export_obj(net, str(mesh), degenerate)
@@ -753,6 +753,31 @@ def test_transform_grid_too_large_for_its_frames_is_a_numeric_failure(tmp_path, 
     assert out == "" and not mesh.exists() and not report.exists()
 
 
+NEEDS_BUT_COUNT = {"generate": [], "backlund": ["--backlund.alpha", "1.0"],
+                   "double": ["--backlund.alpha", "1.0"], "search": ["--backlund.N0", "9"]}
+# a count too large to hold stops the other commands at stage=rcnet (the two tests above)
+COUNT_CASES = [(command, k_count) for command in sorted(NEEDS_BUT_COUNT)
+               for k_count in (None, "1", "-5")] + [("search", "100000000000000")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, k_count", COUNT_CASES,
+                         ids=[f"{command}-{k_count}" for command, k_count in COUNT_CASES])
+def test_every_net_command_checks_its_column_count_in_the_rotation_stage(tmp_path, capsys,
+                                                                          command, k_count):
+    # the rotation stage reads and checks k_count for every net command, search included;
+    # search forms no columns, so a count too large to hold passes there
+    count = [] if k_count is None else ["--rotation.k_count", k_count]
+    code, mesh, report = run_desk(tmp_path, command, count + NEEDS_BUT_COUNT[command], "count")
+    out, err = capsys.readouterr()
+    if k_count == "100000000000000":
+        assert code == cli.EXIT_OK and err == "" and "PASS periodicity_power" in out
+        return
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith("error: stage=rotation: ConfigError: ")
+    assert out == "" and not mesh.exists() and not report.exists()
+
+
 def test_non_finite_residuals_make_strict_json_reports(tmp_path):
     # one face, degenerate (a vanishing position diagonal): the Gauss residual has no face to
     # measure
@@ -819,7 +844,7 @@ def test_cli_import_loads_neither_scipy_nor_argparse():
 
 def test_invariant_failure_exit_code(capsys):
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    net = build_rcnet(p, 13, theta=np.pi / 6.0)
+    net = build_rcnet(p, column_angles(13, theta=np.pi / 6.0))
     warped = ContactElementNet(
         net.x + 1e-3 * np.sin(np.arange(net.x.size).reshape(net.x.shape)), net.n)
     worst, _ = nets.curvature_report(warped, p.K_sign, edge=True)
@@ -928,6 +953,39 @@ def test_every_command_refuses_every_key_it_does_not_read(tmp_path, monkeypatch,
     assert code == cli.EXIT_CONFIG
     assert err.splitlines() == [f"error: stage=config: ConfigError: {command} does not read "
                                 f"config key {key}"]
+    assert out == "" and sorted(os.listdir(tmp_path)) == (["job.ini"] if where == "file" else [])
+
+
+# (command, a job of it, a key of its set that the job's path never reads, what rules it out)
+TRIG_KEYS = [*MIRRORED_HYP_KEYS, "--surface.kind", "trig"]
+PATH_UNREAD = [(command, NEEDS[command], "backlund.p", "backlund.alpha")
+               for command in ("backlund", "double")]
+PATH_UNREAD += [("generate", NEEDS["generate"], f"surface.{key}", "surface.kind = elliptic")
+                for key in ("c", "A", "B")]
+PATH_UNREAD += [("search", [*MIRRORED_HYP_KEYS, "--backlund.N0", "8"], f"surface.{key}",
+                 "surface.kind = hyp") for key in ("kappa", "Theta", "j0")]
+PATH_UNREAD += [("generate", TRIG_KEYS, "surface.kappa", "surface.kind = trig"),
+                ("double", [*TRIG_KEYS, "--backlund.N0", "8"], "surface.j0", "surface.kind = trig")]
+
+
+@pytest.mark.parametrize("where", ["override", "file"])
+@pytest.mark.parametrize("command, needs, key, beside", PATH_UNREAD,
+                         ids=[f"{c}-{k}" for c, _, k, _ in PATH_UNREAD])
+def test_every_command_refuses_a_key_its_job_never_reads(tmp_path, monkeypatch, capsys, command,
+                                                         needs, key, beside, where):
+    # in the command's set, but unread on this job's path: another family's profile key, or p
+    # where alpha is given and no search runs
+    monkeypatch.chdir(tmp_path)
+    section, name = key.split(".")
+    given = ([f"--{key}", "1"] if where == "override" else
+             ["--config", write(tmp_path, "job.ini", f"[{section}]\n{name} = 1\n")])
+    outputs = [f"--output.{o}={o}.out" for o in ("mesh", "report")
+               if f"output.{o}" in cli.KEYS[command]]
+    code = cli.main([command, *needs, *given, *outputs])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [f"error: stage=config: ConfigError: {command} does not read "
+                                f"config key {key} beside {beside}"]
     assert out == "" and sorted(os.listdir(tmp_path)) == (["job.ini"] if where == "file" else [])
 
 
@@ -1119,12 +1177,12 @@ def test_json_config_rejects_bare_constants(tmp_path):
 
 
 def test_rotation_step_rules():
-    assert cli.rotation_step({"rotation": {"k0": "6"}}) == (2.0 * np.pi / 6.0, 6)
-    assert cli.rotation_step({"rotation": {"theta": "0.5"}}) == (0.5, None)
-    with pytest.raises(ConfigError):
-        cli.rotation_step({"rotation": {}})
-    with pytest.raises(ConfigError):
-        cli.rotation_step({"rotation": {"k0": "2"}})
+    assert cli.rotation_step({"rotation": {"k0": "6", "k_count": "8"}}) == (2.0 * np.pi / 6.0, 6, 8)
+    assert cli.rotation_step({"rotation": {"theta": "0.5", "k_count": "2"}}) == (0.5, None, 2)
+    for rotation in ({"k_count": "8"}, {"k0": "2", "k_count": "8"}, {"k0": "6"},
+                     {"k0": "6", "k_count": "1"}, {"theta": "0.5", "k_count": "-3"}):
+        with pytest.raises(ConfigError):
+            cli.rotation_step({"rotation": rotation})
 
 
 def test_validate_report_spots_malformed_documents():

@@ -1,6 +1,6 @@
 """The command-line contract as a property: whatever job is drawn, ``cli.main`` exits 0 to 3,
-states a failure on one line, refuses every key its command does not read and leaves only
-well-formed files behind."""
+states a failure on one line, refuses every key its command or its job's path does not read
+and leaves only well-formed files behind."""
 
 import contextlib
 import io
@@ -23,6 +23,16 @@ MISSPELT_KEYS = {"surface.kapa", "rotation.kcount", "backlund.sead", "output.mes
 DESK = {"surface.kind": "elliptic", "surface.kappa": "0.6", "surface.K_sign": "-1",
         "surface.j0": "4", "surface.j_lo": "-3", "surface.j_hi": "3", "rotation.k0": "6",
         "rotation.k_count": "26", "output.report": "report.json"}
+
+
+def beside(keys):
+    """The keys of a job's command set that its path never reads, each with what rules it out:
+    another profile family's keys, and backlund.p where alpha is given and no search runs."""
+    unread = ({f"surface.{k}": "surface.kind = elliptic" for k in ("c", "A", "B")}
+              if keys.get("surface.kind") == "elliptic" else {})
+    if "backlund.alpha" in keys:
+        unread["backlund.p"] = "backlund.alpha"
+    return unread
 
 
 def _seed(draw):
@@ -71,8 +81,8 @@ def jobs(draw):
         keys["backlund.seed"] = _seed(draw)
     if command == "double" and draw(st.integers(0, 3)) == 0:
         keys["backlund.seed_hat"] = _seed(draw)
-    # keys the command does not read, in about half the jobs
-    unread = sorted(ALL_KEYS - cli.KEYS[command] | MISSPELT_KEYS)
+    # keys the command or the job's path does not read, in about half the jobs
+    unread = sorted(ALL_KEYS - cli.KEYS[command] | MISSPELT_KEYS | set(beside(keys)))
     if draw(st.booleans()):
         for key in draw(st.lists(st.sampled_from(unread), min_size=1, max_size=2, unique=True)):
             keys[key] = "unread.obj" if key == "output.mesh" else "1"
@@ -126,6 +136,9 @@ def check_obj(data: bytes, keys: dict) -> None:
 @example(("generate", [], {**DESK, "backlund.N0": "9", "backlund.alpha": "7"}, {"backlund.N0"}))
 @example(("search", [], {**DESK, "backlund.N0": "9", "output.mesh": "x.obj"}, set()))
 @example(("double", [], {**DESK, "backlund.alpha": "1.0", "rotation.k_lo": "0"}, set()))
+# and those that exited 0 with a key their path never read, once each command had its keys
+@example(("double", [], {**DESK, "backlund.alpha": "1.0", "backlund.p": "1"}, set()))
+@example(("generate", [], {**DESK, "surface.c": "0.05"}, {"surface.c"}))
 # and a desk annulus that passes and writes its mesh
 @example(("double", [], {**DESK, "backlund.N0": "9", "output.mesh": "net.obj"}, set()))
 def test_every_job_keeps_the_cli_contract(job):
@@ -138,8 +151,9 @@ def test_every_job_keeps_the_cli_contract(job):
     in [0.2, 2.9] (backlund) or alpha = pi/2 + iy with y in [0.1, 1.5] (double); seeds
     r exp(i phi) with r in [0.7, 1.5]; a mesh where the command writes one; k_lo in -3..3
     for generate; in about half the jobs one or two keys the command does not read, from the
-    other commands' keys and four misspellings; and which keys come from a config file.
-    Desk-size grids keep the 206 jobs to about two seconds; the CI's long grids and N0 up to
+    other commands' keys, four misspellings and the keys the job's path never reads; and
+    which keys come from a config file.
+    Desk-size grids keep the 208 jobs to about two seconds; the CI's long grids and N0 up to
     400 take up to seconds a job.  The ranges give every exit but 1: most jobs pass or are
     refused for a key, the rest stop at NoRoot (small N0, or a given p) or at a seed the
     angle does not allow.  Still to come, once the transforms close at every index the
@@ -148,10 +162,13 @@ def test_every_job_keeps_the_cli_contract(job):
     command, criteria, keys, in_file = job
     code, out, err, written = run(*job)
     assert code in (0, 1, 2, 3)
-    if unread := sorted(set(keys) - cli.KEYS[command]):
+    refused = ({key: "" for key in set(keys) - cli.KEYS[command]} or
+               {key: f" beside {why}" for key, why in beside(keys).items() if key in keys})
+    if refused:
+        key = min(refused)
         assert code == cli.EXIT_CONFIG
         assert err == [f"error: stage=config: ConfigError: {command} does not read config key "
-                       f"{unread[0]}"]
+                       f"{key}{refused[key]}"]
         assert out == "" and written == {}
         return
     if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC):

@@ -16,16 +16,17 @@ from cknet import lattice
 from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
                            flatness_residual, gauge, gauge_frame, jet_residual)
 from cknet.nets import ContactElementNet, rigid_align, sym
-from cknet.revolution import build_rcnet, profile_elliptic, profile_hyp, profile_trig
+from cknet.revolution import build_rcnet, column_angles, profile_elliptic, profile_hyp, profile_trig
 from oracles import cross_ratio, integrate_frame
 
 THETA = np.pi / 6.0
+NK = 15   # columns of the frames and nets
 
 
 @lru_cache(maxsize=None)
 def ck_fixture():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, THETA, 15)
+    conn, data = build_ck_connection(p, THETA)
     return p, conn, data
 
 
@@ -33,7 +34,7 @@ def ck_fixture():
 def cmc_fixture(case):
     kappa = 0.6 if case == 1 else 1.4
     p = profile_trig(np.full(6, -np.tan(0.05)), kappa, 0.0, j_lo=-3)
-    conn, data = build_cmc_connection(p, THETA, 15)
+    conn, data = build_cmc_connection(p, THETA)
     return p, conn, data
 
 
@@ -42,7 +43,7 @@ def hs_fixture():
     p, conn, data = ck_fixture()
     hs = gauge_to_hs(conn, data)
     conn_gauged = gauge(conn, hs.gauge)
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK)
     return p, conn, data, hs, conn_gauged, frames
 
 
@@ -89,7 +90,7 @@ def test_face_equations_per_face():
     # the family is held once per row, so L(j,k+1) = L(j,k)
     _, conn, _ = ck_fixture()
     L, M = conn.L, conn.M
-    for j in range(conn.domain.nj - 1):
+    for j in range(len(L.val)):
         lhs = M[j + 1, 0] @ L[j, 0]
         rhs = L[j, 0] @ M[j, 0]
         assert jet_residual(lhs, rhs) < 1e-12
@@ -99,7 +100,7 @@ def test_perturbed_scalar_breaks_flatness():
     _, conn, _ = ck_fixture()
     lval = conn.L.val.copy()
     lval[0, :, 0, 0] *= 1.0 + 1e-3
-    broken = type(conn)(conn.domain, MatJet(lval, conn.L.dot), conn.M, conn.t0)
+    broken = type(conn)(MatJet(lval, conn.L.dot), conn.M, conn.t0)
     assert flatness_residual(broken) > 1e-5
 
 
@@ -107,11 +108,11 @@ def test_invalid_inputs():
     p, _, _ = ck_fixture()
     trig = profile_trig(np.full(4, -0.1), 0.6, 0.0, j_lo=-2)
     with pytest.raises(InvalidProfile):
-        build_ck_connection(trig, THETA, 8)
+        build_ck_connection(trig, THETA)
     with pytest.raises(ConfigError):
-        build_ck_connection(p, 3.5, 8)
-    with pytest.raises(ConfigError):
-        build_ck_connection(p, THETA, 1)
+        build_ck_connection(p, 3.5)
+    with pytest.raises(ValueError):   # the connection has no columns; its frames need one
+        rotational_frames(ck_fixture()[1], p.a[0], p.b[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +124,10 @@ def test_cmc_case_ranges():
     sphere = profile_trig(np.full(6, -np.tan(0.05)), 1.0, 0.0, j_lo=-3)
     for p in (sphere, replace(sphere, kappa=np.nan)):
         with pytest.raises(CaseMismatch):
-            build_cmc_connection(p, THETA, 8)
+            build_cmc_connection(p, THETA)
     hyp_like = profile_elliptic(0.6, -1, (-2, 2), j0=3)
     with pytest.raises(InvalidProfile):
-        build_cmc_connection(hyp_like, THETA, 8)
+        build_cmc_connection(hyp_like, THETA)
 
 
 def test_cmc_flatness():
@@ -174,8 +175,8 @@ FINE_PROFILES = {"trig_kappa_1.05": partial(profile_trig, [0.01, 0.01], 1.05, 0.
 
 def build_rotational(p, theta):
     if p.K_sign == -1:
-        return build_ck_connection(p, theta, 15)
-    return build_cmc_connection(p, theta, 15)
+        return build_ck_connection(p, theta)
+    return build_cmc_connection(p, theta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -236,16 +237,16 @@ def test_sym_matches_rcnet_all_cases():
     p1, conn1, _ = cmc_fixture(1)
     p2, conn2, _ = cmc_fixture(2)
     for p, conn, xi in ((p3, conn3, 2.0), (p1, conn1, -2.0), (p2, conn2, -2.0)):
-        frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+        frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK)
         net = sym(frames, xi)
-        ref = build_rcnet(p, conn.domain.nk, theta=THETA)
+        ref = build_rcnet(p, column_angles(NK, theta=THETA))
         assert rigid_align(net, ref).residual < 1e-8
 
 
 def test_cmc_isothermic_cross_ratios():
     # the shifted nets factorize face cross ratios through the edge angles
     _, conn2, d2 = cmc_fixture(2)
-    fr2 = rotational_frames(conn2, a0=cmc_fixture(2)[0].a[0], b0=cmc_fixture(2)[0].b[0])
+    fr2 = rotational_frames(conn2, a0=cmc_fixture(2)[0].a[0], b0=cmc_fixture(2)[0].b[0], nk=NK)
     base = sym(fr2, -2.0)
     for tau in (1.0, -1.0):
         net = ContactElementNet(base.x + tau * base.n, base.n)   # the parallel net at distance tau
@@ -256,7 +257,7 @@ def test_cmc_isothermic_cross_ratios():
                 assert abs(z.real - expected) < 1e-10 * abs(expected)
                 assert abs(z.imag) < 1e-12
     p1, conn1, d1 = cmc_fixture(1)
-    fr1 = rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0])
+    fr1 = rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0], nk=NK)
     base = sym(fr1, -2.0)
     for tau in (1.0, -1.0):
         net = ContactElementNet(base.x + tau * base.n, base.n)
@@ -274,7 +275,7 @@ def test_cmc_isothermic_cross_ratios():
 def test_rotation_eigenvalues_constant():
     _, conn, _ = ck_fixture()
     vals = []
-    for j in range(conn.domain.nj):
+    for j in range(len(conn.M.val)):
         w = np.linalg.eigvals(conn.M.val[j, 0])
         vals.append(w[np.argmax(w.imag)])
     assert np.max(np.abs(np.diff(vals))) < 1e-12
@@ -289,7 +290,7 @@ def test_initial_frame_values():
 
 def test_rotational_frames_row_normals():
     p, conn, _ = ck_fixture()
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK)
     net = sym(frames, 2.0)
     expected = np.stack([p.a, np.zeros_like(p.a), p.b], axis=-1)
     assert np.max(np.abs(net.n[:, 0] - expected)) < 1e-10
@@ -299,14 +300,14 @@ def test_rotational_frames_column_transport():
     p, conn, _ = ck_fixture()
     phi00 = initial_frame(p.a[0], p.b[0])
     D = np.linalg.inv(phi00) @ conn.M.val[0, 0] @ phi00
-    val = rotational_frames(conn, p.a[0], p.b[0]).Phi.val
+    val = rotational_frames(conn, p.a[0], p.b[0], nk=NK).Phi.val
     for k in range(3):
         assert np.max(np.abs(val[:4, k + 1] - val[:4, k] @ D)) < 1e-12
 
 
 def test_rotational_frames_unit_with_flipped_seed():
     _, conn, _ = ck_fixture()
-    frames = rotational_frames(conn, a0=0.0, b0=-1.0)
+    frames = rotational_frames(conn, a0=0.0, b0=-1.0, nk=NK)
     prod = np.einsum("jkab,jkac->jkbc", frames.Phi.val.conj(), frames.Phi.val)
     assert np.max(np.abs(prod - np.eye(2))) < 1e-10
 
@@ -328,44 +329,44 @@ def test_rotational_frames_match_product_loop_and_integration(case):
     else:
         p, conn, _ = cmc_fixture(case)
     phi00 = MatJet.constant(initial_frame(p.a[0], p.b[0]))
-    Phi = rotational_frames(conn, p.a[0], p.b[0]).Phi
+    Phi = rotational_frames(conn, p.a[0], p.b[0], nk=NK).Phi
     scale = max(1.0, np.max(np.abs(Phi.val)), np.max(np.abs(Phi.dot)))
     D = phi00.inv() @ conn.M[0, 0] @ phi00
     P = phi00
-    for j in range(conn.domain.nj):
+    for j in range(p.nj):
         if j > 0:
             P = conn.L[j - 1, 0] @ P
         Dk = MatJet.constant(np.eye(2))
-        for k in range(conn.domain.nk):
+        for k in range(NK):
             ref = P @ Dk
             assert_allclose(Phi.val[j, k], ref.val, rtol=0.0, atol=1e-13 * scale)
             assert_allclose(Phi.dot[j, k], ref.dot, rtol=0.0, atol=1e-13 * scale)
             Dk = D @ Dk
-    assert jet_residual(Phi, integrate_frame(conn, phi00).Phi) <= 1e-13 * scale
+    assert jet_residual(Phi, integrate_frame(conn, phi00, NK).Phi) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_invariant_connections_are_views_of_edge_data(case):
     # one edge jet per profile row, the same for every column: L (nj-1, 1), M (nj, 1)
     p, conn, _ = ck_fixture() if case == 3 else cmc_fixture(case)
-    nj = conn.domain.nj
+    nj = p.nj
     assert conn.L.shape == (nj - 1, 1, 2, 2) and conn.M.shape == (nj, 1, 2, 2)
     for t in (0.0, 0.5):
         family = conn.at(t)
         assert family.L.shape == conn.L.shape and family.M.shape == conn.M.shape
     assert flatness_residual(conn) < 1e-11
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK)
     assert np.all(np.isfinite(frames.Phi.val)) and np.all(np.isfinite(frames.Phi.dot))
     hs = hs_fixture()[3]
     for family in (hs_lax(hs, 0.0), gauge(ck_fixture()[1], hs.gauge)):
-        assert family.L.shape == (hs.domain.nj - 1, 1, 2, 2)
-        assert family.M.shape == (hs.domain.nj, 1, 2, 2)
+        assert family.L.shape == (hs.profile.nj - 1, 1, 2, 2)
+        assert family.M.shape == (hs.profile.nj, 1, 2, 2)
 
 
-def full_grid_flatness(conn):
-    """M_rq L_qp - L_rs M_sp formed on every face of the grid, from L and M broadcast to
-    every edge: the residual's definition."""
-    nj, nk = conn.domain.nj, conn.domain.nk
+def full_grid_flatness(conn, nk=NK):
+    """M_rq L_qp - L_rs M_sp formed on every face of the grid of nk columns, from L and M
+    broadcast to every edge: the residual's definition."""
+    nj = len(conn.M.val)
     grid = lambda jet, shape: MatJet(np.broadcast_to(jet.val, shape), np.broadcast_to(jet.dot, shape))
     L, M = grid(conn.L, (nj - 1, nk, 2, 2)), grid(conn.M, (nj, nk - 1, 2, 2))
     return jet_residual(M[1:] @ L[:, :-1], L[:, 1:] @ M[:-1])
@@ -387,17 +388,17 @@ def test_flatness_of_invariant_views_forms_one_line_of_faces(case, monkeypatch):
     real = lattice.jet_residual
     monkeypatch.setattr(lattice, "jet_residual", lambda a, b: shapes.append(a.shape) or real(a, b))
     assert flatness_residual(conn) == full_grid_flatness(conn)
-    assert shapes == [(conn.domain.nj - 1, 1, 2, 2)]
+    assert shapes == [conn.L.shape]
     for L, M in ((conn.L, bent_row(conn.M, 2)), (bent_row(conn.L, 1), conn.M)):
-        bent = ConnectionFamily(conn.domain, L, M, conn.t0)
+        bent = ConnectionFamily(L, M, conn.t0)
         assert flatness_residual(bent) == full_grid_flatness(bent) > 1e-3
 
 
 def test_closing_residual():
     p, _, _ = ck_fixture()
-    closed, _ = build_ck_connection(p, 2.0 * np.pi / 12.0, 15)
+    closed, _ = build_ck_connection(p, 2.0 * np.pi / 12.0)
     assert closing_residual(closed, 12) < 1e-10
-    open_conn, _ = build_ck_connection(p, 1.0, 15)
+    open_conn, _ = build_ck_connection(p, 1.0)
     assert closing_residual(open_conn, 12) > 1e-3
     with pytest.raises(ConfigError):
         closing_residual(closed, 2)
@@ -405,8 +406,8 @@ def test_closing_residual():
 
 def test_closed_connection_gives_periodic_net():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, _ = build_ck_connection(p, 2.0 * np.pi / 12.0, 15)
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    conn, _ = build_ck_connection(p, 2.0 * np.pi / 12.0)
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK)
     net = sym(frames, 2.0)
     assert np.max(np.abs(net.x[:, 12:] - net.x[:, :3])) < 1e-8
     assert np.max(np.abs(net.n[:, 12:] - net.n[:, :3])) < 1e-8
@@ -472,7 +473,7 @@ def test_gauge_to_hs_case_restrictions():
 def test_admissible_gauge_keeps_net():
     p, conn, _, hs, _, frames = hs_fixture()
     rng = np.random.default_rng(30)
-    nj, nk = conn.domain.nj, conn.domain.nk
+    nj, nk = frames.shape
     G = admissible_gauge(rng.uniform(-0.3, 0.3, (nj, nk)),
                          rng.uniform(-0.3, 0.3, (nj, nk)),
                          rng.uniform(-0.5, 0.5, (nj, nk)))
@@ -510,13 +511,13 @@ def test_kappa_identification_identities():
     assert np.max(np.abs(val3 - 4.0 / d3.beta0[0] ** 2)) < 1e-9
 
     p2, conn2, d2 = cmc_fixture(2)
-    net2 = sym(rotational_frames(conn2, a0=p2.a[0], b0=p2.b[0]), -2.0)
+    net2 = sym(rotational_frames(conn2, a0=p2.a[0], b0=p2.b[0], nk=NK), -2.0)
     val2 = rotation_edge_combination(net2, -1.0)
     assert np.max(np.abs(val2 - (p2.kappa**2 - 1.0) * s2)) < 1e-9
     assert np.max(np.abs(val2 - 4.0 / d2.beta0[0] ** 2)) < 1e-9
 
     p1, conn1, d1 = cmc_fixture(1)
-    net1 = sym(rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0]), -2.0)
+    net1 = sym(rotational_frames(conn1, a0=p1.a[0], b0=p1.b[0], nk=NK), -2.0)
     val1 = -rotation_edge_combination(net1, -1.0)
     assert np.max(np.abs(val1 - (1.0 - p1.kappa**2) * s2)) < 1e-9
     assert np.max(np.abs(val1 - 4.0 / d1.alpha0[0] ** 2)) < 1e-9

@@ -45,9 +45,9 @@ def ck_grid(nj=7, nk=15, theta=THETA, j_lo=None):
     K = -1 profile of nj rows from j_lo (by default -(nj // 2))."""
     j_lo = -(nj // 2) if j_lo is None else j_lo
     p = profile_elliptic(0.6, -1, (j_lo, j_lo + nj - 1), j0=4)
-    conn, data = build_ck_connection(p, theta, nk)
+    conn, data = build_ck_connection(p, theta)
     hs = gauge_to_hs(conn, data)
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=nk)
     return p, frames, hs, gauge_frame(frames, hs.gauge), column_angles(nk, theta=theta)
 
 
@@ -59,8 +59,8 @@ def test_base_nets_match_dense_frames(case, tau):
         xi = 2.0
     else:
         p = profile_trig(np.full(6, -np.tan(0.05)), 0.6 if case == 1 else 1.4, 0.0, j_lo=-3)
-        conn, _ = build_cmc_connection(p, THETA, 15)
-        frames = rotational_frames(conn, p.a[0], p.b[0])
+        conn, _ = build_cmc_connection(p, THETA)
+        frames = rotational_frames(conn, p.a[0], p.b[0], 15)
         xi = -2.0
     assert frames.rows.shape[1] == 1
     x, n = sym_arrays(frames, xi)
@@ -75,22 +75,22 @@ def test_gauged_base_net_matches_dense_frames():
 
 def dense_single(frames, hs, alpha, seed):
     """Dense (x, n) of W Phi."""
-    s_tilde = propagate(*build_abcd(hs, alpha), seed, hs.domain.nk)
+    s_tilde = propagate(*build_abcd(hs, alpha), seed, frames.shape[1])
     return dense_sym(frames, 2.0, G=hs.gauge, T=w_jet(alpha, s_tilde, hs.s, frames.t0))
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 3.0, 2.0])
 def test_single_transforms_match_dense_frames(alpha):
-    p, frames, hs, _, ang = ck_grid()
-    net = single_backlund(p, ang, hs, alpha, np.exp(0.7j))
+    _, frames, hs, _, ang = ck_grid()
+    net = single_backlund(hs, ang, alpha, np.exp(0.7j))
     x, n = dense_single(frames, hs, alpha, np.exp(0.7j))
-    assert worst(sym_frame(net, p, hs), (x, n)) <= EXPLICIT_TOL
+    assert worst(sym_frame(net, hs), (x, n)) <= EXPLICIT_TOL
     assert max(np.max(np.abs(x.imag)), np.max(np.abs(n.imag))) <= TOL
 
 
 def dense_double(frames, hs, alpha, seed):
     """Dense (x, n) of V W Phi: V at -alpha from the composed field over the W-transformed net."""
-    s_tilde, shat_tilde = composed_field(hs, alpha, seed)
+    s_tilde, shat_tilde = composed_field(hs, frames.shape[1], alpha, seed)
     W = w_jet(alpha, s_tilde, hs.s, frames.t0)
     V = v_jet(-alpha, shat_tilde, s_tilde, frames.t0)
     return dense_sym(frames, 2.0, G=hs.gauge, T=V @ W)
@@ -103,9 +103,9 @@ def dense_double(frames, hs, alpha, seed):
     (np.pi / 2.0 + 1.4j, 0.8 * np.exp(2.0j)),
 ])
 def test_double_transforms_match_dense_frames(alpha, seed):
-    p, frames, hs, _, ang = ck_grid()
-    net, _ = double_backlund(p, ang, hs, alpha, seed)
-    assert worst(sym_frame(net, p, hs), dense_double(frames, hs, alpha, seed)) <= EXPLICIT_TOL
+    _, frames, hs, _, ang = ck_grid()
+    net, _ = double_backlund(hs, ang, alpha, seed)
+    assert worst(sym_frame(net, hs), dense_double(frames, hs, alpha, seed)) <= EXPLICIT_TOL
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -123,12 +123,12 @@ def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, shift, real, 
     """Rows from j_lo = shift - nj // 2, where the initial frame's motion also turns the net
     (the last two examples start at the odd j_lo = -17); a real angle drawn with ``single``
     checks the single transform instead."""
-    p, frames, hs, _, ang = ck_grid(nj, nk, np.pi / 3.0, shift - nj // 2)
+    _, frames, hs, _, ang = ck_grid(nj, nk, np.pi / 3.0, shift - nj // 2)
     alpha = angle if real else np.pi / 2.0 + 1j * y
     seed = np.exp(1j * phase) * (1.0 if real else radius)
     if real and single:
-        net, want = single_backlund(p, ang, hs, alpha, seed), dense_single(frames, hs, alpha, seed)
+        net, want = single_backlund(hs, ang, alpha, seed), dense_single(frames, hs, alpha, seed)
     else:
-        net = double_backlund(p, ang, hs, alpha, seed)[0]
+        net = double_backlund(hs, ang, alpha, seed)[0]
         want = dense_double(frames, hs, alpha, seed)
-    assert worst(sym_frame(net, p, hs), want) <= EXPLICIT_TOL
+    assert worst(sym_frame(net, hs), want) <= EXPLICIT_TOL

@@ -1,4 +1,4 @@
-"""Tests for jets, domains, connections, frames, and gauging."""
+"""Tests for jets, connections, frames, and gauging."""
 
 from functools import lru_cache
 
@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from cknet import quat
 from cknet.connect import build_ck_connection, gauge_to_hs, initial_frame, rotational_frames
-from cknet.lattice import (ConnectionFamily, Domain, FrameFamily, MatJet,
+from cknet.lattice import (ConnectionFamily, FrameFamily, MatJet,
                            admissible_gauge, flatness_residual, gauge,
                            gauge_frame, jet_residual)
 from cknet.revolution import profile_elliptic
@@ -26,8 +26,8 @@ def random_unit_quat(rng):
 @lru_cache(maxsize=None)
 def ck_connection():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, data = build_ck_connection(p, np.pi / 6.0, 8)
-    return p, conn, data
+    conn, data = build_ck_connection(p, np.pi / 6.0)
+    return p, conn, data   # frames on 8 columns
 
 
 def random_jets(rng, shape, scale=False):
@@ -51,10 +51,9 @@ def random_flat_connection():
     Dk = [MatJet.constant(EYE)]
     for _ in range(nk - 1):
         Dk.append(D @ Dk[-1])
-    domain = Domain(nj, nk)
-    conn = ConnectionFamily(domain, P[1:] @ Pi[:-1], P @ D @ Pi)
+    conn = ConnectionFamily(P[1:] @ Pi[:-1], P @ D @ Pi)
     cols = MatJet(np.stack([m.val for m in Dk]), np.stack([m.dot for m in Dk]))
-    return conn, FrameFamily(domain, P, cols=cols)
+    return conn, FrameFamily(P, cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +90,18 @@ def test_jet_residual_covers_both_layers():
     assert abs(jet_residual(a, b) - 1e-3) < 1e-18
 
 
-def test_domain_properties():
-    d = Domain(4, 3)
-    assert d.nj == 4 and d.nk == 3
-    with pytest.raises(ValueError):
-        Domain(0, 1)
-
-
 def test_connection_shape_validation():
-    domain = Domain(3, 4)
     eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
-    # one edge jet per profile row is the only form: dense and mixed families are refused
-    conn = ConnectionFamily(domain, eye(2, 1), eye(3, 1))
+    # one edge jet per profile row is the only form, M giving the rows: dense and mixed
+    # families are refused
+    conn = ConnectionFamily(eye(2, 1), eye(3, 1))
     for L, M in ((eye(2, 4), eye(3, 3)), (eye(2, 1), eye(3, 3)), (eye(2, 4), eye(3, 1)),
                  (eye(3, 4), eye(3, 3)), (eye(2, 3), eye(3, 3)), (eye(2, 4), eye(3, 4)),
                  (eye(1, 4), eye(3, 3)), (eye(2, 4), eye(3)), (eye(4), eye(3, 3)),
                  (eye(3, 1), eye(3, 1)), (eye(2, 1), eye(2, 1)), (eye(2), eye(3)),
                  (eye(2, 1, 1), eye(3, 1, 1))):
         with pytest.raises(ValueError, match="one edge jet per profile row"):
-            ConnectionFamily(domain, L, M)
+            ConnectionFamily(L, M)
     # so is a gauge that is not one jet per profile row
     for G in (eye(3, 4), eye(3), eye(2, 1), eye(4, 1), eye(1, 1), eye(3, 1, 1)):
         with pytest.raises(ValueError, match="one jet per profile row"):
@@ -120,47 +112,45 @@ def test_connection_shape_validation():
 # flatness and integration
 
 
-def identity_connection(nj, nk):
-    domain = Domain(nj, nk)
+def identity_connection(nj):
     L = MatJet.constant(np.broadcast_to(EYE, (nj - 1, 1, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(EYE, (nj, 1, 2, 2)).copy())
-    return ConnectionFamily(domain, L, M)
+    return ConnectionFamily(L, M)
 
 
 def test_identity_connection_is_flat():
-    conn = identity_connection(3, 3)
+    conn = identity_connection(3)
     assert flatness_residual(conn) == 0.0
-    frames = integrate_frame(conn, MatJet.constant(EYE))
+    frames = integrate_frame(conn, MatJet.constant(EYE), 3)
     assert np.max(np.abs(frames.Phi.val - EYE)) == 0.0
     assert np.max(np.abs(frames.Phi.dot)) == 0.0
 
 
 def test_single_edge_defect_breaks_flatness():
     # row 1 of M turned: M(1) L(0) and L(0) M(0) no longer agree
-    conn = identity_connection(2, 2)
+    conn = identity_connection(2)
     mval = conn.M.val.copy()
     mval[1, 0] = np.diag([np.exp(0.1j), np.exp(-0.1j)])
-    broken = ConnectionFamily(conn.domain, conn.L, MatJet(mval, conn.M.dot))
+    broken = ConnectionFamily(conn.L, MatJet(mval, conn.M.dot))
     assert flatness_residual(broken) > 0.09
     with pytest.raises(NotFlat):
-        integrate_frame(broken, MatJet.constant(EYE))
+        integrate_frame(broken, MatJet.constant(EYE), 2)
 
 
 def test_constant_connection_two_steps():
     g = quat.quat(1.0, 0.2, -0.4, 0.3)
-    domain = Domain(2, 2)
     L = MatJet.constant(np.broadcast_to(g, (1, 1, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(g, (2, 1, 2, 2)).copy())
-    conn = ConnectionFamily(domain, L, M)
+    conn = ConnectionFamily(L, M)
     assert flatness_residual(conn) < 1e-15
-    frames = integrate_frame(conn, MatJet.constant(EYE))
+    frames = integrate_frame(conn, MatJet.constant(EYE), 2)
     assert_allclose(frames.Phi.val[1, 1], g @ g, atol=1e-14)
 
 
 def test_random_flat_connection_round_trip():
     conn, frames = random_flat_connection()
     assert flatness_residual(conn) < 1e-13
-    got = integrate_frame(conn, frames.Phi[0, 0])
+    got = integrate_frame(conn, frames.Phi[0, 0], frames.shape[1])
     assert jet_residual(got.Phi, frames.Phi) < 1e-12
 
 
@@ -168,25 +158,26 @@ def test_perturbed_connection_detected():
     conn, _ = random_flat_connection()
     lval = conn.L.val.copy()
     lval[1, 0] = lval[1, 0] + 1e-3
-    broken = ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M)
+    broken = ConnectionFamily(MatJet(lval, conn.L.dot), conn.M)
     assert flatness_residual(broken) > 1e-4
     with pytest.raises(NotFlat):
-        integrate_frame(broken, MatJet.constant(EYE))
+        integrate_frame(broken, MatJet.constant(EYE), 5)
 
 
 def test_integration_matches_eigen_factorized_frames():
     p, conn, data = ck_connection()
     assert flatness_residual(conn) < 1e-11
     phi00 = initial_frame(p.a[0], p.b[0])
-    direct = integrate_frame(conn, MatJet.constant(phi00))
-    factorized = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    direct = integrate_frame(conn, MatJet.constant(phi00), 8)
+    factorized = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=8)
     assert jet_residual(direct.Phi, factorized.Phi) < 1e-10
 
 
 def test_rotational_frames_keep_row_and_column_factors():
     p, conn, data = ck_connection()
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=8)
     assert frames.rows.shape == (7, 1, 2, 2) and frames.cols.shape == (8, 2, 2)
+    assert frames.shape == (7, 8)
     # the normal-form gauge is one matrix per profile row: it multiplies the row factor only
     hs = gauge_to_hs(conn, data)
     assert hs.gauge.shape == (7, 1, 2, 2)
@@ -201,14 +192,16 @@ def test_rotational_frames_keep_row_and_column_factors():
 
 
 def test_frame_factor_shapes_must_make_the_grid():
-    domain = Domain(3, 4)
+    # the two factors give the grid: rows (nj, 1 or nk, 2, 2) and columns (nk, 2, 2)
     eye = lambda *shape: MatJet.constant(np.broadcast_to(EYE, shape + (2, 2)).copy())
     for factors in ((eye(3, 4),), (eye(3, 1), 0.0, eye(4)), (eye(3, 4), 0.0, eye(4))):
-        assert FrameFamily(domain, *factors).Phi.shape == (3, 4, 2, 2)
-    for factors in ((eye(3, 1),), (eye(1, 4), 0.0, eye(4)), (eye(3, 1), 0.0, eye(5)),
-                    (eye(3, 4), 0.0, eye(3)), (eye(3, 2, 2), 0.0, eye(4))):
+        frames = FrameFamily(*factors)
+        assert frames.shape == (3, 4) and frames.Phi.shape == (3, 4, 2, 2)
+    assert FrameFamily(eye(3, 1)).shape == (3, 1)
+    for factors in ((eye(3, 4), 0.0, eye(3)), (eye(3, 2, 2), 0.0, eye(4)), (eye(3), 0.0, eye(4)),
+                    (eye(3, 1), 0.0, eye(1, 4)), (eye(3, 1), 0.0, eye())):
         with pytest.raises(ValueError):
-            FrameFamily(domain, *factors)
+            FrameFamily(*factors)
 
 
 def test_connection_derivative_layer_matches_finite_differences():
@@ -225,14 +218,14 @@ def test_connection_derivative_layer_matches_finite_differences():
 # gauging
 
 
-def random_vertex_gauge(domain, seed, unitary=True):
-    """One random gauge jet per profile row."""
-    return random_jets(np.random.default_rng(seed), (domain.nj, 1), scale=not unitary)
+def random_vertex_gauge(conn, seed, unitary=True):
+    """One random gauge jet per profile row of the connection."""
+    return random_jets(np.random.default_rng(seed), conn.M.shape[:2], scale=not unitary)
 
 
 def test_gauge_identity_leaves_connection_unchanged():
     conn, _ = random_flat_connection()
-    G = MatJet.constant(np.broadcast_to(EYE, (conn.domain.nj, 1, 2, 2)).copy())
+    G = MatJet.constant(np.broadcast_to(EYE, conn.M.shape).copy())
     gauged = gauge(conn, G)
     assert jet_residual(gauged.L, conn.L) == 0.0
     assert jet_residual(gauged.M, conn.M) == 0.0
@@ -240,7 +233,7 @@ def test_gauge_identity_leaves_connection_unchanged():
 
 def test_gauge_round_trip():
     conn, _ = random_flat_connection()
-    G = random_vertex_gauge(conn.domain, 41, unitary=False)
+    G = random_vertex_gauge(conn, 41, unitary=False)
     back = gauge(gauge(conn, G), G.inv())
     assert jet_residual(back.L, conn.L) < 1e-13
     assert jet_residual(back.M, conn.M) < 1e-13
@@ -248,13 +241,13 @@ def test_gauge_round_trip():
 
 def test_unitary_gauge_preserves_flatness():
     conn, _ = random_flat_connection()
-    G = random_vertex_gauge(conn.domain, 42)
+    G = random_vertex_gauge(conn, 42)
     assert flatness_residual(gauge(conn, G)) < 1e-12
 
 
 def test_gauged_frames_are_parallel_for_gauged_connection():
     conn, frames = random_flat_connection()
-    G = random_vertex_gauge(conn.domain, 43)
+    G = random_vertex_gauge(conn, 43)
     gconn = gauge(conn, G)
     gframes = gauge_frame(frames, G)
     phi = gframes.Phi

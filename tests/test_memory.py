@@ -37,11 +37,10 @@ def added_mib(fn, *args, **kwargs):
 
 @lru_cache(maxsize=None)
 def wide_grid():
-    """Profile, column angles and normal-form data of the 61 x 200 grid of the benchmark's
-    wide jobs."""
+    """Normal-form data and column angles of the 61 x 200 grid of the benchmark's wide jobs."""
     p = profile_elliptic(0.6, -1, (-30, 30), j0=4)
-    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0, 200)
-    return p, column_angles(200, k0=6), gauge_to_hs(conn, data)
+    conn, data = build_ck_connection(p, 2.0 * np.pi / 6.0)
+    return gauge_to_hs(conn, data), column_angles(200, k0=6)
 
 
 def test_double_transform_memory_is_the_net_and_one_block():

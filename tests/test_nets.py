@@ -13,11 +13,11 @@ from cknet.checks import PROFILE_SPECS, fixture_ck_hs, fixture_profile
 from cknet.connect import build_ck_connection, rotational_frames
 from cknet.errors import (DegenerateFace, DegenerateGeometry, InvalidProfile,
                           NotPrincipal, RealityViolated, Singular, ZeroEdge)
-from cknet.lattice import ConnectionFamily, Domain, FrameFamily, MatJet, jet_residual
+from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
 from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
                         face_normal, principal_curvatures, rigid_align,
                         singular_vertices, sym, sym_arrays, validate_ec)
-from cknet.revolution import (build_rcnet, conservation_drift, edge_residuals,
+from cknet.revolution import (build_rcnet, column_angles, conservation_drift, edge_residuals,
                               profile_elliptic, validate_profile)
 from oracles import cross_product_report, cross_ratio, det
 
@@ -42,7 +42,7 @@ def sphere_net():
 @lru_cache(maxsize=None)
 def rc_net(kappa=0.6):
     p = profile_elliptic(kappa, -1, (-3, 3), j0=4)
-    return p, build_rcnet(p, 12, theta=np.pi / 6.0)
+    return p, build_rcnet(p, column_angles(12, theta=np.pi / 6.0))
 
 
 def rodrigues(v, axis, angle):
@@ -61,31 +61,28 @@ def test_net_requires_unit_normals():
 
 
 def test_sym_constant_frame_is_a_point():
-    domain = Domain(3, 3)
     rotor = quat.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
     rotor /= np.sqrt(det(rotor).real)
     val = np.broadcast_to(rotor, (3, 3, 2, 2)).astype(complex)
-    frames = FrameFamily(domain, MatJet.constant(val.copy()))
+    frames = FrameFamily(MatJet.constant(val.copy()))
     net = sym(frames, 2.0)
     assert np.max(np.abs(net.x)) == 0.0
     assert_allclose(np.linalg.norm(net.n, axis=-1), 1.0, atol=1e-12)
 
 
 def test_sym_identity_frame_with_normal_shift():
-    domain = Domain(2, 3)
     val = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
-    frames = FrameFamily(domain, MatJet.constant(val))
+    frames = FrameFamily(MatJet.constant(val))
     net = sym(frames, 2.0)
     assert_allclose(net.x + net.n, np.broadcast_to(E3, net.x.shape), atol=1e-15)   # x + tau n, tau = 1
     assert_allclose(net.n, np.broadcast_to(E3, net.n.shape), atol=1e-15)
 
 
 def test_sym_arrays_preserves_complex_residue():
-    domain = Domain(2, 2)
     val = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2, 2)).copy()
     dot = np.zeros_like(val)
     dot[..., 0, 1] = 0.25j
-    frames = FrameFamily(domain, MatJet(val, dot))
+    frames = FrameFamily(MatJet(val, dot))
     x, n = sym_arrays(frames, 2.0)
     assert np.max(np.abs(x.imag)) > 0.1
     with pytest.raises(RealityViolated):
@@ -293,7 +290,8 @@ def assert_report_matches_seven_crosses(net):
 
 @pytest.mark.parametrize("spec", PROFILE_SPECS, ids=lambda s: f"{s[0]}-{s[1]:g}-{s[2]:+d}")
 def test_face_pass_matches_seven_crosses_on_rcnets(spec):
-    assert_report_matches_seven_crosses(build_rcnet(fixture_profile(*spec), 13, k0=12))
+    net = build_rcnet(fixture_profile(*spec), column_angles(13, k0=12))
+    assert_report_matches_seven_crosses(net)
 
 
 def test_face_pass_matches_seven_crosses_on_transforms():
@@ -516,12 +514,12 @@ def test_rigid_align_collinear_raises():
 
 def test_frame_initial_condition_changes_net_by_rigid_motion():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    conn, _ = build_ck_connection(p, np.pi / 6.0, 10)
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0])
+    conn, _ = build_ck_connection(p, np.pi / 6.0)
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=10)
     h0 = quat.quat(np.cos(0.35), *(np.sin(0.35) * np.array([0.2, 0.6, -0.774596669241483])))
     h0 /= np.sqrt(det(h0).real)
     H = MatJet(h0, h0 @ quat.embed(np.array([0.1, -0.2, 0.3])))
-    moved = FrameFamily(frames.domain, frames.Phi @ H)
+    moved = FrameFamily(frames.Phi @ H)
     res = rigid_align(sym(frames, 2.0), sym(moved, 2.0))
     assert res.residual < 1e-9
 
@@ -538,11 +536,10 @@ def _nan_unit_normal():
 
 
 def _nan_frame_derivative():
-    domain = Domain(3, 3)
     val = np.broadcast_to(np.eye(2, dtype=complex), (3, 3, 2, 2)).copy()
     dot = np.zeros_like(val)
     dot[1, 1, 0, 1] = np.nan
-    sym(FrameFamily(domain, MatJet(val, dot)), 2.0)
+    sym(FrameFamily(MatJet(val, dot)), 2.0)
 
 
 def _nan_position_edge():
@@ -561,11 +558,11 @@ def _nan_profile_height():
 
 def _nan_connection_row():
     p, _ = rc_net()
-    conn, _ = build_ck_connection(p, np.pi / 6.0, 6)
+    conn, _ = build_ck_connection(p, np.pi / 6.0)
     lval = conn.L.val.copy()
     lval[1, 0, 0, 0] = np.nan
-    frames = rotational_frames(ConnectionFamily(conn.domain, MatJet(lval, conn.L.dot), conn.M),
-                               p.a[0], p.b[0])
+    frames = rotational_frames(ConnectionFamily(MatJet(lval, conn.L.dot), conn.M),
+                               p.a[0], p.b[0], 6)
     sym(frames, 2.0)
 
 

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
                           ModulusOutOfRange)
 from cknet.nets import curvature_report
-from cknet.revolution import (_amplitude, build_rcnet, conservation_drift,
+from cknet.revolution import (_amplitude, build_rcnet, column_angles, conservation_drift,
                               edge_residuals, elliptic_K, elliptic_theta,
                               gauss_from_profile, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig,
@@ -407,7 +407,7 @@ def test_validate_profile_detects_corruption():
 
 def test_build_rcnet_constant_curvature():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
-    net = build_rcnet(p, 10, theta=np.pi / 6.0)
+    net = build_rcnet(p, column_angles(10, theta=np.pi / 6.0))
     worst, degenerate = curvature_report(net, p.K_sign)
     assert degenerate.size == 0 and worst["gauss"] < 1e-9
     z, embedded = cross_ratio(net, (2, 3))
@@ -417,28 +417,27 @@ def test_build_rcnet_constant_curvature():
 
 def test_build_rcnet_exact_closure():
     p = profile_trig(np.full(4, -0.08), 0.8, 0.1, j_lo=-2)
-    net = build_rcnet(p, 15, k0=12)
+    net = build_rcnet(p, column_angles(15, k0=12))
     np.testing.assert_array_equal(net.x[:, 12:], net.x[:, :3])
     np.testing.assert_array_equal(net.n[:, 12:], net.n[:, :3])
 
 
 def test_build_rcnet_vertex_radii_match_profile():
     p = profile_elliptic(1.0, -1, (-2, 2))
-    net = build_rcnet(p, 9, theta=0.5)
+    net = build_rcnet(p, column_angles(9, theta=0.5))
     radii = np.hypot(net.x[..., 0], net.x[..., 1])
     assert_allclose(radii, np.broadcast_to(p.f[:, None], radii.shape), atol=1e-12)
     assert_allclose(net.x[..., 2], np.broadcast_to(p.h[:, None], radii.shape), atol=1e-12)
 
 
 def test_build_rcnet_argument_validation():
+    # build_rcnet sweeps the profile to the angles it is given, one column each; column_angles
+    # refuses a step or count that makes no grid
     p = profile_trig(np.full(3, -0.1), 1.0, 0.0, j_lo=-1)
+    assert build_rcnet(p, column_angles(3, theta=0.5, k_lo=2)).shape == (4, 3)
+    for args in ({}, {"theta": 0.5, "k0": 6}, {"k0": 2}, {"k0": 6.5}, {"theta": 3.5},
+                 {"theta": 0.0}):
+        with pytest.raises(ConfigError):
+            column_angles(10, **args)
     with pytest.raises(ConfigError):
-        build_rcnet(p, 10)
-    with pytest.raises(ConfigError):
-        build_rcnet(p, 10, theta=0.5, k0=6)
-    with pytest.raises(ConfigError):
-        build_rcnet(p, 10, k0=2)
-    with pytest.raises(ConfigError):
-        build_rcnet(p, 1, theta=0.5)
-    with pytest.raises(ConfigError):
-        build_rcnet(p, 10, theta=3.5)
+        column_angles(1, theta=0.5)
