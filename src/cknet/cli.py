@@ -37,8 +37,8 @@ from .connect import build_ck_connection, gauge_to_hs
 from .errors import CknetError, ConfigError, DegenerateGeometry
 from .lattice import flatness_residual
 from .nets import ContactElementNet, curvature_report
-from .revolution import (Profile, build_rcnet, column_angles, conservation_drift, edge_residuals,
-                         profile_elliptic, profile_hyp, profile_trig)
+from .revolution import (Profile, _require_columns, build_rcnet, column_angles, conservation_drift,
+                         edge_residuals, profile_elliptic, profile_hyp, profile_trig)
 
 EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -92,9 +92,13 @@ def load_config(path: str) -> dict:
     parser.optionxform = str
     try:
         parser.read_string(text, source=path)
+        return {s: dict(parser.items(s)) for s in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"invalid INI config {path}: {exc}") from exc
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    finally:   # the parser and its section proxies refer to each other: free them now, not
+        for proxy in parser.values():   # at the collector's next pass
+            vars(proxy).clear()
+        vars(parser).clear()
 
 
 _HELP = ("-h", "--help")
@@ -210,13 +214,10 @@ def rotation_step(cfg: dict):
     theta = _get(cfg, "rotation", "theta", float, None)
     k0 = _get(cfg, "rotation", "k0", int, None)
     k_count = _get(cfg, "rotation", "k_count", int)
-    if k_count < 2:
-        raise ConfigError(f"rotation.k_count must be >= 2, got {k_count}")
+    _require_columns(k_count, k0)
     if theta is None and k0 is None:
         raise ConfigError("rotation needs theta or k0")
     if k0 is not None:
-        if k0 < 3:
-            raise ConfigError(f"rotation.k0 must be >= 3, got {k0}")
         exact = 2.0 * np.pi / k0
         if theta is not None and not (abs(theta - exact) <= 1e-12):
             raise ConfigError(f"rotation.theta = {theta} and k0 = {k0} are inconsistent")
@@ -228,17 +229,28 @@ def rotation_step(cfg: dict):
 # artifacts
 
 
-# %.17g of a float64 x with 1e-4 <= |x| < 1e16 is fixed notation: the 17 digits d0 d1 ... d16 of
-# D = round(|x| * 10**(16 - E)), E = floor(log10 |x|), which Dekker's two-product forms exactly
-# (README, "Output formats").  A value fills five little-endian uint64 words ("<u8": byte i of a
-# word is byte i of the file on every host), NUL in every unused byte: separator, sign, "0." and
-# leading zeros, digit 0, then [point slot, digit] pairs for 1..16 from a table of 4-digit
-# groups.  Python's own %.17g writes every other value: ±0, the exponent form of |x| < 1e-4,
+# %.17g of a float64 x with 1e-28 <= |x| < 1e16 shows the 17 digits d0 d1 ... d16 of
+# D = round(|x| * 10**k), k = 16 - E, E = floor(log10 |x|): in fixed notation for E >= -4, as
+# d0.d1...d16e-NN below, trailing zeros dropped.  Dekker's two-product with 10**k held as two
+# doubles forms D (README, "Output formats").  A value fills five little-endian uint64 words
+# ("<u8": byte i of a word is byte i of the file on every host), NUL in every unused byte: a
+# head of separator, sign, "0." and leading zeros and digit 0, then [point slot, digit] pairs
+# for 1..16 from a table of 4-digit groups.  The exponent form takes D * 100: its head holds
+# d0.d1d2, and "e-NN" goes over the two zeros that end its groups.  A zero is formed as 1e16
+# on a row of its own.  Python's own %.17g writes the rest: subnormals, 0 < |x| < 1e-28,
 # |x| >= 1e16 and non-finite values.
-_OBJ_ROWS = 512   # vertices per formatted chunk: bounds the writer's memory
+#
+# At its peak a chunk holds about 360 B a vertex: its output and at most nine float64 planes of
+# its values.  So 680 vertices stay within the 244 KiB that 512 took while Python wrote the
+# exponent form (tests/test_obj_format.py, test_one_chunk_adds_no_more_than_before).
+_OBJ_ROWS = 680   # vertices per formatted chunk: bounds the writer's memory
 _OBJ_FACES = 4096   # faces per run of f lines, for the same reason
 _VELTKAMP = 134217729.0   # 2**27 + 1: splits a float64 into two halves of at most 26 bits
-_FIXED_BITS = np.array([1e-4, 1e16]).view(np.uint64)   # bit patterns order like |x|
+# the range's edges as bit patterns, which order like |x|; the double nearest 1e-28 is below it
+_FIXED_BITS = np.array([1.0000000000000001e-28, 1e16]).view(np.uint64)
+_ROWS, _EXP_ROWS = 46, 25   # table rows E + 29 for E = -29..16; E < -4 is the exponent form
+_LOG_LEAN = 1.0 + 2.0 ** -50   # moves log10 |x| away from 0 by more than its error
+_NEAR_HALF = 0.5 - 2.0 ** -40   # a product this near half-way is rounded in integers
 
 
 @cache
@@ -246,64 +258,110 @@ def _digit_tables() -> tuple:
     """Lookup tables of the OBJ number writer, built on first use (not at import) from uint8
     pieces: the 10**4 groups' digits take 40 kB, where int64 ones and a matmul peaked at 1.1 MB.
 
+    Row r of fix, ten and scale stands for E = r - 29: rows 0..24 are the exponent form and
+    25..44 fixed notation.  No value in range ends on row 0 (E = -29), but a first guess may,
+    and on row 45 (E = 16) only the zeros end: they are held as 1e16 (D = 10**16).
     group: "<u8" word of each 4-digit group, its digits at bytes 1, 3, 5, 7; place: the place
         1..4 of its last nonzero digit, 0 for none.
-    fix: (17 * 20, 4) words added to the group words, by (last place, E + 4).
-    head: head words by (negative, E + 4, digit 0).
-    ten: 10**(20 - i) for i = E + 4 in 0..20 and its Veltkamp halves, (3, 21).
+    fix: (4, 17 * 46) words added to the group words, by (last place, row).
+    head: head words, sign byte NUL: the exponent form's by (digits 3..16 all 0 or not,
+        d0d1d2), then the fixed rows' by (row, d0); start: the offset of each fix row's heads.
+    ten: 10**k = th + tl exactly for k = 16 - E: th, its Veltkamp halves and tl (0 for k <= 22),
+        (4, 46); scale: 100 on the exponent form's rows, 1 elsewhere.
     """
     ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48   # digits 1-4 of a group
     place = (np.arange(1, 5, dtype=np.uint8) * (ascii != 48)).max(axis=1).astype(np.int16)
     group = np.zeros((10 ** 4, 8), np.uint8)
     group[:, 1::2] = ascii
+    d = ascii[:1000, 1:].T.copy()                             # d0, d1, d2 of 0..999
     del ascii
-    # bytes added to a group word: "." in the point slot of digit E + 1 when a later digit is
-    # kept, and -"0" on every digit past max(last, E), so trailing zeros become NUL; the word
-    # sums carry and borrow nothing, since those digit bytes are "0" and the point slot NUL
-    L, E, b = (np.arange(lo, hi, dtype=np.int8) for lo, hi in ((0, 17), (-4, 16), (0, 32)))
-    L, E = L[:, None, None], E[:, None]
-    add = np.where(b % 2 == 1, np.int8(-48) * (b // 2 + 1 > np.maximum(L, E)),
-                   np.int8(46) * ((b == 2 * E) & (L > E)))
-    fix = add.view("<u8") - ((add < 0).view("<u8") << np.uint64(8))
-    head = np.zeros((2, 20, 10, 8), np.uint8)                 # by (negative, E + 4, digit 0)
-    head[..., 0], head[1, ..., 1], head[..., 7] = 32, 45, np.arange(48, 58)
-    head[..., 2:7] = np.where(np.arange(5) < (1 - E) * (E < 0), list(b"0.000"), 0)[:, None]
-    ten = 10.0 ** np.arange(20, -1, -1)
-    hi = _VELTKAMP * ten
-    hi -= hi - ten
-    return (group.view("<u8").reshape(-1), place, fix.reshape(-1, 4), head.view("<u8").reshape(-1),
-            np.stack([ten, hi, ten - hi]))
+    # bytes added to the group words: "." in the point slot of digit E + 1 when a later digit
+    # is kept, and -"0" on every digit past max(last, E), so trailing zeros become NUL; the word
+    # sums carry and borrow nothing, since those digit bytes are "0" and the point slot NUL.
+    # The exponent form has its point in the head, and writes "e-NN" over its last two digits.
+    q = np.arange(1, 17, dtype=np.int8).reshape(4, 1, 1, 4)   # the digit places of each word
+    L, E = np.arange(17, dtype=np.int8)[:, None, None], np.arange(-29, 17, dtype=np.int8)[:, None]
+    F = np.where((E >= -4) & (E < 16), E, np.int8(0))         # the place before the point
+    add = np.zeros((4, 17, _ROWS, 8), np.int8)
+    add[..., 1::2] = np.int8(-48) * (q > np.maximum(L, F))
+    add[..., ::2] = np.int8(46) * ((q == F + 1) & (L > F) & (E >= -4))
+    add[3, :, :_EXP_ROWS, 4:] = [[101, 45 - 48, 48 + e // 10, e % 10] for e in range(29, 4, -1)]
+    fix = add.view("<u8")
+    fix -= (add < 0).view("<u8") << np.uint64(8)
+    head = np.zeros((2210, 8), np.uint8)                      # 2 * 1000 exponent, 21 * 10 fixed
+    head[:, 0] = 32
+    expo, fixed = head[:2000].reshape(2, 1000, 8), head[2000:].reshape(21, 10, 8)
+    expo[..., 3], expo[..., 4], expo[..., 5], expo[..., 7] = d[0], 46, d[1], d[2]
+    expo[1, d[2] == 48, 7] = 0                                # no digit after d2: trim it,
+    expo[1, (d[1] == 48) & (d[2] == 48), 4:6] = 0             # and d1 and the point with it
+    fixed[:20, :, 7] = np.arange(48, 58)
+    for e in range(-4, 0):
+        fixed[e + 4, :, 2:3 - e] = list(b"0.000"[:1 - e])
+    fixed[20, :, 7] = 48                                      # row 45: a zero
+    L, r = np.divmod(np.arange(17 * _ROWS), _ROWS)
+    start = np.where(r < _EXP_ROWS, 1000 * (L == 0), 2000 + 10 * (r - _EXP_ROWS))
+    k = [10 ** (16 - e) for e in range(-29, 17)]
+    th = np.array([float(v) for v in k])
+    hi = _VELTKAMP * th
+    hi -= hi - th
+    ten = np.stack([th, hi, th - hi, [float(v - int(float(v))) for v in k]])
+    return (group.view("<u8").reshape(-1), place, fix.reshape(4, -1), head.view("<u8").reshape(-1),
+            start, ten, np.where(np.arange(_ROWS) < _EXP_ROWS, 100, 1))
 
 
-def _fixed_digits(a, E4, ten):
-    """D = round(a * 10**(20 - E4)) as int64 for 1e-4 <= a < 1e16 and E4 = E + 4 or one off.
-    b = 10**(20 - E4) is an exact double, and with both factors split by Veltkamp, Dekker's
-    a * b = p + e has no rounding at all; once p reaches 2**53 it is an even integer, so
-    p + rint(e) is the product rounded half to even, as CPython rounds.  No double in
-    [1e-4, 1e16) lies within half a unit of the 17th digit below a power of ten, so D never
-    rounds up to 10**16 from below."""
-    b, bh, bl = (t.take(E4) for t in ten)
-    p = a * b
+def _fixed_digits(a, row, ten):
+    """(D, u) for 1e-28 <= a < 1e16 and ``row`` = E + 29 or one off: D = round(a * 10**k) as
+    int64, k = 16 - E, rounded half to even as CPython rounds, and u, how far a * 10**k lay from
+    D, to within 2**-48.  With a and th split by Veltkamp, Dekker's a * th = p + e has no
+    rounding at all, and once p reaches 2**53 it is an even integer, so p + rint(e) is the
+    product rounded half to even.  a * tl adds less than 16 and under 2**-48 of rounding, so
+    the sum is off only where u lies that near 1/2."""
+    p = ten[0].take(row)
+    p *= a
     ah = _VELTKAMP * a
-    ah -= ah - a
-    al = a - ah
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    bh = ten[1].take(row)
+    e = ah * bh
+    e -= p
+    bh *= al
+    bl = ten[2].take(row)
+    e += np.multiply(ah, bl, out=ah)
+    e += bh
+    e += np.multiply(al, bl, out=bl)
+    np.take(ten[3], row, out=ah)
+    e += np.multiply(ah, a, out=ah)
+    del al, bl
+    r = np.rint(e, out=bh)
+    e -= r
+    D = p.astype(np.int64)
+    D += r.astype(np.int64)
+    return D, np.abs(e, out=e)
+
+
+def _round_exact(a: float, k: int) -> int:
+    """round(a * 10**k), half to even, in integers."""
+    n, d = a.as_integer_ratio()
+    q, r = divmod(n * 10 ** k, d)
+    return q + (2 * r > d or (2 * r == d and q % 2))
 
 
 def _digit_groups(D):
-    """(g, d0): the planes g[0..3] of digits 1-4, 5-8, 9-12 and 13-16 of the 17-digit D, and
-    digit 0; D is overwritten."""
-    g = np.empty((4,) + D.shape, np.intp)
-    np.floor_divide(D, 10 ** 8, out=g[1])                     # digits 0-8
-    D -= g[1] * 10 ** 8                                       # digits 9-16
+    """(g, d0): the planes g[0..3] of the four 4-digit groups that end D, read as an unsigned
+    17-digit number (d0 one digit) or, in the exponent form, 19-digit (d0 three digits); D is
+    overwritten."""
+    D = D.view(np.uint64)
+    g = np.empty((4,) + D.shape, np.uint64)
+    np.floor_divide(D, 10 ** 8, out=g[1])                     # d0 and groups 0, 1
+    D -= g[1] * 10 ** 8                                       # groups 2, 3
     np.floor_divide(D, 10 ** 4, out=g[2])
     np.subtract(D, g[2] * 10 ** 4, out=g[3])
-    np.floor_divide(g[1], 10 ** 4, out=g[0])                  # digits 0-4
+    np.floor_divide(g[1], 10 ** 4, out=g[0])                  # d0 and group 0
     g[1] -= g[0] * 10 ** 4
     d0 = g[0] // 10 ** 4
     g[0] -= d0 * 10 ** 4
-    return g, d0
+    return g.view(np.intp), d0.view(np.intp)
 
 
 def _last_place(g, place):
@@ -317,32 +375,53 @@ def _last_place(g, place):
     return last
 
 
+def _python_cells(values: list):
+    """Python's own " %.17g" of each value, as (len(values), 5) cell words."""
+    return np.array([b" %.17g" % v for v in values], dtype="S40").view("<u8").reshape(-1, 5)
+
+
 def _fill_cells(xyz, cell) -> None:
     """Write %.17g of each value of the (n, 3) array ``xyz`` into its (n, 3, 5) word cell."""
-    group, place, fix, head, ten = _digit_tables()
+    group, place, fix, head, start, ten, scale = _digit_tables()
     a = np.abs(xyz)
-    outside = (a.view(np.uint64) - _FIXED_BITS[0]) >= _FIXED_BITS[1] - _FIXED_BITS[0]   # NaN too
+    outside = (a.view(np.uint64) - _FIXED_BITS[0]) >= _FIXED_BITS[1] - _FIXED_BITS[0]   # 0, NaN
     slow = np.flatnonzero(outside) if outside.any() else None
+    del outside
     if slow is not None:
-        a.flat[slow] = 1.0 + 2.0 ** -52   # in range, and its digit 16 is nonzero
-    E4 = (np.log10(a) + 4.0).astype(np.intp)                  # E + 4, or one off
-    D = _fixed_digits(a, E4, ten)
+        a.flat[slow] = 1e16   # row 45 prints it as a zero; Python overwrites the others
+        slow = slow[xyz.flat[slow] != 0]
+    # E + 29, or one off; leaning away from E = 0, the guess is never E for an |x| just below
+    # 10**E, E < 0, whose D rounds up to 10**16 there and would print as 10**E
+    row = np.log10(a)
+    row *= _LOG_LEAN
+    row = np.floor(row, out=row).astype(np.intp)
+    row += 29
+    D, u = _fixed_digits(a, row, ten)
     off = (D - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16      # D outside [10**16, 10**17)
     if off.any():   # floor(log10 a) was one off, or D = 10**17 carries into E + 1
         off = np.flatnonzero(off)
-        E4.flat[off] += np.where(D.flat[off] < 10 ** 16, -1, 1)
-        D.flat[off] = _fixed_digits(a.flat[off], E4.flat[off], ten)
-    del a
+        row.flat[off] += np.where(D.flat[off] < 10 ** 16, -1, 1)
+        D.flat[off], u.flat[off] = _fixed_digits(a.flat[off], row.flat[off], ten)
+    if u.max(initial=0.0) > _NEAR_HALF:   # the product lay too near half-way for the float sum
+        for i in np.flatnonzero(u > _NEAR_HALF).tolist():
+            D.flat[i] = _round_exact(float(a.flat[i]), 45 - int(row.flat[i]))
+    del a, u
+    D *= scale.take(row)                                      # read unsigned: it may wrap
     g, d0 = _digit_groups(D)
-    cell[..., 0] = head.take(((xyz < 0) * 20 + E4) * 10 + d0)
-    E4 += 20 * _last_place(g, place)                          # the row of fix
+    del D
+    row += _ROWS * _last_place(g, place)                      # the row of fix
+    d0 += start.take(row)
+    w = (xyz.view(np.int64) >> 63).view(np.uint64)            # all ones where the sign bit is set
+    w &= 45 << 8                                              # "-" after the separator
+    w |= head.take(d0)
+    cell[..., 0] = w
+    del d0, w
     w = group.take(g)
-    del g, d0
-    w += fix.take(E4, axis=0).transpose(2, 0, 1)
+    del g
+    w += fix.take(row, axis=1)
     cell[..., 1:] = w.transpose(1, 2, 0)
-    if slow is not None:
-        text = np.array([b" %.17g" % v for v in xyz.flat[slow].tolist()], dtype="S40")
-        cell[slow // 3, slow % 3] = text.view("<u8").reshape(-1, 5)
+    if slow is not None and slow.size:
+        cell[slow // 3, slow % 3] = _python_cells(xyz.flat[slow].tolist())
 
 
 def _obj_lines(tag: bytes, xyz) -> bytes:
@@ -350,7 +429,9 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
     out = np.zeros((len(xyz), 17), "<u8")
     out[:, 0], out[:, 16] = int.from_bytes(tag, "little"), 10
     _fill_cells(xyz, out[:, 1:16].reshape(-1, 3, 5))
-    return out.tobytes().translate(None, b"\0")
+    text = out.tobytes()
+    del out   # translate allocates as much again as it reads
+    return text.translate(None, b"\0")
 
 
 def _face_rows(lo: int, hi: int, nk: int):

@@ -375,17 +375,25 @@ def _require_step(theta: float) -> None:
         raise ConfigError(f"rotation step must lie in (-pi,0) or (0,pi), got {theta}")
 
 
+def _require_columns(k_count: int, k0: int = None) -> None:
+    """Refuse fewer than two columns, or a k0 that is no integer >= 3: the column angles and
+    the CLI's rotation stage."""
+    if k_count < 2:
+        raise ConfigError(f"rotation.k_count must be >= 2, got {k_count}")
+    if k0 is not None and int(k0) != k0:
+        raise ConfigError(f"rotation.k0 must be an integer, got {k0}")
+    if k0 is not None and k0 < 3:
+        raise ConfigError(f"rotation.k0 must be >= 3, got {k0}")
+
+
 def column_angles(k_count: int, theta: float = None, k0: int = None, k_lo: int = 0) -> np.ndarray:
     """Angles of the columns k_lo .. k_lo+k_count-1: k theta for a step theta in (-pi,0) or
     (0,pi), or 2 pi (k mod k0) / k0 for an integer k0 >= 3; exactly one must be given."""
     if (theta is None) == (k0 is None):
         raise ConfigError("exactly one of theta and k0 must be given")
-    if k_count < 2:
-        raise ConfigError(f"need at least two columns, got {k_count}")
+    _require_columns(k_count, k0)
     ks = np.arange(k_lo, k_lo + k_count)
     if k0 is not None:
-        if int(k0) != k0 or k0 < 3:
-            raise ConfigError(f"k0 must be an integer >= 3, got {k0}")
         return 2.0 * np.pi * np.mod(ks, k0) / k0
     _require_step(theta)
     return theta * ks

@@ -1,9 +1,12 @@
 """The OBJ coordinate writer against Python's own ``%.17g``.
 
 ``cli._obj_lines`` forms the 17 digits of each coordinate with numpy
-(Dekker's two-product on |x| * 10**k, four-digit tables, NUL-padded
-cells) in fixed notation for 1e-4 <= |x| < 1e16 and leaves every other
-value, exponent notation among them, to Python; every line it writes must equal
+(Dekker's two-product on |x| * 10**k, 10**k held as two doubles,
+four-digit tables, NUL-padded cells): in fixed notation for
+1e-4 <= |x| < 1e16, in exponent notation for 1e-28 <= |x| < 1e-4, and
+zeros.  It leaves subnormals, 0 < |x| < 1e-28, |x| >= 1e16 and non-finite
+values to Python.  So the exponent-range, small-ties and log10-off-by-one
+cases test the kernel, not the fallback.  Every line it writes must equal
 ``b"v %.17g %.17g %.17g\\n" % row`` byte for byte.  ``oracles.joined_obj``
 builds a whole mesh line by line with ``format``.
 """
@@ -43,7 +46,8 @@ def range_bits(lo, hi):
 
 
 fast_range_bits = range_bits(1009, 1076)    # 2**-14 .. 2**53: the fixed-notation range
-small_range_bits = range_bits(929, 1009)    # 2**-94 .. 2**-14: exponent notation
+small_range_bits = range_bits(929, 1009)    # 2**-94 .. 2**-14: the kernel's exponent form,
+                                            # and Python's below 1e-28
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -101,6 +105,13 @@ def test_small_ties_round_half_to_even_like_python():
     assert_formats_like_python(values)
 
 
+def test_products_rounded_in_integers_format_like_python(monkeypatch):
+    """A product too near half-way for the float sum is rounded in integers; with the margin
+    below 0, every value takes that path: ties, near ties and powers of ten in both forms."""
+    monkeypatch.setattr(cli, "_NEAR_HALF", -1.0)
+    assert_formats_like_python(np.concatenate([ties(), small_ties(), powers_of_ten()]))
+
+
 def powers_of_ten():
     p = 10.0 ** np.arange(-30, 31)
     return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
@@ -141,9 +152,10 @@ def test_a_log10_guess_one_ulp_off_is_corrected(monkeypatch, toward):
 
 
 def test_one_chunk_adds_no_more_than_before():
-    """One 512-row chunk with zeros and both notations: 244.4 KiB.  The
-    bound is the 265.7 KiB the writer added when it gathered point and keep words apart from
-    the group words; the desk_annulus job's allocation peak sits beside this chunk."""
+    """One 680-row chunk with zeros and both notations: 237.4 KiB, where a 512-row chunk took
+    244.4 KiB while Python wrote the zeros and the exponent form.  The bound is the 265.7 KiB
+    the writer added when it gathered point and keep words apart from the group words; the
+    desk_annulus job's allocation peak sits beside this chunk."""
     rows = mesh(2, cli._OBJ_ROWS // 2, seed=5).x.reshape(-1, 3)
     cli._obj_lines(b"v", rows)
     tracemalloc.start()
@@ -152,6 +164,32 @@ def test_one_chunk_adds_no_more_than_before():
         assert tracemalloc.get_traced_memory()[1] <= 266 * 1024
     finally:
         tracemalloc.stop()
+
+
+WIDE_DOUBLE = ["double", "--surface.kind", "elliptic", "--surface.kappa", "0.6",
+               "--surface.K_sign", "-1", "--surface.j0", "4", "--surface.j_lo", "-30",
+               "--surface.j_hi", "30", "--rotation.k0", "6", "--rotation.k_count", "200",
+               "--backlund.alpha", "(1.5707963267948966+0.8j)", "--backlund.seed", "(0.9+0.6j)"]
+
+
+def test_wide_double_mesh_leaves_no_value_to_python(tmp_path, monkeypatch):
+    """A 61 x 200 complex-alpha double on the benchmark's wide_double keys, end to end: the
+    kernel writes all of its coordinates, 4 336 of them in exponent form, and none reaches
+    Python's %.17g; the mesh equals the joined writer's."""
+    sent, exported = [], []
+    python_cells, export_obj = cli._python_cells, cli.export_obj
+    monkeypatch.setattr(cli, "_python_cells", lambda values: sent.extend(values) or
+                        python_cells(values))
+    monkeypatch.setattr(cli, "export_obj", lambda *args: exported.append(args) or
+                        export_obj(*args))
+    path = tmp_path / "wide.obj"
+    assert cli.main(WIDE_DOUBLE + ["--output.mesh", str(path)]) == cli.EXIT_OK
+    (net, _, faces), = exported
+    degenerate = np.zeros(60 * 199, dtype=bool)
+    degenerate[faces] = True
+    text = path.read_bytes()
+    assert sent == [] and text.count(b"e-") > 4000
+    assert text == joined_obj(net, degenerate.reshape(60, 199))
 
 
 def mesh(nj, nk, seed):
