@@ -238,7 +238,7 @@ def rotation_step(cfg: dict):
 # for 1..16 from a table of 4-digit groups.  The exponent form takes D * 100: its head holds
 # d0.d1d2, and "e-NN" goes over the two zeros that end its groups.  A zero is formed as 1e16
 # on a row of its own.  Python's own %.17g writes the rest: subnormals, 0 < |x| < 1e-28,
-# |x| >= 1e16 and non-finite values.
+# |x| >= 1e16, non-finite values and products within 2**-40 of half-way, exact ties among them.
 #
 # At its peak a chunk holds about 360 B a vertex: its output and at most nine float64 planes of
 # its values.  So 680 vertices stay within the 244 KiB that 512 took while Python wrote the
@@ -250,7 +250,7 @@ _VELTKAMP = 134217729.0   # 2**27 + 1: splits a float64 into two halves of at mo
 _FIXED_BITS = np.array([1.0000000000000001e-28, 1e16]).view(np.uint64)
 _ROWS, _EXP_ROWS = 46, 25   # table rows E + 29 for E = -29..16; E < -4 is the exponent form
 _LOG_LEAN = 1.0 + 2.0 ** -50   # moves log10 |x| away from 0 by more than its error
-_NEAR_HALF = 0.5 - 2.0 ** -40   # a product this near half-way is rounded in integers
+_NEAR_HALF = 0.5 - 2.0 ** -40   # a product this near half-way is left to Python
 
 
 @cache
@@ -340,13 +340,6 @@ def _fixed_digits(a, row, ten):
     return D, np.abs(e, out=e)
 
 
-def _round_exact(a: float, k: int) -> int:
-    """round(a * 10**k), half to even, in integers."""
-    n, d = a.as_integer_ratio()
-    q, r = divmod(n * 10 ** k, d)
-    return q + (2 * r > d or (2 * r == d and q % 2))
-
-
 def _digit_groups(D):
     """(g, d0): the planes g[0..3] of the four 4-digit groups that end D, read as an unsigned
     17-digit number (d0 one digit) or, in the exponent form, 19-digit (d0 three digits); D is
@@ -361,7 +354,7 @@ def _digit_groups(D):
     g[1] -= g[0] * 10 ** 4
     d0 = g[0] // 10 ** 4
     g[0] -= d0 * 10 ** 4
-    return g.view(np.intp), d0.view(np.intp)
+    return g.view(np.int64), d0.view(np.int64)
 
 
 def _last_place(g, place):
@@ -401,10 +394,11 @@ def _fill_cells(xyz, cell) -> None:
     if off.any():   # floor(log10 a) was one off, or D = 10**17 carries into E + 1
         off = np.flatnonzero(off)
         row.flat[off] += np.where(D.flat[off] < 10 ** 16, -1, 1)
-        D.flat[off], u.flat[off] = _fixed_digits(a.flat[off], row.flat[off], ten)
-    if u.max(initial=0.0) > _NEAR_HALF:   # the product lay too near half-way for the float sum
-        for i in np.flatnonzero(u > _NEAR_HALF).tolist():
-            D.flat[i] = _round_exact(float(a.flat[i]), 45 - int(row.flat[i]))
+        D.flat[off], near = _fixed_digits(a.flat[off], row.flat[off], ten)
+        u.flat[off] = np.maximum(u.flat[off], near)   # a carry's first product may lie near half
+    if u.max(initial=0.0) > _NEAR_HALF:   # too near half-way for the float sum: Python writes it
+        near = np.flatnonzero(u > _NEAR_HALF)
+        slow = near if slow is None else np.concatenate((slow, near))
     del a, u
     D *= scale.take(row)                                      # read unsigned: it may wrap
     g, d0 = _digit_groups(D)

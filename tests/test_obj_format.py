@@ -105,9 +105,16 @@ def test_small_ties_round_half_to_even_like_python():
     assert_formats_like_python(values)
 
 
-def test_products_rounded_in_integers_format_like_python(monkeypatch):
-    """A product too near half-way for the float sum is rounded in integers; with the margin
-    below 0, every value takes that path: ties, near ties and powers of ten in both forms."""
+def test_products_near_half_way_are_left_to_python(monkeypatch):
+    """A product too near half-way for the float sum is written by Python's %.17g over the
+    kernel's cell: the exact ties reach it, and with the margin below 0 every value does, ties,
+    near ties and powers of ten in both forms."""
+    sent, python_cells = [], cli._python_cells
+    monkeypatch.setattr(cli, "_python_cells", lambda values: sent.extend(values) or
+                        python_cells(values))
+    values = small_ties()
+    assert_formats_like_python(values)
+    assert set(values[:9]) <= set(sent)
     monkeypatch.setattr(cli, "_NEAR_HALF", -1.0)
     assert_formats_like_python(np.concatenate([ties(), small_ties(), powers_of_ten()]))
 
