@@ -13,7 +13,10 @@ u = (s~ - zeta_r) / (zeta_a - s~) of the fixed points of B(j), B(j)
 multiplies u by rho and A(j) by c(j), so
 log u(j, k) = log u(0, 0) + sum_{i<j} log c(i) + k log rho, one
 broadcast where iterating the maps is ill-posed (for real alpha the
-field runs onto the repelling fixed point of B(j)).  The single
+field runs onto the repelling fixed point of B(j)).  The transforms
+form each field one block of profile rows at a time, inside the Sym
+pass, with the checks of the whole grid split over the blocks; should
+the pass stop, the whole-grid field raises its error first.  The single
 transform's new frame is W Phi with
 
     W = [[cot(a/2) s~/s,  i e^t], [i e^t,  cot(a/2) s/s~]].
@@ -159,6 +162,53 @@ def linearize(A: np.ndarray, B: np.ndarray):
     return zr, za, rho, log_c
 
 
+def _field(A: np.ndarray, B: np.ndarray, seed: complex, nk: int):
+    """``propagate``'s field on the (len(B), nk) grid as ``block(rows)``: s on each block of
+    profile rows in turn (``slice(None)``: all), checked, with the A-step into its first row
+    from a copy of the previous block's last row.  It raises as ``propagate`` does, but of its
+    own rows only."""
+    zr, za, rho, log_c = linearize(A, B)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked per block
+        w0 = np.log(seed - zr[0]) - np.log(za[0] - seed)
+        ramp = np.arange(nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0])))
+        gap = np.min(np.abs(za - zr))
+    last = {}   # the previous block's last row, keyed by the row after it
+
+    def block(rows):
+        j, stop, _ = rows.indices(len(B))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked below
+            w = w0 + log_c[rows, None] + ramp
+            # w = u or 1/u with |w| <= 1, then s = p + (q - p) w / (1 + w) for (p, q) = (zeta_r,
+            # zeta_a), swapped where u was inverted; in place
+            outer = w.real > 0.0
+            np.negative(w, out=w, where=outer)
+            np.exp(w, out=w)
+            w /= 1.0 + w
+            w *= np.where(outer, (zr - za)[rows, None], (za - zr)[rows, None])
+            s = np.where(outer, za[rows, None], zr[rows, None])
+            s += w
+            del w
+            if j == 0:
+                s[0, 0] = seed
+                z, target = s[:-1], s[1:]
+            else:   # from the previous block's last row; KeyError unless it came just before
+                z, target = np.concatenate((last.pop(j)[None], s[:-1])), s
+            worst = np.maximum(_chordal_step(A[max(j - 1, 0):stop - 1], z, target),
+                               _chordal_step(B[rows], s[:, :-1], s[:, 1:]))
+            last[stop] = s[-1].copy()
+            poles = np.argwhere(np.abs(s) >= 2e11)
+        if poles.size:
+            raise PoleHit(f"scalar field reaches infinity at (j, k) = "
+                          f"({j + poles[0][0]}, {poles[0][1]})")
+        if not (worst <= 1e-11):
+            if not (gap >= 0.05):
+                raise BranchFailure(f"rotation recurrence is near-parabolic: min |zeta_a - zeta_r|"
+                                    f" = {gap:.3e}, field residual {worst:.3e}")
+            raise PathInconsistent(f"recurrence residual of the field is {worst:.3e} (tol 1.0e-11)")
+        return s
+    return block
+
+
 def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarray:
     """Scalar field on the (len(B), nk) grid stepped by A(j) along j and B(j) along k, from
     its corner seed, in closed form.
@@ -171,32 +221,20 @@ def propagate(A: np.ndarray, B: np.ndarray, seed: complex, nk: int) -> np.ndarra
     points within 0.05 make it BranchFailure (near-parabolic), and any
     other failing or non-finite residual PathInconsistent.
     """
-    zr, za, rho, log_c = linearize(A, B)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked below
-        w = (np.log(seed - zr[0]) - np.log(za[0] - seed) + log_c[:, None]
-             + np.arange(nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0]))))
-        # w = u or 1/u with |w| <= 1, then s = p + (q - p) w / (1 + w) for (p, q) = (zeta_r,
-        # zeta_a), swapped where u was inverted; in place, as it sets the peak memory
-        outer = w.real > 0.0
-        np.negative(w, out=w, where=outer)
-        np.exp(w, out=w)
-        w /= 1.0 + w
-        w *= np.where(outer, (zr - za)[:, None], (za - zr)[:, None])
-        s = np.where(outer, za[:, None], zr[:, None])
-        s += w
-        del w
-        s[0, 0] = seed
-        worst = np.maximum(_chordal_step(A, s[:-1], s[1:]), _chordal_step(B, s[:, :-1], s[:, 1:]))
-        gap = np.min(np.abs(za - zr))
-        poles = np.argwhere(np.abs(s) >= 2e11)
-    if poles.size:
-        raise PoleHit(f"scalar field reaches infinity at (j, k) = ({poles[0][0]}, {poles[0][1]})")
-    if not (worst <= 1e-11):
-        if not (gap >= 0.05):
-            raise BranchFailure(f"rotation recurrence is near-parabolic: min |zeta_a - zeta_r| = "
-                                f"{gap:.3e}, field residual {worst:.3e}")
-        raise PathInconsistent(f"recurrence residual of the field is {worst:.3e} (tol 1.0e-11)")
-    return s
+    return _field(A, B, seed, nk)(slice(None))
+
+
+def _explicit_transform(p, ang, fields, entries):
+    """``explicit_sym`` of the transform whose ``entries(rows, s1, ...)`` take the ``_field``
+    blocks of ``fields`` (``propagate``'s arguments).  Should it raise, the whole-grid
+    ``propagate`` of each field in turn raises first, as when the fields came before it."""
+    blocks = [_field(*args) for args in fields]
+    try:
+        return explicit_sym(p, ang, lambda rows: entries(rows, *(block(rows) for block in blocks)))
+    except Exception:   # re-raised: a field's error comes first, whatever the Sym pass raised
+        for args in fields:
+            propagate(*args)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +250,13 @@ def single_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
     """
     a = _require_real_angle(alpha)
     _require_unit_seed("s_tilde0", s_tilde0)
-    s_grid = propagate(*build_abcd(hs, complex(alpha)), complex(s_tilde0), len(ang))
     cot = 1.0 / np.tan(a / 2.0)
 
-    def transform(rows):   # the entries of W and dW at t = 0
-        ratio = s_grid[rows] / hs.s[rows, None]
+    def transform(rows, s_tilde):   # the entries of W and dW at t = 0
+        ratio = s_tilde / hs.s[rows, None]
         return cot * ratio, 1j, 1j, cot / ratio, 0.0, 1j, 1j, 0.0
-    return ContactElementNet(*explicit_sym(hs.profile, ang, transform)[:2])
+    field = (*build_abcd(hs, complex(alpha)), complex(s_tilde0), len(ang))
+    return ContactElementNet(*_explicit_transform(hs.profile, ang, [field], transform)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +285,13 @@ def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
         s^~ = (s^ s~ - tan^2(a/2)) / (s (1 - tan^2(a/2) s^ s~))
 
     feeds the entries of VW to the Sym formula one block of profile rows at a
-    time: each block's s^~ must stay off the pole (PoleHit) before its
-    entries reach the Sym formula, and the coordinates must come out real
-    (``explicit_sym`` raises RealityViolated: the seeds and angle are
-    inconsistent).  When |sin alpha| > 1 the fields are conjugate too,
-    s^ = conj(s~), which is taken as such rather than propagated;
-    otherwise s^ steps by the adjugates of the recurrence matrices at -alpha.
+    time, formed with that block's s~ and s^: each block's s^~ must stay
+    off the pole (PoleHit) before its entries reach the Sym formula, and
+    the coordinates must come out real (``explicit_sym`` raises
+    RealityViolated: the seeds and angle are inconsistent).  When
+    |sin alpha| > 1 the fields are conjugate too, s^ = conj(s~), which is
+    taken as such rather than propagated; otherwise s^ steps by the
+    adjugates of the recurrence matrices at -alpha.
     """
     alpha, s_tilde0 = complex(alpha), complex(s_tilde0)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite angle is refused below
@@ -268,17 +307,15 @@ def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
         _require_unit_seed("s_hat0", s_hat0)
     elif not abs(s_hat0 - s_tilde0.conjugate()) <= 1e-12:   # NaN for a non-finite s_tilde0
         raise ConfigError("|sin alpha| > 1 requires conjugate seeds s_hat0 = conj(s_tilde0)")
-    nk = len(ang)
-    s_tilde = propagate(*build_abcd(hs, alpha), s_tilde0, nk)
-    s_hat = (None if beyond   # then conj(s~), formed per block
-             else propagate(*map(quat.qconj, build_abcd(hs, -alpha)), s_hat0, nk))
+    fields = [(*build_abcd(hs, alpha), s_tilde0, len(ang))]
+    if not beyond:   # else s^ = conj(s~), formed per block
+        fields.append((*map(quat.qconj, build_abcd(hs, -alpha)), s_hat0, len(ang)))
     tn2, cot = tn ** 2, 1.0 / tn
     s_col = hs.s[:, None]
     unit = []   # max ||s^~| - 1| of each block
 
-    def vw(rows):   # the entries of VW and d(VW), once s^~ on the rows has passed its checks
-        st, sc = s_tilde[rows], s_col[rows]
-        sh = np.conj(st) if s_hat is None else s_hat[rows]
+    def vw(rows, st, sh=None):   # the entries of VW and d(VW), once s^~ has passed its checks
+        sc, sh = s_col[rows], np.conj(st) if sh is None else sh
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
             den = 1.0 - tn2 * sh * st
             sht = (sh * st - tn2) / (sc * den)
@@ -289,7 +326,7 @@ def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
         unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
         return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, 0.0)
 
-    x, n, imag_residue = explicit_sym(hs.profile, ang, vw)
+    x, n, imag_residue = _explicit_transform(hs.profile, ang, fields, vw)
     return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
 
 

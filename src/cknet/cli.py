@@ -467,7 +467,7 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
     DegenerateGeometry before the file is opened.
     """
     nj, nk = net.shape
-    if not (np.isfinite(net.x).all() and np.isfinite(net.n).all()):
+    if not np.isfinite([net.x.min(), net.x.max(), net.n.min(), net.n.max()]).all():   # NaN too
         raise DegenerateGeometry("the net has a non-finite coordinate; no mesh written")
     with open(path, "wb") as fh:
         fh.write(b"# cknet quad mesh %d x %d\n" % (nj, nk))
@@ -475,16 +475,18 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
             rows = arr.reshape(-1, 3)
             for start in range(0, len(rows), _OBJ_ROWS):
                 fh.write(_obj_lines(tag, rows[start:start + _OBJ_ROWS]))
-        # one chunk's lines live at a time; runs between degenerate faces are cut out of them
+        # one chunk's lines live at a time, as bytes; a run between degenerate faces is a slice
         faces = (nj - 1) * (nk - 1)
         for lo in range(0, faces, _OBJ_FACES):
             hi = min(lo + _OBJ_FACES, faces)
-            lines, start = _face_rows(lo, hi, nk), 0
+            lines = _face_rows(lo, hi, nk)
+            width, lines, start = lines.itemsize * lines.shape[1], lines.tobytes(), 0
             a, b = np.searchsorted(degenerate, (lo, hi))
-            for i in (degenerate[a:b] - lo).tolist() + [len(lines)]:
-                fh.write(lines[start:i].tobytes().translate(None, b"\0"))
-                fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < len(lines) else b"")
+            for i in (degenerate[a:b] - lo).tolist() + [hi - lo]:
+                fh.write(lines[start * width:i * width].translate(None, b"\0"))
+                fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < hi - lo else b"")
                 start = i + 1
+            del lines   # before the next chunk is formed
 
 
 def report_json(entries: list, parameters: dict, path: str) -> None:

@@ -29,8 +29,9 @@ R(G Phi) = (E0, E1, n), E0 = sin phi e_mer - cos phi e_par, E1 = -cos phi e_mer 
 Moved by that motion, the explicit nets match frames + Sym within 3.3e-15 (7 x 15), 5.5e-14
 (61 x 200) and 9.7e-13 (121 x 2000), as the base Sym net matches ``build_rcnet`` (2.2e-15,
 2.3e-14, 4.3e-13).  Both write each block of rows straight into the net (``_real_blocks``),
-and ``curvature_report`` checks a net over the same blocks: a complex-angle ``cknet double``
-job peaks at 1.22 MiB on 61 x 200, 15.3 MiB on 121 x 2000.
+the transforms forming their scalar fields per block too, and ``curvature_report`` checks a
+net over the same blocks: a ``cknet double`` job peaks at 1.06 MiB (complex angle) or 1.07 MiB
+(real angle) on 61 x 200 and at 11.7 MiB on 121 x 2000, in the Sym pass.
 One reality rule holds for every Sym net: an imaginary part beyond 1e-6 raises RealityViolated.
 """
 
@@ -212,17 +213,17 @@ def _cross(a, b):
 
 def _face_pass(net: ContactElementNet, rows: slice):
     """K, the degenerate mask and the normals N on the face rows ``rows`` (a unit-step slice
-    with a start), from one pass: diagonals, two cross products, N."""
-    xd1, xd2, nd1, nd2 = face_diagonals(net, rows)
-    c_n = _cross(nd1, nd2)
-    c_x = _cross(xd1, xd2)
-    N = np.empty_like(c_n)
-    generic = np.linalg.norm(c_n, axis=-1) > _RANK_TOL
-    g = c_n[generic]
-    # a batched 1x3 @ 3x1 product rounds like np.linalg.norm of one vector
-    N[generic] = g / np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0])
-    for j, k in zip(*np.nonzero(~generic)):
-        m = nd1[j, k] if np.linalg.norm(nd1[j, k]) >= np.linalg.norm(nd2[j, k]) else nd2[j, k]
+    with a start), from one pass: the cross products of the diagonals of x, then of n, and N."""
+    j0, stop, _ = rows.indices(net.shape[0] - 1)
+    x, n = net.x[j0:stop + 1], net.n[j0:stop + 1]
+    c_x = _cross(x[1:, 1:] - x[:-1, :-1], x[1:, :-1] - x[:-1, 1:])   # xd1 x xd2
+    c_n = _cross(n[1:, 1:] - n[:-1, :-1], n[1:, :-1] - n[:-1, 1:])   # nd1 x nd2
+    # batched 1x3 @ 3x1 products round like np.linalg.norm; the loop redoes faces of short c_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = c_n / np.sqrt((c_n[..., None, :] @ c_n[..., :, None])[..., 0])
+    for j, k in zip(*np.nonzero(np.linalg.norm(c_n, axis=-1) <= _RANK_TOL)):
+        nd1, nd2 = n[j + 1, k + 1] - n[j, k], n[j + 1, k] - n[j, k + 1]
+        m = nd1 if np.linalg.norm(nd1) >= np.linalg.norm(nd2) else nd2
         if np.linalg.norm(m) > _RANK_TOL:
             mhat = m / np.linalg.norm(m)
             v = c_x[j, k] - np.dot(c_x[j, k], mhat) * mhat
@@ -233,7 +234,7 @@ def _face_pass(net: ContactElementNet, rows: slice):
         else:
             v = c_x[j, k]
             if np.linalg.norm(v) <= _RANK_TOL:
-                raise DegenerateFace(f"face ({rows.start + j},{k}): "
+                raise DegenerateFace(f"face ({j0 + j},{k}): "
                                      "neither normal nor position diagonals span a plane")
         N[j, k] = v / np.linalg.norm(v)
     det_x = np.einsum("...i,...i->...", c_x, N)

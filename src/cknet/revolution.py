@@ -91,14 +91,7 @@ def jacobi(u, kappa):
     if kappa > 1:
         sn, cn, dn = jacobi(kappa * u, 1.0 / kappa)
         return sn / kappa, dn, cn
-    phi = _amplitude(u, kappa)[0]
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    # dn as sqrt(1 - kappa^2 sn^2) rewritten without cancellation; the
-    # classical cos(phi)/cos(phi_prev - phi) ladder recovery is 0/0 at
-    # odd quarter periods and loses accuracy around them.
-    dn = np.sqrt(1.0 - kappa * kappa + (kappa * cn) ** 2)
-    return sn, cn, dn
+    return _ladder_functions(u, kappa)[:3]
 
 
 def elliptic_K(kappa):
@@ -126,11 +119,21 @@ def int_sn2(u, kappa):
         return u - np.tanh(u)
     if kappa > 1:
         return int_sn2(kappa * u, 1.0 / kappa) / kappa ** 3
+    return _ladder_functions(u, kappa)[3]
+
+
+def _ladder_functions(u, kappa):
+    """sn, cn, dn and the integral of sn^2 at u for 0 < kappa < 1, read off one ladder pass."""
+    phi, zeta, e = _amplitude(u, kappa)
+    cn = np.cos(phi)
+    # dn as sqrt(1 - kappa^2 sn^2) rewritten without cancellation; the
+    # classical cos(phi)/cos(phi_prev - phi) ladder recovery is 0/0 at
+    # odd quarter periods and loses accuracy around them.
+    dn = np.sqrt(1.0 - kappa * kappa + (kappa * cn) ** 2)
     if kappa <= _LADDER_TOL:   # the ladder takes no step: sn is sin to double precision
-        return u / 2.0 - np.sin(2.0 * u) / 4.0
-    _, zeta, e = _amplitude(u, kappa)
+        return np.sin(phi), cn, dn, u / 2.0 - np.sin(2.0 * u) / 4.0
     s = sum(2.0 ** (n - 1) * e[n] * e[n] for n in range(1, len(e)))
-    return (u * s - zeta) / (kappa * kappa) + u / 2.0
+    return np.sin(phi), cn, dn, (u * s - zeta) / (kappa * kappa) + u / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +293,20 @@ def profile_elliptic(kappa, K_sign, j_range, Theta=None, j0=2):
         raise ConfigError(f"empty vertex range {j_range}")
     if Theta is None:
         Theta = elliptic_theta(kappa, j0)
-    js = np.arange(j_lo, j_hi + 1)
-    je = js[:-1]
-    sn, cn, dn = jacobi(Theta * js, kappa)
-    sn_h, cn_h, dn_h = jacobi(Theta / 2.0, kappa)
+    js, n = np.arange(j_lo, j_hi + 1), j_hi - j_lo + 1
+    # Theta j, Theta/2 and the edge midpoints (2j+1) Theta/2, in one pass
+    u = np.concatenate([Theta * js, [Theta / 2.0], (2.0 * js[:-1] + 1.0) * Theta / 2.0])
+    if kappa < 1:
+        sn, cn, dn, isn2 = _ladder_functions(u, kappa)
+    else:   # Theta/2 as a scalar too: numpy squares a scalar apart from an array's elements
+        (sn, cn, dn), isn2 = jacobi(u, kappa), int_sn2(u, kappa)
+        sn[n], cn[n], dn[n] = jacobi(Theta / 2.0, kappa)
     if K_sign == +1:
-        f = kappa * cn
-        a = dn
-        b = kappa * sn
-        _, _, dn_mid = jacobi((2.0 * je + 1.0) * Theta / 2.0, kappa)
-        c = -sn_h * dn_mid / cn_h
+        f, a, b, c = kappa * cn[:n], dn[:n], kappa * sn[:n], -sn[n] * dn[n + 1:] / cn[n]
         h = _heights(c, a, j_lo)
     else:
-        f = dn / kappa
-        a = sn
-        b = cn
-        sn_mid, _, _ = jacobi((2.0 * je + 1.0) * Theta / 2.0, kappa)
-        c = -kappa * sn_h * sn_mid
-        h = kappa * (int_sn2(Theta * js, kappa) - 2.0 * js * float(int_sn2(Theta / 2.0, kappa)))
+        f, a, b, c = dn[:n] / kappa, sn[:n], cn[:n], -kappa * sn[n] * sn[n + 1:]
+        h = kappa * (isn2[:n] - 2.0 * js * float(isn2[n]))
     return _finalize(f, h, a, b, c, kappa, K_sign, j_lo)
 
 

@@ -469,7 +469,7 @@ def test_double_backlund_condition_rejections():
 def test_double_backlund_rejects_non_finite_composed_field(monkeypatch):
     hs, grid, _ = hs_fixture()
     nan_field = np.full((hs.profile.nj, NK), np.nan + 0j)
-    monkeypatch.setattr(bk, "propagate", lambda *args, **kwargs: nan_field)
+    monkeypatch.setattr(bk, "_field", lambda *args: lambda rows: nan_field[rows])
     with pytest.raises(PoleHit):
         double_backlund(*grid, np.pi / 3.0)
 
@@ -500,16 +500,21 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
     backlund stage with one error line and no mesh."""
     hs, grid, _ = hex_grid(2000)
     assert nets.row_blocks(7, 2000) == [slice(j, j + 1) for j in range(7)]
-    propagate, fields = bk.propagate, []
+    field, fields = bk._field, []
 
-    def planted(*args):   # s^ is the second field a real-angle double transform propagates
-        fields.append(propagate(*args))
-        if len(fields) % 2 == 0:
-            fields[-1][5, 7] = 1.0 / (np.tan(0.5) ** 2 * fields[-2][5, 7])
-        return fields[-1]
+    def planted(*args):   # s^ is the second field a real-angle double transform forms
+        block, rows_of = field(*args), {}
+        fields.append(rows_of)
+
+        def planted_block(rows):
+            s = rows_of[rows.start] = block(rows)
+            if len(fields) % 2 == 0 and rows.start == 5:
+                s[0, 7] = 1.0 / (np.tan(0.5) ** 2 * fields[-2][5][0, 7])
+            return s
+        return planted_block
 
     lax_entries, blocks = bk.lax_entries, []
-    monkeypatch.setattr(bk, "propagate", planted)
+    monkeypatch.setattr(bk, "_field", planted)
     monkeypatch.setattr(bk, "lax_entries", lambda *args: blocks.append(1) or lax_entries(*args))
     with pytest.raises(PoleHit, match="composed scalar field hit a pole"):
         double_backlund(*grid, 1.0)
@@ -523,6 +528,106 @@ def test_double_backlund_finds_a_pole_in_a_later_block(tmp_path, monkeypatch, ca
     assert code == cli.EXIT_NUMERIC
     assert err.splitlines() == ["error: stage=backlund: PoleHit: composed scalar field hit a pole"]
     assert out == "" and not mesh.exists()
+
+
+# ---------------------------------------------------------------------------
+# scalar fields formed and checked one block of profile rows at a time
+
+
+@lru_cache(maxsize=None)
+def wide_grid():
+    """(hs, ang) of the 61 x 200 grid of the benchmark's wide jobs: seven blocks of 10 rows."""
+    p = profile_elliptic(0.6, -1, (-30, 30), j0=4)
+    return gauge_to_hs(*build_ck_connection(p, 2.0 * np.pi / 6.0)), column_angles(200, k0=6)
+
+
+BLOCK_GRIDS = {"61x200": wide_grid, "7x3000": lambda: hex_grid(3000)[1]}
+
+
+def transform_arrays(transform, grid, alpha, seed):
+    """The net's arrays and, for a double transform, its report."""
+    if transform == "single":
+        net = single_backlund(*grid, alpha, seed)
+        return net.x, net.n
+    net, rep = double_backlund(*grid, alpha, seed)
+    return net.x, net.n, rep.imag_residue, rep.unit_residual
+
+
+@pytest.mark.parametrize("shape", BLOCK_GRIDS)
+@pytest.mark.parametrize("transform, alpha", [("single", 1.0), ("double", 1.0),
+                                              ("double", ALPHA_C)],
+                         ids=["single", "double-real", "double-complex"])
+def test_block_fields_are_the_whole_grid_fields(monkeypatch, shape, transform, alpha):
+    """Each block of a field is bit for bit those rows of whole-grid ``propagate``, and the
+    transform is bit for bit the one that takes each field whole and slices it per block.
+    61 x 200 has blocks of 10 rows, 7 x 3000 blocks of one row."""
+    hs, ang = grid = BLOCK_GRIDS[shape]()
+    blocks = nets.row_blocks(hs.profile.nj, len(ang))
+    assert len(blocks) == 7 and blocks[0] == slice(0, 10 if shape == "61x200" else 1)
+    seed = 1.3 * np.exp(0.4j) if isinstance(alpha, complex) else np.exp(0.4j)
+    fields = [(*pair(hs, alpha), seed, len(ang))]
+    if transform == "double" and not isinstance(alpha, complex):
+        fields.append((*pair(hs, alpha, "hat"), 1.0, len(ang)))
+    for args in fields:
+        block = bk._field(*args)
+        assert np.array_equal(np.concatenate([block(rows) for rows in blocks]), propagate(*args))
+    made = transform_arrays(transform, grid, alpha, seed)
+    field = bk._field
+    monkeypatch.setattr(bk, "_field", lambda *args: field(*args)(slice(None)).__getitem__)
+    whole = transform_arrays(transform, grid, alpha, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(made, whole))
+
+
+def pole_seed(A, B, j, k):
+    """A seed whose field has u(j, k) = -1 in ``propagate``'s eigen-coordinate: s(j, k) is
+    infinite up to rounding."""
+    zr, za, rho, log_c = linearize(A, B)
+    u0 = -np.exp(-(log_c[j] + k * (np.log(rho[0]) + np.mean(np.log(rho / rho[0])))))
+    return complex((zr[0] + za[0] * u0) / (1.0 + u0))
+
+
+@pytest.mark.parametrize("case, formed", [
+    ("late pole", 4), ("boundary residual", 1), ("boundary residual, late pole", 1),
+    ("Sym error, late pole", 1), ("near-parabolic", 0)])
+def test_a_failing_block_raises_the_whole_grid_error(monkeypatch, case, formed):
+    """A transform raises what whole-grid ``propagate`` raises, class and message: the first
+    pole in row-major order, else the grid's worst residual and its gap, whichever block
+    stopped the Sym pass and whatever stopped it.  On 61 x 200 a pole at (45, 0) stops the
+    pass in its fifth block.  With A[9] perturbed, the A-step from the first block's last row
+    into the second block fails, and a pole later on still wins.  A Sym error in the second
+    block gives way to the pole.  Next to the parabolic rotation the first block fails, and
+    the message carries the grid's worst residual, not the block's.  ``formed`` counts the
+    blocks whose entries were formed before the stop."""
+    hs, ang = grid = wide_grid()
+    alpha = complex(np.pi / 2.0, np.log(3.0) + 1e-6) if case == "near-parabolic" else ALPHA_C
+    A, B = build_abcd(hs, alpha)
+    if case.startswith("boundary residual"):
+        A = A.copy()
+        A[9, 0, 1] *= 1.0 + 1e-6
+        monkeypatch.setattr(bk, "build_abcd", lambda *args: (A, B))
+    seed = pole_seed(A, B, 45, 0) if case.endswith("late pole") else 1.1 * np.exp(0.7j)
+    with pytest.raises((PoleHit, PathInconsistent, BranchFailure)) as whole:
+        propagate(A, B, seed, len(ang))
+    if case.endswith("late pole"):
+        assert str(whole.value) == "scalar field reaches infinity at (j, k) = (45, 0)"
+    if case == "near-parabolic":   # the first block fails on its own, with its own residual
+        assert type(whole.value) is BranchFailure
+        with pytest.raises(BranchFailure) as first:
+            bk._field(A, B, seed, len(ang))(slice(0, 10))
+        assert str(first.value) != str(whole.value)
+    lax_entries, blocks = bk.lax_entries, []
+
+    def counted(*args):
+        blocks.append(1)
+        if case == "Sym error, late pole" and len(blocks) == 2:
+            raise RealityViolated("planted")
+        return lax_entries(*args)
+
+    monkeypatch.setattr(bk, "lax_entries", counted)
+    with pytest.raises(type(whole.value)) as made:
+        double_backlund(*grid, alpha, seed)
+    assert str(made.value) == str(whole.value)
+    assert len(blocks) == formed + (case == "Sym error, late pole")
 
 
 def test_double_backlund_rejects_non_finite_coordinates(monkeypatch):

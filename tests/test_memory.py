@@ -45,14 +45,14 @@ def wide_grid():
 
 
 def test_double_transform_memory_is_the_net_and_one_block():
-    """The result (0.56 MiB of real coordinates), the propagated scalar fields and one block
-    of rows.  A complex angle propagates s~ alone (s^ is conj(s~) per block) and measures
-    1.18 MiB; a real angle propagates s^ too (0.19 MiB more) and measures 1.37 MiB.  Each
-    bound is that peak plus 0.1 MiB.  Storing the composed field and packing every block's
-    transform into a (..., 2, 2) jet took 1.83 MiB, and whole-grid intermediates 5.6 MiB."""
+    """The result (0.56 MiB of real coordinates) and one block of rows, whose scalar fields
+    are formed with it: 1.01 MiB with a complex angle (s~ alone, s^ is conj(s~)) and 1.03 MiB
+    with a real one (s^ too).  Each bound is that peak plus 0.1 MiB.  Whole-grid fields took
+    1.18 and 1.37 MiB (16 bytes a vertex each), storing the composed field and packing every
+    block's transform into a (..., 2, 2) jet 1.83 MiB, and whole-grid intermediates 5.6 MiB."""
     grid = wide_grid()
-    assert added_mib(double_backlund, *grid, np.pi / 2.0 + 0.5j, 1.2 + 0.5j) <= 1.28
-    assert added_mib(double_backlund, *grid, 1.2) <= 1.47
+    assert added_mib(double_backlund, *grid, np.pi / 2.0 + 0.5j, 1.2 + 0.5j) <= 1.11
+    assert added_mib(double_backlund, *grid, 1.2) <= 1.13
 
 
 @lru_cache(maxsize=None)
@@ -66,11 +66,13 @@ def seeded_net():
 
 def test_curvature_report_memory_is_one_block():
     """Every reduction of the loop at once over a net and a transform of it: one block of
-    rows (0.56 MiB), where the report's arrays alone took 49 bytes a face (11.2 MiB here)."""
+    rows, 0.385 MiB, and the bound is that plus 0.1 MiB.  The face pass took 0.555 MiB while
+    it kept the four diagonals and masked copies of c_n; the report's arrays alone took 49
+    bytes a face (11.2 MiB here)."""
     net = seeded_net()
     other = ContactElementNet(net.x[::-1].copy(), net.n[::-1].copy())
     assert added_mib(curvature_report, net, -1, edge=True, period=6,
-                     base=other, alpha=1.0) <= 1.0
+                     base=other, alpha=1.0) <= 0.49
 
 
 def verify_net(p, net):

@@ -209,10 +209,20 @@ def mesh(nj, nk, seed):
     return ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
 
 
-@pytest.mark.parametrize("nj, nk", [(1, 1), (2, cli._OBJ_ROWS // 2), (3, (cli._OBJ_ROWS + 1) // 3)],
+def one_past_a_chunk(rows):
+    """(nj, nk), both at least 2, whose nj * nk vertices are one more than a whole number of
+    chunks of ``rows``: the fewest chunks for which that count has a divisor, smallest first."""
+    n = rows + 1
+    while all(n % d for d in range(2, int(n ** 0.5) + 1)):   # (rows + 1)^2 is never prime
+        n += rows
+    nj = next(d for d in range(2, n) if n % d == 0)
+    return nj, n // nj
+
+
+@pytest.mark.parametrize("nj, nk", [(1, 1), (2, cli._OBJ_ROWS // 2),
+                                    one_past_a_chunk(cli._OBJ_ROWS)],
                          ids=["one_vertex", "one_chunk", "one_more_than_a_chunk"])
 def test_obj_blocks_match_the_joined_writer(tmp_path, nj, nk):
-    assert (cli._OBJ_ROWS + 1) % 3 == 0   # the last case has one vertex past the chunk
     net = mesh(nj, nk, seed=nj * nk)
     degenerate = np.zeros((nj - 1, nk - 1), dtype=bool)
     degenerate[:, ::7] = True
