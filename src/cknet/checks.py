@@ -10,42 +10,25 @@ wrappers around this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
 from . import backlund as bk
-from .connect import (build_ck_connection, build_cmc_connection,
-                      closing_residual, gauge_to_hs, hs_lax, rotational_frames)
+from .cli import CheckResult
+from .connect import build_ck_connection, gauge_to_hs
 from .errors import ConfigError
-from .lattice import admissible_gauge, flatness_residual, gauge, gauge_frame, jet_residual
-from .nets import (ContactElementNet, curvature_report, period_drift, rigid_align,
-                   singular_vertices, sym)
-from .revolution import (build_rcnet, column_angles, conservation_drift, elliptic_theta,
-                         gauss_from_profile, jacobi, profile_elliptic,
-                         profile_hyp, profile_trig)
+from .lattice import flatness_residual, jet_residual
+from .nets import ContactElementNet, curvature_report, period_drift
+from .reference import (admissible_gauge, build_cmc_connection, closing_residual, gauge,
+                        gauge_frame, gauss_from_profile, hs_lax, rigid_align, rotational_frames,
+                        singular_vertices, sym)
+from .revolution import (build_rcnet, column_angles, conservation_drift, elliptic_theta, jacobi,
+                         profile_elliptic, profile_hyp, profile_trig)
 
 THETA = np.pi / 6.0  # rotation step of the shared fixtures (k0 = 12)
 COLUMNS = 15  # columns of the shared fixtures' nets
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One measured invariant: its worst residual against the tolerance.
-
-    ``passed`` is residual <= tolerance, so a NaN or inf residual fails.
-    """
-
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_residual", float(self.max_residual))
-        object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 
 # ---------------------------------------------------------------------------

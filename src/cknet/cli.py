@@ -24,13 +24,12 @@ from __future__ import annotations
 import configparser
 import json
 import sys
+from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite, lcm
 
 import numpy as np
 
-from . import checks as checksmod
-from .checks import CheckResult
 from .backlund import (_CLOSE_TOL, _require_real_angle, double_backlund, find_periodic_alpha,
                        single_backlund)
 from .connect import build_ck_connection, gauge_to_hs
@@ -489,6 +488,23 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
             del lines   # before the next chunk is formed
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """One measured invariant: its worst residual against the tolerance.
+
+    ``passed`` is residual <= tolerance, so a NaN or inf residual fails.
+    """
+
+    name: str
+    max_residual: float
+    tolerance: float
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+        object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
+
+
 def report_json(entries: list, parameters: dict, path: str) -> None:
     """Strict JSON (RFC 8259): a non-finite residual is written as null."""
     checks = [{"name": r.name, "tolerance": r.tolerance, "pass": r.passed,
@@ -642,8 +658,9 @@ def cmd_search(cfg: dict) -> int:
 
 
 def cmd_check(cfg: dict, *criteria: int) -> int:
+    from . import checks   # the catalogue and the reference path load for this command only
     numbers = set(criteria) or None
-    results = _stage("check", checksmod.run_all, numbers)
+    results = _stage("check", checks.run_all, numbers)
     params = {"criteria": sorted(numbers) if numbers else "all"}
     return _finish(results, params, cfg)
 

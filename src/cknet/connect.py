@@ -19,7 +19,8 @@ For K = +1 the construction follows from kappa: kappa > 1
 (construction 2) keeps the forms above, kappa < 1 (construction 1)
 exchanges the roles of the edge data, so its L is the flipped form built
 from (h_frak, v) and its M the L form built from (v_frak, u); kappa = 1
-is covered by neither.  K = -1 is construction 3.
+is covered by neither.  K = -1 is construction 3.  Only the catalogue and
+the tests build the K = +1 families (``reference.build_cmc_connection``).
 In every construction one closed form, with no branch, gives the
 diagonal scalar of each profile edge that closes flatness on its faces:
 sa/db times an edge factor, with sa = a(j) + a(j+1) and
@@ -41,10 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quat
-from .errors import (BranchFailure, CaseMismatch, ConfigError, DivisionByZero,
-                     InvalidProfile)
-from .lattice import ConnectionFamily, FrameFamily, MatJet
+from . import _reference_shim, quat
+from .errors import BranchFailure, CaseMismatch, ConfigError, DivisionByZero, InvalidProfile
+from .lattice import ConnectionFamily, MatJet
 from .revolution import Profile, _require_step
 
 
@@ -95,21 +95,6 @@ def _edge_jet_cgc(diag, u, t):
     return _normalised(X, Xd, alpha, (ep * ep - em * em) / alpha)
 
 
-def _edge_jet_cmc(diag, u, t, alpha_sign=1.0):
-    """K=+1 edge matrix jet of the L form; the flipped (M) form is this one at t + pi/2."""
-    diag = np.asarray(diag, dtype=complex)
-    u = np.asarray(u, dtype=float)
-    eit = np.exp(1j * t)
-    emt = np.exp(-1j * t)
-    alpha2 = np.abs(diag) ** 2 + u * u + 1.0 / (u * u) + 2.0 * np.cos(2.0 * t)
-    if np.any(alpha2 <= 0):
-        raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
-    alpha = np.sign(alpha_sign) * np.sqrt(alpha2)
-    X = quat.matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
-    Xd = quat.matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
-    return _normalised(X, Xd, alpha, -2.0 * np.sin(2.0 * t) / alpha)
-
-
 # ---------------------------------------------------------------------------
 # K = -1 (construction 3)
 
@@ -127,11 +112,14 @@ def build_ck_connection(p: Profile, theta: float):
 
     and v_frak(j) = -2i (-1)^j sa Im u(j) / db, the unique scalar closing
     the flatness equations on each face, is imaginary by construction.
+    When f < 0 they are seeded from ``p.mirrored()``: seeded from p, the Sym
+    net of the connection is a K = -1 net but not p's.  The edge data carry p.
     """
     if p.K_sign != -1:
         raise InvalidProfile("K=-1 connection requires a K=-1 profile")
     _require_step(theta)
-    kappa, a, b = p.kappa, p.a, p.b
+    q = p.mirrored() if p.f[0] < 0 else p
+    kappa, a, b = q.kappa, q.a, q.b
     par = np.where(p.js % 2 == 0, 1.0, -1.0)
     re2 = 1.0 - (kappa * a) ** 2
     if np.min(re2) < 1e-24:
@@ -153,116 +141,6 @@ def build_ck_connection(p: Profile, theta: float):
 
     _, alpha0 = _edge_jet_cgc(v_frak, u, 0.0)
     return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, np.full(p.nj, beta0), p)
-
-
-# ---------------------------------------------------------------------------
-# K = +1 (constructions 1 and 2)
-
-
-def build_cmc_connection(p: Profile, theta: float):
-    """Flat K=+1 connection family for the rotational net of profile p, anchored at t = 0.
-
-    kappa chooses the construction: kappa > 1 seeds the real vertex
-    scalars v = a/q + sqrt((a/q)^2 + 1) with q = sqrt(kappa^2 - 1) and
-    closes v_frak on the profile edges; kappa < 1 exchanges the roles,
-    seeding u = (a + |f|)/q with q = sqrt(1 - kappa^2) and closing
-    h_frak.  With sgn = -1 for kappa < 1 and +1 otherwise, the vertex
-    scalars x satisfy x - sgn/x = 2a/q, and the edge scalars
-    w = sqrt(x(j) x(j+1)) give the closing scalar sgn sa (w + sgn/w) / db.
-    Both run the profile along j and are invariant along the rotation
-    direction k, whose step is theta.  kappa = 1 is covered by neither
-    construction (CaseMismatch).
-    """
-    if p.K_sign != +1:
-        raise InvalidProfile("K=+1 connection requires a K=+1 profile")
-    _require_step(theta)
-    if not (p.kappa < 1.0 or p.kappa > 1.0):
-        raise CaseMismatch(f"no K=+1 construction covers kappa = {p.kappa}")
-    exchanged = p.kappa < 1.0
-    sgn = -1.0 if exchanged else 1.0   # sign of the closing scalar
-    q = np.sqrt(sgn * (p.kappa ** 2 - 1.0))
-    a, b = p.a, p.b
-    if exchanged:
-        if not (np.all(a > 0) or np.all(a < 0)):
-            raise CaseMismatch("kappa < 1 requires the radial normal component to keep its sign")
-        x = (a + np.abs(p.f)) / q
-    else:
-        x = a / q + np.sqrt((a / q) ** 2 + 1.0)
-    w = np.sqrt(x[:-1] * x[1:])
-    if not exchanged and np.min(np.abs(np.abs(w) - 1.0)) < 1e-12:
-        raise BranchFailure("u = +-1 on some profile edge (mirrored radial normals)")
-    vertex_diag = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
-    edge_diag = sgn * (a[:-1] + a[1:]) * (w + sgn / w) / (b[1:] - b[:-1])
-    vertex_norm0 = 2.0 / (q * np.sin(theta / 2.0))
-    # the flipped form is the L form a quarter turn on: M's for kappa > 1, L's for kappa < 1
-    edge_turn, vertex_turn = (np.pi / 2.0, 0.0) if exchanged else (0.0, np.pi / 2.0)
-
-    def assemble(t: float) -> ConnectionFamily:
-        L_edge, _ = _edge_jet_cmc(edge_diag, w, t + edge_turn)
-        M_edge, _ = _edge_jet_cmc(vertex_diag, x, t + vertex_turn, alpha_sign=vertex_norm0)
-        return ConnectionFamily(L_edge[:, None], M_edge[:, None], t, assemble)
-
-    _, edge_norm0 = _edge_jet_cmc(edge_diag, w, edge_turn)
-    edge = (w, edge_diag.astype(complex), edge_norm0)
-    vertex = (x, vertex_diag, np.full(p.nj, vertex_norm0))
-    (u, v_frak, alpha0), (v, h_frak, beta0) = (vertex, edge) if exchanged else (edge, vertex)
-    return assemble(0.0), CkEdgeData(u, v, v_frak, h_frak, alpha0, beta0, p)
-
-
-# ---------------------------------------------------------------------------
-# rotational frames
-
-
-def initial_frame(a0: float, b0: float) -> np.ndarray:
-    """Standard frame at the base vertex from its normal components (a0, b0)."""
-    if abs(b0 + 1.0) < 1e-12:
-        return np.array([[0.0, 1j], [1j, 0.0]])
-    return (1j / np.sqrt(2.0 * (b0 + 1.0))) * np.array(
-        [[b0 + 1.0, a0], [a0, -(b0 + 1.0)]], dtype=complex
-    )
-
-
-def rotational_frames(conn: ConnectionFamily, a0: float, b0: float, nk: int) -> FrameFamily:
-    """Frames of a rotation-invariant connection on nk columns: Phi(j,k) = P(j) D^k, as factors.
-
-    P(0) is the standard frame from (a0, b0) as a constant jet,
-    P(j+1) = L(j) P(j) and D = P(0)^{-1} M(0) P(0); the P(j) form the
-    row factor and the D^k, k = 0 .. nk-1, the column factor.  For a flat
-    family their product coincides with direct integration.
-    """
-    if nk < 1:
-        raise ValueError(f"frames need at least one column, got {nk}")
-    phi00 = MatJet.constant(initial_frame(a0, b0))
-    # the column factor is allocated before any work, so a grid too large fails at once
-    Dk = MatJet(np.empty((nk, 2, 2), complex), np.zeros((nk, 2, 2), complex))
-    Dk.val[0] = np.eye(2)
-    cat = lambda *jets: MatJet(np.concatenate([m.val for m in jets]), np.concatenate([m.dot for m in jets]))
-    P = [phi00[None]]
-    for j in range(conn.L.shape[0]):
-        P.append(conn.L[j, 0] @ P[-1])
-    D = phi00.inv() @ conn.M[0, 0] @ phi00
-    n = 1
-    while n < nk:   # doubling: D^n .. D^{2n-1} = D^n (D^0 .. D^{n-1}), up to D^{nk-1}
-        step = D @ Dk[:min(n, nk - n)]
-        Dk.val[n:2 * n], Dk.dot[n:2 * n] = step.val, step.dot
-        D, n = D @ D, 2 * n
-    return FrameFamily(cat(*P)[:, None], conn.t0, Dk)
-
-
-def closing_residual(conn: ConnectionFamily, k0: int) -> float:
-    """Distance of the k-step monodromy from a half-turn multiple of identity.
-
-    Computes M^{k0} at the first column and t = t0 and returns the
-    entrywise distance from the nearer of +-sqrt(det M^{k0}) * I.  Zero
-    residual means the rotational net closes after k0 steps.
-    """
-    if k0 < 3:
-        raise ConfigError(f"closing requires k0 >= 3, got {k0}")
-    Mval = conn.M.val[0, 0]
-    Mk = np.linalg.matrix_power(Mval, k0)
-    s = np.sqrt(Mk[0, 0] * Mk[1, 1] - Mk[0, 1] * Mk[1, 0])
-    eye = np.eye(2)
-    return float(min(np.max(np.abs(Mk - s * eye)), np.max(np.abs(Mk + s * eye))))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +175,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
 
     Returns the HsLaxData; its ``gauge`` field carries the vertex gauge
     diag(sqrt(s)/sqrt(i), sqrt(i)/sqrt(s)), with the square-root branch
-    chained so that ``lattice.gauge(conn, hs.gauge)`` times alpha0[j] on
+    chained so that ``reference.gauge(conn, hs.gauge)`` times alpha0[j] on
     profile edges and beta0 on rotation edges is ``hs_lax`` entrywise.
     Those real, t-independent factors cancel in the Sym formula, so they
     are left out of the gauge and gauged frames stay unit-sized on grids
@@ -334,20 +212,4 @@ def lax_entries(diag_l, diag_r, prod, t: float):
             0.0, 1j * (ep + em * prod), 1j * (ep + em / prod), 0.0)
 
 
-def hs_lax(hs: HsLaxData, t: float = 0.0) -> ConnectionFamily:
-    """The normal-form Lax pair built directly from its scalar data.
-
-    L(j) = [[ell (cot(d1/2)/s(j) + tan(d1/2) s(j+1)),  i(e^t - e^{-t} s(j)s(j+1))],
-            [i(e^t - e^{-t}/(s(j)s(j+1))),  (1/ell)(s(j) cot(d1/2) + tan(d1/2)/s(j+1))]]
-
-    and M(j) likewise with m, delta2 and s(j)^2 in the off-diagonals.
-    """
-    s, ell, m = hs.s, hs.ell, hs.m
-    ct1, tn1 = 1.0 / np.tan(hs.delta1 / 2.0), np.tan(hs.delta1 / 2.0)
-    ct2, tn2 = 1.0 / np.tan(hs.delta2 / 2.0), np.tan(hs.delta2 / 2.0)
-    L_edge, M_edge = (MatJet(quat.matrix(*e[:4]), quat.matrix(*e[4:])) for e in (
-        lax_entries(ell * (ct1 / s[:-1] + tn1 * s[1:]), (s[:-1] * ct1 + tn1 / s[1:]) / ell,
-                    s[:-1] * s[1:], t),
-        lax_entries(m * (ct2 / s + tn2 * s), (s * ct2 + tn2 / s) / m, s * s, t)))
-    return ConnectionFamily(L_edge[:, None], M_edge[:, None], t, lambda tt: hs_lax(hs, tt))
-
+__getattr__ = _reference_shim(__name__)   # perfbench's TRACED names (see ``cknet``)

@@ -1,4 +1,4 @@
-"""Quad lattices, matrix jets, connections, flatness and parallel frames.
+"""Quad lattices, matrix jets, connections and flatness.
 
 A connection assigns an invertible 2x2 matrix to each oriented lattice
 edge; positively oriented edges point from (j,k) to (j+1,k) (the L family)
@@ -8,7 +8,8 @@ p=(j,k), q=(j+1,k), r=(j+1,k+1), s=(j,k+1) flatness reads
     M_rq @ L_qp = L_rs @ M_sp.
 
 Every connection is invariant along k (the rotation) and is held as one
-edge jet per profile row; flatness and gauges are formed on that one row.
+edge jet per profile row; flatness is formed on that one row, as are the gauges and
+parallel frames of ``reference``.
 
 Everything is carried as a first-order jet in the spectral parameter t:
 ``MatJet(val, dot)`` stores the value and the t-derivative, and products
@@ -17,12 +18,12 @@ and inverses propagate both layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import quat
+from . import _reference_shim, quat
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +119,8 @@ class ConnectionFamily:
         return self.rebuild(t)
 
 
-@dataclass(frozen=True)
-class FrameFamily:
-    """Vertex frames Phi = rows @ cols as jets: rows (nj, 1, 2, 2) for frames that factor,
-    (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  The factors
-    give the grid shape (nj, nk); ``Phi`` forms the (nj, nk, 2, 2) grid only when it is read."""
-
-    rows: MatJet
-    t0: float = 0.0
-    cols: MatJet = field(default_factory=lambda: MatJet.constant(np.eye(2)[None]))
-
-    def __post_init__(self):
-        if len(self.rows.shape) != 4 or len(self.cols.shape) != 3:
-            raise ValueError(f"frame factor shapes {self.rows.shape}, {self.cols.shape} are not "
-                             "(nj, 1 or nk, 2, 2), (nk, 2, 2)")
-        self.shape   # raises ValueError when the factors do not broadcast
-
-    @property
-    def shape(self):
-        """(nj, nk), the grid of the frames."""
-        return np.broadcast_shapes(self.rows.shape, self.cols.shape)[:2]
-
-    @property
-    def Phi(self) -> MatJet:
-        return self.rows @ self.cols
-
-
 # ---------------------------------------------------------------------------
-# flatness / gauging
+# flatness
 
 
 def flatness_residual(conn: ConnectionFamily) -> float:
@@ -157,38 +132,4 @@ def flatness_residual(conn: ConnectionFamily) -> float:
     return jet_residual(conn.M[1:] @ conn.L, conn.L @ conn.M[:-1])
 
 
-def gauge(conn: ConnectionFamily, G: MatJet) -> ConnectionFamily:
-    """Gauge action on a connection: edge pq maps to G_q eta_qp G_p^{-1}.
-
-    G is one vertex gauge jet per profile row, of shape (nj, 1, 2, 2), so
-    the gauged family is again the same in every column; any other shape
-    raises ValueError.  The rebuild hook is dropped (the gauged family is
-    anchored at conn.t0 only).
-    """
-    if G.shape != conn.M.shape:
-        raise ValueError(f"gauge shape {G.shape} is not one jet per profile row, {conn.M.shape}")
-    Gi = G.inv()
-    return ConnectionFamily(G[1:] @ conn.L @ Gi[:-1], G @ conn.M @ Gi, conn.t0)
-
-
-def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:
-    """Gauge action on frames: Phi maps to G Phi (parallel for the gauged connection).
-
-    G multiplies the row factor, so a gauge held once per profile row keeps
-    factored frames factored."""
-    return replace(frames, rows=G @ frames.rows)
-
-
-def admissible_gauge(c_val, c_dot, y) -> MatJet:
-    """Vertexwise gauge exp(c(t) sigma0 + i y sigma3) with y independent of t.
-
-    c_val, c_dot are the real value/derivative of the scalar exponent at
-    the base parameter; y is a real vertex function.  Gauges of this form
-    leave the induced geometry (positions and normals) unchanged.
-    """
-    c_val = np.asarray(c_val, dtype=float)
-    c_dot = np.asarray(c_dot, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c_val, c_dot, y = np.broadcast_arrays(c_val, c_dot, y)
-    val = quat.matrix(np.exp(c_val + 1j * y), 0.0, 0.0, np.exp(c_val - 1j * y))
-    return MatJet(val, c_dot[..., None, None] * val)
+__getattr__ = _reference_shim(__name__)   # perfbench's TRACED names (see ``cknet``)

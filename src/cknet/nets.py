@@ -18,13 +18,14 @@ x = xi * coords(F^{-1} dF/dt), n = coords(F^{-1} (-i sigma3) F) for F = T Phi,
 coords being the (x, y, z) part; the parallel net at distance tau is x + tau n.
 With the adjoint map R(g), coords(g^{-1} X g) = R(g) coords(X), n = R(Phi) coords(T^{-1}
 (-i sigma3) T) and x = x_Phi + xi R(Phi) coords(T^{-1} dT), x_Phi the Sym net of Phi:
-``sym`` forms it through the adjoint maps of the frame factors.  On a K = -1 rotational
-net R(Phi) is explicit, so ``explicit_sym`` forms no frame.  Up to the rigid motion the
-initial frame at (j_lo, 0) fixes, the ungauged frame P(j) D^k carries e0, e1, e2 to
+``reference.sym`` forms it through the adjoint maps of the frame factors.  On a K = -1
+rotational net R(Phi) is explicit, so ``explicit_sym`` forms no frame.  Up to the rigid motion
+the initial frame at (j_lo, 0) fixes, the ungauged frame P(j) D^k carries e0, e1, e2 to
 -sigma_j e_mer, sigma_j e_par, n (sigma_j = (-1)^j by the absolute row label), where in
 ``build_rcnet``'s frame n = (a, 0, b), e_mer = (-b, 0, a) and e_par is the parallel
-direction; the gauge diag(r/sqrt(i), sqrt(i)/r), r^2 = s_j, turns e0, e1 about e2 by
-arg(s_j) - pi/2.  So with e^{i phi_j} = sigma_j / s_j = sqrt(1 - kappa^2 a_j^2) + i kappa a_j,
+direction (for f < 0, those of the mirrored meridian the connection is built from); the gauge
+diag(r/sqrt(i), sqrt(i)/r), r^2 = s_j, turns e0, e1 about e2 by arg(s_j) - pi/2.
+So with e^{i phi_j} = sigma_j / s_j = sqrt(1 - kappa^2 a_j^2) + i kappa a_j,
 R(G Phi) = (E0, E1, n), E0 = sin phi e_mer - cos phi e_par, E1 = -cos phi e_mer - sin phi e_par.
 Moved by that motion, the explicit nets match frames + Sym within 3.3e-15 (7 x 15), 5.5e-14
 (61 x 200) and 9.7e-13 (121 x 2000), as the base Sym net matches ``build_rcnet`` (2.2e-15,
@@ -41,10 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quat
-from .errors import (DegenerateFace, DegenerateGeometry, NotPrincipal, RealityViolated, Singular,
-                     ZeroEdge)
-from .lattice import FrameFamily, MatJet
+from . import _reference_shim
+from .errors import DegenerateFace, RealityViolated, Singular
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,6 @@ class ContactElementNet:
 
 # ---------------------------------------------------------------------------
 # construction: the Sym formula
-
-
-_BASIS = np.array([-1j * quat.sigma1, -1j * quat.sigma2, -1j * quat.sigma3])
-
-
-def _factor_terms(F: MatJet):
-    """Planes R[i, j] of the adjoint map R(F) and w[i] of coords(F^{-1} dF) of frame factors."""
-    val, dot = F.val[..., None, :, :], F.dot[..., None, :, :]
-    c = quat.coords_complex(quat.inv(val) @ np.concatenate([_BASIS @ val, dot], axis=-3))
-    c = np.moveaxis(c, (-1, -2), (0, 1))   # c[i, j] = coords_i(F^{-1} E_j F); j = 3: F^{-1} dF
-    return c[:, :3], c[:, 3]
 
 
 def _transform_terms(a, b, c, d, da, db, dc, dd):
@@ -133,24 +121,6 @@ def _real_blocks(nj: int, nk: int, planes):
     return x, n, float(imag)
 
 
-def _sym_planes(frames: FrameFamily, xi: float):
-    """``planes(rows)`` of the Sym net of Phi for ``_real_blocks``, through the adjoint maps of
-    the frame factors: n = R(D^k) R(Q) e3, x = xi (R(D^k) coords(Q^{-1} dQ) + coords(D^-k dD^k))."""
-    (RQ, wq), (RD, wd) = _factor_terms(frames.rows), _factor_terms(frames.cols)
-    apply = lambda v: np.einsum("ij...,j...->i...", RD, v)   # planes of R(D^k) v
-    return lambda rows: (xi * (apply(wq[:, rows]) + wd[:, None]), apply(RQ[:, 2, rows]))
-
-
-def sym_arrays(frames: FrameFamily, xi: float):
-    """Complex coordinate arrays (x, n), shape (nj, nk, 3), of the Sym net of Phi, unchecked."""
-    return tuple(np.stack(c, axis=-1) for c in _sym_planes(frames, xi)(slice(None)))
-
-
-def sym(frames: FrameFamily, xi: float) -> ContactElementNet:
-    """Real parameter-derivative net of Phi, one block of rows at a time (``_real_blocks``)."""
-    return ContactElementNet(*_real_blocks(*frames.shape, _sym_planes(frames, xi))[:2])
-
-
 def _in_frame(t, a, b, cos_p, sin_p, cos_t, sin_t, f=0.0, h=0.0):
     """Planes (x, y, z) of (f, 0, h) + t0 E0 + t1 E1 + t2 n in ``build_rcnet``'s frame at the
     column angles, E0 = sin p e_mer - cos p e_par and E1 = -cos p e_mer - sin p e_par."""
@@ -162,8 +132,12 @@ def _in_frame(t, a, b, cos_p, sin_p, cos_t, sin_t, f=0.0, h=0.0):
 def explicit_sym(p, ang: np.ndarray, transform):
     """``_real_blocks`` of the Sym net of T Phi over the K = -1 rotational net of the profile p,
     in ``build_rcnet``'s frame with columns at the angles ``ang``; ``transform(rows)`` gives the
-    entries (a, b, c, d, da, db, dc, dd) of T and dT/dt on the rows, as planes or scalars."""
+    entries (a, b, c, d, da, db, dc, dd) of T and dT/dt on the rows, as planes or scalars.
+    For f < 0 the connection is that of ``p.mirrored()``, whose net is p's turned by pi: its
+    frame at the negated column cosines and sines gives x and y negated, exactly."""
     cos_t, sin_t = np.cos(ang), np.sin(ang)
+    if p.f[0] < 0:
+        p, cos_t, sin_t = p.mirrored(), -cos_t, -sin_t
     sin_p = p.kappa * p.a   # e^{i phi} = sqrt(1 - kappa^2 a^2) + i kappa a
     cos_p = np.sqrt(1.0 - sin_p * sin_p)
 
@@ -182,24 +156,7 @@ def explicit_sym(p, ang: np.ndarray, transform):
 # faces
 
 
-def face_diagonals(net: ContactElementNet, rows: slice = slice(None)):
-    """Both diagonal differences of x and n per face: (xd1, xd2, nd1, nd2).
-
-    xd1 = x(j+1,k+1) - x(j,k),  xd2 = x(j+1,k) - x(j,k+1); same for n.
-    Shapes (nj-1, nk-1, 3), or (len(rows), nk-1, 3) on the face rows of the
-    unit-step slice ``rows``.
-    """
-    j, stop, _ = rows.indices(net.shape[0] - 1)
-    x, n = net.x[j:stop + 1], net.n[j:stop + 1]
-    xd1 = x[1:, 1:] - x[:-1, :-1]
-    xd2 = x[1:, :-1] - x[:-1, 1:]
-    nd1 = n[1:, 1:] - n[:-1, :-1]
-    nd2 = n[1:, :-1] - n[:-1, 1:]
-    return xd1, xd2, nd1, nd2
-
-
 _RANK_TOL = 1e-10
-_PRINCIPAL_TOL = 1e-8   # largest |dn + R dx| / max(1, |dn|) of curvature-line data
 
 
 def _cross(a, b):
@@ -244,19 +201,6 @@ def _face_pass(net: ContactElementNet, rows: slice):
     degenerate = np.abs(det_x) <= 1e-12
     K = np.einsum("...i,...i->...", c_n, N) / np.where(degenerate, 1.0, det_x)
     return K, degenerate, N
-
-
-def face_normal(net: ContactElementNet) -> np.ndarray:
-    """Unit face normals N, shape (nj-1, nk-1, 3).
-
-    N is orthogonal to both diagonals of n, oriented so that
-    det(xd1, xd2, N) >= 0.  When the normal diagonals span only a line,
-    the component of xd1 x xd2 orthogonal to that line is used; when they
-    both vanish, N falls back to the normalized xd1 x xd2.  A face whose
-    x-diagonals are also degenerate raises DegenerateFace.  Cross products
-    and vectors of norm at most 1e-10 count as degenerate.
-    """
-    return _face_pass(net, slice(0, None))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +256,7 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = F
     "orthogonality", the ``transform_residuals`` against ``base`` at
     ``alpha``.  ``degenerate`` holds the sorted row-major indices of the
     faces with |det(xd1, xd2, N)| <= 1e-12; the face pass raises
-    DegenerateFace where ``face_normal`` does.
+    DegenerateFace where ``reference.face_normal`` does.
     """
     nj, nk = net.shape
     step = max(1, _BLOCK_VERTICES // nk)
@@ -336,109 +280,5 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = F
     return {name: float(value) for name, value in worst.items()}, np.concatenate(degenerate)
 
 
-# ---------------------------------------------------------------------------
-# principal curvatures and singular vertices
 
-
-def principal_curvatures(net: ContactElementNet):
-    """Per-edge principal curvatures R with dn = -R dx (least squares).
-
-    Returns (Rj, Rk) of shapes (nj-1, nk) and (nj, nk-1).  An edge whose
-    normal difference is not parallel to its position difference within
-    ``_PRINCIPAL_TOL`` raises NotPrincipal; a zero position edge raises ZeroEdge.
-    """
-    out = []
-    for axis, name in ((0, "j"), (1, "k")):
-        dx, dn = np.diff(net.x, axis=axis), np.diff(net.n, axis=axis)
-        nx2 = np.einsum("...i,...i->...", dx, dx)
-        if np.min(nx2) < 1e-28:
-            raise ZeroEdge(f"zero {name}-edge in position net")
-        R = -np.einsum("...i,...i->...", dn, dx) / nx2
-        resid = np.linalg.norm(dn + R[..., None] * dx, axis=-1)
-        scale = np.maximum(1.0, np.linalg.norm(dn, axis=-1))
-        worst = np.max(resid / scale)
-        if not (worst <= _PRINCIPAL_TOL):
-            idx = np.unravel_index(np.argmax(resid / scale), resid.shape)
-            raise NotPrincipal(
-                f"{name}-edge {tuple(int(i) for i in idx)}: dn is not parallel to dx "
-                f"(residual {worst:.3e} > {_PRINCIPAL_TOL:.3e})"
-            )
-        out.append(R)
-    return out[0], out[1]
-
-
-def singular_vertices(net: ContactElementNet) -> set[tuple[int, int]]:
-    """Grid indices where a principal curvature changes sign (or vanishes).
-
-    A vertex interior to a lattice direction is singular when the product
-    of the incoming and outgoing principal curvatures along that
-    direction is <= 0.
-    """
-    Rj, Rk = principal_curvatures(net)
-    bad: set[tuple[int, int]] = set()
-    prod_j = Rj[:-1, :] * Rj[1:, :]
-    for j, k in zip(*np.nonzero(prod_j <= 0.0)):
-        bad.add((int(j) + 1, int(k)))
-    prod_k = Rk[:, :-1] * Rk[:, 1:]
-    for j, k in zip(*np.nonzero(prod_k <= 0.0)):
-        bad.add((int(j), int(k) + 1))
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# rigid alignment
-
-
-@dataclass(frozen=True)
-class AlignResult:
-    """Rotation (unit quaternion matrix), translation, and the max deviation."""
-
-    R: np.ndarray
-    T: np.ndarray
-    residual: float
-
-
-def rigid_align(net_a: ContactElementNet, net_b: ContactElementNet) -> AlignResult:
-    """Best rigid motion carrying net_a onto net_b (closed form).
-
-    Maximizes alignment of centered positions and of normals over all
-    rotations via the standard 4x4 quaternion eigenvalue problem, then
-    translates centroids.  Returns the rotation as a unit quaternion
-    matrix R (apply with quat.conjugate_rotate), the translation T, and
-    the max pointwise deviation over positions and normals.
-    """
-    if net_a.shape != net_b.shape:
-        raise ValueError(f"grid shapes differ: {net_a.shape} vs {net_b.shape}")
-    xa = net_a.x.reshape(-1, 3)
-    xb = net_b.x.reshape(-1, 3)
-    na = net_a.n.reshape(-1, 3)
-    nb = net_b.n.reshape(-1, 3)
-    ca, cb = xa.mean(axis=0), xb.mean(axis=0)
-    pa, pb = xa - ca, xb - cb
-    for pts in (pa, pb):
-        sv = np.linalg.svd(pts, compute_uv=False)
-        if sv.size < 2 or sv[1] <= 1e-12 * max(1.0, sv[0]):
-            raise DegenerateGeometry("positions are collinear; rotation is not determined")
-    S = pa.T @ pb + na.T @ nb
-    tr = np.trace(S)
-    N4 = np.array([
-        [tr, S[1, 2] - S[2, 1], S[2, 0] - S[0, 2], S[0, 1] - S[1, 0]],
-        [S[1, 2] - S[2, 1], S[0, 0] - S[1, 1] - S[2, 2], S[0, 1] + S[1, 0], S[2, 0] + S[0, 2]],
-        [S[2, 0] - S[0, 2], S[0, 1] + S[1, 0], S[1, 1] - S[0, 0] - S[2, 2], S[1, 2] + S[2, 1]],
-        [S[0, 1] - S[1, 0], S[2, 0] + S[0, 2], S[1, 2] + S[2, 1], S[2, 2] - S[0, 0] - S[1, 1]],
-    ])
-    vals, vecs = np.linalg.eigh(N4)
-    qv = vecs[:, -1]
-    cand = quat.quat(*qv)
-    best = None
-    for R in (cand, quat.qconj(cand)):
-        rx = quat.conjugate_rotate(R, xa)
-        rn = quat.conjugate_rotate(R, na)
-        T = cb - rx.mean(axis=0)
-        res = max(
-            float(np.max(np.linalg.norm(rx + T - xb, axis=-1))),
-            float(np.max(np.linalg.norm(rn - nb, axis=-1))),
-        )
-        if best is None or res < best.residual:
-            best = AlignResult(R, T, res)
-    return best
+__getattr__ = _reference_shim(__name__)   # perfbench's TRACED names (see ``cknet``)

@@ -24,17 +24,17 @@ arithmetic-geometric-mean (Landen) ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEdge, InvalidProfile, ModulusOutOfRange
+from . import _reference_shim
+from .errors import ConfigError, InvalidProfile, ModulusOutOfRange
 from .nets import ContactElementNet
 
 _LADDER_TOL = 1e-16
 _LADDER_MAX = 64
 _UNIT_TOL = 1e-12      # how far |b| may exceed 1
-_PROFILE_TOL = 1e-10   # drift of the profile relations that validate_profile accepts
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,11 @@ class Profile:
     @property
     def js(self) -> np.ndarray:
         return np.arange(self.j_lo, self.j_lo + self.nj)
+
+    def mirrored(self) -> "Profile":
+        """The meridian turned by pi about the axis, (-f, h, -a, b, -c): its net is this
+        profile's net turned by pi, with x and y negated."""
+        return replace(self, f=-self.f, a=-self.a, c=-self.c)
 
 
 def _anchor_pos(j_lo: int, n: int) -> int:
@@ -311,18 +316,7 @@ def profile_elliptic(kappa, K_sign, j_range, Theta=None, j0=2):
 
 
 # ---------------------------------------------------------------------------
-# curvature from a profile, and the rotational net
-
-
-def gauss_from_profile(p: Profile):
-    """Discrete Gauss curvature per edge: K = -(b(j+1)-b(j)) / (c (f(j+1)+f(j))).
-
-    Raises DegenerateEdge when f(j+1) = -f(j).
-    """
-    sf = p.f[1:] + p.f[:-1]
-    if np.any(np.abs(sf) < 1e-14):
-        raise DegenerateEdge("f(j+1) = -f(j) on some edge; curvature undefined")
-    return -(p.b[1:] - p.b[:-1]) / (p.c * sf)
+# profile residuals, and the rotational net
 
 
 def conservation_drift(p: Profile) -> float:
@@ -354,18 +348,6 @@ def edge_residuals(p: Profile) -> float:
     r2 = np.abs(dh + p.c * sa)
     r3 = np.abs(db + p.K_sign * p.c * sf)
     return float(np.maximum.reduce([np.max(r1), np.max(r2), np.max(r3)]))
-
-
-def validate_profile(p: Profile) -> None:
-    """Raise InvalidProfile when the defining relations drift beyond ``_PROFILE_TOL``."""
-    r = edge_residuals(p)
-    unit = float(np.max(np.abs(p.a ** 2 + p.b ** 2 - 1.0)))
-    drift = conservation_drift(p)
-    if not (r <= _PROFILE_TOL and unit <= _PROFILE_TOL and drift <= 100 * _PROFILE_TOL):
-        raise InvalidProfile(
-            f"profile relations violated: edges {r:.3e}, unit normal {unit:.3e}, "
-            f"conservation {drift:.3e} (tol {_PROFILE_TOL:.1e})"
-        )
 
 
 def _require_step(theta: float) -> None:
@@ -404,3 +386,6 @@ def build_rcnet(p: Profile, ang: np.ndarray) -> ContactElementNet:
     sweep = lambda radial, axial: np.stack(np.broadcast_arrays(
         radial[:, None] * cos_t, radial[:, None] * sin_t, axial[:, None]), axis=-1)
     return ContactElementNet(sweep(p.f, p.h), sweep(p.a, p.b))
+
+
+__getattr__ = _reference_shim(__name__)   # perfbench's TRACED names (see ``cknet``)

@@ -4,7 +4,7 @@
 the factorised product ``rotational_frames`` builds; ``dense_sym`` forms
 every gauged and transformed frame on the grid and applies the Sym
 formula with an inverse and 2x2 products per vertex, where
-``nets.sym_arrays`` works through the frame factors and the transforms
+``reference.sym_arrays`` works through the frame factors and the transforms
 through the explicit frame of ``nets.explicit_sym``; ``sym_frame`` moves a
 net of ``build_rcnet``'s frame into the Sym frame by the exact rigid motion
 of the initial frame, so the two can be compared; ``w_jet`` and
@@ -32,12 +32,12 @@ from importlib.resources import files
 
 import numpy as np
 
-from cknet import quat
+from cknet import quat, reference as ref
 from cknet.backlund import build_abcd, propagate
-from cknet.connect import initial_frame
 from cknet.errors import DegenerateFace, ZeroEdge
-from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
-from cknet.nets import face_diagonals
+from cknet.lattice import ConnectionFamily, MatJet, jet_residual
+from cknet.nets import ContactElementNet
+from cknet.reference import FrameFamily, face_diagonals, initial_frame
 
 
 class NotFlat(Exception):
@@ -89,8 +89,8 @@ def dense_sym(frames: FrameFamily, xi: float, tau: float = 0.0, G: MatJet = None
         if factor is not None:
             phi = factor @ phi
     inv = phi.inv()
-    n = quat.coords_complex(inv.val @ (-1j * quat.sigma3) @ phi.val)
-    return xi * quat.coords_complex(inv.val @ phi.dot) + tau * n, n
+    n = ref.coords_complex(inv.val @ (-1j * ref.sigma3) @ phi.val)
+    return xi * ref.coords_complex(inv.val @ phi.dot) + tau * n, n
 
 
 def sym_frame(net, hs):
@@ -103,13 +103,18 @@ def sym_frame(net, hs):
     (E0, E1, n) there.  In ``build_rcnet``'s frame that frame is F = (sin p e_mer - cos p
     e_par, -cos p e_mer - sin p e_par, n) with n = (a, 0, b), e_mer = (-b, 0, a), e_par =
     (0, 1, 0) and e^{ip} = sqrt(1 - kappa^2 a^2) + i kappa a.  So x -> M (x - x(j_lo, 0))
-    and n -> M n with M = R F^T.
+    and n -> M n with M = R F^T.  When f < 0 the connection is that of p.mirrored(), whose
+    frames are seeded at its own (a, b) and whose net is p's turned by pi, x and y negated:
+    the net is turned first, and the motion is the mirror's.
     """
     p = hs.profile
+    if p.f[0] < 0:
+        turn = np.array([-1.0, -1.0, 1.0])
+        p, net = p.mirrored(), ContactElementNet(net.x * turn, net.n * turn)
     g = hs.gauge.val[0, 0] @ initial_frame(p.a[0], p.b[0])
     gi = np.linalg.inv(g)
-    R = np.stack([quat.coords_complex(gi @ (-1j * sigma) @ g).real
-                  for sigma in (quat.sigma1, quat.sigma2, quat.sigma3)], axis=-1)
+    R = np.stack([ref.coords_complex(gi @ (-1j * sigma) @ g).real
+                  for sigma in (ref.sigma1, ref.sigma2, ref.sigma3)], axis=-1)
     a, b = p.a[0], p.b[0]
     sin_p = p.kappa * a
     cos_p = np.sqrt(1.0 - sin_p * sin_p)
@@ -217,9 +222,9 @@ def cross_ratio(net, face, imag_tol: float = 1e-8):
     for i, e in enumerate(edges):
         if np.linalg.norm(e) < 1e-14:
             raise ZeroEdge(f"face ({j},{k}): corner edge {i} has zero length")
-    m = (quat.embed(edges[0]) @ quat.inv(quat.embed(edges[1]))
-         @ quat.embed(edges[2]) @ quat.inv(quat.embed(edges[3])))
-    w, vx, vy, vz = quat.parts(m)
+    m = (ref.embed(edges[0]) @ quat.inv(ref.embed(edges[1]))
+         @ ref.embed(edges[2]) @ quat.inv(ref.embed(edges[3])))
+    w, vx, vy, vz = ref.parts(m)
     z = complex(w, np.linalg.norm([vx, vy, vz]))
     concyclic = abs(z.imag) < imag_tol * abs(z)
     embedded = bool(concyclic and z.real < 0)
@@ -282,7 +287,7 @@ def det(q):
 
 def project(q):
     """Trace-free projection followed by reading real R^3 coordinates."""
-    return quat.coords_complex(q).real
+    return ref.coords_complex(q).real
 
 
 def membership_residual(q):

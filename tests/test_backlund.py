@@ -14,11 +14,12 @@ from numpy.testing import assert_allclose
 from cknet import backlund as bk, cli, nets, quat
 from cknet.backlund import (build_abcd, double_backlund, find_periodic_alpha, linearize,
                             moebius, propagate, single_backlund)
-from cknet.connect import build_ck_connection, gauge_to_hs, rotational_frames
+from cknet.connect import build_ck_connection, gauge_to_hs
 from cknet.errors import (BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit,
                           RealityViolated)
-from cknet.lattice import FrameFamily, MatJet, gauge_frame
-from cknet.nets import curvature_report, sym_arrays
+from cknet.lattice import MatJet
+from cknet.nets import curvature_report
+from cknet.reference import FrameFamily, gauge_frame, rotational_frames, sym_arrays
 from cknet.revolution import build_rcnet, column_angles, profile_elliptic
 from oracles import composed_field, sym_frame, v_form_matrices
 

@@ -15,12 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cknet import checks, cli, errors, nets
-from cknet.checks import CheckResult
-from cknet.connect import rotational_frames
+from cknet import checks, cli, errors, nets, reference as ref
 from cknet.errors import ConfigError, DegenerateFace, DegenerateGeometry
-from cknet.lattice import FrameFamily, gauge_frame
 from cknet.nets import ContactElementNet
+from cknet.reference import FrameFamily, gauge_frame, rotational_frames
 from cknet.revolution import build_rcnet, column_angles, profile_elliptic
 from oracles import joined_obj, validate_report
 
@@ -151,7 +149,7 @@ def test_readme_library_usage_runs_as_written():
     exec(compile(text, "README.md", "exec"), ns)
     assert ns["conn"].L.shape == (6, 1, 2, 2) and ns["conn"].M.shape == (7, 1, 2, 2)
     assert ns["hs"].gauge.shape == (7, 1, 2, 2)
-    assert nets.rigid_align(ns["base"], ns["net"]).residual <= 1e-8   # criterion 4's tolerance
+    assert ref.rigid_align(ns["base"], ns["net"]).residual <= 1e-8   # criterion 4's tolerance
 
 
 def test_generate_theta_route_has_no_period_entry(tmp_path, capsys):
@@ -538,6 +536,31 @@ def run_desk(tmp_path, command, extra, tag):
     return code, mesh, report
 
 
+# meridians with f < 0 on every row: before the connection was built from the mirrored
+# meridian, transformed_gauss read 39.5 and 1.41 on these
+NEGATIVE_RADIUS = {
+    "double_elliptic": ("double", "--surface.kind elliptic --surface.kappa 1.5552 "
+                        "--surface.K_sign -1 --surface.j0 16 --surface.j_lo -35 "
+                        "--surface.j_hi -25 --rotation.k0 5 --rotation.k_count 181 "
+                        "--backlund.alpha (1.5707963267948966+1.1072757482117086j) "
+                        "--backlund.seed (-1.1348098514854095+0.20986886407641694j)"),
+    "backlund_hyp": ("backlund", "--surface.kind hyp --surface.c 0.0475 --surface.A -0.4333 "
+                     "--surface.B -0.6801 --surface.j_lo -7 --surface.j_hi -3 --rotation.k0 6 "
+                     "--rotation.k_count 13 --backlund.alpha 1.0"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NEGATIVE_RADIUS))
+def test_negative_radius_transforms_pass(tmp_path, capsys, name):
+    command, keys = NEGATIVE_RADIUS[name]
+    report = tmp_path / "out.json"
+    code = cli.main([command, *keys.split(), "--output.report", str(report)])
+    assert code == cli.EXIT_OK, capsys.readouterr()
+    doc = strict_json(report)
+    assert doc["checks"] and all(e["pass"] for e in doc["checks"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(LONG_GRIDS))
 def test_long_grids_run_finite(tmp_path, capsys, name):
@@ -786,8 +809,8 @@ def test_non_finite_residuals_make_strict_json_reports(tmp_path):
     net = ContactElementNet(x, n / np.linalg.norm(n, axis=-1, keepdims=True))
     worst, degenerate = nets.curvature_report(net)
     assert degenerate.tolist() == [0]
-    entries = [CheckResult("gauss", worst["gauss"], 1e-9),
-               CheckResult("nan", np.nan, 1e-9), CheckResult("fine", 1e-12, 1e-9)]
+    entries = [cli.CheckResult("gauss", worst["gauss"], 1e-9),
+               cli.CheckResult("nan", np.nan, 1e-9), cli.CheckResult("fine", 1e-12, 1e-9)]
     path = tmp_path / "report.json"
     cli.report_json(entries, {"n": 1}, str(path))
     doc = strict_json(path)
@@ -832,14 +855,61 @@ def test_double_names_the_verify_stage_of_a_face_failure(tmp_path, monkeypatch, 
     assert not mesh.exists()
 
 
+def python_probe(probe: str, *args: str, cwd=None) -> str:
+    """Stdout of ``probe`` run with ``args`` in a fresh interpreter that imports cknet from
+    the tree under test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True, cwd=cwd).stdout.strip()
+
+
 def test_cli_import_loads_neither_scipy_nor_argparse():
-    src = Path(cli.__file__).resolve().parents[1]
-    probe = ("import sys, cknet.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'argparse', 'gettext')))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    # nor the check catalogue and the reference constructions only `cknet check` runs
+    assert python_probe("import sys, cknet.cli; print(sorted(m for m in sys.modules if "
+                        "m.split('.')[0] in ('scipy', 'argparse', 'gettext') "
+                        "or m in ('cknet.checks', 'cknet.reference')))") == "[]"
+
+
+@pytest.mark.parametrize("command, extra, loaded", [
+    ("generate", [*DESK_KEYS, "--rotation.k_count", "13"], "[]"),
+    ("backlund", [*DESK_KEYS, "--rotation.k_count", "13", "--backlund.alpha", "1.0"], "[]"),
+    ("double", [*DESK_KEYS, "--rotation.k_count", "13", "--backlund.N0", "9"], "[]"),
+    ("search", [*DESK_KEYS, "--rotation.k_count", "13", "--backlund.N0", "9"], "[]"),
+    ("check", ["--criterion", "2"], "['cknet.checks', 'cknet.reference']"),
+])
+def test_net_commands_load_neither_checks_nor_reference(tmp_path, command, extra, loaded):
+    out = python_probe("import sys; from cknet.cli import main; code = main(sys.argv[1:]); "
+                       "print(code, sorted(m for m in sys.modules "
+                       "if m in ('cknet.checks', 'cknet.reference')))",
+                       command, *extra, cwd=tmp_path)
+    assert out.splitlines()[-1] == f"0 {loaded}"
+
+
+# every name the package imported from its modules before it loaded them on first use
+PACKAGE_NAMES = """DoubleReport PeriodicAlpha build_abcd double_backlund find_periodic_alpha linearize
+    moebius propagate single_backlund CheckResult run_all CkEdgeData HsLaxData build_ck_connection
+    build_cmc_connection closing_residual gauge_to_hs hs_lax initial_frame rotational_frames
+    BranchFailure CaseMismatch CknetError ConfigError DegenerateEdge DegenerateFace
+    DegenerateGeometry DivisionByZero InvalidProfile ModulusOutOfRange NoRoot NotPrincipal
+    PathInconsistent PoleHit RealityViolated Singular ZeroEdge ConnectionFamily FrameFamily MatJet
+    admissible_gauge flatness_residual gauge gauge_frame jet_residual AlignResult
+    ContactElementNet curvature_report face_normal period_drift principal_curvatures rigid_align
+    singular_vertices sym sym_arrays transform_residuals validate_ec Profile build_rcnet
+    column_angles conservation_drift edge_residuals elliptic_K elliptic_theta gauss_from_profile
+    int_sn2 jacobi profile_elliptic profile_hyp profile_trig validate_profile""".split()
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    assert python_probe("import sys, cknet; print(sorted(m for m in sys.modules "
+                        "if m.startswith('cknet')))") == "['cknet']"
+    import cknet
+    assert sorted(cknet.__all__) == sorted(PACKAGE_NAMES) and cknet.__version__ == "0.1.0"
+    assert set(PACKAGE_NAMES) <= set(dir(cknet))
+    for name in PACKAGE_NAMES:
+        obj = getattr(cknet, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError):
+        cknet.explicit_sym
 
 
 def test_invariant_failure_exit_code(capsys):
@@ -1228,7 +1298,7 @@ def test_commands_build_only_the_stages_they_read(tmp_path, monkeypatch, capsys,
                                                   extra, built):
     # search reads the normal-form data alone, and the transforms evaluate the Sym formula in
     # the rotational net's frame: no command forms frames, gauges them or runs a Sym pass
-    calls = count_calls(monkeypatch, rotational_frames, gauge_frame, nets.sym)
+    calls = count_calls(monkeypatch, rotational_frames, gauge_frame, ref.sym)
     code, _, _ = run_desk(tmp_path, command, ["--rotation.k_count", "26", *extra], command)
     assert code == cli.EXIT_OK, capsys.readouterr()
     assert calls == built

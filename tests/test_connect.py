@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cknet import quat
-from cknet.connect import (build_ck_connection, build_cmc_connection, closing_residual,
-                           gauge_to_hs, hs_lax, initial_frame, rotational_frames)
+from cknet import reference as ref
+from cknet.connect import build_ck_connection, gauge_to_hs
 from cknet.errors import CaseMismatch, CknetError, ConfigError, InvalidProfile
 from cknet import lattice
-from cknet.lattice import (ConnectionFamily, MatJet, admissible_gauge,
-                           flatness_residual, gauge, gauge_frame, jet_residual)
-from cknet.nets import ContactElementNet, rigid_align, sym
+from cknet.lattice import ConnectionFamily, MatJet, flatness_residual, jet_residual
+from cknet.nets import ContactElementNet
+from cknet.reference import (admissible_gauge, build_cmc_connection, closing_residual, gauge,
+                             gauge_frame, hs_lax, initial_frame, rigid_align, rotational_frames, sym)
 from cknet.revolution import build_rcnet, column_angles, profile_elliptic, profile_hyp, profile_trig
 from oracles import cross_ratio, integrate_frame
 
@@ -243,6 +243,23 @@ def test_sym_matches_rcnet_all_cases():
         assert rigid_align(net, ref).residual < 1e-8
 
 
+@pytest.mark.parametrize("p", [
+    profile_elliptic(1.5552, -1, (-35, -25), j0=16),
+    profile_hyp(np.full(4, 0.0475), -0.4333, -0.6801, j_lo=-7),
+    profile_trig(np.full(6, -np.tan(0.05)), -0.6, 0.0, j_lo=-3),
+    profile_trig(np.full(6, -np.tan(0.05)), -1.4, 0.0, j_lo=-3),
+], ids=["elliptic", "hyp", "trig-case1", "trig-case2"])
+def test_negative_radius_connection_sweeps_its_profile(p):
+    """f < 0 on every row: the connection, seeded from the mirrored meridian, has the profile's
+    own net as its Sym net (seeded from p itself, rigid_align left 0.89, 1.96, 1.37 and 2.0)."""
+    assert np.all(p.f < 0)
+    build, xi = (build_ck_connection, 2.0) if p.K_sign == -1 else (build_cmc_connection, -2.0)
+    conn, data = build(p, THETA)
+    assert data.profile is p
+    net = sym(rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=NK), xi)
+    assert rigid_align(net, build_rcnet(p, column_angles(NK, theta=THETA))).residual < 1e-8
+
+
 def test_cmc_isothermic_cross_ratios():
     # the shifted nets factorize face cross ratios through the edge angles
     _, conn2, d2 = cmc_fixture(2)
@@ -375,7 +392,7 @@ def full_grid_flatness(conn, nk=NK):
 def bent_row(jet, row):
     """A copy of a per-row edge family with one row turned by a unit quaternion."""
     val = jet.val.copy()
-    val[row] = val[row] @ quat.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
+    val[row] = val[row] @ ref.quat(np.cos(0.1), np.sin(0.1), 0.0, 0.0)
     return MatJet(val, jet.dot)
 
 

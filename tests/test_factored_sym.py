@@ -1,7 +1,7 @@
 """The Sym formula through frame factors and in explicit form, against frames formed vertex
 by vertex.
 
-``nets.sym_arrays`` applies the adjoint maps of the row and column frame factors;
+``reference.sym_arrays`` applies the adjoint maps of the row and column frame factors;
 ``oracles.dense_sym`` materialises Phi, multiplies the gauge and the transform onto it and
 inverts the result on every vertex, as the pipeline did before the frames were factored.  Both
 must give the same positions and normals, to ``TOL``.  The transforms form no frame: they
@@ -17,10 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cknet.backlund import build_abcd, double_backlund, propagate, single_backlund
-from cknet.connect import build_ck_connection, build_cmc_connection, gauge_to_hs, rotational_frames
-from cknet.lattice import gauge_frame
-from cknet.nets import sym_arrays
-from cknet.revolution import column_angles, profile_elliptic, profile_trig
+from cknet.connect import build_ck_connection, gauge_to_hs
+from cknet.reference import build_cmc_connection, gauge_frame, rotational_frames, sym_arrays
+from cknet.revolution import column_angles, profile_elliptic, profile_hyp, profile_trig
 from oracles import composed_field, dense_sym, sym_frame, v_jet, w_jet
 
 TOL = 1e-13
@@ -40,14 +39,20 @@ def worst(got, want):
 
 
 @lru_cache(maxsize=None)
-def ck_grid(nj=7, nk=15, theta=THETA, j_lo=None):
+def ck_grid(nj=7, nk=15, theta=THETA, j_lo=None, family=("elliptic", 0.6, 4)):
     """Profile, ungauged frames, normal-form data, gauged frames and column angles of a
-    K = -1 profile of nj rows from j_lo (by default -(nj // 2))."""
+    K = -1 profile of nj rows from j_lo (by default -(nj // 2)): ("elliptic", kappa, j0) or
+    ("hyp", c, A, B).  The frames are seeded at the meridian the connection is built from,
+    the mirrored one when f < 0."""
     j_lo = -(nj // 2) if j_lo is None else j_lo
-    p = profile_elliptic(0.6, -1, (j_lo, j_lo + nj - 1), j0=4)
+    if family[0] == "elliptic":
+        p = profile_elliptic(family[1], -1, (j_lo, j_lo + nj - 1), j0=family[2])
+    else:
+        p = profile_hyp(np.full(nj - 1, family[1]), *family[2:], j_lo=j_lo)
     conn, data = build_ck_connection(p, theta)
     hs = gauge_to_hs(conn, data)
-    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=nk)
+    seed = p.mirrored() if p.f[0] < 0 else p
+    frames = rotational_frames(conn, a0=seed.a[0], b0=seed.b[0], nk=nk)
     return p, frames, hs, gauge_frame(frames, hs.gauge), column_angles(nk, theta=theta)
 
 
@@ -124,6 +129,43 @@ def test_double_transform_matches_dense_frames_on_any_grid(nj, nk, shift, real, 
     (the last two examples start at the odd j_lo = -17); a real angle drawn with ``single``
     checks the single transform instead."""
     _, frames, hs, _, ang = ck_grid(nj, nk, np.pi / 3.0, shift - nj // 2)
+    alpha = angle if real else np.pi / 2.0 + 1j * y
+    seed = np.exp(1j * phase) * (1.0 if real else radius)
+    if real and single:
+        net, want = single_backlund(hs, ang, alpha, seed), dense_single(frames, hs, alpha, seed)
+    else:
+        net = double_backlund(hs, ang, alpha, seed)[0]
+        want = dense_double(frames, hs, alpha, seed)
+    assert worst(sym_frame(net, hs), want) <= EXPLICIT_TOL
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(hyp=st.booleans(), kappa=st.floats(1.1, 2.5), j0=st.integers(4, 24),
+       c=st.floats(0.005, 0.05), nj=st.integers(2, 61), start=st.floats(0.0, 1.0),
+       below=st.booleans(), nk=st.integers(2, 400), real=st.booleans(), single=st.booleans(),
+       angle=st.floats(0.1, np.pi - 0.1), y=st.floats(0.05, 1.2), radius=st.floats(0.7, 1.5),
+       phase=st.floats(-np.pi, np.pi))
+@example(hyp=False, kappa=1.5552, j0=16, c=0.01, nj=11, start=0.4, below=True, nk=181,
+         real=False, single=False, angle=1.0, y=1.1072757482117086, radius=1.154,
+         phase=2.959)
+@example(hyp=True, kappa=1.5, j0=4, c=0.0475, nj=5, start=0.1, below=True, nk=13, real=True,
+         single=True, angle=1.0, y=0.5, radius=1.0, phase=0.0)
+def test_negative_radius_transforms_match_dense_frames(hyp, kappa, j0, c, nj, start, below, nk,
+                                                       real, single, angle, y, radius, phase):
+    """Meridians with f < 0 on every row: elliptic with kappa > 1 on rows j0 < |j| < 3 j0,
+    and hyp with A, B < 0 on rows that leave out label 0 (|b| <= 1 while the running product
+    stays below 1.8), below or above 0.  The examples are the rows of the two jobs that read
+    transformed_gauss 39.5 and 1.41 before the connection was built from the mirrored
+    meridian."""
+    if hyp:
+        nj = min(nj, 1 + int(0.59 / np.log((1.0 + c) / (1.0 - c))))
+        first, family = 1 + round(20 * start), ("hyp", c, -0.4333, -0.6801)
+    else:
+        nj = min(nj, 2 * j0 - 1)
+        first, family = j0 + 1 + round(start * (2 * j0 - 1 - nj)), ("elliptic", kappa, j0)
+    _, frames, hs, _, ang = ck_grid(nj, nk, np.pi / 3.0, -(first + nj - 1) if below else first,
+                                    family)
+    assert np.all(hs.profile.f < 0)
     alpha = angle if real else np.pi / 2.0 + 1j * y
     seed = np.exp(1j * phase) * (1.0 if real else radius)
     if real and single:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cknet import quat
-from cknet.connect import build_ck_connection, gauge_to_hs, initial_frame, rotational_frames
-from cknet.lattice import (ConnectionFamily, FrameFamily, MatJet,
-                           admissible_gauge, flatness_residual, gauge,
-                           gauge_frame, jet_residual)
+from cknet import reference as ref
+from cknet.connect import build_ck_connection, gauge_to_hs
+from cknet.lattice import ConnectionFamily, MatJet, flatness_residual, jet_residual
+from cknet.reference import (FrameFamily, admissible_gauge, gauge, gauge_frame, initial_frame,
+                             rotational_frames)
 from cknet.revolution import profile_elliptic
 from oracles import NotFlat, integrate_frame
 
@@ -20,7 +20,7 @@ EYE = np.eye(2, dtype=complex)
 def random_unit_quat(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return quat.quat(*v)
+    return ref.quat(*v)
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +36,7 @@ def random_jets(rng, shape, scale=False):
     dot = np.empty_like(val)
     for idx in np.ndindex(shape):
         val[idx] = random_unit_quat(rng) * (rng.uniform(0.5, 2.0) if scale else 1.0)
-        dot[idx] = val[idx] @ quat.embed(0.1 * rng.normal(size=3))
+        dot[idx] = val[idx] @ ref.embed(0.1 * rng.normal(size=3))
     return MatJet(val, dot)
 
 
@@ -80,7 +80,7 @@ def test_matjet_inv_matches_finite_differences():
 
 
 def test_matjet_constant_has_zero_derivative():
-    c = MatJet.constant(quat.quat(1.0, 0.5, 0.0, -0.3))
+    c = MatJet.constant(ref.quat(1.0, 0.5, 0.0, -0.3))
     assert np.all(c.dot == 0)
 
 
@@ -138,7 +138,7 @@ def test_single_edge_defect_breaks_flatness():
 
 
 def test_constant_connection_two_steps():
-    g = quat.quat(1.0, 0.2, -0.4, 0.3)
+    g = ref.quat(1.0, 0.2, -0.4, 0.3)
     L = MatJet.constant(np.broadcast_to(g, (1, 1, 2, 2)).copy())
     M = MatJet.constant(np.broadcast_to(g, (2, 1, 2, 2)).copy())
     conn = ConnectionFamily(L, M)

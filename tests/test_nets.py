@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cknet import nets, quat
+from cknet import nets, reference as ref
 from cknet.backlund import double_backlund, single_backlund
 from cknet.checks import PROFILE_SPECS, fixture_ck_hs, fixture_profile
-from cknet.connect import build_ck_connection, rotational_frames
+from cknet.connect import build_ck_connection
 from cknet.errors import (DegenerateFace, DegenerateGeometry, InvalidProfile,
                           NotPrincipal, RealityViolated, Singular, ZeroEdge)
-from cknet.lattice import ConnectionFamily, FrameFamily, MatJet, jet_residual
-from cknet.nets import (ContactElementNet, curvature_report, face_diagonals,
-                        face_normal, principal_curvatures, rigid_align,
-                        singular_vertices, sym, sym_arrays, validate_ec)
+from cknet.lattice import ConnectionFamily, MatJet, jet_residual
+from cknet.nets import ContactElementNet, curvature_report, validate_ec
+from cknet.reference import (FrameFamily, face_diagonals, face_normal, principal_curvatures,
+                             rigid_align, rotational_frames, singular_vertices, sym, sym_arrays,
+                             validate_profile)
 from cknet.revolution import (build_rcnet, column_angles, conservation_drift, edge_residuals,
-                              profile_elliptic, validate_profile)
+                              profile_elliptic)
 from oracles import cross_product_report, cross_ratio, det
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -61,7 +62,7 @@ def test_net_requires_unit_normals():
 
 
 def test_sym_constant_frame_is_a_point():
-    rotor = quat.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
+    rotor = ref.quat(np.cos(0.4), 0.3 * np.sin(0.4), 0.0, -0.953939201416946 * np.sin(0.4))
     rotor /= np.sqrt(det(rotor).real)
     val = np.broadcast_to(rotor, (3, 3, 2, 2)).astype(complex)
     frames = FrameFamily(MatJet.constant(val.copy()))
@@ -484,7 +485,7 @@ def test_rigid_align_identity():
     assert res.residual < 1e-12
     assert np.max(np.abs(res.T)) < 1e-12
     v = np.array([0.3, -0.8, 0.52])
-    assert_allclose(quat.conjugate_rotate(res.R, v), v, atol=1e-10)
+    assert_allclose(ref.conjugate_rotate(res.R, v), v, atol=1e-10)
 
 
 def test_rigid_align_recovers_rotation_and_translation():
@@ -500,7 +501,7 @@ def test_rigid_align_recovers_rotation_and_translation():
     assert res.residual < 1e-10
     assert_allclose(res.T, t, atol=1e-9)
     for v in (np.array([1.0, 0, 0]), np.array([0, 1.0, 0])):
-        assert_allclose(quat.conjugate_rotate(res.R, v), rodrigues(v, E3, angle), atol=1e-10)
+        assert_allclose(ref.conjugate_rotate(res.R, v), rodrigues(v, E3, angle), atol=1e-10)
 
 
 def test_rigid_align_collinear_raises():
@@ -516,9 +517,9 @@ def test_frame_initial_condition_changes_net_by_rigid_motion():
     p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
     conn, _ = build_ck_connection(p, np.pi / 6.0)
     frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=10)
-    h0 = quat.quat(np.cos(0.35), *(np.sin(0.35) * np.array([0.2, 0.6, -0.774596669241483])))
+    h0 = ref.quat(np.cos(0.35), *(np.sin(0.35) * np.array([0.2, 0.6, -0.774596669241483])))
     h0 /= np.sqrt(det(h0).real)
-    H = MatJet(h0, h0 @ quat.embed(np.array([0.1, -0.2, 0.3])))
+    H = MatJet(h0, h0 @ ref.embed(np.array([0.1, -0.2, 0.3])))
     moved = FrameFamily(frames.Phi @ H)
     res = rigid_align(sym(frames, 2.0), sym(moved, 2.0))
     assert res.residual < 1e-9

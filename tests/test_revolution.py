@@ -18,11 +18,10 @@ from numpy.testing import assert_allclose
 from cknet.errors import (ConfigError, DegenerateEdge, InvalidProfile,
                           ModulusOutOfRange)
 from cknet.nets import curvature_report
+from cknet.reference import gauss_from_profile, validate_profile
 from cknet.revolution import (_amplitude, build_rcnet, column_angles, conservation_drift,
-                              edge_residuals, elliptic_K, elliptic_theta,
-                              gauss_from_profile, int_sn2, jacobi,
-                              profile_elliptic, profile_hyp, profile_trig,
-                              validate_profile)
+                              edge_residuals, elliptic_K, elliptic_theta, int_sn2, jacobi,
+                              profile_elliptic, profile_hyp, profile_trig)
 from oracles import cross_ratio, ellipeinc
 
 
@@ -413,6 +412,22 @@ def test_build_rcnet_constant_curvature():
     z, embedded = cross_ratio(net, (2, 3))
     assert abs(z.imag) < 1e-10 * abs(z)
     assert embedded
+
+
+@pytest.mark.parametrize("p", [
+    profile_elliptic(1.5552, -1, (-35, -25), j0=16),
+    profile_hyp(np.full(4, 0.0475), -0.4333, -0.6801, j_lo=-7),
+    profile_elliptic(0.6, -1, (-3, 3), j0=4),
+], ids=["elliptic", "hyp", "desk"])
+def test_mirrored_profile_sweeps_the_net_turned_by_pi(p):
+    q = p.mirrored()
+    assert edge_residuals(q) == edge_residuals(p)
+    assert conservation_drift(q) == conservation_drift(p)
+    ang = column_angles(13, theta=np.pi / 6.0)
+    net, turned = build_rcnet(p, ang), build_rcnet(q, ang)
+    turn = np.array([-1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(turned.x, net.x * turn)
+    np.testing.assert_array_equal(turned.n, net.n * turn)
 
 
 def test_build_rcnet_exact_closure():
