@@ -231,107 +231,122 @@ def rotation_step(cfg: dict):
 # %.17g of a float64 x with 1e-28 <= |x| < 1e16 shows the 17 digits d0 d1 ... d16 of
 # D = round(|x| * 10**k), k = 16 - E, E = floor(log10 |x|): in fixed notation for E >= -4, as
 # d0.d1...d16e-NN below, trailing zeros dropped.  Dekker's two-product with 10**k held as two
-# doubles forms D (README, "Output formats").  A value fills five little-endian uint64 words
+# doubles forms D (README, "Output formats").  A value fills four little-endian uint64 words
 # ("<u8": byte i of a word is byte i of the file on every host), NUL in every unused byte: a
-# head of separator, sign, "0." and leading zeros and digit 0, then [point slot, digit] pairs
-# for 1..16 from a table of 4-digit groups.  The exponent form takes D * 100: its head holds
-# d0.d1d2, and "e-NN" goes over the two zeros that end its groups.  A zero is formed as 1e16
-# on a row of its own.  Python's own %.17g writes the rest: subnormals, 0 < |x| < 1e-28,
-# |x| >= 1e16, non-finite values and products within 2**-40 of half-way, exact ties among them.
+# head of separator, sign and what precedes digit 1, the digits 1..16 packed eight to a word
+# from a table of 4-digit groups, and a suffix word for "e-NN".  For E >= 1 the integer part
+# gets a digit 0 after it, X = D + floor|x| * 9 * 10**k, which becomes the point.  The words are
+# formed as planes, one per word of a line, and transposed once into lines.  Python's own %.17g
+# writes the rest: subnormals, 0 < |x| < 1e-28, |x| >= 1e16, non-finite values and products
+# within 2**-40 of half-way, exact ties among them.
 #
-# At its peak a chunk holds about 360 B a vertex: its output and at most nine float64 planes of
-# its values.  So 680 vertices stay within the 244 KiB that 512 took while Python wrote the
-# exponent form (tests/test_obj_format.py, test_one_chunk_adds_no_more_than_before).
-_OBJ_ROWS = 680   # vertices per formatted chunk: bounds the writer's memory
+# At its peak a chunk holds about 245 B a vertex, so 1000 vertices take the 239 KiB that 680
+# took in five-word cells (tests/test_obj_format.py, test_one_chunk_adds_no_more_than_before).
+_OBJ_ROWS = 1000   # vertices per formatted chunk: bounds the writer's memory
 _OBJ_FACES = 4096   # faces per run of f lines, for the same reason
 _VELTKAMP = 134217729.0   # 2**27 + 1: splits a float64 into two halves of at most 26 bits
-# the range's edges as bit patterns, which order like |x|; the double nearest 1e-28 is below it
-_FIXED_BITS = np.array([1.0000000000000001e-28, 1e16]).view(np.uint64)
-_ROWS, _EXP_ROWS = 46, 25   # table rows E + 29 for E = -29..16; E < -4 is the exponent form
-_LOG_LEAN = 1.0 + 2.0 ** -50   # moves log10 |x| away from 0 by more than its error
+_ROWS, _EXP_ROWS = 46, 25   # rows E + 29 for E = -29..16; E < -4 is the exponent form
 _NEAR_HALF = 0.5 - 2.0 ** -40   # a product this near half-way is left to Python
+_GROUP_OFFSET = np.array([4, 0, 12, 8], np.int16).reshape(4, 1, 1) * _ROWS   # by plane
 
 
 @cache
 def _digit_tables() -> tuple:
-    """Lookup tables of the OBJ number writer, built on first use (not at import) from uint8
-    pieces: the 10**4 groups' digits take 40 kB, where int64 ones and a matmul peaked at 1.1 MB.
+    """Lookup tables of the OBJ number writer, built on first use (not at import).
 
-    Row r of fix, ten and scale stands for E = r - 29: rows 0..24 are the exponent form and
-    25..44 fixed notation.  No value in range ends on row 0 (E = -29), but a first guess may,
-    and on row 45 (E = 16) only the zeros end: they are held as 1e16 (D = 10**16).
-    group: "<u8" word of each 4-digit group, its digits at bytes 1, 3, 5, 7; place: the place
-        1..4 of its last nonzero digit, 0 for none.
-    fix: (4, 17 * 46) words added to the group words, by (last place, row).
-    head: head words, sign byte NUL: the exponent form's by (digits 3..16 all 0 or not,
-        d0d1d2), then the fixed rows' by (row, d0); start: the offset of each fix row's heads.
-    ten: 10**k = th + tl exactly for k = 16 - E: th, its Veltkamp halves and tl (0 for k <= 22),
-        (4, 46); scale: 100 on the exponent form's rows, 1 elsewhere.
+    Row r stands for E = r - 29.  Rows 1..44 are the kernel's, rows 1..24 the exponent form;
+    row 0 marks a value left to Python and row 45 a zero.
+    binade, edge: by j, 0 for zero, 1 for subnormals, else the binade (2**(j - 1024),
+        2**(j - 1023)] of |x|: the row of its lowest E, and the largest double below
+        10**(E + 1), above which |x| is on the next row.
+    ten: 10**k = th + tl exactly for k = 16 - E: th, its Veltkamp halves and tl (0 for
+        k <= 22), (4, 46).  nine: 9 * 10**k on the rows of E >= 1, 0 elsewhere.
+    group: "<u4" word of each 4-digit group.  last: 46 times the place 1..4 of the group's
+        last nonzero digit, -552 for none, so that a value's largest last[g_i] + 184 i is
+        46 times the place 0..16 of its last nonzero digit among 1..16.
+    fix: by row + 46 * last, words added to the two digit words and to the suffix: -"0" on
+        every digit past max(last, E), "." or NUL on the point digit, and "e-NN".
+    head: head words by t + hoff[row + 46 * last], t the digits that come before digit 1.
     """
-    ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48   # digits 1-4 of a group
-    place = (np.arange(1, 5, dtype=np.uint8) * (ascii != 48)).max(axis=1).astype(np.int16)
-    group = np.zeros((10 ** 4, 8), np.uint8)
-    group[:, 1::2] = ascii
-    d = ascii[:1000, 1:].T.copy()                             # d0, d1, d2 of 0..999
-    del ascii
-    # bytes added to the group words: "." in the point slot of digit E + 1 when a later digit
-    # is kept, and -"0" on every digit past max(last, E), so trailing zeros become NUL; the word
-    # sums carry and borrow nothing, since those digit bytes are "0" and the point slot NUL.
-    # The exponent form has its point in the head, and writes "e-NN" over its last two digits.
-    q = np.arange(1, 17, dtype=np.int8).reshape(4, 1, 1, 4)   # the digit places of each word
-    L, E = np.arange(17, dtype=np.int8)[:, None, None], np.arange(-29, 17, dtype=np.int8)[:, None]
-    F = np.where((E >= -4) & (E < 16), E, np.int8(0))         # the place before the point
-    add = np.zeros((4, 17, _ROWS, 8), np.int8)
-    add[..., 1::2] = np.int8(-48) * (q > np.maximum(L, F))
-    add[..., ::2] = np.int8(46) * ((q == F + 1) & (L > F) & (E >= -4))
-    add[3, :, :_EXP_ROWS, 4:] = [[101, 45 - 48, 48 + e // 10, e % 10] for e in range(29, 4, -1)]
-    fix = add.view("<u8")
-    fix -= (add < 0).view("<u8") << np.uint64(8)
-    head = np.zeros((2210, 8), np.uint8)                      # 2 * 1000 exponent, 21 * 10 fixed
-    head[:, 0] = 32
-    expo, fixed = head[:2000].reshape(2, 1000, 8), head[2000:].reshape(21, 10, 8)
-    expo[..., 3], expo[..., 4], expo[..., 5], expo[..., 7] = d[0], 46, d[1], d[2]
-    expo[1, d[2] == 48, 7] = 0                                # no digit after d2: trim it,
-    expo[1, (d[1] == 48) & (d[2] == 48), 4:6] = 0             # and d1 and the point with it
-    fixed[:20, :, 7] = np.arange(48, 58)
-    for e in range(-4, 0):
-        fixed[e + 4, :, 2:3 - e] = list(b"0.000"[:1 - e])
-    fixed[20, :, 7] = 48                                      # row 45: a zero
+    # the words added by (last, row): digit places q = 1..16, the point digit at q = E
     L, r = np.divmod(np.arange(17 * _ROWS), _ROWS)
-    start = np.where(r < _EXP_ROWS, 1000 * (L == 0), 2000 + 10 * (r - _EXP_ROWS))
-    k = [10 ** (16 - e) for e in range(-29, 17)]
+    E = r - 29
+    point = (E >= 1) & (E <= 15)
+    q = np.arange(1, 17)
+    digits = np.where(q > np.where(point, np.maximum(L, E), L)[:, None], np.int8(-48),
+                      np.int8(0))
+    digits = np.where(point[:, None] & (q == E[:, None]),
+                      np.where(L > E, np.int8(-2), np.int8(-48))[:, None], digits)
+    add = np.zeros((17 * _ROWS, 3, 8), np.int8)
+    add[:, :2] = digits.reshape(-1, 2, 8)
+    n = -E[(r >= 1) & (r < _EXP_ROWS)]                       # the exponent form's NN
+    add[(r >= 1) & (r < _EXP_ROWS), 2, :4] = np.stack([101 + 0 * n, 45 + 0 * n, 48 + n // 10,
+                                                        48 + n % 10], axis=1)
+    fix = add.view("<u8").reshape(-1, 3)
+    fix -= (add < 0).view("<u8").reshape(-1, 3) << np.uint64(8)
+    fix = fix.T.copy()
+    del add, digits
+    # head words: " ", then right-aligned what comes before digit 1
+    head = np.zeros((7, 100, 8), np.uint8)
+    head[..., 0] = 32
+    t = np.arange(100)
+    head[0, :, 6], head[0, :, 7] = 48 + t // 10, 48 + t % 10      # E >= 1: two integer digits
+    head[1, :, 6], head[1, :, 7] = 48 + t % 10, 46                # E = 0 or exponent: "d0."
+    head[2, :, 7] = 48 + t % 10                                   # ... no digit after: "d0"
+    for z in range(4):                                            # E = -1..-4: "0.000d0"
+        head[3 + z, :, 7] = 48 + t % 10
+        head[3 + z, :, 5 - z:7] = list(b"0." + b"0" * z)
+    variant = np.where(point, 0, np.where((E >= -4) & (E <= -1), 2 - E, np.where(L > 0, 1, 2)))
+    del L, r, E, point
+    j = np.arange(2049)
+    low = np.floor((j - 1024) * np.log10(2.0)).astype(np.intp)   # never within 1e-4 of an integer
+    E = np.arange(-29, 17)
+    below = []                                                # the largest double below 10**E
+    for e in E.tolist():
+        d = float(10 ** e) if e >= 0 else 1 / 10 ** -e       # correctly rounded
+        n, m = d.as_integer_ratio() if e < 0 else (int(d), 1)
+        below.append(d if (n * 10 ** -e < m if e < 0 else n < 10 ** e) else np.nextafter(d, 0.0))
+    binade = np.where((low >= -29) & (low <= 15), low + 29, 0)
+    edge = np.array(below)[binade + 1]                        # row 0 here: row 1 from 1e-28 up
+    edge[(low < -29) | (low > 15) | (j < 2) | (j == 2048) | (binade == 44)] = np.inf
+    binade[0], binade[1] = _ROWS - 1, 0   # |x| >= 1e16 on row 44 carries to Python at 10**17
+    del j, low
+    k = [10 ** (16 - e) for e in E.tolist()]
     th = np.array([float(v) for v in k])
     hi = _VELTKAMP * th
     hi -= hi - th
     ten = np.stack([th, hi, th - hi, [float(v - int(float(v))) for v in k]])
-    return (group.view("<u8").reshape(-1), place, fix.reshape(4, -1), head.view("<u8").reshape(-1),
-            start, ten, np.where(np.arange(_ROWS) < _EXP_ROWS, 100, 1))
+    nine = np.array([9 * v if 1 <= e <= 15 else 0 for v, e in zip(k, E.tolist())], np.uint64)
+    ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48   # digits 1-4 of a group
+    place = (np.arange(1, 5, dtype=np.uint8) * (ascii != 48)).max(axis=1).astype(np.int16)
+    group = ascii.copy().view("<u4").reshape(-1)
+    del ascii
+    last = np.where(place > 0, _ROWS * place, -12 * _ROWS).astype(np.int16)
+    del place
+    return (binade, edge, ten, nine, group, last, fix, head.view("<u8").reshape(-1), 100 * variant)
 
 
 def _fixed_digits(a, row, ten):
-    """(D, u) for 1e-28 <= a < 1e16 and ``row`` = E + 29 or one off: D = round(a * 10**k) as
-    int64, k = 16 - E, rounded half to even as CPython rounds, and u, how far a * 10**k lay from
-    D, to within 2**-48.  With a and th split by Veltkamp, Dekker's a * th = p + e has no
-    rounding at all, and once p reaches 2**53 it is an even integer, so p + rint(e) is the
-    product rounded half to even.  a * tl adds less than 16 and under 2**-48 of rounding, so
-    the sum is off only where u lies that near 1/2."""
-    p = ten[0].take(row)
+    """(D, u) for 1e-28 <= a < 1e16 on ``row`` = E + 29: D = round(a * 10**k) as int64,
+    k = 16 - E, rounded half to even as CPython rounds, and u, how far a * 10**k lay from D, to
+    within 2**-48.  With a and th split by Veltkamp, Dekker's a * th = p + e has no rounding at
+    all, and once p reaches 2**53 it is an even integer, so p + rint(e) is the product rounded
+    half to even.  a * tl adds less than 16 and under 2**-48 of rounding, so the sum is off
+    only where u lies that near 1/2."""
+    p, bh, bl, tl = ten.take(row, axis=1)   # th, its halves and tl, one plane each
     p *= a
     ah = _VELTKAMP * a
     al = ah - a
     ah -= al
     np.subtract(a, ah, out=al)
-    bh = ten[1].take(row)
     e = ah * bh
     e -= p
     bh *= al
-    bl = ten[2].take(row)
     e += np.multiply(ah, bl, out=ah)
     e += bh
     e += np.multiply(al, bl, out=bl)
-    np.take(ten[3], row, out=ah)
-    e += np.multiply(ah, a, out=ah)
-    del al, bl
+    e += np.multiply(tl, a, out=tl)
+    del ah, al, bl, tl
     r = np.rint(e, out=bh)
     e -= r
     D = p.astype(np.int64)
@@ -339,119 +354,127 @@ def _fixed_digits(a, row, ten):
     return D, np.abs(e, out=e)
 
 
-def _digit_groups(D):
-    """(g, d0): the planes g[0..3] of the four 4-digit groups that end D, read as an unsigned
-    17-digit number (d0 one digit) or, in the exponent form, 19-digit (d0 three digits); D is
-    overwritten."""
-    D = D.view(np.uint64)
-    g = np.empty((4,) + D.shape, np.uint64)
-    np.floor_divide(D, 10 ** 8, out=g[1])                     # d0 and groups 0, 1
-    D -= g[1] * 10 ** 8                                       # groups 2, 3
-    np.floor_divide(D, 10 ** 4, out=g[2])
-    np.subtract(D, g[2] * 10 ** 4, out=g[3])
-    np.floor_divide(g[1], 10 ** 4, out=g[0])                  # d0 and group 0
-    g[1] -= g[0] * 10 ** 4
-    d0 = g[0] // 10 ** 4
-    g[0] -= d0 * 10 ** 4
-    return g.view(np.int64), d0.view(np.int64)
-
-
-def _last_place(g, place):
-    """The place, 1..16, of the last nonzero digit among 1..16 of each value, 0 for none, from
-    its groups g; only values whose digits 13-16 are all 0 look further left."""
-    last = place.take(g[3]) + 12
-    if not g[3].all():
-        zero = np.flatnonzero(g[3] == 0)
-        p = place.take(g.reshape(4, -1)[:, zero])
-        last.flat[zero] = np.max((p + np.arange(0, 16, 4)[:, None]) * (p > 0), axis=0)
-    return last
-
-
 def _python_cells(values: list):
-    """Python's own " %.17g" of each value, as (len(values), 5) cell words."""
-    return np.array([b" %.17g" % v for v in values], dtype="S40").view("<u8").reshape(-1, 5)
-
-
-def _fill_cells(xyz, cell) -> None:
-    """Write %.17g of each value of the (n, 3) array ``xyz`` into its (n, 3, 5) word cell."""
-    group, place, fix, head, start, ten, scale = _digit_tables()
-    a = np.abs(xyz)
-    outside = (a.view(np.uint64) - _FIXED_BITS[0]) >= _FIXED_BITS[1] - _FIXED_BITS[0]   # 0, NaN
-    slow = np.flatnonzero(outside) if outside.any() else None
-    del outside
-    if slow is not None:
-        a.flat[slow] = 1e16   # row 45 prints it as a zero; Python overwrites the others
-        slow = slow[xyz.flat[slow] != 0]
-    # E + 29, or one off; leaning away from E = 0, the guess is never E for an |x| just below
-    # 10**E, E < 0, whose D rounds up to 10**16 there and would print as 10**E
-    row = np.log10(a)
-    row *= _LOG_LEAN
-    row = np.floor(row, out=row).astype(np.intp)
-    row += 29
-    D, u = _fixed_digits(a, row, ten)
-    off = (D - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16      # D outside [10**16, 10**17)
-    if off.any():   # floor(log10 a) was one off, or D = 10**17 carries into E + 1
-        off = np.flatnonzero(off)
-        row.flat[off] += np.where(D.flat[off] < 10 ** 16, -1, 1)
-        D.flat[off], near = _fixed_digits(a.flat[off], row.flat[off], ten)
-        u.flat[off] = np.maximum(u.flat[off], near)   # a carry's first product may lie near half
-    if u.max(initial=0.0) > _NEAR_HALF:   # too near half-way for the float sum: Python writes it
-        near = np.flatnonzero(u > _NEAR_HALF)
-        slow = near if slow is None else np.concatenate((slow, near))
-    del a, u
-    D *= scale.take(row)                                      # read unsigned: it may wrap
-    g, d0 = _digit_groups(D)
-    del D
-    row += _ROWS * _last_place(g, place)                      # the row of fix
-    d0 += start.take(row)
-    w = (xyz.view(np.int64) >> 63).view(np.uint64)            # all ones where the sign bit is set
-    w &= 45 << 8                                              # "-" after the separator
-    w |= head.take(d0)
-    cell[..., 0] = w
-    del d0, w
-    w = group.take(g)
-    del g
-    w += fix.take(row, axis=1)
-    cell[..., 1:] = w.transpose(1, 2, 0)
-    if slow is not None and slow.size:
-        cell[slow // 3, slow % 3] = _python_cells(xyz.flat[slow].tolist())
+    """Python's own " %.17g" of each value, as (len(values), 4) cell words."""
+    return np.array([b" %.17g" % v for v in values], dtype="S32").view("<u8").reshape(-1, 4)
 
 
 def _obj_lines(tag: bytes, xyz) -> bytes:
     """The bytes of ``b"<tag> %.17g %.17g %.17g\\n" % row`` for each row of ``xyz``."""
-    out = np.zeros((len(xyz), 17), "<u8")
-    out[:, 0], out[:, 16] = int.from_bytes(tag, "little"), 10
-    _fill_cells(xyz, out[:, 1:16].reshape(-1, 3, 5))
-    text = out.tobytes()
-    del out   # translate allocates as much again as it reads
-    return text.translate(None, b"\0")
+    binade, edge, ten, nine, group, last, fix, head, hoff = _digit_tables()
+    m = len(xyz)
+    a = np.abs(xyz.T, out=np.empty((3, m)))                  # component planes
+    j = a.view(np.uint64) + np.uint64(2 ** 52 - 1)          # 0 for zero, 1 for subnormals
+    j >>= np.uint64(52)
+    j = j.view(np.int64)
+    row = binade.take(j)
+    row += a > edge.take(j)
+    del j
+    slow = None
+    if row.min() == 0:   # outside the kernel's range: Python writes it, the kernel a zero
+        slow = np.flatnonzero(row == 0)
+        a.flat[slow], row.flat[slow] = 0.0, _ROWS - 1
+    D, u = _fixed_digits(a, row, ten)
+    if D.max() >= 10 ** 17:   # a carry into E + 1, or |x| >= 1e16
+        off = np.flatnonzero(D >= 10 ** 17)
+        big = off[a.flat[off] >= 1e16]
+        row.flat[off] += 1
+        D.flat[off] = 10 ** 16
+        if big.size:
+            D.flat[big], row.flat[big] = 0, _ROWS - 1
+            slow = big if slow is None else np.concatenate((slow, big))
+    if u.max() > _NEAR_HALF:   # too near half-way for the float sum: Python writes it
+        near = np.flatnonzero(u > _NEAR_HALF)
+        slow = near if slow is None else np.concatenate((slow, near))
+    del u
+    X = D.view(np.uint64)
+    if row.max() >= 30:   # E >= 1: a digit 0 after the integer part, for the point
+        X += np.floor(a, out=a).astype(np.uint64) * nine.take(row)
+    del a, D
+    t = X // 10 ** 16
+    X -= t * 10 ** 16
+    # the 4-digit groups of digits 1..16, groups 0..3 on planes 1, 0, 3, 2
+    g = np.empty((4,) + X.shape, np.uint64)
+    np.floor_divide(X, 10 ** 8, out=g[0])
+    np.multiply(g[0], 10 ** 8, out=g[2])
+    np.subtract(X, g[2], out=g[2])
+    np.floor_divide(g[::2], 10 ** 4, out=g[1::2])
+    for i in (0, 2):   # X, no longer read, holds the products
+        g[i] -= np.multiply(g[i + 1], 10 ** 4, out=X)
+    del X
+    g = g.view(np.int64)
+    last46 = last.take(g)
+    last46 += _GROUP_OFFSET
+    row += last46.max(axis=0)                                # row + 46 * last
+    del last46
+    # the words of each value, on the planes of g: head, digits 1-8, digits 9-16, suffix
+    w = group.take(g)                                         # planes: groups 1, 0, 3, 2
+    words = g.view(np.uint64)
+    del g
+    np.left_shift(w[::2], np.uint64(32), out=words[1:3])     # groups 1 and 3: bytes 4..7
+    words[1:3] |= w[1::2]
+    del w
+    np.take(fix[2], row, out=words[3], mode="clip")
+    words[1:3] += fix[:2].take(row, axis=1)
+    t = t.view(np.int64)
+    t += hoff.take(row)
+    del row
+    np.take(head, t, out=words[0], mode="clip")
+    del t
+    sign = xyz.T.view(np.int64) >> 63
+    sign &= 45 << 8                                           # "-" after the separator
+    words[0] |= sign.view(np.uint64)
+    del sign
+    if slow is not None and slow.size:
+        c, i = np.divmod(slow, m)
+        words[:, c, i] = _python_cells(xyz.T[c, i].tolist()).T
+    # each line ends in a newline and the next line's tag, after the suffix's "e-NN"
+    words[3, 2] |= int.from_bytes(b"\n" + tag, "little") << 40
+    text = words.transpose(2, 1, 0).tobytes()
+    del words
+    text = text.translate(None, b"\0")
+    return tag + memoryview(text)[:-len(tag)]
 
 
-def _face_rows(lo: int, hi: int, nk: int):
-    """Rows of ``b"f %d %d %d %d\\n"`` for the row-major faces lo..hi-1, as little-endian uint64
-    words with NUL where no byte is printed: the 1-based indices of the corners (j,k), (j,k+1),
-    (j+1,k+1), (j+1,k).  Each index the faces touch is formatted once, into a cell of words
-    holding " %d", and the cells are gathered per corner."""
+def _face_runs(lo: int, hi: int, nk: int):
+    """The ``b"f %d %d %d %d\\n"`` lines of the row-major faces lo..hi-1, in runs over which
+    each corner keeps its digit count: (first face, (count, L) uint8 lines) for each run.  The
+    corners of a face at vertex a (1-based) are a, a + 1, a + nk + 1 and a + nk.  Each index
+    the faces touch is formatted once, zero-padded to 8 digits a word from the 4-digit table,
+    and a line copies the last digits of its corners' words."""
+    group = _digit_tables()[4]
     corner = np.arange(lo, hi)
-    corner += corner // (nk - 1) + 1   # the index of corner (j,k) of each face
-    # corners (j,k) and (j,k+1) lie in a..b, the other two nk further on, in b+1+gap..b+nk
-    a, b = int(corner[0]), int(corner[-1]) + 1
-    gap = max(a + nk - b - 1, 0)
-    v = np.r_[a:b + 1, b + 1 + gap:b + nk + 1]   # every index the faces touch, once
-    width = len(str(b + nk))
-    cells = np.zeros((len(v), (width + 8) // 8 * 8), np.uint8)
-    cells[:, 0] = ord(" ")
-    for i in range(width):
-        place = 10 ** (width - 1 - i)
-        np.copyto(cells[:, 1 + i], v // place % 10 + 48, casting="unsafe", where=v >= place)
-    cells = cells.view("<u8")
-    rows = np.empty((len(corner), 4 * cells.shape[1] + 2), "<u8")
-    rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
-    corners = rows[:, 1:-1].reshape(len(corner), 4, -1)
+    corner += corner // (nk - 1) + 1                          # vertex a of each face
+    a, last = int(corner[0]), int(corner[-1])
+    v = np.arange(a, last + nk + 2, dtype=np.uint64)          # every index the faces touch
+    parts = [v] if last + nk + 1 < 10 ** 8 else [v // 10 ** 8, v % 10 ** 8]
+    words = np.empty((len(v), len(parts)), "<u8")
+    for i, part in enumerate(parts):
+        high = part // 10 ** 4
+        part = part - high * 10 ** 4
+        words[:, i] = group.take(high.view(np.int64))
+        words[:, i] |= group.take(part.view(np.int64)).astype(np.uint64) << np.uint64(32)
+    digits = words.view(np.uint8).reshape(len(v), -1)
+    offsets = (0, 1, nk + 1, nk)
+    cuts = {lo, hi}   # where a corner's index reaches a power of ten
+    for o in offsets:
+        for d in range(len(str(a + o)), len(str(last + o))):
+            j, k = divmod(10 ** d - o - 1, nk)
+            cuts.add(j * (nk - 1) + k)
+    cuts = sorted(cuts)
     corner -= a
-    for i, offset in enumerate((0, 1, nk + 1 - gap, nk - gap)):
-        corners[:, i] = cells[corner + offset]
-    return rows
+    for start, stop in zip(cuts, cuts[1:]):
+        width = [len(str(a + int(corner[start - lo]) + o)) for o in offsets]
+        cells = digits.take(corner[start - lo:stop - lo, None] + offsets, axis=0)
+        lines = np.empty((stop - start, 6 + sum(width)), np.uint8)
+        lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
+        at = 1
+        for i, w in enumerate(width):
+            lines[:, at] = ord(" ")
+            lines[:, at + 1:at + 1 + w] = cells[:, i, -w:]
+            at += w + 1
+        del cells
+        yield start, lines
 
 
 def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> None:
@@ -474,18 +497,19 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
             rows = arr.reshape(-1, 3)
             for start in range(0, len(rows), _OBJ_ROWS):
                 fh.write(_obj_lines(tag, rows[start:start + _OBJ_ROWS]))
-        # one chunk's lines live at a time, as bytes; a run between degenerate faces is a slice
+        # one run of lines lives at a time; a stretch between degenerate faces is a slice of it
         faces = (nj - 1) * (nk - 1)
         for lo in range(0, faces, _OBJ_FACES):
-            hi = min(lo + _OBJ_FACES, faces)
-            lines = _face_rows(lo, hi, nk)
-            width, lines, start = lines.itemsize * lines.shape[1], lines.tobytes(), 0
-            a, b = np.searchsorted(degenerate, (lo, hi))
-            for i in (degenerate[a:b] - lo).tolist() + [hi - lo]:
-                fh.write(lines[start * width:i * width].translate(None, b"\0"))
-                fh.write(b"# degenerate %d %d\n" % divmod(lo + i, nk - 1) if i < hi - lo else b"")
-                start = i + 1
-            del lines   # before the next chunk is formed
+            for first, lines in _face_runs(lo, min(lo + _OBJ_FACES, faces), nk):
+                stop = first + len(lines)
+                a, b = np.searchsorted(degenerate, (first, stop))
+                start = 0
+                for i in (degenerate[a:b] - first).tolist() + [stop - first]:
+                    fh.write(lines[start:i])
+                    fh.write(b"# degenerate %d %d\n" % divmod(first + i, nk - 1)
+                             if i < stop - first else b"")
+                    start = i + 1
+                del lines   # before the next run is formed
 
 
 @dataclass(frozen=True)

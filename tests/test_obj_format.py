@@ -159,10 +159,11 @@ def test_a_log10_guess_one_ulp_off_is_corrected(monkeypatch, toward):
 
 
 def test_one_chunk_adds_no_more_than_before():
-    """One 680-row chunk with zeros and both notations: 237.4 KiB, where a 512-row chunk took
-    244.4 KiB while Python wrote the zeros and the exponent form.  The bound is the 265.7 KiB
-    the writer added when it gathered point and keep words apart from the group words; the
-    desk_annulus job's allocation peak sits beside this chunk."""
+    """One 1000-row chunk with zeros and both notations: 238.6 KiB in four-word cells, where a
+    680-row chunk took 237.4 KiB in five-word cells and a 512-row chunk 244.4 KiB while Python
+    wrote the zeros and the exponent form.  The bound is the 265.7 KiB the writer added when it
+    gathered point and keep words apart from the group words; the desk_annulus job's
+    allocation peak sits beside this chunk."""
     rows = mesh(2, cli._OBJ_ROWS // 2, seed=5).x.reshape(-1, 3)
     cli._obj_lines(b"v", rows)
     tracemalloc.start()
@@ -240,5 +241,49 @@ def test_face_runs_match_the_joined_writer(tmp_path):
     degenerate = np.zeros((3, F + 1), dtype=bool)
     degenerate.flat[[F, 2 * F - 1, 2 * F + 3, 2 * F + 4, 3 * F + 2]] = True
     path = tmp_path / "mesh.obj"
+    cli.export_obj(net, str(path), np.flatnonzero(degenerate))
+    assert path.read_bytes() == joined_obj(net, degenerate)
+
+
+# values at the edges of the kernel's ranges: zeros, 1e-28 (Python below it), 1e-5 (the exponent
+# form below 1e-4) and 1e16 (Python from it on), each with its neighbours
+EDGES = np.array([0.0, -0.0, 1e-28, 1e-5, 1e16])
+EDGES = np.concatenate([EDGES, np.nextafter(EDGES, 0.0), np.nextafter(EDGES, np.inf)])
+
+
+@st.composite
+def writer_cases(draw):
+    """(net, degenerate): a mesh whose v/vn lines cross 0..3 chunk boundaries or whose f lines
+    cross 1..2, with seeded coordinates, some of them at the edges (either sign), normals with
+    zeros of either sign, and degenerate faces at random, at times the first and the last face
+    of an f chunk among them."""
+    rows, faces = cli._OBJ_ROWS, cli._OBJ_FACES
+    if draw(st.booleans()):
+        crossed, nj = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        nk = draw(st.integers(-(-(crossed * rows + 1) // nj), (crossed + 1) * rows // nj))
+    else:
+        crossed, nj = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+        nk = 1 + draw(st.integers(-(-(crossed * faces + 1) // (nj - 1)),
+                                  (crossed + 1) * faces // (nj - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(nj, nk, 3)) * 10.0 ** rng.integers(-8, 12, size=(nj, nk, 3))
+    edge = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    x[edge] = rng.choice(EDGES, edge.sum()) * rng.choice([-1.0, 1.0], edge.sum())
+    n = rng.normal(size=(nj, nk, 3))
+    zero = rng.random(n.shape) < 0.2                          # zeros of either sign,
+    zero[..., 2] &= ~(zero[..., 0] & zero[..., 1])            # never all three
+    n[zero] *= 0.0
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    degenerate = rng.random((max(nj - 1, 0), max(nk - 1, 0))) < draw(st.sampled_from([0.0, 0.02]))
+    for start in range(faces, degenerate.size, faces):   # the faces either side of a chunk edge
+        degenerate.flat[start - 1:start + 1] = draw(st.booleans()), draw(st.booleans())
+    return ContactElementNet(x, n), degenerate
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(writer_cases())
+def test_whole_meshes_match_the_joined_writer(tmp_path_factory, case):
+    net, degenerate = case
+    path = tmp_path_factory.mktemp("mesh") / "mesh.obj"
     cli.export_obj(net, str(path), np.flatnonzero(degenerate))
     assert path.read_bytes() == joined_obj(net, degenerate)
