@@ -244,6 +244,7 @@ def rotation_step(cfg: dict):
 # took in five-word cells (tests/test_obj_format.py, test_one_chunk_adds_no_more_than_before).
 _OBJ_ROWS = 1000   # vertices per formatted chunk: bounds the writer's memory
 _OBJ_FACES = 4096   # faces per run of f lines, for the same reason
+_SHORT_RUN = 32   # below it a run of f lines is cheaper through %d than through digit words
 _VELTKAMP = 134217729.0   # 2**27 + 1: splits a float64 into two halves of at most 26 bits
 _ROWS, _EXP_ROWS = 46, 25   # rows E + 29 for E = -29..16; E < -4 is the exponent form
 _NEAR_HALF = 0.5 - 2.0 ** -40   # a product this near half-way is left to Python
@@ -439,22 +440,14 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
 def _face_runs(lo: int, hi: int, nk: int):
     """The ``b"f %d %d %d %d\\n"`` lines of the row-major faces lo..hi-1, in runs over which
     each corner keeps its digit count: (first face, (count, L) uint8 lines) for each run.  The
-    corners of a face at vertex a (1-based) are a, a + 1, a + nk + 1 and a + nk.  Each index
-    the faces touch is formatted once, zero-padded to 8 digits a word from the 4-digit table,
-    and a line copies the last digits of its corners' words."""
-    group = _digit_tables()[4]
+    corners of a face at vertex a (1-based) are a, a + 1, a + nk + 1 and a + nk.  A run of
+    ``_SHORT_RUN`` faces or more copies its lines from digit words: each index the faces touch
+    is formatted once, zero-padded to 8 digits a word from the 4-digit table, and a line copies
+    the last digits of its corners' words.  A shorter run, where those calls cost more than
+    the lines, is formatted by ``%d``."""
     corner = np.arange(lo, hi)
     corner += corner // (nk - 1) + 1                          # vertex a of each face
     a, last = int(corner[0]), int(corner[-1])
-    v = np.arange(a, last + nk + 2, dtype=np.uint64)          # every index the faces touch
-    parts = [v] if last + nk + 1 < 10 ** 8 else [v // 10 ** 8, v % 10 ** 8]
-    words = np.empty((len(v), len(parts)), "<u8")
-    for i, part in enumerate(parts):
-        high = part // 10 ** 4
-        part = part - high * 10 ** 4
-        words[:, i] = group.take(high.view(np.int64))
-        words[:, i] |= group.take(part.view(np.int64)).astype(np.uint64) << np.uint64(32)
-    digits = words.view(np.uint8).reshape(len(v), -1)
     offsets = (0, 1, nk + 1, nk)
     cuts = {lo, hi}   # where a corner's index reaches a power of ten
     for o in offsets:
@@ -462,10 +455,18 @@ def _face_runs(lo: int, hi: int, nk: int):
             j, k = divmod(10 ** d - o - 1, nk)
             cuts.add(j * (nk - 1) + k)
     cuts = sorted(cuts)
-    corner -= a
+    digits = None
     for start, stop in zip(cuts, cuts[1:]):
-        width = [len(str(a + int(corner[start - lo]) + o)) for o in offsets]
-        cells = digits.take(corner[start - lo:stop - lo, None] + offsets, axis=0)
+        run = corner[start - lo:stop - lo]
+        if stop - start < _SHORT_RUN:
+            text = b"".join([b"f %d %d %d %d\n" % (v, v + 1, v + nk + 1, v + nk)
+                             for v in run.tolist()])
+            yield start, np.frombuffer(text, np.uint8).reshape(stop - start, -1)
+            continue
+        if digits is None:
+            digits = _index_digits(a, last + nk + 1)
+        width = [len(str(int(run[0]) + o)) for o in offsets]
+        cells = digits.take((run - a)[:, None] + offsets, axis=0)
         lines = np.empty((stop - start, 6 + sum(width)), np.uint8)
         lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
         at = 1
@@ -475,6 +476,21 @@ def _face_runs(lo: int, hi: int, nk: int):
             at += w + 1
         del cells
         yield start, lines
+
+
+def _index_digits(first: int, last: int):
+    """The decimal digits of the indices first..last, one uint8 row each, zero-padded to 8
+    digits a word (16 from 10**8 on) from the 4-digit table."""
+    group = _digit_tables()[4]
+    v = np.arange(first, last + 1, dtype=np.uint64)
+    parts = [v] if last < 10 ** 8 else [v // 10 ** 8, v % 10 ** 8]
+    words = np.empty((len(v), len(parts)), "<u8")
+    for i, part in enumerate(parts):
+        high = part // 10 ** 4
+        part = part - high * 10 ** 4
+        words[:, i] = group.take(high.view(np.int64))
+        words[:, i] |= group.take(part.view(np.int64)).astype(np.uint64) << np.uint64(32)
+    return words.view(np.uint8).reshape(len(v), -1)
 
 
 def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> None:

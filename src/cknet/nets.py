@@ -169,16 +169,25 @@ def _cross(a, b):
 
 
 def _face_pass(net: ContactElementNet, rows: slice):
-    """K, the degenerate mask and the normals N on the face rows ``rows`` (a unit-step slice
-    with a start), from one pass: the cross products of the diagonals of x, then of n, and N."""
+    """K, the degenerate mask, the unit normals N and det(xd1, xd2, N) on the face rows
+    ``rows`` (a unit-step slice with a start), from one pass: the cross products of the
+    diagonals of x, then of n, and N.  N is not oriented: negating it negates both
+    determinants exactly, so K and the mask |det_x| <= 1e-12 read the same bits either way;
+    ``reference.face_normal`` flips N where det_x < 0."""
     j0, stop, _ = rows.indices(net.shape[0] - 1)
     x, n = net.x[j0:stop + 1], net.n[j0:stop + 1]
     c_x = _cross(x[1:, 1:] - x[:-1, :-1], x[1:, :-1] - x[:-1, 1:])   # xd1 x xd2
     c_n = _cross(n[1:, 1:] - n[:-1, :-1], n[1:, :-1] - n[:-1, 1:])   # nd1 x nd2
     # batched 1x3 @ 3x1 products round like np.linalg.norm; the loop redoes faces of short c_n
+    nn = (c_n[..., None, :] @ c_n[..., :, None])[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        N = c_n / np.sqrt((c_n[..., None, :] @ c_n[..., :, None])[..., 0])
-    for j, k in zip(*np.nonzero(np.linalg.norm(c_n, axis=-1) <= _RANK_TOL)):
+        N = c_n / np.sqrt(nn)[..., None]
+    # a short c_n has nn within rounding of _RANK_TOL**2 or below, so the exact norms run
+    # only on a block with some nn <= 4 _RANK_TOL**2, or NaN
+    short = ()
+    if not np.min(nn, initial=np.inf) > 4.0 * _RANK_TOL ** 2:
+        short = np.nonzero(np.linalg.norm(c_n, axis=-1) <= _RANK_TOL)
+    for j, k in zip(*short):
         nd1, nd2 = n[j + 1, k + 1] - n[j, k], n[j + 1, k] - n[j, k + 1]
         m = nd1 if np.linalg.norm(nd1) >= np.linalg.norm(nd2) else nd2
         if np.linalg.norm(m) > _RANK_TOL:
@@ -195,12 +204,9 @@ def _face_pass(net: ContactElementNet, rows: slice):
                                      "neither normal nor position diagonals span a plane")
         N[j, k] = v / np.linalg.norm(v)
     det_x = np.einsum("...i,...i->...", c_x, N)
-    flip = det_x < 0
-    N[flip] *= -1.0
-    np.negative(det_x, out=det_x, where=flip)   # exactly det(xd1, xd2, N) of the flipped N
     degenerate = np.abs(det_x) <= 1e-12
     K = np.einsum("...i,...i->...", c_n, N) / np.where(degenerate, 1.0, det_x)
-    return K, degenerate, N
+    return K, degenerate, N, det_x
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +224,21 @@ def validate_ec(net: ContactElementNet, rows: slice = slice(None)) -> float:
     return float(np.maximum(np.max(ec_j), np.max(ec_k)))
 
 
+def _dot3(a, b):
+    """<a, b> over a last axis of length 3, from its planes added (p0 + p1) + p2 as numpy adds
+    that axis: the bits of ``np.linalg.norm(a, axis=-1)`` as ``sqrt(_dot3(a, a))``, and of
+    ``(a * b).sum(axis=-1)`` but for the sign of a zero (three products of -0 give -0 here and
+    +0 there; every caller takes |.|), without the product array or the norm's conj copy."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    return out
+
+
 def unit_normal_residual(net: ContactElementNet, rows: slice = slice(None)) -> float:
-    """max | |n| - 1 | over the vertices of the rows."""
-    return float(np.max(np.abs(np.linalg.norm(net.n[rows], axis=-1) - 1.0)))
+    """max | |n| - 1 | over the vertices of the rows, |n| summed as ``_dot3`` sums."""
+    n = net.n[rows]
+    return float(np.max(np.abs(np.sqrt(_dot3(n, n)) - 1.0)))
 
 
 def period_drift(net: ContactElementNet, period: int, rows: slice = slice(None)) -> float:
@@ -236,10 +254,10 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
     distance |sin alpha|, normal angle alpha, and edge orthogonality to both normals."""
     bn, nn = base.n[rows], new.n[rows]
     dx = new.x[rows] - base.x[rows]
-    dist = np.abs(np.linalg.norm(dx, axis=-1) - abs(np.sin(alpha)))
-    # (a * b).sum adds the three products in order whatever the layout; einsum does not
-    ang = np.abs((bn * nn).sum(axis=-1) - np.cos(alpha))
-    orth = np.maximum(np.abs((dx * bn).sum(axis=-1)), np.abs((dx * nn).sum(axis=-1)))
+    # _dot3 adds the three products in order whatever the layout; einsum does not
+    dist = np.abs(np.sqrt(_dot3(dx, dx)) - abs(np.sin(alpha)))
+    ang = np.abs(_dot3(bn, nn) - np.cos(alpha))
+    orth = np.maximum(np.abs(_dot3(dx, bn)), np.abs(_dot3(dx, nn)))
     return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
 
 
@@ -263,7 +281,7 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = F
     worst, degenerate = {}, []
     for j in range(0, max(nj - 1, 1), step):
         rows = slice(j, j + step if j + step < nj - 1 else nj)   # the last block ends the grid
-        K, bad, _ = _face_pass(net, rows)
+        K, bad, *_ = _face_pass(net, rows)
         found = {"gauss": np.max(np.abs(K[~bad] - K_sign), initial=-np.inf)}
         degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
         if edge:

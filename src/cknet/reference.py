@@ -341,9 +341,13 @@ def face_normal(net: ContactElementNet) -> np.ndarray:
     the component of xd1 x xd2 orthogonal to that line is used; when they
     both vanish, N falls back to the normalized xd1 x xd2.  A face whose
     x-diagonals are also degenerate raises DegenerateFace.  Cross products
-    and vectors of norm at most 1e-10 count as degenerate.
+    and vectors of norm at most 1e-10 count as degenerate.  The face pass
+    leaves N unoriented, since K and its degenerate mask do not read the
+    sign; the flip is made here, where det(xd1, xd2, N) < 0.
     """
-    return _face_pass(net, slice(0, None))[2]
+    *_, N, det_x = _face_pass(net, slice(0, None))
+    N[det_x < 0] *= -1.0
+    return N
 
 
 _PRINCIPAL_TOL = 1e-8   # largest |dn + R dx| / max(1, |dn|) of curvature-line data

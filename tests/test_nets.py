@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cknet import nets, reference as ref
@@ -233,6 +234,29 @@ def test_face_normal_rcnet_orthogonal_to_normal_diagonals():
     assert_allclose(np.linalg.norm(N, axis=-1), 1.0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.05, 0.3]))
+def test_plane_sums_match_numpy_bit_for_bit(seed, special):
+    """``nets._dot3`` adds the planes as numpy 2.4 adds a length-3 last axis, (p0 + p1) + p2
+    (p0 + (p1 + p2) differs on about one triple in five): the bits of ``np.linalg.norm(a,
+    axis=-1)``, and of ``(a * b).sum(axis=-1)`` up to the sign of a zero sum (numpy's sum adds
+    three products of -0 to +0, the planes to -0; adding +0 maps -0 to +0 and keeps every
+    other bit), on triples of one magnitude from 1e-150 to 1e150, with +-0, NaN and inf, and
+    on strided row slices."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(9, 40, 3)) * 10.0 ** rng.uniform(-150, 150, size=(9, 40, 1))
+            for _ in range(2))
+    for v in (a, b):
+        hit = rng.random(v.shape) < special
+        v[hit] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], hit.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q in ((a, b), (a[::2], b[::2]), (a[1::3], b[::3]), (a[:, 1::2], b[:, ::2]),
+                     (a[:8:2, :39:3], a[1::2, 1::3])):
+            assert (nets._dot3(p, q) + 0.0).tobytes() == (p * q).sum(axis=-1).tobytes()
+            assert (np.sqrt(nets._dot3(p, p)).tobytes()
+                    == np.linalg.norm(p, axis=-1).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # curvatures
 
@@ -340,6 +364,50 @@ def test_degenerate_face_in_a_later_block_names_its_grid_index():
         cross_product_report(broken)
     with pytest.raises(DegenerateFace, match=r"face \(64,20\)"):
         curvature_report(broken)
+
+
+def near_tolerance_net(rank, bad=()):
+    """A curved 40 x 64 net (two blocks of face rows) whose face (5, 7) has its normals
+    tilted from one unit vector so that |nd1 x nd2| = ``rank``; the faces in ``bad`` get
+    constant normals and parallel position diagonals."""
+    j, k = np.meshgrid(np.arange(40.0), np.arange(64.0), indexing="ij")
+    x = np.stack([j, k, np.sin(0.3 * j) * np.cos(0.2 * k)], axis=-1)
+    n = np.stack([-0.3 * np.cos(0.3 * j) * np.cos(0.2 * k),
+                  0.2 * np.sin(0.3 * j) * np.sin(0.2 * k), np.ones_like(j)], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    for fj, fk in bad:
+        x[fj + 1, fk + 1] = x[fj, fk] + (x[fj + 1, fk] - x[fj, fk + 1])
+        n[fj:fj + 2, fk:fk + 2] = n[fj, fk]
+    u, tilt = n[5, 7], 1e-5
+    n[5, 8] = u
+    for _ in range(4):   # |nd1 x nd2| grows as tilt**2
+        n[6, 8], n[6, 7] = (v / np.linalg.norm(v) for v in (u + tilt * np.array([1.0, 0.0, 0.0]),
+                                                              u + tilt * np.array([0.0, 1.0, 0.0])))
+        nd1, nd2 = n[6, 8] - n[5, 7], n[6, 7] - n[5, 8]
+        tilt *= np.sqrt(rank / np.linalg.norm(np.cross(nd1, nd2)))
+    return ContactElementNet(x, n)
+
+
+@pytest.mark.parametrize("rank, exact", [(0.9e-10, True), (1.5e-10, True), (2.0001e-10, False)],
+                         ids=["short", "exact_norms", "batched_only"])
+def test_faces_near_the_rank_tolerance(rank, exact):
+    """|nd1 x nd2| in (1e-10, 2e-10] sends the face's block to the exact norms, where no face
+    is short; just above 2e-10 the batched squared norm alone clears it; just below 1e-10 the
+    face is short and takes the fallback.  Each way the report matches the seven crosses, the
+    first bad face is named, and N is oriented."""
+    net = near_tolerance_net(rank)
+    _, _, nd1, nd2 = face_diagonals(net)
+    c = np.cross(nd1, nd2)
+    norms = np.linalg.norm(c, axis=-1)
+    assert abs(norms[5, 7] / rank - 1.0) < 1e-9 and np.sort(norms, axis=None)[1] > 1e-8
+    assert (c[5, 7] @ c[5, 7] <= 4.0 * nets._RANK_TOL ** 2) == exact
+    assert_report_matches_seven_crosses(net)
+    xd1, xd2, _, _ = face_diagonals(net)
+    assert np.all(np.einsum("...i,...i->...", np.cross(xd1, xd2), face_normal(net)) >= 0.0)
+    broken = near_tolerance_net(rank, bad=[(5, 30), (35, 20)])
+    for report in (cross_product_report, curvature_report, face_normal):
+        with pytest.raises(DegenerateFace, match=r"face \(5,30\)"):
+            report(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cknet import cli
 from cknet.nets import ContactElementNet
@@ -280,8 +280,22 @@ def writer_cases(draw):
     return ContactElementNet(x, n), degenerate
 
 
+def desk_case(nj=7, nk=43):
+    """(net, degenerate) of a desk-size mesh whose one f chunk holds runs on both sides of
+    ``_SHORT_RUN`` (8, 1, 45, 1, 41, 1 and 155 faces), with degenerate faces in a short run,
+    in a one-face run and in a long run."""
+    faces = (nj - 1) * (nk - 1)
+    runs = [len(lines) for _, lines in cli._face_runs(0, faces, nk)]
+    assert min(runs) < cli._SHORT_RUN <= max(runs)
+    net = mesh(nj, nk, seed=nk)
+    degenerate = np.zeros((nj - 1, nk - 1), dtype=bool)
+    degenerate.flat[[3, 8, 60]] = True
+    return net, degenerate
+
+
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(writer_cases())
+@example(desk_case())
 def test_whole_meshes_match_the_joined_writer(tmp_path_factory, case):
     net, degenerate = case
     path = tmp_path_factory.mktemp("mesh") / "mesh.obj"
