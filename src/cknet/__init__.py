@@ -65,3 +65,37 @@ def _reference_shim(module: str):
             return getattr(import_module(f"{__name__}.reference"), name)
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
     return shim
+
+
+class _Record:
+    """Read-only record over its ``__slots__``: ``_fill`` sets each, then runs ``__post_init__``."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}: the record is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

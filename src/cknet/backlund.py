@@ -57,12 +57,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import quat
+from . import _Record, quat
 from .connect import HsLaxData, lax_entries
 from .errors import BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit
 from .nets import ContactElementNet, explicit_sym
@@ -263,16 +261,17 @@ def single_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
 # double transforms
 
 
-@dataclass(frozen=True)
-class DoubleReport:
+class DoubleReport(_Record):
     """Reality and unitarity residues of a double transform."""
 
-    imag_residue: float
-    unit_residual: float
+    __slots__ = ("imag_residue", "unit_residual")
+
+    def __init__(self, imag_residue: float, unit_residual: float):
+        self._fill(imag_residue, unit_residual)
 
 
 def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
-                    s_tilde0: complex = 1.0, s_hat0: Optional[complex] = None):
+                    s_tilde0: complex = 1.0, s_hat0: complex | None = None):
     """Double Backlund transform with beta = -alpha and real sin(alpha), of the rotational
     net of the normal-form data ``hs`` (its profile ``hs.profile``) at the column angles ``ang``.
 
@@ -334,8 +333,7 @@ def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
 # rotational periodicity
 
 
-@dataclass(frozen=True)
-class PeriodicAlpha:
+class PeriodicAlpha(_Record):
     """Root of the periodicity condition: angle, phase index, trace residual.
 
     alpha is real when the recurrence closes for an ordinary transform
@@ -344,16 +342,17 @@ class PeriodicAlpha:
     residual is |tr^2/det - c| of B[0] at alpha, at most ``_CLOSE_TOL``.
     """
 
-    alpha: complex
-    p: int
-    residual: float
+    __slots__ = ("alpha", "p", "residual")
+
+    def __init__(self, alpha: complex, p: int, residual: float):
+        self._fill(alpha, p, residual)
 
 
 _CLOSE_TOL = 1e-12   # largest trace residual of a root
 _Y_MAX = 8.0   # largest y of a root alpha = pi/2 + iy
 
 
-def find_periodic_alpha(hs: HsLaxData, N0: int, p: Optional[int] = None) -> PeriodicAlpha:
+def find_periodic_alpha(hs: HsLaxData, N0: int, p: int | None = None) -> PeriodicAlpha:
     """Transform angle whose rotational recurrence closes after N0 steps, in closed form.
 
     B = B[0] closes when its eigenvalue ratio is e^{2 pi i p / N0}, that is

@@ -21,15 +21,14 @@ command does not read, too), 3 numeric failure.
 
 from __future__ import annotations
 
-import configparser
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite, lcm
 
 import numpy as np
 
+from . import _Record
 from .backlund import (_CLOSE_TOL, _require_real_angle, double_backlund, find_periodic_alpha,
                        single_backlund)
 from .connect import build_ck_connection, gauge_to_hs
@@ -87,6 +86,7 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"config key {sec}.{key} = {value!r} is not a string or "
                                       "a number")
         return doc
+    import configparser   # only an INI config reads it: kept out of the CLI's import
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -528,20 +528,18 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
                 del lines   # before the next run is formed
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One measured invariant: its worst residual against the tolerance.
 
     ``passed`` is residual <= tolerance, so a NaN or inf residual fails.
     """
 
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool = field(init=False)
+    __slots__ = ("name", "max_residual", "tolerance", "passed")
+
+    def __init__(self, name: str, max_residual: float, tolerance: float):
+        self._fill(name, float(max_residual), tolerance)
 
     def __post_init__(self):
-        object.__setattr__(self, "max_residual", float(self.max_residual))
         object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 

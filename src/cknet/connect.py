@@ -38,18 +38,15 @@ on a unit vertex function s and edge angles delta with sin(delta) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import _reference_shim, quat
+from . import _Record, _reference_shim, quat
 from .errors import BranchFailure, CaseMismatch, ConfigError, DivisionByZero, InvalidProfile
 from .lattice import ConnectionFamily, MatJet
 from .revolution import Profile, _require_step
 
 
-@dataclass(frozen=True)
-class CkEdgeData:
+class CkEdgeData(_Record):
     """Scalar edge data of a rotational flat connection at t = 0, seeded from ``profile``.
 
     The profile's K_sign and, for K = +1, kappa choose the construction.
@@ -61,13 +58,10 @@ class CkEdgeData:
     same number for every row.  u and v are real when K = +1.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    v_frak: np.ndarray
-    h_frak: np.ndarray
-    alpha0: np.ndarray
-    beta0: np.ndarray
-    profile: Profile
+    __slots__ = ("u", "v", "v_frak", "h_frak", "alpha0", "beta0", "profile")
+
+    def __init__(self, u, v, v_frak, h_frak, alpha0, beta0, profile: Profile):
+        self._fill(u, v, v_frak, h_frak, alpha0, beta0, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +141,7 @@ def build_ck_connection(p: Profile, theta: float):
 # gauge to the normal (Lax) form, K = -1
 
 
-@dataclass(frozen=True)
-class HsLaxData:
+class HsLaxData(_Record):
     """Scalar data of the gauged K=-1 normal form.
 
     s is the unit vertex function per profile column; ell and m are the
@@ -160,14 +153,10 @@ class HsLaxData:
     s: one matrix per profile row, of shape (nj, 1, 2, 2).
     """
 
-    s: np.ndarray
-    ell: np.ndarray
-    m: np.ndarray
-    delta1: np.ndarray
-    delta2: complex
-    u: np.ndarray
-    profile: Profile
-    gauge: MatJet = field(repr=False, compare=False, default=None)
+    __slots__ = ("s", "ell", "m", "delta1", "delta2", "u", "profile", "gauge")
+
+    def __init__(self, s, ell, m, delta1, delta2: complex, u, profile: Profile, gauge=None):
+        self._fill(s, ell, m, delta1, delta2, u, profile, gauge)
 
 
 def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):

@@ -18,36 +18,30 @@ and inverses propagate both layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
 import numpy as np
 
-from . import _reference_shim, quat
+from . import _Record, _reference_shim, quat
 
 
 # ---------------------------------------------------------------------------
 # matrix jets
 
 
-@dataclass(frozen=True)
-class MatJet:
+class MatJet(_Record):
     """First-order jet of a matrix family t -> A(t): value and derivative.
 
     Both layers are complex arrays of shape (..., 2, 2); leading axes index
     lattice sites or edges.
     """
 
-    val: np.ndarray
-    dot: np.ndarray
+    __slots__ = ("val", "dot")
+
+    def __init__(self, val: np.ndarray, dot: np.ndarray):
+        self._fill(np.asarray(val, dtype=complex), np.asarray(dot, dtype=complex))
 
     def __post_init__(self):
-        val = np.asarray(self.val, dtype=complex)
-        dot = np.asarray(self.dot, dtype=complex)
-        if val.shape != dot.shape:
-            raise ValueError(f"val/dot shape mismatch: {val.shape} vs {dot.shape}")
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "dot", dot)
+        if self.val.shape != self.dot.shape:
+            raise ValueError(f"val/dot shape mismatch: {self.val.shape} vs {self.dot.shape}")
 
     @staticmethod
     def constant(val):
@@ -86,8 +80,7 @@ def jet_residual(a: MatJet, b: MatJet) -> float:
 # families
 
 
-@dataclass(frozen=True)
-class ConnectionFamily:
+class ConnectionFamily(_Record):
     """Edge matrices of a k-invariant family as jets in t, anchored at the base parameter t0.
 
     L holds the edges (j,k)->(j+1,k) and M the edges (j,k)->(j,k+1), once
@@ -97,12 +90,10 @@ class ConnectionFamily:
     when present, reconstructs the same family anchored at another t.
     """
 
-    L: MatJet
-    M: MatJet
-    t0: float = 0.0
-    rebuild: Optional[Callable[[float], "ConnectionFamily"]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("L", "M", "t0", "rebuild")
+
+    def __init__(self, L: MatJet, M: MatJet, t0: float = 0.0, rebuild=None):
+        self._fill(L, M, t0, rebuild)
 
     def __post_init__(self):
         nj = self.M.shape[0]

@@ -38,26 +38,22 @@ One reality rule holds for every Sym net: an imaginary part beyond 1e-6 raises R
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import _reference_shim
+from . import _Record, _reference_shim
 from .errors import DegenerateFace, RealityViolated, Singular
 
 
-@dataclass(frozen=True)
-class ContactElementNet:
+class ContactElementNet(_Record):
     """Positions and unit normals on a rectangular grid: C-contiguous float64, shape (nj, nk, 3);
     ``unit_residual``, max | |n| - 1 | (at most 1e-8), is measured once, on construction."""
 
-    x: np.ndarray
-    n: np.ndarray
-    unit_residual: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("x", "n", "unit_residual")
+
+    def __init__(self, x: np.ndarray, n: np.ndarray):
+        self._fill(np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(n, dtype=float))
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
-        object.__setattr__(self, "n", np.ascontiguousarray(self.n, dtype=float))
         if self.x.shape != self.n.shape or self.x.ndim != 3 or self.x.shape[-1] != 3:
             raise ValueError(f"bad net shapes: x {self.x.shape}, n {self.n.shape}")
         # np.max, unlike max, carries a NaN through to the check

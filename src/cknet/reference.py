@@ -12,10 +12,9 @@ helpers these use.  No net command loads this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
+from . import _Record
 from .connect import CkEdgeData, HsLaxData, _normalised, lax_entries
 from .errors import (BranchFailure, CaseMismatch, ConfigError, DegenerateEdge, DegenerateGeometry,
                      InvalidProfile, NotPrincipal, ZeroEdge)
@@ -80,15 +79,15 @@ def conjugate_rotate(R, v):
 # parallel frames, gauges and the Sym formula of frames
 
 
-@dataclass(frozen=True)
-class FrameFamily:
+class FrameFamily(_Record):
     """Vertex frames Phi = rows @ cols as jets: rows (nj, 1, 2, 2) for frames that factor,
     (nj, nk, 2, 2) for dense ones; cols (nk, 2, 2), by default the identity.  The factors
     give the grid shape (nj, nk); ``Phi`` forms the (nj, nk, 2, 2) grid only when it is read."""
 
-    rows: MatJet
-    t0: float = 0.0
-    cols: MatJet = field(default_factory=lambda: MatJet.constant(np.eye(2)[None]))
+    __slots__ = ("rows", "t0", "cols")
+
+    def __init__(self, rows: MatJet, t0: float = 0.0, cols: MatJet = None):
+        self._fill(rows, t0, MatJet.constant(np.eye(2)[None]) if cols is None else cols)
 
     def __post_init__(self):
         if len(self.rows.shape) != 4 or len(self.cols.shape) != 3:
@@ -125,7 +124,7 @@ def gauge_frame(frames: FrameFamily, G: MatJet) -> FrameFamily:
 
     G multiplies the row factor, so a gauge held once per profile row keeps
     factored frames factored."""
-    return replace(frames, rows=G @ frames.rows)
+    return FrameFamily(G @ frames.rows, frames.t0, frames.cols)
 
 
 def admissible_gauge(c_val, c_dot, y) -> MatJet:
@@ -398,13 +397,13 @@ def singular_vertices(net: ContactElementNet) -> set[tuple[int, int]]:
     return bad
 
 
-@dataclass(frozen=True)
-class AlignResult:
+class AlignResult(_Record):
     """Rotation (unit quaternion matrix), translation, and the max deviation."""
 
-    R: np.ndarray
-    T: np.ndarray
-    residual: float
+    __slots__ = ("R", "T", "residual")
+
+    def __init__(self, R: np.ndarray, T: np.ndarray, residual: float):
+        self._fill(R, T, residual)
 
 
 def rigid_align(net_a: ContactElementNet, net_b: ContactElementNet) -> AlignResult:

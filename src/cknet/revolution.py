@@ -24,11 +24,9 @@ arithmetic-geometric-mean (Landen) ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from . import _reference_shim
+from . import _Record, _reference_shim
 from .errors import ConfigError, InvalidProfile, ModulusOutOfRange
 from .nets import ContactElementNet
 
@@ -140,22 +138,17 @@ def _ladder_functions(u, kappa):
 # profiles
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Meridian of a constant-curvature surface of revolution.
 
     Vertex sequences f, h, a, b (length nj) are indexed by the absolute
     labels j_lo .. j_lo+nj-1; the edge sequence c has length nj-1.
     """
 
-    f: np.ndarray
-    h: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    kappa: float
-    K_sign: int
-    j_lo: int = 0
+    __slots__ = ("f", "h", "a", "b", "c", "kappa", "K_sign", "j_lo")
+
+    def __init__(self, f, h, a, b, c, kappa: float, K_sign: int, j_lo: int = 0):
+        self._fill(f, h, a, b, c, kappa, K_sign, j_lo)
 
     @property
     def nj(self) -> int:
@@ -168,7 +161,8 @@ class Profile:
     def mirrored(self) -> "Profile":
         """The meridian turned by pi about the axis, (-f, h, -a, b, -c): its net is this
         profile's net turned by pi, with x and y negated."""
-        return replace(self, f=-self.f, a=-self.a, c=-self.c)
+        return Profile(-self.f, self.h, -self.a, self.b, -self.c, self.kappa, self.K_sign,
+                       self.j_lo)
 
 
 def _anchor_pos(j_lo: int, n: int) -> int:

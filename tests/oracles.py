@@ -24,7 +24,9 @@ u - m times the integral of sn^2 through the Jacobi zeta function.
 
 The quaternion helpers (``det``, ``project``, ``membership_residual``) and
 the report schema check (``report_schema``, ``validate_report``) are the
-test-side readers of package data that the package itself never needs.
+test-side readers of package data that the package itself never needs;
+``rebuilt`` builds a record again with some fields changed, through its
+constructor, so its checks run on the changed values.
 """
 
 import json
@@ -277,6 +279,14 @@ def joined_obj(net, degenerate) -> bytes:
             lines.append(f"# degenerate {j} {k}" if degenerate[j, k]
                          else f"f {a} {a + 1} {a + nk + 1} {a + nk}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def rebuilt(record, **changes):
+    """``record`` built again by its constructor with ``changes`` to its fields, for records
+    whose fields (``__slots__``) are all constructor arguments, such as ``Profile`` and
+    ``ConnectionFamily``."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def det(q):

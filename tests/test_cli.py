@@ -864,10 +864,13 @@ def python_probe(probe: str, *args: str, cwd=None) -> str:
 
 
 def test_cli_import_loads_neither_scipy_nor_argparse():
-    # nor the check catalogue and the reference constructions only `cknet check` runs
+    # nor the check catalogue and the reference constructions only `cknet check` runs, nor
+    # dataclasses and the copy module it imports (cknet's records are plain slotted classes),
+    # nor configparser, which only an INI config reads
     assert python_probe("import sys, cknet.cli; print(sorted(m for m in sys.modules if "
-                        "m.split('.')[0] in ('scipy', 'argparse', 'gettext') "
-                        "or m in ('cknet.checks', 'cknet.reference')))") == "[]"
+                        "m.split('.')[0] in ('scipy', 'argparse', 'gettext') or m in "
+                        "('cknet.checks', 'cknet.reference', 'dataclasses', 'copy', "
+                        "'configparser')))") == "[]"
 
 
 @pytest.mark.parametrize("command, extra, loaded", [

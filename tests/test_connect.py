@@ -1,6 +1,5 @@
 """Tests for rotational flat connections, frames, and the gauged normal form."""
 
-from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -17,7 +16,7 @@ from cknet.nets import ContactElementNet
 from cknet.reference import (admissible_gauge, build_cmc_connection, closing_residual, gauge,
                              gauge_frame, hs_lax, initial_frame, rigid_align, rotational_frames, sym)
 from cknet.revolution import build_rcnet, column_angles, profile_elliptic, profile_hyp, profile_trig
-from oracles import cross_ratio, integrate_frame
+from oracles import cross_ratio, integrate_frame, rebuilt
 
 THETA = np.pi / 6.0
 NK = 15   # columns of the frames and nets
@@ -122,7 +121,7 @@ def test_invalid_inputs():
 def test_cmc_case_ranges():
     # kappa picks the construction; kappa = 1 is covered by neither
     sphere = profile_trig(np.full(6, -np.tan(0.05)), 1.0, 0.0, j_lo=-3)
-    for p in (sphere, replace(sphere, kappa=np.nan)):
+    for p in (sphere, rebuilt(sphere, kappa=np.nan)):
         with pytest.raises(CaseMismatch):
             build_cmc_connection(p, THETA)
     hyp_like = profile_elliptic(0.6, -1, (-2, 2), j0=3)
@@ -336,7 +335,7 @@ def test_rotational_frames_requires_seed_and_invariance():
     # invariance is the family's shape: one held on every column is never built
     dense = MatJet(*(np.broadcast_to(a, (6, 15, 2, 2)) for a in (conn.L.val, conn.L.dot)))
     with pytest.raises(ValueError, match="one edge jet per profile row"):
-        replace(conn, L=dense)
+        rebuilt(conn, L=dense)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])

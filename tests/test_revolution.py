@@ -8,8 +8,6 @@ held to mpmath.ellipe, and on every profile amplitude of the sweep to the
 Carlson form of oracles.ellipeinc, itself held to mpmath.ellipe.
 """
 
-import dataclasses
-
 import mpmath
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from cknet.reference import gauss_from_profile, validate_profile
 from cknet.revolution import (_amplitude, build_rcnet, column_angles, conservation_drift,
                               edge_residuals, elliptic_K, elliptic_theta, int_sn2, jacobi,
                               profile_elliptic, profile_hyp, profile_trig)
-from oracles import cross_ratio, ellipeinc
+from oracles import cross_ratio, ellipeinc, rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ def test_gauss_expressions_agree():
 
 
 def test_gauss_from_profile_degenerate_edge():
-    bad = dataclasses.replace(
+    bad = rebuilt(
         profile_trig(np.full(2, -0.1), 1.0, 0.0, j_lo=-1),
         f=np.array([1.0, -1.0, 1.0]))
     with pytest.raises(DegenerateEdge):
@@ -395,7 +393,7 @@ def test_gauss_from_profile_degenerate_edge():
 
 def test_validate_profile_detects_corruption():
     p = profile_elliptic(0.6, -1, (-2, 2), j0=3)
-    bad = dataclasses.replace(p, b=p.b + 1e-3)
+    bad = rebuilt(p, b=p.b + 1e-3)
     with pytest.raises(InvalidProfile):
         validate_profile(bad)
 
