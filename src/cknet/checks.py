@@ -243,24 +243,22 @@ def criterion_9() -> list[CheckResult]:
 
 
 def _brute_singular(net: ContactElementNet) -> set[tuple[int, int]]:
-    """Independent singular-vertex scan with plain loops over Python floats."""
+    """Independent singular-vertex scan with plain loops over Python floats: the ratio of
+    each j-edge and each k-edge once, then the sign test at every interior vertex."""
     x, n = net.x.tolist(), net.n.tolist()
     nj, nk = net.shape
 
-    def edge_R(ja, ka, jb, kb):
-        dx = [b - a for a, b in zip(x[ja][ka], x[jb][kb])]
-        dn = [b - a for a, b in zip(n[ja][ka], n[jb][kb])]
-        return -sum(u * v for u, v in zip(dn, dx)) / sum(u * u for u in dx)
+    def edge_R(xa, na, xb, nb):
+        # each sum runs left to right from 0.0, in the order of the builtin sum up to
+        # Python 3.11, so even the sign of a zero numerator is sum()'s
+        d0, d1, d2 = xb[0] - xa[0], xb[1] - xa[1], xb[2] - xa[2]
+        return (-(0.0 + (nb[0] - na[0]) * d0 + (nb[1] - na[1]) * d1 + (nb[2] - na[2]) * d2)
+                / (d0 * d0 + d1 * d1 + d2 * d2))
 
-    bad = set()
-    for j in range(nj):
-        for k in range(nk):
-            if 1 <= j <= nj - 2:
-                if edge_R(j - 1, k, j, k) * edge_R(j, k, j + 1, k) <= 0.0:
-                    bad.add((j, k))
-            if 1 <= k <= nk - 2:
-                if edge_R(j, k - 1, j, k) * edge_R(j, k, j, k + 1) <= 0.0:
-                    bad.add((j, k))
+    Rj = [list(map(edge_R, xa, na, xb, nb)) for xa, na, xb, nb in zip(x, n, x[1:], n[1:])]
+    Rk = [list(map(edge_R, xr, nr, xr[1:], nr[1:])) for xr, nr in zip(x, n)]
+    bad = {(j + 1, k) for j in range(nj - 2) for k in range(nk) if Rj[j][k] * Rj[j + 1][k] <= 0.0}
+    bad |= {(j, k + 1) for j in range(nj) for k in range(nk - 2) if Rk[j][k] * Rk[j][k + 1] <= 0.0}
     return bad
 
 

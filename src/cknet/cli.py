@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import isfinite, lcm
 
 import numpy as np
@@ -543,14 +544,28 @@ class CheckResult(_Record):
         object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 
+# one report entry, keys sorted and indented as json.dumps(indent=2, sort_keys=True) writes them
+_ENTRY = ('    {\n      "max_residual": %s,\n      "name": %s,\n      "pass": %s,\n'
+          '      "tolerance": %s\n    }')
+
+
+def _number(v) -> str:
+    """A number as json.dumps(allow_nan=False) writes it (which refuses NaN and inf)."""
+    if isinstance(v, float) and isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v, allow_nan=False)
+
+
 def report_json(entries: list, parameters: dict, path: str) -> None:
-    """Strict JSON (RFC 8259): a non-finite residual is written as null."""
-    checks = [{"name": r.name, "tolerance": r.tolerance, "pass": r.passed,
-               "max_residual": r.max_residual if isfinite(r.max_residual) else None}
-              for r in entries]
-    doc = {"checks": checks, "parameters": dict(parameters)}
+    """Strict JSON (RFC 8259): a non-finite residual is written as null.  The bytes are those
+    of json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"."""
+    checks = ",\n".join(_ENTRY % (_number(r.max_residual) if isfinite(r.max_residual) else "null",
+                                  encode_basestring_ascii(r.name), "true" if r.passed else "false",
+                                  _number(r.tolerance)) for r in entries)
+    params = json.dumps(dict(parameters), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        fh.write('{\n  "checks": [%s],\n  "parameters": %s\n}\n'
+                 % (f"\n{checks}\n  " if checks else "", params.replace("\n", "\n  ")))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +611,9 @@ def _finish(entries: list, parameters: dict, cfg: dict, net=None, degenerate=Non
     report_path = _get(cfg, "output", "report", str, None)
     if report_path:
         _stage("report", report_json, entries, parameters, report_path)
-    for r in entries:
-        print(("PASS" if r.passed else "FAIL")
-              + f" {r.name} residual={r.max_residual:.3e} tol={r.tolerance:.1e}")
+    sys.stdout.write("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name} "
+                             f"residual={r.max_residual:.3e} tol={r.tolerance:.1e}\n"
+                             for r in entries))
     # the mesh last, so a refused one still leaves the report; search and check build no net
     if net is not None and (mesh_path := _get(cfg, "output", "mesh", str, None)):
         _stage("export", export_obj, net, mesh_path, degenerate)

@@ -440,8 +440,8 @@ def rigid_align(net_a: ContactElementNet, net_b: ContactElementNet) -> AlignResu
     cand = quat(*qv)
     best = None
     for R in (cand, qconj(cand)):
-        rx = conjugate_rotate(R, xa)
-        rn = conjugate_rotate(R, na)
+        M = conjugate_rotate(R, np.eye(3))   # rows: the rotated basis, so v @ M rotates v
+        rx, rn = xa @ M, na @ M
         T = cb - rx.mean(axis=0)
         res = max(
             float(np.max(np.linalg.norm(rx + T - xb, axis=-1))),

@@ -819,6 +819,45 @@ def test_non_finite_residuals_make_strict_json_reports(tmp_path):
     assert validate_report(doc) == []
 
 
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e16, 1e-5, 0.1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(
+           st.text(st.sampled_from('"\\,[]{}: \n\taé☃𝄞') | st.characters(), max_size=12),
+           st.sampled_from(EDGE_FLOATS) | st.floats(),
+           st.sampled_from(EDGE_FLOATS[3:]) | st.floats(allow_nan=False, allow_infinity=False),
+           st.booleans()), max_size=6),
+       parameters=st.dictionaries(
+           st.text(max_size=8),
+           st.text(max_size=8) | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.lists(st.integers(1, 11), unique=True).map(sorted) | st.just("all"),
+           max_size=4))
+def test_report_bytes_are_those_of_json_dumps(entries, parameters):
+    """The fixed-template writer against json.dumps over names with quotes, backslashes,
+    brackets, control and non-ASCII characters, residuals that are NaN, infinite, -0.0,
+    subnormal or huge, float and np.float64 tolerances, and parameters that are strings,
+    integers, floats, check's sorted criterion list or none at all."""
+    results = [cli.CheckResult(name, residual, np.float64(tol) if wrap else tol)
+               for name, residual, tol, wrap in entries]
+    doc = {"checks": [{"name": r.name, "tolerance": r.tolerance, "pass": r.passed,
+                       "max_residual": r.max_residual if math.isfinite(r.max_residual) else None}
+                      for r in results],
+           "parameters": parameters}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        cli.report_json(results, parameters, str(path))
+        written = path.read_bytes()
+    assert written == (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, np.float64(-math.inf)])
+def test_report_refuses_a_non_finite_tolerance_as_json_dumps_does(tmp_path, tolerance):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.report_json([cli.CheckResult("x", 0.0, tolerance)], {}, str(tmp_path / "r.json"))
+
+
 def test_crashed_criterion_makes_a_strict_json_report(tmp_path, monkeypatch, capsys):
     def crash():
         raise ZeroDivisionError("boom")

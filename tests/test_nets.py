@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cknet import nets, reference as ref
+from cknet import checks, nets, reference as ref
 from cknet.backlund import double_backlund, single_backlund
 from cknet.checks import PROFILE_SPECS, fixture_ck_hs, fixture_profile
 from cknet.connect import build_ck_connection
@@ -542,6 +542,61 @@ def test_elliptic_singular_rings():
         assert {(j, k) for k in range(nk)} <= singular
 
 
+def per_vertex_singular(net):
+    """Criterion 10's scan vertex by vertex: both edge ratios of every interior vertex from
+    plain Python floats, so each interior edge ratio is computed twice."""
+    x, n = net.x.tolist(), net.n.tolist()
+    nj, nk = net.shape
+
+    def edge_R(ja, ka, jb, kb):
+        dx = [b - a for a, b in zip(x[ja][ka], x[jb][kb])]
+        dn = [b - a for a, b in zip(n[ja][ka], n[jb][kb])]
+        return -sum(u * v for u, v in zip(dn, dx)) / sum(u * u for u in dx)
+
+    bad = set()
+    for j in range(nj):
+        for k in range(nk):
+            if 1 <= j <= nj - 2:
+                if edge_R(j - 1, k, j, k) * edge_R(j, k, j + 1, k) <= 0.0:
+                    bad.add((j, k))
+            if 1 <= k <= nk - 2:
+                if edge_R(j, k - 1, j, k) * edge_R(j, k, j, k + 1) <= 0.0:
+                    bad.add((j, k))
+    return bad
+
+
+def criterion_10_net(kappa):
+    return build_rcnet(fixture_profile("elliptic", kappa, -1), column_angles(13, theta=checks.THETA))
+
+
+@pytest.mark.parametrize("kappa", [0.6, 1.4])
+@pytest.mark.parametrize("offset", [0.0, 0.3, 1.0, -0.8, 3.0])
+def test_singular_scans_agree_on_criterion_10_nets_and_their_parallel_nets(kappa, offset):
+    """The parallel net x + t n keeps every edge principal with ratio R / (1 - t R), so an
+    offset past a focal distance 1/R flips the ratio's sign and makes vertices singular on
+    purpose: t = 0.3 turns the 13 singular vertices of both nets into 24."""
+    net = criterion_10_net(kappa)
+    net = ContactElementNet(net.x + offset * net.n, net.n)
+    expected = per_vertex_singular(net)
+    assert expected and checks._brute_singular(net) == expected == singular_vertices(net)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_singular_scans_agree_with_one_row_or_column_of_normals_negated(axis):
+    """Negating one row (or column) of normals flips the ratios of the edges along it and
+    breaks the principal edges across it, which singular_vertices refuses; the two plain
+    scans read the same signs regardless."""
+    net = criterion_10_net(0.6)
+    n = net.n.copy()
+    (n[3] if axis == 0 else n[:, 5])[...] *= -1.0
+    flipped = ContactElementNet(net.x, n)
+    expected = per_vertex_singular(flipped)
+    assert expected != per_vertex_singular(net)
+    assert checks._brute_singular(flipped) == expected
+    with pytest.raises(NotPrincipal):
+        singular_vertices(flipped)
+
+
 # ---------------------------------------------------------------------------
 # rigid alignment
 
@@ -578,6 +633,41 @@ def test_rigid_align_collinear_raises():
     net = ContactElementNet(x, n)
     with pytest.raises(DegenerateGeometry):
         rigid_align(net, net)
+
+
+def per_vertex_residual(net_a, net_b, res):
+    """The residual of ``res`` taken through conjugate_rotate's 2x2 conjugation per vertex."""
+    xa, na = net_a.x.reshape(-1, 3), net_a.n.reshape(-1, 3)
+    rx, rn = ref.conjugate_rotate(res.R, xa), ref.conjugate_rotate(res.R, na)
+    return max(float(np.max(np.linalg.norm(rx + res.T - net_b.x.reshape(-1, 3), axis=-1))),
+               float(np.max(np.linalg.norm(rn - net_b.n.reshape(-1, 3), axis=-1))))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_rigid_align_residual_matches_per_vertex_rotation_on_sym_nets(case):
+    """Criterion 4's alignments: rotating by one 3x3 matrix moves the residual by at most
+    1e-15 against rotating each vertex by the quaternion, under the same R and T."""
+    _, p, conn = checks._cases()[case - 1]
+    frames = rotational_frames(conn, a0=p.a[0], b0=p.b[0], nk=checks.COLUMNS)
+    net = sym(frames, 2.0 if case == 3 else -2.0)
+    target = build_rcnet(p, column_angles(checks.COLUMNS, theta=checks.THETA))
+    res = rigid_align(net, target)
+    assert res.residual == checks.fixture_sym(case)[0] < 1e-8
+    assert abs(res.residual - per_vertex_residual(net, target, res)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rigid_align_residual_matches_per_vertex_rotation_under_random_motions(seed):
+    rng = np.random.default_rng(seed)
+    _, net = rc_net((0.6, 1.4)[seed % 2])
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle, t = rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0, size=3)
+    M = np.array([rodrigues(e, axis, angle) for e in np.eye(3)])   # rows: the rotated basis
+    moved = ContactElementNet(net.x @ M + t, net.n @ M)
+    res = rigid_align(net, moved)
+    assert res.residual < 1e-12
+    assert abs(res.residual - per_vertex_residual(net, moved, res)) <= 1e-15
 
 
 def test_frame_initial_condition_changes_net_by_rigid_motion():
