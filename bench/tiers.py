@@ -9,7 +9,11 @@ to warm up, ``--repeat`` times timed (medians and quartiles of the job, of
 each stage and of the unstaged remainder, which holds the checks taken
 outside a stage and the report entries), and once more under tracemalloc for
 its allocation peak.  Meshes and reports go to a temporary directory, so the
-``export`` and ``report`` stages run as they do for a user.  The cold
+``export`` and ``report`` stages run as they do for a user.  perfbench's reference kernel
+(``reference_kernel`` of ``perfbench/run.py``) runs just before and just after each timed
+repeat, and each job, stage and remainder is also given as a ratio to the mean of the two
+kernel times, the unit of perfbench's ``job_ref_p50``: on a shared host whose speed moves
+within a run, the ratios hold still where the raw ms do not.  The cold
 ``import cknet.cli`` is timed in fresh interpreters, and the document
 records what the numbers depend on: Python and numpy versions, numpy's
 active SIMD features, the CPU count, the git commit and
@@ -41,6 +45,9 @@ import numpy as np  # noqa: E402
 
 from cknet import cli  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import reference_kernel  # noqa: E402
+
 # the desk keys: elliptic kappa = 0.6, K = -1, j0 = 4, k0 = 6; a tier sets the rows and columns
 KEYS = ["--surface.kind", "elliptic", "--surface.kappa", "0.6", "--surface.K_sign", "-1",
         "--surface.j0", "4", "--rotation.k0", "6"]
@@ -56,12 +63,22 @@ JOBS = {
 COLD_IMPORTS = 7
 
 
-def quartiles(values: list) -> dict:
-    """Median and quartiles, in ms, of times in seconds."""
-    ms = [1e3 * v for v in values]
-    q1, median, q3 = (statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1
-                      else ms * 3)
+UNIT = ("ratio to the mean wall time of perfbench/run.py's reference_kernel, run just before "
+        "and just after each timed repeat")
+
+
+def quartiles(values: list, scale: float = 1e3) -> dict:
+    """Median and quartiles of ``values`` times ``scale`` (default: ms of seconds)."""
+    scaled = [scale * v for v in values]
+    q1, median, q3 = (statistics.quantiles(scaled, n=4, method="inclusive") if len(scaled) > 1
+                      else scaled * 3)
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def timed_kernel() -> float:
+    start = time.perf_counter()
+    reference_kernel()
+    return time.perf_counter() - start
 
 
 def run_once(argv: list) -> tuple:
@@ -88,20 +105,33 @@ def run_once(argv: list) -> tuple:
 
 def measure(argv: list, repeat: int) -> dict:
     run_once(argv)   # warm: the digit tables, caches and code paths of the first call
-    runs = [run_once(argv) for _ in range(repeat)]
+    reference_kernel()   # and the kernel's
+    runs, refs = [], []
+    for _ in range(repeat):
+        before = timed_kernel()
+        runs.append(run_once(argv))
+        refs.append((before + timed_kernel()) / 2.0)
     names = list(dict.fromkeys(name for *_, stages in runs for name in stages))
+    ratios = lambda seconds: quartiles([s / ref for s, ref in zip(seconds, refs)], 1.0)
     tracemalloc.start()
     try:
         run_once(argv)
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+    total = [s for _, s, _ in runs]
+    stages = {n: [st.get(n, 0.0) for *_, st in runs] for n in names}
+    unstaged = [s - sum(st.values()) for _, s, st in runs]
     return {
         "exit": runs[0][0],
         "repeats": repeat,
-        "total_ms": quartiles([s for _, s, _ in runs]),
-        "stages_ms": {n: quartiles([st.get(n, 0.0) for *_, st in runs]) for n in names},
-        "unstaged_ms": quartiles([s - sum(st.values()) for _, s, st in runs]),
+        "total_ms": quartiles(total),
+        "stages_ms": {n: quartiles(v) for n, v in stages.items()},
+        "unstaged_ms": quartiles(unstaged),
+        "ref_ms": quartiles(refs),
+        "total_ref": ratios(total),
+        "stages_ref": {n: ratios(v) for n, v in stages.items()},
+        "unstaged_ref": ratios(unstaged),
         "peak_alloc_mb": peak,
     }
 
@@ -153,10 +183,11 @@ def main(argv=None) -> int:
                 result = measure(command + outputs, args.repeat)
                 jobs.append({"tier": tier, "job": name, "argv": command, **result})
                 print(f"{tier:8} {name:15} exit {result['exit']}  "
-                      f"{result['total_ms']['median']:8.2f} ms  " + "  ".join(
+                      f"{result['total_ms']['median']:8.2f} ms  "
+                      f"{result['total_ref']['median']:7.3f} ref  " + "  ".join(
                           f"{n} {v['median']:.2f}" for n, v in result["stages_ms"].items()))
     imports = cold_import_seconds()
-    document = {"provenance": provenance(),
+    document = {"provenance": provenance(), "unit": UNIT,
                 "cold_import_cknet_cli_s": {"median": statistics.median(imports),
                                             "runs": imports},
                 "jobs": jobs}

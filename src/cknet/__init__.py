@@ -68,7 +68,8 @@ def _reference_shim(module: str):
 
 
 class _Record:
-    """Read-only record over its ``__slots__``: ``_fill`` sets each, then runs ``__post_init__``."""
+    """Read-only record over its ``__slots__``: ``_fill`` sets each, then runs ``__post_init__``.
+    ``==`` and ``hash`` are those of the object, as arrays have no truth value to compare by."""
 
     __slots__ = ()
 
@@ -80,13 +81,23 @@ class _Record:
     def __post_init__(self):
         pass
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}: the record is read-only")
 
     __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _ValueRecord(_Record):
+    """A record of scalars: ``==`` and ``hash`` run over its fields."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -95,7 +106,3 @@ class _Record:
 
     def __hash__(self):
         return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"

@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from . import _Record, quat
+from . import _ValueRecord, quat
 from .connect import HsLaxData, lax_entries
 from .errors import BranchFailure, ConfigError, NoRoot, PathInconsistent, PoleHit
 from .nets import ContactElementNet, explicit_sym
@@ -132,7 +132,7 @@ def _chordal_step(M: np.ndarray, z: np.ndarray, target: np.ndarray) -> float:
     norm *= np.hypot(1.0, scale, out=scale)
     den *= target
     num -= den
-    return 2.0 * np.max(np.divide(np.abs(num, out=scale), norm, out=scale), initial=0.0)
+    return 2.0 * np.divide(np.abs(num, out=scale), norm, out=scale).max(initial=0.0)
 
 
 def linearize(A: np.ndarray, B: np.ndarray):
@@ -152,11 +152,11 @@ def linearize(A: np.ndarray, B: np.ndarray):
         image = (A[:, 0, 0] * z1[:-1] + A[:, 0, 1]) / (A[:, 1, 0] * z1[:-1] + A[:, 1, 1])
         crossed = np.abs(image - z1[1:]) > np.abs(image - z2[1:])
         # row 0 names the repelling fixed point zeta_r; A carries the names on
-        flip = np.cumsum(np.concatenate(([abs(lam1[0]) > abs(lam2[0])], crossed))) % 2 == 1
+        flip = np.concatenate(([abs(lam1[0]) > abs(lam2[0])], crossed)).cumsum() % 2 == 1
         zr, za = np.where(flip, z2, z1), np.where(flip, z1, z2)
         rho = np.where(flip, lam1 / lam2, lam2 / lam1)
         mu_r, mu_a = (A[:, 1, 0] * z[:-1] + A[:, 1, 1] for z in (zr, za))
-        log_c = np.concatenate(([0.0], np.cumsum(np.log(mu_a / mu_r))))
+        log_c = np.concatenate(([0.0], np.log(mu_a / mu_r).cumsum()))
     return zr, za, rho, log_c
 
 
@@ -168,8 +168,8 @@ def _field(A: np.ndarray, B: np.ndarray, seed: complex, nk: int):
     zr, za, rho, log_c = linearize(A, B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # checked per block
         w0 = np.log(seed - zr[0]) - np.log(za[0] - seed)
-        ramp = np.arange(nk) * (np.log(rho[0]) + np.mean(np.log(rho / rho[0])))
-        gap = np.min(np.abs(za - zr))
+        ramp = np.arange(nk) * (np.log(rho[0]) + np.log(rho / rho[0]).mean())
+        gap = np.abs(za - zr).min()
     last = {}   # the previous block's last row, keyed by the row after it
 
     def block(rows):
@@ -194,8 +194,9 @@ def _field(A: np.ndarray, B: np.ndarray, seed: complex, nk: int):
             worst = np.maximum(_chordal_step(A[max(j - 1, 0):stop - 1], z, target),
                                _chordal_step(B[rows], s[:, :-1], s[:, 1:]))
             last[stop] = s[-1].copy()
-            poles = np.argwhere(np.abs(s) >= 2e11)
-        if poles.size:
+            big = np.abs(s) >= 2e11
+        if big.any():
+            poles = np.argwhere(big)
             raise PoleHit(f"scalar field reaches infinity at (j, k) = "
                           f"({j + poles[0][0]}, {poles[0][1]})")
         if not (worst <= 1e-11):
@@ -261,7 +262,7 @@ def single_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
 # double transforms
 
 
-class DoubleReport(_Record):
+class DoubleReport(_ValueRecord):
     """Reality and unitarity residues of a double transform."""
 
     __slots__ = ("imag_residue", "unit_residual")
@@ -318,22 +319,22 @@ def double_backlund(hs: HsLaxData, ang: np.ndarray, alpha: complex,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
             den = 1.0 - tn2 * sh * st
             sht = (sh * st - tn2) / (sc * den)
-        if not (np.min(np.abs(den)) >= 1e-14):
+        if not (np.abs(den).min() >= 1e-14):
             raise PoleHit("composed scalar field hit a pole")
-        if not np.all(np.isfinite(sht) & (sht != 0)):
+        if not (np.isfinite(sht) & (sht != 0)).all():
             raise PoleHit("composed scalar field is non-finite or zero")
-        unit.append(np.max(np.abs(np.abs(sht) - 1.0)))
+        unit.append(np.abs(np.abs(sht) - 1.0).max())
         return lax_entries(st * (cot / sc + tn * sht), (cot * sc + tn / sht) / st, sc * sht, 0.0)
 
     x, n, imag_residue = _explicit_transform(hs.profile, ang, fields, vw)
-    return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.max(unit)))
+    return ContactElementNet(x, n), DoubleReport(imag_residue, float(np.maximum.reduce(unit)))
 
 
 # ---------------------------------------------------------------------------
 # rotational periodicity
 
 
-class PeriodicAlpha(_Record):
+class PeriodicAlpha(_ValueRecord):
     """Root of the periodicity condition: angle, phase index, trace residual.
 
     alpha is real when the recurrence closes for an ordinary transform
@@ -401,7 +402,7 @@ def find_periodic_alpha(hs: HsLaxData, N0: int, p: int | None = None) -> Periodi
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # NaN fails below
             residual = float(abs((m11 + m22) ** 2 / det - c))
             power = np.linalg.matrix_power(B / np.sqrt(det), N0) if p is None else eye
-            steps = min(np.max(np.abs(power - eye)), np.max(np.abs(power + eye)))
+            steps = min(np.abs(power - eye).max(), np.abs(power + eye).max())
         if residual <= _CLOSE_TOL and steps <= 1e-9:
             return PeriodicAlpha(alpha, int(p_try), residual)
     tried = f"p = {p}" if p is not None else f"every p in 1..{N0 - 1} coprime to {N0}"

@@ -108,7 +108,7 @@ def fixture_sym(case: int):
                          0.10 * np.cos(2.0 + jj - kk),
                          0.30 * np.sin(3.0 * jj + kk))
     net1 = sym(gauge_frame(frames, G), 2.0)
-    return out + (max(np.max(np.abs(net1.x - net.x)), np.max(np.abs(net1.n - net.n))),)
+    return out + (max(np.abs(net1.x - net.x).max(), np.abs(net1.n - net.n).max()),)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def criterion_1() -> list[CheckResult]:
         p = fixture_profile(kind, kappa, K_sign)
         tag = f"[{kind},kappa={kappa:g},K={K_sign:+d}]"
         out.append(CheckResult(f"c01_gauss_profile{tag}",
-                               np.max(np.abs(gauss_from_profile(p) - K_sign)), 1e-12))
+                               np.abs(gauss_from_profile(p) - K_sign).max(), 1e-12))
         worst, _ = curvature_report(build_rcnet(p, column_angles(13, k0=12)), K_sign, edge=True)
         out.append(CheckResult(f"c01_gauss_faces{tag}", worst["gauss"], 1e-9))
         out.append(CheckResult(f"c01_ec{tag}", worst["edge"], 1e-9))
@@ -140,8 +140,8 @@ def criterion_2() -> list[CheckResult]:
             Theta = elliptic_theta(kappa, 4)
             args = Theta * np.concatenate([p.js, p.js[:-1] + 0.5])
             sn, cn, dn = jacobi(args, kappa)
-            worst = max(np.max(np.abs(sn ** 2 + cn ** 2 - 1.0)),
-                        np.max(np.abs(dn ** 2 + kappa ** 2 * sn ** 2 - 1.0)))
+            worst = max(np.abs(sn ** 2 + cn ** 2 - 1.0).max(),
+                        np.abs(dn ** 2 + kappa ** 2 * sn ** 2 - 1.0).max())
             out.append(CheckResult(f"c02_jacobi{tag}", worst, 1e-12))
     return out
 
@@ -157,7 +157,7 @@ def criterion_3() -> list[CheckResult]:
             flat = np.maximum(flat, flatness_residual(mid))   # np.maximum carries a NaN through
             for part in ("L", "M"):
                 diff = (getattr(up, part).val - getattr(dn_, part).val) / (2.0 * h)
-                fd = max(fd, float(np.max(np.abs(diff - getattr(mid, part).dot))))
+                fd = max(fd, float(np.abs(diff - getattr(mid, part).dot).max()))
         out.append(CheckResult(f"c03_flatness[case{case}]", flat, 1e-11))
         out.append(CheckResult(f"c03_jets[case{case}]", fd, 1e-6))
     return out
@@ -239,7 +239,7 @@ def criterion_9() -> list[CheckResult]:
     for k in range(steps.shape[1] - 1):   # every profile row at once
         z = steps[:, k]
         steps[:, k + 1] = (B[:, 0, 0] * z + B[:, 0, 1]) / (B[:, 1, 0] * z + B[:, 1, 1])
-    return [CheckResult("c09_explicit_field", np.max(np.abs(explicit - steps)), 1e-9)]
+    return [CheckResult("c09_explicit_field", np.abs(explicit - steps).max(), 1e-9)]
 
 
 def _brute_singular(net: ContactElementNet) -> set[tuple[int, int]]:

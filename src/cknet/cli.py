@@ -29,7 +29,7 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from . import _Record
+from . import _ValueRecord
 from .backlund import (_CLOSE_TOL, _require_real_angle, double_backlund, find_periodic_alpha,
                        single_backlund)
 from .connect import build_ck_connection, gauge_to_hs
@@ -374,11 +374,11 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
     del j
     slow = None
     if row.min() == 0:   # outside the kernel's range: Python writes it, the kernel a zero
-        slow = np.flatnonzero(row == 0)
+        slow = (row == 0).ravel().nonzero()[0]
         a.flat[slow], row.flat[slow] = 0.0, _ROWS - 1
     D, u = _fixed_digits(a, row, ten)
     if D.max() >= 10 ** 17:   # a carry into E + 1, or |x| >= 1e16
-        off = np.flatnonzero(D >= 10 ** 17)
+        off = (D >= 10 ** 17).ravel().nonzero()[0]
         big = off[a.flat[off] >= 1e16]
         row.flat[off] += 1
         D.flat[off] = 10 ** 16
@@ -386,7 +386,7 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
             D.flat[big], row.flat[big] = 0, _ROWS - 1
             slow = big if slow is None else np.concatenate((slow, big))
     if u.max() > _NEAR_HALF:   # too near half-way for the float sum: Python writes it
-        near = np.flatnonzero(u > _NEAR_HALF)
+        near = (u > _NEAR_HALF).ravel().nonzero()[0]
         slow = near if slow is None else np.concatenate((slow, near))
     del u
     X = D.view(np.uint64)
@@ -416,12 +416,12 @@ def _obj_lines(tag: bytes, xyz) -> bytes:
     np.left_shift(w[::2], np.uint64(32), out=words[1:3])     # groups 1 and 3: bytes 4..7
     words[1:3] |= w[1::2]
     del w
-    np.take(fix[2], row, out=words[3], mode="clip")
+    fix[2].take(row, out=words[3], mode="clip")
     words[1:3] += fix[:2].take(row, axis=1)
     t = t.view(np.int64)
     t += hoff.take(row)
     del row
-    np.take(head, t, out=words[0], mode="clip")
+    head.take(t, out=words[0], mode="clip")
     del t
     sign = xyz.T.view(np.int64) >> 63
     sign &= 45 << 8                                           # "-" after the separator
@@ -519,7 +519,7 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
         for lo in range(0, faces, _OBJ_FACES):
             for first, lines in _face_runs(lo, min(lo + _OBJ_FACES, faces), nk):
                 stop = first + len(lines)
-                a, b = np.searchsorted(degenerate, (first, stop))
+                a, b = degenerate.searchsorted((first, stop))
                 start = 0
                 for i in (degenerate[a:b] - first).tolist() + [stop - first]:
                     fh.write(lines[start:i])
@@ -529,7 +529,7 @@ def export_obj(net: ContactElementNet, path: str, degenerate: np.ndarray) -> Non
                 del lines   # before the next run is formed
 
 
-class CheckResult(_Record):
+class CheckResult(_ValueRecord):
     """One measured invariant: its worst residual against the tolerance.
 
     ``passed`` is residual <= tolerance, so a NaN or inf residual fails.

@@ -80,9 +80,9 @@ def _edge_jet_cgc(diag, u, t):
     diag = np.asarray(diag, dtype=complex)
     u = np.asarray(u, dtype=complex)
     ep, em = np.exp(t), np.exp(-t)
-    alpha2 = np.abs(diag) ** 2 - 2.0 * np.real(u * u) + ep * ep + em * em
-    if np.any(alpha2 <= 0):
-        raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
+    alpha2 = np.abs(diag) ** 2 - 2.0 * (u * u).real + ep * ep + em * em
+    if (alpha2 <= 0).any():
+        raise BranchFailure(f"normalizer alpha^2 <= 0 (min {alpha2.min():.3e})")
     alpha = np.sqrt(alpha2)
     X = quat.matrix(diag, em * u - ep / u, ep * u - em / u, np.conj(diag))
     Xd = quat.matrix(0.0, -em * u - ep / u, ep * u + em / u, 0.0)
@@ -116,11 +116,11 @@ def build_ck_connection(p: Profile, theta: float):
     kappa, a, b = q.kappa, q.a, q.b
     par = np.where(p.js % 2 == 0, 1.0, -1.0)
     re2 = 1.0 - (kappa * a) ** 2
-    if np.min(re2) < 1e-24:
+    if re2.min() < 1e-24:
         raise BranchFailure("Re v = 0 on some column (radius vanishes)")
-    v = par * (np.sqrt(np.clip(re2, 0.0, None)) - 1j * kappa * a)
+    v = par * (np.sqrt(re2.clip(0.0, None)) - 1j * kappa * a)
     u = np.sqrt(v[:-1] * v[1:])
-    if np.min(u.real) < 1e-12:
+    if u.real.min() < 1e-12:
         raise BranchFailure("u has vanishing real part on some profile edge")
     h_frak = 2.0 * kappa / np.tan(theta / 2.0) + 2j * kappa * b
     v_frak = -2j * par[:-1] * (a[:-1] + a[1:]) * u.imag / (b[1:] - b[:-1])
@@ -183,7 +183,7 @@ def gauge_to_hs(conn: ConnectionFamily, data: CkEdgeData):
     delta = np.arcsin(2.0 / np.append(data.alpha0, data.beta0[0]).astype(complex))
     tn = np.tan(delta / 2.0)
     bad = ~(np.isfinite(tn) & (np.abs(tn) >= 1e-14))
-    if np.any(bad):
+    if bad.any():
         raise DivisionByZero(f"edge angle produced tan(delta/2) = {tn[bad][0]}")
     delta1, delta2, t1, t2 = delta[:-1], complex(delta[-1]), tn[:-1], tn[-1]
     ell = data.v_frak / (1.0 / (data.u * t1) + data.u * t1)

@@ -71,8 +71,8 @@ class MatJet(_Record):
 
 def jet_residual(a: MatJet, b: MatJet) -> float:
     """Entrywise max distance between two jets over both layers."""
-    rv = float(np.max(np.abs(a.val - b.val))) if a.val.size else 0.0
-    rd = float(np.max(np.abs(a.dot - b.dot))) if a.dot.size else 0.0
+    rv = float(np.abs(a.val - b.val).max()) if a.val.size else 0.0
+    rd = float(np.abs(a.dot - b.dot).max()) if a.dot.size else 0.0
     return float(np.maximum(rv, rd))
 
 

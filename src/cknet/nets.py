@@ -77,8 +77,8 @@ def _transform_terms(a, b, c, d, da, db, dc, dd):
     and dT (planes or scalars), each temporary freed after its last use."""
     with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
         det = a * d - b * c
-    if not np.all((np.abs(det) > 1e-14) & (np.abs(det) < np.inf)):
-        raise Singular(f"transform |det| <= 1e-14 or non-finite (min {np.min(np.abs(det)):.1e})")
+    if not ((np.abs(det) > 1e-14) & (np.abs(det) < np.inf)).all():
+        raise Singular(f"transform |det| <= 1e-14 or non-finite (min {np.abs(det).min():.1e})")
     r = 1.0 / det   # T^{-1} = [[d, -b], [-c, a]] / det
     del det
     m01, m10 = d * db - b * dd, a * dc - c * da   # entries of the adjugate of T times dT
@@ -110,7 +110,7 @@ def _real_blocks(nj: int, nk: int, planes):
         for i, (x_i, n_i) in enumerate(zip(*planes(rows))):
             x[rows, :, i], n[rows, :, i] = x_i.real, n_i.real
             # np.maximum, unlike max, carries a NaN through to the check
-            imag = np.maximum(imag, np.maximum(np.max(np.abs(x_i.imag)), np.max(np.abs(n_i.imag))))
+            imag = np.maximum(imag, np.maximum(np.abs(x_i.imag).max(), np.abs(n_i.imag).max()))
         del x_i, n_i   # before the next block is formed
     if not (imag <= 1e-6):
         raise RealityViolated(f"Sym net left R^3 (imaginary residue {imag:.3e})")
@@ -181,7 +181,7 @@ def _face_pass(net: ContactElementNet, rows: slice):
     # a short c_n has nn within rounding of _RANK_TOL**2 or below, so the exact norms run
     # only on a block with some nn <= 4 _RANK_TOL**2, or NaN
     short = ()
-    if not np.min(nn, initial=np.inf) > 4.0 * _RANK_TOL ** 2:
+    if not nn.min(initial=np.inf) > 4.0 * _RANK_TOL ** 2:
         short = np.nonzero(np.linalg.norm(c_n, axis=-1) <= _RANK_TOL)
     for j, k in zip(*short):
         nd1, nd2 = n[j + 1, k + 1] - n[j, k], n[j + 1, k] - n[j, k + 1]
@@ -217,7 +217,7 @@ def validate_ec(net: ContactElementNet, rows: slice = slice(None)) -> float:
     ec_j = np.abs(np.einsum("...i,...i->...", x[1:] - x[:-1], n[1:] + n[:-1]))
     x, n = x[:stop - j], n[:stop - j]
     ec_k = np.abs(np.einsum("...i,...i->...", x[:, 1:] - x[:, :-1], n[:, 1:] + n[:, :-1]))
-    return float(np.maximum(np.max(ec_j), np.max(ec_k)))
+    return float(np.maximum(ec_j.max(), ec_k.max()))
 
 
 def _dot3(a, b):
@@ -234,14 +234,14 @@ def _dot3(a, b):
 def unit_normal_residual(net: ContactElementNet, rows: slice = slice(None)) -> float:
     """max | |n| - 1 | over the vertices of the rows, |n| summed as ``_dot3`` sums."""
     n = net.n[rows]
-    return float(np.max(np.abs(np.sqrt(_dot3(n, n)) - 1.0)))
+    return float(np.abs(np.sqrt(_dot3(n, n)) - 1.0).max())
 
 
 def period_drift(net: ContactElementNet, period: int, rows: slice = slice(None)) -> float:
     """Largest coordinate change of the positions of the rows under a shift by ``period``
     columns."""
     x = net.x[rows]
-    return float(np.max(np.abs(x[:, period:] - x[:, : net.shape[1] - period])))
+    return float(np.abs(x[:, period:] - x[:, : net.shape[1] - period]).max())
 
 
 def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: float,
@@ -254,7 +254,7 @@ def transform_residuals(base: ContactElementNet, new: ContactElementNet, alpha: 
     dist = np.abs(np.sqrt(_dot3(dx, dx)) - abs(np.sin(alpha)))
     ang = np.abs(_dot3(bn, nn) - np.cos(alpha))
     orth = np.maximum(np.abs(_dot3(dx, bn)), np.abs(_dot3(dx, nn)))
-    return float(np.max(dist)), float(np.max(ang)), float(np.max(orth))
+    return float(dist.max()), float(ang.max()), float(orth.max())
 
 
 def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = False,
@@ -278,8 +278,8 @@ def curvature_report(net: ContactElementNet, K_sign: int = -1, *, edge: bool = F
     for j in range(0, max(nj - 1, 1), step):
         rows = slice(j, j + step if j + step < nj - 1 else nj)   # the last block ends the grid
         K, bad, *_ = _face_pass(net, rows)
-        found = {"gauss": np.max(np.abs(K[~bad] - K_sign), initial=-np.inf)}
-        degenerate.append(np.flatnonzero(bad) + j * (nk - 1))
+        found = {"gauss": np.abs(K[~bad] - K_sign).max(initial=-np.inf)}
+        degenerate.append(bad.ravel().nonzero()[0] + j * (nk - 1))
         if edge:
             found["edge"] = validate_ec(net, rows)
         if period is not None:

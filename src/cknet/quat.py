@@ -44,9 +44,9 @@ def inv(q):
     with np.errstate(over="ignore", invalid="ignore"):   # reported as Singular below
         d = q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
     mag = np.abs(d)
-    if not np.all((mag > _SINGULAR_TOL) & (mag < np.inf)):
+    if not ((mag > _SINGULAR_TOL) & (mag < np.inf)).all():
         raise Singular(f"matrix with |det| <= {_SINGULAR_TOL:g} or non-finite "
-                       f"(min |det| = {np.min(mag):.3e})")
+                       f"(min |det| = {mag.min():.3e})")
     return qconj(q) / d[..., None, None]
 
 

@@ -218,8 +218,8 @@ def _edge_jet_cmc(diag, u, t, alpha_sign=1.0):
     eit = np.exp(1j * t)
     emt = np.exp(-1j * t)
     alpha2 = np.abs(diag) ** 2 + u * u + 1.0 / (u * u) + 2.0 * np.cos(2.0 * t)
-    if np.any(alpha2 <= 0):
-        raise BranchFailure(f"normalizer alpha^2 <= 0 (min {np.min(alpha2):.3e})")
+    if (alpha2 <= 0).any():
+        raise BranchFailure(f"normalizer alpha^2 <= 0 (min {alpha2.min():.3e})")
     alpha = np.sign(alpha_sign) * np.sqrt(alpha2)
     X = matrix(diag, -eit * u - emt / u, emt * u + eit / u, np.conj(diag))
     Xd = matrix(0.0, -1j * eit * u + 1j * emt / u, -1j * emt * u + 1j * eit / u, 0.0)
@@ -251,13 +251,13 @@ def build_cmc_connection(p: Profile, theta: float):
     q = np.sqrt(sgn * (p.kappa ** 2 - 1.0))
     a, b = (p.mirrored() if p.f[0] < 0 else p).a, p.b
     if exchanged:
-        if not (np.all(a > 0) or np.all(a < 0)):
+        if not ((a > 0).all() or (a < 0).all()):
             raise CaseMismatch("kappa < 1 requires the radial normal component to keep its sign")
         x = (a + np.abs(p.f)) / q
     else:
         x = a / q + np.sqrt((a / q) ** 2 + 1.0)
     w = np.sqrt(x[:-1] * x[1:])
-    if not exchanged and np.min(np.abs(np.abs(w) - 1.0)) < 1e-12:
+    if not exchanged and np.abs(np.abs(w) - 1.0).min() < 1e-12:
         raise BranchFailure("u = +-1 on some profile edge (mirrored radial normals)")
     vertex_diag = 2.0 / (q * np.tan(theta / 2.0)) + 2j * b / q
     edge_diag = sgn * (a[:-1] + a[1:]) * (w + sgn / w) / (b[1:] - b[:-1])
@@ -308,7 +308,7 @@ def closing_residual(conn: ConnectionFamily, k0: int) -> float:
     Mk = np.linalg.matrix_power(Mval, k0)
     s = np.sqrt(Mk[0, 0] * Mk[1, 1] - Mk[0, 1] * Mk[1, 0])
     eye = np.eye(2)
-    return float(min(np.max(np.abs(Mk - s * eye)), np.max(np.abs(Mk + s * eye))))
+    return float(min(np.abs(Mk - s * eye).max(), np.abs(Mk + s * eye).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +363,12 @@ def principal_curvatures(net: ContactElementNet):
     for axis, name in ((0, "j"), (1, "k")):
         dx, dn = np.diff(net.x, axis=axis), np.diff(net.n, axis=axis)
         nx2 = np.einsum("...i,...i->...", dx, dx)
-        if np.min(nx2) < 1e-28:
+        if nx2.min() < 1e-28:
             raise ZeroEdge(f"zero {name}-edge in position net")
         R = -np.einsum("...i,...i->...", dn, dx) / nx2
         resid = np.linalg.norm(dn + R[..., None] * dx, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(dn, axis=-1))
-        worst = np.max(resid / scale)
+        worst = (resid / scale).max()
         if not (worst <= _PRINCIPAL_TOL):
             idx = np.unravel_index(np.argmax(resid / scale), resid.shape)
             raise NotPrincipal(
@@ -444,8 +444,8 @@ def rigid_align(net_a: ContactElementNet, net_b: ContactElementNet) -> AlignResu
         rx, rn = xa @ M, na @ M
         T = cb - rx.mean(axis=0)
         res = max(
-            float(np.max(np.linalg.norm(rx + T - xb, axis=-1))),
-            float(np.max(np.linalg.norm(rn - nb, axis=-1))),
+            float(np.linalg.norm(rx + T - xb, axis=-1).max()),
+            float(np.linalg.norm(rn - nb, axis=-1).max()),
         )
         if best is None or res < best.residual:
             best = AlignResult(R, T, res)
@@ -461,7 +461,7 @@ def gauss_from_profile(p: Profile):
     Raises DegenerateEdge when f(j+1) = -f(j).
     """
     sf = p.f[1:] + p.f[:-1]
-    if np.any(np.abs(sf) < 1e-14):
+    if (np.abs(sf) < 1e-14).any():
         raise DegenerateEdge("f(j+1) = -f(j) on some edge; curvature undefined")
     return -(p.b[1:] - p.b[:-1]) / (p.c * sf)
 
@@ -469,7 +469,7 @@ def gauss_from_profile(p: Profile):
 def validate_profile(p: Profile) -> None:
     """Raise InvalidProfile when the defining relations drift beyond ``_PROFILE_TOL``."""
     r = edge_residuals(p)
-    unit = float(np.max(np.abs(p.a ** 2 + p.b ** 2 - 1.0)))
+    unit = float(np.abs(p.a ** 2 + p.b ** 2 - 1.0).max())
     drift = conservation_drift(p)
     if not (r <= _PROFILE_TOL and unit <= _PROFILE_TOL and drift <= 100 * _PROFILE_TOL):
         raise InvalidProfile(

@@ -66,7 +66,7 @@ def _amplitude(u, kappa):
     for i in range(n, 0, -1):
         s = np.sin(phi)
         zeta = zeta + e[i] * s
-        phi = (phi + np.arcsin(np.clip(c[i] * s / a[i], -1.0, 1.0))) / 2.0
+        phi = (phi + np.arcsin((c[i] * s / a[i]).clip(-1.0, 1.0))) / 2.0
     return phi, zeta, e
 
 
@@ -173,9 +173,9 @@ def _anchor_pos(j_lo: int, n: int) -> int:
 
 def _heights(c, a, j_lo):
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
-        h = np.concatenate([[0.0], np.cumsum(-c * (a[1:] + a[:-1]))])
+        h = np.concatenate([[0.0], (-c * (a[1:] + a[:-1])).cumsum()])
         h -= h[_anchor_pos(j_lo, len(h))]
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise InvalidProfile("profile heights overflow")
     return h
 
@@ -186,19 +186,19 @@ def _finalize(f, h, a, b, c, kappa, K_sign, j_lo):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(np.abs(c) < 1e-14):
+    if (np.abs(c) < 1e-14).any():
         raise InvalidProfile("edge coefficient c vanishes")
-    if np.max(np.abs(b)) > 1.0 + _UNIT_TOL:
-        raise InvalidProfile(f"axial normal component exceeds 1: max |b| = {np.max(np.abs(b)):.6g}")
-    if np.min(np.abs(f)) < 1e-12:
+    if np.abs(b).max() > 1.0 + _UNIT_TOL:
+        raise InvalidProfile(f"axial normal component exceeds 1: max |b| = {np.abs(b).max():.6g}")
+    if np.abs(f).min() < 1e-12:
         raise InvalidProfile("radius f vanishes")
-    if not (np.all(f > 0) or np.all(f < 0)):
+    if not ((f > 0).all() or (f < 0).all()):
         raise InvalidProfile("radius f changes sign")
     df, dh = f[1:] - f[:-1], h[1:] - h[:-1]
-    if np.min(np.maximum(np.abs(df), np.abs(dh))) < 1e-12:
+    if np.maximum(np.abs(df), np.abs(dh)).min() < 1e-12:
         raise InvalidProfile("a profile edge has zero length")
     sa, sb = a[1:] + a[:-1], b[1:] + b[:-1]
-    if np.min(np.maximum(np.abs(sa), np.abs(sb))) < 1e-12:
+    if np.maximum(np.abs(sa), np.abs(sb)).min() < 1e-12:
         raise InvalidProfile("normal sums (sigma a, sigma b) vanish on an edge")
     return Profile(f, h, a, b, c, float(kappa), int(K_sign), int(j_lo))
 
@@ -206,7 +206,7 @@ def _finalize(f, h, a, b, c, kappa, K_sign, j_lo):
 def _axial_from_b(b):
     """The non-negative radial normal component a = sqrt(1 - b^2), 0 where |b| > 1 (which
     _finalize refuses)."""
-    b = np.clip(b, -1.0, 1.0)   # so b * b cannot overflow
+    b = b.clip(-1.0, 1.0)   # so b * b cannot overflow
     return np.sqrt(1.0 - b * b)
 
 
@@ -222,7 +222,7 @@ def profile_trig(c, A, B, j_lo=0):
     if abs(A) < 1e-14:
         raise InvalidProfile("amplitude A must be nonzero")
     theta = -2.0 * np.arctan(c)
-    phase = np.concatenate([[0.0], np.cumsum(theta)])
+    phase = np.concatenate([[0.0], theta.cumsum()])
     phase = phase - phase[_anchor_pos(j_lo, len(phase))]
     f = A * np.cos(phase + B)
     b = A * np.sin(phase + B)
@@ -239,16 +239,16 @@ def profile_hyp(c, A, B, j_lo=0):
     1 + 4AB > 0.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(np.abs(np.abs(c) - 1.0) < 1e-12):
+    if (np.abs(np.abs(c) - 1.0) < 1e-12).any():
         raise InvalidProfile("edge coefficient c = +-1 degenerates the exponential solution")
     if 1.0 + 4.0 * A * B <= 0:
         raise InvalidProfile(f"1 + 4AB = {1.0 + 4.0 * A * B:.6g} <= 0 admits no curvature radius")
     rho = (1.0 + c) / (1.0 - c)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
-        r = np.concatenate([[1.0], np.cumprod(rho)])
+        r = np.concatenate([[1.0], rho.cumprod()])
         r = r / r[_anchor_pos(j_lo, len(r))]
         f, b = A / r + B * r, -A / r + B * r
-    if not np.all(np.isfinite(f) & np.isfinite(b)):
+    if not (np.isfinite(f) & np.isfinite(b)).all():
         raise InvalidProfile("the exponential solution overflows on this meridian")
     a = _axial_from_b(b)
     h = _heights(c, a, j_lo)
@@ -327,7 +327,7 @@ def conservation_drift(p: Profile) -> float:
         target = 1.0 / p.kappa ** 2
         d1 = p.f ** 2 + p.a ** 2 - target
         d2 = p.f ** 2 - p.b ** 2 + 1.0 - target
-    return float(np.maximum(np.max(np.abs(d1)), np.max(np.abs(d2))))
+    return float(np.maximum(np.abs(d1).max(), np.abs(d2).max()))
 
 
 def edge_residuals(p: Profile) -> float:
@@ -341,7 +341,7 @@ def edge_residuals(p: Profile) -> float:
     r1 = np.abs(df - p.c * sb)
     r2 = np.abs(dh + p.c * sa)
     r3 = np.abs(db + p.K_sign * p.c * sf)
-    return float(np.maximum.reduce([np.max(r1), np.max(r2), np.max(r3)]))
+    return float(np.maximum.reduce([r1.max(), r2.max(), r3.max()]))
 
 
 def _require_step(theta: float) -> None:
@@ -377,8 +377,13 @@ def column_angles(k_count: int, theta: float = None, k0: int = None, k_lo: int =
 def build_rcnet(p: Profile, ang: np.ndarray) -> ContactElementNet:
     """Rotational circular net: the profile swept to the column angles ``ang``."""
     cos_t, sin_t = np.cos(ang), np.sin(ang)
-    sweep = lambda radial, axial: np.stack(np.broadcast_arrays(
-        radial[:, None] * cos_t, radial[:, None] * sin_t, axial[:, None]), axis=-1)
+
+    def sweep(radial, axial):   # (radial cos, radial sin, axial), written into one array
+        out = np.empty((len(radial), len(ang), 3))
+        np.multiply(radial[:, None], cos_t, out=out[..., 0])
+        np.multiply(radial[:, None], sin_t, out=out[..., 1])
+        out[..., 2] = axial[:, None]
+        return out
     return ContactElementNet(sweep(p.f, p.h), sweep(p.a, p.b))
 
 

@@ -1,7 +1,10 @@
 """The record contract: cknet's records are read-only slotted classes whose fields are their
-``__slots__``; equality, hash and repr run over the fields, and ``__post_init__`` is looked
-up on the record, so a hook set on the class (as perfbench's tracer sets one on
+``__slots__``; repr runs over the fields, equality and hash too on the records of scalars
+(the others compare as objects, since arrays have no truth value), and ``__post_init__`` is
+looked up on the record, so a hook set on the class (as perfbench's tracer sets one on
 ``ContactElementNet`` to count vertices) runs once per record built."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -82,6 +85,27 @@ def test_value_equality_and_hash(cls, args):
         other = cls(*args[:i], (value + "x") if isinstance(value, str) else value * 2 + 1,
                     *args[i + 1:])
         assert a != other and other != a, i
+
+
+ARRAY_RECORDS = [Profile, MatJet, ConnectionFamily, CkEdgeData, HsLaxData, ContactElementNet,
+                 FrameFamily, AlignResult]
+
+
+def test_equal_profiles_compare_as_objects():
+    p = profile_elliptic(0.6, -1, (-3, 3), j0=4)
+    q = profile_elliptic(0.6, -1, (-3, 3), j0=4)
+    assert p == p and p != q and not p == q and not p != p
+    assert hash(p) == hash(p) and len({p, q}) == 2
+
+
+@pytest.mark.parametrize("cls", ARRAY_RECORDS, ids=lambda c: c.__name__)
+def test_records_with_arrays_compare_and_hash_as_objects(records, cls):
+    rec = records[cls]
+    arity = len(inspect.signature(cls).parameters)
+    twin = cls(*(getattr(rec, name) for name in cls.__slots__[:arity]))
+    assert rec == rec and rec != twin and not rec == twin
+    assert hash(rec) == hash(rec) and len({rec, twin, rec}) == 2
+    assert rec != object() and rec.__eq__(twin) is NotImplemented
 
 
 def test_check_result_fields():
